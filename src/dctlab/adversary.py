@@ -13,22 +13,15 @@ not probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .crypto_core import (
-    DAY_S,
-    IDENTIFIER_SLOT_S,
-    Tek,
-    b64,
-    derive_centralized_id,
-    derive_day_identifiers,
-)
+from .crypto_core import DAY_S, IDENTIFIER_SLOT_S, b64, derive_centralized_id
 from .errors import ConfigurationError
 from .radio import LINK_ADDR_LEN, DeviceClient, World
 from .rng import SeedStream
 from .schemes.centralized import CentralRegistry
 from .schemes.dh import DhConfig, match_exposures_dh
-from .schemes.tek import PublishedTek, SightingLog, match_exposures
+from .schemes.tek import PublishedTek, PublishedTekIndex, SightingLog, match_exposures
 from .server import TracingServer
 
 TWO_WAY_FANOUT_LIMIT = 8   # a phone sustains 8 BLE connections, no more
@@ -96,12 +89,6 @@ class RelayPair:
         if self.mode not in ("one_way_broadcast", "two_way_realtime"):
             raise ConfigurationError(f"unknown relay mode {self.mode!r}")
         self.fanout_limit = min(self.fanout_limit, TWO_WAY_FANOUT_LIMIT)
-
-
-@dataclass
-class AttackOutcome:
-    false_notifications: int = 0
-    details: dict = field(default_factory=dict)
 
 
 def install_relay(world: World, pair: RelayPair) -> dict:
@@ -209,21 +196,22 @@ class TimeTravelAttack:
 
 
 def install_time_travel(world: World, server: TracingServer, attack: TimeTravelAttack,
-                        scheme: str) -> dict:
+                        scheme: str, tek_index: PublishedTekIndex | None = None) -> dict:
     stats = {"armed": False, "replayed_id": None}
+    index = tek_index or PublishedTekIndex()
 
     def shift():
         world.set_clock(attack.victim, attack.offset_s)
         replayer = world.devices[attack.replayer].client
         if scheme == "tek":
-            entries, _ = server.fetch_feed("tek")
-            if entries:
-                tek = Tek(bytes.fromhex(entries[0]["tek_hex"]), entries[0]["day"])
+            published = index.ingest_all(server.fetch_feed("tek")[0])
+            if published:
+                pub = published[0]
                 victim_local = world.local_time(attack.victim)
                 slot = (victim_local % DAY_S) // IDENTIFIER_SLOT_S
                 day_of_victim = victim_local // DAY_S
-                if day_of_victim == tek.day_index:
-                    ident = derive_day_identifiers(tek)[slot]
+                if day_of_victim == pub.tek.day_index:
+                    ident = index.schedule(pub)[slot]
                     replayer.payload = ident.bytes
                     stats["armed"] = True
                     stats["replayed_id"] = ident.hex
@@ -282,15 +270,34 @@ def _tracks_from_groups(groups: dict[str, list[SnifferObservation]]) -> LinkageR
     return LinkageReport(tracks, longest)
 
 
+def _sightings_by_key(observations: list[SnifferObservation],
+                      published_teks: list[PublishedTek] | None,
+                      tek_index: PublishedTekIndex | None) -> dict[str, list[SnifferObservation]]:
+    """Sightings of each published key's identifiers, labelled by the key,
+    grouped in one pass through the index's identifier map."""
+    index = tek_index or PublishedTekIndex()
+    wanted = set()
+    for pub in published_teks or []:
+        index.schedule(pub)
+        wanted.add(pub.tek.hex)
+    groups: dict[str, list[SnifferObservation]] = {}
+    for o in observations:
+        owner = index.by_identifier.get(o.identifier)
+        if owner is not None and owner[0] in wanted:
+            groups.setdefault(f"tek:{owner[0][:16]}", []).append(o)
+    return groups
+
+
 def run_linkage(observations: list[SnifferObservation], scheme: str, *,
                 published_teks: list[PublishedTek] | None = None,
+                tek_index: PublishedTekIndex | None = None,
                 registry: CentralRegistry | None = None,
                 scanned_windows: tuple[int, int] | None = None) -> LinkageReport:
     """Group sniffed sightings into per-device movement tracks.
 
-    tek: re-derive the 144 identifiers of each published daily key; every
-    sighting of any of them belongs to that key's device, so the track spans
-    the whole day. dh (and centralized without server collusion): group by
+    tek: every sighting of any of the 144 identifiers of a published daily
+    key (looked up in tek_index) belongs to that key's device, so the track
+    spans the whole day. dh (and centralized without server collusion): group by
     identical beacon payload, which rotates per window, so no track can
     outlive one rotation period. centralized with a colluding provider:
     derive every registered user's identifiers from the registry and group
@@ -298,11 +305,7 @@ def run_linkage(observations: list[SnifferObservation], scheme: str, *,
     """
     groups: dict[str, list[SnifferObservation]] = {}
     if scheme == "tek":
-        for pub in published_teks or []:
-            idents = {i.bytes for i in derive_day_identifiers(pub.tek)}
-            hits = [o for o in observations if o.identifier in idents]
-            if hits:
-                groups[f"tek:{pub.tek.hex[:16]}"] = hits
+        groups = _sightings_by_key(observations, published_teks, tek_index)
     elif scheme == "centralized" and registry is not None:
         lo, hi = scanned_windows
         ids_of_user: dict[bytes, str] = {}
@@ -335,20 +338,18 @@ def registry_identifier(registry: CentralRegistry, user_id: str, t_k: int) -> by
 # Fake exposure claims
 # ---------------------------------------------------------------------------
 
-def fake_claim_tek(server: TracingServer, claimant_local_t: int) -> dict:
+def fake_claim_tek(server: TracingServer, claimant_local_t: int,
+                   tek_index: PublishedTekIndex | None = None) -> dict:
     """Fabricate a sighting log purely from the public feed and run the
     standard matcher over it. Nothing distinguishes it from a real log."""
-    entries, _ = server.fetch_feed("tek")
+    index = tek_index or PublishedTekIndex()
+    published = index.ingest_all(server.fetch_feed("tek")[0])
     log = SightingLog()
-    published = []
-    for e in entries:
-        tek = Tek(bytes.fromhex(e["tek_hex"]), e["day"])
-        published.append(PublishedTek(tek, e["published_at"]))
-        slot = min((claimant_local_t % DAY_S) // IDENTIFIER_SLOT_S,
-                   len(derive_day_identifiers(tek)) - 1)
-        ident = derive_day_identifiers(tek)[slot]
+    for pub in published:
+        schedule = index.schedule(pub)
+        ident = schedule[min((claimant_local_t % DAY_S) // IDENTIFIER_SLOT_S, len(schedule) - 1)]
         log.append(ident.bytes, seen_at=ident.valid_from + 30, global_at=claimant_local_t)
-    exposures = match_exposures(log, published)
+    exposures = match_exposures(log, published, index=index)
     return {"accepted": len(exposures) > 0, "fabricated_exposures": len(exposures)}
 
 
@@ -387,6 +388,7 @@ def fake_claim_centralized(server: TracingServer, claimant_device: str,
 def run_social_graph(server: TracingServer, scheme: str, *,
                      observations: list[SnifferObservation] | None = None,
                      published_teks: list[PublishedTek] | None = None,
+                     tek_index: PublishedTekIndex | None = None,
                      co_sight_window_s: int = IDENTIFIER_SLOT_S) -> dict:
     """What an adversarial provider can learn about who met whom.
 
@@ -402,12 +404,7 @@ def run_social_graph(server: TracingServer, scheme: str, *,
             pair = tuple(sorted((m["uploader_device"], m["contact_device"])))
             edges.add(pair)
     elif scheme == "tek" and observations:
-        sightings_of_key: dict[str, list[SnifferObservation]] = {}
-        for pub in published_teks or []:
-            idents = {i.bytes for i in derive_day_identifiers(pub.tek)}
-            hits = [o for o in observations if o.identifier in idents]
-            if hits:
-                sightings_of_key[f"tek:{pub.tek.hex[:16]}"] = hits
+        sightings_of_key = _sightings_by_key(observations, published_teks, tek_index)
         labels = sorted(sightings_of_key)
         for i, la in enumerate(labels):
             for lb in labels[i + 1:]:

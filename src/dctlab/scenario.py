@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import adversary
-from .crypto_core import GroupParams, Tek
+from .crypto_core import GroupParams
 from .errors import ScenarioError, UploadRejected
 from .radio import ContactEdge, ContactTrace, DeviceClient, World
 from .rng import SeedStream
 from .schemes.centralized import CentralizedClient, CentralRegistry
 from .schemes.dh import DhClient, DhConfig, encode_proof
-from .schemes.tek import PublishedTek, TekClient
+from .schemes.tek import PublishedTekIndex, TekClient
 from .server import TracingServer
 
 SYNC_DELAY_S = 60
@@ -100,6 +100,7 @@ class _RunState:
     exposures_by_device: dict[str, int] = field(default_factory=dict)
     cursors: dict[str, int] = field(default_factory=dict)
     attack_stats: dict = field(default_factory=dict)
+    tek_index: PublishedTekIndex = field(default_factory=PublishedTekIndex)
 
 
 def execute_run(run_cfg: dict, stream: SeedStream) -> RunResult:
@@ -159,7 +160,8 @@ def _build_devices(run_cfg: dict, state: _RunState, stream: SeedStream, sconf: d
             client = TekClient(stream.child(f"device:{did}"),
                                validity_window_s=sconf.get("validity_window_s", 7200),
                                strict_freshness=sconf.get("strict_freshness", False),
-                               retention_days=sconf.get("retention_days", 14))
+                               retention_days=sconf.get("retention_days", 14),
+                               index=state.tek_index)
         else:
             cfg = DhConfig(rotation_s=sconf.get("rotation_s", 900),
                            min_encounter_s=sconf.get("min_encounter_s", 300),
@@ -201,7 +203,7 @@ def _install_attack(attack: dict, run_cfg: dict, state: _RunState, stream: SeedS
                                         offset_s=attack["offset_s"], at_s=attack["at_s"],
                                         restore_at_s=attack["restore_at_s"])
         state.attack_stats = adversary.install_time_travel(state.world, state.server,
-                                                           tt, state.scheme)
+                                                           tt, state.scheme, state.tek_index)
         state.attack_stats["kind"] = "time_travel"
     elif kind == "fake_claim":
         state.attack_stats = {"kind": "fake_claim"}
@@ -211,7 +213,7 @@ def _install_attack(attack: dict, run_cfg: dict, state: _RunState, stream: SeedS
             state.reporters.add(claimant)
             if state.scheme == "tek":
                 result = adversary.fake_claim_tek(
-                    state.server, state.world.local_time(claimant))
+                    state.server, state.world.local_time(claimant), state.tek_index)
             elif state.scheme == "dh":
                 result = adversary.fake_claim_dh(state.server, stream.child("attack"),
                                                  guesses=attack.get("guesses", 32))
@@ -294,12 +296,6 @@ def _schedule_superspreader_checks(run_cfg: dict, state: _RunState, sconf: dict)
     state.world.schedule(run_cfg["duration_s"], check)
 
 
-def _published_teks(server: TracingServer) -> list[PublishedTek]:
-    entries, _ = server.fetch_feed("tek")
-    return [PublishedTek(Tek(bytes.fromhex(e["tek_hex"]), e["day"]), e["published_at"])
-            for e in entries]
-
-
 def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation]:
     obs = []
     for did in sorted(state.clients):
@@ -341,7 +337,9 @@ def _collect_metrics(run_cfg: dict, state: _RunState, sconf: dict, analysis: dic
         rotation_s = sconf.get("rotation_s", SCHEME_ROTATION_DEFAULTS[state.scheme])
         kwargs = {}
         if state.scheme == "tek":
-            kwargs["published_teks"] = _published_teks(state.server)
+            kwargs["published_teks"] = state.tek_index.ingest_all(
+                state.server.fetch_feed("tek")[0])
+            kwargs["tek_index"] = state.tek_index
         elif state.scheme == "centralized" and analysis.get("colluding_sp"):
             kwargs["registry"] = state.server.registry
             kwargs["scanned_windows"] = (0, run_cfg["duration_s"] // rotation_s + 1)
@@ -353,7 +351,8 @@ def _collect_metrics(run_cfg: dict, state: _RunState, sconf: dict, analysis: dic
         graph = adversary.run_social_graph(
             state.server, state.scheme,
             observations=_sniffer_observations(state),
-            published_teks=_published_teks(state.server))
+            published_teks=state.tek_index.ingest_all(state.server.fetch_feed("tek")[0]),
+            tek_index=state.tek_index)
         roles = {d["id"]: d["role"] for d in _normalize_devices(run_cfg["devices"])}
         truth = sorted(
             sorted((r, c)) for r in state.reporters

@@ -50,7 +50,6 @@ class ObservedRecord:
     identifier: bytes
     first_seen: int
     last_seen: int
-    observer_clock: int
 
     def as_dict(self) -> dict:
         return {"id_hex": self.identifier.hex(),
@@ -202,7 +201,7 @@ class CentralizedClient(DeviceClient):
         if rec is not None and local_t - rec.last_seen <= SIGHTING_MERGE_GAP_S:
             rec.last_seen = max(rec.last_seen, local_t)
             return
-        rec = ObservedRecord(identifier, local_t, local_t, local_t)
+        rec = ObservedRecord(identifier, local_t, local_t)
         self.records.append(rec)
         self._last_by_id[identifier] = rec
 

@@ -50,7 +50,6 @@ class DhConfig:
     epsilon_s: int = 60              # max |reporter ts - local ts| for a match
     superspreader_threshold: int = 3
     anonymized_upload: bool = False  # postbox mitigation, modeled not implemented
-    defer_token_computation: bool = False  # battery deferral note; a no-op here
     group: GroupParams = field(default_factory=GroupParams.production)
 
     def __post_init__(self):

@@ -5,6 +5,15 @@ derived identifier for the current 10-minute slot. On infection the daily
 keys themselves are published, so matching happens on the phone: derive the
 144 identifiers of each published key and intersect with the sighting log.
 
+A published key's schedule is derived once per run, not once per device and
+sync. ``PublishedTekIndex`` holds every published key a run has ingested:
+tek_hex -> (PublishedTek, its 144-identifier schedule), and identifier bytes
+-> (tek_hex, slot). One index is shared by every client of a run and by the
+adversary analyses; a client built without one keeps a private index.
+Ingestion skips (and counts) a feed entry whose tek_hex is not 32 hex
+characters or whose day is not a non-negative integer, so one bad entry
+cannot break matching for anyone.
+
 The weaknesses the adversary lab exercises are reproduced deliberately:
 
 * a generous match validity window (default 7200 s) that admits relayed
@@ -22,15 +31,17 @@ manipulated. It ships off by default, mirroring deployed behavior.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
-from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, Tek, derive_day_identifiers
+from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, Identifier, Tek, derive_day_identifiers
 from ..radio import DeviceClient
 from ..rng import SeedStream
 
 DEFAULT_VALIDITY_WINDOW_S = 7200
 DEFAULT_RETENTION_DAYS = 14
 STRICT_VALIDITY_WINDOW_S = 120   # the "fixed" profile
+_TEK_HEX = re.compile(r"[0-9a-fA-F]{32}")
 
 
 @dataclass
@@ -96,6 +107,62 @@ class Exposure:
                 "slot": self.slot, "seen_at": self.seen_at}
 
 
+def tek_entry_error(entry) -> str | None:
+    """Why a TEK upload or feed entry is malformed, or None when tek_hex is
+    32 hex characters and day a non-negative integer."""
+    if not isinstance(entry, dict):
+        return "TEK entry is not an object"
+    tek_hex, day = entry.get("tek_hex"), entry.get("day")
+    if not isinstance(tek_hex, str) or not _TEK_HEX.fullmatch(tek_hex):
+        return "tek_hex must be 32 hex characters"
+    if not isinstance(day, int) or isinstance(day, bool) or day < 0:
+        return "day must be a non-negative integer"
+    return None
+
+
+class PublishedTekIndex:
+    """Every published daily key one run has seen, each schedule derived once.
+
+    by_hex maps tek_hex to the first PublishedTek indexed under it and that
+    key's identifier schedule; by_identifier maps each identifier's bytes to
+    (tek_hex, slot). skipped counts the malformed entries handed to ingest.
+    """
+
+    def __init__(self):
+        self.by_hex: dict[str, tuple[PublishedTek, list[Identifier]]] = {}
+        self.by_identifier: dict[bytes, tuple[str, int]] = {}
+        self.skipped = 0
+
+    def schedule(self, pub: PublishedTek) -> list[Identifier]:
+        """The 144 identifiers of pub's key, as derive_day_identifiers gives them."""
+        tek = pub.tek
+        hit = self.by_hex.get(tek.hex)
+        if hit is None:
+            hit = self.by_hex[tek.hex] = (pub, derive_day_identifiers(tek))
+            for slot, ident in enumerate(hit[1]):
+                self.by_identifier.setdefault(ident.bytes, (tek.hex, slot))
+        indexed, schedule = hit
+        shift = (tek.day_index - indexed.tek.day_index) * DAY_S
+        if shift:
+            # the identifier bytes depend on the key alone, the windows on its day
+            return [Identifier(i.bytes, i.valid_from + shift, i.valid_to + shift)
+                    for i in schedule]
+        return schedule
+
+    def ingest(self, entry) -> PublishedTek | None:
+        """Index one feed entry and return it, or None if it is malformed."""
+        if tek_entry_error(entry) is not None:
+            self.skipped += 1
+            return None
+        pub = PublishedTek(Tek(bytes.fromhex(entry["tek_hex"]), entry["day"]),
+                           entry.get("published_at", 0))
+        self.schedule(pub)
+        return pub
+
+    def ingest_all(self, entries: list) -> list[PublishedTek]:
+        return [pub for pub in map(self.ingest, entries) if pub is not None]
+
+
 def publish_keys(store: TekStore, tan: str) -> dict:
     """Upload bundle: the raw daily keys become public by design."""
     return {
@@ -116,23 +183,28 @@ def _slot_distance(seen_at: int, valid_from: int, valid_to: int) -> int:
 def match_exposures(log: SightingLog, published: list[PublishedTek],
                     validity_window_s: int = DEFAULT_VALIDITY_WINDOW_S,
                     strict_freshness: bool = False,
-                    watermarks: dict[str, int] | None = None) -> list[Exposure]:
+                    watermarks: dict[str, int] | None = None,
+                    index: PublishedTekIndex | None = None) -> list[Exposure]:
     """Intersect the sighting log with the identifier schedules of published
     keys. A sighting matches when the bytes are equal and its recorded local
     time lies within validity_window_s of the identifier's nominal slot.
-    One exposure per matched (key, slot), not per sighting.
+    One exposure per matched (key, slot), not per sighting; for each slot the
+    first in-window sighting in log order decides. Exposures come in
+    publication order, then slot order.
 
     With strict_freshness, a watermark map (tek_hex -> log length when the
     key first arrived) is required and sightings at or past the watermark
-    are ignored for that key.
+    are ignored for that key. Schedules come from index (a private one when
+    None).
     """
     if strict_freshness and watermarks is None:
         raise ValueError("strict_freshness requires first-sight watermarks")
+    index = index or PublishedTekIndex()
     out: list[Exposure] = []
     seen_keys: set[tuple] = set()
     for pub in published:
         cutoff = watermarks.get(pub.tek.hex) if strict_freshness else None
-        for slot, ident in enumerate(derive_day_identifiers(pub.tek)):
+        for slot, ident in enumerate(index.schedule(pub)):
             for s in log.sightings_of(ident.bytes):
                 if cutoff is not None and s.seq >= cutoff:
                     continue
@@ -155,7 +227,8 @@ def risk_summary(exposures: list[Exposure]) -> dict:
 
 class TekClient(DeviceClient):
     def __init__(self, stream: SeedStream, *, validity_window_s: int = DEFAULT_VALIDITY_WINDOW_S,
-                 strict_freshness: bool = False, retention_days: int = DEFAULT_RETENTION_DAYS):
+                 strict_freshness: bool = False, retention_days: int = DEFAULT_RETENTION_DAYS,
+                 index: PublishedTekIndex | None = None):
         self.stream = stream
         self.validity_window_s = validity_window_s
         self.strict_freshness = strict_freshness
@@ -164,6 +237,7 @@ class TekClient(DeviceClient):
         self.watermarks: dict[str, int] = {}
         self.known_published: list[PublishedTek] = []
         self.reported = False
+        self.index = index or PublishedTekIndex()
         self._schedules: dict[int, list] = {}
         self._notified: set[tuple] = set()
 
@@ -194,17 +268,18 @@ class TekClient(DeviceClient):
         """Ingest new feed entries and return not-yet-seen exposures."""
         known = {p.tek.hex for p in self.known_published}
         for e in feed_entries:
-            if e["tek_hex"] in known:
+            pub = self.index.ingest(e)
+            if pub is None or pub.tek.hex in known:
                 continue
-            self.known_published.append(
-                PublishedTek(Tek(bytes.fromhex(e["tek_hex"]), e["day"]), e["published_at"]))
-            self.watermarks.setdefault(e["tek_hex"], len(self.log.entries))
+            self.known_published.append(pub)
+            self.watermarks.setdefault(pub.tek.hex, len(self.log.entries))
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
                                     [p for p in self.known_published if p.tek.hex not in own],
                                     self.validity_window_s,
                                     self.strict_freshness,
-                                    self.watermarks)
+                                    self.watermarks,
+                                    self.index)
         fresh = [e for e in exposures if e.key not in self._notified]
         self._notified.update(e.key for e in fresh)
         return fresh

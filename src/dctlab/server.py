@@ -5,8 +5,9 @@ One server instance backs all three schemes:
 * TAN lifecycle: the health authority issues single-use 12-character
   authenticators; verifying an upload consumes its TAN atomically, so a TAN
   cannot be spent twice even under concurrent submissions.
-* Per-scheme uploads: daily-key bundles are published to a feed (rejected if
-  they span more than the retention period), DH bundles publish token hashes
+* Per-scheme uploads: daily-key bundles are published to a feed (rejected,
+  with their TAN left unspent, if an entry is malformed or they span more
+  than the retention period), DH bundles publish token hashes
   and sealed metadata only, centralized bundles are never published - they
   are routed to server-side matching against the registry and turn into
   notifications.
@@ -39,6 +40,7 @@ from .crypto_core import unb64
 from .errors import UploadRejected
 from .rng import SeedStream
 from .schemes.centralized import CentralRegistry, server_match
+from .schemes.tek import tek_entry_error
 
 TAN_LENGTH = 12
 DEFAULT_RETENTION_DAYS = 14
@@ -164,27 +166,36 @@ class TracingServer:
         scheme = bundle.get("scheme")
         if scheme not in SCHEMES:
             raise UploadRejected(f"malformed bundle: unknown scheme {scheme!r}")
+        if scheme == "tek":
+            self._check_tek_bundle(bundle)
         with self._lock:
             tan = self._consume_tan(bundle.get("tan"))
             handler = {"tek": self._accept_tek, "dh": self._accept_dh,
                        "centralized": self._accept_centralized}[scheme]
             return handler(bundle, tan)
 
-    def _accept_tek(self, bundle: dict, tan: Tan) -> dict:
+    def _check_tek_bundle(self, bundle: dict) -> None:
+        """Reject a malformed or over-long TEK bundle before its TAN is spent."""
         teks = bundle.get("teks")
         if not isinstance(teks, list):
             raise UploadRejected("malformed bundle: missing teks")
+        for i, t in enumerate(teks):
+            problem = tek_entry_error(t)
+            if problem is not None:
+                raise UploadRejected(f"malformed bundle: teks[{i}]: {problem}")
         if teks:
             days = [t["day"] for t in teks]
             if max(days) - min(days) + 1 > self.retention_days:
                 raise UploadRejected(
                     f"TEK bundle spans more than {self.retention_days} days")
+
+    def _accept_tek(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
-        for t in teks:
+        for t in bundle["teks"]:
             entry = {"tek_hex": t["tek_hex"], "day": t["day"], "published_at": now}
             self.feeds["tek"].append(entry)
             self._append_state("feed_tek.jsonl", entry)
-        return {"status": "ack", "published": len(teks)}
+        return {"status": "ack", "published": len(bundle["teks"])}
 
     def _accept_dh(self, bundle: dict, tan: Tan) -> dict:
         entries = bundle.get("entries")

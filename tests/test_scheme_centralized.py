@@ -56,7 +56,7 @@ def test_unregistered_client_cannot_beacon():
 
 
 def test_report_bundle_contents():
-    records = [ObservedRecord(bytes([i]) * 16, i * 100, i * 100 + 60, i * 100)
+    records = [ObservedRecord(bytes([i]) * 16, i * 100, i * 100 + 60)
                for i in range(3)]
     bundle = report_infection(records, tan="TANTANTANTAN")
     assert bundle["scheme"] == "centralized"

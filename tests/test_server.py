@@ -71,6 +71,28 @@ def test_malformed_bundles_rejected():
         server.accept_upload({"scheme": "tek", "tan": tan.value})
 
 
+def test_malformed_tek_upload_keeps_its_tan(tmp_path):
+    server = make_server(state_dir=tmp_path)
+    tan = server.issue_tan("a")
+    bad_teks = ([{"tek_hex": "zz"}], [{"tek_hex": "aa" * 16}],
+                [{"tek_hex": "aa" * 16, "day": -1}], [{"tek_hex": "aa" * 16, "day": "2"}],
+                ["aa" * 16], "aa" * 16)
+    for teks in bad_teks:
+        with pytest.raises(UploadRejected, match="malformed bundle"):
+            server.accept_upload({"scheme": "tek", "tan": tan.value, "teks": teks})
+    with pytest.raises(UploadRejected, match="spans"):
+        server.accept_upload({"scheme": "tek", "tan": tan.value,
+                              "teks": [{"tek_hex": "aa" * 16, "day": d} for d in (0, 19)]})
+    assert not server.tans[tan.value].used
+    assert server.fetch_feed("tek") == ([], 0)
+    # the TAN is still unspent after a restart, and accepts the corrected bundle
+    reborn = make_server(state_dir=tmp_path)
+    assert not reborn.tans[tan.value].used
+    ack = reborn.accept_upload({"scheme": "tek", "tan": tan.value,
+                                "teks": [{"tek_hex": "aa" * 16, "day": 2}]})
+    assert ack["published"] == 1 and reborn.tans[tan.value].used
+
+
 def test_feed_cursor_replay_identical():
     server = make_server()
     assert server.fetch_feed("tek") == ([], 0)
