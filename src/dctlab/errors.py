@@ -29,6 +29,10 @@ class UploadRejected(DctError):
         self.reason = reason
 
 
+class StateError(DctError):
+    """A persisted server state log cannot be replayed."""
+
+
 class ScenarioError(DctError):
     """Scenario file could not be loaded or is structurally invalid."""
 

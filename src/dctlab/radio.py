@@ -90,22 +90,26 @@ class ContactTrace:
 
     def __init__(self, edges: list[ContactEdge]):
         self.edges = sorted(edges, key=lambda e: (e.start_s, e.end_s, min(e.a, e.b), max(e.a, e.b)))
+        # queries read only the edges of one pair or one device
+        self._by_pair: dict[frozenset, list[ContactEdge]] = {}
+        self._by_device: dict[str, list[ContactEdge]] = {}
+        for e in self.edges:
+            self._by_pair.setdefault(e.pair, []).append(e)
+            self._by_device.setdefault(e.a, []).append(e)
+            self._by_device.setdefault(e.b, []).append(e)
 
     def in_range(self, a: str, b: str, t: int) -> bool:
-        pair = frozenset((a, b))
-        return any(e.pair == pair and e.covers(t) for e in self.edges)
+        return any(e.covers(t) for e in self._by_pair.get(frozenset((a, b)), ()))
 
     def has_any_contact(self, a: str, b: str) -> bool:
-        pair = frozenset((a, b))
-        return any(e.pair == pair for e in self.edges)
+        return frozenset((a, b)) in self._by_pair
 
     def neighbors(self, device: str, t: int) -> list[str]:
-        out = [e.b if e.a == device else e.a
-               for e in self.edges if device in e.pair and e.covers(t)]
-        return sorted(set(out))
+        return sorted({e.b if e.a == device else e.a
+                       for e in self._by_device.get(device, ()) if e.covers(t)})
 
     def contacts_of(self, device: str) -> set[str]:
-        return {e.b if e.a == device else e.a for e in self.edges if device in e.pair}
+        return {e.b if e.a == device else e.a for e in self._by_device.get(device, ())}
 
 
 @dataclass
@@ -115,10 +119,12 @@ class SimEvent:
     kind: str
     payload: dict
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {"at": self.at_s, "seq": self.seq, "kind": self.kind, "payload": self.payload},
-            sort_keys=True, separators=(",", ":"))
+    def to_json_line(self, run: str | None = None) -> str:
+        """The event's events.jsonl line; tagged with the run label when given."""
+        doc = {"at": self.at_s, "seq": self.seq, "kind": self.kind, "payload": self.payload}
+        if run is not None:
+            doc["run"] = run
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 class DeviceClient:
@@ -159,15 +165,24 @@ class Device:
     last_advertised: bytes | None = None
     link_stream: SeedStream | None = None
     irk_tag: bytes = b""
+    _link_cache: tuple | None = field(default=None, repr=False)   # ((epoch, irk), address)
 
     def link_address(self, epoch: int, irk_linkable: bool) -> bytes:
         """Per-rotation-window pseudo link address. With the IRK-linkability
         flag the first two bytes are a stable per-device tag, modeling
-        resolvable addresses derived from an unchanging identity key."""
+        resolvable addresses derived from an unchanging identity key.
+
+        The last address is kept and derived again only when the window or
+        the flag changes. That is exact, because deriving a child stream
+        consumes nothing from link_stream: a clock moved back to an earlier
+        window derives that window's address anew and gets the same bytes."""
+        key = (epoch, irk_linkable)
+        if self._link_cache is not None and self._link_cache[0] == key:
+            return self._link_cache[1]
         rand = self.link_stream.child(f"link:{epoch}").take(LINK_ADDR_LEN)
-        if irk_linkable:
-            return self.irk_tag + rand[2:]
-        return rand
+        addr = self.irk_tag + rand[2:] if irk_linkable else rand
+        self._link_cache = (key, addr)
+        return addr
 
 
 @dataclass
@@ -307,19 +322,21 @@ class World:
         return end
 
     def _deliver_beacon(self, speaker: Device, listener: Device) -> None:
-        ident = speaker.client.advertisement_identifier(self.local_time(speaker.device_id))
+        speaker_t = self.now + speaker.clock_offset_s
+        ident = speaker.client.advertisement_identifier(speaker_t)
         if ident is None:
             return
-        adv = Advertisement(ident)
         if speaker.last_advertised != ident:
+            # only a validated identifier becomes last_advertised, so a
+            # repeated one needs no second check
+            adv = Advertisement(ident)
             speaker.last_advertised = ident
             self.emit("advertise", {"device": speaker.device_id, "id": ident.hex(),
                                     "size": adv.size})
-        link = speaker.link_address(
-            self.local_time(speaker.device_id) // self.link_rotation_s, self.irk_linkable)
+        link = speaker.link_address(speaker_t // self.link_rotation_s, self.irk_linkable)
         self.emit("scan", {"device": listener.device_id, "from": speaker.device_id,
                            "id": ident.hex(), "link": link.hex()})
-        listener.client.on_sighting(ident, link, self.local_time(listener.device_id), self.now)
+        listener.client.on_sighting(ident, link, self.now + listener.clock_offset_s, self.now)
 
     def inject_beacon(self, listener_id: str, identifier: bytes, link_addr: bytes,
                       origin: str) -> None:

@@ -28,6 +28,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,6 +79,32 @@ def _normalize_devices(raw: list) -> list[dict]:
                     "clock_offset_s": entry.get("clock_offset_s", 0),
                     "mode": entry.get("mode"), "phone": entry.get("phone")})
     return out
+
+
+def _check_run(run_cfg: dict, where: str) -> None:
+    """Raise ScenarioError, naming the JSON path, for a missing field, an
+    unknown scheme, or a contact, infection or superspreader check that
+    names a device the run does not declare."""
+    for key in ("label", "scheme", "devices", "duration_s"):
+        if key not in run_cfg:
+            raise ScenarioError(f"{where} is missing the {key!r} field")
+    if run_cfg["scheme"] not in SCHEME_ROTATION_DEFAULTS:
+        raise ScenarioError(f"{where}.scheme: unknown scheme {run_cfg['scheme']!r}")
+    known = {d["id"] for d in _normalize_devices(run_cfg["devices"])}
+    named = []
+    for i, edge in enumerate(run_cfg.get("contact_trace", [])):
+        if not isinstance(edge, list) or len(edge) not in (4, 5):
+            raise ScenarioError(
+                f"{where}.contact_trace[{i}]: expected [a, b, start_s, end_s]")
+        named += [(f"contact_trace[{i}][0]", edge[0]), (f"contact_trace[{i}][1]", edge[1])]
+    for i, infection in enumerate(run_cfg.get("infections", [])):
+        device = infection.get("device") if isinstance(infection, dict) else None
+        named.append((f"infections[{i}].device", device))
+    for i, device in enumerate(run_cfg.get("analysis", {}).get("superspreader_check", [])):
+        named.append((f"analysis.superspreader_check[{i}]", device))
+    for path, device in named:
+        if not isinstance(device, Hashable) or device not in known:
+            raise ScenarioError(f"{where}.{path}: unknown device {device!r}")
 
 
 @dataclass
@@ -397,15 +424,14 @@ def run_scenario(scenario: dict, seed: int | None = None,
     sid = scenario["id"]
     seed = scenario.get("seed", 0) if seed is None else seed
     root = SeedStream(seed, sid)
-    lines: list[str] = []
+    for i, run_cfg in enumerate(scenario["runs"]):
+        _check_run(run_cfg, f"runs[{i}]")
+    lines: list[str] = []      # filled only when there is somewhere to write them
     runs_metrics: dict[str, dict] = {}
     for run_cfg in scenario["runs"]:
         result = execute_run(run_cfg, root.child(run_cfg["label"]))
-        for ev in result.events:
-            lines.append(json.dumps(
-                {"run": result.label, "at": ev.at_s, "seq": ev.seq,
-                 "kind": ev.kind, "payload": ev.payload},
-                sort_keys=True, separators=(",", ":")))
+        if out_dir is not None:
+            lines.extend(ev.to_json_line(result.label) for ev in result.events)
         runs_metrics[result.label] = result.metrics
     metrics = {"scenario": sid, "seed": seed, "runs": runs_metrics}
     if out_dir is not None:

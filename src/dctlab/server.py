@@ -8,7 +8,8 @@ One server instance backs all three schemes:
 * Per-scheme uploads: daily-key bundles are published to a feed (rejected,
   with their TAN left unspent, if an entry is malformed or they span more
   than the retention period), DH bundles publish token hashes
-  and sealed metadata only, centralized bundles are never published - they
+  and sealed metadata only (rejected, TAN unspent, if an entry is
+  malformed), centralized bundles are never published - they
   are routed to server-side matching against the registry and turn into
   notifications.
 * Publication feeds are append-only; clients page through them with an
@@ -23,13 +24,16 @@ have no access to user identities and their feeds carry no user field.
 The server is callable in-process and over a newline-delimited JSON
 request/response protocol on a TCP byte stream (see serve_tcp / WireClient).
 Persistence is an append-only JSON-lines log per feed plus the TAN log;
-a server constructed over the same state directory replays them.
+a server constructed over the same state directory replays them, dropping
+a final line that a crash cut off mid-write.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import re
 import socket
 import socketserver
 import threading
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .crypto_core import unb64
-from .errors import UploadRejected
+from .errors import StateError, UploadRejected
 from .rng import SeedStream
 from .schemes.centralized import CentralRegistry, server_match
 from .schemes.tek import tek_entry_error
@@ -46,6 +50,24 @@ TAN_LENGTH = 12
 DEFAULT_RETENTION_DAYS = 14
 DAY_S = 86400
 SCHEMES = ("centralized", "tek", "dh")
+_HASH_HEX = re.compile(r"[0-9a-fA-F]{64}")
+
+
+def _dh_entry_error(entry) -> str | None:
+    """Why a DH upload entry is malformed, or None when hash_hex is 64 hex
+    characters and meta_b64 a string that base64-decodes."""
+    if not isinstance(entry, dict):
+        return "DH entry is not an object"
+    hash_hex, meta = entry.get("hash_hex"), entry.get("meta_b64")
+    if not isinstance(hash_hex, str) or not _HASH_HEX.fullmatch(hash_hex):
+        return "hash_hex must be 64 hex characters"
+    if isinstance(meta, str):
+        try:
+            base64.b64decode(meta, validate=True)
+            return None
+        except ValueError:
+            pass
+    return "meta_b64 must be a base64 string"
 
 
 @dataclass
@@ -102,11 +124,32 @@ class TracingServer:
             fh.flush()
 
     def _read_state(self, name: str) -> list[dict]:
+        """The records of one JSON-lines log. An unparsable final line is a
+        write cut off by a crash: it is dropped and cut from the file, and a
+        kept final line lacking its newline gets one, so the next append
+        starts a line of its own. An unparsable line before the last raises
+        StateError."""
         path = self.state_dir / name
         if not path.exists():
             return []
-        with path.open(encoding="utf-8") as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+        records, torn, line = [], None, ""
+        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                if torn is not None:
+                    raise StateError(f"{name} line {torn[0]} is not JSON: {torn[1]}")
+                try:
+                    records.append(json.loads(line))
+                except ValueError as exc:
+                    torn = (number, exc)
+        if torn is not None:
+            with path.open("r+b") as fh:
+                fh.truncate(fh.read().rstrip().rfind(b"\n") + 1)
+        elif line and not line.endswith("\n"):
+            with path.open("a", encoding="utf-8") as fh:
+                fh.write("\n")
+        return records
 
     def _replay_state(self) -> None:
         for scheme in ("tek", "dh"):
@@ -154,12 +197,6 @@ class TracingServer:
         with self._lock:
             return self.registry.register(device_id, mode, phone)
 
-    def pull_id_batch(self, user_id: str, day: int) -> list[dict]:
-        if self.registry is None:
-            raise UploadRejected("no centralized registry configured")
-        with self._lock:
-            return self.registry.issue_batch(user_id, day)
-
     # -- uploads -------------------------------------------------------------------
 
     def accept_upload(self, bundle: dict) -> dict:
@@ -168,6 +205,8 @@ class TracingServer:
             raise UploadRejected(f"malformed bundle: unknown scheme {scheme!r}")
         if scheme == "tek":
             self._check_tek_bundle(bundle)
+        elif scheme == "dh":
+            self._check_dh_bundle(bundle)
         with self._lock:
             tan = self._consume_tan(bundle.get("tan"))
             handler = {"tek": self._accept_tek, "dh": self._accept_dh,
@@ -189,6 +228,16 @@ class TracingServer:
                 raise UploadRejected(
                     f"TEK bundle spans more than {self.retention_days} days")
 
+    def _check_dh_bundle(self, bundle: dict) -> None:
+        """Reject a malformed DH bundle before its TAN is spent."""
+        entries = bundle.get("entries")
+        if not isinstance(entries, list):
+            raise UploadRejected("malformed bundle: missing entries")
+        for i, e in enumerate(entries):
+            problem = _dh_entry_error(e)
+            if problem is not None:
+                raise UploadRejected(f"malformed bundle: entries[{i}]: {problem}")
+
     def _accept_tek(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
         for t in bundle["teks"]:
@@ -198,12 +247,9 @@ class TracingServer:
         return {"status": "ack", "published": len(bundle["teks"])}
 
     def _accept_dh(self, bundle: dict, tan: Tan) -> dict:
-        entries = bundle.get("entries")
-        if not isinstance(entries, list):
-            raise UploadRejected("malformed bundle: missing entries")
         now = self.clock()
         published = [{"hash_hex": e["hash_hex"], "meta_b64": e["meta_b64"],
-                      "published_at": now} for e in entries]
+                      "published_at": now} for e in bundle["entries"]]
         if bundle.get("anonymized"):
             # postbox model: drop bundle grouping by shuffling before
             # publication; the cryptographic mixing itself is out of scope

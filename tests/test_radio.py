@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctlab.errors import CapabilityError, ConfigurationError
 from dctlab.radio import (
+    LINK_ADDR_LEN,
     MAX_CONNECTIONS,
     Advertisement,
     ContactEdge,
@@ -152,3 +155,82 @@ def test_link_addresses_rotate_per_window():
     links = {e.payload["link"] for e in world.events
              if e.kind == "scan" and e.payload["from"] == "a"}
     assert len(links) == 2  # windows 0 and 1 over 1800 s at 900 s rotation
+
+
+# -- reference: the linear contact-trace queries the pair/device index replaced --
+
+def reference_in_range(edges, a, b, t):
+    pair = frozenset((a, b))
+    return any(e.pair == pair and e.covers(t) for e in edges)
+
+
+def reference_has_any_contact(edges, a, b):
+    pair = frozenset((a, b))
+    return any(e.pair == pair for e in edges)
+
+
+def reference_neighbors(edges, device, t):
+    out = [e.b if e.a == device else e.a
+           for e in edges if device in e.pair and e.covers(t)]
+    return sorted(set(out))
+
+
+def reference_contacts_of(edges, device):
+    return {e.b if e.a == device else e.a for e in edges if device in e.pair}
+
+
+DEVICES = ("a", "b", "c", "d", "e")
+
+
+@st.composite
+def contact_edges(draw):
+    edges = []
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = draw(st.lists(st.sampled_from(DEVICES), min_size=2, max_size=2, unique=True))
+        start = draw(st.integers(0, 400))
+        edges.append(ContactEdge(a, b, start, start + draw(st.integers(1, 200))))
+    return edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(edges=contact_edges(), times=st.lists(st.integers(-5, 620), min_size=1, max_size=8))
+def test_indexed_trace_answers_like_linear_scan(edges, times):
+    trace = ContactTrace(edges)
+    assert trace.edges == sorted(
+        edges, key=lambda e: (e.start_s, e.end_s, min(e.a, e.b), max(e.a, e.b)))
+    for a in DEVICES + ("zz",):
+        assert trace.contacts_of(a) == reference_contacts_of(edges, a)
+        for t in times:
+            assert trace.neighbors(a, t) == reference_neighbors(edges, a, t)
+        for b in DEVICES + ("zz",):
+            assert trace.has_any_contact(a, b) == reference_has_any_contact(edges, a, b)
+            for t in times:
+                assert trace.in_range(a, b, t) == reference_in_range(edges, a, b, t)
+
+
+@pytest.mark.parametrize("irk_linkable", [False, True])
+def test_link_address_follows_clock_across_windows_and_back(irk_linkable):
+    world = make_world([ContactEdge("a", "b", 0, 1800)], seed=9,
+                       capabilities=("clock",), irk_linkable=irk_linkable)
+    world.add_device("a", BeaconClient(b"A" * 16))
+    world.add_device("b", BeaconClient(b"B" * 16))
+    # forward two windows, back to the start, then forward one window
+    for at, offset in ((100, 1800), (300, 0), (500, 900), (700, 0)):
+        world.schedule(at, lambda offset=offset: world.set_clock("a", offset))
+    world.run()
+
+    fresh = world.stream.child("device:a:link")
+    irk = world.stream.child("device:a:irk").take(2)
+    offset, epochs = 0, []
+    for ev in world.events:
+        if ev.kind == "clock_set":
+            offset = ev.payload["offset_s"]
+        elif ev.kind == "scan" and ev.payload["from"] == "a":
+            epoch = (ev.at_s + offset) // 900
+            want = fresh.child(f"link:{epoch}").take(LINK_ADDR_LEN)
+            if irk_linkable:
+                want = irk + want[2:]
+            assert ev.payload["link"] == want.hex()
+            if not epochs or epochs[-1] != epoch:
+                epochs.append(epoch)
+    assert epochs == [0, 2, 0, 1, 0, 1]

@@ -130,6 +130,41 @@ def test_cli_run_smoke_and_exit_codes(tmp_path, capsys):
     assert main([]) == 2
 
 
+SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
+             "devices": ["a", "b", {"id": "s", "role": "sniffer"}],
+             "contact_trace": [["a", "b", 0, 600], ["a", "s", 0, 600]],
+             "infections": [{"device": "a", "report_at": 650}],
+             "analysis": {"superspreader_check": ["b"]},
+             "duration_s": 800}
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("scheme", "pigeon", "runs[1].scheme"),
+    ("contact_trace", [["a", "b", 0, 600], ["zz", "a", 0, 60]], "runs[1].contact_trace[1][0]"),
+    ("contact_trace", [["a", "b", 0, 600], ["a", "zz", 0, 600]], "runs[1].contact_trace[1][1]"),
+    ("contact_trace", [["a", "b", 0]], "runs[1].contact_trace[0]"),
+    ("infections", [{"device": "a", "report_at": 1}, {"device": "zz", "report_at": 5}],
+     "runs[1].infections[1].device"),
+    ("analysis", {"superspreader_check": ["b", "zz"]}, "runs[1].analysis.superspreader_check[1]"),
+    ("duration_s", None, "runs[1] is missing the 'duration_s' field"),
+    ("contact_trace", [["a", "a", 0, 600]], "endpoints must differ"),
+    ("scheme_config", {"rotation_s": 300, "min_encounter_s": 300}, "min_encounter_s"),
+])
+def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
+    bad_run = dict(SMOKE_RUN, label="bad")
+    if value is None:
+        del bad_run[field]
+    else:
+        bad_run[field] = value
+    scenario_path = tmp_path / "bad_run.json"
+    scenario_path.write_text(json.dumps({"id": "bad_run", "seed": 1,
+                                         "runs": [SMOKE_RUN, bad_run]}))
+    assert main(["--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and expected in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_outputs_identical_across_processes(tmp_path):
     import subprocess
     import sys

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from dctlab.crypto_core import GroupParams, b64, hash_token, keygen, dh_token
-from dctlab.errors import UploadRejected
+from dctlab.errors import StateError, UploadRejected
 from dctlab.rng import SeedStream
 from dctlab.schemes.centralized import CentralRegistry, CentralizedClient
 from dctlab.schemes.dh import encode_proof
@@ -90,6 +90,31 @@ def test_malformed_tek_upload_keeps_its_tan(tmp_path):
     assert not reborn.tans[tan.value].used
     ack = reborn.accept_upload({"scheme": "tek", "tan": tan.value,
                                 "teks": [{"tek_hex": "aa" * 16, "day": 2}]})
+    assert ack["published"] == 1 and reborn.tans[tan.value].used
+
+
+def test_malformed_dh_upload_keeps_its_tan(tmp_path):
+    server = make_server(state_dir=tmp_path)
+    tan = server.issue_tan("a")
+    good = {"hash_hex": "ab" * 32, "meta_b64": b64(b"x" * 40)}
+    bad_entries = ([{}], [good, {"meta_b64": good["meta_b64"]}],
+                   [{"hash_hex": "ab" * 31, "meta_b64": good["meta_b64"]}],
+                   [{"hash_hex": "zz" * 32, "meta_b64": good["meta_b64"]}],
+                   [{"hash_hex": good["hash_hex"]}],
+                   [{"hash_hex": good["hash_hex"], "meta_b64": "not base64!"}],
+                   [{"hash_hex": good["hash_hex"], "meta_b64": 40}],
+                   ["ab" * 32], None)
+    for entries in bad_entries:
+        with pytest.raises(UploadRejected, match=r"malformed bundle"):
+            server.accept_upload({"scheme": "dh", "tan": tan.value, "entries": entries})
+    with pytest.raises(UploadRejected, match=r"entries\[1\]: hash_hex"):
+        server.accept_upload({"scheme": "dh", "tan": tan.value,
+                              "entries": [good, {"meta_b64": good["meta_b64"]}]})
+    assert not server.tans[tan.value].used
+    assert server.fetch_feed("dh") == ([], 0)
+    reborn = make_server(state_dir=tmp_path)
+    assert not reborn.tans[tan.value].used
+    ack = reborn.accept_upload({"scheme": "dh", "tan": tan.value, "entries": [good]})
     assert ack["published"] == 1 and reborn.tans[tan.value].used
 
 
@@ -185,6 +210,48 @@ def test_state_replay_after_restart(tmp_path):
     reborn.accept_upload({"scheme": "tek", "tan": tan.value, "teks": []})
     with pytest.raises(UploadRejected):
         reborn.accept_upload({"scheme": "tek", "tan": tan.value, "teks": []})
+
+
+def test_replay_drops_a_torn_final_line(tmp_path):
+    state = tmp_path / "state"
+    server = make_server(state_dir=state)
+    server.accept_upload(tek_bundle(server, [1, 2]))
+    written = list(server.feeds["tek"].entries)
+    log = state / "feed_tek.jsonl"
+    whole = log.read_bytes()
+    with log.open("ab") as fh:
+        fh.write(whole.splitlines(keepends=True)[-1][:20])   # half a line, no newline
+
+    reborn = make_server(state_dir=state)
+    assert reborn.feeds["tek"].entries == written
+    # the torn bytes are gone, so later appends and restarts stay readable
+    assert log.read_bytes() == whole
+    reborn.accept_upload(tek_bundle(reborn, [3]))
+    assert [e["day"] for e in make_server(state_dir=state).feeds["tek"].entries] == [1, 2, 3]
+
+
+def test_replay_keeps_a_final_line_missing_only_its_newline(tmp_path):
+    state = tmp_path / "state"
+    server = make_server(state_dir=state)
+    server.accept_upload(tek_bundle(server, [1]))
+    log = state / "feed_tek.jsonl"
+    log.write_bytes(log.read_bytes().rstrip(b"\n"))
+
+    reborn = make_server(state_dir=state)
+    assert [e["day"] for e in reborn.feeds["tek"].entries] == [1]
+    reborn.accept_upload(tek_bundle(reborn, [2]))
+    assert [e["day"] for e in make_server(state_dir=state).feeds["tek"].entries] == [1, 2]
+
+
+def test_replay_rejects_a_bad_line_before_the_last(tmp_path):
+    state = tmp_path / "state"
+    server = make_server(state_dir=state)
+    server.accept_upload(tek_bundle(server, [1, 2]))
+    log = state / "feed_tek.jsonl"
+    first, second = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(first[:20] + b"\n" + second)
+    with pytest.raises(StateError, match="feed_tek.jsonl line 1"):
+        make_server(state_dir=state)
 
 
 def test_persisted_dh_state_contains_no_raw_tokens(tmp_path):
