@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, ScenarioError
 from .scenario import load_scenario, run_scenario
+from .server import SCHEMES
 
 STANDARD_SUITE = (
     "relay_centralized", "relay_tek", "relay_dh",
@@ -38,7 +39,6 @@ STANDARD_SUITE = (
     "social_graph", "superspreader", "time_travel",
 )
 REQUIREMENTS = ("R-Ef2", "R-P1", "R-P2", "R-P3", "R-S1", "R-S2")
-SCHEMES = ("centralized", "tek", "dh")
 
 # the comparison table's footnotes, rendered as notes rather than extra signs
 NOTES = {

@@ -38,7 +38,6 @@ IDENTIFIER_LEN = 16          # BLE advertising leaves space for 128 bits only
 IDENTIFIER_SLOT_S = 600      # 10-minute identifier slots
 IDENTIFIERS_PER_DAY = 144    # 24 * 6
 DAY_S = 86400
-TOKEN_HASH_LEN = 32          # published token hashes are full SHA-256 digests
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,6 @@ class SeedStream:
             if v < span:
                 return v % n
 
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], inclusive."""
-        return lo + self.randrange(hi - lo + 1)
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

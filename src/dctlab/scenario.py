@@ -5,7 +5,8 @@ world (devices, contact trace, scheme clients, a tracing server), optionally
 installs an attack, schedules infection reports and feed syncs, drains the
 event loop, and evaluates the configured analyses. Runs inside a scenario
 are independent worlds; they share only the scenario seed, from which every
-run derives a labelled sub-stream.
+run derives a labelled sub-stream. What differs per scheme is stated once,
+in the SCHEMES table.
 
 Run fields:
 
@@ -28,7 +29,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -43,7 +44,10 @@ from .schemes.tek import PublishedTekIndex, TekClient
 from .server import TracingServer
 
 SYNC_DELAY_S = 60
-SCHEME_ROTATION_DEFAULTS = {"centralized": 900, "tek": 600, "dh": 900}
+ROLE_CLIENTS = {"sniffer": adversary.SnifferClient, "relay": DeviceClient,
+                "replayer": adversary.ReplayClient}
+ATTACK_DEVICES = {"relay": ("node_a", "node_b"), "time_travel": ("victim", "replayer"),
+                  "fake_claim": ("claimant", "source_sniffer")}
 
 
 def load_scenario(path: str | Path) -> dict:
@@ -63,13 +67,6 @@ def load_scenario(path: str | Path) -> dict:
     return scenario
 
 
-def _parse_group(cfg: dict) -> GroupParams:
-    group = cfg.get("group", "x25519")
-    if group == "x25519":
-        return GroupParams.production()
-    return GroupParams.toy(group["p"], group["g"])
-
-
 def _normalize_devices(raw: list) -> list[dict]:
     out = []
     for entry in raw:
@@ -83,12 +80,12 @@ def _normalize_devices(raw: list) -> list[dict]:
 
 def _check_run(run_cfg: dict, where: str) -> None:
     """Raise ScenarioError, naming the JSON path, for a missing field, an
-    unknown scheme, or a contact, infection or superspreader check that
-    names a device the run does not declare."""
+    unknown scheme or attack kind, or a contact, infection, superspreader
+    check or attack that names a device the run does not declare."""
     for key in ("label", "scheme", "devices", "duration_s"):
         if key not in run_cfg:
             raise ScenarioError(f"{where} is missing the {key!r} field")
-    if run_cfg["scheme"] not in SCHEME_ROTATION_DEFAULTS:
+    if not isinstance(run_cfg["scheme"], str) or run_cfg["scheme"] not in SCHEMES:
         raise ScenarioError(f"{where}.scheme: unknown scheme {run_cfg['scheme']!r}")
     known = {d["id"] for d in _normalize_devices(run_cfg["devices"])}
     named = []
@@ -102,6 +99,12 @@ def _check_run(run_cfg: dict, where: str) -> None:
         named.append((f"infections[{i}].device", device))
     for i, device in enumerate(run_cfg.get("analysis", {}).get("superspreader_check", [])):
         named.append((f"analysis.superspreader_check[{i}]", device))
+    attack = run_cfg.get("attack")
+    if attack:
+        kind = attack.get("kind") if isinstance(attack, dict) else None
+        if not isinstance(kind, str) or kind not in ATTACK_DEVICES:
+            raise ScenarioError(f"{where}.attack.kind: unknown attack kind {kind!r}")
+        named += [(f"attack.{key}", attack[key]) for key in ATTACK_DEVICES[kind] if key in attack]
     for path, device in named:
         if not isinstance(device, Hashable) or device not in known:
             raise ScenarioError(f"{where}.{path}: unknown device {device!r}")
@@ -120,102 +123,95 @@ class _RunState:
     server: TracingServer
     trace: ContactTrace
     scheme: str
-    clients: dict[str, DeviceClient]
-    scheme_devices: list[str]
+    sconf: dict
+    rotation_s: int
+    clients: dict[str, DeviceClient] = field(default_factory=dict)
+    scheme_devices: list[str] = field(default_factory=list)
     reporters: set[str] = field(default_factory=set)
     notified: dict[str, int] = field(default_factory=dict)
     exposures_by_device: dict[str, int] = field(default_factory=dict)
     cursors: dict[str, int] = field(default_factory=dict)
     attack_stats: dict = field(default_factory=dict)
+    superspreader: dict[str, dict] = field(default_factory=dict)
     tek_index: PublishedTekIndex = field(default_factory=PublishedTekIndex)
 
 
 def execute_run(run_cfg: dict, stream: SeedStream) -> RunResult:
-    label = run_cfg["label"]
     scheme = run_cfg["scheme"]
     sconf = run_cfg.get("scheme_config", {})
-    duration = run_cfg["duration_s"]
-    analysis = run_cfg.get("analysis", {})
+    rotation_s = sconf.get("rotation_s", SCHEMES[scheme].rotation_s)
     attack = run_cfg.get("attack")
 
     edges = [ContactEdge(*e) for e in run_cfg.get("contact_trace", [])]
     trace = ContactTrace(edges)
     capabilities = ("clock",) if attack and attack.get("kind") == "time_travel" else ()
     world = World(trace, stream.child("world"),
-                  link_rotation_s=sconf.get("rotation_s", SCHEME_ROTATION_DEFAULTS[scheme]),
-                  capabilities=capabilities,
+                  link_rotation_s=rotation_s, capabilities=capabilities,
                   irk_linkable=bool(run_cfg.get("irk_linkable", False)))
 
     registry = None
     if scheme == "centralized":
         registry = CentralRegistry(stream.child("registry"),
                                    variant=sconf.get("variant", "bluetrace"),
-                                   rotation_s=sconf.get("rotation_s", 900))
+                                   rotation_s=rotation_s)
     server = TracingServer(stream.child("server"), registry=registry,
                            retention_days=sconf.get("retention_days", 14))
     server.clock = lambda: world.now
 
-    state = _RunState(world, server, trace, scheme, {}, [])
-    _build_devices(run_cfg, state, stream, sconf)
+    state = _RunState(world, server, trace, scheme, sconf, rotation_s)
+    _build_devices(run_cfg, state, stream)
     if attack:
-        _install_attack(attack, run_cfg, state, stream)
+        _install_attack(attack, state, stream)
     _schedule_reports(run_cfg, state)
-    _schedule_syncs(run_cfg, state)
-    _schedule_superspreader_checks(run_cfg, state, sconf)
+    SCHEMES[scheme].start(run_cfg, state)
 
     world.run()
 
-    metrics = _collect_metrics(run_cfg, state, sconf, analysis)
-    return RunResult(label, world.events, metrics)
+    return RunResult(run_cfg["label"], world.events, _collect_metrics(run_cfg, state))
 
 
-def _build_devices(run_cfg: dict, state: _RunState, stream: SeedStream, sconf: dict) -> None:
-    scheme = state.scheme
+def _build_devices(run_cfg: dict, state: _RunState, stream: SeedStream) -> None:
+    scheme_client = SCHEMES[state.scheme].clients(state, stream)
     for dev in _normalize_devices(run_cfg["devices"]):
         did, role = dev["id"], dev["role"]
-        if role == "sniffer":
-            client = adversary.SnifferClient()
-        elif role == "relay":
-            client = DeviceClient()
-        elif role == "replayer":
-            client = adversary.ReplayClient()
-        elif scheme == "centralized":
-            client = CentralizedClient(state.server.registry,
-                                       mode=dev["mode"] or sconf.get("mode", "anonymous"),
-                                       phone=dev["phone"])
-        elif scheme == "tek":
-            client = TekClient(stream.child(f"device:{did}"),
-                               validity_window_s=sconf.get("validity_window_s", 7200),
-                               strict_freshness=sconf.get("strict_freshness", False),
-                               retention_days=sconf.get("retention_days", 14),
-                               index=state.tek_index)
-        else:
-            cfg = DhConfig(rotation_s=sconf.get("rotation_s", 900),
-                           min_encounter_s=sconf.get("min_encounter_s", 300),
-                           epsilon_s=sconf.get("epsilon_s", 60),
-                           superspreader_threshold=sconf.get("superspreader_threshold", 3),
-                           anonymized_upload=sconf.get("anonymized_upload", False),
-                           group=_parse_group(sconf))
-            client = DhClient(stream.child(f"device:{did}"), cfg)
+        client = ROLE_CLIENTS[role]() if role in ROLE_CLIENTS else scheme_client(dev)
         state.world.add_device(did, client, dev["clock_offset_s"])
         state.clients[did] = client
         if role == "device":
             state.scheme_devices.append(did)
             state.cursors[did] = 0
-    if scheme == "centralized":
-        for did in state.scheme_devices:
-            state.clients[did].register()
-        state.server.on_notify = lambda note: _on_central_notify(state, note)
 
 
-def _on_central_notify(state: _RunState, note: dict) -> None:
-    device = note["device_id"]
-    state.notified[device] = state.notified.get(device, 0) + 1
-    state.world.emit("notify", {"device": device, "scheme": "centralized",
-                                "channel": note["channel"], "cause": note["cause"]})
+def _dh_clients(state: _RunState, stream: SeedStream) -> Callable[[dict], DhClient]:
+    sconf = state.sconf
+    group = sconf.get("group", "x25519")
+    cfg = DhConfig(rotation_s=state.rotation_s,
+                   min_encounter_s=sconf.get("min_encounter_s", 300),
+                   epsilon_s=sconf.get("epsilon_s", 60),
+                   superspreader_threshold=sconf.get("superspreader_threshold", 3),
+                   anonymized_upload=sconf.get("anonymized_upload", False),
+                   group=(GroupParams.production() if group == "x25519"
+                          else GroupParams.toy(group["p"], group["g"])))
+    return lambda dev: DhClient(stream.child(f"device:{dev['id']}"), cfg)
 
 
-def _install_attack(attack: dict, run_cfg: dict, state: _RunState, stream: SeedStream) -> None:
+def _start_centralized(run_cfg: dict, state: _RunState) -> None:
+    # no feed syncs: the server pushes notifications at upload time
+    for did in state.scheme_devices:
+        state.clients[did].register()
+    # the server keeps this callback; closing over state would make the run a cycle
+    notified, world = state.notified, state.world
+
+    def on_notify(note: dict) -> None:
+        device = note["device_id"]
+        notified[device] = notified.get(device, 0) + 1
+        world.emit("notify", {"device": device, "scheme": "centralized",
+                              "channel": note["channel"], "cause": note["cause"]})
+
+    state.server.on_notify = on_notify
+
+
+def _install_attack(attack: dict, state: _RunState, stream: SeedStream) -> None:
     kind = attack["kind"]
     if kind == "relay":
         pair = adversary.RelayPair(node_a=attack["node_a"], node_b=attack["node_b"],
@@ -232,27 +228,14 @@ def _install_attack(attack: dict, run_cfg: dict, state: _RunState, stream: SeedS
         state.attack_stats = adversary.install_time_travel(state.world, state.server,
                                                            tt, state.scheme, state.tek_index)
         state.attack_stats["kind"] = "time_travel"
-    elif kind == "fake_claim":
+    else:
         state.attack_stats = {"kind": "fake_claim"}
 
         def run_claim():
-            claimant = attack["claimant"]
-            state.reporters.add(claimant)
-            if state.scheme == "tek":
-                result = adversary.fake_claim_tek(
-                    state.server, state.world.local_time(claimant), state.tek_index)
-            elif state.scheme == "dh":
-                result = adversary.fake_claim_dh(state.server, stream.child("attack"),
-                                                 guesses=attack.get("guesses", 32))
-            else:
-                spy = state.clients[attack["source_sniffer"]]
-                result = adversary.fake_claim_centralized(state.server, claimant,
-                                                          spy.observations)
-            state.attack_stats.update(result)
+            state.reporters.add(attack["claimant"])
+            state.attack_stats.update(SCHEMES[state.scheme].fake_claim(state, attack, stream))
 
         state.world.schedule(attack["at"], run_claim)
-    else:
-        raise ScenarioError(f"unknown attack kind {kind!r}")
 
 
 def _schedule_reports(run_cfg: dict, state: _RunState) -> None:
@@ -278,8 +261,6 @@ def _schedule_reports(run_cfg: dict, state: _RunState) -> None:
 
 
 def _schedule_syncs(run_cfg: dict, state: _RunState) -> None:
-    if state.scheme == "centralized":
-        return   # notifications are pushed by the server at upload time
     times = sorted({i["report_at"] + SYNC_DELAY_S for i in run_cfg.get("infections", [])}
                    | {run_cfg["duration_s"]})
 
@@ -300,27 +281,80 @@ def _schedule_syncs(run_cfg: dict, state: _RunState) -> None:
         state.world.schedule(t, sync)
 
 
-def _schedule_superspreader_checks(run_cfg: dict, state: _RunState, sconf: dict) -> None:
-    devices = run_cfg.get("analysis", {}).get("superspreader_check", [])
-    if not devices or state.scheme != "dh":
-        return
-    results: dict[str, dict] = {}
-    state.attack_stats.setdefault("superspreader_results", results)
+def _start_dh(run_cfg: dict, state: _RunState) -> None:
+    _schedule_syncs(run_cfg, state)
+    if run_cfg.get("analysis", {}).get("superspreader_check"):
+        # proven inside the run, after the final feed sync at the same time
+        state.world.schedule(run_cfg["duration_s"], lambda: _check_superspreaders(run_cfg, state))
 
-    def check():
-        for did in devices:
-            client = state.clients[did]
-            result = client.superspreader_check()
-            accepted = 0
-            if result["proof"]:
-                proof = encode_proof(result["proof"], client.cfg.group)
-                accepted = state.server.verify_superspreader_proof(proof)
-            results[did] = {"warn": result["warn"], "matches": result["matches"],
-                            "proof_accepted": accepted,
-                            "verified": accepted >= client.cfg.superspreader_threshold}
 
-    # after the final feed sync at the same timestamp
-    state.world.schedule(run_cfg["duration_s"], check)
+def _check_superspreaders(run_cfg: dict, state: _RunState) -> None:
+    basis = SCHEMES[state.scheme].superspreader
+    threshold = state.sconf.get("superspreader_threshold", 3)
+    for did in run_cfg["analysis"]["superspreader_check"]:
+        state.superspreader[did] = basis(state, did, threshold)
+
+
+def _match_history_count(state: _RunState, did: str, threshold: int) -> dict:
+    count = len({m["uploader_device"] for m in state.server.match_history
+                 if m["contact_device"] == did})
+    return {"warn": count >= threshold, "matches": count, "verified": count >= threshold,
+            "basis": "server-side match history"}
+
+
+def _client_count(state: _RunState, did: str, threshold: int) -> dict:
+    count = state.exposures_by_device.get(did, 0)
+    return {"warn": count >= threshold, "matches": count, "verified": False,
+            "basis": "client-side count, not provable"}
+
+
+def _dh_proof(state: _RunState, did: str, threshold: int) -> dict:
+    client = state.clients[did]
+    result = client.superspreader_check()
+    accepted = 0
+    if result["proof"]:
+        proof = encode_proof(result["proof"], client.cfg.group)
+        accepted = state.server.verify_superspreader_proof(proof)
+    return {"warn": result["warn"], "matches": result["matches"],
+            "proof_accepted": accepted, "verified": accepted >= threshold}
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """What the scenario driver does differently for one scheme family."""
+
+    rotation_s: int     # when scheme_config names none
+    clients: Callable[[_RunState, SeedStream], Callable[[dict], DeviceClient]]
+    fake_claim: Callable[[_RunState, dict, SeedStream], dict]
+    start: Callable[[dict, _RunState], None]    # once devices, attack and reports are set up
+    superspreader: Callable[[_RunState, str, int], dict]    # (state, device, threshold)
+
+
+SCHEMES = {
+    "centralized": Scheme(
+        rotation_s=900,
+        clients=lambda state, stream: lambda dev: CentralizedClient(
+            state.server.registry, mode=dev["mode"] or state.sconf.get("mode", "anonymous"),
+            phone=dev["phone"]),
+        fake_claim=lambda state, attack, stream: adversary.fake_claim_centralized(
+            state.server, attack["claimant"], state.clients[attack["source_sniffer"]].observations),
+        start=_start_centralized, superspreader=_match_history_count),
+    "tek": Scheme(
+        rotation_s=600,
+        clients=lambda state, stream: lambda dev: TekClient(
+            stream.child(f"device:{dev['id']}"), index=state.tek_index,
+            validity_window_s=state.sconf.get("validity_window_s", 7200),
+            strict_freshness=state.sconf.get("strict_freshness", False),
+            retention_days=state.sconf.get("retention_days", 14)),
+        fake_claim=lambda state, attack, stream: adversary.fake_claim_tek(
+            state.server, state.world.local_time(attack["claimant"]), state.tek_index),
+        start=_schedule_syncs, superspreader=_client_count),
+    "dh": Scheme(
+        rotation_s=900, clients=_dh_clients,
+        fake_claim=lambda state, attack, stream: adversary.fake_claim_dh(
+            state.server, stream.child("attack"), guesses=attack.get("guesses", 32)),
+        start=_start_dh, superspreader=_dh_proof),
+}
 
 
 def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation]:
@@ -333,8 +367,9 @@ def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation
     return obs
 
 
-def _collect_metrics(run_cfg: dict, state: _RunState, sconf: dict, analysis: dict) -> dict:
+def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
     trace = state.trace
+    analysis = run_cfg.get("analysis", {})
     notified = dict(sorted(state.notified.items()))
     false_devices = sorted(
         d for d in notified
@@ -352,34 +387,28 @@ def _collect_metrics(run_cfg: dict, state: _RunState, sconf: dict, analysis: dic
         "connect_rejects_range": state.world.counters["connect_rejects_range"],
     }
     if state.attack_stats:
-        attack = {k: v for k, v in state.attack_stats.items()
-                  if k != "superspreader_results"}
-        if attack:
-            metrics["attack"] = attack
-        if "superspreader_results" in state.attack_stats:
-            metrics["superspreader"] = state.attack_stats["superspreader_results"]
+        metrics["attack"] = state.attack_stats
+
+    if analysis.get("superspreader_check"):
+        if not state.superspreader:     # unless the scheme checked inside the run
+            _check_superspreaders(run_cfg, state)
+        metrics["superspreader"] = state.superspreader
+
+    if analysis.get("linkage") or analysis.get("social_graph"):
+        observations = _sniffer_observations(state)
+        published = state.tek_index.ingest_all(state.server.fetch_feed("tek")[0])
 
     if analysis.get("linkage"):
-        observations = _sniffer_observations(state)
-        rotation_s = sconf.get("rotation_s", SCHEME_ROTATION_DEFAULTS[state.scheme])
-        kwargs = {}
-        if state.scheme == "tek":
-            kwargs["published_teks"] = state.tek_index.ingest_all(
-                state.server.fetch_feed("tek")[0])
-            kwargs["tek_index"] = state.tek_index
-        elif state.scheme == "centralized" and analysis.get("colluding_sp"):
-            kwargs["registry"] = state.server.registry
-            kwargs["scanned_windows"] = (0, run_cfg["duration_s"] // rotation_s + 1)
-        report = adversary.run_linkage(observations, state.scheme, **kwargs)
-        metrics["linkage"] = report.as_dict()
-        metrics["linkage"]["rotation_s"] = rotation_s
+        report = adversary.run_linkage(
+            observations, state.scheme, published_teks=published, tek_index=state.tek_index,
+            registry=state.server.registry if analysis.get("colluding_sp") else None,
+            scanned_windows=(0, run_cfg["duration_s"] // state.rotation_s + 1))
+        metrics["linkage"] = dict(report.as_dict(), rotation_s=state.rotation_s)
 
     if analysis.get("social_graph"):
         graph = adversary.run_social_graph(
-            state.server, state.scheme,
-            observations=_sniffer_observations(state),
-            published_teks=state.tek_index.ingest_all(state.server.fetch_feed("tek")[0]),
-            tek_index=state.tek_index)
+            state.server, state.scheme, observations=observations,
+            published_teks=published, tek_index=state.tek_index)
         roles = {d["id"]: d["role"] for d in _normalize_devices(run_cfg["devices"])}
         truth = sorted(
             sorted((r, c)) for r in state.reporters
@@ -392,29 +421,7 @@ def _collect_metrics(run_cfg: dict, state: _RunState, sconf: dict, analysis: dic
                 len(recovered & {tuple(e) for e in truth}) / len(truth) if truth else 0.0)
         metrics["social_graph"] = graph
 
-    if analysis.get("superspreader_check") and state.scheme != "dh":
-        metrics["superspreader"] = _non_dh_superspreader(run_cfg, state, sconf)
-
     return metrics
-
-
-def _non_dh_superspreader(run_cfg: dict, state: _RunState, sconf: dict) -> dict:
-    threshold = sconf.get("superspreader_threshold", 3)
-    results = {}
-    for did in run_cfg["analysis"]["superspreader_check"]:
-        if state.scheme == "centralized":
-            uploaders = {m["uploader_device"] for m in state.server.match_history
-                         if m["contact_device"] == did}
-            count = len(uploaders)
-            results[did] = {"warn": count >= threshold, "matches": count,
-                            "verified": count >= threshold,
-                            "basis": "server-side match history"}
-        else:
-            count = state.exposures_by_device.get(did, 0)
-            results[did] = {"warn": count >= threshold, "matches": count,
-                            "verified": False,
-                            "basis": "client-side count, not provable"}
-    return results
 
 
 def run_scenario(scenario: dict, seed: int | None = None,

@@ -5,13 +5,13 @@ One server instance backs all three schemes:
 * TAN lifecycle: the health authority issues single-use 12-character
   authenticators; verifying an upload consumes its TAN atomically, so a TAN
   cannot be spent twice even under concurrent submissions.
-* Per-scheme uploads: daily-key bundles are published to a feed (rejected,
-  with their TAN left unspent, if an entry is malformed or they span more
-  than the retention period), DH bundles publish token hashes
-  and sealed metadata only (rejected, TAN unspent, if an entry is
-  malformed), centralized bundles are never published - they
-  are routed to server-side matching against the registry and turn into
-  notifications.
+* Per-scheme uploads: daily-key bundles are published to a feed, DH
+  bundles publish token hashes and sealed metadata only, centralized
+  bundles are never published - they are routed to server-side matching
+  against the registry and turn into notifications. A bundle with a
+  malformed entry, daily keys spanning more than the retention period, or
+  centralized records sent to a server without a registry is rejected
+  with its TAN left unspent.
 * Publication feeds are append-only; clients page through them with an
   integer cursor and replaying a cursor returns the identical page.
 * Superspreader proofs: raw tokens submitted through this flow are hashed,
@@ -40,24 +40,21 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crypto_core import unb64
+from .crypto_core import DAY_S, unb64
 from .errors import StateError, UploadRejected
 from .rng import SeedStream
 from .schemes.centralized import CentralRegistry, server_match
-from .schemes.tek import tek_entry_error
+from .schemes.tek import DEFAULT_RETENTION_DAYS, tek_entry_error
 
 TAN_LENGTH = 12
-DEFAULT_RETENTION_DAYS = 14
-DAY_S = 86400
 SCHEMES = ("centralized", "tek", "dh")
 _HASH_HEX = re.compile(r"[0-9a-fA-F]{64}")
+_ID_HEX = re.compile(r"[0-9a-fA-F]{32}")
 
 
-def _dh_entry_error(entry) -> str | None:
+def _dh_entry_error(entry: dict) -> str | None:
     """Why a DH upload entry is malformed, or None when hash_hex is 64 hex
     characters and meta_b64 a string that base64-decodes."""
-    if not isinstance(entry, dict):
-        return "DH entry is not an object"
     hash_hex, meta = entry.get("hash_hex"), entry.get("meta_b64")
     if not isinstance(hash_hex, str) or not _HASH_HEX.fullmatch(hash_hex):
         return "hash_hex must be 64 hex characters"
@@ -70,6 +67,16 @@ def _dh_entry_error(entry) -> str | None:
     return "meta_b64 must be a base64 string"
 
 
+def _record_error(record: dict) -> str | None:
+    """Why a centralized upload record is malformed, or None when id_hex is
+    32 hex characters and first_seen and last_seen are integers."""
+    id_hex = record.get("id_hex")
+    if not isinstance(id_hex, str) or not _ID_HEX.fullmatch(id_hex):
+        return "id_hex must be 32 hex characters"
+    bad = [key for key in ("first_seen", "last_seen") if type(record.get(key)) is not int]
+    return f"{bad[0]} must be an integer" if bad else None
+
+
 @dataclass
 class Tan:
     value: str
@@ -80,8 +87,7 @@ class Tan:
 class PublicationFeed:
     """Append-only entry list with cursor paging."""
 
-    def __init__(self, scheme: str):
-        self.scheme = scheme
+    def __init__(self):
         self.entries: list[dict] = []
         self.superspreader_tags: set[str] = set()
 
@@ -101,7 +107,7 @@ class TracingServer:
         self.registry = registry
         self.retention_days = retention_days
         self.clock = lambda: 0          # the scenario runner points this at world time
-        self.feeds = {s: PublicationFeed(s) for s in SCHEMES}
+        self.feeds = {s: PublicationFeed() for s in SCHEMES}
         self.tans: dict[str, Tan] = {}
         self.notifications: dict[str, list[dict]] = {}
         self.match_history: list[dict] = []   # centralized matches, uploader included
@@ -180,7 +186,7 @@ class TracingServer:
     def _consume_tan(self, value) -> Tan:
         """Verify and spend a TAN; single-use, linearizable."""
         with self._lock:
-            tan = self.tans.get(value)
+            tan = self.tans.get(value) if isinstance(value, str) else None
             if tan is None:
                 raise UploadRejected("unknown TAN")
             if tan.used:
@@ -200,56 +206,43 @@ class TracingServer:
     # -- uploads -------------------------------------------------------------------
 
     def accept_upload(self, bundle: dict) -> dict:
-        scheme = bundle.get("scheme")
-        if scheme not in SCHEMES:
+        """Check a bundle, then spend its TAN and accept it; a rejected bundle keeps its TAN."""
+        scheme = bundle.get("scheme") if isinstance(bundle, dict) else None
+        if not isinstance(scheme, str) or scheme not in self._uploads:
             raise UploadRejected(f"malformed bundle: unknown scheme {scheme!r}")
-        if scheme == "tek":
-            self._check_tek_bundle(bundle)
-        elif scheme == "dh":
-            self._check_dh_bundle(bundle)
-        with self._lock:
-            tan = self._consume_tan(bundle.get("tan"))
-            handler = {"tek": self._accept_tek, "dh": self._accept_dh,
-                       "centralized": self._accept_centralized}[scheme]
-            return handler(bundle, tan)
-
-    def _check_tek_bundle(self, bundle: dict) -> None:
-        """Reject a malformed or over-long TEK bundle before its TAN is spent."""
-        teks = bundle.get("teks")
-        if not isinstance(teks, list):
-            raise UploadRejected("malformed bundle: missing teks")
-        for i, t in enumerate(teks):
-            problem = tek_entry_error(t)
-            if problem is not None:
-                raise UploadRejected(f"malformed bundle: teks[{i}]: {problem}")
-        if teks:
-            days = [t["day"] for t in teks]
-            if max(days) - min(days) + 1 > self.retention_days:
-                raise UploadRejected(
-                    f"TEK bundle spans more than {self.retention_days} days")
-
-    def _check_dh_bundle(self, bundle: dict) -> None:
-        """Reject a malformed DH bundle before its TAN is spent."""
-        entries = bundle.get("entries")
+        key, entry_error, check_bundle, accept = self._uploads[scheme]
+        entries = bundle.get(key)
         if not isinstance(entries, list):
-            raise UploadRejected("malformed bundle: missing entries")
-        for i, e in enumerate(entries):
-            problem = _dh_entry_error(e)
+            raise UploadRejected(f"malformed bundle: missing {key}")
+        for i, entry in enumerate(entries):
+            problem = entry_error(entry) if isinstance(entry, dict) else "not an object"
             if problem is not None:
-                raise UploadRejected(f"malformed bundle: entries[{i}]: {problem}")
+                raise UploadRejected(f"malformed bundle: {key}[{i}]: {problem}")
+        check_bundle(self, entries)
+        with self._lock:
+            return accept(self, entries, bundle, self._consume_tan(bundle.get("tan")))
 
-    def _accept_tek(self, bundle: dict, tan: Tan) -> dict:
+    def _check_tek_span(self, teks: list) -> None:
+        days = [t["day"] for t in teks]
+        if days and max(days) - min(days) + 1 > self.retention_days:
+            raise UploadRejected(f"TEK bundle spans more than {self.retention_days} days")
+
+    def _check_registry(self, records: list) -> None:
+        if self.registry is None:
+            raise UploadRejected("no centralized registry configured")
+
+    def _accept_tek(self, teks: list, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
-        for t in bundle["teks"]:
+        for t in teks:
             entry = {"tek_hex": t["tek_hex"], "day": t["day"], "published_at": now}
             self.feeds["tek"].append(entry)
             self._append_state("feed_tek.jsonl", entry)
-        return {"status": "ack", "published": len(bundle["teks"])}
+        return {"status": "ack", "published": len(teks)}
 
-    def _accept_dh(self, bundle: dict, tan: Tan) -> dict:
+    def _accept_dh(self, entries: list, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
         published = [{"hash_hex": e["hash_hex"], "meta_b64": e["meta_b64"],
-                      "published_at": now} for e in bundle["entries"]]
+                      "published_at": now} for e in entries]
         if bundle.get("anonymized"):
             # postbox model: drop bundle grouping by shuffling before
             # publication; the cryptographic mixing itself is out of scope
@@ -259,12 +252,7 @@ class TracingServer:
             self._append_state("feed_dh.jsonl", entry)
         return {"status": "ack", "published": len(published)}
 
-    def _accept_centralized(self, bundle: dict, tan: Tan) -> dict:
-        if self.registry is None:
-            raise UploadRejected("no centralized registry configured")
-        records = bundle.get("records")
-        if not isinstance(records, list):
-            raise UploadRejected("malformed bundle: missing records")
+    def _accept_centralized(self, records: list, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
         horizon = now - self.retention_days * DAY_S
         fresh = [r for r in records if r["last_seen"] >= horizon]
@@ -284,6 +272,14 @@ class TracingServer:
                 self.on_notify(note)
         return {"status": "ack", "matched_users": len(matches),
                 "skipped": len(records) - len(fresh)}
+
+    # per scheme: (bundle field of the entries, entry check, bundle check, handler); the
+    # methods are stored unbound so that a server holds no reference to itself
+    _uploads = {
+        "tek": ("teks", tek_entry_error, _check_tek_span, _accept_tek),
+        "dh": ("entries", _dh_entry_error, lambda self, entries: None, _accept_dh),
+        "centralized": ("records", _record_error, _check_registry, _accept_centralized),
+    }
 
     # -- feeds and verification ------------------------------------------------------
 

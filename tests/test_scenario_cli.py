@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from dctlab.cli import STANDARD_SUITE, builtin_scenario, main, matrix_csv, quadrilemma
 from dctlab.crypto_core import b64
 from dctlab.errors import ScenarioError
+from dctlab.radio import World
 from dctlab.scenario import execute_run, load_scenario, run_scenario
 from dctlab.rng import SeedStream
 
@@ -149,6 +151,19 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
     ("duration_s", None, "runs[1] is missing the 'duration_s' field"),
     ("contact_trace", [["a", "a", 0, 600]], "endpoints must differ"),
     ("scheme_config", {"rotation_s": 300, "min_encounter_s": 300}, "min_encounter_s"),
+    ("attack", {"kind": "teleport", "at": 100}, "runs[1].attack.kind: unknown attack kind"),
+    ("attack", {"kind": "fake_claim", "claimant": "zz", "at": 100},
+     "runs[1].attack.claimant: unknown device 'zz'"),
+    ("attack", {"kind": "fake_claim", "claimant": "a", "source_sniffer": "zz", "at": 100},
+     "runs[1].attack.source_sniffer: unknown device 'zz'"),
+    ("attack", {"kind": "relay", "mode": "one_way_broadcast", "node_a": "zz", "node_b": "b",
+                "window": [0, 600]}, "runs[1].attack.node_a: unknown device 'zz'"),
+    ("attack", {"kind": "relay", "mode": "one_way_broadcast", "node_a": "a", "node_b": "zz",
+                "window": [0, 600]}, "runs[1].attack.node_b: unknown device 'zz'"),
+    ("attack", {"kind": "time_travel", "victim": "zz", "replayer": "s", "offset_s": -60,
+                "at_s": 100, "restore_at_s": 200}, "runs[1].attack.victim: unknown device 'zz'"),
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "zz", "offset_s": -60,
+                "at_s": 100, "restore_at_s": 200}, "runs[1].attack.replayer: unknown device 'zz'"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")
@@ -163,6 +178,21 @@ def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, ex
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
     assert not (tmp_path / "out").exists()
+
+
+def test_finished_runs_are_freed_without_the_cycle_collector():
+    # the superspreader scenario runs all three schemes; a run caught in a
+    # reference cycle keeps its world, events included, until a full collection
+    def worlds():
+        return sum(isinstance(o, World) for o in gc.get_objects())
+
+    gc.disable()
+    try:
+        before = worlds()
+        run_scenario(builtin_scenario("superspreader"))
+        assert worlds() == before
+    finally:
+        gc.enable()
 
 
 def test_cli_outputs_identical_across_processes(tmp_path):

@@ -1,14 +1,18 @@
+import gc
 import json
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctlab.crypto_core import GroupParams, b64, hash_token, keygen, dh_token
 from dctlab.errors import StateError, UploadRejected
 from dctlab.rng import SeedStream
 from dctlab.schemes.centralized import CentralRegistry, CentralizedClient
 from dctlab.schemes.dh import encode_proof
-from dctlab.server import TracingServer, WireClient, serve_tcp
+from dctlab.server import SCHEMES, TracingServer, WireClient, _handle_request, serve_tcp
 
 
 def make_server(seed=1, **kw):
@@ -118,6 +122,54 @@ def test_malformed_dh_upload_keeps_its_tan(tmp_path):
     assert ack["published"] == 1 and reborn.tans[tan.value].used
 
 
+def test_malformed_centralized_upload_keeps_its_tan(tmp_path):
+    registry = CentralRegistry(SeedStream(5, "reg"), variant="pepp_pt")
+    server = make_server(state_dir=tmp_path, registry=registry)
+    alice = CentralizedClient(registry)
+    alice.device_id = "alice"
+    alice.register()
+    good = {"id_hex": alice.advertisement_identifier(100).hex(),
+            "first_seen": 100, "last_seen": 400}
+    tan = server.issue_tan("bob")
+    bad_records = ([{}], [good, {"first_seen": 100, "last_seen": 400}],
+                   [dict(good, id_hex="ab" * 15)], [dict(good, id_hex="zz" * 16)],
+                   [{"id_hex": good["id_hex"], "first_seen": 100}],
+                   [dict(good, first_seen="100")], [dict(good, last_seen=True)],
+                   [dict(good, last_seen=400.0)], [good["id_hex"]], None, good)
+    for records in bad_records:
+        with pytest.raises(UploadRejected, match="malformed bundle"):
+            server.accept_upload({"scheme": "centralized", "tan": tan.value, "records": records})
+    with pytest.raises(UploadRejected, match=r"records\[1\]: id_hex"):
+        server.accept_upload({"scheme": "centralized", "tan": tan.value,
+                              "records": [good, {"first_seen": 100, "last_seen": 400}]})
+    assert not server.tans[tan.value].used
+    assert server.match_history == [] and server.notifications == {}
+    # a server without a registry rejects the bundle before spending the TAN too
+    bare = make_server(state_dir=tmp_path / "bare")
+    bare_tan = bare.issue_tan("bob")
+    with pytest.raises(UploadRejected, match="registry"):
+        bare.accept_upload({"scheme": "centralized", "tan": bare_tan.value, "records": [good]})
+    assert not bare.tans[bare_tan.value].used
+    # the TAN is still unspent after a restart, and accepts the corrected bundle
+    reborn = make_server(state_dir=tmp_path, registry=registry)
+    assert not reborn.tans[tan.value].used
+    ack = reborn.accept_upload({"scheme": "centralized", "tan": tan.value, "records": [good]})
+    assert ack["matched_users"] == 1 and reborn.tans[tan.value].used
+
+
+def test_server_is_freed_without_the_cycle_collector():
+    # a server in a reference cycle would keep what its clock closes over (a
+    # whole simulated world, in a scenario run) alive until a full collection
+    gc.disable()
+    try:
+        server = make_server(registry=CentralRegistry(SeedStream(5, "reg")))
+        alive = weakref.ref(server)
+        del server
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
 def test_feed_cursor_replay_identical():
     server = make_server()
     assert server.fetch_feed("tek") == ([], 0)
@@ -194,6 +246,111 @@ def test_superspreader_proof_verification():
     hashes_as_tokens = {"tokens": [e["hash_hex"] for e in entries], "encoding": "hex"}
     assert server.verify_superspreader_proof(hashes_as_tokens) == 0
     assert server.verify_superspreader_proof({"tokens": [], "encoding": "b64"}) == 0
+
+
+# -- upload property ----------------------------------------------------------------
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(0, 1),
+                 st.text(max_size=6), st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def hex_text(n):
+    return st.text("0123456789abcdefABCDEF", min_size=n, max_size=n)
+
+
+def registry_server():
+    """A server whose bluetrace registry has issued the first day of
+    identifiers to two registered devices; returns it and those identifiers."""
+    registry = CentralRegistry(SeedStream(5, "reg"))
+    known = []
+    for device in ("alice", "carol"):
+        client = CentralizedClient(registry)
+        client.device_id = device
+        client.register()
+        known += [client.advertisement_identifier(t).hex() for t in (0, 900, 1800)]
+    return make_server(registry=registry), known
+
+
+KNOWN_IDS = registry_server()[1]
+ENTRY_FIELDS = {
+    "tek": ("teks", {"tek_hex": hex_text(32), "day": st.integers(0, 40)}),
+    "dh": ("entries", {"hash_hex": hex_text(64),
+                       "meta_b64": st.binary(max_size=48).map(b64)}),
+    "centralized": ("records", {"id_hex": st.one_of(hex_text(32), st.sampled_from(KNOWN_IDS)),
+                                "first_seen": st.integers(-10**6, 10**6),
+                                "last_seen": st.integers(-10**6, 10**6)}),
+}
+
+
+@st.composite
+def upload_entry(draw, fields):
+    """A valid entry, one with a field replaced by junk or left out, or junk."""
+    entry = {name: draw(value) for name, value in fields.items()}
+    fault = draw(st.sampled_from(["none", "none", "junk field", "missing field", "junk"]))
+    if fault == "junk":
+        return draw(JUNK)
+    name = draw(st.sampled_from(sorted(fields)))
+    if fault == "junk field":
+        entry[name] = draw(JUNK)
+    elif fault == "missing field":
+        del entry[name]
+    return entry
+
+
+@st.composite
+def upload(draw):
+    """(bundle without its TAN, which TAN to send, in-process or over the wire)."""
+    scheme = draw(st.sampled_from(SCHEMES))
+    key, fields = ENTRY_FIELDS[scheme]
+    bundle = {"scheme": scheme, key: draw(st.lists(upload_entry(fields), max_size=4))}
+    fault = draw(st.sampled_from(["none", "none", "none", "scheme", "entries", "no entries"]))
+    if fault == "scheme":
+        bundle["scheme"] = draw(st.one_of(JUNK, st.sampled_from(["tek ", "DH"])))
+    elif fault == "entries":
+        bundle[key] = draw(JUNK)
+    elif fault == "no entries":
+        del bundle[key]
+    if draw(st.booleans()):
+        bundle["anonymized"] = draw(st.booleans())
+    tan = draw(st.one_of(st.sampled_from(["fresh", "fresh", "spent", "unknown"]), JUNK))
+    return bundle, tan, draw(st.sampled_from(["call", "wire"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(uploads=st.lists(upload(), min_size=1, max_size=5))
+def test_random_uploads_spend_a_tan_exactly_when_acked(uploads):
+    server, _ = registry_server()
+    acked_tans = []
+    for bundle, tan, via in uploads:
+        if tan == "fresh":
+            tan = server.issue_tan("d").value
+        elif tan == "spent":
+            tan = acked_tans[-1] if acked_tans else "NOPE"
+        elif tan == "unknown":
+            tan = "NOPE"
+        bundle = dict(bundle, tan=tan)
+        unspent = {v for v, t in server.tans.items() if not t.used}
+        published = {s: len(f.entries) for s, f in server.feeds.items()}
+        matches = len(server.match_history)
+        if via == "call":
+            try:
+                server.accept_upload(bundle)
+                acked = True
+            except UploadRejected:
+                acked = False
+        else:
+            resp = _handle_request(server, {"op": "upload", "args": {"bundle": bundle}})
+            acked = resp["ok"]
+            # a handler crash shows on the wire as "malformed request: <exception>"
+            assert acked or not resp["error"].startswith("malformed request"), resp
+        spent = {v for v in unspent if server.tans[v].used}
+        assert spent == ({tan} if acked else set())
+        if acked:
+            acked_tans.append(tan)
+        else:
+            assert {s: len(f.entries) for s, f in server.feeds.items()} == published
+            assert len(server.match_history) == matches
 
 
 # -- persistence --------------------------------------------------------------------
