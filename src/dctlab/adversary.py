@@ -7,6 +7,15 @@ Attacks come in two forms:
 * analyses, pure functions over what the attacker could see afterwards
   (sighting linkage, social-graph extraction, fake-claim attempts).
 
+Linkage and the social graph take no scheme argument. What separates the
+schemes there is who a sniffed beacon can be attributed to, and that is
+handed in as an owner map: identifier bytes -> the track label an adversary
+can attach to them. A published daily key attributes all 144 of its
+identifiers ("tek:..."), a colluding centralized provider every identifier
+of its registry ("user:..."), and a DH pseudonym nothing past its rotation
+window, so DH gets no map and sightings group by beacon payload
+("beacon:...").
+
 Every attack is deterministic under the scenario seed: outcomes are counts,
 not probabilities.
 """
@@ -15,16 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crypto_core import DAY_S, IDENTIFIER_SLOT_S, b64, derive_centralized_id
+from .crypto_core import DAY_S, IDENTIFIER_SLOT_S, b64
 from .errors import ConfigurationError
 from .radio import LINK_ADDR_LEN, DeviceClient, World
 from .rng import SeedStream
-from .schemes.centralized import CentralRegistry
 from .schemes.dh import DhConfig, match_exposures_dh
-from .schemes.tek import PublishedTek, PublishedTekIndex, SightingLog, match_exposures
+from .schemes.tek import PublishedTekIndex, SightingLog, match_exposures
 from .server import TracingServer
 
 TWO_WAY_FANOUT_LIMIT = 8   # a phone sustains 8 BLE connections, no more
+CO_SIGHT_WINDOW_S = IDENTIFIER_SLOT_S   # two owners heard this close together met
 
 
 # ---------------------------------------------------------------------------
@@ -270,68 +279,31 @@ def _tracks_from_groups(groups: dict[str, list[SnifferObservation]]) -> LinkageR
     return LinkageReport(tracks, longest)
 
 
-def _sightings_by_key(observations: list[SnifferObservation],
-                      published_teks: list[PublishedTek] | None,
-                      tek_index: PublishedTekIndex | None) -> dict[str, list[SnifferObservation]]:
-    """Sightings of each published key's identifiers, labelled by the key,
-    grouped in one pass through the index's identifier map."""
-    index = tek_index or PublishedTekIndex()
-    wanted = set()
-    for pub in published_teks or []:
-        index.schedule(pub)
-        wanted.add(pub.tek.hex)
+def _sightings_by_owner(observations: list[SnifferObservation],
+                        owners: dict[bytes, str]) -> dict[str, list[SnifferObservation]]:
     groups: dict[str, list[SnifferObservation]] = {}
     for o in observations:
-        owner = index.by_identifier.get(o.identifier)
-        if owner is not None and owner[0] in wanted:
-            groups.setdefault(f"tek:{owner[0][:16]}", []).append(o)
+        label = owners.get(o.identifier)
+        if label is not None:
+            groups.setdefault(label, []).append(o)
     return groups
 
 
-def run_linkage(observations: list[SnifferObservation], scheme: str, *,
-                published_teks: list[PublishedTek] | None = None,
-                tek_index: PublishedTekIndex | None = None,
-                registry: CentralRegistry | None = None,
-                scanned_windows: tuple[int, int] | None = None) -> LinkageReport:
+def run_linkage(observations: list[SnifferObservation],
+                owners: dict[bytes, str] | None = None) -> LinkageReport:
     """Group sniffed sightings into per-device movement tracks.
 
-    tek: every sighting of any of the 144 identifiers of a published daily
-    key (looked up in tek_index) belongs to that key's device, so the track
-    spans the whole day. dh (and centralized without server collusion): group by
+    owners maps identifier bytes to the track label an adversary can attach
+    to them; sightings it does not hold are dropped. A published daily key
+    attributes all 144 of its identifiers, so its track spans the whole day;
+    a colluding centralized provider attributes every identifier it issued
+    or can derive to its user. Without an owner map, sightings group by
     identical beacon payload, which rotates per window, so no track can
-    outlive one rotation period. centralized with a colluding provider:
-    derive every registered user's identifiers from the registry and group
-    sightings per user across the whole scanned range.
+    outlive one rotation period.
     """
-    groups: dict[str, list[SnifferObservation]] = {}
-    if scheme == "tek":
-        groups = _sightings_by_key(observations, published_teks, tek_index)
-    elif scheme == "centralized" and registry is not None:
-        lo, hi = scanned_windows
-        ids_of_user: dict[bytes, str] = {}
-        for user_id in registry.users:
-            for t_k in range(lo, hi + 1):
-                ident = registry_identifier(registry, user_id, t_k)
-                if ident is not None:
-                    ids_of_user[ident] = user_id
-        for o in observations:
-            user = ids_of_user.get(o.identifier)
-            if user is not None:
-                groups.setdefault(f"user:{user}", []).append(o)
-    else:
-        for o in observations:
-            groups.setdefault(f"beacon:{o.identifier.hex()[:16]}", []).append(o)
-    return _tracks_from_groups(groups)
-
-
-def registry_identifier(registry: CentralRegistry, user_id: str, t_k: int) -> bytes | None:
-    """What a colluding provider can derive for (user, window)."""
-    if registry.variant == "pepp_pt":
-        return derive_centralized_id(user_id, t_k, registry.rotation_s).bytes
-    for ident, (uid, tk, _, _) in registry._batch_index.items():
-        if uid == user_id and tk == t_k:
-            return ident
-    return None
+    if owners is None:
+        owners = {o.identifier: f"beacon:{o.identifier.hex()[:16]}" for o in observations}
+    return _tracks_from_groups(_sightings_by_owner(observations, owners))
 
 
 # ---------------------------------------------------------------------------
@@ -385,33 +357,26 @@ def fake_claim_centralized(server: TracingServer, claimant_device: str,
 # Social graph extraction
 # ---------------------------------------------------------------------------
 
-def run_social_graph(server: TracingServer, scheme: str, *,
-                     observations: list[SnifferObservation] | None = None,
-                     published_teks: list[PublishedTek] | None = None,
-                     tek_index: PublishedTekIndex | None = None,
-                     co_sight_window_s: int = IDENTIFIER_SLOT_S) -> dict:
+def run_social_graph(server: TracingServer, observations: list[SnifferObservation],
+                     owners: dict[bytes, str] | None) -> dict:
     """What an adversarial provider can learn about who met whom.
 
-    centralized: the match history maps every upload straight to resolved
-    contact identities. tek: only via colluding sniffers, by co-observing
-    identifiers of two published keys at the same place and time (and then
-    only between infected users). dh: published hashes carry no identity and
-    resolve to no one.
+    The server's match history (centralized: every upload resolves straight
+    to contact identities) gives its edges as they are. Through colluding
+    sniffers, two owners whose identifiers were heard by the same sniffer
+    within one identifier slot met too; with published daily keys, that
+    links only infected users. DH hashes carry no identity: the history is
+    empty and there is no owner map.
     """
     edges: set[tuple[str, str]] = set()
-    if scheme == "centralized":
-        for m in server.match_history:
-            pair = tuple(sorted((m["uploader_device"], m["contact_device"])))
-            edges.add(pair)
-    elif scheme == "tek" and observations:
-        sightings_of_key = _sightings_by_key(observations, published_teks, tek_index)
-        labels = sorted(sightings_of_key)
-        for i, la in enumerate(labels):
-            for lb in labels[i + 1:]:
-                if any(abs(oa.at - ob.at) <= co_sight_window_s
-                       and oa.sniffer_id == ob.sniffer_id
-                       for oa in sightings_of_key[la] for ob in sightings_of_key[lb]):
-                    edges.add((la, lb))
-    # dh: nothing to resolve
+    for m in server.match_history:
+        edges.add(tuple(sorted((m["uploader_device"], m["contact_device"]))))
+    sightings = _sightings_by_owner(observations, owners or {})
+    labels = sorted(sightings)
+    for i, la in enumerate(labels):
+        for lb in labels[i + 1:]:
+            if any(abs(oa.at - ob.at) <= CO_SIGHT_WINDOW_S and oa.sniffer_id == ob.sniffer_id
+                   for oa in sightings[la] for ob in sightings[lb]):
+                edges.add((la, lb))
     return {"recovered_edges": sorted(list(e) for e in edges),
             "recovered_edge_count": len(edges)}

@@ -101,7 +101,6 @@ def _is_probable_prime(n: int) -> bool:
 
 KIND_TOY = "toy-modp"
 KIND_PRODUCTION = "production-curve"
-PRODUCTION_CURVE_ID = "x25519"
 PRODUCTION_KEY_LEN = 32      # 256-bit keys, the floor for standardized ECDH
 
 
@@ -112,7 +111,6 @@ class GroupParams:
     kind: str
     modulus: int | None = None
     generator: int | None = None
-    curve_id: str = PRODUCTION_CURVE_ID
 
     @classmethod
     def toy(cls, p: int, g: int) -> "GroupParams":
@@ -133,10 +131,7 @@ class GroupParams:
             g, p = self.generator, self.modulus
             if not 1 < g < p or pow(g, 2, p) == 1:
                 raise ConfigurationError("generator must generate a subgroup of order > 2")
-        elif self.kind == KIND_PRODUCTION:
-            if self.curve_id != PRODUCTION_CURVE_ID:
-                raise ConfigurationError(f"unknown production curve {self.curve_id!r}")
-        else:
+        elif self.kind != KIND_PRODUCTION:
             raise ConfigurationError(f"unknown group kind {self.kind!r}")
 
     @property
@@ -176,7 +171,6 @@ class EphemeralKeyPair:
     secret: int | bytes = field(repr=False)
     public: bytes
     epoch_index: int
-    created_at: int = 0
 
 
 @dataclass(frozen=True)
@@ -232,7 +226,7 @@ class MasterKey:
 # Key generation and token agreement
 # ---------------------------------------------------------------------------
 
-def keygen(params: GroupParams, stream: SeedStream, epoch: int, created_at: int = 0) -> EphemeralKeyPair:
+def keygen(params: GroupParams, stream: SeedStream, epoch: int) -> EphemeralKeyPair:
     """Draw a fresh key pair for one rotation window from a seed stream."""
     params.validate()
     if params.kind == KIND_TOY:
@@ -244,10 +238,10 @@ def keygen(params: GroupParams, stream: SeedStream, epoch: int, created_at: int 
             if 1 < value < params.modulus - 1:
                 break
         public = params.encode_element(value)
-        return EphemeralKeyPair(secret=secret, public=public, epoch_index=epoch, created_at=created_at)
+        return EphemeralKeyPair(secret=secret, public=public, epoch_index=epoch)
     secret = stream.take(PRODUCTION_KEY_LEN)
     public = X25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
-    return EphemeralKeyPair(secret=secret, public=public, epoch_index=epoch, created_at=created_at)
+    return EphemeralKeyPair(secret=secret, public=public, epoch_index=epoch)
 
 
 def dh_token(my_secret: int | bytes, their_public: bytes, params: GroupParams,

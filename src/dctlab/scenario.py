@@ -48,6 +48,9 @@ ROLE_CLIENTS = {"sniffer": adversary.SnifferClient, "relay": DeviceClient,
                 "replayer": adversary.ReplayClient}
 ATTACK_DEVICES = {"relay": ("node_a", "node_b"), "time_travel": ("victim", "replayer"),
                   "fake_claim": ("claimant", "source_sniffer")}
+ATTACK_FIELDS = {"relay": ("node_a", "node_b", "mode", "window"),
+                 "time_travel": ("victim", "replayer", "offset_s", "at_s", "restore_at_s"),
+                 "fake_claim": ("claimant", "at")}    # plus the scheme's Scheme.claim_fields
 
 
 def load_scenario(path: str | Path) -> dict:
@@ -80,14 +83,15 @@ def _normalize_devices(raw: list) -> list[dict]:
 
 def _check_run(run_cfg: dict, where: str) -> None:
     """Raise ScenarioError, naming the JSON path, for a missing field, an
-    unknown scheme or attack kind, or a contact, infection, superspreader
-    check or attack that names a device the run does not declare."""
+    unknown scheme or attack kind, a contact, infection, superspreader
+    check or attack that names a device the run does not declare, or a
+    fake claim's source_sniffer that is not a sniffer."""
     for key in ("label", "scheme", "devices", "duration_s"):
         if key not in run_cfg:
             raise ScenarioError(f"{where} is missing the {key!r} field")
     if not isinstance(run_cfg["scheme"], str) or run_cfg["scheme"] not in SCHEMES:
         raise ScenarioError(f"{where}.scheme: unknown scheme {run_cfg['scheme']!r}")
-    known = {d["id"] for d in _normalize_devices(run_cfg["devices"])}
+    roles = {d["id"]: d["role"] for d in _normalize_devices(run_cfg["devices"])}
     named = []
     for i, edge in enumerate(run_cfg.get("contact_trace", [])):
         if not isinstance(edge, list) or len(edge) not in (4, 5):
@@ -104,10 +108,19 @@ def _check_run(run_cfg: dict, where: str) -> None:
         kind = attack.get("kind") if isinstance(attack, dict) else None
         if not isinstance(kind, str) or kind not in ATTACK_DEVICES:
             raise ScenarioError(f"{where}.attack.kind: unknown attack kind {kind!r}")
+        needed = ATTACK_FIELDS[kind]
+        if kind == "fake_claim":
+            needed += SCHEMES[run_cfg["scheme"]].claim_fields
+        for key in needed:
+            if key not in attack:
+                raise ScenarioError(f"{where}.attack is missing the {key!r} field")
         named += [(f"attack.{key}", attack[key]) for key in ATTACK_DEVICES[kind] if key in attack]
     for path, device in named:
-        if not isinstance(device, Hashable) or device not in known:
+        if not isinstance(device, Hashable) or device not in roles:
             raise ScenarioError(f"{where}.{path}: unknown device {device!r}")
+    sniffer = attack.get("source_sniffer") if attack and attack["kind"] == "fake_claim" else None
+    if sniffer is not None and roles[sniffer] != "sniffer":
+        raise ScenarioError(f"{where}.attack.source_sniffer: {sniffer!r} is not a sniffer")
 
 
 @dataclass
@@ -319,6 +332,13 @@ def _dh_proof(state: _RunState, did: str, threshold: int) -> dict:
             "proof_accepted": accepted, "verified": accepted >= threshold}
 
 
+def _tek_owners(state: _RunState) -> dict[bytes, str]:
+    # a published daily key gives away all 144 of its identifiers
+    index = state.tek_index
+    index.ingest_all(state.server.fetch_feed("tek")[0])
+    return {ident: f"tek:{tek_hex[:16]}" for ident, (tek_hex, _) in index.by_identifier.items()}
+
+
 @dataclass(frozen=True)
 class Scheme:
     """What the scenario driver does differently for one scheme family."""
@@ -328,6 +348,8 @@ class Scheme:
     fake_claim: Callable[[_RunState, dict, SeedStream], dict]
     start: Callable[[dict, _RunState], None]    # once devices, attack and reports are set up
     superspreader: Callable[[_RunState, str, int], dict]    # (state, device, threshold)
+    owners: Callable[[_RunState], dict[bytes, str] | None]  # what public data attributes
+    claim_fields: tuple[str, ...] = ()    # attack fields the fake claim reads beyond ATTACK_FIELDS
 
 
 SCHEMES = {
@@ -338,7 +360,8 @@ SCHEMES = {
             phone=dev["phone"]),
         fake_claim=lambda state, attack, stream: adversary.fake_claim_centralized(
             state.server, attack["claimant"], state.clients[attack["source_sniffer"]].observations),
-        start=_start_centralized, superspreader=_match_history_count),
+        start=_start_centralized, superspreader=_match_history_count,
+        owners=lambda state: None, claim_fields=("source_sniffer",)),
     "tek": Scheme(
         rotation_s=600,
         clients=lambda state, stream: lambda dev: TekClient(
@@ -348,12 +371,12 @@ SCHEMES = {
             retention_days=state.sconf.get("retention_days", 14)),
         fake_claim=lambda state, attack, stream: adversary.fake_claim_tek(
             state.server, state.world.local_time(attack["claimant"]), state.tek_index),
-        start=_schedule_syncs, superspreader=_client_count),
+        start=_schedule_syncs, superspreader=_client_count, owners=_tek_owners),
     "dh": Scheme(
         rotation_s=900, clients=_dh_clients,
         fake_claim=lambda state, attack, stream: adversary.fake_claim_dh(
             state.server, stream.child("attack"), guesses=attack.get("guesses", 32)),
-        start=_start_dh, superspreader=_dh_proof),
+        start=_start_dh, superspreader=_dh_proof, owners=lambda state: None),
 }
 
 
@@ -396,19 +419,19 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
 
     if analysis.get("linkage") or analysis.get("social_graph"):
         observations = _sniffer_observations(state)
-        published = state.tek_index.ingest_all(state.server.fetch_feed("tek")[0])
+        owners = SCHEMES[state.scheme].owners(state)
 
     if analysis.get("linkage"):
-        report = adversary.run_linkage(
-            observations, state.scheme, published_teks=published, tek_index=state.tek_index,
-            registry=state.server.registry if analysis.get("colluding_sp") else None,
-            scanned_windows=(0, run_cfg["duration_s"] // state.rotation_s + 1))
+        registry, linkable = state.server.registry, owners
+        if analysis.get("colluding_sp") and registry is not None:
+            # the provider attributes every identifier of every user it registered
+            last = run_cfg["duration_s"] // state.rotation_s + 1
+            linkable = {ident: f"user:{u}" for ident, u in registry.owners(0, last).items()}
+        report = adversary.run_linkage(observations, linkable)
         metrics["linkage"] = dict(report.as_dict(), rotation_s=state.rotation_s)
 
     if analysis.get("social_graph"):
-        graph = adversary.run_social_graph(
-            state.server, state.scheme, observations=observations,
-            published_teks=published, tek_index=state.tek_index)
+        graph = adversary.run_social_graph(state.server, observations, owners)
         roles = {d["id"]: d["role"] for d in _normalize_devices(run_cfg["devices"])}
         truth = sorted(
             sorted((r, c)) for r in state.reporters

@@ -61,7 +61,9 @@ class CentralRegistry:
 
     For the bluetrace variant the registry keeps the (iv, auth_tag, window)
     of every identifier it issued and re-derives under the master key when
-    resolving, rather than trusting the lookup index.
+    resolving, rather than trusting the lookup index. owners(lo, hi) is the
+    registry's reverse map over a range of windows: pepp_pt resolution
+    searches it, and a colluding provider attributes sniffed beacons with it.
     """
 
     def __init__(self, stream: SeedStream, variant: str = VARIANT_BLUETRACE,
@@ -110,6 +112,15 @@ class CentralRegistry:
         self._issued_batches[(user_id, day)] = batch
         return batch
 
+    def owners(self, lo: int, hi: int) -> dict[bytes, str]:
+        """identifier -> user id, for every registered user and window lo..hi:
+        derived on the spot (pepp_pt) or read from the issued batches (bluetrace)."""
+        if self.variant == VARIANT_BLUETRACE:
+            return {ident: user_id for ident, (user_id, t_k, _, _) in self._batch_index.items()
+                    if lo <= t_k <= hi}
+        return {derive_centralized_id(user_id, t_k, self.rotation_s).bytes: user_id
+                for user_id in self.users for t_k in range(lo, hi + 1)}
+
     def resolve(self, identifier: bytes, first_seen: int, last_seen: int) -> str | None:
         """Map an uploaded identifier back to the user that emitted it."""
         if self.variant == VARIANT_BLUETRACE:
@@ -119,13 +130,8 @@ class CentralRegistry:
             user_id, t_k, iv, auth_tag = hit
             rederived = derive_bluetrace_id(user_id, t_k, iv, auth_tag, self.master, self.rotation_s)
             return user_id if rederived.bytes == identifier else None
-        lo = first_seen // self.rotation_s - 1
-        hi = last_seen // self.rotation_s + 1
-        for user_id in self.users:
-            for t_k in range(lo, hi + 1):
-                if derive_centralized_id(user_id, t_k, self.rotation_s).bytes == identifier:
-                    return user_id
-        return None
+        r = self.rotation_s
+        return self.owners(first_seen // r - 1, last_seen // r + 1).get(identifier)
 
 
 def report_infection(records: list[ObservedRecord], tan: str) -> dict:
@@ -158,7 +164,7 @@ class CentralizedClient(DeviceClient):
         self.registration: CentralRegistration | None = None
         self.records: list[ObservedRecord] = []
         self._last_by_id: dict[bytes, ObservedRecord] = {}
-        self._batches: dict[int, dict[int, bytes]] = {}
+        self._ids: dict[int, bytes] = {}    # t_k -> identifier, pulled or derived
 
     def register(self) -> CentralRegistration:
         self.registration = self.registry.register(self.device_id, self.mode, self.phone)
@@ -169,18 +175,17 @@ class CentralizedClient(DeviceClient):
             raise ProtocolError("device is not registered")
         return self.registration
 
-    def _pulled_batch(self, day: int) -> dict[int, bytes]:
-        if day not in self._batches:
-            reg = self._require_registration()
-            batch = self.registry.issue_batch(reg.user_id, day)
-            self._batches[day] = {e["t_k"]: bytes.fromhex(e["id_hex"]) for e in batch}
-        return self._batches[day]
-
     def _identifier_for_window(self, t_k: int) -> bytes:
-        reg = self._require_registration()
-        if self.registry.variant == VARIANT_BLUETRACE:
-            return self._pulled_batch((t_k * self.rotation_s) // DAY_S)[t_k]
-        return derive_centralized_id(reg.user_id, t_k, self.rotation_s).bytes
+        if t_k not in self._ids:
+            user_id = self._require_registration().user_id
+            if self.registry.variant == VARIANT_BLUETRACE:
+                # one pull fills the whole day
+                day = (t_k * self.rotation_s) // DAY_S
+                for e in self.registry.issue_batch(user_id, day):
+                    self._ids[e["t_k"]] = bytes.fromhex(e["id_hex"])
+            else:
+                self._ids[t_k] = derive_centralized_id(user_id, t_k, self.rotation_s).bytes
+        return self._ids[t_k]
 
     def advertisement_identifier(self, local_t: int) -> bytes:
         return self._identifier_for_window(local_t // self.rotation_s)

@@ -175,11 +175,9 @@ class DhClient(DeviceClient):
     def epoch_of(self, local_t: int) -> int:
         return local_t // self.cfg.rotation_s
 
-    def keypair(self, epoch: int, local_t: int = 0) -> EphemeralKeyPair:
+    def keypair(self, epoch: int) -> EphemeralKeyPair:
         if epoch not in self._keypairs:
-            self._keypairs[epoch] = keygen(self.cfg.group,
-                                           self.stream.child(f"key:{epoch}"),
-                                           epoch, created_at=local_t)
+            self._keypairs[epoch] = keygen(self.cfg.group, self.stream.child(f"key:{epoch}"), epoch)
         return self._keypairs[epoch]
 
     def advertisement_identifier(self, local_t: int) -> bytes:
@@ -224,7 +222,7 @@ class DhClient(DeviceClient):
         if self._keys_sent.get((conn.cid, epoch)):
             return
         self._keys_sent[(conn.cid, epoch)] = True
-        kp = self.keypair(epoch, local_t)
+        kp = self.keypair(epoch)
         conn.send(self.device_id, {"kind": "pubkey", "epoch": epoch, "key": kp.public.hex()})
 
     def on_message(self, conn: Connection, sender_id: str, payload: dict, local_t: int) -> None:

@@ -9,9 +9,10 @@ One server instance backs all three schemes:
   bundles publish token hashes and sealed metadata only, centralized
   bundles are never published - they are routed to server-side matching
   against the registry and turn into notifications. A bundle with a
-  malformed entry, daily keys spanning more than the retention period, or
-  centralized records sent to a server without a registry is rejected
-  with its TAN left unspent.
+  malformed entry, daily keys spanning more than the retention period, a
+  centralized record seen for longer than the retention period (or ending
+  before it starts), or centralized records sent to a server without a
+  registry is rejected with its TAN left unspent.
 * Publication feeds are append-only; clients page through them with an
   integer cursor and replaying a cursor returns the identical page.
 * Superspreader proofs: raw tokens submitted through this flow are hashed,
@@ -43,7 +44,7 @@ from pathlib import Path
 from .crypto_core import DAY_S, unb64
 from .errors import StateError, UploadRejected
 from .rng import SeedStream
-from .schemes.centralized import CentralRegistry, server_match
+from .schemes.centralized import MODE_PHONE, CentralRegistry, server_match
 from .schemes.tek import DEFAULT_RETENTION_DAYS, tek_entry_error
 
 TAN_LENGTH = 12
@@ -230,6 +231,11 @@ class TracingServer:
     def _check_registry(self, records: list) -> None:
         if self.registry is None:
             raise UploadRejected("no centralized registry configured")
+        # a record's span bounds the windows resolve searches
+        for i, r in enumerate(records):
+            if not 0 <= r["last_seen"] - r["first_seen"] <= self.retention_days * DAY_S:
+                raise UploadRejected(f"malformed bundle: records[{i}]: last_seen must lie "
+                                     f"within {self.retention_days} days after first_seen")
 
     def _accept_tek(self, teks: list, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
@@ -259,7 +265,7 @@ class TracingServer:
         matches = server_match(fresh, self.registry)
         for user_id, intervals in matches.items():
             reg = self.registry.users[user_id]
-            channel = "phone" if reg.mode == "phone" else "app"
+            channel = "phone" if reg.mode == MODE_PHONE else "app"
             note = {"user_id": user_id, "device_id": self.registry.device_of[user_id],
                     "channel": channel, "intervals": [list(i) for i in intervals],
                     "cause": "centralized_match"}
@@ -292,6 +298,8 @@ class TracingServer:
     def verify_superspreader_proof(self, proof: dict) -> int:
         """Count proof tokens whose hash appears in the DH feed and tag those
         hashes. Tokens are hashed and discarded, never stored."""
+        if not isinstance(proof, dict):
+            raise UploadRejected("malformed proof: not an object")
         decode = bytes.fromhex if proof.get("encoding") == "hex" else unb64
         with self._lock:
             published = {e["hash_hex"] for e in self.feeds["dh"].entries}
@@ -316,8 +324,10 @@ class TracingServer:
 # ---------------------------------------------------------------------------
 
 def _handle_request(server: TracingServer, req: dict) -> dict:
+    args = req.get("args", {}) if isinstance(req, dict) else None
+    if not isinstance(args, dict):
+        return {"ok": False, "error": "malformed request: a request and its args must be objects"}
     op = req.get("op")
-    args = req.get("args", {})
     try:
         if op == "issue_tan":
             tan = server.issue_tan(args["device_id"])

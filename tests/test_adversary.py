@@ -1,10 +1,14 @@
 """Attack-model tests, including the randomized one-way-relay sweep."""
 
+import pytest
+
 from dctlab import adversary
-from dctlab.crypto_core import Tek, derive_day_identifiers
+from dctlab.crypto_core import DAY_S, Tek, derive_centralized_id, derive_day_identifiers
 from dctlab.rng import SeedStream
+from dctlab.cli import builtin_scenario
 from dctlab.scenario import execute_run
-from dctlab.schemes.tek import PublishedTek
+from dctlab.schemes.centralized import CentralizedClient, CentralRegistry
+from dctlab.schemes.tek import PublishedTek, PublishedTekIndex
 
 
 def one_way_relay_run(scheme, seed, n_targets=5, window_end=600):
@@ -92,6 +96,14 @@ def test_two_way_relay_bounded_by_connection_budget():
     assert 1 <= result.metrics["false_notifications"] <= 8
 
 
+def tek_owners(published):
+    """The owner map the public TEK feed gives: each identifier of a published key, to the key."""
+    index = PublishedTekIndex()
+    for pub in published:
+        index.schedule(pub)
+    return {ident: f"tek:{tek_hex[:16]}" for ident, (tek_hex, _) in index.by_identifier.items()}
+
+
 def make_obs(at, ident, sniffer="sn1"):
     return adversary.SnifferObservation(at, ident, b"\x00" * 6, sniffer)
 
@@ -102,12 +114,11 @@ def test_linkage_groups_only_published_material():
     ids = derive_day_identifiers(tek)
     observations = [make_obs(1000, ids[1].bytes), make_obs(50000, ids[83].bytes),
                     make_obs(2000, derive_day_identifiers(other)[3].bytes)]
-    report = adversary.run_linkage(observations, "tek",
-                                   published_teks=[PublishedTek(tek, 86000)])
+    report = adversary.run_linkage(observations, tek_owners([PublishedTek(tek, 86000)]))
     assert len(report.tracks) == 1
     assert report.max_track_duration_s == 49000
     assert len(report.tracks[0].sightings) == 2
-    empty = adversary.run_linkage(observations, "tek", published_teks=[])
+    empty = adversary.run_linkage(observations, tek_owners([]))
     assert empty.tracks == [] and empty.max_track_duration_s == 0
 
 
@@ -119,8 +130,7 @@ def test_linkage_tracks_partition_attributed_sightings():
         for k in (0, 5, 9):
             observations.append(make_obs(base + k * 600, derive_day_identifiers(tek)[k].bytes))
     report = adversary.run_linkage(
-        observations, "tek",
-        published_teks=[PublishedTek(tek_a, 90000), PublishedTek(tek_b, 90000)])
+        observations, tek_owners([PublishedTek(tek_a, 90000), PublishedTek(tek_b, 90000)]))
     assert len(report.tracks) == 2
     counted = sum(len(t.sightings) for t in report.tracks)
     assert counted == len(observations)  # a partition: nothing shared, nothing lost
@@ -129,7 +139,7 @@ def test_linkage_tracks_partition_attributed_sightings():
 def test_dh_pseudonym_grouping_bounded_by_rotation():
     observations = [make_obs(t, b"\x01" * 16) for t in range(0, 895, 5)]
     observations += [make_obs(t, b"\x02" * 16) for t in range(900, 1795, 5)]
-    report = adversary.run_linkage(observations, "dh")
+    report = adversary.run_linkage(observations)
     assert len(report.tracks) == 2
     assert report.max_track_duration_s <= 900
 
@@ -151,7 +161,104 @@ def test_fake_claim_against_empty_feed_fails():
 def test_social_graph_without_uploads_is_empty():
     from dctlab.server import TracingServer
     server = TracingServer(SeedStream(3, "sg"))
-    for scheme in ("centralized", "tek", "dh"):
-        graph = adversary.run_social_graph(server, scheme, observations=[],
-                                           published_teks=[])
+    for owners in (None, tek_owners([])):
+        graph = adversary.run_social_graph(server, [], owners)
         assert graph["recovered_edge_count"] == 0
+
+
+# -- colluding centralized provider -------------------------------------------------
+
+def reference_registry_identifier(registry, user_id, t_k):
+    """The earlier per-(user, window) lookup of a colluding provider, kept as a reference."""
+    if registry.variant == "pepp_pt":
+        return derive_centralized_id(user_id, t_k, registry.rotation_s).bytes
+    for ident, (uid, tk, _, _) in registry._batch_index.items():
+        if uid == user_id and tk == t_k:
+            return ident
+    return None
+
+
+def reference_colluding_linkage(observations, registry, scanned_windows):
+    """The earlier centralized branch of run_linkage, kept as a reference."""
+    lo, hi = scanned_windows
+    ids_of_user = {}
+    for user_id in registry.users:
+        for t_k in range(lo, hi + 1):
+            ident = reference_registry_identifier(registry, user_id, t_k)
+            if ident is not None:
+                ids_of_user[ident] = user_id
+    groups = {}
+    for o in observations:
+        user = ids_of_user.get(o.identifier)
+        if user is not None:
+            groups.setdefault(f"user:{user}", []).append(o)
+    return adversary._tracks_from_groups(groups)
+
+
+def user_owners(registry, lo, hi):
+    return {ident: f"user:{u}" for ident, u in registry.owners(lo, hi).items()}
+
+
+def same_report(a, b):
+    return ([(t.label, t.sightings) for t in a.tracks] == [(t.label, t.sightings) for t in b.tracks]
+            and a.max_track_duration_s == b.max_track_duration_s)
+
+
+@pytest.mark.parametrize("variant", ["pepp_pt", "bluetrace"])
+def test_registry_owners_match_the_reference_lookup(variant):
+    registry = CentralRegistry(SeedStream(4, "reg"), variant=variant)
+    clients = []
+    for name in ("a", "b", "c"):
+        client = CentralizedClient(registry)
+        client.device_id = name
+        client.register()
+        clients.append(client)
+    # beacons on both sides of a day boundary; c never beacons on day 1
+    observations = []
+    for i, client in enumerate(clients):
+        end = DAY_S + 3600 if i < 2 else DAY_S - 900
+        for ident in client.beacon_schedule(DAY_S - 3600, end):
+            observations.append(make_obs(ident.valid_from + 10 * i, ident.bytes, f"sn{i % 2}"))
+    observations.append(make_obs(DAY_S, b"\x07" * 16))    # nobody's identifier
+    observations.sort(key=lambda o: (o.at, o.sniffer_id, o.identifier))
+    per_day = DAY_S // registry.rotation_s
+    for lo, hi in ((0, 2 * per_day), (per_day - 2, per_day + 1), (per_day, per_day), (5, 3)):
+        expected = {}
+        for user_id in registry.users:
+            for t_k in range(lo, hi + 1):
+                ident = reference_registry_identifier(registry, user_id, t_k)
+                if ident is not None:
+                    expected[ident] = user_id
+        assert registry.owners(lo, hi) == expected
+        report = adversary.run_linkage(observations, user_owners(registry, lo, hi))
+        assert same_report(report, reference_colluding_linkage(observations, registry, (lo, hi)))
+    full = adversary.run_linkage(observations, user_owners(registry, 0, 2 * per_day))
+    assert len(full.tracks) == 3 and full.max_track_duration_s > 3600
+
+
+@pytest.mark.parametrize("variant", ["pepp_pt", "bluetrace"])
+def test_colluding_linkage_in_a_run_matches_the_reference(monkeypatch, variant):
+    seen = {}
+    run_linkage, owners = adversary.run_linkage, CentralRegistry.owners
+
+    def linkage_spy(observations, owners=None):
+        seen["observations"] = observations
+        seen["report"] = run_linkage(observations, owners)
+        return seen["report"]
+
+    def owners_spy(registry, lo, hi):
+        # the last call is the linkage analysis, after every upload has resolved
+        seen["registry"], seen["windows"] = registry, (lo, hi)
+        return owners(registry, lo, hi)
+
+    monkeypatch.setattr(adversary, "run_linkage", linkage_spy)
+    monkeypatch.setattr(CentralRegistry, "owners", owners_spy)
+    run = dict(builtin_scenario("linkage_centralized")["runs"][0],
+               scheme_config={"variant": variant, "mode": "anonymous"})
+    metrics = execute_run(run, SeedStream(2, "collude")).metrics
+    assert seen["windows"] == (0, run["duration_s"] // 900 + 1)
+    reference = reference_colluding_linkage(seen["observations"], seen["registry"],
+                                            seen["windows"])
+    assert same_report(seen["report"], reference)
+    assert metrics["linkage"]["tracks"] == len(reference.tracks) == 2
+    assert metrics["linkage"]["max_track_duration_s"] == reference.max_track_duration_s > 3600

@@ -164,11 +164,31 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
                 "at_s": 100, "restore_at_s": 200}, "runs[1].attack.victim: unknown device 'zz'"),
     ("attack", {"kind": "time_travel", "victim": "a", "replayer": "zz", "offset_s": -60,
                 "at_s": 100, "restore_at_s": 200}, "runs[1].attack.replayer: unknown device 'zz'"),
+    ("attack", {"kind": "relay", "node_b": "b", "mode": "one_way_broadcast", "window": [0, 600]},
+     "runs[1].attack is missing the 'node_a' field"),
+    ("attack", {"kind": "relay", "node_a": "a", "node_b": "b", "window": [0, 600]},
+     "runs[1].attack is missing the 'mode' field"),
+    ("attack", {"kind": "relay", "node_a": "a", "node_b": "b", "mode": "one_way_broadcast"},
+     "runs[1].attack is missing the 'window' field"),
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "s", "at_s": 100,
+                "restore_at_s": 200}, "runs[1].attack is missing the 'offset_s' field"),
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "s", "offset_s": -60,
+                "restore_at_s": 200}, "runs[1].attack is missing the 'at_s' field"),
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "s", "offset_s": -60,
+                "at_s": 100}, "runs[1].attack is missing the 'restore_at_s' field"),
+    ("attack", {"kind": "fake_claim", "at": 100}, "runs[1].attack is missing the 'claimant' field"),
+    ("attack", {"kind": "fake_claim", "claimant": "a"}, "runs[1].attack is missing the 'at' field"),
+    (("scheme", "attack"), ("centralized", {"kind": "fake_claim", "claimant": "a", "at": 100}),
+     "runs[1].attack is missing the 'source_sniffer' field"),
+    ("attack", {"kind": "fake_claim", "claimant": "a", "source_sniffer": "b", "at": 100},
+     "runs[1].attack.source_sniffer: 'b' is not a sniffer"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")
     if value is None:
         del bad_run[field]
+    elif isinstance(field, tuple):
+        bad_run.update(zip(field, value))
     else:
         bad_run[field] = value
     scenario_path = tmp_path / "bad_run.json"

@@ -1,6 +1,6 @@
 import pytest
 
-from dctlab.crypto_core import derive_bluetrace_id, derive_centralized_id
+from dctlab.crypto_core import DAY_S, derive_bluetrace_id, derive_centralized_id
 from dctlab.errors import ProtocolError
 from dctlab.rng import SeedStream
 from dctlab.schemes.centralized import (
@@ -100,3 +100,33 @@ def test_sightings_merge_into_records():
     assert len(client.records) == 2
     assert (client.records[0].first_seen, client.records[0].last_seen) == (0, 15)
     assert all(r.first_seen <= r.last_seen for r in client.records)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_PEPP_PT, VARIANT_BLUETRACE])
+def test_client_identifier_cache_matches_derivation_and_batches(monkeypatch, variant):
+    from dctlab.schemes import centralized
+    registry, client = make_pair(variant)
+    uid = client.registration.user_id
+    derivations, pulls = [], []
+    derive, issue = centralized.derive_centralized_id, registry.issue_batch
+    monkeypatch.setattr(centralized, "derive_centralized_id",
+                        lambda *a: derivations.append(a) or derive(*a))
+    monkeypatch.setattr(registry, "issue_batch", lambda *a: pulls.append(a) or issue(*a))
+    # across the day boundary, then with the clock moved back by an hour, twice over
+    times = list(range(DAY_S - 1800, DAY_S + 1800, 60))
+    times += [t - 3600 for t in times]
+    for _ in range(2):
+        for t in times:
+            t_k = t // 900
+            got = client.advertisement_identifier(t)
+            if variant == VARIANT_PEPP_PT:
+                assert got == derive_centralized_id(uid, t_k).bytes
+            else:
+                batch = registry._issued_batches[(uid, t // DAY_S)]
+                assert got.hex() == next(e["id_hex"] for e in batch if e["t_k"] == t_k)
+    windows = {t // 900 for t in times}
+    if variant == VARIANT_PEPP_PT:
+        assert len(derivations) == len(windows)     # one per window, however often it beacons
+        assert pulls == []
+    else:
+        assert sorted(pulls) == [(uid, 0), (uid, 1)] and derivations == []

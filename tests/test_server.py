@@ -135,13 +135,19 @@ def test_malformed_centralized_upload_keeps_its_tan(tmp_path):
                    [dict(good, id_hex="ab" * 15)], [dict(good, id_hex="zz" * 16)],
                    [{"id_hex": good["id_hex"], "first_seen": 100}],
                    [dict(good, first_seen="100")], [dict(good, last_seen=True)],
-                   [dict(good, last_seen=400.0)], [good["id_hex"]], None, good)
+                   [dict(good, last_seen=400.0)], [good["id_hex"]], None, good,
+                   [dict(good, first_seen=401)], [good, dict(good, last_seen=10**9)])
     for records in bad_records:
         with pytest.raises(UploadRejected, match="malformed bundle"):
             server.accept_upload({"scheme": "centralized", "tan": tan.value, "records": records})
     with pytest.raises(UploadRejected, match=r"records\[1\]: id_hex"):
         server.accept_upload({"scheme": "centralized", "tan": tan.value,
                               "records": [good, {"first_seen": 100, "last_seen": 400}]})
+    # a span longer than the retention period would have resolve search every
+    # window in it; the bound is checked before the TAN is spent
+    with pytest.raises(UploadRejected, match=r"records\[1\]: last_seen must lie within 14 days"):
+        server.accept_upload({"scheme": "centralized", "tan": tan.value,
+                              "records": [good, dict(good, last_seen=100 + 14 * 86400 + 1)]})
     assert not server.tans[tan.value].used
     assert server.match_history == [] and server.notifications == {}
     # a server without a registry rejects the bundle before spending the TAN too
@@ -153,7 +159,9 @@ def test_malformed_centralized_upload_keeps_its_tan(tmp_path):
     # the TAN is still unspent after a restart, and accepts the corrected bundle
     reborn = make_server(state_dir=tmp_path, registry=registry)
     assert not reborn.tans[tan.value].used
-    ack = reborn.accept_upload({"scheme": "centralized", "tan": tan.value, "records": [good]})
+    longest = dict(good, last_seen=100 + 14 * 86400)
+    ack = reborn.accept_upload({"scheme": "centralized", "tan": tan.value,
+                                "records": [good, longest]})
     assert ack["matched_users"] == 1 and reborn.tans[tan.value].used
 
 
@@ -466,5 +474,34 @@ def test_wire_protocol_bad_json_line():
             sock.sendall(b"this is not json\n")
             resp = json.loads(sock.makefile("r").readline())
         assert resp["ok"] is False and "bad json" in resp["error"]
+    finally:
+        tcp.shutdown()
+
+
+NOT_OBJECTS = ([1], "x", None, 3, {"op": "feed", "args": [1]}, {"op": "feed", "args": "x"},
+               {"op": "superspreader_proof", "args": {"proof": [1]}})
+
+
+def test_wire_request_that_is_not_an_object_is_answered():
+    server = make_server()
+    for req in NOT_OBJECTS:
+        resp = _handle_request(server, req)
+        assert resp["ok"] is False and "malformed" in resp["error"]
+    assert _handle_request(server, {"op": "feed", "args": {"scheme": "tek"}})["ok"] is True
+
+
+def test_wire_connection_survives_a_request_that_is_not_an_object():
+    server = make_server()
+    tcp, port = serve_tcp(server)
+    try:
+        import socket as socketlib
+        with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            lines = [json.dumps(req) for req in NOT_OBJECTS]
+            lines.append(json.dumps({"op": "issue_tan", "args": {"device_id": "d1"}}))
+            sock.sendall("\n".join(lines).encode() + b"\n")
+            fh = sock.makefile("r")
+            responses = [json.loads(fh.readline()) for _ in lines]
+        assert all(r["ok"] is False for r in responses[:-1])
+        assert responses[-1]["ok"] is True and responses[-1]["result"]["tan"] in server.tans
     finally:
         tcp.shutdown()
