@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigurationError, ScenarioError
+from .errors import ConfigurationError, FieldError, ScenarioError
 from .scenario import load_scenario, run_scenario
 from .server import SCHEMES
 
@@ -169,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
                 scenario = builtin_scenario(sid)
                 run_scenario(scenario, seed=args.seed, out_dir=out_root / sid)
                 print(f"ran {sid}")
-    except (ScenarioError, ConfigurationError) as exc:
+    except (ScenarioError, ConfigurationError, FieldError) as exc:
         line = getattr(exc, "line", None)
         where = f" (line {line}, column {exc.column})" if line is not None else ""
         print(f"error: {exc}{where}", file=sys.stderr)

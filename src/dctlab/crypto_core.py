@@ -21,6 +21,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import hmac
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -362,3 +363,24 @@ def b64(data: bytes) -> str:
 
 def unb64(data: str) -> bytes:
     return base64.b64decode(data.encode("ascii"))
+
+
+# the DH entry check lives here, beside hash_token and b64, because both the
+# server's upload check and DhClient.sync use it and the server does not
+# import schemes.dh, which would lengthen its start-up
+_HASH_HEX = re.compile(r"[0-9a-fA-F]{64}")
+
+
+def dh_entry_error(entry: dict) -> str | None:
+    """Why a DH upload or feed entry is malformed, or None when hash_hex is
+    64 hex characters and meta_b64 a string that base64-decodes."""
+    hash_hex, meta = entry.get("hash_hex"), entry.get("meta_b64")
+    if not isinstance(hash_hex, str) or not _HASH_HEX.fullmatch(hash_hex):
+        return "hash_hex must be 64 hex characters"
+    if isinstance(meta, str):
+        try:
+            base64.b64decode(meta, validate=True)
+            return None
+        except ValueError:
+            pass
+    return "meta_b64 must be a base64 string"

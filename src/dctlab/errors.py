@@ -29,6 +29,10 @@ class UploadRejected(DctError):
         self.reason = reason
 
 
+class FieldError(DctError):
+    """An input field breaks the rule of its table; the message names its JSON path."""
+
+
 class StateError(DctError):
     """A persisted server state log cannot be replayed."""
 

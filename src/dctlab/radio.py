@@ -263,27 +263,23 @@ class World:
             if first < edge.end_s:
                 self.schedule(first, self._make_edge_tick(edge, first))
 
-    def step(self, until_s: int) -> list[SimEvent]:
-        """Process all scheduled work at times <= until_s; returns the events
-        emitted by this call."""
+    def step(self, until_s: int | None = None) -> list[SimEvent]:
+        """Process all scheduled work at times <= until_s, or all of it when
+        until_s is None; returns the events emitted by this call."""
         self._start()
         mark = len(self.events)
-        while self._heap and self._heap[0][0] <= until_s:
+        limit = float("inf") if until_s is None else until_s
+        while self._heap and self._heap[0][0] <= limit:
             at, _, fn = heapq.heappop(self._heap)
             self.now = max(self.now, at)
             fn()
-        self.now = max(self.now, until_s)
+        if until_s is not None:
+            self.now = max(self.now, until_s)
         return self.events[mark:]
 
     def run(self) -> list[SimEvent]:
         """Drain the schedule completely."""
-        self._start()
-        mark = len(self.events)
-        while self._heap:
-            at, _, fn = heapq.heappop(self._heap)
-            self.now = max(self.now, at)
-            fn()
-        return self.events[mark:]
+        return self.step()
 
     # -- radio behavior -----------------------------------------------------
 

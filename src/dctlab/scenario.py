@@ -8,18 +8,13 @@ are independent worlds; they share only the scenario seed, from which every
 run derives a labelled sub-stream. What differs per scheme is stated once,
 in the SCHEMES table.
 
-Run fields:
-
-    label          unique name within the scenario
-    scheme         "centralized" | "tek" | "dh"
-    scheme_config  per-scheme knobs (rotation_s, validity_window_s, ...)
-    devices        ["id", ...] or {"id", "role", "clock_offset_s", "mode", "phone"}
-                   role: device (default) | sniffer | relay | replayer
-    contact_trace  [[a, b, start_s, end_s], ...] ground-truth co-location
-    infections     [{"device", "report_at"}, ...]
-    duration_s     run horizon; a final feed sync happens here
-    attack         optional: relay | time_travel | fake_claim block
-    analysis       optional: linkage / social_graph / superspreader_check flags
+Each field of a scenario file is stated once, with its rule and default, in
+a table that schema.check reads: SCENARIO for the file, RUN for a run,
+DEVICE for a devices entry, EDGE, INFECTION and ANALYSIS for the parts of a
+run, ATTACKS for each attack kind, and per scheme in SCHEMES, Scheme.config
+for scheme_config and Scheme.claim for the fake-claim fields that scheme
+reads. Every run is checked before any executes, and a bad field raises
+FieldError naming its JSON path.
 
 Outputs per scenario: events.jsonl (every SimEvent of every run, tagged with
 the run label) and metrics.json. Identical (scenario, seed) pairs produce
@@ -29,7 +24,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,7 +33,8 @@ from .crypto_core import GroupParams
 from .errors import ScenarioError, UploadRejected
 from .radio import ContactEdge, ContactTrace, DeviceClient, World
 from .rng import SeedStream
-from .schemes.centralized import CentralizedClient, CentralRegistry
+from .schema import Field, check, device, fault, has_role, natural, one_of, positive
+from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralizedClient, CentralRegistry
 from .schemes.dh import DhClient, DhConfig, encode_proof
 from .schemes.tek import PublishedTekIndex, TekClient
 from .server import TracingServer
@@ -46,11 +42,30 @@ from .server import TracingServer
 SYNC_DELAY_S = 60
 ROLE_CLIENTS = {"sniffer": adversary.SnifferClient, "relay": DeviceClient,
                 "replayer": adversary.ReplayClient}
-ATTACK_DEVICES = {"relay": ("node_a", "node_b"), "time_travel": ("victim", "replayer"),
-                  "fake_claim": ("claimant", "source_sniffer")}
-ATTACK_FIELDS = {"relay": ("node_a", "node_b", "mode", "window"),
-                 "time_travel": ("victim", "replayer", "offset_s", "at_s", "restore_at_s"),
-                 "fake_claim": ("claimant", "at")}    # plus the scheme's Scheme.claim_fields
+MODE = one_of((MODE_ANONYMOUS, MODE_PHONE), "mode")
+SNIFFER = has_role("sniffer")
+
+DEVICE = {"id": Field(str), "role": Field(one_of(("device", *ROLE_CLIENTS), "role"), "device"),
+          "clock_offset_s": Field(int, 0), "mode": Field(MODE, None), "phone": Field(str, None)}
+EDGE = ("[a, b, start_s, end_s]", Field(device), Field(device), Field(natural), Field(natural),
+        Field(str, "near"))
+INFECTION = {"device": Field(has_role("device")), "report_at": Field(natural)}
+ANALYSIS = {"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
+            "social_graph": Field(bool, False),
+            "superspreader_check": Field([has_role("device")], [])}
+# each kind's fields but "kind"; _install_attack passes relay's and time_travel's as
+# keywords to RelayPair and TimeTravelAttack, so their names are those dataclasses' fields
+ATTACKS = {
+    "relay": {"node_a": Field(device), "node_b": Field(device),
+              "mode": Field(one_of(("one_way_broadcast", "two_way_realtime"), "relay mode")),
+              "window": Field(("[start_s, end_s]", Field(natural), Field(natural))),
+              "latency_s": Field(natural, 0), "tick_s": Field(positive, 60),
+              "fanout_limit": Field(natural, adversary.TWO_WAY_FANOUT_LIMIT)},
+    "time_travel": {"victim": Field(device), "replayer": Field(device), "offset_s": Field(int),
+                    "at_s": Field(natural), "restore_at_s": Field(natural)},
+    "fake_claim": {"claimant": Field(device), "at": Field(natural),
+                   "source_sniffer": Field(SNIFFER, None)},    # plus the scheme's Scheme.claim
+}
 
 
 def load_scenario(path: str | Path) -> dict:
@@ -70,57 +85,31 @@ def load_scenario(path: str | Path) -> dict:
     return scenario
 
 
-def _normalize_devices(raw: list) -> list[dict]:
-    out = []
-    for entry in raw:
-        if isinstance(entry, str):
-            entry = {"id": entry}
-        out.append({"id": entry["id"], "role": entry.get("role", "device"),
-                    "clock_offset_s": entry.get("clock_offset_s", 0),
-                    "mode": entry.get("mode"), "phone": entry.get("phone")})
-    return out
+def _declare(value, at: tuple, roles: dict) -> dict:
+    """A devices entry, "id" or a DEVICE object. Its role is recorded in
+    roles, so that the RUN fields after devices can name the device."""
+    dev = check({"id": value} if type(value) is str else value, DEVICE, at, roles)
+    roles[dev["id"]] = dev["role"]
+    return dev
 
 
-def _check_run(run_cfg: dict, where: str) -> None:
-    """Raise ScenarioError, naming the JSON path, for a missing field, an
-    unknown scheme or attack kind, a contact, infection, superspreader
-    check or attack that names a device the run does not declare, or a
-    fake claim's source_sniffer that is not a sniffer."""
-    for key in ("label", "scheme", "devices", "duration_s"):
-        if key not in run_cfg:
-            raise ScenarioError(f"{where} is missing the {key!r} field")
-    if not isinstance(run_cfg["scheme"], str) or run_cfg["scheme"] not in SCHEMES:
-        raise ScenarioError(f"{where}.scheme: unknown scheme {run_cfg['scheme']!r}")
-    roles = {d["id"]: d["role"] for d in _normalize_devices(run_cfg["devices"])}
-    named = []
-    for i, edge in enumerate(run_cfg.get("contact_trace", [])):
-        if not isinstance(edge, list) or len(edge) not in (4, 5):
-            raise ScenarioError(
-                f"{where}.contact_trace[{i}]: expected [a, b, start_s, end_s]")
-        named += [(f"contact_trace[{i}][0]", edge[0]), (f"contact_trace[{i}][1]", edge[1])]
-    for i, infection in enumerate(run_cfg.get("infections", [])):
-        device = infection.get("device") if isinstance(infection, dict) else None
-        named.append((f"infections[{i}].device", device))
-    for i, device in enumerate(run_cfg.get("analysis", {}).get("superspreader_check", [])):
-        named.append((f"analysis.superspreader_check[{i}]", device))
-    attack = run_cfg.get("attack")
-    if attack:
-        kind = attack.get("kind") if isinstance(attack, dict) else None
-        if not isinstance(kind, str) or kind not in ATTACK_DEVICES:
-            raise ScenarioError(f"{where}.attack.kind: unknown attack kind {kind!r}")
-        needed = ATTACK_FIELDS[kind]
-        if kind == "fake_claim":
-            needed += SCHEMES[run_cfg["scheme"]].claim_fields
-        for key in needed:
-            if key not in attack:
-                raise ScenarioError(f"{where}.attack is missing the {key!r} field")
-        named += [(f"attack.{key}", attack[key]) for key in ATTACK_DEVICES[kind] if key in attack]
-    for path, device in named:
-        if not isinstance(device, Hashable) or device not in roles:
-            raise ScenarioError(f"{where}.{path}: unknown device {device!r}")
-    sniffer = attack.get("source_sniffer") if attack and attack["kind"] == "fake_claim" else None
-    if sniffer is not None and roles[sniffer] != "sniffer":
-        raise ScenarioError(f"{where}.attack.source_sniffer: {sniffer!r} is not a sniffer")
+def _attack(value, at: tuple, roles: dict) -> dict:
+    kind = check(value, {"kind": Field(one_of(ATTACKS, "attack kind"))}, at)["kind"]
+    return check(value, ATTACKS[kind], at, roles)
+
+
+def _check_run(run_cfg: dict, at: tuple, _=None) -> dict:
+    """run_cfg with its defaults filled in, checked against RUN and its
+    scheme's config and claim tables; raises FieldError naming the JSON path
+    of the first bad field. As the rule of SCENARIO's runs, it ignores the
+    walker's roles: each run declares its own devices."""
+    roles = {}
+    run = check(run_cfg, RUN, at, roles)
+    scheme = SCHEMES[run["scheme"]]
+    run["scheme_config"] = check(run["scheme_config"], scheme.config, (*at, "scheme_config"))
+    if run["attack"] is not None and run["attack"]["kind"] == "fake_claim":
+        run["attack"] = check(run["attack"], scheme.claim, (*at, "attack"), roles)
+    return run
 
 
 @dataclass
@@ -137,7 +126,6 @@ class _RunState:
     trace: ContactTrace
     scheme: str
     sconf: dict
-    rotation_s: int
     clients: dict[str, DeviceClient] = field(default_factory=dict)
     scheme_devices: list[str] = field(default_factory=list)
     reporters: set[str] = field(default_factory=set)
@@ -150,28 +138,24 @@ class _RunState:
 
 
 def execute_run(run_cfg: dict, stream: SeedStream) -> RunResult:
-    scheme = run_cfg["scheme"]
-    sconf = run_cfg.get("scheme_config", {})
-    rotation_s = sconf.get("rotation_s", SCHEMES[scheme].rotation_s)
-    attack = run_cfg.get("attack")
+    run_cfg = _check_run(run_cfg, ("run",))
+    scheme, sconf, attack = run_cfg["scheme"], run_cfg["scheme_config"], run_cfg["attack"]
 
-    edges = [ContactEdge(*e) for e in run_cfg.get("contact_trace", [])]
-    trace = ContactTrace(edges)
-    capabilities = ("clock",) if attack and attack.get("kind") == "time_travel" else ()
+    trace = ContactTrace([ContactEdge(*e) for e in run_cfg["contact_trace"]])
+    capabilities = ("clock",) if attack and attack["kind"] == "time_travel" else ()
     world = World(trace, stream.child("world"),
-                  link_rotation_s=rotation_s, capabilities=capabilities,
-                  irk_linkable=bool(run_cfg.get("irk_linkable", False)))
+                  link_rotation_s=sconf["rotation_s"], capabilities=capabilities,
+                  irk_linkable=run_cfg["irk_linkable"])
 
     registry = None
     if scheme == "centralized":
-        registry = CentralRegistry(stream.child("registry"),
-                                   variant=sconf.get("variant", "bluetrace"),
-                                   rotation_s=rotation_s)
+        registry = CentralRegistry(stream.child("registry"), variant=sconf["variant"],
+                                   rotation_s=sconf["rotation_s"])
     server = TracingServer(stream.child("server"), registry=registry,
-                           retention_days=sconf.get("retention_days", 14))
+                           retention_days=sconf["retention_days"])
     server.clock = lambda: world.now
 
-    state = _RunState(world, server, trace, scheme, sconf, rotation_s)
+    state = _RunState(world, server, trace, scheme, sconf)
     _build_devices(run_cfg, state, stream)
     if attack:
         _install_attack(attack, state, stream)
@@ -185,7 +169,7 @@ def execute_run(run_cfg: dict, stream: SeedStream) -> RunResult:
 
 def _build_devices(run_cfg: dict, state: _RunState, stream: SeedStream) -> None:
     scheme_client = SCHEMES[state.scheme].clients(state, stream)
-    for dev in _normalize_devices(run_cfg["devices"]):
+    for dev in run_cfg["devices"]:
         did, role = dev["id"], dev["role"]
         client = ROLE_CLIENTS[role]() if role in ROLE_CLIENTS else scheme_client(dev)
         state.world.add_device(did, client, dev["clock_offset_s"])
@@ -197,12 +181,10 @@ def _build_devices(run_cfg: dict, state: _RunState, stream: SeedStream) -> None:
 
 def _dh_clients(state: _RunState, stream: SeedStream) -> Callable[[dict], DhClient]:
     sconf = state.sconf
-    group = sconf.get("group", "x25519")
-    cfg = DhConfig(rotation_s=state.rotation_s,
-                   min_encounter_s=sconf.get("min_encounter_s", 300),
-                   epsilon_s=sconf.get("epsilon_s", 60),
-                   superspreader_threshold=sconf.get("superspreader_threshold", 3),
-                   anonymized_upload=sconf.get("anonymized_upload", False),
+    group = sconf["group"]
+    cfg = DhConfig(rotation_s=sconf["rotation_s"], min_encounter_s=sconf["min_encounter_s"],
+                   epsilon_s=sconf["epsilon_s"], anonymized_upload=sconf["anonymized_upload"],
+                   superspreader_threshold=sconf["superspreader_threshold"],
                    group=(GroupParams.production() if group == "x25519"
                           else GroupParams.toy(group["p"], group["g"])))
     return lambda dev: DhClient(stream.child(f"device:{dev['id']}"), cfg)
@@ -226,33 +208,26 @@ def _start_centralized(run_cfg: dict, state: _RunState) -> None:
 
 def _install_attack(attack: dict, state: _RunState, stream: SeedStream) -> None:
     kind = attack["kind"]
+    args = {key: attack[key] for key in ATTACKS[kind]}
     if kind == "relay":
-        pair = adversary.RelayPair(node_a=attack["node_a"], node_b=attack["node_b"],
-                                   mode=attack["mode"], window=tuple(attack["window"]),
-                                   latency_s=attack.get("latency_s", 0),
-                                   fanout_limit=attack.get("fanout_limit", 8),
-                                   tick_s=attack.get("tick_s", 60))
-        state.attack_stats = adversary.install_relay(state.world, pair)
-        state.attack_stats["kind"] = "relay"
+        state.attack_stats = adversary.install_relay(state.world, adversary.RelayPair(**args))
     elif kind == "time_travel":
-        tt = adversary.TimeTravelAttack(victim=attack["victim"], replayer=attack["replayer"],
-                                        offset_s=attack["offset_s"], at_s=attack["at_s"],
-                                        restore_at_s=attack["restore_at_s"])
-        state.attack_stats = adversary.install_time_travel(state.world, state.server,
-                                                           tt, state.scheme, state.tek_index)
-        state.attack_stats["kind"] = "time_travel"
+        state.attack_stats = adversary.install_time_travel(
+            state.world, state.server, adversary.TimeTravelAttack(**args), state.scheme,
+            state.tek_index)
     else:
-        state.attack_stats = {"kind": "fake_claim"}
+        state.attack_stats = {}
 
         def run_claim():
             state.reporters.add(attack["claimant"])
             state.attack_stats.update(SCHEMES[state.scheme].fake_claim(state, attack, stream))
 
         state.world.schedule(attack["at"], run_claim)
+    state.attack_stats["kind"] = kind
 
 
 def _schedule_reports(run_cfg: dict, state: _RunState) -> None:
-    for infection in run_cfg.get("infections", []):
+    for infection in run_cfg["infections"]:
         device = infection["device"]
         at = infection["report_at"]
 
@@ -274,7 +249,7 @@ def _schedule_reports(run_cfg: dict, state: _RunState) -> None:
 
 
 def _schedule_syncs(run_cfg: dict, state: _RunState) -> None:
-    times = sorted({i["report_at"] + SYNC_DELAY_S for i in run_cfg.get("infections", [])}
+    times = sorted({i["report_at"] + SYNC_DELAY_S for i in run_cfg["infections"]}
                    | {run_cfg["duration_s"]})
 
     def sync():
@@ -296,14 +271,14 @@ def _schedule_syncs(run_cfg: dict, state: _RunState) -> None:
 
 def _start_dh(run_cfg: dict, state: _RunState) -> None:
     _schedule_syncs(run_cfg, state)
-    if run_cfg.get("analysis", {}).get("superspreader_check"):
+    if run_cfg["analysis"]["superspreader_check"]:
         # proven inside the run, after the final feed sync at the same time
         state.world.schedule(run_cfg["duration_s"], lambda: _check_superspreaders(run_cfg, state))
 
 
 def _check_superspreaders(run_cfg: dict, state: _RunState) -> None:
     basis = SCHEMES[state.scheme].superspreader
-    threshold = state.sconf.get("superspreader_threshold", 3)
+    threshold = state.sconf["superspreader_threshold"]
     for did in run_cfg["analysis"]["superspreader_check"]:
         state.superspreader[did] = basis(state, did, threshold)
 
@@ -343,41 +318,64 @@ def _tek_owners(state: _RunState) -> dict[bytes, str]:
 class Scheme:
     """What the scenario driver does differently for one scheme family."""
 
-    rotation_s: int     # when scheme_config names none
+    config: dict        # the scheme_config table
+    claim: dict         # the attack fields a fake claim reads beyond ATTACKS["fake_claim"]
     clients: Callable[[_RunState, SeedStream], Callable[[dict], DeviceClient]]
     fake_claim: Callable[[_RunState, dict, SeedStream], dict]
     start: Callable[[dict, _RunState], None]    # once devices, attack and reports are set up
     superspreader: Callable[[_RunState, str, int], dict]    # (state, device, threshold)
     owners: Callable[[_RunState], dict[bytes, str] | None]  # what public data attributes
-    claim_fields: tuple[str, ...] = ()    # attack fields the fake claim reads beyond ATTACK_FIELDS
 
+
+def _group(value, at: tuple, roles) -> str | dict:
+    """"x25519", or a toy group's {"p", "g"}."""
+    return value if value == "x25519" else check(value, {"p": Field(int), "g": Field(int)}, at)
+
+
+# read by every scheme: the server's retention and the superspreader threshold
+SHARED_CONFIG = {"retention_days": Field(positive, 14), "superspreader_threshold": Field(natural, 3)}
 
 SCHEMES = {
     "centralized": Scheme(
-        rotation_s=900,
+        config={"rotation_s": Field(positive, 900), **SHARED_CONFIG,
+                "variant": Field(one_of(("bluetrace", "pepp_pt"), "variant"), "bluetrace"),
+                "mode": Field(MODE, MODE_ANONYMOUS)},
+        claim={"source_sniffer": Field(SNIFFER)},
         clients=lambda state, stream: lambda dev: CentralizedClient(
-            state.server.registry, mode=dev["mode"] or state.sconf.get("mode", "anonymous"),
-            phone=dev["phone"]),
+            state.server.registry, mode=dev["mode"] or state.sconf["mode"], phone=dev["phone"]),
         fake_claim=lambda state, attack, stream: adversary.fake_claim_centralized(
             state.server, attack["claimant"], state.clients[attack["source_sniffer"]].observations),
-        start=_start_centralized, superspreader=_match_history_count,
-        owners=lambda state: None, claim_fields=("source_sniffer",)),
+        start=_start_centralized, superspreader=_match_history_count, owners=lambda state: None),
     "tek": Scheme(
-        rotation_s=600,
+        config={"rotation_s": Field(positive, 600), **SHARED_CONFIG,
+                "validity_window_s": Field(natural, 7200), "strict_freshness": Field(bool, False)},
+        claim={},
         clients=lambda state, stream: lambda dev: TekClient(
             stream.child(f"device:{dev['id']}"), index=state.tek_index,
-            validity_window_s=state.sconf.get("validity_window_s", 7200),
-            strict_freshness=state.sconf.get("strict_freshness", False),
-            retention_days=state.sconf.get("retention_days", 14)),
+            validity_window_s=state.sconf["validity_window_s"],
+            strict_freshness=state.sconf["strict_freshness"],
+            retention_days=state.sconf["retention_days"]),
         fake_claim=lambda state, attack, stream: adversary.fake_claim_tek(
             state.server, state.world.local_time(attack["claimant"]), state.tek_index),
         start=_schedule_syncs, superspreader=_client_count, owners=_tek_owners),
     "dh": Scheme(
-        rotation_s=900, clients=_dh_clients,
+        config={"rotation_s": Field(positive, 900), **SHARED_CONFIG,
+                "min_encounter_s": Field(natural, 300), "epsilon_s": Field(positive, 60),
+                "anonymized_upload": Field(bool, False), "group": Field(_group, "x25519")},
+        claim={"guesses": Field(natural, 32)},
+        clients=_dh_clients,
         fake_claim=lambda state, attack, stream: adversary.fake_claim_dh(
-            state.server, stream.child("attack"), guesses=attack.get("guesses", 32)),
+            state.server, stream.child("attack"), guesses=attack["guesses"]),
         start=_start_dh, superspreader=_dh_proof, owners=lambda state: None),
 }
+
+RUN = {"label": Field(str), "scheme": Field(one_of(SCHEMES, "scheme")),
+       "devices": Field([_declare]), "duration_s": Field(natural),
+       "scheme_config": Field(dict, {}),     # checked against its scheme's config by _check_run
+       "contact_trace": Field([EDGE], []), "infections": Field([INFECTION], []),
+       "attack": Field(_attack, None), "analysis": Field(ANALYSIS, {}),
+       "irk_linkable": Field(bool, False)}
+SCENARIO = {"id": Field(str), "seed": Field(int, 0), "runs": Field([_check_run])}
 
 
 def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation]:
@@ -392,7 +390,7 @@ def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation
 
 def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
     trace = state.trace
-    analysis = run_cfg.get("analysis", {})
+    analysis = run_cfg["analysis"]
     notified = dict(sorted(state.notified.items()))
     false_devices = sorted(
         d for d in notified
@@ -412,30 +410,31 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
     if state.attack_stats:
         metrics["attack"] = state.attack_stats
 
-    if analysis.get("superspreader_check"):
+    if analysis["superspreader_check"]:
         if not state.superspreader:     # unless the scheme checked inside the run
             _check_superspreaders(run_cfg, state)
         metrics["superspreader"] = state.superspreader
 
-    if analysis.get("linkage") or analysis.get("social_graph"):
+    if analysis["linkage"] or analysis["social_graph"]:
         observations = _sniffer_observations(state)
         owners = SCHEMES[state.scheme].owners(state)
 
-    if analysis.get("linkage"):
+    rotation_s = state.sconf["rotation_s"]
+    if analysis["linkage"]:
         registry, linkable = state.server.registry, owners
-        if analysis.get("colluding_sp") and registry is not None:
+        if analysis["colluding_sp"] and registry is not None:
             # the provider attributes every identifier of every user it registered
-            last = run_cfg["duration_s"] // state.rotation_s + 1
+            last = run_cfg["duration_s"] // rotation_s + 1
             linkable = {ident: f"user:{u}" for ident, u in registry.owners(0, last).items()}
         report = adversary.run_linkage(observations, linkable)
-        metrics["linkage"] = dict(report.as_dict(), rotation_s=state.rotation_s)
+        metrics["linkage"] = dict(report.as_dict(), rotation_s=rotation_s)
 
-    if analysis.get("social_graph"):
+    if analysis["social_graph"]:
         graph = adversary.run_social_graph(state.server, observations, owners)
-        roles = {d["id"]: d["role"] for d in _normalize_devices(run_cfg["devices"])}
+        roles = {d["id"]: d["role"] for d in run_cfg["devices"]}
         truth = sorted(
             sorted((r, c)) for r in state.reporters
-            for c in trace.contacts_of(r) if roles.get(c) == "device")
+            for c in trace.contacts_of(r) if roles[c] == "device")
         graph["ground_truth_edges"] = truth
         graph["ground_truth_edge_count"] = len(truth)
         if state.scheme == "centralized":
@@ -450,12 +449,17 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
 def run_scenario(scenario: dict, seed: int | None = None,
                  out_dir: str | Path | None = None) -> dict:
     """Execute every run of a scenario; optionally write events.jsonl and
-    metrics.json under out_dir. Returns the metrics document."""
+    metrics.json under out_dir. Returns the metrics document. A field that
+    breaks its table, or a label an earlier run has, raises FieldError
+    naming its JSON path before any run executes."""
+    scenario = check(scenario, SCENARIO)
+    labels = [run["label"] for run in scenario["runs"]]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise fault(("runs", i, "label"), f"{label!r} names an earlier run too")
     sid = scenario["id"]
-    seed = scenario.get("seed", 0) if seed is None else seed
+    seed = scenario["seed"] if seed is None else seed
     root = SeedStream(seed, sid)
-    for i, run_cfg in enumerate(scenario["runs"]):
-        _check_run(run_cfg, f"runs[{i}]")
     lines: list[str] = []      # filled only when there is somewhere to write them
     runs_metrics: dict[str, dict] = {}
     for run_cfg in scenario["runs"]:

@@ -1,0 +1,89 @@
+"""Field tables for JSON input, and the one walker that reads them.
+
+check(value, rule, at, roles) returns value with every default filled in, or
+raises FieldError naming the JSON path of the first value that breaks its
+rule. A rule is one of:
+
+* a table, {name: Field(rule, default)}: a JSON object. A field that is left
+  out or null takes its default, and a field without one is required. Fields
+  the table does not name pass through unchecked.
+* [rule]: a JSON list whose items each follow rule.
+* a row, (shape, Field, ...): a JSON list with one item per Field, read by
+  position. Trailing items that have a default may be left out and take it;
+  shape shows the row in a fault, as in "[a, b, start_s, end_s]".
+* str, int, bool, dict or list: a JSON value of exactly that type, so that
+  an int is never a bool.
+* any other callable, called as rule(value, at, roles). It returns the value
+  or raises fault(at, problem). natural, positive, device, one_of and
+  has_role make such rules; roles maps each declared device to its role.
+
+at is the JSON path as a tuple of keys and list positions. It is rendered
+only for a fault, so a check that passes builds no path string.
+"""
+
+from .errors import FieldError
+
+REQUIRED = object()     # the default of a field that must be given
+_KINDS = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "a list"}
+
+
+def Field(rule, default=REQUIRED) -> tuple:
+    return rule, default
+
+
+def path(at: tuple) -> str:
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in at).lstrip(".")
+
+
+def fault(at: tuple, problem: str) -> FieldError:
+    return FieldError(f"{path(at)}: {problem}")
+
+
+def check(value, rule, at: tuple = (), roles: dict | None = None):
+    kind = type(rule)
+    want = rule if kind is type else kind if kind is dict or kind is list else None
+    if want is not None and type(value) is not want:
+        raise fault(at, f"expected {_KINDS[want]}, got {value!r}")
+    if kind is dict:
+        out = dict(value)
+        for name, (sub, default) in rule.items():
+            if (item := value.get(name)) is None and (item := default) is REQUIRED:
+                raise FieldError(f"{path(at) or 'the input'} is missing the {name!r} field")
+            # a default is walked only to fill in and copy the defaults inside it
+            out[name] = item if item is default and type(item) not in (dict, list) else (
+                check(item, sub, (*at, name), roles))
+        return out
+    if kind is list:
+        return [check(item, rule[0], (*at, i), roles) for i, item in enumerate(value)]
+    if kind is tuple:
+        n, fields = len(value) if type(value) is list else -1, rule[1:]
+        if not 0 <= n <= len(fields) or n < len(fields) and fields[n][1] is REQUIRED:
+            raise fault(at, f"expected {rule[0]}")
+        return [check(value[i], fields[i][0], (*at, i), roles) for i in range(n)] + [
+            default for _, default in fields[n:]]
+    return value if kind is type else rule(value, at, roles)
+
+
+def _rule(test, problem: str):
+    """The rule that passes a value when test(value, roles) holds, and
+    otherwise names problem, with "{!r}" standing for the value."""
+    def rule(value, at, roles):
+        if test(value, roles):
+            return value
+        raise fault(at, problem.format(value))
+    return rule
+
+
+natural = _rule(lambda v, roles: type(v) is int and v >= 0, "expected a non-negative integer, got {!r}")
+positive = _rule(lambda v, roles: type(v) is int and v > 0, "expected a positive integer, got {!r}")
+device = _rule(lambda v, roles: type(v) is str and v in roles, "unknown device {!r}")
+
+
+def one_of(choices, what: str):
+    return _rule(lambda v, roles: type(v) is str and v in choices, f"unknown {what} {{!r}}")
+
+
+def has_role(role: str):
+    """A declared device of that role."""
+    of_role = _rule(lambda v, roles: roles[v] == role, f"{{!r}} is not a {role}")
+    return lambda v, at, roles: of_role(device(v, at, roles), at, roles)

@@ -31,6 +31,7 @@ from ..crypto_core import (
     EphemeralKeyPair,
     GroupParams,
     b64,
+    dh_entry_error,
     dh_token,
     hash_token,
     keygen,
@@ -169,6 +170,7 @@ class DhClient(DeviceClient):
         self._aborted_peers: set[str] = set()
         self._notified_hashes: set[str] = set()
         self.rejected_keys = 0
+        self.skipped = 0     # malformed feed entries handed to sync
 
     # -- key material ---------------------------------------------------------
 
@@ -303,8 +305,11 @@ class DhClient(DeviceClient):
         return report_infection_dh(self.records, tan, self.cfg.anonymized_upload)
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[DhExposure]:
+        """Exposures new since the last sync. A malformed feed entry is skipped and counted."""
+        good = [e for e in feed_entries if isinstance(e, dict) and dh_entry_error(e) is None]
+        self.skipped += len(feed_entries) - len(good)
         known = {e["hash_hex"] for e in self.known_published}
-        self.known_published.extend(e for e in feed_entries if e["hash_hex"] not in known)
+        self.known_published.extend(e for e in good if e["hash_hex"] not in known)
         if self.reported:
             return []
         exposures = match_exposures_dh(self.records, self.known_published, self.cfg)

@@ -24,6 +24,9 @@ have no access to user identities and their feeds carry no user field.
 
 The server is callable in-process and over a newline-delimited JSON
 request/response protocol on a TCP byte stream (see serve_tcp / WireClient).
+A request line is checked against _REQUEST and its op's _ARGS table; one
+that breaks them is answered with ok: false, naming the JSON path of the
+first bad value.
 Persistence is an append-only JSON-lines log per feed plus the TAN log;
 a server constructed over the same state directory replays them, dropping
 a final line that a crash cut off mid-write.
@@ -31,7 +34,6 @@ a final line that a crash cut off mid-write.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import re
@@ -41,31 +43,17 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crypto_core import DAY_S, unb64
-from .errors import StateError, UploadRejected
+from .crypto_core import DAY_S, dh_entry_error, unb64
+from .errors import FieldError, StateError, UploadRejected
 from .rng import SeedStream
-from .schemes.centralized import MODE_PHONE, CentralRegistry, server_match
+from .schema import Field, check, natural, one_of
+from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralRegistry, server_match
 from .schemes.tek import DEFAULT_RETENTION_DAYS, tek_entry_error
 
 TAN_LENGTH = 12
 SCHEMES = ("centralized", "tek", "dh")
-_HASH_HEX = re.compile(r"[0-9a-fA-F]{64}")
 _ID_HEX = re.compile(r"[0-9a-fA-F]{32}")
-
-
-def _dh_entry_error(entry: dict) -> str | None:
-    """Why a DH upload entry is malformed, or None when hash_hex is 64 hex
-    characters and meta_b64 a string that base64-decodes."""
-    hash_hex, meta = entry.get("hash_hex"), entry.get("meta_b64")
-    if not isinstance(hash_hex, str) or not _HASH_HEX.fullmatch(hash_hex):
-        return "hash_hex must be 64 hex characters"
-    if isinstance(meta, str):
-        try:
-            base64.b64decode(meta, validate=True)
-            return None
-        except ValueError:
-            pass
-    return "meta_b64 must be a base64 string"
+PROOF = {"tokens": Field([str], []), "encoding": Field(one_of(("hex", "b64"), "encoding"), "b64")}
 
 
 def _record_error(record: dict) -> str | None:
@@ -283,7 +271,7 @@ class TracingServer:
     # methods are stored unbound so that a server holds no reference to itself
     _uploads = {
         "tek": ("teks", tek_entry_error, _check_tek_span, _accept_tek),
-        "dh": ("entries", _dh_entry_error, lambda self, entries: None, _accept_dh),
+        "dh": ("entries", dh_entry_error, lambda self, entries: None, _accept_dh),
         "centralized": ("records", _record_error, _check_registry, _accept_centralized),
     }
 
@@ -297,15 +285,19 @@ class TracingServer:
 
     def verify_superspreader_proof(self, proof: dict) -> int:
         """Count proof tokens whose hash appears in the DH feed and tag those
-        hashes. Tokens are hashed and discarded, never stored."""
-        if not isinstance(proof, dict):
-            raise UploadRejected("malformed proof: not an object")
-        decode = bytes.fromhex if proof.get("encoding") == "hex" else unb64
+        hashes. Tokens are hashed and discarded, never stored. A proof that
+        breaks PROOF raises FieldError, and one whose token does not decode
+        UploadRejected; either is raised before anything is tagged."""
+        proof = check(proof, PROOF, ("proof",))
+        decode = bytes.fromhex if proof["encoding"] == "hex" else unb64
+        try:
+            hashes = [hashlib.sha256(decode(raw)).hexdigest() for raw in proof["tokens"]]
+        except ValueError as exc:
+            raise UploadRejected(f"malformed proof: a token does not decode: {exc}")
         with self._lock:
             published = {e["hash_hex"] for e in self.feeds["dh"].entries}
             accepted = 0
-            for raw in proof.get("tokens", []):
-                h = hashlib.sha256(decode(raw)).hexdigest()
+            for h in hashes:
                 if h in published:
                     accepted += 1
                     if h not in self.feeds["dh"].superspreader_tags:
@@ -323,33 +315,37 @@ class TracingServer:
 # Newline-delimited JSON wire protocol
 # ---------------------------------------------------------------------------
 
+# per wire op, the table of its args; _REQUEST is the table of a request line
+_ARGS = {"issue_tan": {"device_id": Field(str)}, "upload": {"bundle": Field(dict)},
+         "feed": {"scheme": Field(str), "since_cursor": Field(natural, 0)},
+         "superspreader_proof": {"proof": Field(PROOF)}, "notify_poll": {"user_id": Field(str)},
+         "register": {"device_id": Field(str), "phone": Field(str, None),
+                      "mode": Field(one_of((MODE_ANONYMOUS, MODE_PHONE), "mode"), MODE_ANONYMOUS)}}
+_REQUEST = {"op": Field(one_of(_ARGS, "op")), "args": Field(dict, {})}
+
+
 def _handle_request(server: TracingServer, req: dict) -> dict:
-    args = req.get("args", {}) if isinstance(req, dict) else None
-    if not isinstance(args, dict):
-        return {"ok": False, "error": "malformed request: a request and its args must be objects"}
-    op = req.get("op")
     try:
+        req = check(req, _REQUEST, ("request",))
+        op = req["op"]
+        args = check(req["args"], _ARGS[op], ("request", "args"))
         if op == "issue_tan":
-            tan = server.issue_tan(args["device_id"])
-            return {"ok": True, "result": {"tan": tan.value}}
+            return {"ok": True, "result": {"tan": server.issue_tan(args["device_id"]).value}}
         if op == "upload":
             return {"ok": True, "result": server.accept_upload(args["bundle"])}
         if op == "feed":
-            entries, cursor = server.fetch_feed(args["scheme"], args.get("since_cursor", 0))
+            entries, cursor = server.fetch_feed(args["scheme"], args["since_cursor"])
             return {"ok": True, "result": {"entries": entries, "cursor": cursor}}
         if op == "superspreader_proof":
             return {"ok": True, "result": {"accepted": server.verify_superspreader_proof(args["proof"])}}
         if op == "register":
-            reg = server.register(args["device_id"], args.get("mode", "anonymous"),
-                                  args.get("phone"))
+            reg = server.register(args["device_id"], args["mode"], args["phone"])
             return {"ok": True, "result": {"user_id": reg.user_id, "mode": reg.mode}}
-        if op == "notify_poll":
-            return {"ok": True, "result": {"notifications": server.notify_poll(args["user_id"])}}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        return {"ok": True, "result": {"notifications": server.notify_poll(args["user_id"])}}
+    except FieldError as exc:
+        return {"ok": False, "error": f"malformed request: {exc}"}
     except UploadRejected as exc:
         return {"ok": False, "error": exc.reason}
-    except (KeyError, TypeError, ValueError) as exc:
-        return {"ok": False, "error": f"malformed request: {exc}"}
 
 
 class _WireHandler(socketserver.StreamRequestHandler):

@@ -1,11 +1,18 @@
 import gc
 import json
+import tempfile
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from dctlab import scenario as scenario_module
 from dctlab.cli import STANDARD_SUITE, builtin_scenario, main, matrix_csv, quadrilemma
 from dctlab.crypto_core import b64
-from dctlab.errors import ScenarioError
+from dctlab.errors import FieldError, ScenarioError
 from dctlab.radio import World
 from dctlab.scenario import execute_run, load_scenario, run_scenario
 from dctlab.rng import SeedStream
@@ -182,6 +189,33 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
      "runs[1].attack is missing the 'source_sniffer' field"),
     ("attack", {"kind": "fake_claim", "claimant": "a", "source_sniffer": "b", "at": 100},
      "runs[1].attack.source_sniffer: 'b' is not a sniffer"),
+    ("devices", ["a", "b", {"id": "s", "role": "sniffer"}, {"role": "relay"}],
+     "runs[1].devices[3] is missing the 'id' field"),
+    ("duration_s", "86400", "runs[1].duration_s: expected a non-negative integer"),
+    ("contact_trace", [["a", "b", "0", 600]], "runs[1].contact_trace[0][2]: expected"),
+    ("infections", [{"device": "a", "report_at": "650"}], "runs[1].infections[0].report_at"),
+    (("scheme", "scheme_config"), ("tek", {"rotation_s": 0}),
+     "runs[1].scheme_config.rotation_s: expected a positive integer"),
+    (("scheme", "scheme_config"), ("centralized", {"rotation_s": 0}),
+     "runs[1].scheme_config.rotation_s: expected a positive integer"),
+    ("attack", {"kind": "fake_claim", "claimant": "a", "at": "100"}, "runs[1].attack.at"),
+    ("attack", {"kind": "relay", "mode": "one_way_broadcast", "node_a": "a", "node_b": "b",
+                "window": 5}, "runs[1].attack.window: expected [start_s, end_s]"),
+    ("scheme_config", [], "runs[1].scheme_config: expected an object"),
+    ("analysis", [], "runs[1].analysis: expected an object"),
+    ("label", 5, "runs[1].label: expected a string"),
+    ("scheme_config", {"group": "p256"}, "runs[1].scheme_config.group"),
+    (("scheme", "scheme_config"), ("centralized", {"variant": "x"}),
+     "runs[1].scheme_config.variant: unknown variant 'x'"),
+    ("devices", ["a", "b", {"id": "s", "role": "wizard"}], "runs[1].devices[2].role: unknown role"),
+    ("infections", [{"device": "s", "report_at": 650}], "runs[1].infections[0].device: 's' is not"),
+    (("devices", "infections"),
+     (["a", "b", {"id": "s", "role": "sniffer"}, {"id": "r", "role": "relay"}],
+      [{"device": "r", "report_at": 650}]),
+     "runs[1].infections[0].device: 'r' is not a device"),
+    ("analysis", {"superspreader_check": ["s"]},
+     "runs[1].analysis.superspreader_check[0]: 's' is not a device"),
+    ("label", "main", "runs[1].label: 'main' names an earlier run too"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")
@@ -198,6 +232,74 @@ def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, ex
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
     assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_run_labels_are_rejected_before_any_run_executes(monkeypatch):
+    executed = []
+    monkeypatch.setattr(scenario_module, "execute_run",
+                        lambda run, stream: executed.append(run["label"]))
+    runs = [SMOKE_RUN, dict(SMOKE_RUN, label="other"), SMOKE_RUN]
+    with pytest.raises(FieldError, match=r"^runs\[2\]\.label: 'main' names an earlier run too$"):
+        run_scenario({"id": "twins", "runs": runs})
+    assert executed == []
+
+
+def _slots(value, at=()):
+    """The path of every key and list position inside value."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    out = []
+    for key, item in items:
+        out.append((*at, key))
+        out += _slots(item, (*at, key))
+    return out
+
+
+def _strings(value):
+    """Every string inside value."""
+    if isinstance(value, str):
+        return {value}
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return set().union(*map(_strings, items))
+
+
+# integers stay at or below 10**5: a valid end_s of 10**12 simulates ~10**11 scan ticks
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-10**5, 10**5),
+                 st.floats(-1e5, 1e5, allow_nan=False), st.text(max_size=4),
+                 st.lists(st.integers(-10**5, 10**5), max_size=4),
+                 st.dictionaries(st.text(max_size=3), st.integers(0, 10**5), max_size=2))
+
+
+@st.composite
+def mutated_scenario(draw):
+    """A bundled scenario with one to three fields dropped, swapped for junk,
+    or renamed to another name the scenario uses (or to a new one)."""
+    doc = builtin_scenario(draw(st.sampled_from(STANDARD_SUITE)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.sampled_from(_slots(doc)))
+        parent = reduce(getitem, at[:-1], doc)
+        how = draw(st.sampled_from(["drop", "junk", "rename"]))
+        if how == "drop":
+            del parent[at[-1]]
+        elif how == "junk" or not isinstance(parent[at[-1]], str):
+            parent[at[-1]] = draw(JUNK)
+        else:
+            parent[at[-1]] = draw(st.sampled_from(sorted(_strings(doc) | {"zz"})))
+    return doc
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_scenario())
+def test_mutated_scenario_exits_2_or_runs_deterministically(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.json"
+        path.write_text(json.dumps(doc))
+        code = main(["--scenario", str(path), "--out", f"{tmp}/a"])
+        assert code in (0, 2)
+        if code == 0:
+            assert main(["--scenario", str(path), "--out", f"{tmp}/b"]) == 0
+            assert (Path(tmp, "a/metrics.json").read_bytes()
+                    == Path(tmp, "b/metrics.json").read_bytes())
 
 
 def test_finished_runs_are_freed_without_the_cycle_collector():

@@ -192,3 +192,14 @@ def test_sync_dedupes_and_skips_reporter():
     assert a.sync(feed, 500) == []
     assert len(b.sync(feed, 500)) == 1
     assert b.sync(feed, 600) == []
+
+
+def test_sync_skips_and_counts_malformed_feed_entries():
+    a, b = make_clients()
+    run_encounter(a, b, start=0, duration=400)
+    feed = report_infection_dh(a.records, "T" * 12)["entries"]
+    bad = [{"meta_b64": "AA=="}, [1], None, {"hash_hex": "ab" * 32, "meta_b64": "not base64!"},
+           {"hash_hex": "zz" * 32, "meta_b64": "AA=="}]
+    exposures = b.sync(bad + feed, 500)
+    assert len(exposures) == 1 and b.skipped == len(bad)
+    assert b.known_published == feed

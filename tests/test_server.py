@@ -4,7 +4,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dctlab.crypto_core import GroupParams, b64, hash_token, keygen, dh_token
@@ -505,3 +505,96 @@ def test_wire_connection_survives_a_request_that_is_not_an_object():
         assert responses[-1]["ok"] is True and responses[-1]["result"]["tan"] in server.tans
     finally:
         tcp.shutdown()
+
+
+def test_wire_proof_with_a_token_that_is_not_a_string_is_answered():
+    server = make_server()
+    tcp, port = serve_tcp(server)
+    try:
+        import socket as socketlib
+        with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            lines = [{"op": "superspreader_proof", "args": {"proof": {"tokens": [5]}}},
+                     {"op": "superspreader_proof", "args": {"proof": {"tokens": ["zz"],
+                                                                      "encoding": "hex"}}},
+                     {"op": "issue_tan", "args": {"device_id": "d1"}}]
+            sock.sendall("\n".join(map(json.dumps, lines)).encode() + b"\n")
+            fh = sock.makefile("r")
+            responses = [json.loads(fh.readline()) for _ in lines]
+        assert responses[0] == {"ok": False, "error": "malformed request: "
+                                "request.args.proof.tokens[0]: expected a string, got 5"}
+        assert responses[1]["ok"] is False and "does not decode" in responses[1]["error"]
+        assert responses[2]["ok"] is True and responses[2]["result"]["tan"] in server.tans
+    finally:
+        tcp.shutdown()
+        tcp.server_close()
+    assert server.feeds["dh"].superspreader_tags == set()
+
+
+# every wire op with each of its args, and values that break them
+WIRE_ARGS = {
+    "issue_tan": {"device_id": st.just("d1")},
+    "upload": {"bundle": st.fixed_dictionaries({"scheme": st.sampled_from(SCHEMES),
+                                                "tan": st.text(max_size=12)})},
+    "feed": {"scheme": st.sampled_from(SCHEMES), "since_cursor": st.integers(0, 5)},
+    "superspreader_proof": {"proof": st.fixed_dictionaries(
+        {"tokens": st.lists(st.binary(max_size=8).map(b64), max_size=3),
+         "encoding": st.just("b64")})},
+    "register": {"device_id": st.just("d1"), "mode": st.sampled_from(["anonymous", "phone"]),
+                 "phone": st.just("+1555")},
+    "notify_poll": {"user_id": st.text(max_size=6)},
+}
+BREAKING = st.one_of(JUNK, st.sampled_from([-1, True, [1], {"tokens": [5]}, "x"]))
+
+
+@st.composite
+def wire_line(draw):
+    """A request for a random op, each of its args kept, dropped or broken."""
+    op = draw(st.sampled_from(sorted(WIRE_ARGS)))
+    args = {}
+    for name, value in WIRE_ARGS[op].items():
+        how = draw(st.sampled_from(["keep", "keep", "drop", "break"]))
+        if how != "drop":
+            args[name] = draw(value if how == "keep" else BREAKING)
+    req = {"op": op, "args": args}
+    if draw(st.integers(0, 9)) == 0:
+        req = draw(st.one_of(JUNK, st.just({"op": op, "args": draw(JUNK)})))
+    return req
+
+
+@pytest.fixture(scope="module")
+def wire_server():
+    server, _ = registry_server()
+    tcp, port = serve_tcp(server)
+    yield server, port
+    tcp.shutdown()
+    tcp.server_close()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reqs=st.lists(wire_line(), min_size=1, max_size=8))
+def test_random_wire_lines_get_an_ack_or_a_typed_error(wire_server, reqs):
+    server, port = wire_server
+    import socket as socketlib
+    lines = [json.dumps(req) for req in reqs] + [
+        json.dumps({"op": "issue_tan", "args": {"device_id": "last"}})]
+    with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall("\n".join(lines).encode() + b"\n")
+        fh = sock.makefile("r")
+        responses = [json.loads(fh.readline()) for _ in lines]
+    assert responses[-1]["ok"] is True     # the connection still serves a request
+    for req, resp in zip(reqs, responses):
+        if not resp["ok"]:
+            assert isinstance(resp["error"], str)
+            # a crash used to show as "malformed request: <exception>"; a typed
+            # fault names the JSON path of the bad value
+            assert (not resp["error"].startswith("malformed request")
+                    or resp["error"].startswith("malformed request: request")), resp
+            continue
+        args = req["args"]
+        if req["op"] == "feed":
+            since = 0 if args.get("since_cursor") is None else args["since_cursor"]
+            assert type(since) is int and since >= 0
+            assert resp["result"]["cursor"] == since + len(resp["result"]["entries"])
+        if req["op"] in ("issue_tan", "register"):
+            assert isinstance(args["device_id"], str)
+    assert all(isinstance(t.issued_to, str) for t in server.tans.values())
