@@ -21,7 +21,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import hmac
-import re
 import struct
 from dataclasses import dataclass, field
 
@@ -34,6 +33,7 @@ from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
 from .errors import ConfigurationError, HandshakeError
 from .rng import SeedStream
+from .schema import Field, base64_text, hex_of
 
 IDENTIFIER_LEN = 16          # BLE advertising leaves space for 128 bits only
 IDENTIFIER_SLOT_S = 600      # 10-minute identifier slots
@@ -365,22 +365,7 @@ def unb64(data: str) -> bytes:
     return base64.b64decode(data.encode("ascii"))
 
 
-# the DH entry check lives here, beside hash_token and b64, because both the
-# server's upload check and DhClient.sync use it and the server does not
-# import schemes.dh, which would lengthen its start-up
-_HASH_HEX = re.compile(r"[0-9a-fA-F]{64}")
-
-
-def dh_entry_error(entry: dict) -> str | None:
-    """Why a DH upload or feed entry is malformed, or None when hash_hex is
-    64 hex characters and meta_b64 a string that base64-decodes."""
-    hash_hex, meta = entry.get("hash_hex"), entry.get("meta_b64")
-    if not isinstance(hash_hex, str) or not _HASH_HEX.fullmatch(hash_hex):
-        return "hash_hex must be 64 hex characters"
-    if isinstance(meta, str):
-        try:
-            base64.b64decode(meta, validate=True)
-            return None
-        except ValueError:
-            pass
-    return "meta_b64 must be a base64 string"
+# a DH upload or feed entry; it lives here, beside hash_token and b64, because
+# both the server's upload check and DhClient.sync read it and the server does
+# not import schemes.dh, which would lengthen its start-up
+DH_ENTRY = {"hash_hex": Field(hex_of(64)), "meta_b64": Field(base64_text)}

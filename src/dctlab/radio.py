@@ -203,12 +203,10 @@ class Connection:
 
 
 class World:
-    def __init__(self, trace: ContactTrace, stream: SeedStream, *,
-                 scan_tick_s: int = SCAN_TICK_S, link_rotation_s: int = 900,
+    def __init__(self, trace: ContactTrace, stream: SeedStream, *, link_rotation_s: int = 900,
                  capabilities: tuple[str, ...] = (), irk_linkable: bool = False):
         self.trace = trace
         self.stream = stream
-        self.scan_tick_s = scan_tick_s
         self.link_rotation_s = link_rotation_s
         self.capabilities = set(capabilities)
         self.irk_linkable = irk_linkable
@@ -259,7 +257,7 @@ class World:
             return
         self._started = True
         for edge in self.trace.edges:
-            first = edge.start_s + (-edge.start_s) % self.scan_tick_s
+            first = edge.start_s + (-edge.start_s) % SCAN_TICK_S
             if first < edge.end_s:
                 self.schedule(first, self._make_edge_tick(edge, first))
 
@@ -300,10 +298,10 @@ class World:
             if dev_a.client.wants_connection(edge.b, la) and dev_b.client.wants_connection(edge.a, lb):
                 conn = self.open_connection(edge.a, edge.b)
         if conn is not None and conn.open:
-            dev_a.client.on_copresence_tick(edge.b, self.scan_tick_s, self.local_time(edge.a))
-            dev_b.client.on_copresence_tick(edge.a, self.scan_tick_s, self.local_time(edge.b))
+            dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S, self.local_time(edge.a))
+            dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S, self.local_time(edge.b))
 
-        nxt = t + self.scan_tick_s
+        nxt = t + SCAN_TICK_S
         if nxt < edge.end_s:
             self.schedule(nxt, self._make_edge_tick(edge, nxt))
         else:
@@ -394,8 +392,8 @@ class World:
 
     # -- clocks ---------------------------------------------------------------
 
-    def set_clock(self, device_id: str, offset_s: int, capability: str = "clock") -> None:
-        if capability not in self.capabilities:
-            raise CapabilityError(f"scenario does not grant the {capability!r} capability")
+    def set_clock(self, device_id: str, offset_s: int) -> None:
+        if "clock" not in self.capabilities:
+            raise CapabilityError("scenario does not grant the 'clock' capability")
         self.devices[device_id].clock_offset_s = offset_s
         self.emit("clock_set", {"device": device_id, "offset_s": offset_s})

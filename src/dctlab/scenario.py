@@ -13,8 +13,12 @@ a table that schema.check reads: SCENARIO for the file, RUN for a run,
 DEVICE for a devices entry, EDGE, INFECTION and ANALYSIS for the parts of a
 run, ATTACKS for each attack kind, and per scheme in SCHEMES, Scheme.config
 for scheme_config and Scheme.claim for the fake-claim fields that scheme
-reads. Every run is checked before any executes, and a bad field raises
-FieldError naming its JSON path.
+reads. The rules that span fields are in the tables too: EDGE, the toy
+group and the dh config run the checks of ContactEdge, GroupParams.toy and
+DhConfig; a device id and a run label may each be declared once. So every
+run is checked, cross-field rules included, before any executes: a bad
+field raises FieldError naming its JSON path, and load_scenario raises it
+as ScenarioError.
 
 Outputs per scenario: events.jsonl (every SimEvent of every run, tagged with
 the run label) and metrics.json. Identical (scenario, seed) pairs produce
@@ -29,11 +33,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import adversary
-from .crypto_core import GroupParams
-from .errors import ScenarioError, UploadRejected
+from .crypto_core import DAY_S, GroupParams
+from .errors import FieldError, ScenarioError, UploadRejected
 from .radio import ContactEdge, ContactTrace, DeviceClient, World
 from .rng import SeedStream
-from .schema import Field, check, device, fault, has_role, natural, one_of, positive
+from .schema import (Field, builds, check, device, fault, has_role, natural, one_of, positive,
+                     predicate, tagged)
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralizedClient, CentralRegistry
 from .schemes.dh import DhClient, DhConfig, encode_proof
 from .schemes.tek import PublishedTekIndex, TekClient
@@ -47,8 +52,8 @@ SNIFFER = has_role("sniffer")
 
 DEVICE = {"id": Field(str), "role": Field(one_of(("device", *ROLE_CLIENTS), "role"), "device"),
           "clock_offset_s": Field(int, 0), "mode": Field(MODE, None), "phone": Field(str, None)}
-EDGE = ("[a, b, start_s, end_s]", Field(device), Field(device), Field(natural), Field(natural),
-        Field(str, "near"))
+EDGE = builds(("[a, b, start_s, end_s]", Field(device), Field(device), Field(natural),
+               Field(natural), Field(str, "near")), lambda edge: ContactEdge(*edge))
 INFECTION = {"device": Field(has_role("device")), "report_at": Field(natural)}
 ANALYSIS = {"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
             "social_graph": Field(bool, False),
@@ -79,9 +84,10 @@ def load_scenario(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc.msg}",
                             line=exc.lineno, column=exc.colno)
-    for key in ("id", "runs"):
-        if key not in scenario:
-            raise ScenarioError(f"scenario {path} is missing the {key!r} field")
+    try:
+        check(scenario, SCENARIO)
+    except FieldError as exc:
+        raise ScenarioError(f"scenario {path}: {exc}")
     return scenario
 
 
@@ -89,13 +95,10 @@ def _declare(value, at: tuple, roles: dict) -> dict:
     """A devices entry, "id" or a DEVICE object. Its role is recorded in
     roles, so that the RUN fields after devices can name the device."""
     dev = check({"id": value} if type(value) is str else value, DEVICE, at, roles)
+    if dev["id"] in roles:
+        raise fault(at, f"device {dev['id']!r} is declared twice")
     roles[dev["id"]] = dev["role"]
     return dev
-
-
-def _attack(value, at: tuple, roles: dict) -> dict:
-    kind = check(value, {"kind": Field(one_of(ATTACKS, "attack kind"))}, at)["kind"]
-    return check(value, ATTACKS[kind], at, roles)
 
 
 def _check_run(run_cfg: dict, at: tuple, _=None) -> dict:
@@ -110,6 +113,16 @@ def _check_run(run_cfg: dict, at: tuple, _=None) -> dict:
     if run["attack"] is not None and run["attack"]["kind"] == "fake_claim":
         run["attack"] = check(run["attack"], scheme.claim, (*at, "attack"), roles)
     return run
+
+
+def _runs(value, at: tuple, _=None) -> list:
+    """SCENARIO's runs: each checked by _check_run, and no label twice."""
+    runs = check(value, [_check_run], at)
+    labels = [run["label"] for run in runs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise fault((*at, i, "label"), f"{label!r} names an earlier run too")
+    return runs
 
 
 @dataclass
@@ -147,11 +160,7 @@ def execute_run(run_cfg: dict, stream: SeedStream) -> RunResult:
                   link_rotation_s=sconf["rotation_s"], capabilities=capabilities,
                   irk_linkable=run_cfg["irk_linkable"])
 
-    registry = None
-    if scheme == "centralized":
-        registry = CentralRegistry(stream.child("registry"), variant=sconf["variant"],
-                                   rotation_s=sconf["rotation_s"])
-    server = TracingServer(stream.child("server"), registry=registry,
+    server = TracingServer(stream.child("server"), registry=SCHEMES[scheme].registry(sconf, stream),
                            retention_days=sconf["retention_days"])
     server.clock = lambda: world.now
 
@@ -179,14 +188,17 @@ def _build_devices(run_cfg: dict, state: _RunState, stream: SeedStream) -> None:
             state.cursors[did] = 0
 
 
-def _dh_clients(state: _RunState, stream: SeedStream) -> Callable[[dict], DhClient]:
-    sconf = state.sconf
+def _dh_config(sconf: dict) -> DhConfig:
     group = sconf["group"]
-    cfg = DhConfig(rotation_s=sconf["rotation_s"], min_encounter_s=sconf["min_encounter_s"],
-                   epsilon_s=sconf["epsilon_s"], anonymized_upload=sconf["anonymized_upload"],
-                   superspreader_threshold=sconf["superspreader_threshold"],
-                   group=(GroupParams.production() if group == "x25519"
-                          else GroupParams.toy(group["p"], group["g"])))
+    return DhConfig(rotation_s=sconf["rotation_s"], min_encounter_s=sconf["min_encounter_s"],
+                    epsilon_s=sconf["epsilon_s"], anonymized_upload=sconf["anonymized_upload"],
+                    superspreader_threshold=sconf["superspreader_threshold"],
+                    group=(GroupParams.production() if group == "x25519"
+                           else GroupParams.toy(group["p"], group["g"])))
+
+
+def _dh_clients(state: _RunState, stream: SeedStream) -> Callable[[dict], DhClient]:
+    cfg = _dh_config(state.sconf)
     return lambda dev: DhClient(stream.child(f"device:{dev['id']}"), cfg)
 
 
@@ -318,29 +330,41 @@ def _tek_owners(state: _RunState) -> dict[bytes, str]:
 class Scheme:
     """What the scenario driver does differently for one scheme family."""
 
-    config: dict        # the scheme_config table
+    config: dict | Callable     # the rule of scheme_config
     claim: dict         # the attack fields a fake claim reads beyond ATTACKS["fake_claim"]
     clients: Callable[[_RunState, SeedStream], Callable[[dict], DeviceClient]]
     fake_claim: Callable[[_RunState, dict, SeedStream], dict]
     start: Callable[[dict, _RunState], None]    # once devices, attack and reports are set up
     superspreader: Callable[[_RunState, str, int], dict]    # (state, device, threshold)
     owners: Callable[[_RunState], dict[bytes, str] | None]  # what public data attributes
+    # the server's registry, from (scheme_config, stream)
+    registry: Callable[[dict, SeedStream], CentralRegistry | None] = lambda sconf, stream: None
+
+
+TOY_GROUP = builds({"p": Field(int), "g": Field(int)}, lambda g: GroupParams.toy(g["p"], g["g"]))
 
 
 def _group(value, at: tuple, roles) -> str | dict:
     """"x25519", or a toy group's {"p", "g"}."""
-    return value if value == "x25519" else check(value, {"p": Field(int), "g": Field(int)}, at)
+    return value if value == "x25519" else check(value, TOY_GROUP, at)
 
+
+# a centralized rotation_s: bluetrace issues each day's DAY_S // rotation_s identifiers
+# as one batch, so it divides a day, and at least 60 s bounds a batch to 1,440
+DAY_DIVISOR = predicate(lambda v, roles: type(v) is int and v >= 60 and DAY_S % v == 0,
+                        "expected a positive integer of at least 60 that divides 86400, got {!r}")
 
 # read by every scheme: the server's retention and the superspreader threshold
 SHARED_CONFIG = {"retention_days": Field(positive, 14), "superspreader_threshold": Field(natural, 3)}
 
 SCHEMES = {
     "centralized": Scheme(
-        config={"rotation_s": Field(positive, 900), **SHARED_CONFIG,
+        config={"rotation_s": Field(DAY_DIVISOR, 900), **SHARED_CONFIG,
                 "variant": Field(one_of(("bluetrace", "pepp_pt"), "variant"), "bluetrace"),
                 "mode": Field(MODE, MODE_ANONYMOUS)},
         claim={"source_sniffer": Field(SNIFFER)},
+        registry=lambda sconf, stream: CentralRegistry(
+            stream.child("registry"), variant=sconf["variant"], rotation_s=sconf["rotation_s"]),
         clients=lambda state, stream: lambda dev: CentralizedClient(
             state.server.registry, mode=dev["mode"] or state.sconf["mode"], phone=dev["phone"]),
         fake_claim=lambda state, attack, stream: adversary.fake_claim_centralized(
@@ -359,9 +383,11 @@ SCHEMES = {
             state.server, state.world.local_time(attack["claimant"]), state.tek_index),
         start=_schedule_syncs, superspreader=_client_count, owners=_tek_owners),
     "dh": Scheme(
-        config={"rotation_s": Field(positive, 900), **SHARED_CONFIG,
-                "min_encounter_s": Field(natural, 300), "epsilon_s": Field(positive, 60),
-                "anonymized_upload": Field(bool, False), "group": Field(_group, "x25519")},
+        # DhConfig holds the rules across fields: min_encounter_s below rotation_s
+        config=builds({"rotation_s": Field(positive, 900), **SHARED_CONFIG,
+                       "min_encounter_s": Field(natural, 300), "epsilon_s": Field(positive, 60),
+                       "anonymized_upload": Field(bool, False), "group": Field(_group, "x25519")},
+                      _dh_config),
         claim={"guesses": Field(natural, 32)},
         clients=_dh_clients,
         fake_claim=lambda state, attack, stream: adversary.fake_claim_dh(
@@ -373,9 +399,9 @@ RUN = {"label": Field(str), "scheme": Field(one_of(SCHEMES, "scheme")),
        "devices": Field([_declare]), "duration_s": Field(natural),
        "scheme_config": Field(dict, {}),     # checked against its scheme's config by _check_run
        "contact_trace": Field([EDGE], []), "infections": Field([INFECTION], []),
-       "attack": Field(_attack, None), "analysis": Field(ANALYSIS, {}),
-       "irk_linkable": Field(bool, False)}
-SCENARIO = {"id": Field(str), "seed": Field(int, 0), "runs": Field([_check_run])}
+       "attack": Field(tagged("kind", ATTACKS, "attack kind"), None),
+       "analysis": Field(ANALYSIS, {}), "irk_linkable": Field(bool, False)}
+SCENARIO = {"id": Field(str), "seed": Field(int, 0), "runs": Field(_runs)}
 
 
 def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation]:
@@ -437,7 +463,7 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
             for c in trace.contacts_of(r) if roles[c] == "device")
         graph["ground_truth_edges"] = truth
         graph["ground_truth_edge_count"] = len(truth)
-        if state.scheme == "centralized":
+        if state.server.registry is not None:
             recovered = {tuple(e) for e in graph["recovered_edges"]}
             graph["recovered_fraction"] = (
                 len(recovered & {tuple(e) for e in truth}) / len(truth) if truth else 0.0)
@@ -450,13 +476,9 @@ def run_scenario(scenario: dict, seed: int | None = None,
                  out_dir: str | Path | None = None) -> dict:
     """Execute every run of a scenario; optionally write events.jsonl and
     metrics.json under out_dir. Returns the metrics document. A field that
-    breaks its table, or a label an earlier run has, raises FieldError
-    naming its JSON path before any run executes."""
+    breaks SCENARIO raises FieldError naming its JSON path before any run
+    executes."""
     scenario = check(scenario, SCENARIO)
-    labels = [run["label"] for run in scenario["runs"]]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise fault(("runs", i, "label"), f"{label!r} names an earlier run too")
     sid = scenario["id"]
     seed = scenario["seed"] if seed is None else seed
     root = SeedStream(seed, sid)

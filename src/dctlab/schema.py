@@ -14,14 +14,18 @@ rule. A rule is one of:
 * str, int, bool, dict or list: a JSON value of exactly that type, so that
   an int is never a bool.
 * any other callable, called as rule(value, at, roles). It returns the value
-  or raises fault(at, problem). natural, positive, device, one_of and
-  has_role make such rules; roles maps each declared device to its role.
+  or raises fault(at, problem). natural, positive, device, one_of, has_role,
+  hex_of, base64_text, predicate, tagged and builds make such rules; roles
+  maps each declared device to its role, or whatever else a caller names.
 
 at is the JSON path as a tuple of keys and list positions. It is rendered
 only for a fault, so a check that passes builds no path string.
 """
 
-from .errors import FieldError
+import base64
+import re
+
+from .errors import ConfigurationError, FieldError
 
 REQUIRED = object()     # the default of a field that must be given
 _KINDS = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "a list"}
@@ -32,7 +36,7 @@ def Field(rule, default=REQUIRED) -> tuple:
 
 
 def path(at: tuple) -> str:
-    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in at).lstrip(".")
+    return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in at).lstrip(".") or "the input"
 
 
 def fault(at: tuple, problem: str) -> FieldError:
@@ -48,10 +52,11 @@ def check(value, rule, at: tuple = (), roles: dict | None = None):
         out = dict(value)
         for name, (sub, default) in rule.items():
             if (item := value.get(name)) is None and (item := default) is REQUIRED:
-                raise FieldError(f"{path(at) or 'the input'} is missing the {name!r} field")
-            # a default is walked only to fill in and copy the defaults inside it
-            out[name] = item if item is default and type(item) not in (dict, list) else (
-                check(item, sub, (*at, name), roles))
+                raise FieldError(f"{path(at)} is missing the {name!r} field")
+            # a default is walked only to fill in and copy the defaults inside it, and a
+            # value of exactly the type its rule names is what check would return
+            out[name] = item if type(item) is sub or item is default and type(item) not in (
+                dict, list) else check(item, sub, (*at, name), roles)
         return out
     if kind is list:
         return [check(item, rule[0], (*at, i), roles) for i, item in enumerate(value)]
@@ -64,7 +69,16 @@ def check(value, rule, at: tuple = (), roles: dict | None = None):
     return value if kind is type else rule(value, at, roles)
 
 
-def _rule(test, problem: str):
+def passes(value, rule) -> bool:
+    """Whether value follows rule: for input that is skipped, not refused."""
+    try:
+        check(value, rule)
+    except FieldError:
+        return False
+    return True
+
+
+def predicate(test, problem: str):
     """The rule that passes a value when test(value, roles) holds, and
     otherwise names problem, with "{!r}" standing for the value."""
     def rule(value, at, roles):
@@ -74,16 +88,47 @@ def _rule(test, problem: str):
     return rule
 
 
-natural = _rule(lambda v, roles: type(v) is int and v >= 0, "expected a non-negative integer, got {!r}")
-positive = _rule(lambda v, roles: type(v) is int and v > 0, "expected a positive integer, got {!r}")
-device = _rule(lambda v, roles: type(v) is str and v in roles, "unknown device {!r}")
+natural = predicate(lambda v, roles: type(v) is int and v >= 0, "expected a non-negative integer, got {!r}")
+positive = predicate(lambda v, roles: type(v) is int and v > 0, "expected a positive integer, got {!r}")
+device = predicate(lambda v, roles: type(v) is str and v in roles, "unknown device {!r}")
 
 
 def one_of(choices, what: str):
-    return _rule(lambda v, roles: type(v) is str and v in choices, f"unknown {what} {{!r}}")
+    return predicate(lambda v, roles: type(v) is str and v in choices, f"unknown {what} {{!r}}")
 
 
 def has_role(role: str):
     """A declared device of that role."""
-    of_role = _rule(lambda v, roles: roles[v] == role, f"{{!r}} is not a {role}")
+    of_role = predicate(lambda v, roles: roles[v] == role, f"{{!r}} is not a {role}")
     return lambda v, at, roles: of_role(device(v, at, roles), at, roles)
+
+
+def hex_of(n: int):
+    """A string of exactly n hex digits, either case."""
+    digits = re.compile(f"[0-9a-fA-F]{{{n}}}")
+    return predicate(lambda v, roles: type(v) is str and digits.fullmatch(v) is not None,
+                     f"expected {n} hex digits, got {{!r}}")
+
+
+def tagged(key: str, tables: dict, what: str):
+    """An object whose key field names the table, of tables, that it follows."""
+    tag = {key: Field(one_of(tables, what))}
+    return lambda value, at, roles: check(value, tables[check(value, tag, at)[key]], at, roles)
+
+
+def builds(rule, build):
+    """rule, and then build(value) must not raise ConfigurationError or
+    ValueError: a constructor's or decoder's own check, raised as a fault at
+    the value's path."""
+    def checked(value, at, roles):
+        value = check(value, rule, at, roles)
+        try:
+            build(value)
+        except (ConfigurationError, ValueError) as exc:
+            raise fault(at, str(exc))
+        return value
+    return checked
+
+
+# a string that base64-decodes strictly: no character outside the alphabet
+base64_text = builds(str, lambda text: base64.b64decode(text, validate=True))

@@ -27,6 +27,7 @@ from ..crypto_core import (
 from ..errors import ProtocolError
 from ..radio import DeviceClient
 from ..rng import SeedStream
+from ..schema import Field, hex_of
 
 DEFAULT_ROTATION_S = 900       # "10 to 15 minutes"; exposed as a parameter
 VARIANT_BLUETRACE = "bluetrace"
@@ -36,6 +37,8 @@ MODE_PHONE = "phone"
 SIGHTING_MERGE_GAP_S = 60
 IV_LEN = 16
 AUTH_TAG_LEN = 8
+# an uploaded record, as ObservedRecord.as_dict writes it
+RECORD = {"id_hex": Field(hex_of(32)), "first_seen": Field(int), "last_seen": Field(int)}
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..crypto_core import (
+    DH_ENTRY,
     EncounterToken,
     EphemeralKeyPair,
     GroupParams,
     b64,
-    dh_entry_error,
     dh_token,
     hash_token,
     keygen,
@@ -42,6 +42,7 @@ from ..crypto_core import (
 from ..errors import ConfigurationError, HandshakeError
 from ..radio import Connection, DeviceClient, IDENTIFIER_FIELD_LEN
 from ..rng import SeedStream
+from ..schema import passes
 
 
 @dataclass(frozen=True)
@@ -305,8 +306,8 @@ class DhClient(DeviceClient):
         return report_infection_dh(self.records, tan, self.cfg.anonymized_upload)
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[DhExposure]:
-        """Exposures new since the last sync. A malformed feed entry is skipped and counted."""
-        good = [e for e in feed_entries if isinstance(e, dict) and dh_entry_error(e) is None]
+        """Exposures new since the last sync; an entry breaking DH_ENTRY is skipped and counted."""
+        good = [e for e in feed_entries if passes(e, DH_ENTRY)]
         self.skipped += len(feed_entries) - len(good)
         known = {e["hash_hex"] for e in self.known_published}
         self.known_published.extend(e for e in good if e["hash_hex"] not in known)

@@ -10,9 +10,9 @@ sync. ``PublishedTekIndex`` holds every published key a run has ingested:
 tek_hex -> (PublishedTek, its 144-identifier schedule), and identifier bytes
 -> (tek_hex, slot). One index is shared by every client of a run and by the
 adversary analyses; a client built without one keeps a private index.
-Ingestion skips (and counts) a feed entry whose tek_hex is not 32 hex
-characters or whose day is not a non-negative integer, so one bad entry
-cannot break matching for anyone.
+Ingestion skips (and counts) a feed entry that breaks TEK_ENTRY, the table
+an upload's daily keys are checked against too, so one bad entry cannot
+break matching for anyone.
 
 The weaknesses the adversary lab exercises are reproduced deliberately:
 
@@ -31,17 +31,18 @@ manipulated. It ships off by default, mirroring deployed behavior.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, Identifier, Tek, derive_day_identifiers
 from ..radio import DeviceClient
 from ..rng import SeedStream
+from ..schema import Field, hex_of, natural, passes
 
 DEFAULT_VALIDITY_WINDOW_S = 7200
 DEFAULT_RETENTION_DAYS = 14
 STRICT_VALIDITY_WINDOW_S = 120   # the "fixed" profile
-_TEK_HEX = re.compile(r"[0-9a-fA-F]{32}")
+# a daily key as uploaded and as published; a feed entry adds published_at
+TEK_ENTRY = {"tek_hex": Field(hex_of(32)), "day": Field(natural)}
 
 
 @dataclass
@@ -107,19 +108,6 @@ class Exposure:
                 "slot": self.slot, "seen_at": self.seen_at}
 
 
-def tek_entry_error(entry) -> str | None:
-    """Why a TEK upload or feed entry is malformed, or None when tek_hex is
-    32 hex characters and day a non-negative integer."""
-    if not isinstance(entry, dict):
-        return "TEK entry is not an object"
-    tek_hex, day = entry.get("tek_hex"), entry.get("day")
-    if not isinstance(tek_hex, str) or not _TEK_HEX.fullmatch(tek_hex):
-        return "tek_hex must be 32 hex characters"
-    if not isinstance(day, int) or isinstance(day, bool) or day < 0:
-        return "day must be a non-negative integer"
-    return None
-
-
 class PublishedTekIndex:
     """Every published daily key one run has seen, each schedule derived once.
 
@@ -150,8 +138,8 @@ class PublishedTekIndex:
         return schedule
 
     def ingest(self, entry) -> PublishedTek | None:
-        """Index one feed entry and return it, or None if it is malformed."""
-        if tek_entry_error(entry) is not None:
+        """Index one feed entry and return it, or None if it breaks TEK_ENTRY."""
+        if not passes(entry, TEK_ENTRY):
             self.skipped += 1
             return None
         pub = PublishedTek(Tek(bytes.fromhex(entry["tek_hex"]), entry["day"]),

@@ -8,11 +8,13 @@ One server instance backs all three schemes:
 * Per-scheme uploads: daily-key bundles are published to a feed, DH
   bundles publish token hashes and sealed metadata only, centralized
   bundles are never published - they are routed to server-side matching
-  against the registry and turn into notifications. A bundle with a
+  against the registry and turn into notifications. A bundle is checked
+  against its scheme's table in _uploads (TEK_ENTRY, DH_ENTRY or RECORD per
+  entry) and then its scheme's bundle check; one that breaks either - a
   malformed entry, daily keys spanning more than the retention period, a
   centralized record seen for longer than the retention period (or ending
   before it starts), or centralized records sent to a server without a
-  registry is rejected with its TAN left unspent.
+  registry - is rejected with its TAN left unspent.
 * Publication feeds are append-only; clients page through them with an
   integer cursor and replaying a cursor returns the identical page.
 * Superspreader proofs: raw tokens submitted through this flow are hashed,
@@ -24,46 +26,48 @@ have no access to user identities and their feeds carry no user field.
 
 The server is callable in-process and over a newline-delimited JSON
 request/response protocol on a TCP byte stream (see serve_tcp / WireClient).
-A request line is checked against _REQUEST and its op's _ARGS table; one
-that breaks them is answered with ok: false, naming the JSON path of the
-first bad value.
-Persistence is an append-only JSON-lines log per feed plus the TAN log;
-a server constructed over the same state directory replays them, dropping
-a final line that a crash cut off mid-write.
+A request line is checked against _REQUEST and the args table its op has in
+_OPS; one that breaks them is answered with ok: false, naming the JSON path
+of the first bad value.
+Persistence is an append-only JSON-lines log per feed plus the TAN log and
+the superspreader tag log; a server constructed over the same state
+directory replays them, dropping a final line that a crash cut off
+mid-write. A TAN or tag record that breaks TAN_LOG or TAG_LOG, or consumes
+a TAN never issued, raises StateError naming the file and line; feed
+entries replay as they are, and clients skip and count a bad one.
+The form of every field that arrives from outside - bundle, wire request,
+proof, state record - is checked by schema.check against a table; the code
+checks only what depends on server state: TANs, the retention span, the
+registry, and whether proof tokens decode.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import re
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crypto_core import DAY_S, dh_entry_error, unb64
+from .crypto_core import DAY_S, DH_ENTRY, unb64
 from .errors import FieldError, StateError, UploadRejected
 from .rng import SeedStream
-from .schema import Field, check, natural, one_of
-from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralRegistry, server_match
-from .schemes.tek import DEFAULT_RETENTION_DAYS, tek_entry_error
+from .schema import Field, check, hex_of, natural, one_of, predicate, tagged
+from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, RECORD, CentralRegistry, server_match
+from .schemes.tek import DEFAULT_RETENTION_DAYS, TEK_ENTRY
 
 TAN_LENGTH = 12
 SCHEMES = ("centralized", "tek", "dh")
-_ID_HEX = re.compile(r"[0-9a-fA-F]{32}")
 PROOF = {"tokens": Field([str], []), "encoding": Field(one_of(("hex", "b64"), "encoding"), "b64")}
-
-
-def _record_error(record: dict) -> str | None:
-    """Why a centralized upload record is malformed, or None when id_hex is
-    32 hex characters and first_seen and last_seen are integers."""
-    id_hex = record.get("id_hex")
-    if not isinstance(id_hex, str) or not _ID_HEX.fullmatch(id_hex):
-        return "id_hex must be 32 hex characters"
-    bad = [key for key in ("first_seen", "last_seen") if type(record.get(key)) is not int]
-    return f"{bad[0]} must be an integer" if bad else None
+# a line of tans.jsonl, by event, checked with the TANs replayed before it as
+# roles; and a line of tags.jsonl
+TAN_LOG = tagged("event", {
+    "issue": {"value": Field(str), "issued_to": Field(str)},
+    "consume": {"value": Field(predicate(lambda v, tans: type(v) is str and v in tans,
+                                         "TAN {!r} was never issued"))}}, "event")
+TAG_LOG = {"hash_hex": Field(hex_of(64))}
 
 
 @dataclass
@@ -118,16 +122,17 @@ class TracingServer:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
             fh.flush()
 
-    def _read_state(self, name: str) -> list[dict]:
-        """The records of one JSON-lines log. An unparsable final line is a
-        write cut off by a crash: it is dropped and cut from the file, and a
-        kept final line lacking its newline gets one, so the next append
-        starts a line of its own. An unparsable line before the last raises
-        StateError."""
+    def _read_state(self, name: str, rule=None, roles=None):
+        """Yield the records of one JSON-lines log, each checked against rule
+        and roles unless rule is None; a record that breaks it raises
+        StateError naming its line. An unparsable final line is a write cut
+        off by a crash: it is dropped and cut from the file, and a kept final
+        line lacking its newline gets one, so the next append starts a line
+        of its own. An unparsable line before the last raises StateError."""
         path = self.state_dir / name
         if not path.exists():
-            return []
-        records, torn, line = [], None, ""
+            return
+        torn, line = None, ""
         with path.open(encoding="utf-8", errors="surrogateescape") as fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
@@ -135,27 +140,33 @@ class TracingServer:
                 if torn is not None:
                     raise StateError(f"{name} line {torn[0]} is not JSON: {torn[1]}")
                 try:
-                    records.append(json.loads(line))
+                    record = json.loads(line)
                 except ValueError as exc:
                     torn = (number, exc)
+                    continue
+                if rule is not None:
+                    try:
+                        record = check(record, rule, ("record",), roles)
+                    except FieldError as exc:
+                        raise StateError(f"{name} line {number}: {exc}")
+                yield record
         if torn is not None:
             with path.open("r+b") as fh:
                 fh.truncate(fh.read().rstrip().rfind(b"\n") + 1)
         elif line and not line.endswith("\n"):
             with path.open("a", encoding="utf-8") as fh:
                 fh.write("\n")
-        return records
 
     def _replay_state(self) -> None:
+        # feed entries replay unchecked: the clients skip and count a bad one
         for scheme in ("tek", "dh"):
-            for entry in self._read_state(f"feed_{scheme}.jsonl"):
-                self.feeds[scheme].entries.append(entry)
-        for rec in self._read_state("tans.jsonl"):
+            self.feeds[scheme].entries.extend(self._read_state(f"feed_{scheme}.jsonl"))
+        for rec in self._read_state("tans.jsonl", TAN_LOG, self.tans):
             if rec["event"] == "issue":
                 self.tans[rec["value"]] = Tan(rec["value"], rec["issued_to"])
-            elif rec["event"] == "consume":
+            else:
                 self.tans[rec["value"]].used = True
-        for rec in self._read_state("tags.jsonl"):
+        for rec in self._read_state("tags.jsonl", TAG_LOG):
             self.feeds["dh"].superspreader_tags.add(rec["hash_hex"])
 
     # -- health authority -------------------------------------------------------
@@ -172,10 +183,10 @@ class TracingServer:
                                               "issued_to": device_id})
             return tan
 
-    def _consume_tan(self, value) -> Tan:
+    def _consume_tan(self, value: str) -> Tan:
         """Verify and spend a TAN; single-use, linearizable."""
         with self._lock:
-            tan = self.tans.get(value) if isinstance(value, str) else None
+            tan = self.tans.get(value)
             if tan is None:
                 raise UploadRejected("unknown TAN")
             if tan.used:
@@ -195,48 +206,43 @@ class TracingServer:
     # -- uploads -------------------------------------------------------------------
 
     def accept_upload(self, bundle: dict) -> dict:
-        """Check a bundle, then spend its TAN and accept it; a rejected bundle keeps its TAN."""
-        scheme = bundle.get("scheme") if isinstance(bundle, dict) else None
-        if not isinstance(scheme, str) or scheme not in self._uploads:
-            raise UploadRejected(f"malformed bundle: unknown scheme {scheme!r}")
-        key, entry_error, check_bundle, accept = self._uploads[scheme]
-        entries = bundle.get(key)
-        if not isinstance(entries, list):
-            raise UploadRejected(f"malformed bundle: missing {key}")
-        for i, entry in enumerate(entries):
-            problem = entry_error(entry) if isinstance(entry, dict) else "not an object"
-            if problem is not None:
-                raise UploadRejected(f"malformed bundle: {key}[{i}]: {problem}")
-        check_bundle(self, entries)
+        """Check a bundle against its scheme's table, then its scheme's bundle
+        check, then spend its TAN and accept it; a rejected bundle keeps its TAN."""
+        try:
+            bundle = check(bundle, _BUNDLE, ("bundle",))
+        except FieldError as exc:
+            raise UploadRejected(f"malformed bundle: {exc}")
+        _, check_bundle, accept = self._uploads[bundle["scheme"]]
+        check_bundle(self, bundle)
         with self._lock:
-            return accept(self, entries, bundle, self._consume_tan(bundle.get("tan")))
+            return accept(self, bundle, self._consume_tan(bundle["tan"]))
 
-    def _check_tek_span(self, teks: list) -> None:
-        days = [t["day"] for t in teks]
+    def _check_tek_span(self, bundle: dict) -> None:
+        days = [t["day"] for t in bundle["teks"]]
         if days and max(days) - min(days) + 1 > self.retention_days:
             raise UploadRejected(f"TEK bundle spans more than {self.retention_days} days")
 
-    def _check_registry(self, records: list) -> None:
+    def _check_registry(self, bundle: dict) -> None:
         if self.registry is None:
             raise UploadRejected("no centralized registry configured")
         # a record's span bounds the windows resolve searches
-        for i, r in enumerate(records):
+        for i, r in enumerate(bundle["records"]):
             if not 0 <= r["last_seen"] - r["first_seen"] <= self.retention_days * DAY_S:
-                raise UploadRejected(f"malformed bundle: records[{i}]: last_seen must lie "
-                                     f"within {self.retention_days} days after first_seen")
+                raise UploadRejected(f"malformed bundle: bundle.records[{i}]: last_seen must "
+                                     f"lie within {self.retention_days} days after first_seen")
 
-    def _accept_tek(self, teks: list, bundle: dict, tan: Tan) -> dict:
+    def _accept_tek(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
-        for t in teks:
+        for t in bundle["teks"]:
             entry = {"tek_hex": t["tek_hex"], "day": t["day"], "published_at": now}
             self.feeds["tek"].append(entry)
             self._append_state("feed_tek.jsonl", entry)
-        return {"status": "ack", "published": len(teks)}
+        return {"status": "ack", "published": len(bundle["teks"])}
 
-    def _accept_dh(self, entries: list, bundle: dict, tan: Tan) -> dict:
+    def _accept_dh(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
         published = [{"hash_hex": e["hash_hex"], "meta_b64": e["meta_b64"],
-                      "published_at": now} for e in entries]
+                      "published_at": now} for e in bundle["entries"]]
         if bundle.get("anonymized"):
             # postbox model: drop bundle grouping by shuffling before
             # publication; the cryptographic mixing itself is out of scope
@@ -246,10 +252,10 @@ class TracingServer:
             self._append_state("feed_dh.jsonl", entry)
         return {"status": "ack", "published": len(published)}
 
-    def _accept_centralized(self, records: list, bundle: dict, tan: Tan) -> dict:
+    def _accept_centralized(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
         horizon = now - self.retention_days * DAY_S
-        fresh = [r for r in records if r["last_seen"] >= horizon]
+        fresh = [r for r in bundle["records"] if r["last_seen"] >= horizon]
         matches = server_match(fresh, self.registry)
         for user_id, intervals in matches.items():
             reg = self.registry.users[user_id]
@@ -265,14 +271,14 @@ class TracingServer:
             if self.on_notify is not None:
                 self.on_notify(note)
         return {"status": "ack", "matched_users": len(matches),
-                "skipped": len(records) - len(fresh)}
+                "skipped": len(bundle["records"]) - len(fresh)}
 
-    # per scheme: (bundle field of the entries, entry check, bundle check, handler); the
-    # methods are stored unbound so that a server holds no reference to itself
+    # per scheme: (bundle table, bundle check, handler); the methods are stored
+    # unbound so that a server holds no reference to itself
     _uploads = {
-        "tek": ("teks", tek_entry_error, _check_tek_span, _accept_tek),
-        "dh": ("entries", dh_entry_error, lambda self, entries: None, _accept_dh),
-        "centralized": ("records", _record_error, _check_registry, _accept_centralized),
+        "tek": ({"teks": Field([TEK_ENTRY])}, _check_tek_span, _accept_tek),
+        "dh": ({"entries": Field([DH_ENTRY])}, lambda self, bundle: None, _accept_dh),
+        "centralized": ({"records": Field([RECORD])}, _check_registry, _accept_centralized),
     }
 
     # -- feeds and verification ------------------------------------------------------
@@ -311,37 +317,51 @@ class TracingServer:
             return self.notifications.pop(user_id, [])
 
 
+# a bundle: its TAN, and the table of the scheme it names
+_BUNDLE = tagged("scheme", {scheme: {"tan": Field(str), **up[0]}
+                            for scheme, up in TracingServer._uploads.items()}, "scheme")
+
+
 # ---------------------------------------------------------------------------
 # Newline-delimited JSON wire protocol
 # ---------------------------------------------------------------------------
 
-# per wire op, the table of its args; _REQUEST is the table of a request line
-_ARGS = {"issue_tan": {"device_id": Field(str)}, "upload": {"bundle": Field(dict)},
-         "feed": {"scheme": Field(str), "since_cursor": Field(natural, 0)},
-         "superspreader_proof": {"proof": Field(PROOF)}, "notify_poll": {"user_id": Field(str)},
-         "register": {"device_id": Field(str), "phone": Field(str, None),
-                      "mode": Field(one_of((MODE_ANONYMOUS, MODE_PHONE), "mode"), MODE_ANONYMOUS)}}
-_REQUEST = {"op": Field(one_of(_ARGS, "op")), "args": Field(dict, {})}
+def _feed(server: TracingServer, args: dict) -> dict:
+    entries, cursor = server.fetch_feed(args["scheme"], args["since_cursor"])
+    return {"entries": entries, "cursor": cursor}
+
+
+def _register(server: TracingServer, args: dict) -> dict:
+    reg = server.register(args["device_id"], args["mode"], args["phone"])
+    return {"user_id": reg.user_id, "mode": reg.mode}
+
+
+# per wire op: (the table of its args, the handler that answers them); _REQUEST is
+# the table of a request line. A bundle passes as it is, so that accept_upload
+# answers every fault in one as a malformed bundle
+_OPS = {
+    "issue_tan": ({"device_id": Field(str)},
+                  lambda server, args: {"tan": server.issue_tan(args["device_id"]).value}),
+    "upload": ({"bundle": Field(lambda value, at, roles: value, None)},
+               lambda server, args: server.accept_upload(args["bundle"])),
+    "feed": ({"scheme": Field(str), "since_cursor": Field(natural, 0)}, _feed),
+    "superspreader_proof": ({"proof": Field(PROOF)}, lambda server, args: {
+        "accepted": server.verify_superspreader_proof(args["proof"])}),
+    "notify_poll": ({"user_id": Field(str)},
+                    lambda server, args: {"notifications": server.notify_poll(args["user_id"])}),
+    "register": ({"device_id": Field(str), "phone": Field(str, None),
+                  "mode": Field(one_of((MODE_ANONYMOUS, MODE_PHONE), "mode"), MODE_ANONYMOUS)},
+                 _register),
+}
+_REQUEST = {"op": Field(one_of(_OPS, "op")), "args": Field(dict, {})}
 
 
 def _handle_request(server: TracingServer, req: dict) -> dict:
     try:
         req = check(req, _REQUEST, ("request",))
-        op = req["op"]
-        args = check(req["args"], _ARGS[op], ("request", "args"))
-        if op == "issue_tan":
-            return {"ok": True, "result": {"tan": server.issue_tan(args["device_id"]).value}}
-        if op == "upload":
-            return {"ok": True, "result": server.accept_upload(args["bundle"])}
-        if op == "feed":
-            entries, cursor = server.fetch_feed(args["scheme"], args["since_cursor"])
-            return {"ok": True, "result": {"entries": entries, "cursor": cursor}}
-        if op == "superspreader_proof":
-            return {"ok": True, "result": {"accepted": server.verify_superspreader_proof(args["proof"])}}
-        if op == "register":
-            reg = server.register(args["device_id"], args["mode"], args["phone"])
-            return {"ok": True, "result": {"user_id": reg.user_id, "mode": reg.mode}}
-        return {"ok": True, "result": {"notifications": server.notify_poll(args["user_id"])}}
+        table, handle = _OPS[req["op"]]
+        args = check(req["args"], table, ("request", "args"))
+        return {"ok": True, "result": handle(server, args)}
     except FieldError as exc:
         return {"ok": False, "error": f"malformed request: {exc}"}
     except UploadRejected as exc:

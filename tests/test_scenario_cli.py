@@ -216,6 +216,15 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
     ("analysis", {"superspreader_check": ["s"]},
      "runs[1].analysis.superspreader_check[0]: 's' is not a device"),
     ("label", "main", "runs[1].label: 'main' names an earlier run too"),
+    (("scheme", "scheme_config"), ("centralized", {"rotation_s": 90000}),
+     "runs[1].scheme_config.rotation_s: expected a positive integer of at least 60 that "
+     "divides 86400, got 90000"),
+    (("scheme", "scheme_config"), ("centralized", {"rotation_s": 1000}),
+     "runs[1].scheme_config.rotation_s: expected a positive integer of at least 60"),
+    (("scheme", "scheme_config"), ("centralized", {"rotation_s": 30}),
+     "runs[1].scheme_config.rotation_s: expected a positive integer of at least 60"),
+    (("scheme", "scheme_config"), ("centralized", {"rotation_s": 1}),
+     "runs[1].scheme_config.rotation_s: expected a positive integer of at least 60"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")
@@ -232,6 +241,39 @@ def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, ex
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad, expected", [
+    ({"contact_trace": [["a", "b", 0, 600], ["a", "a", 0, 600]]},
+     r"runs\[1\]\.contact_trace\[1\]: contact edge endpoints must differ"),
+    ({"contact_trace": [["a", "b", 600, 600]]},
+     r"runs\[1\]\.contact_trace\[0\]: contact edge interval is empty"),
+    ({"scheme_config": {"group": {"p": 8, "g": 3}}},
+     r"runs\[1\]\.scheme_config\.group: toy-modp modulus 8 is not prime"),
+    ({"scheme_config": {"group": {"p": 23, "g": 22}}},
+     r"runs\[1\]\.scheme_config\.group: generator must generate a subgroup of order > 2"),
+    ({"scheme_config": {"rotation_s": 300, "min_encounter_s": 300}},
+     r"runs\[1\]\.scheme_config: min_encounter_s must be below rotation_s"),
+    ({"devices": ["a", "b", {"id": "s", "role": "sniffer"}, {"id": "a", "role": "relay"}]},
+     r"runs\[1\]\.devices\[3\]: device 'a' is declared twice"),
+])
+def test_cross_field_rules_are_checked_before_any_run_executes(monkeypatch, bad, expected):
+    executed = []
+    monkeypatch.setattr(scenario_module, "execute_run",
+                        lambda run, stream: executed.append(run["label"]))
+    with pytest.raises(FieldError, match=f"^{expected}$"):
+        run_scenario({"id": "cross", "runs": [SMOKE_RUN, dict(SMOKE_RUN, label="bad", **bad)]})
+    assert executed == []
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"runs"'])
+def test_scenario_file_that_is_not_an_object_is_a_scenario_error(tmp_path, capsys, text):
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=r": the input: expected an object, got "):
+        load_scenario(path)
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: scenario {path}: the input: expected")
 
 
 def test_duplicate_run_labels_are_rejected_before_any_run_executes(monkeypatch):

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -111,7 +112,7 @@ def test_malformed_dh_upload_keeps_its_tan(tmp_path):
     for entries in bad_entries:
         with pytest.raises(UploadRejected, match=r"malformed bundle"):
             server.accept_upload({"scheme": "dh", "tan": tan.value, "entries": entries})
-    with pytest.raises(UploadRejected, match=r"entries\[1\]: hash_hex"):
+    with pytest.raises(UploadRejected, match=r"entries\[1\] is missing the 'hash_hex' field"):
         server.accept_upload({"scheme": "dh", "tan": tan.value,
                               "entries": [good, {"meta_b64": good["meta_b64"]}]})
     assert not server.tans[tan.value].used
@@ -140,7 +141,7 @@ def test_malformed_centralized_upload_keeps_its_tan(tmp_path):
     for records in bad_records:
         with pytest.raises(UploadRejected, match="malformed bundle"):
             server.accept_upload({"scheme": "centralized", "tan": tan.value, "records": records})
-    with pytest.raises(UploadRejected, match=r"records\[1\]: id_hex"):
+    with pytest.raises(UploadRejected, match=r"records\[1\] is missing the 'id_hex' field"):
         server.accept_upload({"scheme": "centralized", "tan": tan.value,
                               "records": [good, {"first_seen": 100, "last_seen": 400}]})
     # a span longer than the retention period would have resolve search every
@@ -419,6 +420,34 @@ def test_replay_rejects_a_bad_line_before_the_last(tmp_path):
         make_server(state_dir=state)
 
 
+@pytest.mark.parametrize("name, record, problem", [
+    ("tans.jsonl", {"event": "consume", "value": "NOPE"},
+     "tans.jsonl line 2: record.value: TAN 'NOPE' was never issued"),
+    ("tans.jsonl", [1], "tans.jsonl line 2: record: expected an object, got [1]"),
+    ("tans.jsonl", {"event": "spend", "value": "NOPE"}, "tans.jsonl line 2: record.event: unknown"),
+    ("tags.jsonl", {"hash": 1}, "tags.jsonl line 1: record is missing the 'hash_hex' field"),
+])
+def test_replay_rejects_a_state_record_that_breaks_its_table(tmp_path, name, record, problem):
+    server = make_server(state_dir=tmp_path)
+    server.issue_tan("a")
+    with (tmp_path / name).open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with pytest.raises(StateError, match=f"^{re.escape(problem)}"):
+        make_server(state_dir=tmp_path)
+
+
+def test_replay_checks_a_consume_against_the_tans_issued_before_it(tmp_path):
+    server = make_server(state_dir=tmp_path)
+    tan = server.issue_tan("a")
+    server.accept_upload({"scheme": "tek", "tan": tan.value, "teks": []})
+    assert make_server(state_dir=tmp_path).tans[tan.value].used
+    log = tmp_path / "tans.jsonl"
+    issue, consume = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    log.write_text(consume + issue, encoding="utf-8")
+    with pytest.raises(StateError, match=f"^tans.jsonl line 1: record.value: TAN '{tan.value}'"):
+        make_server(state_dir=tmp_path)
+
+
 def test_persisted_dh_state_contains_no_raw_tokens(tmp_path):
     group = GroupParams.production()
     stream = SeedStream(77, "leak")
@@ -488,6 +517,16 @@ def test_wire_request_that_is_not_an_object_is_answered():
         resp = _handle_request(server, req)
         assert resp["ok"] is False and "malformed" in resp["error"]
     assert _handle_request(server, {"op": "feed", "args": {"scheme": "tek"}})["ok"] is True
+
+
+def test_wire_answers_every_bad_bundle_as_a_malformed_bundle():
+    server = make_server()
+    tan = server.issue_tan("a")
+    for args in ({"bundle": 5}, {"bundle": None}, {}, {"bundle": {"scheme": "tek", "tan": tan.value,
+                                                               "teks": [{"day": 0}]}}):
+        resp = _handle_request(server, {"op": "upload", "args": args})
+        assert resp["ok"] is False and resp["error"].startswith("malformed bundle: bundle"), resp
+    assert not server.tans[tan.value].used
 
 
 def test_wire_connection_survives_a_request_that_is_not_an_object():

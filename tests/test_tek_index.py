@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from dctlab.cli import builtin_scenario
 from dctlab.crypto_core import DAY_S, IDENTIFIER_SLOT_S, Tek, derive_day_identifiers
 from dctlab.rng import SeedStream
+from dctlab.errors import FieldError
 from dctlab.scenario import run_scenario
+from dctlab.schema import check, passes
 from dctlab.schemes import tek as tek_mod
 from dctlab.schemes.tek import (
     DEFAULT_VALIDITY_WINDOW_S,
+    TEK_ENTRY,
     Exposure,
     PublishedTek,
     PublishedTekIndex,
     SightingLog,
     TekClient,
     match_exposures,
-    tek_entry_error,
 )
 from dctlab.server import TracingServer
 
@@ -184,7 +186,7 @@ def test_client_sync_equals_reference_over_feed_pages(ops, validity_window_s, st
             client.make_report("T" * 12)
         else:
             own = {t.hex for t in client.store.retained()} if client.reported else set()
-            good = [e for e in arg if tek_entry_error(e) is None]
+            good = [e for e in arg if passes(e, TEK_ENTRY)]
             assert client.sync(arg, 0) == ref.sync(good, own)
 
 
@@ -205,11 +207,11 @@ def test_client_sync_equals_reference_over_feed_pages(ops, validity_window_s, st
     (["ab" * 16, 0], "object"),
 ])
 def test_tek_entry_rule(entry, problem):
-    error = tek_entry_error(entry)
     if problem is None:
-        assert error is None
+        assert check(entry, TEK_ENTRY) == entry
     else:
-        assert problem in error
+        with pytest.raises(FieldError, match=problem):
+            check(entry, TEK_ENTRY)
 
 
 def test_bad_feed_entry_does_not_break_any_client(tmp_path):
