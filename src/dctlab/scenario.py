@@ -3,10 +3,12 @@
 A scenario file is JSON with an id and a list of runs. Each run builds one
 world (devices, contact trace, scheme clients, a tracing server), optionally
 installs an attack, schedules infection reports and feed syncs, drains the
-event loop, and evaluates the configured analyses. Runs inside a scenario
-are independent worlds; they share only the scenario seed, from which every
-run derives a labelled sub-stream. What differs per scheme is stated once,
-in the SCHEMES table.
+event loop, and evaluates the configured analyses. Every device syncs at the
+same times, so they all read the feed up to one cursor: a sync fetches one
+page and hands it to each device in turn. Runs inside a scenario are
+independent worlds; they share only the scenario seed, from which every run
+derives a labelled sub-stream. What differs per scheme is stated once, in
+the SCHEMES table.
 
 Each field of a scenario file is stated once, with its rule and default, in
 a table that schema.check reads: SCENARIO for the file, RUN for a run,
@@ -53,7 +55,7 @@ SNIFFER = has_role("sniffer")
 DEVICE = {"id": Field(str), "role": Field(one_of(("device", *ROLE_CLIENTS), "role"), "device"),
           "clock_offset_s": Field(int, 0), "mode": Field(MODE, None), "phone": Field(str, None)}
 EDGE = builds(("[a, b, start_s, end_s]", Field(device), Field(device), Field(natural),
-               Field(natural), Field(str, "near")), lambda edge: ContactEdge(*edge))
+               Field(natural)), lambda edge: ContactEdge(*edge))
 INFECTION = {"device": Field(has_role("device")), "report_at": Field(natural)}
 ANALYSIS = {"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
             "social_graph": Field(bool, False),
@@ -136,15 +138,12 @@ class RunResult:
 class _RunState:
     world: World
     server: TracingServer
-    trace: ContactTrace
     scheme: str
     sconf: dict
     clients: dict[str, DeviceClient] = field(default_factory=dict)
     scheme_devices: list[str] = field(default_factory=list)
     reporters: set[str] = field(default_factory=set)
     notified: dict[str, int] = field(default_factory=dict)
-    exposures_by_device: dict[str, int] = field(default_factory=dict)
-    cursors: dict[str, int] = field(default_factory=dict)
     attack_stats: dict = field(default_factory=dict)
     superspreader: dict[str, dict] = field(default_factory=dict)
     tek_index: PublishedTekIndex = field(default_factory=PublishedTekIndex)
@@ -164,7 +163,7 @@ def execute_run(run_cfg: dict, stream: SeedStream) -> RunResult:
                            retention_days=sconf["retention_days"])
     server.clock = lambda: world.now
 
-    state = _RunState(world, server, trace, scheme, sconf)
+    state = _RunState(world, server, scheme, sconf)
     _build_devices(run_cfg, state, stream)
     if attack:
         _install_attack(attack, state, stream)
@@ -185,7 +184,6 @@ def _build_devices(run_cfg: dict, state: _RunState, stream: SeedStream) -> None:
         state.clients[did] = client
         if role == "device":
             state.scheme_devices.append(did)
-            state.cursors[did] = 0
 
 
 def _dh_config(sconf: dict) -> DhConfig:
@@ -229,50 +227,46 @@ def _install_attack(attack: dict, state: _RunState, stream: SeedStream) -> None:
             state.tek_index)
     else:
         state.attack_stats = {}
-
-        def run_claim():
-            state.reporters.add(attack["claimant"])
-            state.attack_stats.update(SCHEMES[state.scheme].fake_claim(state, attack, stream))
-
-        state.world.schedule(attack["at"], run_claim)
+        state.world.schedule(attack["at"], _run_claim, state, attack, stream)
     state.attack_stats["kind"] = kind
+
+
+def _run_claim(state: _RunState, attack: dict, stream: SeedStream) -> None:
+    state.reporters.add(attack["claimant"])
+    state.attack_stats.update(SCHEMES[state.scheme].fake_claim(state, attack, stream))
 
 
 def _schedule_reports(run_cfg: dict, state: _RunState) -> None:
     for infection in run_cfg["infections"]:
-        device = infection["device"]
-        at = infection["report_at"]
+        state.world.schedule(infection["report_at"], _report, state, infection["device"])
 
-        def report(device=device):
-            state.reporters.add(device)
-            tan = state.server.issue_tan(device)
-            bundle = state.clients[device].make_report(tan.value)
-            try:
-                ack = state.server.accept_upload(bundle)
-                state.world.emit("report", {"device": device, "scheme": state.scheme,
-                                            "entries": ack.get("published",
-                                                               ack.get("matched_users", 0)),
-                                            "accepted": True})
-            except UploadRejected as exc:
-                state.world.emit("report", {"device": device, "scheme": state.scheme,
-                                            "accepted": False, "reason": exc.reason})
 
-        state.world.schedule(at, report)
+def _report(state: _RunState, device: str) -> None:
+    state.reporters.add(device)
+    tan = state.server.issue_tan(device)
+    bundle = state.clients[device].make_report(tan.value)
+    try:
+        ack = state.server.accept_upload(bundle)
+        state.world.emit("report", {"device": device, "scheme": state.scheme,
+                                    "entries": ack.get("published", ack.get("matched_users", 0)),
+                                    "accepted": True})
+    except UploadRejected as exc:
+        state.world.emit("report", {"device": device, "scheme": state.scheme,
+                                    "accepted": False, "reason": exc.reason})
 
 
 def _schedule_syncs(run_cfg: dict, state: _RunState) -> None:
     times = sorted({i["report_at"] + SYNC_DELAY_S for i in run_cfg["infections"]}
                    | {run_cfg["duration_s"]})
+    cursor = 0
 
     def sync():
+        # every device has synced up to the same cursor, so one page serves them all
+        nonlocal cursor
+        entries, cursor = state.server.fetch_feed(state.scheme, cursor)
         for did in state.scheme_devices:
-            client = state.clients[did]
-            entries, cursor = state.server.fetch_feed(state.scheme, state.cursors[did])
-            state.cursors[did] = cursor
-            fresh = client.sync(entries, state.world.local_time(did))
-            for exposure in fresh:
+            for exposure in state.clients[did].sync(entries, state.world.local_time(did)):
                 state.notified[did] = state.notified.get(did, 0) + 1
-                state.exposures_by_device[did] = state.exposures_by_device.get(did, 0) + 1
                 state.world.emit("notify", {"device": did, "scheme": state.scheme,
                                             "cause": "exposure_match",
                                             "detail": exposure.as_dict()})
@@ -285,7 +279,7 @@ def _start_dh(run_cfg: dict, state: _RunState) -> None:
     _schedule_syncs(run_cfg, state)
     if run_cfg["analysis"]["superspreader_check"]:
         # proven inside the run, after the final feed sync at the same time
-        state.world.schedule(run_cfg["duration_s"], lambda: _check_superspreaders(run_cfg, state))
+        state.world.schedule(run_cfg["duration_s"], _check_superspreaders, run_cfg, state)
 
 
 def _check_superspreaders(run_cfg: dict, state: _RunState) -> None:
@@ -303,7 +297,7 @@ def _match_history_count(state: _RunState, did: str, threshold: int) -> dict:
 
 
 def _client_count(state: _RunState, did: str, threshold: int) -> dict:
-    count = state.exposures_by_device.get(did, 0)
+    count = state.notified.get(did, 0)     # each notification is one exposure
     return {"warn": count >= threshold, "matches": count, "verified": False,
             "basis": "client-side count, not provable"}
 
@@ -415,7 +409,7 @@ def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation
 
 
 def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
-    trace = state.trace
+    trace = state.world.trace
     analysis = run_cfg["analysis"]
     notified = dict(sorted(state.notified.items()))
     false_devices = sorted(

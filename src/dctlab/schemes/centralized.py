@@ -80,7 +80,6 @@ class CentralRegistry:
         self.users: dict[str, CentralRegistration] = {}
         self.device_of: dict[str, str] = {}
         self._batch_index: dict[bytes, tuple[str, int, bytes, bytes]] = {}
-        self._issued_batches: dict[tuple[str, int], list[dict]] = {}
 
     @property
     def batch_size(self) -> int:
@@ -95,12 +94,11 @@ class CentralRegistry:
         return reg
 
     def issue_batch(self, user_id: str, day: int) -> list[dict]:
-        """Pre-generated identifiers for one day (bluetrace pull)."""
+        """Pre-generated identifiers for one day (bluetrace pull). A client
+        pulls each day once; a repeat pull derives the same entries again from
+        the day's own stream."""
         if user_id not in self.users:
             raise ProtocolError(f"unknown user {user_id}")
-        cached = self._issued_batches.get((user_id, day))
-        if cached is not None:
-            return cached
         batch = []
         base = day * self.batch_size
         batch_stream = self.stream.child(f"batch:{user_id}:{day}")
@@ -112,7 +110,6 @@ class CentralRegistry:
             self._batch_index[ident.bytes] = (user_id, t_k, iv, auth_tag)
             batch.append({"id_hex": ident.hex, "t_k": t_k,
                           "valid_from": ident.valid_from, "valid_to": ident.valid_to})
-        self._issued_batches[(user_id, day)] = batch
         return batch
 
     def owners(self, lo: int, hi: int) -> dict[bytes, str]:

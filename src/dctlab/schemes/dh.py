@@ -70,15 +70,6 @@ class EncounterRecord:
 
 
 @dataclass(frozen=True)
-class DhUploadEntry:
-    token_hash: bytes
-    sealed_meta: bytes
-
-    def as_dict(self) -> dict:
-        return {"hash_hex": self.token_hash.hex(), "meta_b64": b64(self.sealed_meta)}
-
-
-@dataclass(frozen=True)
 class DhExposure:
     token_hash_hex: str
     delta_s: int
@@ -107,11 +98,10 @@ def report_infection_dh(records: list[EncounterRecord], tan: str,
                         anonymized_upload: bool = False) -> dict:
     """Upload bundle: token hash + sealed handshake timestamp per encounter.
     Raw token bytes never appear here."""
-    entries = [DhUploadEntry(hash_token(r.token),
-                             seal_timestamp(r.token, r.my_timestamp))
-               for r in records]
     return {"scheme": "dh", "tan": tan, "anonymized": anonymized_upload,
-            "entries": [e.as_dict() for e in entries]}
+            "entries": [{"hash_hex": hash_token(r.token).hex(),
+                         "meta_b64": b64(seal_timestamp(r.token, r.my_timestamp))}
+                        for r in records]}
 
 
 def match_exposures_dh(records: list[EncounterRecord], published: list[dict],

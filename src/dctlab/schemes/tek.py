@@ -170,7 +170,6 @@ def _slot_distance(seen_at: int, valid_from: int, valid_to: int) -> int:
 
 def match_exposures(log: SightingLog, published: list[PublishedTek],
                     validity_window_s: int = DEFAULT_VALIDITY_WINDOW_S,
-                    strict_freshness: bool = False,
                     watermarks: dict[str, int] | None = None,
                     index: PublishedTekIndex | None = None) -> list[Exposure]:
     """Intersect the sighting log with the identifier schedules of published
@@ -180,18 +179,16 @@ def match_exposures(log: SightingLog, published: list[PublishedTek],
     first in-window sighting in log order decides. Exposures come in
     publication order, then slot order.
 
-    With strict_freshness, a watermark map (tek_hex -> log length when the
-    key first arrived) is required and sightings at or past the watermark
-    are ignored for that key. Schedules come from index (a private one when
-    None).
+    watermarks pins keys to the strict-freshness fix: tek_hex -> the log
+    length when the key first arrived, and sightings at or past a key's
+    watermark are ignored for it. None pins no key, and neither does a map
+    without the key. Schedules come from index (a private one when None).
     """
-    if strict_freshness and watermarks is None:
-        raise ValueError("strict_freshness requires first-sight watermarks")
     index = index or PublishedTekIndex()
     out: list[Exposure] = []
     seen_keys: set[tuple] = set()
     for pub in published:
-        cutoff = watermarks.get(pub.tek.hex) if strict_freshness else None
+        cutoff = watermarks.get(pub.tek.hex) if watermarks is not None else None
         for slot, ident in enumerate(index.schedule(pub)):
             for s in log.sightings_of(ident.bytes):
                 if cutoff is not None and s.seq >= cutoff:
@@ -204,13 +201,6 @@ def match_exposures(log: SightingLog, published: list[PublishedTek],
                     out.append(exp)
                 break
     return out
-
-
-def risk_summary(exposures: list[Exposure]) -> dict:
-    days: dict[int, int] = {}
-    for e in exposures:
-        days[e.day_index] = days.get(e.day_index, 0) + 1
-    return {"count": len(exposures), "days": {str(d): days[d] for d in sorted(days)}}
 
 
 class TekClient(DeviceClient):
@@ -265,8 +255,7 @@ class TekClient(DeviceClient):
         exposures = match_exposures(self.log,
                                     [p for p in self.known_published if p.tek.hex not in own],
                                     self.validity_window_s,
-                                    self.strict_freshness,
-                                    self.watermarks,
+                                    self.watermarks if self.strict_freshness else None,
                                     self.index)
         fresh = [e for e in exposures if e.key not in self._notified]
         self._notified.update(e.key for e in fresh)

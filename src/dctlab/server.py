@@ -89,7 +89,7 @@ class PublicationFeed:
 
     def page(self, since_cursor: int) -> tuple[list[dict], int]:
         entries = self.entries[since_cursor:]
-        return list(entries), since_cursor + len(entries)
+        return entries, since_cursor + len(entries)
 
 
 class TracingServer:
@@ -243,7 +243,7 @@ class TracingServer:
         now = self.clock()
         published = [{"hash_hex": e["hash_hex"], "meta_b64": e["meta_b64"],
                       "published_at": now} for e in bundle["entries"]]
-        if bundle.get("anonymized"):
+        if bundle["anonymized"]:
             # postbox model: drop bundle grouping by shuffling before
             # publication; the cryptographic mixing itself is out of scope
             self._shuffle_stream.shuffle(published)
@@ -277,7 +277,8 @@ class TracingServer:
     # unbound so that a server holds no reference to itself
     _uploads = {
         "tek": ({"teks": Field([TEK_ENTRY])}, _check_tek_span, _accept_tek),
-        "dh": ({"entries": Field([DH_ENTRY])}, lambda self, bundle: None, _accept_dh),
+        "dh": ({"entries": Field([DH_ENTRY]), "anonymized": Field(bool, False)},
+               lambda self, bundle: None, _accept_dh),
         "centralized": ({"records": Field([RECORD])}, _check_registry, _accept_centralized),
     }
 

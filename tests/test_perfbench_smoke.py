@@ -22,3 +22,18 @@ def test_pop_tek_tiny_run_is_correct():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_every_trace_target_exists(monkeypatch):
+    """A function the traced run wraps that was renamed or removed would only
+    be reported as "trace targets not found" by the benchmark; fail here."""
+    import importlib
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    for _, module, *_ in tracing.LAYER_TABLE:
+        importlib.import_module(module)
+    recorder = tracing.Recorder().install()
+    try:
+        assert recorder.missing == []
+    finally:
+        recorder.uninstall()

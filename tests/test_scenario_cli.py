@@ -225,6 +225,8 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
      "runs[1].scheme_config.rotation_s: expected a positive integer of at least 60"),
     (("scheme", "scheme_config"), ("centralized", {"rotation_s": 1}),
      "runs[1].scheme_config.rotation_s: expected a positive integer of at least 60"),
+    ("contact_trace", [["a", "b", 0, 600], ["a", "b", 600, 900, "near"]],
+     "runs[1].contact_trace[1]: expected [a, b, start_s, end_s]"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")
@@ -274,6 +276,26 @@ def test_scenario_file_that_is_not_an_object_is_a_scenario_error(tmp_path, capsy
         load_scenario(path)
     assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: scenario {path}: the input: expected")
+
+
+class _UnreadableResource:
+    """A package resource that cannot be read, as in a package installed
+    without its data files."""
+
+    name = "unreadable.json"
+
+    def __truediv__(self, child):
+        return self
+
+    def read_bytes(self):
+        raise FileNotFoundError("no such resource")
+
+
+def test_unreadable_bundled_scenario_exits_2(monkeypatch, tmp_path, capsys):
+    from dctlab import cli
+    monkeypatch.setattr(cli.resources, "files", lambda package: _UnreadableResource())
+    assert main(["--suite", "standard", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read bundled scenario relay_centralized")
 
 
 def test_duplicate_run_labels_are_rejected_before_any_run_executes(monkeypatch):

@@ -122,7 +122,7 @@ def test_client_identifier_cache_matches_derivation_and_batches(monkeypatch, var
             if variant == VARIANT_PEPP_PT:
                 assert got == derive_centralized_id(uid, t_k).bytes
             else:
-                batch = registry._issued_batches[(uid, t // DAY_S)]
+                batch = issue(uid, t // DAY_S)
                 assert got.hex() == next(e["id_hex"] for e in batch if e["t_k"] == t_k)
     windows = {t // 900 for t in times}
     if variant == VARIANT_PEPP_PT:

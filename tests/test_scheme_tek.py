@@ -7,7 +7,6 @@ from dctlab.schemes.tek import (
     TekStore,
     match_exposures,
     publish_keys,
-    risk_summary,
 )
 
 
@@ -93,12 +92,10 @@ def test_kiss_same_day_replay_and_strict_fix():
     log.append(ident.bytes, seen_at=10 * 600 + 50, global_at=10 * 600 + 50)
     published = [PublishedTek(tek, published_at=10 * 600)]
     assert len(match_exposures(log, published)) == 1  # default: accepted
-    assert match_exposures(log, published, strict_freshness=True,
-                           watermarks=watermarks) == []
+    assert match_exposures(log, published, watermarks=watermarks) == []
 
 
-def test_risk_summary_buckets():
-    assert risk_summary([]) == {"count": 0, "days": {}}
+def test_exposures_by_day_and_slot():
     tek0, tek1 = make_tek(1, 0), make_tek(2, 1)
     log = SightingLog()
     for tek, slots in ((tek0, (1, 2)), (tek1, (3,))):
@@ -106,11 +103,7 @@ def test_risk_summary_buckets():
             ident = derive_day_identifiers(tek)[slot]
             log.append(ident.bytes, ident.valid_from + 1, 0)
     exposures = match_exposures(log, [PublishedTek(tek0, 0), PublishedTek(tek1, 0)])
-    summary = risk_summary(exposures)
-    assert summary["count"] == 3
-    assert summary["days"] == {"0": 2, "1": 1}
-    # recount oracle
-    assert summary["count"] == sum(summary["days"].values())
+    assert [(e.day_index, e.slot) for e in exposures] == [(0, 1), (0, 2), (1, 3)]
 
 
 def test_client_schedule_and_sync_dedupe():

@@ -115,6 +115,10 @@ def test_malformed_dh_upload_keeps_its_tan(tmp_path):
     with pytest.raises(UploadRejected, match=r"entries\[1\] is missing the 'hash_hex' field"):
         server.accept_upload({"scheme": "dh", "tan": tan.value,
                               "entries": [good, {"meta_b64": good["meta_b64"]}]})
+    for flag in ("no", 1):
+        with pytest.raises(UploadRejected, match=r"^malformed bundle: bundle\.anonymized: "):
+            server.accept_upload({"scheme": "dh", "tan": tan.value, "anonymized": flag,
+                                  "entries": [good]})
     assert not server.tans[tan.value].used
     assert server.fetch_feed("dh") == ([], 0)
     reborn = make_server(state_dir=tmp_path)

@@ -140,10 +140,11 @@ def test_index_matcher_equals_brute_force(sightings, published, validity_window_
     watermarks = {POOL[k].hex(): v for k, v in marks.items()}
     want = reference_match_exposures(log, published, validity_window_s, strict, watermarks)
     index = preloaded_index(preload)
-    got = match_exposures(log, published, validity_window_s, strict, watermarks, index)
+    pins = watermarks if strict else None
+    got = match_exposures(log, published, validity_window_s, pins, index)
     assert got == want
     # a second pass over the warm index changes nothing
-    assert match_exposures(log, published, validity_window_s, strict, watermarks, index) == want
+    assert match_exposures(log, published, validity_window_s, pins, index) == want
 
 
 feed_entry = st.builds(lambda k, d, at: {"tek_hex": POOL[k].hex(), "day": d, "published_at": at},
