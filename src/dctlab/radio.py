@@ -20,6 +20,11 @@ Modeling choices:
 * Every device has its own clock: local = global + offset. Scheme code only
   ever sees local time. Changing a clock mid-run requires the scenario to
   grant the "clock" capability.
+
+Each event goes, as it is emitted, to the world's sink: a callable given to
+World that takes the SimEvent. Without one, the sink is world.events.append,
+so the world keeps its whole log; with one, world.events stays empty and
+the world holds no event.
 """
 
 from __future__ import annotations
@@ -204,14 +209,16 @@ class Connection:
 
 class World:
     def __init__(self, trace: ContactTrace, stream: SeedStream, *, link_rotation_s: int = 900,
-                 capabilities: tuple[str, ...] = (), irk_linkable: bool = False):
+                 capabilities: tuple[str, ...] = (), irk_linkable: bool = False,
+                 sink: Callable[[SimEvent], object] | None = None):
         self.trace = trace
         self.stream = stream
         self.link_rotation_s = link_rotation_s
         self.capabilities = set(capabilities)
         self.irk_linkable = irk_linkable
         self.devices: dict[str, Device] = {}
-        self.events: list[SimEvent] = []
+        self.events: list[SimEvent] = []     # filled only by the default sink
+        self._sink = sink or self.events.append
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
         self._heap: list = []
@@ -252,7 +259,7 @@ class World:
     def emit(self, kind: str, payload: dict) -> SimEvent:
         assert kind in EVENT_KINDS, kind
         ev = SimEvent(self.now, self._next_seq(), kind, payload)
-        self.events.append(ev)
+        self._sink(ev)
         return ev
 
     def _start(self) -> None:
@@ -266,7 +273,8 @@ class World:
 
     def step(self, until_s: int | None = None) -> list[SimEvent]:
         """Process all scheduled work at times <= until_s, or all of it when
-        until_s is None; returns the events emitted by this call."""
+        until_s is None; returns the events this call added to world.events,
+        which is none when the world has a sink of its own."""
         self._start()
         mark = len(self.events)
         limit = float("inf") if until_s is None else until_s

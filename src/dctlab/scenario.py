@@ -24,7 +24,10 @@ as ScenarioError.
 
 Outputs per scenario: events.jsonl (every SimEvent of every run, tagged with
 the run label) and metrics.json. Identical (scenario, seed) pairs produce
-byte-identical outputs.
+byte-identical outputs. Each event is written as it is emitted, to
+events.jsonl.tmp, which becomes events.jsonl when the last run has finished
+and before metrics.json is written; no run holds its events. A run that
+raises leaves no new output behind.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from pathlib import Path
 from . import adversary
 from .crypto_core import DAY_S, GroupParams
 from .errors import FieldError, ScenarioError, UploadRejected
-from .radio import ContactEdge, ContactTrace, DeviceClient, World
+from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World
 from .rng import SeedStream
 from .schema import (Field, builds, check, device, fault, has_role, natural, one_of, positive,
                      predicate, tagged)
@@ -149,7 +152,10 @@ class _RunState:
     tek_index: PublishedTekIndex = field(default_factory=PublishedTekIndex)
 
 
-def execute_run(run_cfg: dict, stream: SeedStream) -> RunResult:
+def execute_run(run_cfg: dict, stream: SeedStream,
+                sink: Callable[[SimEvent], object] | None = None) -> RunResult:
+    """Build and drain one run's world. Its events go to sink as they are
+    emitted; without one, RunResult.events holds them all."""
     run_cfg = _check_run(run_cfg, ("run",))
     scheme, sconf, attack = run_cfg["scheme"], run_cfg["scheme_config"], run_cfg["attack"]
 
@@ -157,7 +163,7 @@ def execute_run(run_cfg: dict, stream: SeedStream) -> RunResult:
     capabilities = ("clock",) if attack and attack["kind"] == "time_travel" else ()
     world = World(trace, stream.child("world"),
                   link_rotation_s=sconf["rotation_s"], capabilities=capabilities,
-                  irk_linkable=run_cfg["irk_linkable"])
+                  irk_linkable=run_cfg["irk_linkable"], sink=sink)
 
     server = TracingServer(stream.child("server"), registry=SCHEMES[scheme].registry(sconf, stream),
                            retention_days=sconf["retention_days"])
@@ -466,28 +472,49 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
     return metrics
 
 
+def _discard(ev: SimEvent) -> None:
+    """The sink of a run whose events are written nowhere."""
+
+
 def run_scenario(scenario: dict, seed: int | None = None,
                  out_dir: str | Path | None = None) -> dict:
     """Execute every run of a scenario; optionally write events.jsonl and
     metrics.json under out_dir. Returns the metrics document. A field that
     breaks SCENARIO raises FieldError naming its JSON path before any run
-    executes."""
+    executes. Events are streamed to events.jsonl.tmp, renamed only once
+    every run has finished; a run that raises deletes it, and out_dir if
+    this call made it, and leaves what out_dir held untouched."""
     scenario = check(scenario, SCENARIO)
     sid = scenario["id"]
     seed = scenario["seed"] if seed is None else seed
     root = SeedStream(seed, sid)
-    lines: list[str] = []      # filled only when there is somewhere to write them
     runs_metrics: dict[str, dict] = {}
-    for run_cfg in scenario["runs"]:
-        result = execute_run(run_cfg, root.child(run_cfg["label"]))
-        if out_dir is not None:
-            lines.extend(ev.to_json_line(result.label) for ev in result.events)
-        runs_metrics[result.label] = result.metrics
+    if out_dir is None:
+        for run_cfg in scenario["runs"]:
+            result = execute_run(run_cfg, root.child(run_cfg["label"]), _discard)
+            runs_metrics[result.label] = result.metrics
+        return {"scenario": sid, "seed": seed, "runs": runs_metrics}
+
+    out = Path(out_dir)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    tmp = out / "events.jsonl.tmp"
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            for run_cfg in scenario["runs"]:
+                label = run_cfg["label"]
+                result = execute_run(run_cfg, root.child(label),
+                                     lambda ev: fh.write(ev.to_json_line(label) + "\n"))
+                runs_metrics[label] = result.metrics
+            if fh.tell() == 0:
+                fh.write("\n")     # an empty log is one newline, as "\n".join([]) + "\n"
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        if made:
+            out.rmdir()     # made for this scenario, and empty again
+        raise
+    tmp.replace(out / "events.jsonl")
     metrics = {"scenario": sid, "seed": seed, "runs": runs_metrics}
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "events.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (out / "metrics.json").write_text(
-            json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "metrics.json").write_text(
+        json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return metrics

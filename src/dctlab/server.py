@@ -78,14 +78,21 @@ class Tan:
 
 
 class PublicationFeed:
-    """Append-only entry list with cursor paging."""
+    """Append-only entry list with cursor paging, and the set of the
+    hash_hex strings its entries carry (none for a TEK feed), which a
+    superspreader proof reads."""
 
     def __init__(self):
         self.entries: list[dict] = []
+        self.hashes: set[str] = set()
         self.superspreader_tags: set[str] = set()
 
     def append(self, entry: dict) -> None:
         self.entries.append(entry)
+        # a replayed entry is not checked, so it may carry no hash, or not a string
+        h = entry.get("hash_hex") if type(entry) is dict else None
+        if type(h) is str:
+            self.hashes.add(h)
 
     def page(self, since_cursor: int) -> tuple[list[dict], int]:
         entries = self.entries[since_cursor:]
@@ -160,7 +167,8 @@ class TracingServer:
     def _replay_state(self) -> None:
         # feed entries replay unchecked: the clients skip and count a bad one
         for scheme in ("tek", "dh"):
-            self.feeds[scheme].entries.extend(self._read_state(f"feed_{scheme}.jsonl"))
+            for entry in self._read_state(f"feed_{scheme}.jsonl"):
+                self.feeds[scheme].append(entry)
         for rec in self._read_state("tans.jsonl", TAN_LOG, self.tans):
             if rec["event"] == "issue":
                 self.tans[rec["value"]] = Tan(rec["value"], rec["issued_to"])
@@ -301,14 +309,14 @@ class TracingServer:
             hashes = [hashlib.sha256(decode(raw)).hexdigest() for raw in proof["tokens"]]
         except ValueError as exc:
             raise UploadRejected(f"malformed proof: a token does not decode: {exc}")
+        feed = self.feeds["dh"]
         with self._lock:
-            published = {e["hash_hex"] for e in self.feeds["dh"].entries}
             accepted = 0
             for h in hashes:
-                if h in published:
+                if h in feed.hashes:
                     accepted += 1
-                    if h not in self.feeds["dh"].superspreader_tags:
-                        self.feeds["dh"].superspreader_tags.add(h)
+                    if h not in feed.superspreader_tags:
+                        feed.superspreader_tags.add(h)
                         self._append_state("tags.jsonl", {"hash_hex": h})
             return accepted
 

@@ -261,6 +261,36 @@ def test_superspreader_proof_verification():
     assert server.verify_superspreader_proof({"tokens": [], "encoding": "b64"}) == 0
 
 
+def test_superspreader_proof_reads_the_feed_hash_index_after_a_restart(tmp_path):
+    # the proof counts against the hash set the feed keeps as entries are
+    # appended; a replayed feed fills it the same way, and a replayed entry
+    # that carries no usable hash is left out of it rather than breaking it
+    group = GroupParams.production()
+    server = make_server(state_dir=tmp_path)
+    stream = SeedStream(32, "ss")
+    tokens = [dh_token(keygen(group, stream.child(f"a{i}"), 0).secret,
+                       keygen(group, stream.child(f"b{i}"), 0).public, group) for i in range(3)]
+    entries = [{"hash_hex": hash_token(t).hex(), "meta_b64": b64(b"m" * 40)} for t in tokens]
+    tan = server.issue_tan("inf")
+    server.accept_upload({"scheme": "dh", "tan": tan.value, "entries": entries[:2]})
+    assert server.feeds["dh"].hashes == {e["hash_hex"] for e in entries[:2]}
+    assert server.feeds["tek"].hashes == set()
+
+    proof = encode_proof(tokens, group)
+    assert server.verify_superspreader_proof(proof) == 2
+    tags = (tmp_path / "tags.jsonl").read_bytes()
+    assert server.verify_superspreader_proof(proof) == 2     # tagged once, counted again
+    assert (tmp_path / "tags.jsonl").read_bytes() == tags
+
+    with (tmp_path / "feed_dh.jsonl").open("a", encoding="utf-8") as fh:
+        fh.write('[1]\n{"hash_hex": 7}\n{"meta_b64": "AA=="}\n')
+    reborn = make_server(state_dir=tmp_path)
+    assert reborn.feeds["dh"].hashes == server.feeds["dh"].hashes
+    assert reborn.feeds["dh"].superspreader_tags == server.feeds["dh"].superspreader_tags
+    assert reborn.verify_superspreader_proof(proof) == 2
+    assert (tmp_path / "tags.jsonl").read_bytes() == tags
+
+
 # -- upload property ----------------------------------------------------------------
 
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(0, 1),
