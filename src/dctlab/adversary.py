@@ -204,15 +204,15 @@ def install_time_travel(world: World, server: TracingServer, attack: TimeTravelA
         if scheme == "tek":
             published = index.ingest_all(server.fetch_feed("tek")[0])
             if published:
-                pub = published[0]
+                tek = published[0]
                 victim_local = world.local_time(attack.victim)
                 slot = (victim_local % DAY_S) // IDENTIFIER_SLOT_S
                 day_of_victim = victim_local // DAY_S
-                if day_of_victim == pub.tek.day_index:
-                    ident = index.schedule(pub)[slot]
-                    replayer.payload = ident.bytes
+                if day_of_victim == tek.day_index:
+                    ident = index.identifiers(tek)[slot]
+                    replayer.payload = ident
                     stats["armed"] = True
-                    stats["replayed_id"] = ident.hex
+                    stats["replayed_id"] = ident.hex()
         else:
             # nothing derivable from hash-only or unpublished feeds; beacon noise
             replayer.payload = world.stream.child("tt:noise").take(16)
@@ -303,10 +303,10 @@ def fake_claim_tek(server: TracingServer, claimant_local_t: int,
     index = tek_index or PublishedTekIndex()
     published = index.ingest_all(server.fetch_feed("tek")[0])
     log = SightingLog()
-    for pub in published:
-        schedule = index.schedule(pub)
-        ident = schedule[min((claimant_local_t % DAY_S) // IDENTIFIER_SLOT_S, len(schedule) - 1)]
-        log.append(ident.bytes, seen_at=ident.valid_from + 30, global_at=claimant_local_t)
+    slot = (claimant_local_t % DAY_S) // IDENTIFIER_SLOT_S
+    for tek in published:
+        log.append(index.identifiers(tek)[slot],
+                   seen_at=tek.day_index * DAY_S + slot * IDENTIFIER_SLOT_S + 30)
     exposures = match_exposures(log, published, index=index)
     return {"accepted": len(exposures) > 0, "fabricated_exposures": len(exposures)}
 

@@ -5,14 +5,19 @@ derived identifier for the current 10-minute slot. On infection the daily
 keys themselves are published, so matching happens on the phone: derive the
 144 identifiers of each published key and intersect with the sighting log.
 
-A published key's schedule is derived once per run, not once per device and
-sync. ``PublishedTekIndex`` holds every published key a run has ingested:
-tek_hex -> (PublishedTek, its 144-identifier schedule), and identifier bytes
--> (tek_hex, slot). One index is shared by every client of a run and by the
-adversary analyses; a client built without one keeps a private index.
-Ingestion skips (and counts) a feed entry that breaks TEK_ENTRY, the table
-an upload's daily keys are checked against too, so one bad entry cannot
-break matching for anyone.
+A published key's identifiers are derived once per run, not once per device
+and sync. ``PublishedTekIndex`` holds every published key a run has ingested:
+tek_hex -> its 144 identifier bytes, and identifier bytes -> (tek_hex, slot).
+The bytes depend on the key alone; a slot's validity window follows from the
+day a key is published under and the slot. One index is shared by every
+client of a run and by the adversary analyses; a client built without one
+keeps a private index. Ingestion skips (and counts) a feed entry that breaks
+TEK_ENTRY, the table an upload's daily keys are checked against too, so one
+bad entry cannot break matching for anyone.
+
+Matching walks the join from the small side: each distinct identifier in a
+sighting log is looked up in the index, since a log holds a few dozen of
+them and every published key holds 144.
 
 The weaknesses the adversary lab exercises are reproduced deliberately:
 
@@ -23,7 +28,7 @@ The weaknesses the adversary lab exercises are reproduced deliberately:
   straight from the public feed (fake exposure claims, same-day replays).
 
 The optional strict-freshness fix pins every published key to the length of
-the sighting log at the moment the key first arrived in a feed sync; entries
+the sighting log at the moment the key first arrived in a feed sync; sightings
 appended after that cannot match the key. The pin is an append-order
 watermark, not a timestamp, so it holds even when the device clock has been
 manipulated. It ships off by default, mirroring deployed behavior.
@@ -32,8 +37,9 @@ manipulated. It ships off by default, mirroring deployed behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, Identifier, Tek, derive_day_identifiers
+from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, Tek, derive_day_identifiers
 from ..radio import DeviceClient
 from ..rng import SeedStream
 from ..schema import Field, hex_of, natural, passes
@@ -61,35 +67,29 @@ class TekStore:
         return [self.teks[d] for d in sorted(self.teks)]
 
 
-@dataclass(frozen=True)
-class Sighting:
-    identifier: bytes
+class Sighting(NamedTuple):
     seen_at: int    # local clock at record time; this is what matching uses
     seq: int        # append order, immune to clock manipulation
-    global_at: int  # simulator ground truth, never consulted by the scheme
 
 
 class SightingLog:
-    """Append-only within a run."""
+    """Append-only within a run. by_identifier maps identifier bytes to that
+    identifier's sightings in append order; each sighting is held there once.
+    len() counts every sighting appended, so it is the next one's seq."""
 
     def __init__(self):
-        self.entries: list[Sighting] = []
-        self._by_id: dict[bytes, list[Sighting]] = {}
+        self.by_identifier: dict[bytes, list[Sighting]] = {}
+        self._count = 0
 
-    def append(self, identifier: bytes, seen_at: int, global_at: int) -> Sighting:
-        s = Sighting(identifier, seen_at, len(self.entries), global_at)
-        self.entries.append(s)
-        self._by_id.setdefault(identifier, []).append(s)
-        return s
+    def __len__(self) -> int:
+        return self._count
+
+    def append(self, identifier: bytes, seen_at: int) -> None:
+        self.by_identifier.setdefault(identifier, []).append(Sighting(seen_at, self._count))
+        self._count += 1
 
     def sightings_of(self, identifier: bytes) -> list[Sighting]:
-        return self._by_id.get(identifier, [])
-
-
-@dataclass(frozen=True)
-class PublishedTek:
-    tek: Tek
-    published_at: int
+        return self.by_identifier.get(identifier, [])
 
 
 @dataclass(frozen=True)
@@ -109,46 +109,39 @@ class Exposure:
 
 
 class PublishedTekIndex:
-    """Every published daily key one run has seen, each schedule derived once.
+    """Every published daily key one run has seen, each derived once.
 
-    by_hex maps tek_hex to the first PublishedTek indexed under it and that
-    key's identifier schedule; by_identifier maps each identifier's bytes to
-    (tek_hex, slot). skipped counts the malformed entries handed to ingest.
+    by_hex maps tek_hex to the key's 144 identifier bytes in slot order, held
+    once however many days the key is published under; by_identifier maps
+    each identifier's bytes to (tek_hex, slot). skipped counts the malformed
+    feed items handed to ingest.
     """
 
     def __init__(self):
-        self.by_hex: dict[str, tuple[PublishedTek, list[Identifier]]] = {}
+        self.by_hex: dict[str, list[bytes]] = {}
         self.by_identifier: dict[bytes, tuple[str, int]] = {}
         self.skipped = 0
 
-    def schedule(self, pub: PublishedTek) -> list[Identifier]:
-        """The 144 identifiers of pub's key, as derive_day_identifiers gives them."""
-        tek = pub.tek
-        hit = self.by_hex.get(tek.hex)
-        if hit is None:
-            hit = self.by_hex[tek.hex] = (pub, derive_day_identifiers(tek))
-            for slot, ident in enumerate(hit[1]):
-                self.by_identifier.setdefault(ident.bytes, (tek.hex, slot))
-        indexed, schedule = hit
-        shift = (tek.day_index - indexed.tek.day_index) * DAY_S
-        if shift:
-            # the identifier bytes depend on the key alone, the windows on its day
-            return [Identifier(i.bytes, i.valid_from + shift, i.valid_to + shift)
-                    for i in schedule]
-        return schedule
+    def identifiers(self, tek: Tek) -> list[bytes]:
+        """The 144 identifier bytes of tek's key, slot by slot."""
+        idents = self.by_hex.get(tek.hex)
+        if idents is None:
+            idents = self.by_hex[tek.hex] = [i.bytes for i in derive_day_identifiers(tek)]
+            for slot, ident in enumerate(idents):
+                self.by_identifier.setdefault(ident, (tek.hex, slot))
+        return idents
 
-    def ingest(self, entry) -> PublishedTek | None:
-        """Index one feed entry and return it, or None if it breaks TEK_ENTRY."""
+    def ingest(self, entry) -> Tek | None:
+        """Index one feed entry and return its key, or None if it breaks TEK_ENTRY."""
         if not passes(entry, TEK_ENTRY):
             self.skipped += 1
             return None
-        pub = PublishedTek(Tek(bytes.fromhex(entry["tek_hex"]), entry["day"]),
-                           entry.get("published_at", 0))
-        self.schedule(pub)
-        return pub
+        tek = Tek(bytes.fromhex(entry["tek_hex"]), entry["day"])
+        self.identifiers(tek)
+        return tek
 
-    def ingest_all(self, entries: list) -> list[PublishedTek]:
-        return [pub for pub in map(self.ingest, entries) if pub is not None]
+    def ingest_all(self, feed: list) -> list[Tek]:
+        return [tek for tek in map(self.ingest, feed) if tek is not None]
 
 
 def publish_keys(store: TekStore, tan: str) -> dict:
@@ -160,47 +153,46 @@ def publish_keys(store: TekStore, tan: str) -> dict:
     }
 
 
-def _slot_distance(seen_at: int, valid_from: int, valid_to: int) -> int:
-    if seen_at < valid_from:
-        return valid_from - seen_at
-    if seen_at >= valid_to:
-        return seen_at - (valid_to - 1)
-    return 0
+def _slot_distance(seen_at: int, slot_start: int) -> int:
+    """How far seen_at lies outside the identifier slot opening at slot_start."""
+    return max(slot_start - seen_at, seen_at - (slot_start + IDENTIFIER_SLOT_S - 1), 0)
 
 
-def match_exposures(log: SightingLog, published: list[PublishedTek],
+def match_exposures(log: SightingLog, published: list[Tek],
                     validity_window_s: int = DEFAULT_VALIDITY_WINDOW_S,
                     watermarks: dict[str, int] | None = None,
                     index: PublishedTekIndex | None = None) -> list[Exposure]:
-    """Intersect the sighting log with the identifier schedules of published
-    keys. A sighting matches when the bytes are equal and its recorded local
-    time lies within validity_window_s of the identifier's nominal slot.
-    One exposure per matched (key, slot), not per sighting; for each slot the
-    first in-window sighting in log order decides. Exposures come in
-    publication order, then slot order.
+    """Intersect the sighting log with the identifiers of published keys. A
+    sighting matches when the bytes are equal and its recorded local time
+    lies within validity_window_s of the identifier's nominal slot on the
+    day the key is published under. One exposure per matched (key, slot),
+    not per sighting; for each slot the first in-window sighting in log
+    order decides. Exposures come in publication order, then slot order.
 
     watermarks pins keys to the strict-freshness fix: tek_hex -> the log
     length when the key first arrived, and sightings at or past a key's
     watermark are ignored for it. None pins no key, and neither does a map
-    without the key. Schedules come from index (a private one when None).
+    without the key. Identifiers come from index (a private one when None).
     """
     index = index or PublishedTekIndex()
-    out: list[Exposure] = []
-    seen_keys: set[tuple] = set()
-    for pub in published:
-        cutoff = watermarks.get(pub.tek.hex) if watermarks is not None else None
-        for slot, ident in enumerate(index.schedule(pub)):
-            for s in log.sightings_of(ident.bytes):
-                if cutoff is not None and s.seq >= cutoff:
-                    continue
-                if _slot_distance(s.seen_at, ident.valid_from, ident.valid_to) > validity_window_s:
-                    continue
-                exp = Exposure(pub.tek.hex, pub.tek.day_index, slot, s.seen_at)
-                if exp.key not in seen_keys:
-                    seen_keys.add(exp.key)
-                    out.append(exp)
+    positions: dict[str, list[int]] = {}
+    for pos, tek in enumerate(published):
+        index.identifiers(tek)
+        positions.setdefault(tek.hex, []).append(pos)
+    found = []   # (position, slot, seen_at)
+    for ident, sightings in log.by_identifier.items():
+        tek_hex, slot = index.by_identifier.get(ident, (None, 0))
+        cutoff = (watermarks or {}).get(tek_hex, len(log))
+        # a key listed more than once counts under the first listing that matches
+        for pos in positions.get(tek_hex, ()):
+            slot_start = published[pos].day_index * DAY_S + slot * IDENTIFIER_SLOT_S
+            seen_at = next((at for at, seq in sightings if seq < cutoff
+                            and _slot_distance(at, slot_start) <= validity_window_s), None)
+            if seen_at is not None:
+                found.append((pos, slot, seen_at))
                 break
-    return out
+    return [Exposure(published[pos].hex, published[pos].day_index, slot, seen_at)
+            for pos, slot, seen_at in sorted(found)]
 
 
 class TekClient(DeviceClient):
@@ -213,16 +205,20 @@ class TekClient(DeviceClient):
         self.store = TekStore(retention_days=retention_days)
         self.log = SightingLog()
         self.watermarks: dict[str, int] = {}
-        self.known_published: list[PublishedTek] = []
+        self.known_published: list[Tek] = []
         self.reported = False
         self.index = index or PublishedTekIndex()
         self._schedules: dict[int, list] = {}
         self._notified: set[tuple] = set()
 
     def tek_for_day(self, day: int) -> Tek:
-        if day not in self.store.teks:
-            self.store.add(Tek(self.stream.child(f"tek:{day}").take(16), day))
-        return self.store.teks[day]
+        """The day's key. A day older than every retained one is pruned as
+        soon as it is stored; its stream gives the same bytes each time."""
+        tek = self.store.teks.get(day)
+        if tek is None:
+            tek = Tek(self.stream.child(f"tek:{day}").take(16), day)
+            self.store.add(tek)
+        return tek
 
     def _schedule_for(self, day: int) -> list:
         if day not in self._schedules:
@@ -236,7 +232,7 @@ class TekClient(DeviceClient):
         return self._schedule_for(day)[within // IDENTIFIER_SLOT_S].bytes
 
     def on_sighting(self, identifier: bytes, link_addr: bytes, local_t: int, global_t: int) -> None:
-        self.log.append(identifier, local_t, global_t)
+        self.log.append(identifier, local_t)
 
     def make_report(self, tan: str) -> dict:
         self.reported = True
@@ -244,16 +240,16 @@ class TekClient(DeviceClient):
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[Exposure]:
         """Ingest new feed entries and return not-yet-seen exposures."""
-        known = {p.tek.hex for p in self.known_published}
+        known = {t.hex for t in self.known_published}
         for e in feed_entries:
-            pub = self.index.ingest(e)
-            if pub is None or pub.tek.hex in known:
+            tek = self.index.ingest(e)
+            if tek is None or tek.hex in known:
                 continue
-            self.known_published.append(pub)
-            self.watermarks.setdefault(pub.tek.hex, len(self.log.entries))
+            self.known_published.append(tek)
+            self.watermarks.setdefault(tek.hex, len(self.log))
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
-                                    [p for p in self.known_published if p.tek.hex not in own],
+                                    [t for t in self.known_published if t.hex not in own],
                                     self.validity_window_s,
                                     self.watermarks if self.strict_freshness else None,
                                     self.index)

@@ -8,7 +8,7 @@ from dctlab.rng import SeedStream
 from dctlab.cli import builtin_scenario
 from dctlab.scenario import execute_run
 from dctlab.schemes.centralized import CentralizedClient, CentralRegistry
-from dctlab.schemes.tek import PublishedTek, PublishedTekIndex
+from dctlab.schemes.tek import PublishedTekIndex
 
 
 def one_way_relay_run(scheme, seed, n_targets=5, window_end=600):
@@ -100,7 +100,7 @@ def tek_owners(published):
     """The owner map the public TEK feed gives: each identifier of a published key, to the key."""
     index = PublishedTekIndex()
     for pub in published:
-        index.schedule(pub)
+        index.identifiers(pub)
     return {ident: f"tek:{tek_hex[:16]}" for ident, (tek_hex, _) in index.by_identifier.items()}
 
 
@@ -114,7 +114,7 @@ def test_linkage_groups_only_published_material():
     ids = derive_day_identifiers(tek)
     observations = [make_obs(1000, ids[1].bytes), make_obs(50000, ids[83].bytes),
                     make_obs(2000, derive_day_identifiers(other)[3].bytes)]
-    report = adversary.run_linkage(observations, tek_owners([PublishedTek(tek, 86000)]))
+    report = adversary.run_linkage(observations, tek_owners([tek]))
     assert len(report.tracks) == 1
     assert report.max_track_duration_s == 49000
     assert len(report.tracks[0].sightings) == 2
@@ -130,7 +130,7 @@ def test_linkage_tracks_partition_attributed_sightings():
         for k in (0, 5, 9):
             observations.append(make_obs(base + k * 600, derive_day_identifiers(tek)[k].bytes))
     report = adversary.run_linkage(
-        observations, tek_owners([PublishedTek(tek_a, 90000), PublishedTek(tek_b, 90000)]))
+        observations, tek_owners([tek_a, tek_b]))
     assert len(report.tracks) == 2
     counted = sum(len(t.sightings) for t in report.tracks)
     assert counted == len(observations)  # a partition: nothing shared, nothing lost

@@ -102,6 +102,21 @@ def test_no_secret_bytes_in_any_artifact(tmp_path):
         assert b64(secret).encode() not in events_blob
 
 
+def test_clock_set_back_past_every_retained_key_runs_to_the_end(tmp_path):
+    # the victim advertises on day 1, then its clock goes back to day 0 while
+    # it keeps one day of keys: day 0's key is pruned as soon as it is made
+    scenario = builtin_scenario("time_travel")
+    run = next(r for r in scenario["runs"] if r["label"] == "tek_default")
+    run["scheme_config"] = {"retention_days": 1}
+    run["contact_trace"].append(["friend", "mark", 86500, 86700])
+    scenario["runs"] = [run]
+    path = tmp_path / "retention_1.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    metrics = json.loads((tmp_path / "out/metrics.json").read_text())
+    assert metrics["runs"]["tek_default"]["attack"]["armed"] is True
+
+
 def test_load_scenario_malformed_json_reports_position(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"id": "x",\n  "runs": [}\n')

@@ -1,7 +1,6 @@
 from dctlab.crypto_core import Tek, derive_day_identifiers
 from dctlab.rng import SeedStream
 from dctlab.schemes.tek import (
-    PublishedTek,
     SightingLog,
     TekClient,
     TekStore,
@@ -40,8 +39,8 @@ def test_match_inside_slot():
     tek = make_tek(1, 0)
     ident = derive_day_identifiers(tek)[7]
     log = SightingLog()
-    log.append(ident.bytes, seen_at=7 * 600 + 30, global_at=7 * 600 + 30)
-    got = match_exposures(log, [PublishedTek(tek, published_at=86000)])
+    log.append(ident.bytes, seen_at=7 * 600 + 30)
+    got = match_exposures(log, [tek])
     assert len(got) == 1
     assert got[0].slot == 7
 
@@ -51,12 +50,12 @@ def test_match_rejects_sighting_outside_window():
     ident = derive_day_identifiers(tek)[7]
     log = SightingLog()
     # 3 h after the slot end, window is 2 h
-    log.append(ident.bytes, seen_at=8 * 600 + 3 * 3600, global_at=0)
-    assert match_exposures(log, [PublishedTek(tek, 86000)], validity_window_s=7200) == []
+    log.append(ident.bytes, seen_at=8 * 600 + 3 * 3600)
+    assert match_exposures(log, [tek], validity_window_s=7200) == []
     # but a 2 h displacement is accepted under the default window
     log2 = SightingLog()
-    log2.append(ident.bytes, seen_at=8 * 600 + 7200 - 1, global_at=0)
-    assert len(match_exposures(log2, [PublishedTek(tek, 86000)])) == 1
+    log2.append(ident.bytes, seen_at=8 * 600 + 7200 - 1)
+    assert len(match_exposures(log2, [tek])) == 1
 
 
 def test_two_teks_two_exposures():
@@ -64,13 +63,13 @@ def test_two_teks_two_exposures():
     log = SightingLog()
     for tek in teks:
         ident = derive_day_identifiers(tek)[3]
-        log.append(ident.bytes, seen_at=3 * 600 + 5, global_at=0)
+        log.append(ident.bytes, seen_at=3 * 600 + 5)
     # brute-force oracle: intersect the log against both full schedules
     expected = 0
-    logged = {s.identifier for s in log.entries}
+    logged = set(log.by_identifier)
     for tek in teks:
         expected += sum(1 for i in derive_day_identifiers(tek) if i.bytes in logged)
-    got = match_exposures(log, [PublishedTek(t, 86000) for t in teks])
+    got = match_exposures(log, teks)
     assert len(got) == expected == 2
 
 
@@ -79,8 +78,8 @@ def test_repeated_sightings_single_exposure():
     ident = derive_day_identifiers(tek)[0]
     log = SightingLog()
     for t in range(0, 600, 5):
-        log.append(ident.bytes, seen_at=t, global_at=t)
-    assert len(match_exposures(log, [PublishedTek(tek, 86000)])) == 1
+        log.append(ident.bytes, seen_at=t)
+    assert len(match_exposures(log, [tek])) == 1
 
 
 def test_kiss_same_day_replay_and_strict_fix():
@@ -88,9 +87,9 @@ def test_kiss_same_day_replay_and_strict_fix():
     tek = make_tek(3, 0)
     ident = derive_day_identifiers(tek)[10]
     log = SightingLog()
-    watermarks = {tek.hex: len(log.entries)}  # key arrived before the sighting
-    log.append(ident.bytes, seen_at=10 * 600 + 50, global_at=10 * 600 + 50)
-    published = [PublishedTek(tek, published_at=10 * 600)]
+    watermarks = {tek.hex: len(log)}  # key arrived before the sighting
+    log.append(ident.bytes, seen_at=10 * 600 + 50)
+    published = [tek]
     assert len(match_exposures(log, published)) == 1  # default: accepted
     assert match_exposures(log, published, watermarks=watermarks) == []
 
@@ -101,8 +100,8 @@ def test_exposures_by_day_and_slot():
     for tek, slots in ((tek0, (1, 2)), (tek1, (3,))):
         for slot in slots:
             ident = derive_day_identifiers(tek)[slot]
-            log.append(ident.bytes, ident.valid_from + 1, 0)
-    exposures = match_exposures(log, [PublishedTek(tek0, 0), PublishedTek(tek1, 0)])
+            log.append(ident.bytes, ident.valid_from + 1)
+    exposures = match_exposures(log, [tek0, tek1])
     assert [(e.day_index, e.slot) for e in exposures] == [(0, 1), (0, 2), (1, 3)]
 
 
@@ -136,3 +135,19 @@ def test_published_key_links_all_day_identifiers():
                  derive_day_identifiers(other)[0].bytes]
     linked = [s for s in sightings if s in schedule]
     assert linked == sightings[:2]
+
+
+def test_a_day_older_than_every_retained_key_still_gets_its_key():
+    stream = SeedStream(9, "dev")
+    mark = TekClient(stream.child("mark"), retention_days=1)
+    day1 = mark.tek_for_day(1)
+    day0 = mark.tek_for_day(0)      # pruned as soon as it is stored
+    assert day0.day_index == 0 and mark.store.retained() == [day1]
+    assert mark.tek_for_day(0) == day0   # rederived from the same stream
+    assert mark.advertisement_identifier(30) == derive_day_identifiers(day0)[0].bytes
+
+    patient = TekClient(stream.child("patient"))
+    kept = [patient.tek_for_day(d) for d in range(14)]
+    older = patient.tek_for_day(-1)
+    assert older == Tek(stream.child("patient").child("tek:-1").take(16), -1)
+    assert patient.store.retained() == kept

@@ -18,7 +18,6 @@ from dctlab.schemes.tek import (
     DEFAULT_VALIDITY_WINDOW_S,
     TEK_ENTRY,
     Exposure,
-    PublishedTek,
     PublishedTekIndex,
     SightingLog,
     TekClient,
@@ -44,14 +43,14 @@ def reference_match_exposures(log, published, validity_window_s=DEFAULT_VALIDITY
     out = []
     seen_keys = set()
     for pub in published:
-        cutoff = watermarks.get(pub.tek.hex) if strict_freshness else None
-        for slot, ident in enumerate(derive_day_identifiers(pub.tek)):
+        cutoff = watermarks.get(pub.hex) if strict_freshness else None
+        for slot, ident in enumerate(derive_day_identifiers(pub)):
             for s in log.sightings_of(ident.bytes):
                 if cutoff is not None and s.seq >= cutoff:
                     continue
                 if _ref_slot_distance(s.seen_at, ident.valid_from, ident.valid_to) > validity_window_s:
                     continue
-                exp = Exposure(pub.tek.hex, pub.tek.day_index, slot, s.seen_at)
+                exp = Exposure(pub.hex, pub.day_index, slot, s.seen_at)
                 if exp.key not in seen_keys:
                     seen_keys.add(exp.key)
                     out.append(exp)
@@ -71,15 +70,14 @@ class ReferenceSync:
         self.notified = set()
 
     def sync(self, feed_entries, own):
-        known = {p.tek.hex for p in self.known_published}
+        known = {p.hex for p in self.known_published}
         for e in feed_entries:
             if e["tek_hex"] in known:
                 continue
-            self.known_published.append(
-                PublishedTek(Tek(bytes.fromhex(e["tek_hex"]), e["day"]), e["published_at"]))
-            self.watermarks.setdefault(e["tek_hex"], len(self.log.entries))
+            self.known_published.append(Tek(bytes.fromhex(e["tek_hex"]), e["day"]))
+            self.watermarks.setdefault(e["tek_hex"], len(self.log))
         exposures = reference_match_exposures(
-            self.log, [p for p in self.known_published if p.tek.hex not in own],
+            self.log, [p for p in self.known_published if p.hex not in own],
             self.validity_window_s, self.strict_freshness, self.watermarks)
         fresh = [e for e in exposures if e.key not in self.notified]
         self.notified.update(e.key for e in fresh)
@@ -98,8 +96,7 @@ NOISE = b"\xee" * 16
 
 key_idx = st.integers(0, len(POOL) - 1)
 day = st.integers(0, 2)
-published_teks = st.lists(st.builds(lambda k, d: PublishedTek(Tek(POOL[k], d), 0), key_idx, day),
-                          max_size=6)
+published_teks = st.lists(st.builds(lambda k, d: Tek(POOL[k], d), key_idx, day), max_size=6)
 windows = st.one_of(st.sampled_from([0, 120, DEFAULT_VALIDITY_WINDOW_S]), st.integers(0, 20000))
 
 
@@ -116,7 +113,7 @@ def sighting(draw):
 def build_log(sightings):
     log = SightingLog()
     for ident, seen_at in sightings:
-        log.append(ident, seen_at, 0)
+        log.append(ident, seen_at)
     return log
 
 
@@ -124,7 +121,7 @@ def preloaded_index(pubs):
     """An index that has already seen some keys, possibly under other days."""
     index = PublishedTekIndex()
     for pub in pubs:
-        index.schedule(pub)
+        index.identifiers(pub)
     return index
 
 
@@ -134,6 +131,19 @@ def preloaded_index(pubs):
 @given(sightings=st.lists(sighting(), max_size=25), published=published_teks,
        validity_window_s=windows, strict=st.booleans(),
        marks=st.dictionaries(key_idx, st.integers(0, 26)), preload=published_teks)
+# an identifier first sighted out of window, then in window past the watermark
+@example(sightings=[(SCHEDULES[KEYS[0]][1], 600 + DEFAULT_VALIDITY_WINDOW_S + 900),
+                    (SCHEDULES[KEYS[0]][1], 630)],
+         published=[Tek(KEYS[0], 0)], validity_window_s=DEFAULT_VALIDITY_WINDOW_S,
+         strict=True, marks={0: 1}, preload=[])
+@example(sightings=[(SCHEDULES[KEYS[0]][1], 600 + DEFAULT_VALIDITY_WINDOW_S + 900),
+                    (SCHEDULES[KEYS[0]][1], 630)],
+         published=[Tek(KEYS[0], 0)], validity_window_s=DEFAULT_VALIDITY_WINDOW_S,
+         strict=False, marks={0: 1}, preload=[])
+# a key listed under two days; only the later day's window holds the sighting
+@example(sightings=[(SCHEDULES[KEYS[0]][1], DAY_S + 630)],
+         published=[Tek(KEYS[0], 0), Tek(KEYS[0], 1)], validity_window_s=120,
+         strict=False, marks={}, preload=[Tek(KEYS[0], 2)])
 def test_index_matcher_equals_brute_force(sightings, published, validity_window_s, strict,
                                           marks, preload):
     log = build_log(sightings)
@@ -244,14 +254,14 @@ def test_bad_feed_entry_does_not_break_any_client(tmp_path):
 def test_index_maps_identifiers_back_to_key_and_slot():
     tek = Tek(SeedStream(3, "t").take(16), 2)
     index = PublishedTekIndex()
-    schedule = index.schedule(PublishedTek(tek, 0))
-    assert schedule == derive_day_identifiers(tek)
-    assert index.by_identifier[schedule[77].bytes] == (tek.hex, 77)
-    assert index.by_hex[tek.hex][1] is schedule
-    # the same key under another day: same bytes, that day's windows
-    moved = index.schedule(PublishedTek(Tek(tek.bytes, 5), 0))
-    assert moved == derive_day_identifiers(Tek(tek.bytes, 5))
+    idents = index.identifiers(tek)
+    assert idents == [i.bytes for i in derive_day_identifiers(tek)]
+    assert index.by_identifier[idents[77]] == (tek.hex, 77)
+    assert index.by_hex[tek.hex] is idents
+    # the same key under another day: the same bytes, indexed once
+    assert index.identifiers(Tek(tek.bytes, 5)) is idents
     assert len(index.by_hex) == 1
+    assert len(index.by_identifier) == 144
 
 
 @pytest.mark.parametrize("sid", ["linkage_tek", "fake_claim_tek", "social_graph", "time_travel"])
