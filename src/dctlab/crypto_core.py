@@ -167,11 +167,15 @@ class GroupParams:
 
 @dataclass(frozen=True)
 class EphemeralKeyPair:
-    """Per-rotation-window DH key pair. The secret never leaves the device."""
+    """Per-rotation-window DH key pair. The secret never leaves the device,
+    and neither does loaded_secret: the secret in the form dh_token computes
+    with, the scalar itself for the toy group and the X25519 key that keygen
+    loaded for the production one, so a token costs no second load."""
 
     secret: int | bytes = field(repr=False)
     public: bytes
     epoch_index: int
+    loaded_secret: int | X25519PrivateKey = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -239,23 +243,27 @@ def keygen(params: GroupParams, stream: SeedStream, epoch: int) -> EphemeralKeyP
             if 1 < value < params.modulus - 1:
                 break
         public = params.encode_element(value)
-        return EphemeralKeyPair(secret=secret, public=public, epoch_index=epoch)
+        return EphemeralKeyPair(secret=secret, public=public, epoch_index=epoch,
+                                loaded_secret=secret)
     secret = stream.take(PRODUCTION_KEY_LEN)
-    public = X25519PrivateKey.from_private_bytes(secret).public_key().public_bytes_raw()
-    return EphemeralKeyPair(secret=secret, public=public, epoch_index=epoch)
+    private = X25519PrivateKey.from_private_bytes(secret)
+    return EphemeralKeyPair(secret=secret, public=private.public_key().public_bytes_raw(),
+                            epoch_index=epoch, loaded_secret=private)
 
 
-def dh_token(my_secret: int | bytes, their_public: bytes, params: GroupParams,
-             window_index: int = 0) -> EncounterToken:
+def dh_token(my_secret: int | bytes | X25519PrivateKey, their_public: bytes,
+             params: GroupParams, window_index: int = 0) -> EncounterToken:
     """Shared encounter token: their_public raised to my secret. Symmetric by
-    construction; private keys are never exchanged."""
+    construction; private keys are never exchanged. my_secret is a key pair's
+    secret or its loaded_secret; both give the same token."""
     params.validate_public(their_public)
     if params.kind == KIND_TOY:
         shared = pow(params.decode_element(their_public), my_secret, params.modulus)
         return EncounterToken(secret=params.encode_element(shared), window_index=window_index)
     try:
-        shared = X25519PrivateKey.from_private_bytes(my_secret).exchange(
-            X25519PublicKey.from_public_bytes(their_public))
+        private = (my_secret if isinstance(my_secret, X25519PrivateKey)
+                   else X25519PrivateKey.from_private_bytes(my_secret))
+        shared = private.exchange(X25519PublicKey.from_public_bytes(their_public))
     except ValueError as exc:
         # the library reports an all-zero shared secret (identity/low-order
         # peer point) as ValueError

@@ -24,7 +24,11 @@ Modeling choices:
 Each event goes, as it is emitted, to the world's sink: a callable given to
 World that takes the SimEvent. Without one, the sink is world.events.append,
 so the world keeps its whole log; with one, world.events stays empty and
-the world holds no event.
+the world holds no event. The sink of a run whose events are written nowhere
+is ``discard``. A world given it builds no scan event for a beacon it
+delivers, the bulk of a log, but still draws that event's seq, so the
+schedule runs in the same order and every later seq is the one a written
+log would carry.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .errors import CapabilityError, ConfigurationError
 from .rng import SeedStream
 
 SCAN_TICK_S = 5
-ADV_INTERVAL_S = 1
 MAX_CONNECTIONS = 8
 ADV_PAYLOAD_BUDGET = 31
 ADV_OVERHEAD_BYTES = 10           # flags, tx power, service data header
@@ -132,6 +135,10 @@ class SimEvent:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def discard(ev: SimEvent) -> None:
+    """The sink of a run whose events are written nowhere."""
+
+
 class DeviceClient:
     """Base scheme client: everything is a no-op so subclasses override only
     the hooks they care about. All hooks receive device-local time."""
@@ -219,6 +226,7 @@ class World:
         self.devices: dict[str, Device] = {}
         self.events: list[SimEvent] = []     # filled only by the default sink
         self._sink = sink or self.events.append
+        self._discarding = sink is discard
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
         self._heap: list = []
@@ -293,19 +301,19 @@ class World:
     # -- radio behavior -----------------------------------------------------
 
     def _edge_tick(self, edge: ContactEdge, t: int) -> None:
+        # a clock changes only through a scheduled call, never within a tick
         dev_a, dev_b = self.devices[edge.a], self.devices[edge.b]
-        self._deliver_beacon(speaker=dev_a, listener=dev_b)
-        self._deliver_beacon(speaker=dev_b, listener=dev_a)
+        la, lb = self.now + dev_a.clock_offset_s, self.now + dev_b.clock_offset_s
+        self._deliver_beacon(dev_a, la, dev_b, lb)
+        self._deliver_beacon(dev_b, lb, dev_a, la)
 
         conn = dev_a.connections.get(edge.b)
-        if conn is None:
-            la = self.local_time(edge.a)
-            lb = self.local_time(edge.b)
-            if dev_a.client.wants_connection(edge.b, la) and dev_b.client.wants_connection(edge.a, lb):
-                conn = self.open_connection(edge.a, edge.b)
+        if conn is None and dev_a.client.wants_connection(edge.b, la) \
+                and dev_b.client.wants_connection(edge.a, lb):
+            conn = self.open_connection(edge.a, edge.b)
         if conn is not None and conn.open:
-            dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S, self.local_time(edge.a))
-            dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S, self.local_time(edge.b))
+            dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S, la)
+            dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S, lb)
 
         nxt = t + SCAN_TICK_S
         if nxt < edge.end_s:
@@ -319,8 +327,8 @@ class World:
                 and not self.trace.in_range(edge.a, edge.b, self.now):
             self.close_connection(conn)
 
-    def _deliver_beacon(self, speaker: Device, listener: Device) -> None:
-        speaker_t = self.now + speaker.clock_offset_s
+    def _deliver_beacon(self, speaker: Device, speaker_t: int,
+                        listener: Device, listener_t: int) -> None:
         ident = speaker.client.advertisement_identifier(speaker_t)
         if ident is None:
             return
@@ -332,9 +340,12 @@ class World:
             self.emit("advertise", {"device": speaker.device_id, "id": ident.hex(),
                                     "size": adv.size})
         link = speaker.link_address(speaker_t // self.link_rotation_s, self.irk_linkable)
-        self.emit("scan", {"device": listener.device_id, "from": speaker.device_id,
-                           "id": ident.hex(), "link": link.hex()})
-        listener.client.on_sighting(ident, link, self.now + listener.clock_offset_s, self.now)
+        if self._discarding:
+            self._seq += 1      # the seq the scan event would have taken
+        else:
+            self.emit("scan", {"device": listener.device_id, "from": speaker.device_id,
+                               "id": ident.hex(), "link": link.hex()})
+        listener.client.on_sighting(ident, link, listener_t, self.now)
 
     def inject_beacon(self, listener_id: str, identifier: bytes, link_addr: bytes,
                       origin: str) -> None:

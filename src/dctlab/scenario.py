@@ -40,7 +40,7 @@ from pathlib import Path
 from . import adversary
 from .crypto_core import DAY_S, GroupParams
 from .errors import FieldError, ScenarioError, UploadRejected
-from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World
+from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World, discard
 from .rng import SeedStream
 from .schema import (Field, builds, check, device, fault, has_role, natural, one_of, positive,
                      predicate, tagged)
@@ -472,10 +472,6 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
     return metrics
 
 
-def _discard(ev: SimEvent) -> None:
-    """The sink of a run whose events are written nowhere."""
-
-
 def run_scenario(scenario: dict, seed: int | None = None,
                  out_dir: str | Path | None = None) -> dict:
     """Execute every run of a scenario; optionally write events.jsonl and
@@ -491,7 +487,7 @@ def run_scenario(scenario: dict, seed: int | None = None,
     runs_metrics: dict[str, dict] = {}
     if out_dir is None:
         for run_cfg in scenario["runs"]:
-            result = execute_run(run_cfg, root.child(run_cfg["label"]), _discard)
+            result = execute_run(run_cfg, root.child(run_cfg["label"]), discard)
             runs_metrics[result.label] = result.metrics
         return {"scenario": sid, "seed": seed, "runs": runs_metrics}
 

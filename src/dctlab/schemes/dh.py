@@ -65,8 +65,6 @@ class DhConfig:
 class EncounterRecord:
     token: EncounterToken
     my_timestamp: int       # handshake start on this device's clock
-    peer_pub: bytes
-    duration_s: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,6 @@ class PendingEncounter:
     started_at: int
     accrued_s: int = 0
     token: EncounterToken | None = None
-    peer_pub: bytes | None = None
     paired_epoch: int | None = None
     record: EncounterRecord | None = None
 
@@ -169,9 +166,15 @@ class DhClient(DeviceClient):
         return local_t // self.cfg.rotation_s
 
     def keypair(self, epoch: int) -> EphemeralKeyPair:
-        if epoch not in self._keypairs:
-            self._keypairs[epoch] = keygen(self.cfg.group, self.stream.child(f"key:{epoch}"), epoch)
-        return self._keypairs[epoch]
+        """The window's key pair. Only the last two windows' pairs are kept;
+        the window's stream gives an older one the same bytes again."""
+        kp = self._keypairs.get(epoch)
+        if kp is None:
+            kp = self._keypairs[epoch] = keygen(self.cfg.group, self.stream.child(f"key:{epoch}"),
+                                                epoch)
+            if len(self._keypairs) > 2:
+                self._keypairs.pop(min(self._keypairs))
+        return kp
 
     def advertisement_identifier(self, local_t: int) -> bytes:
         """Beacons carry only an opaque per-window pseudonym; the public key
@@ -243,9 +246,8 @@ class DhClient(DeviceClient):
 
     def _pair_with(self, pending: PendingEncounter, peer_pub: bytes, epoch: int) -> None:
         kp = self.keypair(pending.epoch)
-        pending.peer_pub = peer_pub
         pending.paired_epoch = epoch
-        pending.token = dh_token(kp.secret, peer_pub, self.cfg.group,
+        pending.token = dh_token(kp.loaded_secret, peer_pub, self.cfg.group,
                                  window_index=pending.epoch)
 
     def _try_pair_token(self, pending: PendingEncounter) -> None:
@@ -275,7 +277,11 @@ class DhClient(DeviceClient):
         if conn is not None and conn.open:
             # rotation rollover mid-connection: push the fresh window's key
             self._ensure_key_sent(conn, epoch, local_t)
-        pending = self._ensure_pending(peer_id, epoch, local_t)
+        pending = self._pending.get((peer_id, epoch))
+        if pending is None:
+            pending = self._ensure_pending(peer_id, epoch, local_t)
+        elif pending.record is not None:
+            return      # finalized: its token is fixed and nothing reads accrued_s
         pending.accrued_s += seconds
         self._try_pair_token(pending)
         self._maybe_finalize(pending)
@@ -285,8 +291,7 @@ class DhClient(DeviceClient):
             return
         if pending.accrued_s < self.cfg.min_encounter_s:
             return
-        pending.record = EncounterRecord(pending.token, pending.started_at,
-                                         pending.peer_pub, pending.accrued_s)
+        pending.record = EncounterRecord(pending.token, pending.started_at)
         self.records.append(pending.record)
 
     # -- reporting and matching ---------------------------------------------------

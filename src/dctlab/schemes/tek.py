@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, Tek, derive_day_identifiers
+from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, IDENTIFIERS_PER_DAY, Tek, derive_day_identifiers
 from ..radio import DeviceClient
 from ..rng import SeedStream
 from ..schema import Field, hex_of, natural, passes
@@ -208,7 +208,8 @@ class TekClient(DeviceClient):
         self.known_published: list[Tek] = []
         self.reported = False
         self.index = index or PublishedTekIndex()
-        self._schedules: dict[int, list] = {}
+        self._schedules: dict[int, list[bytes]] = {}
+        self._beacon: tuple[int | None, bytes] = (None, b"")   # (slot since origin, identifier)
         self._notified: set[tuple] = set()
 
     def tek_for_day(self, day: int) -> Tek:
@@ -220,16 +221,25 @@ class TekClient(DeviceClient):
             self.store.add(tek)
         return tek
 
-    def _schedule_for(self, day: int) -> list:
-        if day not in self._schedules:
-            self._schedules[day] = derive_day_identifiers(self.tek_for_day(day))
+    def _schedule_for(self, day: int) -> list[bytes]:
+        """The day's 144 identifier bytes, slot by slot."""
+        schedule = self._schedules.get(day)
+        if schedule is None:
+            schedule = self._schedules[day] = [
+                i.bytes for i in derive_day_identifiers(self.tek_for_day(day))]
             if len(self._schedules) > 4:  # keep the cache small on long runs
                 self._schedules.pop(min(self._schedules))
-        return self._schedules[day]
+        return schedule
 
     def advertisement_identifier(self, local_t: int) -> bytes:
-        day, within = divmod(local_t, DAY_S)
-        return self._schedule_for(day)[within // IDENTIFIER_SLOT_S].bytes
+        """The identifier of the current slot. The last one is kept, since a
+        beacon is asked for at every scan tick and a slot lasts 600 s; a day
+        holds a whole number of slots, so slot // 144 is the day."""
+        slot = local_t // IDENTIFIER_SLOT_S
+        if self._beacon[0] != slot:
+            day, within = divmod(slot, IDENTIFIERS_PER_DAY)
+            self._beacon = (slot, self._schedule_for(day)[within])
+        return self._beacon[1]
 
     def on_sighting(self, identifier: bytes, link_addr: bytes, local_t: int, global_t: int) -> None:
         self.log.append(identifier, local_t)

@@ -135,10 +135,11 @@ def test_identity_public_key_rejected():
     with pytest.raises(HandshakeError):
         dh_token(4, TOY.encode_element(22), TOY)  # order 2
     kp = keygen(PROD, SeedStream(1, "id"), 0)
-    with pytest.raises(HandshakeError):
-        dh_token(kp.secret, b"\x00" * 32, PROD)
-    with pytest.raises(HandshakeError):
-        dh_token(kp.secret, b"\x01" * 16, PROD)  # wrong length
+    for secret in (kp.secret, kp.loaded_secret):
+        with pytest.raises(HandshakeError):
+            dh_token(secret, b"\x00" * 32, PROD)
+        with pytest.raises(HandshakeError):
+            dh_token(secret, b"\x01" * 16, PROD)  # wrong length
 
 
 @settings(max_examples=200)
@@ -147,6 +148,7 @@ def test_dh_symmetry_property_toy(seed_a, seed_b):
     a = keygen(TOY, SeedStream(seed_a, "a"), 0)
     b = keygen(TOY, SeedStream(seed_b, "b"), 0)
     assert dh_token(a.secret, b.public, TOY).secret == dh_token(b.secret, a.public, TOY).secret
+    assert dh_token(a.loaded_secret, b.public, TOY) == dh_token(a.secret, b.public, TOY)
 
 
 @settings(max_examples=50)
@@ -155,6 +157,8 @@ def test_dh_symmetry_property_production(seed_a, seed_b):
     a = keygen(PROD, SeedStream(seed_a, "a"), 0)
     b = keygen(PROD, SeedStream(seed_b, "b"), 0)
     assert dh_token(a.secret, b.public, PROD).secret == dh_token(b.secret, a.public, PROD).secret
+    # the key keygen loaded gives the token its bytes give
+    assert dh_token(a.loaded_secret, b.public, PROD) == dh_token(a.secret, b.public, PROD)
 
 
 def test_production_public_keys_are_32_bytes():

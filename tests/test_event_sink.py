@@ -1,14 +1,17 @@
 """Events go from World.emit straight to a sink: a run holds no event log
 unless its caller asks for one, events.jsonl is streamed run by run and
 appears only when every run has finished, and its bytes are those of the
-whole log joined at the end."""
+whole log joined at the end. A run whose events go nowhere builds no scan
+event and ends as a written run does."""
 
+import json
 import random
+from collections import Counter
 
 import pytest
 
 from dctlab import scenario as scenario_module
-from dctlab.cli import builtin_scenario
+from dctlab.cli import STANDARD_SUITE, builtin_scenario
 from dctlab.radio import World
 from dctlab.rng import SeedStream
 from dctlab.scenario import execute_run, run_scenario
@@ -32,13 +35,24 @@ def small_population(scheme: str, n: int = 10, edges: int = 30, seed: int = 4) -
 
 @pytest.fixture
 def worlds(monkeypatch):
-    """Every World the scenario driver builds."""
+    """Every World the scenario driver builds; each counts the event kinds
+    that reach its emit, and the beacons injected outside the range rules."""
     built = []
 
     class Captured(World):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
+            self.emitted = Counter()
+            self.injected = 0
             built.append(self)
+
+        def emit(self, kind, payload):
+            self.emitted[kind] += 1
+            return super().emit(kind, payload)
+
+        def inject_beacon(self, *args, **kwargs):
+            self.injected += 1
+            super().inject_beacon(*args, **kwargs)
 
     monkeypatch.setattr(scenario_module, "World", Captured)
     return built
@@ -52,6 +66,30 @@ def test_a_run_holds_no_events_when_they_go_elsewhere(tmp_path, worlds, scheme):
     assert len(worlds) == 2
     assert all(world.events == [] for world in worlds)
     assert (tmp_path / "events.jsonl").stat().st_size > 1     # the run did emit
+
+
+@pytest.mark.parametrize("scenario", [small_population(scheme) for scheme in
+                                      ("centralized", "tek", "dh")]
+                         + [builtin_scenario(sid) for sid in STANDARD_SUITE],
+                         ids=lambda scenario: scenario["id"])
+def test_a_discarded_run_builds_no_scan_and_ends_as_a_written_one(tmp_path, worlds, scenario):
+    discarded = run_scenario(scenario)
+    discarding = list(worlds)
+    written = run_scenario(scenario, out_dir=tmp_path)
+    writing = worlds[len(discarding):]
+    assert discarded == written
+    assert len(discarding) == len(writing) == len(scenario["runs"])
+    events = [json.loads(line) for line in
+              (tmp_path / "events.jsonl").read_text(encoding="utf-8").splitlines() if line]
+    scans = Counter(ev["run"] for ev in events if ev["kind"] == "scan")
+    for run_cfg, quiet, loud in zip(scenario["runs"], discarding, writing):
+        # the scan events left out still took their seq
+        assert quiet._seq == loud._seq
+        # only a relay's injected beacons still reach emit as scans
+        assert quiet.emitted["scan"] == quiet.injected == loud.injected
+        assert loud.emitted["scan"] == scans[run_cfg["label"]] > loud.injected
+        assert quiet.emitted - Counter(scan=quiet.injected) \
+            == loud.emitted - Counter(scan=loud.emitted["scan"])
 
 
 @pytest.mark.parametrize("sid", ["e2e_basic", "relay_dh", "time_travel", "fake_claim_tek"])

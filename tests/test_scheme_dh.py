@@ -1,6 +1,10 @@
 import hashlib
 
-from dctlab.crypto_core import GroupParams, b64, hash_token
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dctlab.crypto_core import GroupParams, b64, dh_token, hash_token
+from dctlab.radio import ContactEdge, ContactTrace, World
 from dctlab.rng import SeedStream
 from dctlab.schemes.dh import (
     DhClient,
@@ -59,7 +63,7 @@ def test_long_enough_encounter_creates_record_both_sides():
     a, b = make_clients()
     run_encounter(a, b, start=0, duration=600)
     assert len(a.records) == 1 and len(b.records) == 1
-    assert a.records[0].duration_s >= 300
+    assert a._pending[("b", 0)].accrued_s >= 300
     assert hash_token(a.records[0].token) == hash_token(b.records[0].token)
     assert a.records[0].my_timestamp == b.records[0].my_timestamp == 0
 
@@ -118,8 +122,7 @@ def test_match_requires_epsilon_window():
     assert len(match_exposures_dh(b.records, published, cfg)) == 1
 
     # relayed flavor: remote side recorded its handshake 7200 s later
-    late = [EncounterRecord(b.records[0].token, b.records[0].my_timestamp + 7200,
-                            b.records[0].peer_pub, b.records[0].duration_s)]
+    late = [EncounterRecord(b.records[0].token, b.records[0].my_timestamp + 7200)]
     assert match_exposures_dh(late, published, cfg) == []
 
 
@@ -203,3 +206,78 @@ def test_sync_skips_and_counts_malformed_feed_entries():
     exposures = b.sync(bad + feed, 500)
     assert len(exposures) == 1 and b.skipped == len(bad)
     assert b.known_published == feed
+
+
+def test_a_pruned_key_pair_is_derived_again_alike():
+    a, b = make_clients()
+    first = a.keypair(0)
+    a.keypair(1)
+    a.keypair(2)
+    assert sorted(a._keypairs) == [1, 2]
+    again = a.keypair(0)
+    assert again is not first
+    assert (again.secret, again.public) == (first.secret, first.public)
+    peer = b.keypair(0).public
+    assert again.loaded_secret is not first.loaded_secret
+    assert dh_token(again.loaded_secret, peer, a.cfg.group) \
+        == dh_token(first.loaded_secret, peer, a.cfg.group)
+
+
+class ReferenceDhClient(DhClient):
+    """The co-presence tick as it was before a finalized encounter skipped
+    it: every tick accrues, and tries to pair and to finalize."""
+
+    def on_copresence_tick(self, peer_id, seconds, local_t):
+        epoch = self.epoch_of(local_t)
+        conn = self._conns.get(peer_id)
+        if conn is not None and conn.open:
+            self._ensure_key_sent(conn, epoch, local_t)
+        pending = self._ensure_pending(peer_id, epoch, local_t)
+        pending.accrued_s += seconds
+        self._try_pair_token(pending)
+        self._maybe_finalize(pending)
+
+
+class SendLog(World):
+    """A world that keeps every message a client sends."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def send(self, conn, sender_id, payload):
+        self.sent.append((self.now, conn.cid, sender_id, dict(payload)))
+        super().send(conn, sender_id, payload)
+
+
+def dh_pair_day(client_class, cfg, contacts, offsets, seed):
+    """Two clients of client_class meeting over contacts, (gap, length)
+    pairs laid one after another; returns the world and the two clients."""
+    edges, t = [], 0
+    for gap, length in contacts:
+        edges.append(ContactEdge("a", "b", t + gap, t + gap + length))
+        t += gap + length
+    root = SeedStream(seed, "dh-pair")
+    world = SendLog(ContactTrace(edges), root.child("world"), link_rotation_s=cfg.rotation_s)
+    clients = [client_class(root.child(did), cfg) for did in ("a", "b")]
+    for did, client, offset in zip(("a", "b"), clients, offsets):
+        world.add_device(did, client, offset)
+    world.run()
+    return world, clients
+
+
+@settings(max_examples=40, deadline=None)
+@given(contacts=st.lists(st.tuples(st.integers(0, 1500), st.integers(5, 2400)),
+                         min_size=1, max_size=3),
+       offsets=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+       windows=st.sampled_from([(900, 300), (900, 5), (300, 295), (120, 60)]),
+       seed=st.integers(0, 2**16))
+def test_a_finished_encounter_skips_the_tick_and_changes_nothing(contacts, offsets, windows, seed):
+    cfg = DhConfig(rotation_s=windows[0], min_encounter_s=windows[1])
+    world, clients = dh_pair_day(DhClient, cfg, contacts, offsets, seed)
+    ref_world, ref_clients = dh_pair_day(ReferenceDhClient, cfg, contacts, offsets, seed)
+    for client, ref in zip(clients, ref_clients):
+        assert [(r.token, r.my_timestamp) for r in client.records] \
+            == [(r.token, r.my_timestamp) for r in ref.records]
+    assert world.sent == ref_world.sent
+    assert world.events == ref_world.events

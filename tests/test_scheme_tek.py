@@ -151,3 +151,13 @@ def test_a_day_older_than_every_retained_key_still_gets_its_key():
     older = patient.tek_for_day(-1)
     assert older == Tek(stream.child("patient").child("tek:-1").take(16), -1)
     assert patient.store.retained() == kept
+
+
+def test_the_beacon_is_the_slot_identifier_of_the_local_day():
+    client = TekClient(SeedStream(9, "dev").child("beacon"))
+    # five days on, then back past every cached day, then before the origin
+    times = [d * 86400 + s for d in range(5) for s in (0, 599, 600, 86399)] + [0, 1234, -1, -86400]
+    for t in times:
+        day, within = divmod(t, 86400)
+        expected = derive_day_identifiers(client.tek_for_day(day))[within // 600].bytes
+        assert client.advertisement_identifier(t) == expected, t
