@@ -26,8 +26,8 @@ World that takes the SimEvent. Without one, the sink is world.events.append,
 so the world keeps its whole log; with one, world.events stays empty and
 the world holds no event. The sink of a run whose events are written nowhere
 is ``discard``. A world given it builds no scan event for a beacon it
-delivers, the bulk of a log, but still draws that event's seq, so the
-schedule runs in the same order and every later seq is the one a written
+delivers or injects, the bulk of a log, but still draws that event's seq, so
+the schedule runs in the same order and every later seq is the one a written
 log would carry.
 """
 
@@ -340,22 +340,25 @@ class World:
             self.emit("advertise", {"device": speaker.device_id, "id": ident.hex(),
                                     "size": adv.size})
         link = speaker.link_address(speaker_t // self.link_rotation_s, self.irk_linkable)
-        if self._discarding:
-            self._seq += 1      # the seq the scan event would have taken
-        else:
-            self.emit("scan", {"device": listener.device_id, "from": speaker.device_id,
-                               "id": ident.hex(), "link": link.hex()})
-        listener.client.on_sighting(ident, link, listener_t, self.now)
+        self._scan(listener, listener_t, speaker.device_id, ident, link)
 
     def inject_beacon(self, listener_id: str, identifier: bytes, link_addr: bytes,
                       origin: str) -> None:
         """Deliver a beacon outside the normal range rules (relay machinery)."""
         Advertisement(identifier)
-        listener = self.devices[listener_id]
-        self.emit("scan", {"device": listener_id, "from": origin,
-                           "id": identifier.hex(), "link": link_addr.hex()})
-        listener.client.on_sighting(identifier, link_addr,
-                                    self.local_time(listener_id), self.now)
+        self._scan(self.devices[listener_id], self.local_time(listener_id), origin,
+                   identifier, link_addr)
+
+    def _scan(self, listener: Device, listener_t: int, origin: str, ident: bytes,
+              link: bytes) -> None:
+        """Hand listener the beacon origin sent. A discarded log gets no scan
+        event, but the event's seq is still drawn."""
+        if self._discarding:
+            self._seq += 1
+        else:
+            self.emit("scan", {"device": listener.device_id, "from": origin,
+                               "id": ident.hex(), "link": link.hex()})
+        listener.client.on_sighting(ident, link, listener_t, self.now)
 
     # -- connections ----------------------------------------------------------
 

@@ -45,7 +45,7 @@ from .rng import SeedStream
 from .schema import (Field, builds, check, device, fault, has_role, natural, one_of, positive,
                      predicate, tagged)
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralizedClient, CentralRegistry
-from .schemes.dh import DhClient, DhConfig, encode_proof
+from .schemes.dh import DhClient, DhConfig, PublishedDhIndex, encode_proof
 from .schemes.tek import PublishedTekIndex, TekClient
 from .server import TracingServer
 
@@ -202,8 +202,8 @@ def _dh_config(sconf: dict) -> DhConfig:
 
 
 def _dh_clients(state: _RunState, stream: SeedStream) -> Callable[[dict], DhClient]:
-    cfg = _dh_config(state.sconf)
-    return lambda dev: DhClient(stream.child(f"device:{dev['id']}"), cfg)
+    cfg, index = _dh_config(state.sconf), PublishedDhIndex()
+    return lambda dev: DhClient(stream.child(f"device:{dev['id']}"), cfg, index)
 
 
 def _start_centralized(run_cfg: dict, state: _RunState) -> None:

@@ -13,6 +13,15 @@ handshake start time sealed under a token-derived AEAD key. A counterpart
 matches by hashing its own tokens, opening the sealed timestamp, and
 accepting only when the two recorded times differ by at most epsilon.
 
+A published entry is checked once per run, not once per device and sync.
+``PublishedDhIndex`` holds every entry a run has ingested: hash_hex -> its
+entries in feed order. One index is shared by every client of a run; a
+client built without one keeps a private index. Ingestion skips (and
+counts), once per page, an entry that breaks DH_ENTRY, the table an upload's
+entries are checked against too, so one bad entry cannot break matching for
+anyone. Matching and the superspreader check look each record's hash up in
+the index.
+
 Consequences exercised by the adversary lab:
 
 * one-way relays get nothing: copying beacons cannot complete a handshake;
@@ -101,15 +110,41 @@ def report_infection_dh(records: list[EncounterRecord], tan: str,
                         for r in records]}
 
 
-def match_exposures_dh(records: list[EncounterRecord], published: list[dict],
+class PublishedDhIndex:
+    """Every published DH entry one run has seen, each checked once.
+
+    by_hash maps hash_hex to its entries in feed order. An entry whose hash
+    was known before its page is dropped; a duplicate within one page is
+    kept. skipped counts the malformed entries of the pages ingested.
+    """
+
+    def __init__(self):
+        self.by_hash: dict[str, list[dict]] = {}
+        self.skipped = 0
+        self._page: list | None = None
+
+    def ingest(self, page: list) -> None:
+        """Index a feed page. The last page is kept, since every client of a
+        run is handed the same one: a page is checked once, however many
+        clients ingest it. A page is not changed once handed over."""
+        if page is not self._page:
+            self._page = page
+            known = set(self.by_hash)
+            for entry in page:
+                if not passes(entry, DH_ENTRY):
+                    self.skipped += 1
+                elif entry["hash_hex"] not in known:
+                    self.by_hash.setdefault(entry["hash_hex"], []).append(entry)
+
+
+def match_exposures_dh(records: list[EncounterRecord], by_hash: dict[str, list[dict]],
                        cfg: DhConfig) -> list[DhExposure]:
     """A record matches a published entry when the token hashes agree, the
     sealed metadata opens under the local token, and the two handshake
-    timestamps differ by at most epsilon. Entries that fail authentication
-    are ignored. At most one exposure per local record."""
-    by_hash: dict[str, list[dict]] = {}
-    for entry in published:
-        by_hash.setdefault(entry["hash_hex"], []).append(entry)
+    timestamps differ by at most epsilon. by_hash maps a published hash_hex
+    to its entries in feed order, as PublishedDhIndex.by_hash does; the first
+    entry that matches counts. Entries that fail authentication are ignored.
+    At most one exposure per local record."""
     out = []
     for rec in records:
         h = hash_token(rec.token).hex()
@@ -124,17 +159,6 @@ def match_exposures_dh(records: list[EncounterRecord], published: list[dict],
     return out
 
 
-def superspreader_check(records: list[EncounterRecord], published: list[dict],
-                        cfg: DhConfig) -> dict:
-    """Count own tokens whose hash appears in the published feed. Warn at the
-    threshold; the matched raw tokens are released only through this flow,
-    as the proof the service provider verifies against published hashes."""
-    published_hashes = {e["hash_hex"] for e in published}
-    matched = [r.token for r in records if hash_token(r.token).hex() in published_hashes]
-    warn = len(matched) >= cfg.superspreader_threshold
-    return {"warn": warn, "matches": len(matched), "proof": matched if warn else []}
-
-
 def encode_proof(tokens: list[EncounterToken], group: GroupParams) -> dict:
     """Proof wire form: hex for the toy group, base64 for the production one."""
     if group.kind == "toy-modp":
@@ -143,12 +167,13 @@ def encode_proof(tokens: list[EncounterToken], group: GroupParams) -> dict:
 
 
 class DhClient(DeviceClient):
-    def __init__(self, stream: SeedStream, cfg: DhConfig | None = None):
+    def __init__(self, stream: SeedStream, cfg: DhConfig | None = None,
+                 index: PublishedDhIndex | None = None):
         self.cfg = cfg or DhConfig()
         self.stream = stream
         self.records: list[EncounterRecord] = []
         self.reported = False
-        self.known_published: list[dict] = []
+        self.index = index or PublishedDhIndex()
         self._keypairs: dict[int, EphemeralKeyPair] = {}
         self._pseudonyms: dict[int, bytes] = {}
         self._pending: dict[tuple[str, int], PendingEncounter] = {}
@@ -158,7 +183,6 @@ class DhClient(DeviceClient):
         self._aborted_peers: set[str] = set()
         self._notified_hashes: set[str] = set()
         self.rejected_keys = 0
-        self.skipped = 0     # malformed feed entries handed to sync
 
     # -- key material ---------------------------------------------------------
 
@@ -301,17 +325,19 @@ class DhClient(DeviceClient):
         return report_infection_dh(self.records, tan, self.cfg.anonymized_upload)
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[DhExposure]:
-        """Exposures new since the last sync; an entry breaking DH_ENTRY is skipped and counted."""
-        good = [e for e in feed_entries if passes(e, DH_ENTRY)]
-        self.skipped += len(feed_entries) - len(good)
-        known = {e["hash_hex"] for e in self.known_published}
-        self.known_published.extend(e for e in good if e["hash_hex"] not in known)
+        """Exposures new since the last sync; the page goes into the index first."""
+        self.index.ingest(feed_entries)
         if self.reported:
             return []
-        exposures = match_exposures_dh(self.records, self.known_published, self.cfg)
+        exposures = match_exposures_dh(self.records, self.index.by_hash, self.cfg)
         fresh = [e for e in exposures if e.token_hash_hex not in self._notified_hashes]
         self._notified_hashes.update(e.token_hash_hex for e in fresh)
         return fresh
 
     def superspreader_check(self) -> dict:
-        return superspreader_check(self.records, self.known_published, self.cfg)
+        """Count own tokens whose hash is in the index. Warn at the threshold;
+        the matched raw tokens are released only through this flow, as the
+        proof the service provider verifies against published hashes."""
+        matched = [r.token for r in self.records if hash_token(r.token).hex() in self.index.by_hash]
+        warn = len(matched) >= self.cfg.superspreader_threshold
+        return {"warn": warn, "matches": len(matched), "proof": matched if warn else []}

@@ -11,9 +11,9 @@ tek_hex -> its 144 identifier bytes, and identifier bytes -> (tek_hex, slot).
 The bytes depend on the key alone; a slot's validity window follows from the
 day a key is published under and the slot. One index is shared by every
 client of a run and by the adversary analyses; a client built without one
-keeps a private index. Ingestion skips (and counts) a feed entry that breaks
-TEK_ENTRY, the table an upload's daily keys are checked against too, so one
-bad entry cannot break matching for anyone.
+keeps a private index. Ingestion skips (and counts), once per page, a feed
+entry that breaks TEK_ENTRY, the table an upload's daily keys are checked
+against too, so one bad entry cannot break matching for anyone.
 
 Matching walks the join from the small side: each distinct identifier in a
 sighting log is looked up in the index, since a log holds a few dozen of
@@ -88,9 +88,6 @@ class SightingLog:
         self.by_identifier.setdefault(identifier, []).append(Sighting(seen_at, self._count))
         self._count += 1
 
-    def sightings_of(self, identifier: bytes) -> list[Sighting]:
-        return self.by_identifier.get(identifier, [])
-
 
 @dataclass(frozen=True)
 class Exposure:
@@ -114,13 +111,14 @@ class PublishedTekIndex:
     by_hex maps tek_hex to the key's 144 identifier bytes in slot order, held
     once however many days the key is published under; by_identifier maps
     each identifier's bytes to (tek_hex, slot). skipped counts the malformed
-    feed items handed to ingest.
+    entries of the pages ingested.
     """
 
     def __init__(self):
         self.by_hex: dict[str, list[bytes]] = {}
         self.by_identifier: dict[bytes, tuple[str, int]] = {}
         self.skipped = 0
+        self._page: tuple[list | None, list[Tek]] = (None, [])   # (last page, its keys)
 
     def identifiers(self, tek: Tek) -> list[bytes]:
         """The 144 identifier bytes of tek's key, slot by slot."""
@@ -131,17 +129,19 @@ class PublishedTekIndex:
                 self.by_identifier.setdefault(ident, (tek.hex, slot))
         return idents
 
-    def ingest(self, entry) -> Tek | None:
-        """Index one feed entry and return its key, or None if it breaks TEK_ENTRY."""
-        if not passes(entry, TEK_ENTRY):
-            self.skipped += 1
-            return None
-        tek = Tek(bytes.fromhex(entry["tek_hex"]), entry["day"])
-        self.identifiers(tek)
-        return tek
-
-    def ingest_all(self, feed: list) -> list[Tek]:
-        return [tek for tek in map(self.ingest, feed) if tek is not None]
+    def ingest_all(self, page: list) -> list[Tek]:
+        """Index a feed page and return its keys in page order, skipping (and
+        counting) an entry that breaks TEK_ENTRY. The last page and its keys
+        are kept, since every client of a run is handed the same page: a page
+        is checked once, however many clients ingest it. A page is not
+        changed once handed over."""
+        if page is not self._page[0]:
+            good = [e for e in page if passes(e, TEK_ENTRY)]
+            self.skipped += len(page) - len(good)
+            self._page = (page, [Tek(bytes.fromhex(e["tek_hex"]), e["day"]) for e in good])
+            for tek in self._page[1]:
+                self.identifiers(tek)
+        return self._page[1]
 
 
 def publish_keys(store: TekStore, tan: str) -> dict:
@@ -251,12 +251,10 @@ class TekClient(DeviceClient):
     def sync(self, feed_entries: list[dict], local_t: int) -> list[Exposure]:
         """Ingest new feed entries and return not-yet-seen exposures."""
         known = {t.hex for t in self.known_published}
-        for e in feed_entries:
-            tek = self.index.ingest(e)
-            if tek is None or tek.hex in known:
-                continue
-            self.known_published.append(tek)
-            self.watermarks.setdefault(tek.hex, len(self.log))
+        for tek in self.index.ingest_all(feed_entries):
+            if tek.hex not in known:
+                self.known_published.append(tek)
+                self.watermarks.setdefault(tek.hex, len(self.log))
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
                                     [t for t in self.known_published if t.hex not in own],

@@ -1,20 +1,39 @@
 import hashlib
+import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dctlab.crypto_core import GroupParams, b64, dh_token, hash_token
+from dctlab.crypto_core import (
+    DH_ENTRY,
+    EncounterToken,
+    GroupParams,
+    b64,
+    dh_token,
+    hash_token,
+    open_timestamp,
+    seal_timestamp,
+    unb64,
+)
 from dctlab.radio import ContactEdge, ContactTrace, World
 from dctlab.rng import SeedStream
+from dctlab.scenario import run_scenario
+from dctlab.schema import passes
+from dctlab.schemes import dh as dh_mod
+from dctlab.schemes import tek as tek_mod
 from dctlab.schemes.dh import (
     DhClient,
     DhConfig,
+    DhExposure,
     EncounterRecord,
     PendingEncounter,
+    PublishedDhIndex,
     match_exposures_dh,
     report_infection_dh,
-    superspreader_check,
 )
+from dctlab.schemes.tek import TEK_ENTRY
+from dctlab.server import TracingServer
 
 TOY_CFG = DhConfig(group=GroupParams.toy(23, 5))
 
@@ -44,6 +63,13 @@ def make_clients(cfg=None, seed=5):
     a, b = DhClient(root.child("a"), cfg), DhClient(root.child("b"), cfg)
     a.device_id, b.device_id = "a", "b"
     return a, b
+
+
+def index_of(page):
+    """A PublishedDhIndex that has ingested one feed page."""
+    index = PublishedDhIndex()
+    index.ingest(page)
+    return index
 
 
 def run_encounter(a, b, start, duration, tick=5):
@@ -119,11 +145,11 @@ def test_match_requires_epsilon_window():
     run_encounter(a, b, start=0, duration=400)
     published = report_infection_dh(a.records, "T" * 12)["entries"]
     cfg = b.cfg
-    assert len(match_exposures_dh(b.records, published, cfg)) == 1
+    assert len(match_exposures_dh(b.records, index_of(published).by_hash, cfg)) == 1
 
     # relayed flavor: remote side recorded its handshake 7200 s later
     late = [EncounterRecord(b.records[0].token, b.records[0].my_timestamp + 7200)]
-    assert match_exposures_dh(late, published, cfg) == []
+    assert match_exposures_dh(late, index_of(published).by_hash, cfg) == []
 
 
 def test_match_ignores_entries_failing_authentication():
@@ -132,7 +158,7 @@ def test_match_ignores_entries_failing_authentication():
     token = a.records[0].token
     forged = {"hash_hex": hash_token(token).hex(),
               "meta_b64": b64(b"\x00" * 40)}
-    assert match_exposures_dh(b.records, [forged], b.cfg) == []
+    assert match_exposures_dh(b.records, index_of([forged]).by_hash, b.cfg) == []
 
 
 def test_three_published_two_matching():
@@ -147,7 +173,7 @@ def test_three_published_two_matching():
     # brute-force pairwise oracle
     expected = sum(1 for rec in b.records
                    if hash_token(rec.token).hex() in {e["hash_hex"] for e in published})
-    got = match_exposures_dh(b.records, published, b.cfg)
+    got = match_exposures_dh(b.records, index_of(published).by_hash, b.cfg)
     assert len(got) == expected == 2
 
 
@@ -159,7 +185,8 @@ def test_superspreader_threshold_and_proof():
         peer.device_id = f"p{i}"
         run_encounter(hub, peer, start=i * 1000, duration=400)
         published.extend(report_infection_dh(peer.records, f"T{i}" * 6)["entries"])
-    result = superspreader_check(hub.records, published, hub.cfg)
+    hub.index.ingest(published)
+    result = hub.superspreader_check()
     assert result["warn"] is True
     assert len(result["proof"]) == 4
     # SP-side verification: hash of each proof token is in the feed
@@ -171,7 +198,8 @@ def test_superspreader_below_threshold_empty_proof():
     hub, peer = make_clients()
     run_encounter(hub, peer, start=0, duration=400)
     published = report_infection_dh(peer.records, "T" * 12)["entries"]
-    result = superspreader_check(hub.records, published, hub.cfg)
+    hub.index.ingest(published)
+    result = hub.superspreader_check()
     assert result["warn"] is False
     assert result["proof"] == []
 
@@ -204,8 +232,8 @@ def test_sync_skips_and_counts_malformed_feed_entries():
     bad = [{"meta_b64": "AA=="}, [1], None, {"hash_hex": "ab" * 32, "meta_b64": "not base64!"},
            {"hash_hex": "zz" * 32, "meta_b64": "AA=="}]
     exposures = b.sync(bad + feed, 500)
-    assert len(exposures) == 1 and b.skipped == len(bad)
-    assert b.known_published == feed
+    assert len(exposures) == 1 and b.index.skipped == len(bad)
+    assert [e for entries in b.index.by_hash.values() for e in entries] == feed
 
 
 def test_a_pruned_key_pair_is_derived_again_alike():
@@ -281,3 +309,193 @@ def test_a_finished_encounter_skips_the_tick_and_changes_nothing(contacts, offse
             == [(r.token, r.my_timestamp) for r in ref.records]
     assert world.sent == ref_world.sent
     assert world.events == ref_world.events
+
+
+class RecordingConn(PipeConn):
+    """A PipeConn that keeps every message sent over it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def send(self, sender_id, payload):
+        self.sent.append((sender_id, dict(payload)))
+        super().send(sender_id, payload)
+
+
+def test_a_tick_in_a_finished_window_sends_its_key_on_a_newer_connection():
+    a, b = make_clients()
+    run_encounter(a, b, start=0, duration=400)      # window 0 finalized over cid 1
+    record = a._pending[("b", 0)].record
+    assert record is not None
+    conn = RecordingConn(a, b, cid=2)
+    conn.local_times = {"a": 1000, "b": 1000}
+    a.handshake(conn, 1000)                         # window 1 over a newer connection
+    conn.local_times["a"] = 300                     # a's clock set back into window 0
+    a.on_copresence_tick("b", 5, 300)
+    window_0_key = {"kind": "pubkey", "epoch": 0, "key": a.keypair(0).public.hex()}
+    assert ("a", window_0_key) in conn.sent
+    assert a.records == [record]
+
+
+# -- reference: DhClient.sync and the matchers as they were before the shared index --
+
+def reference_match_exposures_dh(records, published, cfg):
+    by_hash = {}
+    for entry in published:
+        by_hash.setdefault(entry["hash_hex"], []).append(entry)
+    out = []
+    for rec in records:
+        h = hash_token(rec.token).hex()
+        for entry in by_hash.get(h, ()):
+            remote_ts = open_timestamp(rec.token, unb64(entry["meta_b64"]))
+            if remote_ts is None:
+                continue
+            delta = abs(rec.my_timestamp - remote_ts)
+            if delta <= cfg.epsilon_s:
+                out.append(DhExposure(h, delta, rec.token.window_index))
+                break
+    return out
+
+
+def reference_superspreader_check(records, published, cfg):
+    published_hashes = {e["hash_hex"] for e in published}
+    matched = [r.token for r in records if hash_token(r.token).hex() in published_hashes]
+    warn = len(matched) >= cfg.superspreader_threshold
+    return {"warn": warn, "matches": len(matched), "proof": matched if warn else []}
+
+
+class ReferenceDhSync:
+    """DhClient.sync as it was: its own copy of the feed, over a client's records."""
+
+    def __init__(self, client):
+        self.client = client
+        self.known_published = []
+        self.skipped = 0
+        self.notified = set()
+
+    def sync(self, feed_entries):
+        good = [e for e in feed_entries if passes(e, DH_ENTRY)]
+        self.skipped += len(feed_entries) - len(good)
+        known = {e["hash_hex"] for e in self.known_published}
+        self.known_published.extend(e for e in good if e["hash_hex"] not in known)
+        if self.client.reported:
+            return []
+        exposures = reference_match_exposures_dh(self.client.records, self.known_published,
+                                                 self.client.cfg)
+        fresh = [e for e in exposures if e.token_hash_hex not in self.notified]
+        self.notified.update(e.token_hash_hex for e in fresh)
+        return fresh
+
+    def superspreader_check(self):
+        return reference_superspreader_check(self.client.records, self.known_published,
+                                             self.client.cfg)
+
+
+# -- strategies: records and feed pages over a small pool of tokens -----------------
+
+SYNC_CFG = DhConfig(epsilon_s=60, superspreader_threshold=2)
+TOKENS = [EncounterToken(SeedStream(k, "token").take(32), k % 3) for k in range(4)]
+STAMPS = [0, 30, 61, 500]      # 0 and 30 lie within epsilon, 61 and 500 do not
+token_idx = st.integers(0, len(TOKENS) - 1)
+
+
+def entry_of(k, stamp, sealer=None):
+    """A feed entry for pool token k, sealed under token sealer (k when None)."""
+    return {"hash_hex": hash_token(TOKENS[k]).hex(),
+            "meta_b64": b64(seal_timestamp(TOKENS[k if sealer is None else sealer], stamp))}
+
+
+@st.composite
+def published_entry(draw):
+    """An entry for one pool token carrying one of a few handshake times; one
+    in three is sealed under the next token, so its seal does not open."""
+    k = draw(token_idx)
+    return entry_of(k, draw(st.sampled_from(STAMPS)),
+                    draw(st.sampled_from([k, k, (k + 1) % len(TOKENS)])))
+
+
+malformed_entry = st.sampled_from([
+    {"meta_b64": "AA=="}, [1], None, "not an object",
+    {"hash_hex": "ab" * 32, "meta_b64": "not base64!"},
+    {"hash_hex": "zz" * 32, "meta_b64": "AA=="},
+])
+page = st.lists(st.one_of(published_entry(), published_entry(), malformed_entry), max_size=6)
+dh_operation = st.one_of(
+    st.tuples(st.just("record"), st.tuples(st.integers(0, 2), token_idx, st.sampled_from(STAMPS))),
+    st.tuples(st.just("sync"), page),
+    st.tuples(st.just("sync again"), st.none()),
+    st.tuples(st.just("report"), st.integers(0, 2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(dh_operation, max_size=16))
+# within a page, a later entry of a hash matches after an earlier one fails
+@example(ops=[("record", (0, 0, 0)), ("sync", [entry_of(0, 0, 1), entry_of(0, 500), entry_of(0, 30)])])
+# across pages, the later page's entry of a known hash is dropped
+@example(ops=[("record", (0, 0, 0)), ("sync", [entry_of(0, 0, 1)]), ("sync", [entry_of(0, 0)])])
+def test_clients_sharing_an_index_sync_as_the_reference(ops):
+    index = PublishedDhIndex()
+    clients = [DhClient(SeedStream(i, "sync"), SYNC_CFG, index) for i in range(3)]
+    refs = [ReferenceDhSync(client) for client in clients]
+    last, malformed = [], 0
+    for kind, arg in ops:
+        if kind == "record":         # an encounter finalized between syncs
+            who, k, stamp = arg
+            clients[who].records.append(EncounterRecord(TOKENS[k], stamp))
+        elif kind == "report":
+            clients[arg].make_report("T" * 12)
+        else:
+            # every client is handed the same page object, as a run's sync does
+            if kind == "sync":
+                last = arg
+                malformed += sum(not passes(e, DH_ENTRY) for e in arg)
+            for client, ref in zip(clients, refs):
+                assert client.sync(last, 0) == ref.sync(last)
+                assert client.superspreader_check() == ref.superspreader_check()
+                assert index.skipped == malformed     # each page is checked once
+    assert sorted(e["hash_hex"] for entries in index.by_hash.values() for e in entries) \
+        == sorted(e["hash_hex"] for e in refs[0].known_published)
+
+
+# -- each feed page is checked once per run --------------------------------------------
+
+def small_day(scheme):
+    """Twelve devices, random contacts over four hours, two reports: two feed
+    pages with entries, each handed to every device."""
+    rng = random.Random(7)
+    ids = [f"d{i}" for i in range(12)]
+    trace = []
+    for _ in range(40):
+        a, b = rng.sample(ids, 2)
+        start = rng.randrange(0, 10000)
+        trace.append([a, b, start, start + rng.randrange(400, 1800)])
+    return {"id": f"small_{scheme}", "seed": 7,
+            "runs": [{"label": "day", "scheme": scheme, "devices": ids, "contact_trace": trace,
+                      "infections": [{"device": "d0", "report_at": 12000},
+                                     {"device": "d1", "report_at": 13000}],
+                      "duration_s": 14400}]}
+
+
+@pytest.mark.parametrize("scheme,rule", [("tek", TEK_ENTRY), ("dh", DH_ENTRY)])
+def test_a_run_checks_each_feed_entry_once_per_page_fetched(monkeypatch, scheme, rule):
+    checked, pages = [], []
+    fetch_feed = TracingServer.fetch_feed
+
+    def counting_passes(value, table):
+        checked.append(table is rule)
+        return passes(value, table)
+
+    def counting_fetch(server, feed, since_cursor=0):
+        entries, cursor = fetch_feed(server, feed, since_cursor)
+        pages.append(len(entries))
+        return entries, cursor
+
+    monkeypatch.setattr(tek_mod, "passes", counting_passes)
+    monkeypatch.setattr(dh_mod, "passes", counting_passes)
+    monkeypatch.setattr(TracingServer, "fetch_feed", counting_fetch)
+    metrics = run_scenario(small_day(scheme))
+    assert metrics["runs"]["day"]["notified_devices"]
+    assert len([n for n in pages if n]) == 2 and len(pages) == 3
+    assert all(checked) and len(checked) == sum(pages)     # not sum(pages) * 12
