@@ -28,6 +28,7 @@ from .crypto_core import DAY_S, IDENTIFIER_SLOT_S, b64
 from .errors import ConfigurationError
 from .radio import LINK_ADDR_LEN, DeviceClient, World
 from .rng import SeedStream
+from .schema import CLOCK_LIMIT_S
 from .schemes.tek import PublishedTekIndex, SightingLog, match_exposures
 from .server import TracingServer
 
@@ -299,14 +300,16 @@ def run_linkage(observations: list[SnifferObservation],
 def fake_claim_tek(server: TracingServer, claimant_local_t: int,
                    tek_index: PublishedTekIndex | None = None) -> dict:
     """Fabricate a sighting log purely from the public feed and run the
-    standard matcher over it. Nothing distinguishes it from a real log."""
+    standard matcher over it. Nothing distinguishes it from a real log: a
+    key published for a day no device clock reads is not sighted."""
     index = tek_index or PublishedTekIndex()
     published = index.ingest_all(server.fetch_feed("tek")[0])
     log = SightingLog()
     slot = (claimant_local_t % DAY_S) // IDENTIFIER_SLOT_S
     for tek in published:
-        log.append(index.identifiers(tek)[slot],
-                   seen_at=tek.day_index * DAY_S + slot * IDENTIFIER_SLOT_S + 30)
+        seen_at = tek.day_index * DAY_S + slot * IDENTIFIER_SLOT_S + 30
+        if seen_at < CLOCK_LIMIT_S:
+            log.append(index.identifiers(tek)[slot], seen_at)
     exposures = match_exposures(log, published, index=index)
     return {"accepted": len(exposures) > 0, "fabricated_exposures": len(exposures)}
 

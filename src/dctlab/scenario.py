@@ -42,8 +42,8 @@ from .crypto_core import DAY_S, GroupParams
 from .errors import FieldError, ScenarioError, UploadRejected
 from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World, discard
 from .rng import SeedStream
-from .schema import (Field, builds, check, device, fault, has_role, natural, one_of, positive,
-                     predicate, tagged)
+from .schema import (Field, builds, check, clock, device, fault, has_role, natural, one_of,
+                     positive, predicate, tagged)
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralizedClient, CentralRegistry
 from .schemes.dh import DhClient, DhConfig, PublishedDhIndex, encode_proof
 from .schemes.tek import PublishedTekIndex, TekClient
@@ -56,10 +56,11 @@ MODE = one_of((MODE_ANONYMOUS, MODE_PHONE), "mode")
 SNIFFER = has_role("sniffer")
 
 DEVICE = {"id": Field(str), "role": Field(one_of(("device", *ROLE_CLIENTS), "role"), "device"),
-          "clock_offset_s": Field(int, 0), "mode": Field(MODE, None), "phone": Field(str, None)}
-EDGE = builds(("[a, b, start_s, end_s]", Field(device), Field(device), Field(natural),
-               Field(natural)), lambda edge: ContactEdge(*edge))
-INFECTION = {"device": Field(has_role("device")), "report_at": Field(natural)}
+          "clock_offset_s": Field(clock(int), 0), "mode": Field(MODE, None),
+          "phone": Field(str, None)}
+EDGE = builds(("[a, b, start_s, end_s]", Field(device), Field(device), Field(clock(natural)),
+               Field(clock(natural))), lambda edge: ContactEdge(*edge))
+INFECTION = {"device": Field(has_role("device")), "report_at": Field(clock(natural))}
 ANALYSIS = {"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
             "social_graph": Field(bool, False),
             "superspreader_check": Field([has_role("device")], [])}
@@ -68,12 +69,13 @@ ANALYSIS = {"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
 ATTACKS = {
     "relay": {"node_a": Field(device), "node_b": Field(device),
               "mode": Field(one_of(("one_way_broadcast", "two_way_realtime"), "relay mode")),
-              "window": Field(("[start_s, end_s]", Field(natural), Field(natural))),
-              "latency_s": Field(natural, 0), "tick_s": Field(positive, 60),
+              "window": Field(("[start_s, end_s]", Field(clock(natural)), Field(clock(natural)))),
+              "latency_s": Field(clock(natural), 0), "tick_s": Field(clock(positive), 60),
               "fanout_limit": Field(natural, adversary.TWO_WAY_FANOUT_LIMIT)},
-    "time_travel": {"victim": Field(device), "replayer": Field(device), "offset_s": Field(int),
-                    "at_s": Field(natural), "restore_at_s": Field(natural)},
-    "fake_claim": {"claimant": Field(device), "at": Field(natural),
+    "time_travel": {"victim": Field(device), "replayer": Field(device),
+                    "offset_s": Field(clock(int)), "at_s": Field(clock(natural)),
+                    "restore_at_s": Field(clock(natural))},
+    "fake_claim": {"claimant": Field(device), "at": Field(clock(natural)),
                    "source_sniffer": Field(SNIFFER, None)},    # plus the scheme's Scheme.claim
 }
 
@@ -396,7 +398,7 @@ SCHEMES = {
 }
 
 RUN = {"label": Field(str), "scheme": Field(one_of(SCHEMES, "scheme")),
-       "devices": Field([_declare]), "duration_s": Field(natural),
+       "devices": Field([_declare]), "duration_s": Field(clock(natural)),
        "scheme_config": Field(dict, {}),     # checked against its scheme's config by _check_run
        "contact_trace": Field([EDGE], []), "infections": Field([INFECTION], []),
        "attack": Field(tagged("kind", ATTACKS, "attack kind"), None),

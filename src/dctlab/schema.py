@@ -15,8 +15,9 @@ rule. A rule is one of:
   an int is never a bool.
 * any other callable, called as rule(value, at, roles). It returns the value
   or raises fault(at, problem). natural, positive, device, one_of, has_role,
-  hex_of, base64_text, predicate, tagged and builds make such rules; roles
-  maps each declared device to its role, or whatever else a caller names.
+  hex_of, base64_text, predicate, tagged, builds and clock make such rules;
+  roles maps each declared device to its role, or whatever else a caller
+  names.
 
 at is the JSON path as a tuple of keys and list positions. It is rendered
 only for a fault, so a check that passes builds no path string.
@@ -91,6 +92,21 @@ def predicate(test, problem: str):
 natural = predicate(lambda v, roles: type(v) is int and v >= 0, "expected a non-negative integer, got {!r}")
 positive = predicate(lambda v, roles: type(v) is int and v > 0, "expected a positive integer, got {!r}")
 device = predicate(lambda v, roles: type(v) is str and v in roles, "unknown device {!r}")
+
+
+CLOCK_LIMIT_S = 2**60
+
+
+def clock(rule):
+    """rule, and a magnitude below 2**60: a time or offset in seconds that
+    reaches a device clock. A clock adds up a few of them, and the sum must
+    still fit in 64 bits, as in the TEK sighting log."""
+    def checked(value, at, roles):
+        value = check(value, rule, at, roles)
+        if not -CLOCK_LIMIT_S < value < CLOCK_LIMIT_S:
+            raise fault(at, f"expected a magnitude below 2**60, got {value!r}")
+        return value
+    return checked
 
 
 def one_of(choices, what: str):

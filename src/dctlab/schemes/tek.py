@@ -15,9 +15,13 @@ keeps a private index. Ingestion skips (and counts), once per page, a feed
 entry that breaks TEK_ENTRY, the table an upload's daily keys are checked
 against too, so one bad entry cannot break matching for anyone.
 
-Matching walks the join from the small side: each distinct identifier in a
-sighting log is looked up in the index, since a log holds a few dozen of
-them and every published key holds 144.
+A sighting log keeps each identifier's sightings as flat (seen_at, seq)
+pairs in one array('q'): 16 bytes a sighting, where a tuple of two ints
+takes about 136. seen_at is the local clock at record time and seq the
+append order; scenario times are bounded below 2**60 in magnitude, so both
+fit in 64 bits. Matching walks the join from the small side: each distinct
+identifier in a sighting log is looked up in the index, since a log holds a
+few dozen of them and every published key holds 144.
 
 The weaknesses the adversary lab exercises are reproduced deliberately:
 
@@ -36,8 +40,8 @@ manipulated. It ships off by default, mirroring deployed behavior.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, IDENTIFIERS_PER_DAY, Tek, derive_day_identifiers
 from ..radio import DeviceClient
@@ -67,25 +71,27 @@ class TekStore:
         return [self.teks[d] for d in sorted(self.teks)]
 
 
-class Sighting(NamedTuple):
-    seen_at: int    # local clock at record time; this is what matching uses
-    seq: int        # append order, immune to clock manipulation
-
-
 class SightingLog:
     """Append-only within a run. by_identifier maps identifier bytes to that
-    identifier's sightings in append order; each sighting is held there once.
-    len() counts every sighting appended, so it is the next one's seq."""
+    identifier's sightings in append order, as flat pairs in one array('q'):
+    seen_at, the local clock at record time, which is what matching uses, then
+    seq, the append order, which clock manipulation cannot touch. Each
+    sighting is held there once. len() counts every sighting appended, so it
+    is the next one's seq."""
 
     def __init__(self):
-        self.by_identifier: dict[bytes, list[Sighting]] = {}
+        self.by_identifier: dict[bytes, array] = {}
         self._count = 0
 
     def __len__(self) -> int:
         return self._count
 
     def append(self, identifier: bytes, seen_at: int) -> None:
-        self.by_identifier.setdefault(identifier, []).append(Sighting(seen_at, self._count))
+        pairs = self.by_identifier.get(identifier)
+        if pairs is None:
+            pairs = self.by_identifier[identifier] = array("q")
+        pairs.append(seen_at)
+        pairs.append(self._count)
         self._count += 1
 
 
@@ -180,13 +186,14 @@ def match_exposures(log: SightingLog, published: list[Tek],
         index.identifiers(tek)
         positions.setdefault(tek.hex, []).append(pos)
     found = []   # (position, slot, seen_at)
-    for ident, sightings in log.by_identifier.items():
+    for ident, pairs in log.by_identifier.items():
         tek_hex, slot = index.by_identifier.get(ident, (None, 0))
         cutoff = (watermarks or {}).get(tek_hex, len(log))
         # a key listed more than once counts under the first listing that matches
         for pos in positions.get(tek_hex, ()):
             slot_start = published[pos].day_index * DAY_S + slot * IDENTIFIER_SLOT_S
-            seen_at = next((at for at, seq in sightings if seq < cutoff
+            it = iter(pairs)
+            seen_at = next((at for at, seq in zip(it, it) if seq < cutoff
                             and _slot_distance(at, slot_start) <= validity_window_s), None)
             if seen_at is not None:
                 found.append((pos, slot, seen_at))
@@ -250,11 +257,10 @@ class TekClient(DeviceClient):
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[Exposure]:
         """Ingest new feed entries and return not-yet-seen exposures."""
-        known = {t.hex for t in self.known_published}
-        for tek in self.index.ingest_all(feed_entries):
-            if tek.hex not in known:
-                self.known_published.append(tek)
-                self.watermarks.setdefault(tek.hex, len(self.log))
+        # a key is new until it has a watermark; a page that lists it twice keeps both
+        arrived = [t for t in self.index.ingest_all(feed_entries) if t.hex not in self.watermarks]
+        self.known_published += arrived
+        self.watermarks.update((t.hex, len(self.log)) for t in arrived)
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
                                     [t for t in self.known_published if t.hex not in own],

@@ -158,6 +158,20 @@ def test_fake_claim_against_empty_feed_fails():
     assert dh["accepted"] is False and dh["proof_accepted"] == 0
 
 
+def test_fake_claim_skips_a_key_published_for_a_day_no_clock_reads():
+    # the feed takes any non-negative day; a sighting log keeps only times below 2**60
+    from dctlab.server import TracingServer
+    server = TracingServer(SeedStream(1, "far"))
+    teks = [{"tek_hex": "ab" * 16, "day": 10**15}, {"tek_hex": "cd" * 16, "day": 10**15 + 1}]
+    server.accept_upload({"scheme": "tek", "tan": server.issue_tan("x").value, "teks": teks})
+    assert adversary.fake_claim_tek(server, claimant_local_t=500) == {
+        "accepted": False, "fabricated_exposures": 0}
+    server.accept_upload({"scheme": "tek", "tan": server.issue_tan("y").value,
+                          "teks": [{"tek_hex": "ef" * 16, "day": 3}]})
+    assert adversary.fake_claim_tek(server, claimant_local_t=500) == {
+        "accepted": True, "fabricated_exposures": 1}
+
+
 def test_social_graph_without_uploads_is_empty():
     from dctlab.server import TracingServer
     server = TracingServer(SeedStream(3, "sg"))

@@ -283,6 +283,55 @@ def test_cross_field_rules_are_checked_before_any_run_executes(monkeypatch, bad,
     assert executed == []
 
 
+_TIME_TRAVEL = {"kind": "time_travel", "victim": "a", "replayer": "s", "offset_s": -60,
+                "at_s": 100, "restore_at_s": 200}
+_RELAY = {"kind": "relay", "mode": "one_way_broadcast", "node_a": "a", "node_b": "s",
+          "window": [0, 600]}
+_TOO_BIG = r"expected a magnitude below 2\*\*60, got "
+
+
+@pytest.mark.parametrize("bad, at", [
+    ({"devices": ["a", "b", {"id": "s", "role": "sniffer", "clock_offset_s": 2**63}]},
+     r"devices\[2\]\.clock_offset_s"),
+    ({"devices": ["a", "b", {"id": "s", "role": "sniffer", "clock_offset_s": 10**30}]},
+     r"devices\[2\]\.clock_offset_s"),
+    ({"devices": ["a", "b", {"id": "s", "role": "sniffer", "clock_offset_s": -2**63}]},
+     r"devices\[2\]\.clock_offset_s"),
+    ({"attack": dict(_TIME_TRAVEL, offset_s=2**63)}, r"attack\.offset_s"),
+    ({"attack": dict(_TIME_TRAVEL, offset_s=-10**30)}, r"attack\.offset_s"),
+    ({"attack": dict(_TIME_TRAVEL, at_s=2**60)}, r"attack\.at_s"),
+    ({"attack": dict(_TIME_TRAVEL, restore_at_s=10**30)}, r"attack\.restore_at_s"),
+    ({"contact_trace": [["a", "b", 10**30, 10**30 + 600]]}, r"contact_trace\[0\]\[2\]"),
+    ({"contact_trace": [["a", "b", 0, 2**60]]}, r"contact_trace\[0\]\[3\]"),
+    ({"duration_s": 2**63}, r"duration_s"),
+    ({"infections": [{"device": "a", "report_at": 10**30}]}, r"infections\[0\]\.report_at"),
+    ({"attack": dict(_RELAY, window=[0, 2**60])}, r"attack\.window\[1\]"),
+    ({"attack": dict(_RELAY, latency_s=2**60)}, r"attack\.latency_s"),
+    ({"attack": dict(_RELAY, tick_s=2**60)}, r"attack\.tick_s"),
+    ({"attack": {"kind": "fake_claim", "claimant": "a", "at": 10**30}}, r"attack\.at"),
+])
+def test_times_that_reach_a_clock_are_bounded_before_any_run_executes(monkeypatch, bad, at):
+    executed = []
+    monkeypatch.setattr(scenario_module, "execute_run",
+                        lambda run, stream: executed.append(run["label"]))
+    with pytest.raises(FieldError, match=rf"^runs\[1\]\.{at}: {_TOO_BIG}-?\d+$"):
+        run_scenario({"id": "clock", "runs": [SMOKE_RUN, dict(SMOKE_RUN, label="bad", **bad)]})
+    assert executed == []
+
+
+@pytest.mark.parametrize("offset, notified", [(2**60 - 1, ["b"]), (1 - 2**60, [])])
+def test_tek_run_at_an_extreme_clock_offset_runs_to_the_end(offset, notified):
+    # every local time is offset, so the sighting log holds times near 2**60 or
+    # below 0; a clock before 0 dates keys to negative days, which no feed takes
+    devices = [{"id": "a", "clock_offset_s": offset}, {"id": "b", "clock_offset_s": offset}]
+    run = {"label": "main", "scheme": "tek", "devices": devices, "duration_s": 800,
+           "contact_trace": [["a", "b", 0, 600]], "infections": [{"device": "a", "report_at": 650}]}
+    metrics = run_scenario({"id": "clock", "runs": [run]})["runs"]["main"]
+    assert metrics["reports"] == 1
+    assert metrics["notified_devices"] == notified
+    assert metrics["false_notifications"] == 0
+
+
 @pytest.mark.parametrize("text", ["5", "null", "[]", '"runs"'])
 def test_scenario_file_that_is_not_an_object_is_a_scenario_error(tmp_path, capsys, text):
     path = tmp_path / "odd.json"

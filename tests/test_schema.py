@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from dctlab.crypto_core import DH_ENTRY, b64
 from dctlab.errors import ConfigurationError, FieldError
-from dctlab.schema import Field, base64_text, builds, check, hex_of, natural, passes, tagged
+from dctlab.schema import (Field, base64_text, builds, check, clock, hex_of, natural, passes,
+                           tagged)
 from dctlab.schemes.centralized import RECORD
 from dctlab.schemes.tek import TEK_ENTRY
 from dctlab.server import _BUNDLE
@@ -179,3 +180,18 @@ def test_builds_rule_raises_the_constructor_check_at_the_path():
         check([[1, 2], [2, 2]], rule)
     with pytest.raises(FieldError, match=r"^\[0\]\[1\]: expected a non-negative integer"):
         check([[1, -2]], rule)
+
+
+@pytest.mark.parametrize("value, problem", [
+    ({"t": 2**60}, rf"t: expected a magnitude below 2\*\*60, got {2**60}"),
+    ({"t": 0, "offset": -2**60}, rf"offset: expected a magnitude below 2\*\*60, got -{2**60}"),
+    ({"t": 0, "offset": 10**30}, rf"offset: expected a magnitude below 2\*\*60, got {10**30}"),
+    ({"t": -1}, r"t: expected a non-negative integer, got -1"),
+    ({"t": 0, "offset": "5"}, r"offset: expected an integer, got '5'"),
+])
+def test_clock_rule_bounds_the_magnitude_below_2_to_the_60(value, problem):
+    table = {"t": Field(clock(natural)), "offset": Field(clock(int), 0)}
+    assert check({"t": 2**60 - 1, "offset": 1 - 2**60}, table) == {"t": 2**60 - 1,
+                                                                  "offset": 1 - 2**60}
+    with pytest.raises(FieldError, match=f"^{problem}$"):
+        check(value, table)

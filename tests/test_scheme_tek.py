@@ -1,3 +1,5 @@
+import tracemalloc
+
 from dctlab.crypto_core import Tek, derive_day_identifiers
 from dctlab.rng import SeedStream
 from dctlab.schemes.tek import (
@@ -103,6 +105,41 @@ def test_exposures_by_day_and_slot():
             log.append(ident.bytes, ident.valid_from + 1)
     exposures = match_exposures(log, [tek0, tek1])
     assert [(e.day_index, e.slot) for e in exposures] == [(0, 1), (0, 2), (1, 3)]
+
+
+def test_sighting_log_keeps_seen_at_seq_pairs_in_append_order():
+    log = SightingLog()
+    for ident, seen_at in [(b"x", 50), (b"y", -7), (b"x", 20), (b"x", 2**60 - 1)]:
+        log.append(ident, seen_at)
+    assert len(log) == 4
+    assert list(log.by_identifier[b"x"]) == [50, 0, 20, 2, 2**60 - 1, 3]
+    assert list(log.by_identifier[b"y"]) == [-7, 1]
+
+
+def test_sighting_log_keeps_and_matches_a_clock_before_zero():
+    # day 0's slot 0 opens at 0; a clock 30 s behind still lies in the window
+    tek = make_tek(1, 0)
+    log = SightingLog()
+    log.append(derive_day_identifiers(tek)[0].bytes, seen_at=-30)
+    exposures = match_exposures(log, [tek])
+    assert [(e.slot, e.seen_at) for e in exposures] == [(0, -30)]
+    assert match_exposures(log, [tek], validity_window_s=29) == []
+
+
+def test_sighting_log_holds_at_most_32_bytes_a_sighting():
+    idents = [SeedStream(i, "ident").take(16) for i in range(40)]
+    log = SightingLog()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(100_000):
+            # local times past the small-int cache, as a real day's are
+            log.append(idents[n % 40], 10**9 + n)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 100_000
+    assert held <= 32 * 100_000, held / 100_000
 
 
 def test_client_schedule_and_sync_dedupe():

@@ -45,12 +45,13 @@ def reference_match_exposures(log, published, validity_window_s=DEFAULT_VALIDITY
     for pub in published:
         cutoff = watermarks.get(pub.hex) if strict_freshness else None
         for slot, ident in enumerate(derive_day_identifiers(pub)):
-            for s in log.by_identifier.get(ident.bytes, []):
-                if cutoff is not None and s.seq >= cutoff:
+            pairs = log.by_identifier.get(ident.bytes, [])
+            for seen_at, seq in zip(pairs[::2], pairs[1::2]):
+                if cutoff is not None and seq >= cutoff:
                     continue
-                if _ref_slot_distance(s.seen_at, ident.valid_from, ident.valid_to) > validity_window_s:
+                if _ref_slot_distance(seen_at, ident.valid_from, ident.valid_to) > validity_window_s:
                     continue
-                exp = Exposure(pub.hex, pub.day_index, slot, s.seen_at)
+                exp = Exposure(pub.hex, pub.day_index, slot, seen_at)
                 if exp.key not in seen_keys:
                     seen_keys.add(exp.key)
                     out.append(exp)
