@@ -14,6 +14,10 @@ Three identifier schedules live here:
 
 All derivations are pure functions of their inputs. HKDF is HKDF-SHA256
 (RFC 5869); epoch indexes enter KDF inputs as 8-byte big-endian integers.
+Schedules yield plain 16-byte ``bytes``; an identifier's validity window
+follows from its index (window ``t_k`` of a rotation period ``r`` is
+``[t_k * r, (t_k + 1) * r)``, slot ``s`` of day ``d`` starts at
+``d * DAY_S + s * IDENTIFIER_SLOT_S``), so no derivation returns it.
 """
 
 from __future__ import annotations
@@ -179,23 +183,6 @@ class EphemeralKeyPair:
 
 
 @dataclass(frozen=True)
-class Identifier:
-    """16-byte rotating beacon payload with its validity window (seconds)."""
-
-    bytes: bytes
-    valid_from: int = 0
-    valid_to: int = 0
-
-    def __post_init__(self):
-        if len(self.bytes) != IDENTIFIER_LEN:
-            raise ConfigurationError(f"identifier must be {IDENTIFIER_LEN} bytes")
-
-    @property
-    def hex(self) -> str:
-        return self.bytes.hex()
-
-
-@dataclass(frozen=True)
 class Tek:
     """Daily exposure key; published wholesale on an infection report."""
 
@@ -272,41 +259,32 @@ def dh_token(my_secret: int | bytes | X25519PrivateKey, their_public: bytes,
 
 
 # ---------------------------------------------------------------------------
-# Identifier schedules
+# Beacon identifier schedules
 # ---------------------------------------------------------------------------
 
 def _as_bytes(value: str | bytes) -> bytes:
     return value.encode() if isinstance(value, str) else value
 
 
-def derive_centralized_id(user_id: str | bytes, t_k: int, rotation_s: int = 900) -> Identifier:
+def derive_centralized_id(user_id: str | bytes, t_k: int) -> bytes:
     """id = HKDF(user_id, t_k), truncated to 16 bytes."""
-    raw = hkdf_sha256(_as_bytes(user_id), None, encode_epoch(t_k), IDENTIFIER_LEN)
-    return Identifier(raw, valid_from=t_k * rotation_s, valid_to=(t_k + 1) * rotation_s)
+    return hkdf_sha256(_as_bytes(user_id), None, encode_epoch(t_k), IDENTIFIER_LEN)
 
 
 def derive_bluetrace_id(user_id: str | bytes, t_k: int, iv: bytes, auth_tag: bytes,
-                        master: MasterKey, rotation_s: int = 900) -> Identifier:
+                        master: MasterKey) -> bytes:
     """Four-input HKDF(user_id || t_k || IV || auth_tag) keyed by the server
     master key. Only the server can generate or verify these."""
     ikm = _as_bytes(user_id) + encode_epoch(t_k) + iv + auth_tag
-    raw = hkdf_sha256(ikm, master.bytes, b"", IDENTIFIER_LEN)
-    return Identifier(raw, valid_from=t_k * rotation_s, valid_to=(t_k + 1) * rotation_s)
+    return hkdf_sha256(ikm, master.bytes, b"", IDENTIFIER_LEN)
 
 
-def derive_day_identifiers(tek: Tek) -> list[Identifier]:
-    """The day's full identifier schedule: 144 identifiers, one per 10-minute
-    slot, each HKDF(tek, slot_index). Publication of the key therefore links
-    every identifier of the day, which is exactly what the linkage attack
-    exploits."""
-    day_start = tek.day_index * DAY_S
-    out = []
-    for slot in range(IDENTIFIERS_PER_DAY):
-        raw = hkdf_sha256(tek.bytes, None, encode_epoch(slot), IDENTIFIER_LEN)
-        out.append(Identifier(raw,
-                              valid_from=day_start + slot * IDENTIFIER_SLOT_S,
-                              valid_to=day_start + (slot + 1) * IDENTIFIER_SLOT_S))
-    return out
+def derive_day_identifiers(tek: Tek) -> list[bytes]:
+    """The day's full identifier schedule: 144 identifiers in slot order, each
+    HKDF(tek, slot_index). Publication of the key therefore links every
+    identifier of the day, which is exactly what the linkage attack exploits."""
+    return [hkdf_sha256(tek.bytes, None, encode_epoch(slot), IDENTIFIER_LEN)
+            for slot in range(IDENTIFIERS_PER_DAY)]
 
 
 # ---------------------------------------------------------------------------

@@ -84,13 +84,15 @@ def load_scenario(path: str | Path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}")
     try:
         scenario = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path} is not valid JSON: {exc.msg}",
                             line=exc.lineno, column=exc.colno)
+    except RecursionError:
+        raise ScenarioError(f"scenario {path} is nested too deeply to parse")
     try:
         check(scenario, SCENARIO)
     except FieldError as exc:

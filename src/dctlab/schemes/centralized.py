@@ -17,13 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto_core import (
-    DAY_S,
-    Identifier,
-    MasterKey,
-    derive_bluetrace_id,
-    derive_centralized_id,
-)
+from ..crypto_core import DAY_S, MasterKey, derive_bluetrace_id, derive_centralized_id
 from ..errors import ProtocolError
 from ..radio import DeviceClient
 from ..rng import SeedStream
@@ -93,23 +87,22 @@ class CentralRegistry:
         self.device_of[user_id] = device_id
         return reg
 
-    def issue_batch(self, user_id: str, day: int) -> list[dict]:
-        """Pre-generated identifiers for one day (bluetrace pull). A client
-        pulls each day once; a repeat pull derives the same entries again from
-        the day's own stream."""
+    def issue_batch(self, user_id: str, day: int) -> list[bytes]:
+        """Pre-generated identifiers for one day (bluetrace pull), in window
+        order: item i is window day * batch_size + i. A client pulls each day
+        once; a repeat pull derives the same identifiers again from the day's
+        own stream."""
         if user_id not in self.users:
             raise ProtocolError(f"unknown user {user_id}")
         batch = []
         base = day * self.batch_size
         batch_stream = self.stream.child(f"batch:{user_id}:{day}")
-        for i in range(self.batch_size):
-            t_k = base + i
+        for t_k in range(base, base + self.batch_size):
             iv = batch_stream.take(IV_LEN)
             auth_tag = batch_stream.take(AUTH_TAG_LEN)
-            ident = derive_bluetrace_id(user_id, t_k, iv, auth_tag, self.master, self.rotation_s)
-            self._batch_index[ident.bytes] = (user_id, t_k, iv, auth_tag)
-            batch.append({"id_hex": ident.hex, "t_k": t_k,
-                          "valid_from": ident.valid_from, "valid_to": ident.valid_to})
+            ident = derive_bluetrace_id(user_id, t_k, iv, auth_tag, self.master)
+            self._batch_index[ident] = (user_id, t_k, iv, auth_tag)
+            batch.append(ident)
         return batch
 
     def owners(self, lo: int, hi: int) -> dict[bytes, str]:
@@ -118,7 +111,7 @@ class CentralRegistry:
         if self.variant == VARIANT_BLUETRACE:
             return {ident: user_id for ident, (user_id, t_k, _, _) in self._batch_index.items()
                     if lo <= t_k <= hi}
-        return {derive_centralized_id(user_id, t_k, self.rotation_s).bytes: user_id
+        return {derive_centralized_id(user_id, t_k): user_id
                 for user_id in self.users for t_k in range(lo, hi + 1)}
 
     def resolve(self, identifier: bytes, first_seen: int, last_seen: int) -> str | None:
@@ -128,8 +121,8 @@ class CentralRegistry:
             if hit is None:
                 return None
             user_id, t_k, iv, auth_tag = hit
-            rederived = derive_bluetrace_id(user_id, t_k, iv, auth_tag, self.master, self.rotation_s)
-            return user_id if rederived.bytes == identifier else None
+            rederived = derive_bluetrace_id(user_id, t_k, iv, auth_tag, self.master)
+            return user_id if rederived == identifier else None
         r = self.rotation_s
         return self.owners(first_seen // r - 1, last_seen // r + 1).get(identifier)
 
@@ -181,25 +174,14 @@ class CentralizedClient(DeviceClient):
             if self.registry.variant == VARIANT_BLUETRACE:
                 # one pull fills the whole day
                 day = (t_k * self.rotation_s) // DAY_S
-                for e in self.registry.issue_batch(user_id, day):
-                    self._ids[e["t_k"]] = bytes.fromhex(e["id_hex"])
+                batch = self.registry.issue_batch(user_id, day)
+                self._ids.update(enumerate(batch, day * self.registry.batch_size))
             else:
-                self._ids[t_k] = derive_centralized_id(user_id, t_k, self.rotation_s).bytes
+                self._ids[t_k] = derive_centralized_id(user_id, t_k)
         return self._ids[t_k]
 
     def advertisement_identifier(self, local_t: int) -> bytes:
         return self._identifier_for_window(local_t // self.rotation_s)
-
-    def beacon_schedule(self, window_start: int, window_end: int) -> list[Identifier]:
-        """One identifier per rotation period covering [window_start, window_end)."""
-        self._require_registration()
-        out = []
-        for t_k in range(window_start // self.rotation_s,
-                         (window_end + self.rotation_s - 1) // self.rotation_s):
-            out.append(Identifier(self._identifier_for_window(t_k),
-                                  valid_from=t_k * self.rotation_s,
-                                  valid_to=(t_k + 1) * self.rotation_s))
-        return out
 
     def on_sighting(self, identifier: bytes, link_addr: bytes, local_t: int, global_t: int) -> None:
         rec = self._last_by_id.get(identifier)

@@ -130,7 +130,7 @@ class PublishedTekIndex:
         """The 144 identifier bytes of tek's key, slot by slot."""
         idents = self.by_hex.get(tek.hex)
         if idents is None:
-            idents = self.by_hex[tek.hex] = [i.bytes for i in derive_day_identifiers(tek)]
+            idents = self.by_hex[tek.hex] = derive_day_identifiers(tek)
             for slot, ident in enumerate(idents):
                 self.by_identifier.setdefault(ident, (tek.hex, slot))
         return idents
@@ -232,8 +232,7 @@ class TekClient(DeviceClient):
         """The day's 144 identifier bytes, slot by slot."""
         schedule = self._schedules.get(day)
         if schedule is None:
-            schedule = self._schedules[day] = [
-                i.bytes for i in derive_day_identifiers(self.tek_for_day(day))]
+            schedule = self._schedules[day] = derive_day_identifiers(self.tek_for_day(day))
             if len(self._schedules) > 4:  # keep the cache small on long runs
                 self._schedules.pop(min(self._schedules))
         return schedule

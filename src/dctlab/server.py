@@ -28,11 +28,14 @@ The server is callable in-process and over a newline-delimited JSON
 request/response protocol on a TCP byte stream (see serve_tcp / WireClient).
 A request line is checked against _REQUEST and the args table its op has in
 _OPS; one that breaks them is answered with ok: false, naming the JSON path
-of the first bad value.
+of the first bad value. A line json cannot parse, one that is not UTF-8 or
+is nested past the recursion limit included, is answered "bad json: ..."
+and the connection keeps serving.
 Persistence is an append-only JSON-lines log per feed plus the TAN log and
 the superspreader tag log; a server constructed over the same state
 directory replays them, dropping a final line that a crash cut off
-mid-write. A TAN or tag record that breaks TAN_LOG or TAG_LOG, or consumes
+mid-write; an unparsable line before the last, one nested too deeply
+included, raises StateError. A TAN or tag record that breaks TAN_LOG or TAG_LOG, or consumes
 a TAN never issued, raises StateError naming the file and line; feed
 entries replay as they are, and clients skip and count a bad one.
 The form of every field that arrives from outside - bundle, wire request,
@@ -148,7 +151,7 @@ class TracingServer:
                     raise StateError(f"{name} line {torn[0]} is not JSON: {torn[1]}")
                 try:
                     record = json.loads(line)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     torn = (number, exc)
                     continue
                 if rule is not None:
@@ -385,7 +388,8 @@ class _WireHandler(socketserver.StreamRequestHandler):
                 continue
             try:
                 req = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers a line that is not UTF-8 as well as bad JSON
                 resp = {"ok": False, "error": f"bad json: {exc}"}
             else:
                 resp = _handle_request(self.server.tracing_server, req)

@@ -62,8 +62,8 @@ def test_01_tek_schedule_is_144_oracle_checked_identifiers():
         idents = derive_day_identifiers(tek)
         assert len(idents) == 144
         for slot, ident in enumerate(idents):
-            assert len(ident.bytes) == 16
-            assert ident.bytes == hkdf_oracle(tek.bytes, None, encode_epoch(slot), 16)
+            assert len(ident) == 16
+            assert ident == hkdf_oracle(tek.bytes, None, encode_epoch(slot), 16)
 
 
 def test_02_dh_symmetry_1000_pairs_per_group_plus_toy_vector():

@@ -112,8 +112,8 @@ def test_linkage_groups_only_published_material():
     tek = Tek(SeedStream(1, "t").take(16), 0)
     other = Tek(SeedStream(2, "t").take(16), 0)
     ids = derive_day_identifiers(tek)
-    observations = [make_obs(1000, ids[1].bytes), make_obs(50000, ids[83].bytes),
-                    make_obs(2000, derive_day_identifiers(other)[3].bytes)]
+    observations = [make_obs(1000, ids[1]), make_obs(50000, ids[83]),
+                    make_obs(2000, derive_day_identifiers(other)[3])]
     report = adversary.run_linkage(observations, tek_owners([tek]))
     assert len(report.tracks) == 1
     assert report.max_track_duration_s == 49000
@@ -128,7 +128,7 @@ def test_linkage_tracks_partition_attributed_sightings():
     observations = []
     for tek, base in ((tek_a, 0), (tek_b, 40000)):
         for k in (0, 5, 9):
-            observations.append(make_obs(base + k * 600, derive_day_identifiers(tek)[k].bytes))
+            observations.append(make_obs(base + k * 600, derive_day_identifiers(tek)[k]))
     report = adversary.run_linkage(
         observations, tek_owners([tek_a, tek_b]))
     assert len(report.tracks) == 2
@@ -185,7 +185,7 @@ def test_social_graph_without_uploads_is_empty():
 def reference_registry_identifier(registry, user_id, t_k):
     """The earlier per-(user, window) lookup of a colluding provider, kept as a reference."""
     if registry.variant == "pepp_pt":
-        return derive_centralized_id(user_id, t_k, registry.rotation_s).bytes
+        return derive_centralized_id(user_id, t_k)
     for ident, (uid, tk, _, _) in registry._batch_index.items():
         if uid == user_id and tk == t_k:
             return ident
@@ -231,8 +231,9 @@ def test_registry_owners_match_the_reference_lookup(variant):
     observations = []
     for i, client in enumerate(clients):
         end = DAY_S + 3600 if i < 2 else DAY_S - 900
-        for ident in client.beacon_schedule(DAY_S - 3600, end):
-            observations.append(make_obs(ident.valid_from + 10 * i, ident.bytes, f"sn{i % 2}"))
+        for start in range(DAY_S - 3600, end, registry.rotation_s):
+            ident = client.advertisement_identifier(start)
+            observations.append(make_obs(start + 10 * i, ident, f"sn{i % 2}"))
     observations.append(make_obs(DAY_S, b"\x07" * 16))    # nobody's identifier
     observations.sort(key=lambda o: (o.at, o.sniffer_id, o.identifier))
     per_day = DAY_S // registry.rotation_s

@@ -172,13 +172,13 @@ def test_production_public_keys_are_32_bytes():
 
 def test_centralized_id_matches_hkdf_oracle():
     ident = derive_centralized_id("u1", 0)
-    assert ident.bytes == hkdf_oracle(b"u1", None, encode_epoch(0), IDENTIFIER_LEN)
-    assert len(ident.bytes) == 16
+    assert ident == hkdf_oracle(b"u1", None, encode_epoch(0), IDENTIFIER_LEN)
+    assert len(ident) == 16
 
 
 def test_centralized_id_changes_with_window():
-    assert derive_centralized_id("u1", 0).bytes != derive_centralized_id("u1", 1).bytes
-    assert derive_centralized_id("u1", 5).bytes == derive_centralized_id("u1", 5).bytes
+    assert derive_centralized_id("u1", 0) != derive_centralized_id("u1", 1)
+    assert derive_centralized_id("u1", 5) == derive_centralized_id("u1", 5)
 
 
 def test_bluetrace_id_matches_hkdf_oracle():
@@ -186,7 +186,7 @@ def test_bluetrace_id_matches_hkdf_oracle():
     iv, tag = b"\x01" * 16, b"\x02" * 8
     ident = derive_bluetrace_id("u7", 12, iv, tag, master)
     ikm = b"u7" + encode_epoch(12) + iv + tag
-    assert ident.bytes == hkdf_oracle(ikm, master.bytes, b"", IDENTIFIER_LEN)
+    assert ident == hkdf_oracle(ikm, master.bytes, b"", IDENTIFIER_LEN)
 
 
 def test_bluetrace_id_sensitive_to_auth_tag_bit():
@@ -194,9 +194,9 @@ def test_bluetrace_id_sensitive_to_auth_tag_bit():
     iv = b"\x01" * 16
     a = derive_bluetrace_id("u7", 12, iv, b"\x02" * 8, master)
     b = derive_bluetrace_id("u7", 12, iv, b"\x03" + b"\x02" * 7, master)
-    assert a.bytes != b.bytes
+    assert a != b
     again = derive_bluetrace_id("u7", 12, iv, b"\x02" * 8, master)
-    assert a.bytes == again.bytes
+    assert a == again
 
 
 def test_day_schedule_is_144_slots_matching_oracle():
@@ -204,15 +204,13 @@ def test_day_schedule_is_144_slots_matching_oracle():
     idents = derive_day_identifiers(tek)
     assert len(idents) == IDENTIFIERS_PER_DAY
     for slot, ident in enumerate(idents):
-        assert len(ident.bytes) == 16
-        assert ident.bytes == hkdf_oracle(tek.bytes, None, encode_epoch(slot), 16)
-        assert ident.valid_from == 3 * 86400 + slot * 600
-        assert ident.valid_to == ident.valid_from + 600
+        assert len(ident) == 16
+        assert ident == hkdf_oracle(tek.bytes, None, encode_epoch(slot), 16)
 
 
 def test_day_schedules_of_distinct_teks_disjoint():
-    a = {i.bytes for i in derive_day_identifiers(Tek(SeedStream(1, "t").take(16), 0))}
-    b = {i.bytes for i in derive_day_identifiers(Tek(SeedStream(2, "t").take(16), 0))}
+    a = set(derive_day_identifiers(Tek(SeedStream(1, "t").take(16), 0)))
+    b = set(derive_day_identifiers(Tek(SeedStream(2, "t").take(16), 0)))
     assert len(a) == 144 and len(b) == 144
     assert not (a & b)
 

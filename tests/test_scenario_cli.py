@@ -126,6 +126,19 @@ def test_load_scenario_malformed_json_reports_position(tmp_path):
     assert err.value.column is not None
 
 
+@pytest.mark.parametrize("content, problem", [
+    (b'{"id": "\xff"}', "cannot read scenario .*can't decode byte 0xff"),
+    (b"[" * 100_000, "nested too deeply"),
+], ids=["not-utf8", "too-deep"])
+def test_load_scenario_undecodable_file_is_a_scenario_error(tmp_path, capsys, content, problem):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(ScenarioError, match=problem):
+        load_scenario(bad)
+    assert main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_load_scenario_missing_fields(tmp_path):
     p = tmp_path / "incomplete.json"
     p.write_text('{"id": "x"}')

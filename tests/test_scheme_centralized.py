@@ -24,26 +24,25 @@ def make_pair(variant):
 
 def test_one_hour_window_four_identifiers():
     _, client = make_pair(VARIANT_PEPP_PT)
-    idents = client.beacon_schedule(0, 3600)
+    idents = [client.advertisement_identifier(t) for t in range(0, 3600, 900)]
     assert len(idents) == 3600 // 900
-    assert len({i.bytes for i in idents}) == 4
+    assert len(set(idents)) == 4
 
 
 def test_pepp_pt_identifier_is_local_derivation():
     _, client = make_pair(VARIANT_PEPP_PT)
     uid = client.registration.user_id
-    assert client.advertisement_identifier(950) == derive_centralized_id(uid, 1).bytes
+    assert client.advertisement_identifier(950) == derive_centralized_id(uid, 1)
 
 
 def test_bluetrace_identifiers_verify_under_master_rederivation():
     registry, client = make_pair(VARIANT_BLUETRACE)
     uid = client.registration.user_id
-    for ident in client.beacon_schedule(0, 3600):
-        entry = registry._batch_index[ident.bytes]
-        user_id, t_k, iv, auth_tag = entry
-        assert user_id == uid
-        rederived = derive_bluetrace_id(user_id, t_k, iv, auth_tag, registry.master)
-        assert rederived.bytes == ident.bytes
+    for t in range(0, 3600, 900):
+        ident = client.advertisement_identifier(t)
+        user_id, t_k, iv, auth_tag = registry._batch_index[ident]
+        assert (user_id, t_k) == (uid, t // 900)
+        assert derive_bluetrace_id(user_id, t_k, iv, auth_tag, registry.master) == ident
 
 
 def test_unregistered_client_cannot_beacon():
@@ -51,8 +50,6 @@ def test_unregistered_client_cannot_beacon():
     client = CentralizedClient(registry)
     with pytest.raises(ProtocolError):
         client.advertisement_identifier(0)
-    with pytest.raises(ProtocolError):
-        client.beacon_schedule(0, 900)
 
 
 def test_report_bundle_contents():
@@ -69,9 +66,9 @@ def test_server_match_resolves_and_groups():
     reg_b = registry.register("dev-b")
     # two identifiers of the same user in different windows, one unknown
     records = [
-        {"id_hex": derive_centralized_id(reg_b.user_id, 0).bytes.hex(),
+        {"id_hex": derive_centralized_id(reg_b.user_id, 0).hex(),
          "first_seen": 10, "last_seen": 800},
-        {"id_hex": derive_centralized_id(reg_b.user_id, 1).bytes.hex(),
+        {"id_hex": derive_centralized_id(reg_b.user_id, 1).hex(),
          "first_seen": 905, "last_seen": 1700},
         {"id_hex": "ab" * 16, "first_seen": 0, "last_seen": 60},
     ]
@@ -120,10 +117,10 @@ def test_client_identifier_cache_matches_derivation_and_batches(monkeypatch, var
             t_k = t // 900
             got = client.advertisement_identifier(t)
             if variant == VARIANT_PEPP_PT:
-                assert got == derive_centralized_id(uid, t_k).bytes
+                assert got == derive_centralized_id(uid, t_k)
             else:
-                batch = issue(uid, t // DAY_S)
-                assert got.hex() == next(e["id_hex"] for e in batch if e["t_k"] == t_k)
+                day = t // DAY_S
+                assert got == issue(uid, day)[t_k - day * registry.batch_size]
     windows = {t // 900 for t in times}
     if variant == VARIANT_PEPP_PT:
         assert len(derivations) == len(windows)     # one per window, however often it beacons

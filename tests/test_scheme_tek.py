@@ -41,7 +41,7 @@ def test_match_inside_slot():
     tek = make_tek(1, 0)
     ident = derive_day_identifiers(tek)[7]
     log = SightingLog()
-    log.append(ident.bytes, seen_at=7 * 600 + 30)
+    log.append(ident, seen_at=7 * 600 + 30)
     got = match_exposures(log, [tek])
     assert len(got) == 1
     assert got[0].slot == 7
@@ -52,11 +52,11 @@ def test_match_rejects_sighting_outside_window():
     ident = derive_day_identifiers(tek)[7]
     log = SightingLog()
     # 3 h after the slot end, window is 2 h
-    log.append(ident.bytes, seen_at=8 * 600 + 3 * 3600)
+    log.append(ident, seen_at=8 * 600 + 3 * 3600)
     assert match_exposures(log, [tek], validity_window_s=7200) == []
     # but a 2 h displacement is accepted under the default window
     log2 = SightingLog()
-    log2.append(ident.bytes, seen_at=8 * 600 + 7200 - 1)
+    log2.append(ident, seen_at=8 * 600 + 7200 - 1)
     assert len(match_exposures(log2, [tek])) == 1
 
 
@@ -65,12 +65,12 @@ def test_two_teks_two_exposures():
     log = SightingLog()
     for tek in teks:
         ident = derive_day_identifiers(tek)[3]
-        log.append(ident.bytes, seen_at=3 * 600 + 5)
+        log.append(ident, seen_at=3 * 600 + 5)
     # brute-force oracle: intersect the log against both full schedules
     expected = 0
     logged = set(log.by_identifier)
     for tek in teks:
-        expected += sum(1 for i in derive_day_identifiers(tek) if i.bytes in logged)
+        expected += sum(1 for i in derive_day_identifiers(tek) if i in logged)
     got = match_exposures(log, teks)
     assert len(got) == expected == 2
 
@@ -80,7 +80,7 @@ def test_repeated_sightings_single_exposure():
     ident = derive_day_identifiers(tek)[0]
     log = SightingLog()
     for t in range(0, 600, 5):
-        log.append(ident.bytes, seen_at=t)
+        log.append(ident, seen_at=t)
     assert len(match_exposures(log, [tek])) == 1
 
 
@@ -90,7 +90,7 @@ def test_kiss_same_day_replay_and_strict_fix():
     ident = derive_day_identifiers(tek)[10]
     log = SightingLog()
     watermarks = {tek.hex: len(log)}  # key arrived before the sighting
-    log.append(ident.bytes, seen_at=10 * 600 + 50)
+    log.append(ident, seen_at=10 * 600 + 50)
     published = [tek]
     assert len(match_exposures(log, published)) == 1  # default: accepted
     assert match_exposures(log, published, watermarks=watermarks) == []
@@ -102,7 +102,7 @@ def test_exposures_by_day_and_slot():
     for tek, slots in ((tek0, (1, 2)), (tek1, (3,))):
         for slot in slots:
             ident = derive_day_identifiers(tek)[slot]
-            log.append(ident.bytes, ident.valid_from + 1)
+            log.append(ident, tek.day_index * 86400 + slot * 600 + 1)
     exposures = match_exposures(log, [tek0, tek1])
     assert [(e.day_index, e.slot) for e in exposures] == [(0, 1), (0, 2), (1, 3)]
 
@@ -120,7 +120,7 @@ def test_sighting_log_keeps_and_matches_a_clock_before_zero():
     # day 0's slot 0 opens at 0; a clock 30 s behind still lies in the window
     tek = make_tek(1, 0)
     log = SightingLog()
-    log.append(derive_day_identifiers(tek)[0].bytes, seen_at=-30)
+    log.append(derive_day_identifiers(tek)[0], seen_at=-30)
     exposures = match_exposures(log, [tek])
     assert [(e.slot, e.seen_at) for e in exposures] == [(0, -30)]
     assert match_exposures(log, [tek], validity_window_s=29) == []
@@ -165,11 +165,11 @@ def test_published_key_links_all_day_identifiers():
     # re-derivation from one published key groups sightings across the whole
     # day, and claims nothing from other devices
     mine, other = make_tek(5, 0), make_tek(6, 0)
-    schedule = {i.bytes for i in derive_day_identifiers(mine)}
+    schedule = set(derive_day_identifiers(mine))
     assert len(schedule) == 144
-    sightings = [derive_day_identifiers(mine)[0].bytes,
-                 derive_day_identifiers(mine)[143].bytes,
-                 derive_day_identifiers(other)[0].bytes]
+    sightings = [derive_day_identifiers(mine)[0],
+                 derive_day_identifiers(mine)[143],
+                 derive_day_identifiers(other)[0]]
     linked = [s for s in sightings if s in schedule]
     assert linked == sightings[:2]
 
@@ -181,7 +181,7 @@ def test_a_day_older_than_every_retained_key_still_gets_its_key():
     day0 = mark.tek_for_day(0)      # pruned as soon as it is stored
     assert day0.day_index == 0 and mark.store.retained() == [day1]
     assert mark.tek_for_day(0) == day0   # rederived from the same stream
-    assert mark.advertisement_identifier(30) == derive_day_identifiers(day0)[0].bytes
+    assert mark.advertisement_identifier(30) == derive_day_identifiers(day0)[0]
 
     patient = TekClient(stream.child("patient"))
     kept = [patient.tek_for_day(d) for d in range(14)]
@@ -196,5 +196,5 @@ def test_the_beacon_is_the_slot_identifier_of_the_local_day():
     times = [d * 86400 + s for d in range(5) for s in (0, 599, 600, 86399)] + [0, 1234, -1, -86400]
     for t in times:
         day, within = divmod(t, 86400)
-        expected = derive_day_identifiers(client.tek_for_day(day))[within // 600].bytes
+        expected = derive_day_identifiers(client.tek_for_day(day))[within // 600]
         assert client.advertisement_identifier(t) == expected, t

@@ -430,6 +430,32 @@ def test_replay_drops_a_torn_final_line(tmp_path):
     assert [e["day"] for e in make_server(state_dir=state).feeds["tek"].entries] == [1, 2, 3]
 
 
+TOO_DEEP = b"[" * 100_000    # nested past the recursion limit, so json cannot parse it
+
+
+def test_replay_drops_a_final_tans_line_nested_too_deeply(tmp_path):
+    server = make_server(state_dir=tmp_path)
+    tan = server.issue_tan("a")
+    log = tmp_path / "tans.jsonl"
+    whole = log.read_bytes()
+    with log.open("ab") as fh:
+        fh.write(TOO_DEEP + b"\n")
+
+    reborn = make_server(state_dir=tmp_path)
+    assert list(reborn.tans) == [tan.value]
+    assert log.read_bytes() == whole
+
+
+def test_replay_rejects_a_tans_line_nested_too_deeply_before_the_last(tmp_path):
+    server = make_server(state_dir=tmp_path)
+    server.issue_tan("a")
+    log = tmp_path / "tans.jsonl"
+    whole = log.read_bytes()
+    log.write_bytes(TOO_DEEP + b"\n" + whole)
+    with pytest.raises(StateError, match="^tans.jsonl line 1 is not JSON"):
+        make_server(state_dir=tmp_path)
+
+
 def test_replay_keeps_a_final_line_missing_only_its_newline(tmp_path):
     state = tmp_path / "state"
     server = make_server(state_dir=state)
@@ -534,9 +560,16 @@ def test_wire_protocol_bad_json_line():
     try:
         import socket as socketlib
         with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
-            sock.sendall(b"this is not json\n")
-            resp = json.loads(sock.makefile("r").readline())
-        assert resp["ok"] is False and "bad json" in resp["error"]
+            # not JSON, not UTF-8 inside a string, and nested past the recursion
+            # limit: each is answered, and the connection still serves a request
+            sock.sendall(b"this is not json\n" + b'"\xff"\n' + b"[" * 100_000 + b"\n"
+                         + json.dumps({"op": "feed", "args": {"scheme": "tek"}}).encode() + b"\n")
+            fh = sock.makefile("r")
+            bad = [json.loads(fh.readline()) for _ in range(3)]
+            good = json.loads(fh.readline())
+        for resp in bad:
+            assert resp["ok"] is False and resp["error"].startswith("bad json: ")
+        assert good["ok"] is True
     finally:
         tcp.shutdown()
 

@@ -45,11 +45,12 @@ def reference_match_exposures(log, published, validity_window_s=DEFAULT_VALIDITY
     for pub in published:
         cutoff = watermarks.get(pub.hex) if strict_freshness else None
         for slot, ident in enumerate(derive_day_identifiers(pub)):
-            pairs = log.by_identifier.get(ident.bytes, [])
+            pairs = log.by_identifier.get(ident, [])
+            valid_from = pub.day_index * DAY_S + slot * IDENTIFIER_SLOT_S
             for seen_at, seq in zip(pairs[::2], pairs[1::2]):
                 if cutoff is not None and seq >= cutoff:
                     continue
-                if _ref_slot_distance(seen_at, ident.valid_from, ident.valid_to) > validity_window_s:
+                if _ref_slot_distance(seen_at, valid_from, valid_from + 600) > validity_window_s:
                     continue
                 exp = Exposure(pub.hex, pub.day_index, slot, seen_at)
                 if exp.key not in seen_keys:
@@ -91,7 +92,7 @@ KEYS = [SeedStream(k, "pool").take(16) for k in range(3)]
 OWN_STREAM = SeedStream(4, "own")
 OWN_KEY = TekClient(OWN_STREAM).tek_for_day(0).bytes
 POOL = KEYS + [OWN_KEY]
-SCHEDULES = {key: [i.bytes for i in derive_day_identifiers(Tek(key, 0))] for key in POOL}
+SCHEDULES = {key: derive_day_identifiers(Tek(key, 0)) for key in POOL}
 SLOTS = [0, 1, 2, 71, 142, 143]   # few slots, so sightings of one slot repeat
 NOISE = b"\xee" * 16
 
@@ -256,7 +257,7 @@ def test_index_maps_identifiers_back_to_key_and_slot():
     tek = Tek(SeedStream(3, "t").take(16), 2)
     index = PublishedTekIndex()
     idents = index.identifiers(tek)
-    assert idents == [i.bytes for i in derive_day_identifiers(tek)]
+    assert idents == derive_day_identifiers(tek)
     assert index.by_identifier[idents[77]] == (tek.hex, 77)
     assert index.by_hex[tek.hex] is idents
     # the same key under another day: the same bytes, indexed once
