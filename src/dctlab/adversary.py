@@ -44,7 +44,6 @@ CO_SIGHT_WINDOW_S = IDENTIFIER_SLOT_S   # two owners heard this close together m
 class SnifferObservation:
     at: int              # attacker clock == global time
     identifier: bytes
-    link_addr: bytes
     sniffer_id: str
 
 
@@ -57,9 +56,8 @@ class SnifferClient(DeviceClient):
     def advertisement_identifier(self, local_t):
         return None   # never advertises
 
-    def on_sighting(self, identifier, link_addr, local_t, global_t):
-        self.observations.append(
-            SnifferObservation(global_t, identifier, link_addr, self.device_id))
+    def on_sighting(self, identifier, local_t, global_t):
+        self.observations.append(SnifferObservation(global_t, identifier, self.device_id))
 
 
 class ReplayClient(DeviceClient):

@@ -65,6 +65,9 @@ def hkdf_sha256(ikm: bytes, salt: bytes | None, info: bytes, length: int) -> byt
     return okm[:length]
 
 
+EPOCH_LIMIT = 2**63     # encode_epoch takes a window index in [-EPOCH_LIMIT, EPOCH_LIMIT)
+
+
 def encode_epoch(t_k: int) -> bytes:
     """Epoch index as it enters every KDF input: 8-byte big-endian, signed
     so that windows before the scenario origin (shifted clocks) encode too."""

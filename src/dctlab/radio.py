@@ -1,8 +1,8 @@
 """Deterministic discrete-event BLE world.
 
 Time is integer seconds from the scenario origin. The world processes a
-single heap of (time, sequence) ordered calls, each a function and the
-arguments it is called with, so a given (scenario, seed) pair always
+single heap of calls ordered by (time, order scheduled), each a function and
+the arguments it is called with, so a given (scenario, seed) pair always
 produces the identical event log, byte for byte.
 
 Modeling choices:
@@ -22,13 +22,11 @@ Modeling choices:
   grant the "clock" capability.
 
 Each event goes, as it is emitted, to the world's sink: a callable given to
-World that takes the SimEvent. Without one, the sink is world.events.append,
-so the world keeps its whole log; with one, world.events stays empty and
-the world holds no event. The sink of a run whose events are written nowhere
-is ``discard``. A world given it builds no scan event for a beacon it
-delivers or injects, the bulk of a log, but still draws that event's seq, so
-the schedule runs in the same order and every later seq is the one a written
-log would carry.
+World that takes the SimEvent. The world holds no event. Its seq is the
+event's 1-based place in the log, counted apart from the order of the
+schedule. A world without a sink builds no event at all: emit returns at
+once, and a beacon derives no link address, since only its scan event reads
+one. Such a run makes the same calls in the same order as a written one.
 """
 
 from __future__ import annotations
@@ -135,10 +133,6 @@ class SimEvent:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def discard(ev: SimEvent) -> None:
-    """The sink of a run whose events are written nowhere."""
-
-
 class DeviceClient:
     """Base scheme client: everything is a no-op so subclasses override only
     the hooks they care about. All hooks receive device-local time."""
@@ -149,7 +143,7 @@ class DeviceClient:
         """Current 16-byte beacon identifier; None for passive devices."""
         return None
 
-    def on_sighting(self, identifier: bytes, link_addr: bytes, local_t: int, global_t: int) -> None:
+    def on_sighting(self, identifier: bytes, local_t: int, global_t: int) -> None:
         pass
 
     def wants_connection(self, peer_id: str, local_t: int) -> bool:
@@ -224,13 +218,12 @@ class World:
         self.capabilities = set(capabilities)
         self.irk_linkable = irk_linkable
         self.devices: dict[str, Device] = {}
-        self.events: list[SimEvent] = []     # filled only by the default sink
-        self._sink = sink or self.events.append
-        self._discarding = sink is discard
+        self._sink = sink
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
         self._heap: list = []
-        self._seq = 0
+        self._order = 0     # the heap's tie-break
+        self._seq = 0       # the events emitted
         self._cid = 0
         self._started = False
 
@@ -252,23 +245,22 @@ class World:
 
     # -- event machinery ----------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def schedule(self, at_s: int, fn: Callable[..., None], *args) -> None:
-        """Call fn(*args) at at_s. The heap holds (at, seq, fn, args): the
+        """Call fn(*args) at at_s. The heap holds (at, order, fn, args): the
         call carries its arguments, so no closure is built to hold them, and
         calls at one time run in the order they were scheduled."""
         if at_s < self.now:
             raise ConfigurationError("cannot schedule into the past")
-        heapq.heappush(self._heap, (at_s, self._next_seq(), fn, args))
+        self._order += 1
+        heapq.heappush(self._heap, (at_s, self._order, fn, args))
 
-    def emit(self, kind: str, payload: dict) -> SimEvent:
+    def emit(self, kind: str, payload: dict) -> None:
+        """Hand the sink the next event; a world without a sink builds none."""
+        if self._sink is None:
+            return
         assert kind in EVENT_KINDS, kind
-        ev = SimEvent(self.now, self._next_seq(), kind, payload)
-        self._sink(ev)
-        return ev
+        self._seq += 1
+        self._sink(SimEvent(self.now, self._seq, kind, payload))
 
     def _start(self) -> None:
         if self._started:
@@ -279,12 +271,10 @@ class World:
             if first < edge.end_s:
                 self.schedule(first, self._edge_tick, edge, first)
 
-    def step(self, until_s: int | None = None) -> list[SimEvent]:
+    def step(self, until_s: int | None = None) -> None:
         """Process all scheduled work at times <= until_s, or all of it when
-        until_s is None; returns the events this call added to world.events,
-        which is none when the world has a sink of its own."""
+        until_s is None. Its events have gone to the sink."""
         self._start()
-        mark = len(self.events)
         limit = float("inf") if until_s is None else until_s
         while self._heap and self._heap[0][0] <= limit:
             at, _, fn, args = heapq.heappop(self._heap)
@@ -292,11 +282,10 @@ class World:
             fn(*args)
         if until_s is not None:
             self.now = max(self.now, until_s)
-        return self.events[mark:]
 
-    def run(self) -> list[SimEvent]:
+    def run(self) -> None:
         """Drain the schedule completely."""
-        return self.step()
+        self.step()
 
     # -- radio behavior -----------------------------------------------------
 
@@ -339,26 +328,24 @@ class World:
             speaker.last_advertised = ident
             self.emit("advertise", {"device": speaker.device_id, "id": ident.hex(),
                                     "size": adv.size})
-        link = speaker.link_address(speaker_t // self.link_rotation_s, self.irk_linkable)
-        self._scan(listener, listener_t, speaker.device_id, ident, link)
+        if self._sink is not None:
+            self._scan(listener.device_id, speaker.device_id, ident, speaker.link_address(
+                speaker_t // self.link_rotation_s, self.irk_linkable))
+        listener.client.on_sighting(ident, listener_t, self.now)
 
     def inject_beacon(self, listener_id: str, identifier: bytes, link_addr: bytes,
                       origin: str) -> None:
         """Deliver a beacon outside the normal range rules (relay machinery)."""
         Advertisement(identifier)
-        self._scan(self.devices[listener_id], self.local_time(listener_id), origin,
-                   identifier, link_addr)
+        if self._sink is not None:
+            self._scan(listener_id, origin, identifier, link_addr)
+        self.devices[listener_id].client.on_sighting(identifier, self.local_time(listener_id),
+                                                     self.now)
 
-    def _scan(self, listener: Device, listener_t: int, origin: str, ident: bytes,
-              link: bytes) -> None:
-        """Hand listener the beacon origin sent. A discarded log gets no scan
-        event, but the event's seq is still drawn."""
-        if self._discarding:
-            self._seq += 1
-        else:
-            self.emit("scan", {"device": listener.device_id, "from": origin,
-                               "id": ident.hex(), "link": link.hex()})
-        listener.client.on_sighting(ident, link, listener_t, self.now)
+    def _scan(self, listener_id: str, origin: str, ident: bytes, link: bytes) -> None:
+        """The scan event of a beacon that listener heard from origin."""
+        self.emit("scan", {"device": listener_id, "from": origin, "id": ident.hex(),
+                           "link": link.hex()})
 
     # -- connections ----------------------------------------------------------
 

@@ -23,10 +23,12 @@ field raises FieldError naming its JSON path, and load_scenario raises it
 as ScenarioError.
 
 Outputs per scenario: events.jsonl (every SimEvent of every run, tagged with
-the run label) and metrics.json. Identical (scenario, seed) pairs produce
-byte-identical outputs. Each event is written as it is emitted, to
-events.jsonl.tmp, which becomes events.jsonl when the last run has finished
-and before metrics.json is written; no run holds its events. A run that
+the run label; seq numbers each run's events 1, 2, ...) and metrics.json.
+Identical (scenario, seed) pairs produce byte-identical outputs. Each event
+is written as it is emitted, to events.jsonl.tmp, which becomes events.jsonl
+when the last run has finished and before metrics.json is written; no run
+holds its events. Without an out_dir a run's world gets no sink, so it
+builds no event, and its metrics are those of a written run. A run that
 raises leaves no new output behind.
 """
 
@@ -40,7 +42,7 @@ from pathlib import Path
 from . import adversary
 from .crypto_core import DAY_S, GroupParams
 from .errors import FieldError, ScenarioError, UploadRejected
-from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World, discard
+from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World
 from .rng import SeedStream
 from .schema import (Field, builds, check, clock, device, fault, has_role, natural, one_of,
                      positive, predicate, tagged)
@@ -135,13 +137,6 @@ def _runs(value, at: tuple, _=None) -> list:
 
 
 @dataclass
-class RunResult:
-    label: str
-    events: list
-    metrics: dict
-
-
-@dataclass
 class _RunState:
     world: World
     server: TracingServer
@@ -157,9 +152,9 @@ class _RunState:
 
 
 def execute_run(run_cfg: dict, stream: SeedStream,
-                sink: Callable[[SimEvent], object] | None = None) -> RunResult:
-    """Build and drain one run's world. Its events go to sink as they are
-    emitted; without one, RunResult.events holds them all."""
+                sink: Callable[[SimEvent], object] | None = None) -> dict:
+    """Build and drain one run's world; returns the run's metrics. Its events
+    go to sink as they are emitted; without one, no event is built."""
     run_cfg = _check_run(run_cfg, ("run",))
     scheme, sconf, attack = run_cfg["scheme"], run_cfg["scheme_config"], run_cfg["attack"]
 
@@ -181,8 +176,7 @@ def execute_run(run_cfg: dict, stream: SeedStream,
     SCHEMES[scheme].start(run_cfg, state)
 
     world.run()
-
-    return RunResult(run_cfg["label"], world.events, _collect_metrics(run_cfg, state))
+    return _collect_metrics(run_cfg, state)
 
 
 def _build_devices(run_cfg: dict, state: _RunState, stream: SeedStream) -> None:
@@ -491,8 +485,7 @@ def run_scenario(scenario: dict, seed: int | None = None,
     runs_metrics: dict[str, dict] = {}
     if out_dir is None:
         for run_cfg in scenario["runs"]:
-            result = execute_run(run_cfg, root.child(run_cfg["label"]), discard)
-            runs_metrics[result.label] = result.metrics
+            runs_metrics[run_cfg["label"]] = execute_run(run_cfg, root.child(run_cfg["label"]))
         return {"scenario": sid, "seed": seed, "runs": runs_metrics}
 
     out = Path(out_dir)
@@ -503,9 +496,8 @@ def run_scenario(scenario: dict, seed: int | None = None,
         with tmp.open("w", encoding="utf-8") as fh:
             for run_cfg in scenario["runs"]:
                 label = run_cfg["label"]
-                result = execute_run(run_cfg, root.child(label),
-                                     lambda ev: fh.write(ev.to_json_line(label) + "\n"))
-                runs_metrics[label] = result.metrics
+                runs_metrics[label] = execute_run(
+                    run_cfg, root.child(label), lambda ev: fh.write(ev.to_json_line(label) + "\n"))
             if fh.tell() == 0:
                 fh.write("\n")     # an empty log is one newline, as "\n".join([]) + "\n"
     except BaseException:

@@ -6,7 +6,7 @@ rule. A rule is one of:
 
 * a table, {name: Field(rule, default)}: a JSON object. A field that is left
   out or null takes its default, and a field without one is required. Fields
-  the table does not name pass through unchecked.
+  the table does not name pass through unchecked; closed(table) refuses them.
 * [rule]: a JSON list whose items each follow rule.
 * a row, (shape, Field, ...): a JSON list with one item per Field, read by
   position. Trailing items that have a default may be left out and take it;
@@ -106,6 +106,16 @@ def clock(rule):
         if not -CLOCK_LIMIT_S < value < CLOCK_LIMIT_S:
             raise fault(at, f"expected a magnitude below 2**60, got {value!r}")
         return value
+    return checked
+
+
+def closed(table: dict):
+    """table, and no field it does not name."""
+    def checked(value, at, roles):
+        for name in value if type(value) is dict else ():
+            if name not in table:
+                raise fault((*at, name), "unknown field")
+        return check(value, table, at, roles)
     return checked
 
 

@@ -183,7 +183,7 @@ class CentralizedClient(DeviceClient):
     def advertisement_identifier(self, local_t: int) -> bytes:
         return self._identifier_for_window(local_t // self.rotation_s)
 
-    def on_sighting(self, identifier: bytes, link_addr: bytes, local_t: int, global_t: int) -> None:
+    def on_sighting(self, identifier: bytes, local_t: int, global_t: int) -> None:
         rec = self._last_by_id.get(identifier)
         if rec is not None and local_t - rec.last_seen <= SIGHTING_MERGE_GAP_S:
             rec.last_seen = max(rec.last_seen, local_t)

@@ -247,7 +247,7 @@ class TekClient(DeviceClient):
             self._beacon = (slot, self._schedule_for(day)[within])
         return self._beacon[1]
 
-    def on_sighting(self, identifier: bytes, link_addr: bytes, local_t: int, global_t: int) -> None:
+    def on_sighting(self, identifier: bytes, local_t: int, global_t: int) -> None:
         self.log.append(identifier, local_t)
 
     def make_report(self, tan: str) -> dict:

@@ -13,8 +13,9 @@ One server instance backs all three schemes:
   entry) and then its scheme's bundle check; one that breaks either - a
   malformed entry, daily keys spanning more than the retention period, a
   centralized record seen for longer than the retention period (or ending
-  before it starts), or centralized records sent to a server without a
-  registry - is rejected with its TAN left unspent.
+  before it starts) or at a time whose window index does not encode, or
+  centralized records sent to a server without a registry - is rejected
+  with its TAN left unspent.
 * Publication feeds are append-only; clients page through them with an
   integer cursor and replaying a cursor returns the identical page.
 * Superspreader proofs: raw tokens submitted through this flow are hashed,
@@ -27,10 +28,10 @@ have no access to user identities and their feeds carry no user field.
 The server is callable in-process and over a newline-delimited JSON
 request/response protocol on a TCP byte stream (see serve_tcp / WireClient).
 A request line is checked against _REQUEST and the args table its op has in
-_OPS; one that breaks them is answered with ok: false, naming the JSON path
-of the first bad value. A line json cannot parse, one that is not UTF-8 or
-is nested past the recursion limit included, is answered "bad json: ..."
-and the connection keeps serving.
+_OPS; one that breaks them, or carries a key they do not name, is answered
+with ok: false, naming the JSON path of the first bad value. A line json
+cannot parse, one that is not UTF-8 or is nested past the recursion limit
+included, is answered "bad json: ..." and the connection keeps serving.
 Persistence is an append-only JSON-lines log per feed plus the TAN log and
 the superspreader tag log; a server constructed over the same state
 directory replays them, dropping a final line that a crash cut off
@@ -54,10 +55,10 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .crypto_core import DAY_S, DH_ENTRY, unb64
+from .crypto_core import DAY_S, DH_ENTRY, EPOCH_LIMIT, unb64
 from .errors import FieldError, StateError, UploadRejected
 from .rng import SeedStream
-from .schema import Field, check, hex_of, natural, one_of, predicate, tagged
+from .schema import Field, check, closed, hex_of, natural, one_of, predicate, tagged
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, RECORD, CentralRegistry, server_match
 from .schemes.tek import DEFAULT_RETENTION_DAYS, TEK_ENTRY
 
@@ -236,11 +237,16 @@ class TracingServer:
     def _check_registry(self, bundle: dict) -> None:
         if self.registry is None:
             raise UploadRejected("no centralized registry configured")
-        # a record's span bounds the windows resolve searches
+        # a record's span bounds the windows resolve searches, and each of them must encode
+        rotation_s = self.registry.rotation_s
         for i, r in enumerate(bundle["records"]):
             if not 0 <= r["last_seen"] - r["first_seen"] <= self.retention_days * DAY_S:
                 raise UploadRejected(f"malformed bundle: bundle.records[{i}]: last_seen must "
                                      f"lie within {self.retention_days} days after first_seen")
+            if not (-EPOCH_LIMIT <= r["first_seen"] // rotation_s - 1
+                    and r["last_seen"] // rotation_s + 1 < EPOCH_LIMIT):
+                raise UploadRejected(f"malformed bundle: bundle.records[{i}]: its window "
+                                     f"indexes must fit in 8 signed bytes")
 
     def _accept_tek(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
@@ -348,24 +354,25 @@ def _register(server: TracingServer, args: dict) -> dict:
     return {"user_id": reg.user_id, "mode": reg.mode}
 
 
-# per wire op: (the table of its args, the handler that answers them); _REQUEST is
-# the table of a request line. A bundle passes as it is, so that accept_upload
-# answers every fault in one as a malformed bundle
+# per wire op: (the rule of its args, the handler that answers them); _REQUEST is
+# the rule of a request line. Both refuse a key they do not name. A bundle passes
+# as it is, so that accept_upload answers every fault in one as a malformed bundle
 _OPS = {
-    "issue_tan": ({"device_id": Field(str)},
+    "issue_tan": (closed({"device_id": Field(str)}),
                   lambda server, args: {"tan": server.issue_tan(args["device_id"]).value}),
-    "upload": ({"bundle": Field(lambda value, at, roles: value, None)},
+    "upload": (closed({"bundle": Field(lambda value, at, roles: value, None)}),
                lambda server, args: server.accept_upload(args["bundle"])),
-    "feed": ({"scheme": Field(str), "since_cursor": Field(natural, 0)}, _feed),
-    "superspreader_proof": ({"proof": Field(PROOF)}, lambda server, args: {
+    "feed": (closed({"scheme": Field(str), "since_cursor": Field(natural, 0)}), _feed),
+    "superspreader_proof": (closed({"proof": Field(PROOF)}), lambda server, args: {
         "accepted": server.verify_superspreader_proof(args["proof"])}),
-    "notify_poll": ({"user_id": Field(str)},
+    "notify_poll": (closed({"user_id": Field(str)}),
                     lambda server, args: {"notifications": server.notify_poll(args["user_id"])}),
-    "register": ({"device_id": Field(str), "phone": Field(str, None),
-                  "mode": Field(one_of((MODE_ANONYMOUS, MODE_PHONE), "mode"), MODE_ANONYMOUS)},
+    "register": (closed({"device_id": Field(str), "phone": Field(str, None),
+                         "mode": Field(one_of((MODE_ANONYMOUS, MODE_PHONE), "mode"),
+                                       MODE_ANONYMOUS)}),
                  _register),
 }
-_REQUEST = {"op": Field(one_of(_OPS, "op")), "args": Field(dict, {})}
+_REQUEST = closed({"op": Field(one_of(_OPS, "op")), "args": Field(dict, {})})
 
 
 def _handle_request(server: TracingServer, req: dict) -> dict:

@@ -91,10 +91,10 @@ def test_03_end_to_end_completeness_per_scheme():
     for run_cfg in scenario["runs"]:
         scheme = run_cfg["scheme"]
         with criterion(3, f"2-device 10-minute co-location notifies once ({scheme})", 1.0):
-            result = execute_run(run_cfg, root.child(run_cfg["label"]))
-            assert result.metrics["notified_devices"] == ["bob"]
-            assert result.metrics["notify_events"] == 1
-            assert result.metrics["false_notifications"] == 0
+            metrics = execute_run(run_cfg, root.child(run_cfg["label"]))
+            assert metrics["notified_devices"] == ["bob"]
+            assert metrics["notify_events"] == 1
+            assert metrics["false_notifications"] == 0
 
 
 def test_04_relay_differential():

@@ -1,15 +1,17 @@
-"""Events go from World.emit straight to a sink: a run holds no event log
-unless its caller asks for one, events.jsonl is streamed run by run and
-appears only when every run has finished, and its bytes are those of the
-whole log joined at the end. A run whose events go nowhere builds no scan
-event and ends as a written run does."""
+"""Events go from World.emit straight to a sink: a run holds no event log,
+events.jsonl is streamed run by run and appears only when every run has
+finished, and its bytes are those of the whole log joined at the end; seq
+numbers each run's events 1, 2, ... A run without a sink builds no event,
+derives no link address, and ends as a written run does."""
 
 import json
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
+from dctlab import radio
 from dctlab import scenario as scenario_module
 from dctlab.cli import STANDARD_SUITE, builtin_scenario
 from dctlab.radio import World
@@ -58,13 +60,34 @@ def worlds(monkeypatch):
     return built
 
 
+@pytest.fixture
+def made(monkeypatch):
+    """A weak reference to every SimEvent built, and the count of link
+    addresses derived, over every world."""
+    made = {"events": [], "link_addresses": 0}
+
+    class Tracked(radio.SimEvent):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made["events"].append(weakref.ref(self))
+
+    link_address = radio.Device.link_address
+
+    def counted(device, *args):
+        made["link_addresses"] += 1
+        return link_address(device, *args)
+
+    monkeypatch.setattr(radio, "SimEvent", Tracked)
+    monkeypatch.setattr(radio.Device, "link_address", counted)
+    return made
+
+
 @pytest.mark.parametrize("scheme", ["centralized", "tek", "dh"])
-def test_a_run_holds_no_events_when_they_go_elsewhere(tmp_path, worlds, scheme):
+def test_a_run_holds_no_events_when_they_go_elsewhere(tmp_path, made, scheme):
     scenario = small_population(scheme)
     run_scenario(scenario, out_dir=tmp_path)
-    run_scenario(scenario)
-    assert len(worlds) == 2
-    assert all(world.events == [] for world in worlds)
+    assert made["events"]
+    assert all(ref() is None for ref in made["events"])     # each is gone once written
     assert (tmp_path / "events.jsonl").stat().st_size > 1     # the run did emit
 
 
@@ -72,19 +95,25 @@ def test_a_run_holds_no_events_when_they_go_elsewhere(tmp_path, worlds, scheme):
                                       ("centralized", "tek", "dh")]
                          + [builtin_scenario(sid) for sid in STANDARD_SUITE],
                          ids=lambda scenario: scenario["id"])
-def test_a_discarded_run_builds_no_scan_and_ends_as_a_written_one(tmp_path, worlds, scenario):
+def test_a_discarded_run_builds_no_scan_and_ends_as_a_written_one(tmp_path, worlds, made,
+                                                                  scenario):
     discarded = run_scenario(scenario)
     discarding = list(worlds)
+    # a run without a sink builds no event and derives no link address
+    assert made == {"events": [], "link_addresses": 0}
     written = run_scenario(scenario, out_dir=tmp_path)
     writing = worlds[len(discarding):]
+    assert made["events"] and made["link_addresses"]     # the probes do count
     assert discarded == written
     assert len(discarding) == len(writing) == len(scenario["runs"])
     events = [json.loads(line) for line in
               (tmp_path / "events.jsonl").read_text(encoding="utf-8").splitlines() if line]
     scans = Counter(ev["run"] for ev in events if ev["kind"] == "scan")
     for run_cfg, quiet, loud in zip(scenario["runs"], discarding, writing):
-        # the scan events left out still took their seq
-        assert quiet._seq == loud._seq
+        # seq counts the events written and nothing else: each run's log reads 1..n
+        seqs = [ev["seq"] for ev in events if ev["run"] == run_cfg["label"]]
+        assert seqs == list(range(1, len(seqs) + 1))
+        assert quiet._seq == 0 and loud._seq == len(seqs) == sum(loud.emitted.values())
         # no scan reaches emit, a relay's injected beacons included
         assert quiet.emitted["scan"] == 0 and quiet.injected == loud.injected
         assert loud.emitted["scan"] == scans[run_cfg["label"]] > loud.injected
@@ -92,16 +121,15 @@ def test_a_discarded_run_builds_no_scan_and_ends_as_a_written_one(tmp_path, worl
 
 
 @pytest.mark.parametrize("sid", ["e2e_basic", "relay_dh", "time_travel", "fake_claim_tek"])
-def test_a_sink_gets_the_events_the_default_world_keeps(sid):
+def test_two_sinks_get_equal_events_and_no_sink_equal_metrics(sid):
     scenario = builtin_scenario(sid)
     root = SeedStream(scenario["seed"], scenario["id"])
     for run_cfg in scenario["runs"]:
-        kept = execute_run(run_cfg, root.child(run_cfg["label"]))
-        sent = []
-        streamed = execute_run(run_cfg, root.child(run_cfg["label"]), sent.append)
-        assert kept.events and sent == kept.events, run_cfg["label"]
-        assert streamed.events == []
-        assert streamed.metrics == kept.metrics
+        first, second = [], []
+        metrics = execute_run(run_cfg, root.child(run_cfg["label"]), first.append)
+        assert execute_run(run_cfg, root.child(run_cfg["label"]), second.append) == metrics
+        assert first and first == second, run_cfg["label"]
+        assert execute_run(run_cfg, root.child(run_cfg["label"])) == metrics
 
 
 def test_a_failed_run_leaves_nothing_behind(tmp_path, monkeypatch):
@@ -141,7 +169,9 @@ def test_an_empty_log_is_one_newline(tmp_path):
     scenario = {"id": "quiet", "seed": 3,
                 "runs": [{"label": "main", "scheme": "dh", "devices": ["a", "b"],
                           "duration_s": 3600}]}
-    assert execute_run(scenario["runs"][0], SeedStream(3, "quiet").child("main")).events == []
+    events = []
+    execute_run(scenario["runs"][0], SeedStream(3, "quiet").child("main"), events.append)
+    assert events == []
     run_scenario(scenario, out_dir=tmp_path)
     assert (tmp_path / "events.jsonl").read_bytes() == b"\n"
     assert not (tmp_path / "events.jsonl.tmp").exists()

@@ -25,7 +25,7 @@ class BeaconClient(DeviceClient):
     def advertisement_identifier(self, local_t):
         return self.ident
 
-    def on_sighting(self, identifier, link_addr, local_t, global_t):
+    def on_sighting(self, identifier, local_t, global_t):
         self.heard.append((identifier, local_t))
 
 
@@ -34,13 +34,22 @@ def expected_tick_count(start: int, end: int, tick: int) -> int:
     return len([t for t in range(start, end) if t % tick == 0])
 
 
+class LoggedWorld(World):
+    """A world whose events go to the list world.log."""
+
+    def __init__(self, *args, **kw):
+        self.log = []
+        super().__init__(*args, sink=self.log.append, **kw)
+
+
 def make_world(edges, seed=1, **kw):
-    return World(ContactTrace(edges), SeedStream(seed, "w"), **kw)
+    return LoggedWorld(ContactTrace(edges), SeedStream(seed, "w"), **kw)
 
 
 def test_empty_world_empty_log():
     world = make_world([])
-    assert world.run() == []
+    world.run()
+    assert world.log == []
 
 
 def test_sighting_count_matches_tick_arithmetic():
@@ -62,7 +71,7 @@ def test_same_seed_identical_logs():
         for d in ("a", "b", "c"):
             world.add_device(d, BeaconClient(d.encode() * 16))
         world.run()
-        return "\n".join(e.to_json_line() for e in world.events)
+        return "\n".join(e.to_json_line() for e in world.log)
 
     assert run_once() == run_once()
 
@@ -97,7 +106,7 @@ def test_connection_capacity_eight():
     hub = world.devices["hub"]
     assert len(hub.connections) == MAX_CONNECTIONS
     assert world.counters["connect_rejects_capacity"] >= 2
-    rejected = [e for e in world.events if e.kind == "connect_reject"]
+    rejected = [e for e in world.log if e.kind == "connect_reject"]
     assert all(e.payload["reason"] == "capacity" for e in rejected)
 
 
@@ -129,7 +138,7 @@ def test_connection_closed_at_contact_end():
     world.add_device("b", Chatty())
     world.run()
     assert world.devices["a"].connections == {}
-    assert any(e.kind == "disconnect" for e in world.events)
+    assert any(e.kind == "disconnect" for e in world.log)
 
 
 def test_set_clock_requires_capability():
@@ -152,7 +161,7 @@ def test_link_addresses_rotate_per_window():
     world.add_device("a", ca)
     world.add_device("b", cb)
     world.run()
-    links = {e.payload["link"] for e in world.events
+    links = {e.payload["link"] for e in world.log
              if e.kind == "scan" and e.payload["from"] == "a"}
     assert len(links) == 2  # windows 0 and 1 over 1800 s at 900 s rotation
 
@@ -222,7 +231,7 @@ def test_link_address_follows_clock_across_windows_and_back(irk_linkable):
     fresh = world.stream.child("device:a:link")
     irk = world.stream.child("device:a:irk").take(2)
     offset, epochs = 0, []
-    for ev in world.events:
+    for ev in world.log:
         if ev.kind == "clock_set":
             offset = ev.payload["offset_s"]
         elif ev.kind == "scan" and ev.payload["from"] == "a":

@@ -92,8 +92,8 @@ def test_sightings_merge_into_records():
     _, client = make_pair(VARIANT_PEPP_PT)
     ident = b"\x07" * 16
     for t in (0, 5, 10, 15):
-        client.on_sighting(ident, b"\x00" * 6, t, t)
-    client.on_sighting(ident, b"\x00" * 6, 500, 500)  # gap > merge threshold
+        client.on_sighting(ident, t, t)
+    client.on_sighting(ident, 500, 500)  # gap > merge threshold
     assert len(client.records) == 2
     assert (client.records[0].first_seen, client.records[0].last_seen) == (0, 15)
     assert all(r.first_seen <= r.last_seen for r in client.records)

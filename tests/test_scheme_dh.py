@@ -267,10 +267,11 @@ class ReferenceDhClient(DhClient):
 
 
 class SendLog(World):
-    """A world that keeps every message a client sends."""
+    """A world that keeps every message a client sends, and every event."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        self.log = []
+        super().__init__(*args, sink=self.log.append, **kwargs)
         self.sent = []
 
     def send(self, conn, sender_id, payload):
@@ -308,7 +309,7 @@ def test_a_finished_encounter_skips_the_tick_and_changes_nothing(contacts, offse
         assert [(r.token, r.my_timestamp) for r in client.records] \
             == [(r.token, r.my_timestamp) for r in ref.records]
     assert world.sent == ref_world.sent
-    assert world.events == ref_world.events
+    assert world.log == ref_world.log
 
 
 class RecordingConn(PipeConn):

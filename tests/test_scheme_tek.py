@@ -152,7 +152,7 @@ def test_client_schedule_and_sync_dedupe():
     assert ident == alice.advertisement_identifier(599)
     assert ident != alice.advertisement_identifier(600)
     for t in range(0, 600, 5):
-        bob.on_sighting(alice.advertisement_identifier(t), b"\x00" * 6, t, t)
+        bob.on_sighting(alice.advertisement_identifier(t), t, t)
     bundle = alice.make_report("T" * 12)
     feed = [{"tek_hex": e["tek_hex"], "day": e["day"], "published_at": 700}
             for e in bundle["teks"]]

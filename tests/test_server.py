@@ -170,6 +170,35 @@ def test_malformed_centralized_upload_keeps_its_tan(tmp_path):
     assert ack["matched_users"] == 1 and reborn.tans[tan.value].used
 
 
+def test_centralized_record_whose_windows_do_not_encode_keeps_its_tan():
+    # pepp_pt resolve derives the windows t // rotation_s - 1 .. + 1, each packed
+    # into 8 signed bytes; a record past that is rejected before its TAN is spent
+    server = make_server(registry=CentralRegistry(SeedStream(5, "reg"), variant="pepp_pt"))
+    tcp, port = serve_tcp(server)
+    try:
+        import socket as socketlib
+        tans = [server.issue_tan("bob").value for _ in range(3)]
+        lines = [{"op": "upload", "args": {"bundle": {
+            "scheme": "centralized", "tan": tan,
+            "records": [{"id_hex": "ab" * 16, "first_seen": t, "last_seen": t}]}}}
+            for tan, t in zip(tans, (2**80, -2**80, 2**62))]
+        lines.append({"op": "feed", "args": {"scheme": "tek"}})
+        with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall("\n".join(map(json.dumps, lines)).encode() + b"\n")
+            fh = sock.makefile("r")
+            responses = [json.loads(fh.readline()) for _ in lines]
+    finally:
+        tcp.shutdown()
+        tcp.server_close()
+    for resp in responses[:2]:
+        assert resp == {"ok": False, "error": "malformed bundle: bundle.records[0]: "
+                        "its window indexes must fit in 8 signed bytes"}
+    assert [server.tans[tan].used for tan in tans] == [False, False, True]
+    # a local time a scenario can reach still encodes
+    assert responses[2]["ok"] is True and responses[2]["result"]["matched_users"] == 0
+    assert responses[3] == {"ok": True, "result": {"entries": [], "cursor": 0}}
+
+
 def test_server_is_freed_without_the_cycle_collector():
     # a server in a reference cycle would keep what its clock closes over (a
     # whole simulated world, in a scenario run) alive until a full collection
@@ -586,6 +615,19 @@ def test_wire_request_that_is_not_an_object_is_answered():
     assert _handle_request(server, {"op": "feed", "args": {"scheme": "tek"}})["ok"] is True
 
 
+@pytest.mark.parametrize("req, path", [
+    ({"op": "feed", "args": {"scheme": "tek", "cursor": 5}}, "request.args.cursor"),
+    ({"op": "feed", "args": {"scheme": "tek"}, "id": 7}, "request.id"),
+    ({"op": "issue_tan", "args": {"device_id": "d1", "device": "d2"}}, "request.args.device"),
+])
+def test_wire_refuses_a_key_its_tables_do_not_name(req, path):
+    server = make_server()
+    server.feeds["tek"].append({"tek_hex": "aa" * 16, "day": 0, "published_at": 0})
+    assert _handle_request(server, req) == {
+        "ok": False, "error": f"malformed request: {path}: unknown field"}
+    assert server.tans == {}
+
+
 def test_wire_answers_every_bad_bundle_as_a_malformed_bundle():
     server = make_server()
     tan = server.issue_tan("a")
@@ -654,13 +696,15 @@ BREAKING = st.one_of(JUNK, st.sampled_from([-1, True, [1], {"tokens": [5]}, "x"]
 
 @st.composite
 def wire_line(draw):
-    """A request for a random op, each of its args kept, dropped or broken."""
+    """A request for a random op, each of its args kept, dropped, broken or
+    sent under a name the op does not know."""
     op = draw(st.sampled_from(sorted(WIRE_ARGS)))
     args = {}
     for name, value in WIRE_ARGS[op].items():
-        how = draw(st.sampled_from(["keep", "keep", "drop", "break"]))
+        how = draw(st.sampled_from(["keep", "keep", "drop", "break", "rename"]))
         if how != "drop":
-            args[name] = draw(value if how == "keep" else BREAKING)
+            args[name + "_" if how == "rename" else name] = draw(
+                value if how in ("keep", "rename") else BREAKING)
     req = {"op": op, "args": args}
     if draw(st.integers(0, 9)) == 0:
         req = draw(st.one_of(JUNK, st.just({"op": op, "args": draw(JUNK)})))
@@ -689,6 +733,12 @@ def test_random_wire_lines_get_an_ack_or_a_typed_error(wire_server, reqs):
         responses = [json.loads(fh.readline()) for _ in lines]
     assert responses[-1]["ok"] is True     # the connection still serves a request
     for req, resp in zip(reqs, responses):
+        unknown = [name for name in req["args"] if name not in WIRE_ARGS[req["op"]]] \
+            if type(req) is dict and type(req.get("args")) is dict else []
+        if unknown:
+            assert resp == {"ok": False, "error": f"malformed request: "
+                            f"request.args.{unknown[0]}: unknown field"}, resp
+            continue
         if not resp["ok"]:
             assert isinstance(resp["error"], str)
             # a crash used to show as "malformed request: <exception>"; a typed

@@ -194,7 +194,7 @@ def test_client_sync_equals_reference_over_feed_pages(ops, validity_window_s, st
     ref = ReferenceSync(client.log, validity_window_s, strict)
     for kind, arg in ops:
         if kind == "sight":
-            client.on_sighting(arg[0], b"\x00" * 6, arg[1], 0)
+            client.on_sighting(arg[0], arg[1], 0)
         elif kind == "report":
             client.make_report("T" * 12)
         else:
@@ -235,7 +235,7 @@ def test_bad_feed_entry_does_not_break_any_client(tmp_path):
     listeners.append(TekClient(stream.child("dave")))   # with a private index
     for client in listeners:
         for t in range(0, 600, 60):
-            client.on_sighting(alice.advertisement_identifier(t), b"\x00" * 6, t, t)
+            client.on_sighting(alice.advertisement_identifier(t), t, t)
     good = alice.make_report("T" * 12)["teks"][0]
     # the bad entry reached the feed through persisted state, beside a good one
     lines = [{"tek_hex": "not-hex", "day": 0, "published_at": 700},
