@@ -32,8 +32,8 @@ print("  identical on both sides:", t_i.secret == t_j.secret)
 # connections for the exchange.
 prod = GroupParams.production()
 stream = SeedStream(7, "demo2")
-alice = keygen(prod, stream.child("alice"), epoch=0)
-bob = keygen(prod, stream.child("bob"), epoch=0)
+alice = keygen(prod, stream.child("alice"))
+bob = keygen(prod, stream.child("bob"))
 et_a = dh_token(alice.secret, bob.public, prod)
 et_b = dh_token(bob.secret, alice.public, prod)
 print("\n== x25519")
@@ -46,5 +46,5 @@ print("  published form is the hash only:", hash_token(et_a).hex())
 sealed = seal_timestamp(et_a, 4242)
 print("\n== sealed timestamp")
 print("  counterpart opens:", open_timestamp(et_b, sealed))
-other = dh_token(keygen(prod, stream.child("eve"), 0).secret, bob.public, prod)
+other = dh_token(keygen(prod, stream.child("eve")).secret, bob.public, prod)
 print("  anyone else gets: ", open_timestamp(other, sealed))

@@ -16,12 +16,21 @@ of its registry ("user:..."), and a DH pseudonym nothing past its rotation
 window, so DH gets no map and sightings group by beacon payload
 ("beacon:...").
 
+Neither analysis keeps the sightings it reads. Linkage keeps one summary per
+owner label, [first_at, last_at, count], which gives every figure a track
+has: how many, how long, how many sightings. The social graph sweeps each
+sniffer's timeline once, in time order, keeping the owners it heard within
+the last CO_SIGHT_WINDOW_S; each sighting pairs its owner with those, so
+its cost follows the sightings and the owners heard together, not every
+pair of owners. Neither depends on the order the observations come in.
+
 Every attack is deterministic under the scenario seed: outcomes are counts,
 not probabilities.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .crypto_core import DAY_S, IDENTIFIER_SLOT_S, b64
@@ -225,58 +234,17 @@ def install_time_travel(world: World, server: TracingServer, attack: TimeTravelA
 # Linkage analysis
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Track:
-    label: str
-    sightings: list[SnifferObservation]
-
-    @property
-    def start(self) -> int:
-        return self.sightings[0].at
-
-    @property
-    def end(self) -> int:
-        return self.sightings[-1].at
-
-    @property
-    def duration_s(self) -> int:
-        return self.end - self.start
-
-
-@dataclass
-class LinkageReport:
-    tracks: list[Track]
-    max_track_duration_s: int
-
-    def as_dict(self) -> dict:
-        return {
-            "tracks": len(self.tracks),
-            "max_track_duration_s": self.max_track_duration_s,
-            "max_track_sightings": max((len(t.sightings) for t in self.tracks), default=0),
-        }
-
-
-def _tracks_from_groups(groups: dict[str, list[SnifferObservation]]) -> LinkageReport:
-    tracks = [Track(label, sorted(obs, key=lambda o: (o.at, o.sniffer_id)))
-              for label, obs in groups.items() if obs]
-    tracks.sort(key=lambda t: (t.start, t.label))
-    longest = max((t.duration_s for t in tracks), default=0)
-    return LinkageReport(tracks, longest)
-
-
-def _sightings_by_owner(observations: list[SnifferObservation],
-                        owners: dict[bytes, str]) -> dict[str, list[SnifferObservation]]:
-    groups: dict[str, list[SnifferObservation]] = {}
+def _attributed(observations: list[SnifferObservation], owners: dict[bytes, str]):
+    """(label, observation) for each sighting that owners attributes."""
     for o in observations:
         label = owners.get(o.identifier)
         if label is not None:
-            groups.setdefault(label, []).append(o)
-    return groups
+            yield label, o
 
 
 def run_linkage(observations: list[SnifferObservation],
-                owners: dict[bytes, str] | None = None) -> LinkageReport:
-    """Group sniffed sightings into per-device movement tracks.
+                owners: dict[bytes, str] | None = None) -> dict:
+    """How far sniffed sightings link into per-device movement tracks.
 
     owners maps identifier bytes to the track label an adversary can attach
     to them; sightings it does not hold are dropped. A published daily key
@@ -284,11 +252,26 @@ def run_linkage(observations: list[SnifferObservation],
     a colluding centralized provider attributes every identifier it issued
     or can derive to its user. Without an owner map, sightings group by
     identical beacon payload, which rotates per window, so no track can
-    outlive one rotation period.
+    outlive one rotation period. A track is summed up as its label's
+    [first_at, last_at, count], whatever order the sightings come in.
     """
     if owners is None:
         owners = {o.identifier: f"beacon:{o.identifier.hex()[:16]}" for o in observations}
-    return _tracks_from_groups(_sightings_by_owner(observations, owners))
+    spans: dict[str, list[int]] = {}     # label -> [first_at, last_at, count]
+    for label, o in _attributed(observations, owners):
+        span = spans.get(label)
+        if span is None:
+            spans[label] = [o.at, o.at, 1]
+            continue
+        if o.at < span[0]:
+            span[0] = o.at
+        elif o.at > span[1]:
+            span[1] = o.at
+        span[2] += 1
+    return {"tracks": len(spans),
+            "max_track_duration_s": max((last - first for first, last, _ in spans.values()),
+                                        default=0),
+            "max_track_sightings": max((n for _, _, n in spans.values()), default=0)}
 
 
 # ---------------------------------------------------------------------------
@@ -353,15 +336,21 @@ def run_social_graph(server: TracingServer, observations: list[SnifferObservatio
     links only infected users. DH hashes carry no identity: the history is
     empty and there is no owner map.
     """
-    edges: set[tuple[str, str]] = set()
-    for m in server.match_history:
-        edges.add(tuple(sorted((m["uploader_device"], m["contact_device"]))))
-    sightings = _sightings_by_owner(observations, owners or {})
-    labels = sorted(sightings)
-    for i, la in enumerate(labels):
-        for lb in labels[i + 1:]:
-            if any(abs(oa.at - ob.at) <= CO_SIGHT_WINDOW_S and oa.sniffer_id == ob.sniffer_id
-                   for oa in sightings[la] for ob in sightings[lb]):
-                edges.add((la, lb))
+    edges = {tuple(sorted((m["uploader_device"], m["contact_device"])))
+             for m in server.match_history}
+    heard_by: dict[str, list[tuple[int, str]]] = {}
+    for label, o in _attributed(observations, owners or {}):
+        heard_by.setdefault(o.sniffer_id, []).append((o.at, label))
+    # one sweep along each sniffer's timeline: a sighting pairs its owner with
+    # every other owner that sniffer heard in the window before it
+    for heard in heard_by.values():
+        recent: OrderedDict[str, int] = OrderedDict()     # label -> when last heard, oldest first
+        for at, label in sorted(heard):
+            while recent and next(iter(recent.values())) < at - CO_SIGHT_WINDOW_S:
+                recent.popitem(last=False)
+            edges.update((min(label, other), max(label, other)) for other in recent
+                         if other != label)
+            recent[label] = at
+            recent.move_to_end(label)
     return {"recovered_edges": sorted(list(e) for e in edges),
             "recovered_edge_count": len(edges)}

@@ -181,7 +181,6 @@ class EphemeralKeyPair:
 
     secret: int | bytes = field(repr=False)
     public: bytes
-    epoch_index: int
     loaded_secret: int | X25519PrivateKey = field(repr=False, compare=False)
 
 
@@ -221,7 +220,7 @@ class MasterKey:
 # Key generation and token agreement
 # ---------------------------------------------------------------------------
 
-def keygen(params: GroupParams, stream: SeedStream, epoch: int) -> EphemeralKeyPair:
+def keygen(params: GroupParams, stream: SeedStream) -> EphemeralKeyPair:
     """Draw a fresh key pair for one rotation window from a seed stream."""
     params.validate()
     if params.kind == KIND_TOY:
@@ -233,12 +232,11 @@ def keygen(params: GroupParams, stream: SeedStream, epoch: int) -> EphemeralKeyP
             if 1 < value < params.modulus - 1:
                 break
         public = params.encode_element(value)
-        return EphemeralKeyPair(secret=secret, public=public, epoch_index=epoch,
-                                loaded_secret=secret)
+        return EphemeralKeyPair(secret=secret, public=public, loaded_secret=secret)
     secret = stream.take(PRODUCTION_KEY_LEN)
     private = X25519PrivateKey.from_private_bytes(secret)
     return EphemeralKeyPair(secret=secret, public=private.public_key().public_bytes_raw(),
-                            epoch_index=epoch, loaded_secret=private)
+                            loaded_secret=private)
 
 
 def dh_token(my_secret: int | bytes | X25519PrivateKey, their_public: bytes,

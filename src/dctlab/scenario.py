@@ -20,7 +20,8 @@ group and the dh config run the checks of ContactEdge, GroupParams.toy and
 DhConfig; a device id and a run label may each be declared once. So every
 run is checked, cross-field rules included, before any executes: a bad
 field raises FieldError naming its JSON path, and load_scenario raises it
-as ScenarioError.
+as ScenarioError. Every table is closed, so a key it does not name, such as
+a misspelled field, is refused as an unknown field, not ignored.
 
 Outputs per scenario: events.jsonl (every SimEvent of every run, tagged with
 the run label; seq numbers each run's events 1, 2, ...) and metrics.json.
@@ -44,8 +45,8 @@ from .crypto_core import DAY_S, GroupParams
 from .errors import FieldError, ScenarioError, UploadRejected
 from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World
 from .rng import SeedStream
-from .schema import (Field, builds, check, clock, device, fault, has_role, natural, one_of,
-                     positive, predicate, tagged)
+from .schema import (Field, builds, check, clock, closed, device, fault, has_role, natural,
+                     one_of, positive, predicate, tagged)
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralizedClient, CentralRegistry
 from .schemes.dh import DhClient, DhConfig, PublishedDhIndex, encode_proof
 from .schemes.tek import PublishedTekIndex, TekClient
@@ -57,27 +58,29 @@ ROLE_CLIENTS = {"sniffer": adversary.SnifferClient, "relay": DeviceClient,
 MODE = one_of((MODE_ANONYMOUS, MODE_PHONE), "mode")
 SNIFFER = has_role("sniffer")
 
-DEVICE = {"id": Field(str), "role": Field(one_of(("device", *ROLE_CLIENTS), "role"), "device"),
-          "clock_offset_s": Field(clock(int), 0), "mode": Field(MODE, None),
-          "phone": Field(str, None)}
+DEVICE = closed({"id": Field(str),
+                 "role": Field(one_of(("device", *ROLE_CLIENTS), "role"), "device"),
+                 "clock_offset_s": Field(clock(int), 0), "mode": Field(MODE, None),
+                 "phone": Field(str, None)})
 EDGE = builds(("[a, b, start_s, end_s]", Field(device), Field(device), Field(clock(natural)),
                Field(clock(natural))), lambda edge: ContactEdge(*edge))
-INFECTION = {"device": Field(has_role("device")), "report_at": Field(clock(natural))}
-ANALYSIS = {"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
-            "social_graph": Field(bool, False),
-            "superspreader_check": Field([has_role("device")], [])}
-# each kind's fields but "kind"; _install_attack passes relay's and time_travel's as
+INFECTION = closed({"device": Field(has_role("device")), "report_at": Field(clock(natural))})
+ANALYSIS = closed({"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
+                   "social_graph": Field(bool, False),
+                   "superspreader_check": Field([has_role("device")], [])})
+# each kind's fields; _install_attack passes relay's and time_travel's but "kind" as
 # keywords to RelayPair and TimeTravelAttack, so their names are those dataclasses' fields
+KIND = {"kind": Field(str)}     # checked by tagged, and named so that a closed table admits it
 ATTACKS = {
-    "relay": {"node_a": Field(device), "node_b": Field(device),
+    "relay": {**KIND, "node_a": Field(device), "node_b": Field(device),
               "mode": Field(one_of(("one_way_broadcast", "two_way_realtime"), "relay mode")),
               "window": Field(("[start_s, end_s]", Field(clock(natural)), Field(clock(natural)))),
               "latency_s": Field(clock(natural), 0), "tick_s": Field(clock(positive), 60),
               "fanout_limit": Field(natural, adversary.TWO_WAY_FANOUT_LIMIT)},
-    "time_travel": {"victim": Field(device), "replayer": Field(device),
+    "time_travel": {**KIND, "victim": Field(device), "replayer": Field(device),
                     "offset_s": Field(clock(int)), "at_s": Field(clock(natural)),
                     "restore_at_s": Field(clock(natural))},
-    "fake_claim": {"claimant": Field(device), "at": Field(clock(natural)),
+    "fake_claim": {**KIND, "claimant": Field(device), "at": Field(clock(natural)),
                    "source_sniffer": Field(SNIFFER, None)},    # plus the scheme's Scheme.claim
 }
 
@@ -122,7 +125,8 @@ def _check_run(run_cfg: dict, at: tuple, _=None) -> dict:
     scheme = SCHEMES[run["scheme"]]
     run["scheme_config"] = check(run["scheme_config"], scheme.config, (*at, "scheme_config"))
     if run["attack"] is not None and run["attack"]["kind"] == "fake_claim":
-        run["attack"] = check(run["attack"], scheme.claim, (*at, "attack"), roles)
+        run["attack"] = check(run["attack"], closed({**ATTACKS["fake_claim"], **scheme.claim}),
+                              (*at, "attack"), roles)
     return run
 
 
@@ -222,7 +226,7 @@ def _start_centralized(run_cfg: dict, state: _RunState) -> None:
 
 def _install_attack(attack: dict, state: _RunState, stream: SeedStream) -> None:
     kind = attack["kind"]
-    args = {key: attack[key] for key in ATTACKS[kind]}
+    args = {key: value for key, value in attack.items() if key != "kind"}
     if kind == "relay":
         state.attack_stats = adversary.install_relay(state.world, adversary.RelayPair(**args))
     elif kind == "time_travel":
@@ -339,7 +343,8 @@ class Scheme:
     registry: Callable[[dict, SeedStream], CentralRegistry | None] = lambda sconf, stream: None
 
 
-TOY_GROUP = builds({"p": Field(int), "g": Field(int)}, lambda g: GroupParams.toy(g["p"], g["g"]))
+TOY_GROUP = builds(closed({"p": Field(int), "g": Field(int)}),
+                   lambda g: GroupParams.toy(g["p"], g["g"]))
 
 
 def _group(value, at: tuple, roles) -> str | dict:
@@ -357,9 +362,9 @@ SHARED_CONFIG = {"retention_days": Field(positive, 14), "superspreader_threshold
 
 SCHEMES = {
     "centralized": Scheme(
-        config={"rotation_s": Field(DAY_DIVISOR, 900), **SHARED_CONFIG,
-                "variant": Field(one_of(("bluetrace", "pepp_pt"), "variant"), "bluetrace"),
-                "mode": Field(MODE, MODE_ANONYMOUS)},
+        config=closed({"rotation_s": Field(DAY_DIVISOR, 900), **SHARED_CONFIG,
+                       "variant": Field(one_of(("bluetrace", "pepp_pt"), "variant"), "bluetrace"),
+                       "mode": Field(MODE, MODE_ANONYMOUS)}),
         claim={"source_sniffer": Field(SNIFFER)},
         registry=lambda sconf, stream: CentralRegistry(
             stream.child("registry"), variant=sconf["variant"], rotation_s=sconf["rotation_s"]),
@@ -369,8 +374,9 @@ SCHEMES = {
             state.server, attack["claimant"], state.clients[attack["source_sniffer"]].observations),
         start=_start_centralized, superspreader=_match_history_count, owners=lambda state: None),
     "tek": Scheme(
-        config={"rotation_s": Field(positive, 600), **SHARED_CONFIG,
-                "validity_window_s": Field(natural, 7200), "strict_freshness": Field(bool, False)},
+        config=closed({"rotation_s": Field(positive, 600), **SHARED_CONFIG,
+                       "validity_window_s": Field(natural, 7200),
+                       "strict_freshness": Field(bool, False)}),
         claim={},
         clients=lambda state, stream: lambda dev: TekClient(
             stream.child(f"device:{dev['id']}"), index=state.tek_index,
@@ -382,9 +388,11 @@ SCHEMES = {
         start=_schedule_syncs, superspreader=_client_count, owners=_tek_owners),
     "dh": Scheme(
         # DhConfig holds the rules across fields: min_encounter_s below rotation_s
-        config=builds({"rotation_s": Field(positive, 900), **SHARED_CONFIG,
-                       "min_encounter_s": Field(natural, 300), "epsilon_s": Field(positive, 60),
-                       "anonymized_upload": Field(bool, False), "group": Field(_group, "x25519")},
+        config=builds(closed({"rotation_s": Field(positive, 900), **SHARED_CONFIG,
+                              "min_encounter_s": Field(natural, 300),
+                              "epsilon_s": Field(positive, 60),
+                              "anonymized_upload": Field(bool, False),
+                              "group": Field(_group, "x25519")}),
                       _dh_config),
         claim={"guesses": Field(natural, 32)},
         clients=_dh_clients,
@@ -393,23 +401,23 @@ SCHEMES = {
         start=_start_dh, superspreader=_dh_proof, owners=lambda state: None),
 }
 
-RUN = {"label": Field(str), "scheme": Field(one_of(SCHEMES, "scheme")),
-       "devices": Field([_declare]), "duration_s": Field(clock(natural)),
-       "scheme_config": Field(dict, {}),     # checked against its scheme's config by _check_run
-       "contact_trace": Field([EDGE], []), "infections": Field([INFECTION], []),
-       "attack": Field(tagged("kind", ATTACKS, "attack kind"), None),
-       "analysis": Field(ANALYSIS, {}), "irk_linkable": Field(bool, False)}
-SCENARIO = {"id": Field(str), "seed": Field(int, 0), "runs": Field(_runs)}
+# a fake_claim block is closed by _check_run, over its scheme's Scheme.claim too
+ATTACK = tagged("kind", {kind: table if kind == "fake_claim" else closed(table)
+                         for kind, table in ATTACKS.items()}, "attack kind")
+RUN = closed({"label": Field(str), "scheme": Field(one_of(SCHEMES, "scheme")),
+              "devices": Field([_declare]), "duration_s": Field(clock(natural)),
+              "scheme_config": Field(dict, {}),     # checked against its scheme's config
+              "contact_trace": Field([EDGE], []), "infections": Field([INFECTION], []),
+              "attack": Field(ATTACK, None), "analysis": Field(ANALYSIS, {}),
+              "irk_linkable": Field(bool, False)})
+SCENARIO = closed({"id": Field(str), "description": Field(str, None), "seed": Field(int, 0),
+                   "runs": Field(_runs)})
 
 
 def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation]:
-    obs = []
-    for did in sorted(state.clients):
-        client = state.clients[did]
-        if isinstance(client, adversary.SnifferClient):
-            obs.extend(client.observations)
-    obs.sort(key=lambda o: (o.at, o.sniffer_id, o.identifier))
-    return obs
+    # in no set order: neither analysis depends on it
+    return [o for client in state.clients.values() if isinstance(client, adversary.SnifferClient)
+            for o in client.observations]
 
 
 def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
@@ -450,8 +458,8 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
             # the provider attributes every identifier of every user it registered
             last = run_cfg["duration_s"] // rotation_s + 1
             linkable = {ident: f"user:{u}" for ident, u in registry.owners(0, last).items()}
-        report = adversary.run_linkage(observations, linkable)
-        metrics["linkage"] = dict(report.as_dict(), rotation_s=rotation_s)
+        metrics["linkage"] = dict(adversary.run_linkage(observations, linkable),
+                                  rotation_s=rotation_s)
 
     if analysis["social_graph"]:
         graph = adversary.run_social_graph(state.server, observations, owners)

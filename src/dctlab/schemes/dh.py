@@ -194,8 +194,7 @@ class DhClient(DeviceClient):
         the window's stream gives an older one the same bytes again."""
         kp = self._keypairs.get(epoch)
         if kp is None:
-            kp = self._keypairs[epoch] = keygen(self.cfg.group, self.stream.child(f"key:{epoch}"),
-                                                epoch)
+            kp = self._keypairs[epoch] = keygen(self.cfg.group, self.stream.child(f"key:{epoch}"))
             if len(self._keypairs) > 2:
                 self._keypairs.pop(min(self._keypairs))
         return kp

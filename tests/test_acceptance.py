@@ -79,8 +79,8 @@ def test_02_dh_symmetry_1000_pairs_per_group_plus_toy_vector():
         for params, label in ((toy, "toy"), (GroupParams.production(), "prod")):
             stream = SeedStream(2024, label)
             for i in range(1000):
-                a = keygen(params, stream.child(f"a{i}"), 0)
-                b = keygen(params, stream.child(f"b{i}"), 0)
+                a = keygen(params, stream.child(f"a{i}"))
+                b = keygen(params, stream.child(f"b{i}"))
                 assert (dh_token(a.secret, b.public, params).secret
                         == dh_token(b.secret, a.public, params).secret), (label, i)
 
@@ -130,8 +130,8 @@ def test_05_fake_claim_differential_100_trials():
             accepted_tek += claim["accepted"]
 
             group = GroupParams.production()
-            a = keygen(group, stream.child("a"), 0)
-            b = keygen(group, stream.child("b"), 0)
+            a = keygen(group, stream.child("a"))
+            b = keygen(group, stream.child("b"))
             token = dh_token(a.secret, b.public, group)
             tan2 = server.issue_tan("patient2")
             server.accept_upload({"scheme": "dh", "tan": tan2.value,
@@ -194,8 +194,8 @@ def test_09_server_contracts(tmp_path):
                                            {"tek_hex": "11" * 16, "day": 15}]})
 
         group = GroupParams.production()
-        a = keygen(group, SeedStream(1, "a"), 0)
-        b = keygen(group, SeedStream(2, "b"), 0)
+        a = keygen(group, SeedStream(1, "a"))
+        b = keygen(group, SeedStream(2, "b"))
         token = dh_token(a.secret, b.public, group)
         tan3 = server.issue_tan("device")
         server.accept_upload({"scheme": "dh", "tan": tan3.value,

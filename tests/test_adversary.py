@@ -1,6 +1,10 @@
 """Attack-model tests, including the randomized one-way-relay sweep."""
 
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dctlab import adversary
 from dctlab.crypto_core import DAY_S, Tek, derive_centralized_id, derive_day_identifiers
@@ -115,11 +119,11 @@ def test_linkage_groups_only_published_material():
     observations = [make_obs(1000, ids[1]), make_obs(50000, ids[83]),
                     make_obs(2000, derive_day_identifiers(other)[3])]
     report = adversary.run_linkage(observations, tek_owners([tek]))
-    assert len(report.tracks) == 1
-    assert report.max_track_duration_s == 49000
-    assert len(report.tracks[0].sightings) == 2
+    assert report["tracks"] == 1
+    assert report["max_track_duration_s"] == 49000
+    assert report["max_track_sightings"] == 2
     empty = adversary.run_linkage(observations, tek_owners([]))
-    assert empty.tracks == [] and empty.max_track_duration_s == 0
+    assert empty["tracks"] == 0 and empty["max_track_duration_s"] == 0
 
 
 def test_linkage_tracks_partition_attributed_sightings():
@@ -131,17 +135,18 @@ def test_linkage_tracks_partition_attributed_sightings():
             observations.append(make_obs(base + k * 600, derive_day_identifiers(tek)[k]))
     report = adversary.run_linkage(
         observations, tek_owners([tek_a, tek_b]))
-    assert len(report.tracks) == 2
-    counted = sum(len(t.sightings) for t in report.tracks)
-    assert counted == len(observations)  # a partition: nothing shared, nothing lost
+    assert report["tracks"] == 2 and report["max_track_sightings"] == 3
+    # a partition: each key's track alone holds its 3 sightings, so nothing is shared or lost
+    for tek in (tek_a, tek_b):
+        assert adversary.run_linkage(observations, tek_owners([tek]))["max_track_sightings"] == 3
 
 
 def test_dh_pseudonym_grouping_bounded_by_rotation():
     observations = [make_obs(t, b"\x01" * 16) for t in range(0, 895, 5)]
     observations += [make_obs(t, b"\x02" * 16) for t in range(900, 1795, 5)]
     report = adversary.run_linkage(observations)
-    assert len(report.tracks) == 2
-    assert report.max_track_duration_s <= 900
+    assert report["tracks"] == 2
+    assert report["max_track_duration_s"] <= 900
 
 
 def test_sniffer_emits_no_radio_traffic():
@@ -206,16 +211,11 @@ def reference_colluding_linkage(observations, registry, scanned_windows):
         user = ids_of_user.get(o.identifier)
         if user is not None:
             groups.setdefault(f"user:{user}", []).append(o)
-    return adversary._tracks_from_groups(groups)
+    return reference_tracks(groups)
 
 
 def user_owners(registry, lo, hi):
     return {ident: f"user:{u}" for ident, u in registry.owners(lo, hi).items()}
-
-
-def same_report(a, b):
-    return ([(t.label, t.sightings) for t in a.tracks] == [(t.label, t.sightings) for t in b.tracks]
-            and a.max_track_duration_s == b.max_track_duration_s)
 
 
 @pytest.mark.parametrize("variant", ["pepp_pt", "bluetrace"])
@@ -246,9 +246,9 @@ def test_registry_owners_match_the_reference_lookup(variant):
                     expected[ident] = user_id
         assert registry.owners(lo, hi) == expected
         report = adversary.run_linkage(observations, user_owners(registry, lo, hi))
-        assert same_report(report, reference_colluding_linkage(observations, registry, (lo, hi)))
+        assert report == reference_colluding_linkage(observations, registry, (lo, hi))
     full = adversary.run_linkage(observations, user_owners(registry, 0, 2 * per_day))
-    assert len(full.tracks) == 3 and full.max_track_duration_s > 3600
+    assert full["tracks"] == 3 and full["max_track_duration_s"] > 3600
 
 
 @pytest.mark.parametrize("variant", ["pepp_pt", "bluetrace"])
@@ -274,6 +274,128 @@ def test_colluding_linkage_in_a_run_matches_the_reference(monkeypatch, variant):
     assert seen["windows"] == (0, run["duration_s"] // 900 + 1)
     reference = reference_colluding_linkage(seen["observations"], seen["registry"],
                                             seen["windows"])
-    assert same_report(seen["report"], reference)
-    assert metrics["linkage"]["tracks"] == len(reference.tracks) == 2
-    assert metrics["linkage"]["max_track_duration_s"] == reference.max_track_duration_s > 3600
+    assert seen["report"] == reference
+    assert metrics["linkage"]["tracks"] == reference["tracks"] == 2
+    assert metrics["linkage"]["max_track_duration_s"] == reference["max_track_duration_s"] > 3600
+
+
+# -- linkage and the social graph against the earlier designs -----------------------
+
+@dataclass
+class Track:
+    """The earlier linkage's track: every sighting of one label, sorted by time."""
+
+    label: str
+    sightings: list
+
+    @property
+    def start(self) -> int:
+        return self.sightings[0].at
+
+    @property
+    def duration_s(self) -> int:
+        return self.sightings[-1].at - self.start
+
+
+def reference_tracks(groups):
+    """The earlier _tracks_from_groups, as the dict run_linkage returns."""
+    tracks = [Track(label, sorted(obs, key=lambda o: (o.at, o.sniffer_id)))
+              for label, obs in groups.items() if obs]
+    tracks.sort(key=lambda t: (t.start, t.label))
+    return {"tracks": len(tracks),
+            "max_track_duration_s": max((t.duration_s for t in tracks), default=0),
+            "max_track_sightings": max((len(t.sightings) for t in tracks), default=0)}
+
+
+def reference_sightings_by_owner(observations, owners):
+    groups = {}
+    for o in observations:
+        label = owners.get(o.identifier)
+        if label is not None:
+            groups.setdefault(label, []).append(o)
+    return groups
+
+
+def reference_linkage(observations, owners=None):
+    """The earlier Track-based run_linkage, kept as a reference."""
+    if owners is None:
+        owners = {o.identifier: f"beacon:{o.identifier.hex()[:16]}" for o in observations}
+    return reference_tracks(reference_sightings_by_owner(observations, owners))
+
+
+def reference_social_graph(server, observations, owners):
+    """The earlier all-pairs run_social_graph, kept as a reference."""
+    edges = set()
+    for m in server.match_history:
+        edges.add(tuple(sorted((m["uploader_device"], m["contact_device"]))))
+    sightings = reference_sightings_by_owner(observations, owners or {})
+    labels = sorted(sightings)
+    for i, la in enumerate(labels):
+        for lb in labels[i + 1:]:
+            if any(abs(oa.at - ob.at) <= adversary.CO_SIGHT_WINDOW_S
+                   and oa.sniffer_id == ob.sniffer_id
+                   for oa in sightings[la] for ob in sightings[lb]):
+                edges.add((la, lb))
+    return {"recovered_edges": sorted(list(e) for e in edges),
+            "recovered_edge_count": len(edges)}
+
+
+A, B, C, D, E = (bytes([i]) * 16 for i in range(5))
+OWNERS = {A: "a", B: "b", C: "a", D: "c"}     # A and C are one owner's; E is nobody's
+HISTORY = [("a", "b"), ("x", "b")]
+
+
+def server_with(history):
+    return SimpleNamespace(match_history=[{"uploader_device": u, "contact_device": c}
+                                          for u, c in history])
+
+
+observation = st.builds(
+    adversary.SnifferObservation,
+    # multiples of 300 s land on the window's edges; the rest fall anywhere
+    st.integers(0, 8).map(lambda k: 300 * k) | st.integers(0, 2500),
+    st.sampled_from([A, B, C, D, E]), st.sampled_from(["sn1", "sn2", "sn3"]))
+owner_map = st.none() | st.dictionaries(st.sampled_from([A, B, C, D]),
+                                        st.sampled_from(["a", "b", "c"]))
+history = st.lists(st.tuples(st.sampled_from("abxy"), st.sampled_from("abxy")), max_size=3)
+
+# each case names what a sweep or a summary could get wrong
+CASES = [
+    ([make_obs(0, A), make_obs(600, B)], OWNERS, []),                   # exactly 600 s apart
+    ([make_obs(0, A), make_obs(601, B)], OWNERS, []),                   # one second too far
+    # "a" is heard by two sniffers; "b" is near it in time only on the other one
+    ([make_obs(0, A, "sn1"), make_obs(1000, A, "sn2"), make_obs(1000, B, "sn1")], OWNERS, []),
+    ([make_obs(0, A), make_obs(500, C), make_obs(1000, B)], OWNERS, []),  # A, C: one owner
+    ([make_obs(0, A), make_obs(500, A), make_obs(1050, B)], OWNERS, []),  # heard again, still near
+    # heard again, "a" is newer than "b": "b" must leave the window before "a" does
+    ([make_obs(0, A), make_obs(100, B), make_obs(500, A), make_obs(750, D)], OWNERS, []),
+    # unsorted: on sn1 "b" came 1000 s after "a"
+    ([make_obs(1000, B), make_obs(700, A, "sn2"), make_obs(0, A)], OWNERS, []),
+    # an empty map attributes nothing; without one, linkage groups by beacon
+    ([make_obs(0, A), make_obs(10, B), make_obs(20, E)], {}, HISTORY),
+    ([make_obs(0, A), make_obs(10, B), make_obs(20, E)], None, HISTORY),
+]
+
+
+def with_cases(history: bool):
+    """CASES as @examples; the match history goes only to a test that draws one."""
+    def decorate(test):
+        for observations, owners, past in CASES:
+            test = example(observations=observations, owners=owners,
+                           **({"past": past} if history else {}))(test)
+        return test
+    return decorate
+
+
+@with_cases(history=False)
+@given(observations=st.lists(observation, max_size=25), owners=owner_map)
+def test_linkage_summary_matches_the_track_reference(observations, owners):
+    assert adversary.run_linkage(observations, owners) == reference_linkage(observations, owners)
+
+
+@with_cases(history=True)
+@given(observations=st.lists(observation, max_size=25), owners=owner_map, past=history)
+def test_social_graph_sweep_matches_the_all_pairs_reference(observations, owners, past):
+    server = server_with(past)
+    assert (adversary.run_social_graph(server, observations, owners)
+            == reference_social_graph(server, observations, owners))

@@ -95,7 +95,7 @@ def keygen_with_secret(params: GroupParams, secret: int):
     """Drive keygen through seed streams until it lands on `secret`."""
     for i in range(10_000):
         stream = SeedStream(i, "probe")
-        kp = keygen(params, stream, epoch=0)
+        kp = keygen(params, stream)
         if kp.secret == secret:
             return kp
     pytest.fail(f"no seed produced secret {secret}")
@@ -112,11 +112,11 @@ def test_toy_dh_token_vector_and_symmetry():
 
 
 def test_keygen_deterministic_given_seed_stream():
-    a = keygen(TOY, SeedStream(7, "kg"), epoch=3)
-    b = keygen(TOY, SeedStream(7, "kg"), epoch=3)
-    assert (a.secret, a.public, a.epoch_index) == (b.secret, b.public, b.epoch_index)
-    c = keygen(PROD, SeedStream(7, "kg"), epoch=3)
-    d = keygen(PROD, SeedStream(7, "kg"), epoch=3)
+    a = keygen(TOY, SeedStream(7, "kg"))
+    b = keygen(TOY, SeedStream(7, "kg"))
+    assert (a.secret, a.public) == (b.secret, b.public)
+    c = keygen(PROD, SeedStream(7, "kg"))
+    d = keygen(PROD, SeedStream(7, "kg"))
     assert (c.secret, c.public) == (d.secret, d.public)
 
 
@@ -134,7 +134,7 @@ def test_identity_public_key_rejected():
         dh_token(4, TOY.encode_element(0), TOY)
     with pytest.raises(HandshakeError):
         dh_token(4, TOY.encode_element(22), TOY)  # order 2
-    kp = keygen(PROD, SeedStream(1, "id"), 0)
+    kp = keygen(PROD, SeedStream(1, "id"))
     for secret in (kp.secret, kp.loaded_secret):
         with pytest.raises(HandshakeError):
             dh_token(secret, b"\x00" * 32, PROD)
@@ -145,8 +145,8 @@ def test_identity_public_key_rejected():
 @settings(max_examples=200)
 @given(seed_a=st.integers(0, 2**32), seed_b=st.integers(0, 2**32))
 def test_dh_symmetry_property_toy(seed_a, seed_b):
-    a = keygen(TOY, SeedStream(seed_a, "a"), 0)
-    b = keygen(TOY, SeedStream(seed_b, "b"), 0)
+    a = keygen(TOY, SeedStream(seed_a, "a"))
+    b = keygen(TOY, SeedStream(seed_b, "b"))
     assert dh_token(a.secret, b.public, TOY).secret == dh_token(b.secret, a.public, TOY).secret
     assert dh_token(a.loaded_secret, b.public, TOY) == dh_token(a.secret, b.public, TOY)
 
@@ -154,15 +154,15 @@ def test_dh_symmetry_property_toy(seed_a, seed_b):
 @settings(max_examples=50)
 @given(seed_a=st.integers(0, 2**32), seed_b=st.integers(0, 2**32))
 def test_dh_symmetry_property_production(seed_a, seed_b):
-    a = keygen(PROD, SeedStream(seed_a, "a"), 0)
-    b = keygen(PROD, SeedStream(seed_b, "b"), 0)
+    a = keygen(PROD, SeedStream(seed_a, "a"))
+    b = keygen(PROD, SeedStream(seed_b, "b"))
     assert dh_token(a.secret, b.public, PROD).secret == dh_token(b.secret, a.public, PROD).secret
     # the key keygen loaded gives the token its bytes give
     assert dh_token(a.loaded_secret, b.public, PROD) == dh_token(a.secret, b.public, PROD)
 
 
 def test_production_public_keys_are_32_bytes():
-    kp = keygen(PROD, SeedStream(99, "sz"), 0)
+    kp = keygen(PROD, SeedStream(99, "sz"))
     assert len(kp.public) == 32
 
 

@@ -94,9 +94,9 @@ def test_no_secret_bytes_in_any_artifact(tmp_path):
     rerun_root = SeedStream(scenario["seed"], scenario["id"]).child(run_cfg["label"])
     alice_stream = rerun_root.child("device:alice").child("key:0")
     from dctlab.crypto_core import GroupParams, keygen, dh_token
-    alice_kp = keygen(GroupParams.production(), alice_stream, 0)
+    alice_kp = keygen(GroupParams.production(), alice_stream)
     bob_kp = keygen(GroupParams.production(),
-                    rerun_root.child("device:bob").child("key:0"), 0)
+                    rerun_root.child("device:bob").child("key:0"))
     token = dh_token(alice_kp.secret, bob_kp.public, GroupParams.production())
 
     for secret in (alice_kp.secret, bob_kp.secret, token.secret):
@@ -258,18 +258,45 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
      "runs[1].scheme_config.rotation_s: expected a positive integer of at least 60"),
     ("contact_trace", [["a", "b", 0, 600], ["a", "b", 600, 900, "near"]],
      "runs[1].contact_trace[1]: expected [a, b, start_s, end_s]"),
+    # a key that no table names, such as a misspelled field, is refused, not ignored
+    ("/bogus", 1, ".json: bogus: unknown field"),
+    ("durration_s", 800, "runs[1].durration_s: unknown field"),
+    ("scheme_config", {"rotaton_s": 1800}, "runs[1].scheme_config.rotaton_s: unknown field"),
+    (("scheme", "scheme_config"), ("tek", {"rotaton_s": 900}),
+     "runs[1].scheme_config.rotaton_s: unknown field"),
+    (("scheme", "scheme_config"), ("centralized", {"varaint": "pepp_pt"}),
+     "runs[1].scheme_config.varaint: unknown field"),
+    ("scheme_config", {"group": {"p": 23, "g": 5, "q": 11}},
+     "runs[1].scheme_config.group.q: unknown field"),
+    ("devices", ["a", "b", {"id": "s", "role": "sniffer", "clock_ofset_s": 60}],
+     "runs[1].devices[2].clock_ofset_s: unknown field"),
+    ("infections", [{"device": "a", "report_at": 650, "at": 700}],
+     "runs[1].infections[0].at: unknown field"),
+    ("analysis", {"socail_graph": True}, "runs[1].analysis.socail_graph: unknown field"),
+    ("attack", {"kind": "relay", "mode": "one_way_broadcast", "node_a": "a", "node_b": "b",
+                "window": [0, 600], "latency": 30}, "runs[1].attack.latency: unknown field"),
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "s", "offset_s": -60,
+                "at_s": 100, "restore_at_s": 200, "restore_s": 300},
+     "runs[1].attack.restore_s: unknown field"),
+    ("attack", {"kind": "fake_claim", "claimant": "a", "at": 100, "guess": 4},
+     "runs[1].attack.guess: unknown field"),
+    (("scheme", "attack"), ("tek", {"kind": "fake_claim", "claimant": "a", "at": 100,
+                                    "guesses": 4}),
+     "runs[1].attack.guesses: unknown field"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")
+    document = {"id": "bad_run", "seed": 1, "runs": [SMOKE_RUN, bad_run]}
     if value is None:
         del bad_run[field]
     elif isinstance(field, tuple):
         bad_run.update(zip(field, value))
+    elif field.startswith("/"):     # a key of the scenario document, not of its bad run
+        document[field[1:]] = value
     else:
         bad_run[field] = value
     scenario_path = tmp_path / "bad_run.json"
-    scenario_path.write_text(json.dumps({"id": "bad_run", "seed": 1,
-                                         "runs": [SMOKE_RUN, bad_run]}))
+    scenario_path.write_text(json.dumps(document))
     assert main(["--scenario", str(scenario_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and expected in err

@@ -272,8 +272,8 @@ def test_superspreader_proof_verification():
     tokens = []
     entries = []
     for i in range(4):
-        a = keygen(group, stream.child(f"a{i}"), 0)
-        b = keygen(group, stream.child(f"b{i}"), 0)
+        a = keygen(group, stream.child(f"a{i}"))
+        b = keygen(group, stream.child(f"b{i}"))
         token = dh_token(a.secret, b.public, group)
         tokens.append(token)
         entries.append({"hash_hex": hash_token(token).hex(), "meta_b64": b64(b"m" * 40)})
@@ -297,8 +297,8 @@ def test_superspreader_proof_reads_the_feed_hash_index_after_a_restart(tmp_path)
     group = GroupParams.production()
     server = make_server(state_dir=tmp_path)
     stream = SeedStream(32, "ss")
-    tokens = [dh_token(keygen(group, stream.child(f"a{i}"), 0).secret,
-                       keygen(group, stream.child(f"b{i}"), 0).public, group) for i in range(3)]
+    tokens = [dh_token(keygen(group, stream.child(f"a{i}")).secret,
+                       keygen(group, stream.child(f"b{i}")).public, group) for i in range(3)]
     entries = [{"hash_hex": hash_token(t).hex(), "meta_b64": b64(b"m" * 40)} for t in tokens]
     tan = server.issue_tan("inf")
     server.accept_upload({"scheme": "dh", "tan": tan.value, "entries": entries[:2]})
@@ -540,8 +540,8 @@ def test_replay_checks_a_consume_against_the_tans_issued_before_it(tmp_path):
 def test_persisted_dh_state_contains_no_raw_tokens(tmp_path):
     group = GroupParams.production()
     stream = SeedStream(77, "leak")
-    a = keygen(group, stream.child("a"), 0)
-    b = keygen(group, stream.child("b"), 0)
+    a = keygen(group, stream.child("a"))
+    b = keygen(group, stream.child("b"))
     token = dh_token(a.secret, b.public, group)
 
     server = make_server(state_dir=tmp_path / "state")
