@@ -80,8 +80,8 @@ ATTACKS = {
     "time_travel": {**KIND, "victim": Field(device), "replayer": Field(device),
                     "offset_s": Field(clock(int)), "at_s": Field(clock(natural)),
                     "restore_at_s": Field(clock(natural))},
-    "fake_claim": {**KIND, "claimant": Field(device), "at": Field(clock(natural)),
-                   "source_sniffer": Field(SNIFFER, None)},    # plus the scheme's Scheme.claim
+    "fake_claim": {**KIND, "claimant": Field(device),
+                   "at": Field(clock(natural))},    # plus the scheme's Scheme.claim
 }
 
 

@@ -32,13 +32,21 @@ _OPS; one that breaks them, or carries a key they do not name, is answered
 with ok: false, naming the JSON path of the first bad value. A line json
 cannot parse, one that is not UTF-8 or is nested past the recursion limit
 included, is answered "bad json: ..." and the connection keeps serving.
-Persistence is an append-only JSON-lines log per feed plus the TAN log and
-the superspreader tag log; a server constructed over the same state
-directory replays them, dropping a final line that a crash cut off
-mid-write; an unparsable line before the last, one nested too deeply
-included, raises StateError. A TAN or tag record that breaks TAN_LOG or TAG_LOG, or consumes
-a TAN never issued, raises StateError naming the file and line; feed
-entries replay as they are, and clients skip and count a bad one.
+Persistence is one append-only JSON-lines log, state.jsonl, with one record
+per change to server state: an issue (a TAN and whom it went to), a spend (a
+TAN and, in the same line, every entry its upload published, in feed order),
+and a tag (the hashes one superspreader proof newly tagged). A record is
+written before memory changes and is then applied by _apply, the same code
+that replays it; a write that fails is cut back and answered UploadRejected,
+leaving memory, the log and the TAN as they were. A server constructed over
+the same state directory replays the log, dropping a final line that a crash
+cut off mid-write; an unparsable line before the last, one nested too deeply
+included, raises StateError, and so does a record that breaks STATE_RECORD:
+an issue of a TAN issued before, or a spend of a TAN never issued or already
+spent. Entries inside a spend replay as they are, and clients skip and count
+a bad one. A state directory that holds another *.jsonl log, as the earlier
+per-feed format did, or that cannot be created or read, raises StateError
+naming the file.
 The form of every field that arrives from outside - bundle, wire request,
 proof, state record - is checked by schema.check against a table; the code
 checks only what depends on server state: TANs, the retention span, the
@@ -49,6 +57,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import socket
 import socketserver
 import threading
@@ -65,13 +74,17 @@ from .schemes.tek import DEFAULT_RETENTION_DAYS, TEK_ENTRY
 TAN_LENGTH = 12
 SCHEMES = ("centralized", "tek", "dh")
 PROOF = {"tokens": Field([str], []), "encoding": Field(one_of(("hex", "b64"), "encoding"), "b64")}
-# a line of tans.jsonl, by event, checked with the TANs replayed before it as
-# roles; and a line of tags.jsonl
-TAN_LOG = tagged("event", {
-    "issue": {"value": Field(str), "issued_to": Field(str)},
-    "consume": {"value": Field(predicate(lambda v, tans: type(v) is str and v in tans,
-                                         "TAN {!r} was never issued"))}}, "event")
-TAG_LOG = {"hash_hex": Field(hex_of(64))}
+STATE_LOG = "state.jsonl"
+_issued = predicate(lambda v, tans: type(v) is str and v in tans, "TAN {!r} was never issued")
+_unspent = predicate(lambda v, tans: not tans[v].used, "TAN {!r} was spent before")
+# a line of state.jsonl, by op, checked with the TANs replayed before it as roles
+STATE_RECORD = tagged("op", {
+    "issue": {"tan": Field(predicate(lambda v, tans: type(v) is str and v not in tans,
+                                     "TAN {!r} was issued before")),
+              "issued_to": Field(str)},
+    "spend": {"tan": Field(lambda v, at, tans: _unspent(_issued(v, at, tans), at, tans)),
+              "scheme": Field(one_of(SCHEMES, "scheme")), "entries": Field(list)},
+    "tag": {"hashes": Field([hex_of(64)])}}, "op")
 
 
 @dataclass
@@ -119,67 +132,96 @@ class TracingServer:
         self._lock = threading.RLock()
         self._tan_stream = stream.child("tan")
         self._shuffle_stream = stream.child("shuffle")
+        self._unwritable = None     # why the state log takes no more records, once it can't
         self.state_dir = Path(state_dir) if state_dir is not None else None
         if self.state_dir is not None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                self.state_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise StateError(f"cannot use {self.state_dir} as a state directory: "
+                                 f"{exc.strerror}")
             self._replay_state()
 
     # -- persistence ----------------------------------------------------------
 
-    def _append_state(self, name: str, obj: dict) -> None:
-        if self.state_dir is None:
-            return
-        with (self.state_dir / name).open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-            fh.flush()
+    def _commit(self, record: dict) -> None:
+        """Append record to the state log as one line, then apply it. A write
+        that fails is cut back to the log's size before it and raised as
+        UploadRejected, so neither the log nor memory changes; if even the cut
+        fails, no later record is written after the torn bytes."""
+        if self._unwritable is not None:
+            raise UploadRejected(self._unwritable)
+        if self.state_dir is not None:
+            path, size = self.state_dir / STATE_LOG, None
+            try:
+                with path.open("ab") as fh:
+                    size = fh.tell()
+                    fh.write(json.dumps(record, sort_keys=True).encode() + b"\n")
+            except OSError as exc:
+                # the reason reaches the wire, so it names no path
+                reason = f"state write failed: {exc.strerror or 'I/O error'}"
+                if size is not None:
+                    try:
+                        os.truncate(path, size)
+                    except OSError:
+                        self._unwritable = f"{reason}, and the state log could not be cut back"
+                raise UploadRejected(reason)
+        self._apply(record)
 
-    def _read_state(self, name: str, rule=None, roles=None):
-        """Yield the records of one JSON-lines log, each checked against rule
-        and roles unless rule is None; a record that breaks it raises
+    def _apply(self, record: dict) -> None:
+        """Change memory as one record says: the one path both a live change
+        and a replayed one take."""
+        if record["op"] == "issue":
+            self.tans[record["tan"]] = Tan(record["tan"], record["issued_to"])
+        elif record["op"] == "spend":
+            self.tans[record["tan"]].used = True
+            for entry in record["entries"]:
+                self.feeds[record["scheme"]].append(entry)
+        else:
+            self.feeds["dh"].superspreader_tags.update(record["hashes"])
+
+    def _replay_state(self) -> None:
+        """Apply each record of the state log, checked against STATE_RECORD
+        with the TANs replayed so far as roles; a record that breaks it raises
         StateError naming its line. An unparsable final line is a write cut
         off by a crash: it is dropped and cut from the file, and a kept final
-        line lacking its newline gets one, so the next append starts a line
-        of its own. An unparsable line before the last raises StateError."""
-        path = self.state_dir / name
-        if not path.exists():
-            return
+        line lacking its newline gets one, so the next append starts a line of
+        its own. An unparsable line before the last raises StateError."""
+        # the earlier format kept a log per feed: none of it may go unread
+        for other in sorted(self.state_dir.glob("*.jsonl")):
+            if other.name != STATE_LOG:
+                raise StateError(f"{other} is not {STATE_LOG}: a log of an earlier "
+                                 f"state format, which this server does not replay")
+        path = self.state_dir / STATE_LOG
         torn, line = None, ""
-        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            fh = path.open(encoding="utf-8", errors="surrogateescape")
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise StateError(f"cannot read {path}: {exc.strerror}")
+        with fh:
             for number, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
                 if torn is not None:
-                    raise StateError(f"{name} line {torn[0]} is not JSON: {torn[1]}")
+                    raise StateError(f"{STATE_LOG} line {torn[0]} is not JSON: {torn[1]}")
                 try:
                     record = json.loads(line)
                 except (ValueError, RecursionError) as exc:
                     torn = (number, exc)
                     continue
-                if rule is not None:
-                    try:
-                        record = check(record, rule, ("record",), roles)
-                    except FieldError as exc:
-                        raise StateError(f"{name} line {number}: {exc}")
-                yield record
+                try:
+                    record = check(record, STATE_RECORD, ("record",), self.tans)
+                except FieldError as exc:
+                    raise StateError(f"{STATE_LOG} line {number}: {exc}")
+                self._apply(record)
         if torn is not None:
             with path.open("r+b") as fh:
                 fh.truncate(fh.read().rstrip().rfind(b"\n") + 1)
         elif line and not line.endswith("\n"):
             with path.open("a", encoding="utf-8") as fh:
                 fh.write("\n")
-
-    def _replay_state(self) -> None:
-        # feed entries replay unchecked: the clients skip and count a bad one
-        for scheme in ("tek", "dh"):
-            for entry in self._read_state(f"feed_{scheme}.jsonl"):
-                self.feeds[scheme].append(entry)
-        for rec in self._read_state("tans.jsonl", TAN_LOG, self.tans):
-            if rec["event"] == "issue":
-                self.tans[rec["value"]] = Tan(rec["value"], rec["issued_to"])
-            else:
-                self.tans[rec["value"]].used = True
-        for rec in self._read_state("tags.jsonl", TAG_LOG):
-            self.feeds["dh"].superspreader_tags.add(rec["hash_hex"])
 
     # -- health authority -------------------------------------------------------
 
@@ -189,23 +231,8 @@ class TracingServer:
                 value = self._tan_stream.token(TAN_LENGTH)
                 if value not in self.tans:
                     break
-            tan = Tan(value, device_id)
-            self.tans[value] = tan
-            self._append_state("tans.jsonl", {"event": "issue", "value": value,
-                                              "issued_to": device_id})
-            return tan
-
-    def _consume_tan(self, value: str) -> Tan:
-        """Verify and spend a TAN; single-use, linearizable."""
-        with self._lock:
-            tan = self.tans.get(value)
-            if tan is None:
-                raise UploadRejected("unknown TAN")
-            if tan.used:
-                raise UploadRejected("TAN already used")
-            tan.used = True
-            self._append_state("tans.jsonl", {"event": "consume", "value": value})
-            return tan
+            self._commit({"op": "issue", "tan": value, "issued_to": device_id})
+            return self.tans[value]
 
     # -- registration (centralized only) ----------------------------------------
 
@@ -219,7 +246,8 @@ class TracingServer:
 
     def accept_upload(self, bundle: dict) -> dict:
         """Check a bundle against its scheme's table, then its scheme's bundle
-        check, then spend its TAN and accept it; a rejected bundle keeps its TAN."""
+        check, then accept it: its handler builds the one record that spends its
+        TAN and publishes its entries. A rejected bundle keeps its TAN."""
         try:
             bundle = check(bundle, _BUNDLE, ("bundle",))
         except FieldError as exc:
@@ -227,7 +255,12 @@ class TracingServer:
         _, check_bundle, accept = self._uploads[bundle["scheme"]]
         check_bundle(self, bundle)
         with self._lock:
-            return accept(self, bundle, self._consume_tan(bundle["tan"]))
+            tan = self.tans.get(bundle["tan"])
+            if tan is None:
+                raise UploadRejected("unknown TAN")
+            if tan.used:
+                raise UploadRejected("TAN already used")
+            return accept(self, bundle, tan)
 
     def _check_tek_span(self, bundle: dict) -> None:
         days = [t["day"] for t in bundle["teks"]]
@@ -248,13 +281,14 @@ class TracingServer:
                 raise UploadRejected(f"malformed bundle: bundle.records[{i}]: its window "
                                      f"indexes must fit in 8 signed bytes")
 
+    def _publish(self, tan: Tan, scheme: str, entries: list[dict]) -> dict:
+        self._commit({"op": "spend", "tan": tan.value, "scheme": scheme, "entries": entries})
+        return {"status": "ack", "published": len(entries)}
+
     def _accept_tek(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
-        for t in bundle["teks"]:
-            entry = {"tek_hex": t["tek_hex"], "day": t["day"], "published_at": now}
-            self.feeds["tek"].append(entry)
-            self._append_state("feed_tek.jsonl", entry)
-        return {"status": "ack", "published": len(bundle["teks"])}
+        return self._publish(tan, "tek", [{"tek_hex": t["tek_hex"], "day": t["day"],
+                                           "published_at": now} for t in bundle["teks"]])
 
     def _accept_dh(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
@@ -264,16 +298,15 @@ class TracingServer:
             # postbox model: drop bundle grouping by shuffling before
             # publication; the cryptographic mixing itself is out of scope
             self._shuffle_stream.shuffle(published)
-        for entry in published:
-            self.feeds["dh"].append(entry)
-            self._append_state("feed_dh.jsonl", entry)
-        return {"status": "ack", "published": len(published)}
+        return self._publish(tan, "dh", published)
 
     def _accept_centralized(self, bundle: dict, tan: Tan) -> dict:
         now = self.clock()
         horizon = now - self.retention_days * DAY_S
         fresh = [r for r in bundle["records"] if r["last_seen"] >= horizon]
         matches = server_match(fresh, self.registry)
+        # matches are not persisted: the spend publishes nothing
+        self._commit({"op": "spend", "tan": tan.value, "scheme": "centralized", "entries": []})
         for user_id, intervals in matches.items():
             reg = self.registry.users[user_id]
             channel = "phone" if reg.mode == MODE_PHONE else "app"
@@ -320,14 +353,12 @@ class TracingServer:
             raise UploadRejected(f"malformed proof: a token does not decode: {exc}")
         feed = self.feeds["dh"]
         with self._lock:
-            accepted = 0
-            for h in hashes:
-                if h in feed.hashes:
-                    accepted += 1
-                    if h not in feed.superspreader_tags:
-                        feed.superspreader_tags.add(h)
-                        self._append_state("tags.jsonl", {"hash_hex": h})
-            return accepted
+            accepted = [h for h in hashes if h in feed.hashes]
+            # in the proof's order, not set order, so that the log is byte-stable
+            fresh = list(dict.fromkeys(h for h in accepted if h not in feed.superspreader_tags))
+            if fresh:
+                self._commit({"op": "tag", "hashes": fresh})
+            return len(accepted)
 
     def notify_poll(self, user_id: str) -> list[dict]:
         """Drain pending notifications for one registered user."""

@@ -192,7 +192,8 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
     ("attack", {"kind": "teleport", "at": 100}, "runs[1].attack.kind: unknown attack kind"),
     ("attack", {"kind": "fake_claim", "claimant": "zz", "at": 100},
      "runs[1].attack.claimant: unknown device 'zz'"),
-    ("attack", {"kind": "fake_claim", "claimant": "a", "source_sniffer": "zz", "at": 100},
+    (("scheme", "attack"), ("centralized", {"kind": "fake_claim", "claimant": "a",
+                                            "source_sniffer": "zz", "at": 100}),
      "runs[1].attack.source_sniffer: unknown device 'zz'"),
     ("attack", {"kind": "relay", "mode": "one_way_broadcast", "node_a": "zz", "node_b": "b",
                 "window": [0, 600]}, "runs[1].attack.node_a: unknown device 'zz'"),
@@ -218,7 +219,8 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
     ("attack", {"kind": "fake_claim", "claimant": "a"}, "runs[1].attack is missing the 'at' field"),
     (("scheme", "attack"), ("centralized", {"kind": "fake_claim", "claimant": "a", "at": 100}),
      "runs[1].attack is missing the 'source_sniffer' field"),
-    ("attack", {"kind": "fake_claim", "claimant": "a", "source_sniffer": "b", "at": 100},
+    (("scheme", "attack"), ("centralized", {"kind": "fake_claim", "claimant": "a",
+                                            "source_sniffer": "b", "at": 100}),
      "runs[1].attack.source_sniffer: 'b' is not a sniffer"),
     ("devices", ["a", "b", {"id": "s", "role": "sniffer"}, {"role": "relay"}],
      "runs[1].devices[3] is missing the 'id' field"),
@@ -283,6 +285,12 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
     (("scheme", "attack"), ("tek", {"kind": "fake_claim", "claimant": "a", "at": 100,
                                     "guesses": 4}),
      "runs[1].attack.guesses: unknown field"),
+    # only a centralized fake claim reads a sniffer's observations
+    ("attack", {"kind": "fake_claim", "claimant": "a", "source_sniffer": "s", "at": 100},
+     "runs[1].attack.source_sniffer: unknown field"),
+    (("scheme", "attack"), ("tek", {"kind": "fake_claim", "claimant": "a",
+                                    "source_sniffer": "s", "at": 100}),
+     "runs[1].attack.source_sniffer: unknown field"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")

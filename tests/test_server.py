@@ -1,11 +1,18 @@
+import errno
 import gc
+import hashlib
 import json
+import os
 import re
+import tempfile
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
+from unittest.mock import patch
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from dctlab.crypto_core import GroupParams, b64, hash_token, keygen, dh_token
@@ -24,6 +31,57 @@ def tek_bundle(server, days, device="d1"):
     tan = server.issue_tan(device)
     return {"scheme": "tek", "tan": tan.value,
             "teks": [{"tek_hex": f"{d:032x}", "day": d} for d in days]}
+
+
+def persisted(server):
+    """What the state log holds: each TAN with its owner and spent flag, both
+    feeds, the DH feed's hash set and the superspreader tags."""
+    return ({v: (t.issued_to, t.used) for v, t in server.tans.items()},
+            {s: list(f.entries) for s, f in server.feeds.items()},
+            set(server.feeds["dh"].hashes), set(server.feeds["dh"].superspreader_tags))
+
+
+NO_SPACE = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class HalfWriter:
+    """A file whose write puts half its bytes on disk and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def tell(self):
+        return self.fh.tell()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise NO_SPACE
+
+
+@contextmanager
+def failing_write(how):
+    """Make the next file opened for appending fail: at its open ("open"), or
+    after half of what is written reaches the disk ("partial"). Yields the
+    list of the paths it failed, empty until one is."""
+    real_open, failed = Path.open, []
+
+    def fake_open(path, mode="r", *args, **kwargs):
+        if "a" not in mode or failed:
+            return real_open(path, mode, *args, **kwargs)
+        failed.append(path)
+        if how == "open":
+            raise NO_SPACE
+        return HalfWriter(real_open(path, mode, *args, **kwargs))
+
+    with patch.object(Path, "open", fake_open):
+        yield failed
 
 
 # -- TANs ---------------------------------------------------------------------
@@ -307,17 +365,21 @@ def test_superspreader_proof_reads_the_feed_hash_index_after_a_restart(tmp_path)
 
     proof = encode_proof(tokens, group)
     assert server.verify_superspreader_proof(proof) == 2
-    tags = (tmp_path / "tags.jsonl").read_bytes()
+    log = tmp_path / "state.jsonl"
+    tagged = log.read_bytes()
     assert server.verify_superspreader_proof(proof) == 2     # tagged once, counted again
-    assert (tmp_path / "tags.jsonl").read_bytes() == tags
+    assert log.read_bytes() == tagged
 
-    with (tmp_path / "feed_dh.jsonl").open("a", encoding="utf-8") as fh:
-        fh.write('[1]\n{"hash_hex": 7}\n{"meta_b64": "AA=="}\n')
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write('{"op": "issue", "tan": "T", "issued_to": "x"}\n'
+                 '{"op": "spend", "tan": "T", "scheme": "dh", '
+                 '"entries": [[1], {"hash_hex": 7}, {"meta_b64": "AA=="}]}\n')
+    appended = log.read_bytes()
     reborn = make_server(state_dir=tmp_path)
     assert reborn.feeds["dh"].hashes == server.feeds["dh"].hashes
     assert reborn.feeds["dh"].superspreader_tags == server.feeds["dh"].superspreader_tags
     assert reborn.verify_superspreader_proof(proof) == 2
-    assert (tmp_path / "tags.jsonl").read_bytes() == tags
+    assert log.read_bytes() == appended
 
 
 # -- upload property ----------------------------------------------------------------
@@ -331,7 +393,7 @@ def hex_text(n):
     return st.text("0123456789abcdefABCDEF", min_size=n, max_size=n)
 
 
-def registry_server():
+def registry_server(**kw):
     """A server whose bluetrace registry has issued the first day of
     identifiers to two registered devices; returns it and those identifiers."""
     registry = CentralRegistry(SeedStream(5, "reg"))
@@ -341,7 +403,7 @@ def registry_server():
         client.device_id = device
         client.register()
         known += [client.advertisement_identifier(t).hex() for t in (0, 900, 1800)]
-    return make_server(registry=registry), known
+    return make_server(registry=registry, **kw), known
 
 
 KNOWN_IDS = registry_server()[1]
@@ -386,43 +448,51 @@ def upload(draw):
     if draw(st.booleans()):
         bundle["anonymized"] = draw(st.booleans())
     tan = draw(st.one_of(st.sampled_from(["fresh", "fresh", "spent", "unknown"]), JUNK))
-    return bundle, tan, draw(st.sampled_from(["call", "wire"]))
+    # whether the state write fails, and how
+    fail = draw(st.sampled_from([None, None, "open", "partial"]))
+    return bundle, tan, draw(st.sampled_from(["call", "wire"])), fail
 
 
 @settings(max_examples=150, deadline=None)
 @given(uploads=st.lists(upload(), min_size=1, max_size=5))
+@example(uploads=[({"scheme": "tek", "teks": [{"tek_hex": "ab" * 16, "day": 1}]},
+                   "fresh", "call", "partial")])
 def test_random_uploads_spend_a_tan_exactly_when_acked(uploads):
-    server, _ = registry_server()
-    acked_tans = []
-    for bundle, tan, via in uploads:
-        if tan == "fresh":
-            tan = server.issue_tan("d").value
-        elif tan == "spent":
-            tan = acked_tans[-1] if acked_tans else "NOPE"
-        elif tan == "unknown":
-            tan = "NOPE"
-        bundle = dict(bundle, tan=tan)
-        unspent = {v for v, t in server.tans.items() if not t.used}
-        published = {s: len(f.entries) for s, f in server.feeds.items()}
-        matches = len(server.match_history)
-        if via == "call":
-            try:
-                server.accept_upload(bundle)
-                acked = True
-            except UploadRejected:
-                acked = False
-        else:
-            resp = _handle_request(server, {"op": "upload", "args": {"bundle": bundle}})
-            acked = resp["ok"]
-            # a handler crash shows on the wire as "malformed request: <exception>"
-            assert acked or not resp["error"].startswith("malformed request"), resp
-        spent = {v for v in unspent if server.tans[v].used}
-        assert spent == ({tan} if acked else set())
-        if acked:
-            acked_tans.append(tan)
-        else:
-            assert {s: len(f.entries) for s, f in server.feeds.items()} == published
-            assert len(server.match_history) == matches
+    with tempfile.TemporaryDirectory() as state:
+        server, _ = registry_server(state_dir=state)
+        acked_tans = []
+        for bundle, tan, via, fail in uploads:
+            if tan == "fresh":
+                tan = server.issue_tan("d").value
+            elif tan == "spent":
+                tan = acked_tans[-1] if acked_tans else "NOPE"
+            elif tan == "unknown":
+                tan = "NOPE"
+            bundle = dict(bundle, tan=tan)
+            unspent = {v for v, t in server.tans.items() if not t.used}
+            published = {s: len(f.entries) for s, f in server.feeds.items()}
+            matches = len(server.match_history)
+            with failing_write(fail) if fail else nullcontext([]) as failed:
+                if via == "call":
+                    try:
+                        server.accept_upload(bundle)
+                        acked = True
+                    except UploadRejected:
+                        acked = False
+                else:
+                    resp = _handle_request(server, {"op": "upload", "args": {"bundle": bundle}})
+                    acked = resp["ok"]
+                    # a handler crash shows on the wire as "malformed request: <exception>"
+                    assert acked or not resp["error"].startswith("malformed request"), resp
+            assert not (failed and acked)       # an upload whose write failed is not acked
+            spent = {v for v in unspent if server.tans[v].used}
+            assert spent == ({tan} if acked else set())
+            if acked:
+                acked_tans.append(tan)
+            else:
+                assert {s: len(f.entries) for s, f in server.feeds.items()} == published
+                assert len(server.match_history) == matches
+        assert persisted(registry_server(state_dir=state)[0]) == persisted(server)
 
 
 # -- persistence --------------------------------------------------------------------
@@ -446,7 +516,7 @@ def test_replay_drops_a_torn_final_line(tmp_path):
     server = make_server(state_dir=state)
     server.accept_upload(tek_bundle(server, [1, 2]))
     written = list(server.feeds["tek"].entries)
-    log = state / "feed_tek.jsonl"
+    log = state / "state.jsonl"
     whole = log.read_bytes()
     with log.open("ab") as fh:
         fh.write(whole.splitlines(keepends=True)[-1][:20])   # half a line, no newline
@@ -465,7 +535,7 @@ TOO_DEEP = b"[" * 100_000    # nested past the recursion limit, so json cannot p
 def test_replay_drops_a_final_tans_line_nested_too_deeply(tmp_path):
     server = make_server(state_dir=tmp_path)
     tan = server.issue_tan("a")
-    log = tmp_path / "tans.jsonl"
+    log = tmp_path / "state.jsonl"
     whole = log.read_bytes()
     with log.open("ab") as fh:
         fh.write(TOO_DEEP + b"\n")
@@ -478,10 +548,10 @@ def test_replay_drops_a_final_tans_line_nested_too_deeply(tmp_path):
 def test_replay_rejects_a_tans_line_nested_too_deeply_before_the_last(tmp_path):
     server = make_server(state_dir=tmp_path)
     server.issue_tan("a")
-    log = tmp_path / "tans.jsonl"
+    log = tmp_path / "state.jsonl"
     whole = log.read_bytes()
     log.write_bytes(TOO_DEEP + b"\n" + whole)
-    with pytest.raises(StateError, match="^tans.jsonl line 1 is not JSON"):
+    with pytest.raises(StateError, match="^state.jsonl line 1 is not JSON"):
         make_server(state_dir=tmp_path)
 
 
@@ -489,7 +559,7 @@ def test_replay_keeps_a_final_line_missing_only_its_newline(tmp_path):
     state = tmp_path / "state"
     server = make_server(state_dir=state)
     server.accept_upload(tek_bundle(server, [1]))
-    log = state / "feed_tek.jsonl"
+    log = state / "state.jsonl"
     log.write_bytes(log.read_bytes().rstrip(b"\n"))
 
     reborn = make_server(state_dir=state)
@@ -502,24 +572,26 @@ def test_replay_rejects_a_bad_line_before_the_last(tmp_path):
     state = tmp_path / "state"
     server = make_server(state_dir=state)
     server.accept_upload(tek_bundle(server, [1, 2]))
-    log = state / "feed_tek.jsonl"
-    first, second = log.read_bytes().splitlines(keepends=True)
+    log = state / "state.jsonl"
+    first, second = log.read_bytes().splitlines(keepends=True)    # the issue, the spend
     log.write_bytes(first[:20] + b"\n" + second)
-    with pytest.raises(StateError, match="feed_tek.jsonl line 1"):
+    with pytest.raises(StateError, match="^state.jsonl line 1 is not JSON"):
         make_server(state_dir=state)
 
 
-@pytest.mark.parametrize("name, record, problem", [
-    ("tans.jsonl", {"event": "consume", "value": "NOPE"},
-     "tans.jsonl line 2: record.value: TAN 'NOPE' was never issued"),
-    ("tans.jsonl", [1], "tans.jsonl line 2: record: expected an object, got [1]"),
-    ("tans.jsonl", {"event": "spend", "value": "NOPE"}, "tans.jsonl line 2: record.event: unknown"),
-    ("tags.jsonl", {"hash": 1}, "tags.jsonl line 1: record is missing the 'hash_hex' field"),
+@pytest.mark.parametrize("record, problem", [
+    ({"op": "spend", "tan": "NOPE", "scheme": "tek", "entries": []},
+     "state.jsonl line 2: record.tan: TAN 'NOPE' was never issued"),
+    ([1], "state.jsonl line 2: record: expected an object, got [1]"),
+    ({"op": "consume", "tan": "NOPE"}, "state.jsonl line 2: record.op: unknown op 'consume'"),
+    ({"op": "tag"}, "state.jsonl line 2: record is missing the 'hashes' field"),
+    ({"op": "tag", "hashes": ["ab" * 32, "ab"]},
+     "state.jsonl line 2: record.hashes[1]: expected 64 hex digits, got 'ab'"),
 ])
-def test_replay_rejects_a_state_record_that_breaks_its_table(tmp_path, name, record, problem):
+def test_replay_rejects_a_state_record_that_breaks_its_table(tmp_path, record, problem):
     server = make_server(state_dir=tmp_path)
     server.issue_tan("a")
-    with (tmp_path / name).open("a", encoding="utf-8") as fh:
+    with (tmp_path / "state.jsonl").open("a", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
     with pytest.raises(StateError, match=f"^{re.escape(problem)}"):
         make_server(state_dir=tmp_path)
@@ -530,10 +602,28 @@ def test_replay_checks_a_consume_against_the_tans_issued_before_it(tmp_path):
     tan = server.issue_tan("a")
     server.accept_upload({"scheme": "tek", "tan": tan.value, "teks": []})
     assert make_server(state_dir=tmp_path).tans[tan.value].used
-    log = tmp_path / "tans.jsonl"
-    issue, consume = log.read_text(encoding="utf-8").splitlines(keepends=True)
-    log.write_text(consume + issue, encoding="utf-8")
-    with pytest.raises(StateError, match=f"^tans.jsonl line 1: record.value: TAN '{tan.value}'"):
+    log = tmp_path / "state.jsonl"
+    issue, spend = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    log.write_text(spend + issue, encoding="utf-8")
+    with pytest.raises(StateError, match=f"^state.jsonl line 1: record.tan: TAN '{tan.value}' "
+                                         f"was never issued$"):
+        make_server(state_dir=tmp_path)
+
+
+@pytest.mark.parametrize("repeat, problem", [
+    (0, "state.jsonl line 3: record.tan: TAN {!r} was issued before"),
+    (1, "state.jsonl line 3: record.tan: TAN {!r} was spent before"),
+])
+def test_replay_refuses_a_tan_issued_or_spent_twice(tmp_path, repeat, problem):
+    # a repeated spend would publish its entries twice, and a repeated issue
+    # would make a spent TAN spendable again
+    server = make_server(state_dir=tmp_path)
+    server.accept_upload(tek_bundle(server, [1]))
+    log = tmp_path / "state.jsonl"
+    lines = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(b"".join(lines) + lines[repeat])
+    tan = json.loads(lines[0])["tan"]
+    with pytest.raises(StateError, match=f"^{re.escape(problem.format(tan))}$"):
         make_server(state_dir=tmp_path)
 
 
@@ -555,6 +645,176 @@ def test_persisted_dh_state_contains_no_raw_tokens(tmp_path):
     assert token.secret not in blob
     assert token.secret.hex().encode() not in blob
     assert b64(token.secret).encode() not in blob
+
+
+@pytest.mark.parametrize("name", ["tans.jsonl", "feed_tek.jsonl", "feed_dh.jsonl", "tags.jsonl"])
+def test_a_state_directory_of_the_earlier_format_is_refused(tmp_path, name):
+    # one of the per-feed logs alone must not start a server that looks empty
+    (tmp_path / name).write_text("", encoding="utf-8")
+    with pytest.raises(StateError, match=re.escape(str(tmp_path / name))):
+        make_server(state_dir=tmp_path)
+
+
+def test_a_state_directory_that_is_a_file_is_refused(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    with pytest.raises(StateError, match=f"^cannot use {re.escape(str(taken))} as a state directory"):
+        make_server(state_dir=taken)
+
+
+def test_a_state_log_that_is_a_directory_is_refused(tmp_path):
+    (tmp_path / "state.jsonl").mkdir()
+    with pytest.raises(StateError, match=f"^cannot read {re.escape(str(tmp_path / 'state.jsonl'))}"):
+        make_server(state_dir=tmp_path)
+
+
+TOKENS = [bytes([i]) * 32 for i in range(6)]
+
+
+def dh_entries(tokens):
+    return [{"hash_hex": hashlib.sha256(t).hexdigest(), "meta_b64": b64(t[:8])} for t in tokens]
+
+
+def proof_of(tokens):
+    return {"tokens": [b64(t) for t in tokens], "encoding": "b64"}
+
+
+def stateful_server(state_dir):
+    """A server with a TEK upload, a DH upload and one tag in its state log;
+    returns it and the identifiers its registry issued."""
+    server, known = registry_server(state_dir=state_dir)
+    server.accept_upload(tek_bundle(server, [1, 2]))
+    server.accept_upload({"scheme": "dh", "tan": server.issue_tan("d2").value,
+                          "entries": dh_entries(TOKENS[:4])})
+    assert server.verify_superspreader_proof(proof_of(TOKENS[:1])) == 1
+    return server, known
+
+
+# each state-changing request, given a fresh TAN and the registry's identifiers
+WRITES = {
+    "issue_tan": lambda tan, known: ("issue_tan", {"device_id": "d9"}),
+    "tek": lambda tan, known: ("upload", {"bundle": {
+        "scheme": "tek", "tan": tan, "teks": [{"tek_hex": "ab" * 16, "day": 3},
+                                              {"tek_hex": "cd" * 16, "day": 4}]}}),
+    "dh": lambda tan, known: ("upload", {"bundle": {
+        "scheme": "dh", "tan": tan, "entries": dh_entries(TOKENS[4:])}}),
+    "dh anonymized": lambda tan, known: ("upload", {"bundle": {
+        "scheme": "dh", "tan": tan, "anonymized": True, "entries": dh_entries(TOKENS[3:])}}),
+    "centralized": lambda tan, known: ("upload", {"bundle": {
+        "scheme": "centralized", "tan": tan,
+        "records": [{"id_hex": known[0], "first_seen": 0, "last_seen": 300}]}}),
+    "superspreader_proof": lambda tan, known: ("superspreader_proof",
+                                               {"proof": proof_of(TOKENS[:3])}),
+}
+
+
+@pytest.mark.parametrize("how", ["open", "partial"])
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_a_failed_state_write_changes_nothing(tmp_path, write, how):
+    server, known = stateful_server(tmp_path)
+    tan = server.issue_tan("d3").value
+    op, args = WRITES[write](tan, known)
+    before, log = persisted(server), (tmp_path / "state.jsonl").read_bytes()
+    with failing_write(how) as failed:
+        resp = _handle_request(server, {"op": op, "args": args})
+    assert failed == [tmp_path / "state.jsonl"]
+    # the answer is typed, and names no path of the server's
+    assert resp == {"ok": False, "error": "state write failed: No space left on device"}
+    assert persisted(server) == before
+    assert server.match_history == [] and server.notifications == {}
+    assert (tmp_path / "state.jsonl").read_bytes() == log
+    assert persisted(registry_server(state_dir=tmp_path)[0]) == before
+    # the same request, TAN included, succeeds once the disk takes it
+    resp = _handle_request(server, {"op": op, "args": args})
+    assert resp["ok"] is True, resp
+    assert server.tans[tan].used is (op == "upload")
+    assert persisted(server) != before
+    assert persisted(registry_server(state_dir=tmp_path)[0]) == persisted(server)
+
+
+def test_an_upload_whose_state_log_is_gone_keeps_its_tan(tmp_path):
+    # the log's path turns into a directory between the TAN and its upload
+    server = make_server(state_dir=tmp_path)
+    bundle = tek_bundle(server, [1, 2])
+    log = tmp_path / "state.jsonl"
+    log.rename(tmp_path / "aside")
+    log.mkdir()
+    resp = _handle_request(server, {"op": "upload", "args": {"bundle": bundle}})
+    assert resp == {"ok": False, "error": "state write failed: Is a directory"}
+    assert not server.tans[bundle["tan"]].used and server.fetch_feed("tek") == ([], 0)
+    log.rmdir()
+    (tmp_path / "aside").rename(log)
+    reborn = make_server(state_dir=tmp_path)
+    assert not reborn.tans[bundle["tan"]].used and reborn.fetch_feed("tek") == ([], 0)
+    assert reborn.accept_upload(bundle) == {"status": "ack", "published": 2}
+    assert [e["day"] for e in make_server(state_dir=tmp_path).feeds["tek"].entries] == [1, 2]
+
+
+def test_a_log_that_cannot_be_cut_back_takes_no_more_records(tmp_path):
+    # torn bytes left at the end of the log would merge with the next record
+    server = make_server(state_dir=tmp_path)
+    bundle = tek_bundle(server, [1])
+    log = tmp_path / "state.jsonl"
+    whole = log.read_bytes()
+    with failing_write("partial"), patch("os.truncate", side_effect=NO_SPACE):
+        with pytest.raises(UploadRejected, match="^state write failed: No space left on device$"):
+            server.accept_upload(bundle)
+    torn = log.read_bytes()
+    assert torn.startswith(whole) and not torn.endswith(b"\n")
+    with pytest.raises(UploadRejected, match="could not be cut back$"):
+        server.issue_tan("d2")
+    assert log.read_bytes() == torn and not server.tans[bundle["tan"]].used
+    # a restart drops the torn final line, and the TAN is spendable again
+    reborn = make_server(state_dir=tmp_path)
+    assert log.read_bytes() == whole
+    assert reborn.accept_upload(bundle)["published"] == 1
+
+
+def test_the_wire_connection_serves_on_after_a_failed_state_write(tmp_path):
+    server = make_server(state_dir=tmp_path)
+    bundle = tek_bundle(server, [1])
+    tcp, port = serve_tcp(server)
+    try:
+        import socket as socketlib
+        lines = [{"op": "upload", "args": {"bundle": bundle}},
+                 {"op": "issue_tan", "args": {"device_id": "d2"}}]
+        with failing_write("partial"), \
+                socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall("\n".join(map(json.dumps, lines)).encode() + b"\n")
+            fh = sock.makefile("r")
+            responses = [json.loads(fh.readline()) for _ in lines]
+    finally:
+        tcp.shutdown()
+        tcp.server_close()
+    assert responses[0] == {"ok": False, "error": "state write failed: No space left on device"}
+    assert responses[1]["ok"] is True
+    assert persisted(make_server(state_dir=tmp_path)) == persisted(server)
+    assert set(server.tans) == {bundle["tan"], responses[1]["result"]["tan"]}
+    assert not server.tans[bundle["tan"]].used
+
+
+def test_the_state_log_is_byte_stable(tmp_path):
+    # the tag record lists the hashes in the proof's order, not a set's, so
+    # the log is the same whatever order str hashes in
+    server, known = registry_server(state_dir=tmp_path)
+    server.clock = lambda: 4000
+    server.accept_upload(tek_bundle(server, [1, 2, 3]))
+    server.accept_upload({"scheme": "dh", "tan": server.issue_tan("d2").value,
+                          "entries": dh_entries(TOKENS[:3])})
+    server.accept_upload({"scheme": "dh", "tan": server.issue_tan("d3").value,
+                          "anonymized": True, "entries": dh_entries(TOKENS[3:])})
+    ack = server.accept_upload({"scheme": "centralized", "tan": server.issue_tan("d4").value,
+                                "records": [{"id_hex": known[0], "first_seen": 0,
+                                             "last_seen": 300}]})
+    assert ack["matched_users"] == 1
+    assert server.verify_superspreader_proof(proof_of(TOKENS[5:0:-1])) == 5
+    server.issue_tan("d5")
+    log = (tmp_path / "state.jsonl").read_bytes()
+    records = [json.loads(line) for line in log.splitlines()]
+    assert [r["op"] for r in records] == ["issue", "spend"] * 4 + ["tag", "issue"]
+    assert records[-2]["hashes"] == [e["hash_hex"] for e in dh_entries(TOKENS[5:0:-1])]
+    assert hashlib.sha256(log).hexdigest() == (
+        "a39c4b5d969bfe869d03dbece76a296ab35083b8bd03075fcb26caf887211421")
 
 
 # -- wire protocol ---------------------------------------------------------------------

@@ -238,9 +238,11 @@ def test_bad_feed_entry_does_not_break_any_client(tmp_path):
             client.on_sighting(alice.advertisement_identifier(t), t, t)
     good = alice.make_report("T" * 12)["teks"][0]
     # the bad entry reached the feed through persisted state, beside a good one
-    lines = [{"tek_hex": "not-hex", "day": 0, "published_at": 700},
-             {**good, "published_at": 700}]
-    (tmp_path / "feed_tek.jsonl").write_text(
+    entries = [{"tek_hex": "not-hex", "day": 0, "published_at": 700},
+               {**good, "published_at": 700}]
+    lines = [{"op": "issue", "tan": "T" * 12, "issued_to": "alice"},
+             {"op": "spend", "tan": "T" * 12, "scheme": "tek", "entries": entries}]
+    (tmp_path / "state.jsonl").write_text(
         "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     server = TracingServer(SeedStream(1, "srv"), state_dir=tmp_path)
     entries, _ = server.fetch_feed("tek")
