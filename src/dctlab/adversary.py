@@ -34,7 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .crypto_core import DAY_S, IDENTIFIER_SLOT_S, b64
-from .errors import ConfigurationError
 from .radio import LINK_ADDR_LEN, DeviceClient, World
 from .rng import SeedStream
 from .schema import CLOCK_LIMIT_S
@@ -91,6 +90,8 @@ class RelayPair:
     device near node_b, with unlimited fanout. two_way_realtime keeps live
     relayed connections open so a full handshake can cross the wormhole, at
     most 8 per relayed victim, and every message is delayed by latency_s.
+    Its fields are checked by the relay table of scenario.ATTACKS, which
+    refuses a fanout_limit above 8.
     """
 
     node_a: str
@@ -100,11 +101,6 @@ class RelayPair:
     latency_s: int = 0
     fanout_limit: int = TWO_WAY_FANOUT_LIMIT
     tick_s: int = 60
-
-    def __post_init__(self):
-        if self.mode not in ("one_way_broadcast", "two_way_realtime"):
-            raise ConfigurationError(f"unknown relay mode {self.mode!r}")
-        self.fanout_limit = min(self.fanout_limit, TWO_WAY_FANOUT_LIMIT)
 
 
 def install_relay(world: World, pair: RelayPair) -> dict:

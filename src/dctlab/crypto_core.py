@@ -352,7 +352,9 @@ def unb64(data: str) -> bytes:
     return base64.b64decode(data.encode("ascii"))
 
 
-# a DH upload or feed entry; it lives here, beside hash_token and b64, because
-# both the server's upload check and DhClient.sync read it and the server does
-# not import schemes.dh, which would lengthen its start-up
+# a DH entry as uploaded, which may not carry published_at: the server stamps it,
+# and DH_FEED_ENTRY, which DhClient.sync reads, names it. They live here, beside
+# hash_token and b64, because the server does not import schemes.dh, which would
+# lengthen its start-up
 DH_ENTRY = {"hash_hex": Field(hex_of(64)), "meta_b64": Field(base64_text)}
+DH_FEED_ENTRY = {**DH_ENTRY, "published_at": Field(int, None)}

@@ -15,13 +15,15 @@ a table that schema.check reads: SCENARIO for the file, RUN for a run,
 DEVICE for a devices entry, EDGE, INFECTION and ANALYSIS for the parts of a
 run, ATTACKS for each attack kind, and per scheme in SCHEMES, Scheme.config
 for scheme_config and Scheme.claim for the fake-claim fields that scheme
-reads. The rules that span fields are in the tables too: EDGE, the toy
-group and the dh config run the checks of ContactEdge, GroupParams.toy and
-DhConfig; a device id and a run label may each be declared once. So every
-run is checked, cross-field rules included, before any executes: a bad
-field raises FieldError naming its JSON path, and load_scenario raises it
-as ScenarioError. Every table is closed, so a key it does not name, such as
-a misspelled field, is refused as an unknown field, not ignored.
+reads, which ATTACK merges into that scheme's attack table. The rules that
+span fields are in the tables too: EDGE, the toy group and the dh config
+run the checks of ContactEdge, GroupParams.toy and DhConfig; a device id
+and a run label may each be declared once. So every run is checked,
+cross-field rules included, before any executes: a bad field raises
+FieldError naming its JSON path, and load_scenario raises it as
+ScenarioError. A table names every key it admits, at every level, so a
+key it does not name, such as a misspelled field, is refused as an unknown
+field, not ignored.
 
 Outputs per scenario: events.jsonl (every SimEvent of every run, tagged with
 the run label; seq numbers each run's events 1, 2, ...) and metrics.json.
@@ -45,8 +47,8 @@ from .crypto_core import DAY_S, GroupParams
 from .errors import FieldError, ScenarioError, UploadRejected
 from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World
 from .rng import SeedStream
-from .schema import (Field, builds, check, clock, closed, device, fault, has_role, natural,
-                     one_of, positive, predicate, tagged)
+from .schema import (Field, builds, check, clock, device, fault, has_role, natural, one_of,
+                     positive, predicate, tagged)
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralizedClient, CentralRegistry
 from .schemes.dh import DhClient, DhConfig, PublishedDhIndex, encode_proof
 from .schemes.tek import PublishedTekIndex, TekClient
@@ -58,29 +60,30 @@ ROLE_CLIENTS = {"sniffer": adversary.SnifferClient, "relay": DeviceClient,
 MODE = one_of((MODE_ANONYMOUS, MODE_PHONE), "mode")
 SNIFFER = has_role("sniffer")
 
-DEVICE = closed({"id": Field(str),
-                 "role": Field(one_of(("device", *ROLE_CLIENTS), "role"), "device"),
-                 "clock_offset_s": Field(clock(int), 0), "mode": Field(MODE, None),
-                 "phone": Field(str, None)})
+DEVICE = {"id": Field(str), "role": Field(one_of(("device", *ROLE_CLIENTS), "role"), "device"),
+          "clock_offset_s": Field(clock(int), 0), "mode": Field(MODE, None),
+          "phone": Field(str, None)}
 EDGE = builds(("[a, b, start_s, end_s]", Field(device), Field(device), Field(clock(natural)),
                Field(clock(natural))), lambda edge: ContactEdge(*edge))
-INFECTION = closed({"device": Field(has_role("device")), "report_at": Field(clock(natural))})
-ANALYSIS = closed({"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
-                   "social_graph": Field(bool, False),
-                   "superspreader_check": Field([has_role("device")], [])})
+INFECTION = {"device": Field(has_role("device")), "report_at": Field(clock(natural))}
+ANALYSIS = {"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
+            "social_graph": Field(bool, False),
+            "superspreader_check": Field([has_role("device")], [])}
+# a relay holds at most 8 live connections per relayed victim, as the radio does
+FANOUT = predicate(lambda v, roles: type(v) is int and 0 <= v <= adversary.TWO_WAY_FANOUT_LIMIT,
+                   f"expected an integer from 0 to {adversary.TWO_WAY_FANOUT_LIMIT}, got {{!r}}")
 # each kind's fields; _install_attack passes relay's and time_travel's but "kind" as
 # keywords to RelayPair and TimeTravelAttack, so their names are those dataclasses' fields
-KIND = {"kind": Field(str)}     # checked by tagged, and named so that a closed table admits it
 ATTACKS = {
-    "relay": {**KIND, "node_a": Field(device), "node_b": Field(device),
+    "relay": {"node_a": Field(device), "node_b": Field(device),
               "mode": Field(one_of(("one_way_broadcast", "two_way_realtime"), "relay mode")),
               "window": Field(("[start_s, end_s]", Field(clock(natural)), Field(clock(natural)))),
               "latency_s": Field(clock(natural), 0), "tick_s": Field(clock(positive), 60),
-              "fanout_limit": Field(natural, adversary.TWO_WAY_FANOUT_LIMIT)},
-    "time_travel": {**KIND, "victim": Field(device), "replayer": Field(device),
+              "fanout_limit": Field(FANOUT, adversary.TWO_WAY_FANOUT_LIMIT)},
+    "time_travel": {"victim": Field(device), "replayer": Field(device),
                     "offset_s": Field(clock(int)), "at_s": Field(clock(natural)),
                     "restore_at_s": Field(clock(natural))},
-    "fake_claim": {**KIND, "claimant": Field(device),
+    "fake_claim": {"claimant": Field(device),
                    "at": Field(clock(natural))},    # plus the scheme's Scheme.claim
 }
 
@@ -116,17 +119,17 @@ def _declare(value, at: tuple, roles: dict) -> dict:
 
 
 def _check_run(run_cfg: dict, at: tuple, _=None) -> dict:
-    """run_cfg with its defaults filled in, checked against RUN and its
-    scheme's config and claim tables; raises FieldError naming the JSON path
+    """run_cfg with its defaults filled in, checked against RUN and then its
+    scheme's config and attack tables; raises FieldError naming the JSON path
     of the first bad field. As the rule of SCENARIO's runs, it ignores the
     walker's roles: each run declares its own devices."""
     roles = {}
     run = check(run_cfg, RUN, at, roles)
-    scheme = SCHEMES[run["scheme"]]
-    run["scheme_config"] = check(run["scheme_config"], scheme.config, (*at, "scheme_config"))
-    if run["attack"] is not None and run["attack"]["kind"] == "fake_claim":
-        run["attack"] = check(run["attack"], closed({**ATTACKS["fake_claim"], **scheme.claim}),
-                              (*at, "attack"), roles)
+    scheme = run["scheme"]
+    run["scheme_config"] = check(run["scheme_config"], SCHEMES[scheme].config,
+                                 (*at, "scheme_config"))
+    if run["attack"] is not None:
+        run["attack"] = check(run["attack"], ATTACK[scheme], (*at, "attack"), roles)
     return run
 
 
@@ -343,8 +346,7 @@ class Scheme:
     registry: Callable[[dict, SeedStream], CentralRegistry | None] = lambda sconf, stream: None
 
 
-TOY_GROUP = builds(closed({"p": Field(int), "g": Field(int)}),
-                   lambda g: GroupParams.toy(g["p"], g["g"]))
+TOY_GROUP = builds({"p": Field(int), "g": Field(int)}, lambda g: GroupParams.toy(g["p"], g["g"]))
 
 
 def _group(value, at: tuple, roles) -> str | dict:
@@ -362,9 +364,9 @@ SHARED_CONFIG = {"retention_days": Field(positive, 14), "superspreader_threshold
 
 SCHEMES = {
     "centralized": Scheme(
-        config=closed({"rotation_s": Field(DAY_DIVISOR, 900), **SHARED_CONFIG,
-                       "variant": Field(one_of(("bluetrace", "pepp_pt"), "variant"), "bluetrace"),
-                       "mode": Field(MODE, MODE_ANONYMOUS)}),
+        config={"rotation_s": Field(DAY_DIVISOR, 900), **SHARED_CONFIG,
+                "variant": Field(one_of(("bluetrace", "pepp_pt"), "variant"), "bluetrace"),
+                "mode": Field(MODE, MODE_ANONYMOUS)},
         claim={"source_sniffer": Field(SNIFFER)},
         registry=lambda sconf, stream: CentralRegistry(
             stream.child("registry"), variant=sconf["variant"], rotation_s=sconf["rotation_s"]),
@@ -374,9 +376,8 @@ SCHEMES = {
             state.server, attack["claimant"], state.clients[attack["source_sniffer"]].observations),
         start=_start_centralized, superspreader=_match_history_count, owners=lambda state: None),
     "tek": Scheme(
-        config=closed({"rotation_s": Field(positive, 600), **SHARED_CONFIG,
-                       "validity_window_s": Field(natural, 7200),
-                       "strict_freshness": Field(bool, False)}),
+        config={"rotation_s": Field(positive, 600), **SHARED_CONFIG,
+                "validity_window_s": Field(natural, 7200), "strict_freshness": Field(bool, False)},
         claim={},
         clients=lambda state, stream: lambda dev: TekClient(
             stream.child(f"device:{dev['id']}"), index=state.tek_index,
@@ -388,11 +389,9 @@ SCHEMES = {
         start=_schedule_syncs, superspreader=_client_count, owners=_tek_owners),
     "dh": Scheme(
         # DhConfig holds the rules across fields: min_encounter_s below rotation_s
-        config=builds(closed({"rotation_s": Field(positive, 900), **SHARED_CONFIG,
-                              "min_encounter_s": Field(natural, 300),
-                              "epsilon_s": Field(positive, 60),
-                              "anonymized_upload": Field(bool, False),
-                              "group": Field(_group, "x25519")}),
+        config=builds({"rotation_s": Field(positive, 900), **SHARED_CONFIG,
+                       "min_encounter_s": Field(natural, 300), "epsilon_s": Field(positive, 60),
+                       "anonymized_upload": Field(bool, False), "group": Field(_group, "x25519")},
                       _dh_config),
         claim={"guesses": Field(natural, 32)},
         clients=_dh_clients,
@@ -401,17 +400,18 @@ SCHEMES = {
         start=_start_dh, superspreader=_dh_proof, owners=lambda state: None),
 }
 
-# a fake_claim block is closed by _check_run, over its scheme's Scheme.claim too
-ATTACK = tagged("kind", {kind: table if kind == "fake_claim" else closed(table)
-                         for kind, table in ATTACKS.items()}, "attack kind")
-RUN = closed({"label": Field(str), "scheme": Field(one_of(SCHEMES, "scheme")),
-              "devices": Field([_declare]), "duration_s": Field(clock(natural)),
-              "scheme_config": Field(dict, {}),     # checked against its scheme's config
-              "contact_trace": Field([EDGE], []), "infections": Field([INFECTION], []),
-              "attack": Field(ATTACK, None), "analysis": Field(ANALYSIS, {}),
-              "irk_linkable": Field(bool, False)})
-SCENARIO = closed({"id": Field(str), "description": Field(str, None), "seed": Field(int, 0),
-                   "runs": Field(_runs)})
+# per scheme, the rule of a run's attack: ATTACKS, and the scheme's Scheme.claim in a fake claim
+ATTACK = {name: tagged("kind", {**ATTACKS, "fake_claim": {**ATTACKS["fake_claim"],
+                                                          **scheme.claim}}, "attack kind")
+          for name, scheme in SCHEMES.items()}
+RUN = {"label": Field(str), "scheme": Field(one_of(SCHEMES, "scheme")),
+       "devices": Field([_declare]), "duration_s": Field(clock(natural)),
+       "scheme_config": Field(dict, {}),    # checked against its scheme's config
+       "contact_trace": Field([EDGE], []), "infections": Field([INFECTION], []),
+       "attack": Field(dict, None),         # checked against its scheme's ATTACK
+       "analysis": Field(ANALYSIS, {}), "irk_linkable": Field(bool, False)}
+SCENARIO = {"id": Field(str), "description": Field(str, None), "seed": Field(int, 0),
+            "runs": Field(_runs)}
 
 
 def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation]:

@@ -5,8 +5,9 @@ raises FieldError naming the JSON path of the first value that breaks its
 rule. A rule is one of:
 
 * a table, {name: Field(rule, default)}: a JSON object. A field that is left
-  out or null takes its default, and a field without one is required. Fields
-  the table does not name pass through unchecked; closed(table) refuses them.
+  out or null takes its default, and a field without one is required. A key
+  the table does not name is refused as an unknown field, before any named
+  field is checked, so a table names every key it admits.
 * [rule]: a JSON list whose items each follow rule.
 * a row, (shape, Field, ...): a JSON list with one item per Field, read by
   position. Trailing items that have a default may be left out and take it;
@@ -50,6 +51,9 @@ def check(value, rule, at: tuple = (), roles: dict | None = None):
     if want is not None and type(value) is not want:
         raise fault(at, f"expected {_KINDS[want]}, got {value!r}")
     if kind is dict:
+        for name in value:
+            if name not in rule:
+                raise fault((*at, name), "unknown field")
         out = dict(value)
         for name, (sub, default) in rule.items():
             if (item := value.get(name)) is None and (item := default) is REQUIRED:
@@ -109,16 +113,6 @@ def clock(rule):
     return checked
 
 
-def closed(table: dict):
-    """table, and no field it does not name."""
-    def checked(value, at, roles):
-        for name in value if type(value) is dict else ():
-            if name not in table:
-                raise fault((*at, name), "unknown field")
-        return check(value, table, at, roles)
-    return checked
-
-
 def one_of(choices, what: str):
     return predicate(lambda v, roles: type(v) is str and v in choices, f"unknown {what} {{!r}}")
 
@@ -137,9 +131,18 @@ def hex_of(n: int):
 
 
 def tagged(key: str, tables: dict, what: str):
-    """An object whose key field names the table, of tables, that it follows."""
+    """An object whose key field names the table, of tables, that it follows;
+    each table admits key too."""
     tag = {key: Field(one_of(tables, what))}
-    return lambda value, at, roles: check(value, tables[check(value, tag, at)[key]], at, roles)
+    tables = {name: {key: Field(str), **table} for name, table in tables.items()}
+
+    def rule(value, at, roles):
+        name = value.get(key) if type(value) is dict else None
+        if type(name) is not str or name not in tables:
+            # raises the fault: not an object, no tag, or a tag that names no table
+            check({key: name} if type(value) is dict else value, tag, at)
+        return check(value, tables[name], at, roles)
+    return rule
 
 
 def builds(rule, build):

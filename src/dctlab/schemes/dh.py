@@ -17,10 +17,10 @@ A published entry is checked once per run, not once per device and sync.
 ``PublishedDhIndex`` holds every entry a run has ingested: hash_hex -> its
 entries in feed order. One index is shared by every client of a run; a
 client built without one keeps a private index. Ingestion skips (and
-counts), once per page, an entry that breaks DH_ENTRY, the table an upload's
-entries are checked against too, so one bad entry cannot break matching for
-anyone. Matching and the superspreader check look each record's hash up in
-the index.
+counts), once per page, an entry that breaks DH_FEED_ENTRY, an upload's
+DH_ENTRY and the published_at the server stamps, so one bad entry cannot
+break matching for anyone. Matching and the superspreader check look each
+record's hash up in the index.
 
 Consequences exercised by the adversary lab:
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..crypto_core import (
-    DH_ENTRY,
+    DH_FEED_ENTRY,
     EncounterToken,
     EphemeralKeyPair,
     GroupParams,
@@ -131,7 +131,7 @@ class PublishedDhIndex:
             self._page = page
             known = set(self.by_hash)
             for entry in page:
-                if not passes(entry, DH_ENTRY):
+                if not passes(entry, DH_FEED_ENTRY):
                     self.skipped += 1
                 elif entry["hash_hex"] not in known:
                     self.by_hash.setdefault(entry["hash_hex"], []).append(entry)

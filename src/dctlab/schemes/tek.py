@@ -12,8 +12,8 @@ The bytes depend on the key alone; a slot's validity window follows from the
 day a key is published under and the slot. One index is shared by every
 client of a run and by the adversary analyses; a client built without one
 keeps a private index. Ingestion skips (and counts), once per page, a feed
-entry that breaks TEK_ENTRY, the table an upload's daily keys are checked
-against too, so one bad entry cannot break matching for anyone.
+entry that breaks TEK_FEED_ENTRY, an upload's TEK_ENTRY and the published_at
+the server stamps, so one bad entry cannot break matching for anyone.
 
 A sighting log keeps each identifier's sightings as flat (seen_at, seq)
 pairs in one array('q'): 16 bytes a sighting, where a tuple of two ints
@@ -51,8 +51,10 @@ from ..schema import Field, hex_of, natural, passes
 DEFAULT_VALIDITY_WINDOW_S = 7200
 DEFAULT_RETENTION_DAYS = 14
 STRICT_VALIDITY_WINDOW_S = 120   # the "fixed" profile
-# a daily key as uploaded and as published; a feed entry adds published_at
+# a daily key as uploaded, which may not carry published_at: the server stamps it
 TEK_ENTRY = {"tek_hex": Field(hex_of(32)), "day": Field(natural)}
+# a daily key as published in the feed
+TEK_FEED_ENTRY = {**TEK_ENTRY, "published_at": Field(int, None)}
 
 
 @dataclass
@@ -137,12 +139,12 @@ class PublishedTekIndex:
 
     def ingest_all(self, page: list) -> list[Tek]:
         """Index a feed page and return its keys in page order, skipping (and
-        counting) an entry that breaks TEK_ENTRY. The last page and its keys
-        are kept, since every client of a run is handed the same page: a page
-        is checked once, however many clients ingest it. A page is not
+        counting) an entry that breaks TEK_FEED_ENTRY. The last page and its
+        keys are kept, since every client of a run is handed the same page: a
+        page is checked once, however many clients ingest it. A page is not
         changed once handed over."""
         if page is not self._page[0]:
-            good = [e for e in page if passes(e, TEK_ENTRY)]
+            good = [e for e in page if passes(e, TEK_FEED_ENTRY)]
             self.skipped += len(page) - len(good)
             self._page = (page, [Tek(bytes.fromhex(e["tek_hex"]), e["day"]) for e in good])
             for tek in self._page[1]:

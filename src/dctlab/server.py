@@ -11,11 +11,12 @@ One server instance backs all three schemes:
   against the registry and turn into notifications. A bundle is checked
   against its scheme's table in _uploads (TEK_ENTRY, DH_ENTRY or RECORD per
   entry) and then its scheme's bundle check; one that breaks either - a
-  malformed entry, daily keys spanning more than the retention period, a
-  centralized record seen for longer than the retention period (or ending
-  before it starts) or at a time whose window index does not encode, or
-  centralized records sent to a server without a registry - is rejected
-  with its TAN left unspent.
+  malformed entry, a key a table does not name (an entry's published_at,
+  which the server stamps, included), daily keys spanning more than the
+  retention period, a centralized record seen for longer than the retention
+  period (or ending before it starts) or at a time whose window index does
+  not encode, or centralized records sent to a server without a registry -
+  is rejected with its TAN left unspent.
 * Publication feeds are append-only; clients page through them with an
   integer cursor and replaying a cursor returns the identical page.
 * Superspreader proofs: raw tokens submitted through this flow are hashed,
@@ -42,15 +43,16 @@ leaving memory, the log and the TAN as they were. A server constructed over
 the same state directory replays the log, dropping a final line that a crash
 cut off mid-write; an unparsable line before the last, one nested too deeply
 included, raises StateError, and so does a record that breaks STATE_RECORD:
-an issue of a TAN issued before, or a spend of a TAN never issued or already
-spent. Entries inside a spend replay as they are, and clients skip and count
-a bad one. A state directory that holds another *.jsonl log, as the earlier
-per-feed format did, or that cannot be created or read, raises StateError
-naming the file.
+a key its op does not name, an issue of a TAN issued before, a spend of a TAN
+never issued or already spent, or a centralized spend with entries. Entries
+inside a spend replay as they are, and clients skip and count a bad one. A
+state directory that holds another *.jsonl log, as the earlier per-feed
+format did, or that cannot be created or read, raises StateError naming the
+file.
 The form of every field that arrives from outside - bundle, wire request,
-proof, state record - is checked by schema.check against a table; the code
-checks only what depends on server state: TANs, the retention span, the
-registry, and whether proof tokens decode.
+proof, state record - is checked by schema.check against a table that names
+every key it admits; the code checks only what depends on server state:
+TANs, the retention span, the registry, and whether proof tokens decode.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from pathlib import Path
 from .crypto_core import DAY_S, DH_ENTRY, EPOCH_LIMIT, unb64
 from .errors import FieldError, StateError, UploadRejected
 from .rng import SeedStream
-from .schema import Field, check, closed, hex_of, natural, one_of, predicate, tagged
+from .schema import Field, check, fault, hex_of, natural, one_of, predicate, tagged
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, RECORD, CentralRegistry, server_match
 from .schemes.tek import DEFAULT_RETENTION_DAYS, TEK_ENTRY
 
@@ -182,11 +184,12 @@ class TracingServer:
 
     def _replay_state(self) -> None:
         """Apply each record of the state log, checked against STATE_RECORD
-        with the TANs replayed so far as roles; a record that breaks it raises
-        StateError naming its line. An unparsable final line is a write cut
-        off by a crash: it is dropped and cut from the file, and a kept final
-        line lacking its newline gets one, so the next append starts a line of
-        its own. An unparsable line before the last raises StateError."""
+        with the TANs replayed so far as roles; a record that breaks it, or a
+        centralized spend with entries, raises StateError naming its line. An
+        unparsable final line is a write cut off by a crash: it is dropped and
+        cut from the file, and a kept final line lacking its newline gets one,
+        so the next append starts a line of its own. An unparsable line before
+        the last raises StateError."""
         # the earlier format kept a log per feed: none of it may go unread
         for other in sorted(self.state_dir.glob("*.jsonl")):
             if other.name != STATE_LOG:
@@ -213,6 +216,8 @@ class TracingServer:
                     continue
                 try:
                     record = check(record, STATE_RECORD, ("record",), self.tans)
+                    if record.get("scheme") == "centralized" and record["entries"]:
+                        raise fault(("record", "entries"), "a centralized spend publishes nothing")
                 except FieldError as exc:
                     raise StateError(f"{STATE_LOG} line {number}: {exc}")
                 self._apply(record)
@@ -385,25 +390,24 @@ def _register(server: TracingServer, args: dict) -> dict:
     return {"user_id": reg.user_id, "mode": reg.mode}
 
 
-# per wire op: (the rule of its args, the handler that answers them); _REQUEST is
-# the rule of a request line. Both refuse a key they do not name. A bundle passes
-# as it is, so that accept_upload answers every fault in one as a malformed bundle
+# per wire op: (the table of its args, the handler that answers them); _REQUEST is
+# the table of a request line. A bundle passes as it is, so that accept_upload
+# answers every fault in one as a malformed bundle
 _OPS = {
-    "issue_tan": (closed({"device_id": Field(str)}),
+    "issue_tan": ({"device_id": Field(str)},
                   lambda server, args: {"tan": server.issue_tan(args["device_id"]).value}),
-    "upload": (closed({"bundle": Field(lambda value, at, roles: value, None)}),
+    "upload": ({"bundle": Field(lambda value, at, roles: value, None)},
                lambda server, args: server.accept_upload(args["bundle"])),
-    "feed": (closed({"scheme": Field(str), "since_cursor": Field(natural, 0)}), _feed),
-    "superspreader_proof": (closed({"proof": Field(PROOF)}), lambda server, args: {
+    "feed": ({"scheme": Field(str), "since_cursor": Field(natural, 0)}, _feed),
+    "superspreader_proof": ({"proof": Field(PROOF)}, lambda server, args: {
         "accepted": server.verify_superspreader_proof(args["proof"])}),
-    "notify_poll": (closed({"user_id": Field(str)}),
+    "notify_poll": ({"user_id": Field(str)},
                     lambda server, args: {"notifications": server.notify_poll(args["user_id"])}),
-    "register": (closed({"device_id": Field(str), "phone": Field(str, None),
-                         "mode": Field(one_of((MODE_ANONYMOUS, MODE_PHONE), "mode"),
-                                       MODE_ANONYMOUS)}),
+    "register": ({"device_id": Field(str), "phone": Field(str, None),
+                  "mode": Field(one_of((MODE_ANONYMOUS, MODE_PHONE), "mode"), MODE_ANONYMOUS)},
                  _register),
 }
-_REQUEST = closed({"op": Field(one_of(_OPS, "op")), "args": Field(dict, {})})
+_REQUEST = {"op": Field(one_of(_OPS, "op")), "args": Field(dict, {})}
 
 
 def _handle_request(server: TracingServer, req: dict) -> dict:

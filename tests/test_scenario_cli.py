@@ -291,6 +291,10 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
     (("scheme", "attack"), ("tek", {"kind": "fake_claim", "claimant": "a",
                                     "source_sniffer": "s", "at": 100}),
      "runs[1].attack.source_sniffer: unknown field"),
+    # a relayed victim holds at most 8 live connections: more is refused, not clamped
+    ("attack", {"kind": "relay", "mode": "two_way_realtime", "node_a": "a", "node_b": "b",
+                "window": [0, 600], "fanout_limit": 9},
+     "runs[1].attack.fanout_limit: expected an integer from 0 to 8, got 9"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")

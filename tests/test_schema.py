@@ -1,19 +1,26 @@
 """The field tables that replaced the hand-written upload and feed-entry
 checks accept exactly the input those checks accepted."""
 
+import copy
+import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctlab.crypto_core import DH_ENTRY, b64
-from dctlab.errors import ConfigurationError, FieldError
+from dctlab.crypto_core import DH_ENTRY, DH_FEED_ENTRY, b64
+from dctlab.errors import ConfigurationError, DctError, FieldError
+from dctlab.rng import SeedStream
+from dctlab.scenario import load_scenario
 from dctlab.schema import (Field, base64_text, builds, check, clock, hex_of, natural, passes,
-                           tagged)
-from dctlab.schemes.centralized import RECORD
-from dctlab.schemes.tek import TEK_ENTRY
-from dctlab.server import _BUNDLE
+                           path, tagged)
+from dctlab.schemes.centralized import RECORD, CentralRegistry
+from dctlab.schemes.dh import PublishedDhIndex
+from dctlab.schemes.tek import TEK_ENTRY, TEK_FEED_ENTRY, PublishedTekIndex
+from dctlab.server import _BUNDLE, TracingServer, _handle_request
 
 
 # -- reference: the entry checks the tables replaced ----------------------------------
@@ -195,3 +202,191 @@ def test_clock_rule_bounds_the_magnitude_below_2_to_the_60(value, problem):
                                                                   "offset": 1 - 2**60}
     with pytest.raises(FieldError, match=f"^{problem}$"):
         check(value, table)
+
+
+# -- every boundary table names every key it admits ------------------------------------
+
+def refusal(call, *args, **kwargs):
+    """The message of the typed error call(*args, **kwargs) raises, or None."""
+    try:
+        call(*args, **kwargs)
+    except DctError as exc:
+        return str(exc)
+    return None
+
+
+def tek_feed():
+    index = PublishedTekIndex()
+
+    def submit(entry):
+        index.ingest_all([entry])
+        return refusal(check, entry, TEK_FEED_ENTRY) if index.skipped else None
+    return submit
+
+
+def dh_feed():
+    index = PublishedDhIndex()
+
+    def submit(entry):
+        index.ingest([entry])
+        return refusal(check, entry, DH_FEED_ENTRY) if index.skipped else None
+    return submit
+
+
+def server_with_a_tan():
+    server = TracingServer(SeedStream(1, "srv"), registry=CentralRegistry(SeedStream(5, "reg")))
+    return server, server.issue_tan("a").value
+
+
+def upload():
+    server, tan = server_with_a_tan()
+    # the bundle whose table refused a key has left its TAN to the one that follows
+    return lambda bundle: refusal(server.accept_upload, dict(bundle, tan=tan))
+
+
+def proof():
+    server = server_with_a_tan()[0]
+    return lambda value: refusal(server.verify_superspreader_proof, value)
+
+
+def wire():
+    server, tan = server_with_a_tan()
+
+    def submit(req):
+        if req["op"] == "upload":
+            req["args"]["bundle"]["tan"] = tan
+        resp = _handle_request(server, req)
+        return None if resp["ok"] else resp["error"]
+    return submit
+
+
+def state_log():
+    def submit(records):
+        with tempfile.TemporaryDirectory() as state:
+            Path(state, "state.jsonl").write_text(
+                "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+            return refusal(TracingServer, SeedStream(1, "srv"), state_dir=state)
+    return submit
+
+
+def scenario_file():
+    def submit(scenario):
+        with tempfile.TemporaryDirectory() as out:
+            path = Path(out, "scenario.json")
+            path.write_text(json.dumps(scenario), encoding="utf-8")
+            return refusal(load_scenario, path)
+    return submit
+
+
+TEK = {"tek_hex": "ab" * 16, "day": 1}
+DH = {"hash_hex": "cd" * 32, "meta_b64": "AAAA"}
+BUNDLES = {"tek": {"scheme": "tek", "teks": [TEK]},
+           "dh": {"scheme": "dh", "entries": [DH], "anonymized": True},
+           "centralized": {"scheme": "centralized",
+                           "records": [{"id_hex": "ef" * 16, "first_seen": 0, "last_seen": 60}]}}
+PROOF = {"tokens": [b64(b"\1" * 32)], "encoding": "b64"}
+WIRE_ARGS = {"issue_tan": {"device_id": "d"}, "upload": {"bundle": BUNDLES["tek"]},
+             "feed": {"scheme": "dh", "since_cursor": 0}, "superspreader_proof": {"proof": PROOF},
+             "notify_poll": {"user_id": "u"},
+             "register": {"device_id": "d", "phone": "+1555", "mode": "phone"}}
+RUN = {"devices": [{"id": "a", "role": "device", "clock_offset_s": 5, "mode": "phone",
+                    "phone": "+1555"}, {"id": "b"}, {"id": "s", "role": "sniffer"},
+                   {"id": "r", "role": "replayer"}],
+       "duration_s": 1000, "contact_trace": [["a", "b", 0, 600]],
+       "infections": [{"device": "a", "report_at": 650}], "irk_linkable": False,
+       "analysis": {"linkage": True, "colluding_sp": True, "social_graph": True,
+                    "superspreader_check": ["a"]}}
+SHARED = {"retention_days": 14, "superspreader_threshold": 3}
+
+
+def run(**fields):
+    """A run with every field, sharing no object with another run."""
+    return copy.deepcopy(dict(RUN, **fields))
+
+
+SCENARIO = {"id": "every_table", "description": "every field", "seed": 3, "runs": [
+    run(label="c", scheme="centralized",
+        scheme_config={"rotation_s": 900, **SHARED, "variant": "pepp_pt", "mode": "phone"},
+        attack={"kind": "fake_claim", "claimant": "a", "at": 100, "source_sniffer": "s"}),
+    run(label="t", scheme="tek",
+        scheme_config={"rotation_s": 600, **SHARED, "validity_window_s": 60,
+                       "strict_freshness": True},
+        attack={"kind": "relay", "node_a": "a", "node_b": "b", "mode": "two_way_realtime",
+                "window": [0, 600], "latency_s": 1, "tick_s": 30, "fanout_limit": 4}),
+    run(label="d", scheme="dh",
+        scheme_config={"rotation_s": 900, **SHARED, "min_encounter_s": 300, "epsilon_s": 60,
+                       "anonymized_upload": True, "group": {"p": 23, "g": 5}},
+        attack={"kind": "time_travel", "victim": "a", "replayer": "r", "offset_s": -60,
+                "at_s": 100, "restore_at_s": 200}),
+    run(label="d2", scheme="dh",
+        attack={"kind": "fake_claim", "claimant": "a", "at": 100, "guesses": 4})]}
+STATE = [{"op": "issue", "tan": "T" * 12, "issued_to": "a"},
+         {"op": "spend", "tan": "T" * 12, "scheme": "tek", "entries": []},
+         {"op": "tag", "hashes": ["ab" * 32]}]
+
+
+def named(at):
+    return lambda level: path((*at, *level))
+
+
+def in_request(level):
+    # a bundle is checked by accept_upload, from a path of its own
+    return path(("bundle", *level[2:]) if level[:2] == ("args", "bundle") else ("request", *level))
+
+
+def in_state_log(level):
+    return f"state.jsonl line {level[0] + 1}: {path(('record', *level[1:]))}"
+
+
+# per boundary: a valid value, with every field of every table in it; how to
+# submit it to fresh state; and how the boundary renders the path of a level
+BOUNDARIES = {
+    **{f"{scheme} bundle": (bundle, upload, named(("bundle",)))
+       for scheme, bundle in BUNDLES.items()},
+    "tek feed entry": (dict(TEK, published_at=5), tek_feed, named(())),
+    "dh feed entry": (dict(DH, published_at=5), dh_feed, named(())),
+    "proof": (PROOF, proof, named(("proof",))),
+    "state log": (STATE, state_log, in_state_log),
+    **{f"{op} request": ({"op": op, "args": args}, wire, in_request)
+       for op, args in WIRE_ARGS.items()},
+    "scenario": (SCENARIO, scenario_file, named(())),
+}
+
+
+def tables_in(value, at=()):
+    """The path of every object in value, value itself included."""
+    if type(value) is dict:
+        yield at
+        items = value.items()
+    else:
+        items = enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield from tables_in(item, (*at, key))
+
+
+def at_path(value, at):
+    for key in at:
+        value = value[key]
+    return value
+
+
+# every key a table names: each sample holds every field of its tables
+NAMED = {key for sample, _, _ in BOUNDARIES.values()
+         for at in tables_in(sample) for key in at_path(sample, at)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_boundary_refuses_a_key_its_table_does_not_name(data):
+    """A drawn key at any level of a valid value is refused by the boundary's
+    typed error as <path>.<key>: unknown field; the value without it is then
+    accepted, by the same state (an upload by the same TAN)."""
+    sample, fresh, render = BOUNDARIES[data.draw(st.sampled_from(sorted(BOUNDARIES)))]
+    level = data.draw(st.sampled_from(list(tables_in(sample))))
+    key = data.draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in NAMED))
+    keyed = copy.deepcopy(sample)
+    at_path(keyed, level)[key] = 1
+    submit = fresh()
+    problem = submit(keyed)
+    assert problem is not None and f"{render((*level, key))}: unknown field" in problem, problem
+    assert submit(copy.deepcopy(sample)) is None

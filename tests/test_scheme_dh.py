@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dctlab.crypto_core import (
     DH_ENTRY,
+    DH_FEED_ENTRY,
     EncounterToken,
     GroupParams,
     b64,
@@ -32,7 +33,7 @@ from dctlab.schemes.dh import (
     match_exposures_dh,
     report_infection_dh,
 )
-from dctlab.schemes.tek import TEK_ENTRY
+from dctlab.schemes.tek import TEK_FEED_ENTRY
 from dctlab.server import TracingServer
 
 TOY_CFG = DhConfig(group=GroupParams.toy(23, 5))
@@ -479,7 +480,7 @@ def small_day(scheme):
                       "duration_s": 14400}]}
 
 
-@pytest.mark.parametrize("scheme,rule", [("tek", TEK_ENTRY), ("dh", DH_ENTRY)])
+@pytest.mark.parametrize("scheme,rule", [("tek", TEK_FEED_ENTRY), ("dh", DH_FEED_ENTRY)])
 def test_a_run_checks_each_feed_entry_once_per_page_fetched(monkeypatch, scheme, rule):
     checked, pages = [], []
     fetch_feed = TracingServer.fetch_feed

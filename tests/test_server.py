@@ -627,6 +627,23 @@ def test_replay_refuses_a_tan_issued_or_spent_twice(tmp_path, repeat, problem):
         make_server(state_dir=tmp_path)
 
 
+@pytest.mark.parametrize("issue, spend, problem", [
+    # a log of records whose keys no table names, and a centralized spend with entries
+    ({"extra": 1}, {"bogus": 2}, "state.jsonl line 1: record.extra: unknown field"),
+    ({}, {"bogus": 2}, "state.jsonl line 2: record.bogus: unknown field"),
+    ({}, {}, "state.jsonl line 2: record.entries: a centralized spend publishes nothing"),
+])
+def test_replay_refuses_an_unnamed_key_and_a_centralized_spend_with_entries(
+        tmp_path, issue, spend, problem):
+    lines = [{"op": "issue", "tan": "T" * 12, "issued_to": "a", **issue},
+             {"op": "spend", "tan": "T" * 12, "scheme": "centralized",
+              "entries": [{"id_hex": "ab"}], **spend}]
+    (tmp_path / "state.jsonl").write_text(
+        "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(StateError, match=f"^{re.escape(problem)}$"):
+        make_server(state_dir=tmp_path)
+
+
 def test_persisted_dh_state_contains_no_raw_tokens(tmp_path):
     group = GroupParams.production()
     stream = SeedStream(77, "leak")
@@ -896,6 +913,28 @@ def test_wire_answers_every_bad_bundle_as_a_malformed_bundle():
         resp = _handle_request(server, {"op": "upload", "args": args})
         assert resp["ok"] is False and resp["error"].startswith("malformed bundle: bundle"), resp
     assert not server.tans[tan.value].used
+
+
+@pytest.mark.parametrize("scheme, entry, key", [
+    ("tek", {"tek_hex": "ab" * 16, "day": 1}, "published_at"),
+    ("tek", {"tek_hex": "ab" * 16, "day": 1}, "owner"),
+    ("dh", {"hash_hex": "cd" * 32, "meta_b64": "AAAA"}, "published_at"),
+])
+def test_an_upload_entry_with_a_key_its_table_does_not_name_keeps_its_tan(scheme, entry, key):
+    # published_at is the server's stamp, and an upload may not bring its own
+    server = make_server()
+    tan = server.issue_tan("a").value
+    field = {"tek": "teks", "dh": "entries"}[scheme]
+    bundle = {"scheme": scheme, "tan": tan, field: [entry, dict(entry, **{key: 5})]}
+    resp = _handle_request(server, {"op": "upload", "args": {"bundle": bundle}})
+    assert resp == {"ok": False,
+                    "error": f"malformed bundle: bundle.{field}[1].{key}: unknown field"}
+    assert not server.tans[tan].used and server.fetch_feed(scheme) == ([], 0)
+    bundle[field] = [entry, entry]
+    resp = _handle_request(server, {"op": "upload", "args": {"bundle": bundle}})
+    assert resp == {"ok": True, "result": {"status": "ack", "published": 2}}
+    assert server.tans[tan].used
+    assert [e["published_at"] for e in server.fetch_feed(scheme)[0]] == [0, 0]
 
 
 def test_wire_connection_survives_a_request_that_is_not_an_object():

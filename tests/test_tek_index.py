@@ -17,6 +17,7 @@ from dctlab.schemes import tek as tek_mod
 from dctlab.schemes.tek import (
     DEFAULT_VALIDITY_WINDOW_S,
     TEK_ENTRY,
+    TEK_FEED_ENTRY,
     Exposure,
     PublishedTekIndex,
     SightingLog,
@@ -199,7 +200,7 @@ def test_client_sync_equals_reference_over_feed_pages(ops, validity_window_s, st
             client.make_report("T" * 12)
         else:
             own = {t.hex for t in client.store.retained()} if client.reported else set()
-            good = [e for e in arg if passes(e, TEK_ENTRY)]
+            good = [e for e in arg if passes(e, TEK_FEED_ENTRY)]
             assert client.sync(arg, 0) == ref.sync(good, own)
 
 
@@ -218,13 +219,20 @@ def test_client_sync_equals_reference_over_feed_pages(ops, validity_window_s, st
     ({"tek_hex": "ab" * 16, "day": 1.0}, "day"),
     ({"tek_hex": "ab" * 16, "day": True}, "day"),
     (["ab" * 16, 0], "object"),
+    ({"tek_hex": "ab" * 16, "day": 0, "published_at": "9"}, "published_at"),
+    ({"tek_hex": "ab" * 16, "day": 0, "key": 1}, "key: unknown field"),
 ])
 def test_tek_entry_rule(entry, problem):
-    if problem is None:
-        assert check(entry, TEK_ENTRY) == entry
-    else:
-        with pytest.raises(FieldError, match=problem):
-            check(entry, TEK_ENTRY)
+    """problem is what the feed table finds in entry. The upload table finds
+    the same, and refuses a published_at too: only the server stamps it."""
+    stamped = type(entry) is dict and "published_at" in entry
+    for table, fault in ((TEK_FEED_ENTRY, problem),
+                         (TEK_ENTRY, problem or stamped and "published_at: unknown field")):
+        if fault:
+            with pytest.raises(FieldError, match=fault):
+                check(entry, table)
+        else:
+            assert check(entry, table).items() >= entry.items()
 
 
 def test_bad_feed_entry_does_not_break_any_client(tmp_path):
@@ -237,8 +245,9 @@ def test_bad_feed_entry_does_not_break_any_client(tmp_path):
         for t in range(0, 600, 60):
             client.on_sighting(alice.advertisement_identifier(t), t, t)
     good = alice.make_report("T" * 12)["teks"][0]
-    # the bad entry reached the feed through persisted state, beside a good one
+    # the bad entries reached the feed through persisted state, beside a good one
     entries = [{"tek_hex": "not-hex", "day": 0, "published_at": 700},
+               {**good, "published_at": 700, "owner": "alice"},
                {**good, "published_at": 700}]
     lines = [{"op": "issue", "tan": "T" * 12, "issued_to": "alice"},
              {"op": "spend", "tan": "T" * 12, "scheme": "tek", "entries": entries}]
@@ -246,12 +255,12 @@ def test_bad_feed_entry_does_not_break_any_client(tmp_path):
         "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
     server = TracingServer(SeedStream(1, "srv"), state_dir=tmp_path)
     entries, _ = server.fetch_feed("tek")
-    assert len(entries) == 2
+    assert len(entries) == 3
     for client in listeners:
         got = client.sync(entries, 700)
         assert [(e.tek_hex, e.slot) for e in got] == [(good["tek_hex"], 0)]
-    assert index.skipped == 1                      # once per page, however many clients
-    assert listeners[2].index.skipped == 1
+    assert index.skipped == 2                      # once per page, however many clients
+    assert listeners[2].index.skipped == 2
     assert list(index.by_hex) == [good["tek_hex"]]
 
 
