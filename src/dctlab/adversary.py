@@ -33,10 +33,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .crypto_core import DAY_S, IDENTIFIER_SLOT_S, b64
+from .crypto_core import DAY_S, DH_FEED_ENTRY, IDENTIFIER_SLOT_S, b64
 from .radio import LINK_ADDR_LEN, DeviceClient, World
 from .rng import SeedStream
-from .schema import CLOCK_LIMIT_S
+from .schema import CLOCK_LIMIT_S, passes
 from .schemes.tek import PublishedTekIndex, SightingLog, match_exposures
 from .server import TracingServer
 
@@ -294,10 +294,12 @@ def fake_claim_tek(server: TracingServer, claimant_local_t: int,
 def fake_claim_dh(server: TracingServer, stream: SeedStream, guesses: int = 32) -> dict:
     """Try to forge superspreader proof tokens from public data: random
     blobs plus the published hashes themselves. Verification counts how many
-    hash into the feed; preimage resistance keeps that at zero."""
+    hash into the feed; preimage resistance keeps that at zero. A feed entry
+    that breaks DH_FEED_ENTRY is skipped, as clients skip it."""
     entries, _ = server.fetch_feed("dh")
     candidates = [b64(stream.child(f"guess:{i}").take(32)) for i in range(guesses)]
-    candidates += [b64(bytes.fromhex(e["hash_hex"])) for e in entries]
+    candidates += [b64(bytes.fromhex(e["hash_hex"])) for e in entries
+                   if passes(e, DH_FEED_ENTRY)]
     accepted = server.verify_superspreader_proof({"tokens": candidates, "encoding": "b64"})
     # client-side matching needs the claimant's own encounter records, and
     # public data holds none, so no exposure can be fabricated

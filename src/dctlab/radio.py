@@ -1,9 +1,15 @@
 """Deterministic discrete-event BLE world.
 
-Time is integer seconds from the scenario origin. The world processes a
-single heap of calls ordered by (time, order scheduled), each a function and
-the arguments it is called with, so a given (scenario, seed) pair always
-produces the identical event log, byte for byte.
+Time is integer seconds from the scenario origin. Work runs in (time,
+order scheduled) order, so a given (scenario, seed) pair always produces the
+identical event log, byte for byte. A scheduled call is a heap entry: a
+function and the arguments it is called with. Scan ticks are kept apart, in
+buckets: each tick time maps to its edges' ticks, in the order they were
+scheduled, and the heap holds one marker per bucket, keyed by the time and
+order of its next tick. The marker runs its ticks in turn and yields to any
+call at the same time that was scheduled before the next one, so the order
+is the one a heap entry per tick would give. step(until_s) finishes every
+bucket at or before until_s.
 
 Modeling choices:
 
@@ -46,6 +52,8 @@ ADV_OVERHEAD_BYTES = 10           # flags, tx power, service data header
 IDENTIFIER_FIELD_LEN = 16
 LINK_ADDR_LEN = 6
 
+assert ADV_OVERHEAD_BYTES + IDENTIFIER_FIELD_LEN <= ADV_PAYLOAD_BUDGET
+
 EVENT_KINDS = frozenset({
     "advertise", "scan", "connect", "connect_reject", "message",
     "disconnect", "clock_set", "report", "notify",
@@ -63,7 +71,6 @@ class Advertisement:
             raise ConfigurationError(
                 f"advertisement identifier field is {IDENTIFIER_FIELD_LEN} bytes, "
                 f"got {len(self.identifier)}")
-        assert ADV_OVERHEAD_BYTES + IDENTIFIER_FIELD_LEN <= ADV_PAYLOAD_BUDGET
 
     @property
     def size(self) -> int:
@@ -222,7 +229,8 @@ class World:
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
         self._heap: list = []
-        self._order = 0     # the heap's tie-break
+        self._ticks: dict[int, list] = {}   # tick time -> [(order, edge)], order ascending
+        self._order = 0     # the tie-break of calls and ticks
         self._seq = 0       # the events emitted
         self._cid = 0
         self._started = False
@@ -269,7 +277,19 @@ class World:
         for edge in self.trace.edges:
             first = edge.start_s + (-edge.start_s) % SCAN_TICK_S
             if first < edge.end_s:
-                self.schedule(first, self._edge_tick, edge, first)
+                if first < self.now:
+                    raise ConfigurationError("cannot schedule into the past")
+                self._add_tick(first, edge)
+
+    def _add_tick(self, t: int, edge: ContactEdge) -> None:
+        """Put edge's tick at t last in its bucket; a new bucket pushes its marker."""
+        self._order += 1
+        bucket = self._ticks.get(t)
+        if bucket is None:
+            self._ticks[t] = [(self._order, edge)]
+            heapq.heappush(self._heap, (t, self._order, self._run_ticks, (t, 0)))
+        else:
+            bucket.append((self._order, edge))
 
     def step(self, until_s: int | None = None) -> None:
         """Process all scheduled work at times <= until_s, or all of it when
@@ -289,26 +309,37 @@ class World:
 
     # -- radio behavior -----------------------------------------------------
 
-    def _edge_tick(self, edge: ContactEdge, t: int) -> None:
-        # a clock changes only through a scheduled call, never within a tick
-        dev_a, dev_b = self.devices[edge.a], self.devices[edge.b]
-        la, lb = self.now + dev_a.clock_offset_s, self.now + dev_b.clock_offset_s
-        self._deliver_beacon(dev_a, la, dev_b, lb)
-        self._deliver_beacon(dev_b, lb, dev_a, la)
-
-        conn = dev_a.connections.get(edge.b)
-        if conn is None and dev_a.client.wants_connection(edge.b, la) \
-                and dev_b.client.wants_connection(edge.a, lb):
-            conn = self.open_connection(edge.a, edge.b)
-        if conn is not None and conn.open:
-            dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S, la)
-            dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S, lb)
-
+    def _run_ticks(self, t: int, i: int) -> None:
+        """Run bucket t's ticks from its i-th on. Before each, a call at t
+        scheduled earlier goes first: the marker is pushed again, keyed by
+        that tick's order, and returns."""
+        ticks, heap, devices = self._ticks[t], self._heap, self.devices
         nxt = t + SCAN_TICK_S
-        if nxt < edge.end_s:
-            self.schedule(nxt, self._edge_tick, edge, nxt)
-        else:
-            self.schedule(edge.end_s, self._edge_end, edge)
+        while i < len(ticks):
+            order, edge = ticks[i]
+            if heap and heap[0][0] == t and heap[0][1] < order:
+                heapq.heappush(heap, (t, order, self._run_ticks, (t, i)))
+                return
+            i += 1
+            # a clock changes only through a scheduled call, never within a tick
+            dev_a, dev_b = devices[edge.a], devices[edge.b]
+            la, lb = t + dev_a.clock_offset_s, t + dev_b.clock_offset_s
+            self._deliver_beacon(dev_a, la, dev_b, lb)
+            self._deliver_beacon(dev_b, lb, dev_a, la)
+
+            conn = dev_a.connections.get(edge.b)
+            if conn is None and dev_a.client.wants_connection(edge.b, la) \
+                    and dev_b.client.wants_connection(edge.a, lb):
+                conn = self.open_connection(edge.a, edge.b)
+            if conn is not None and conn.open:
+                dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S, la)
+                dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S, lb)
+
+            if nxt < edge.end_s:
+                self._add_tick(nxt, edge)
+            else:
+                self.schedule(edge.end_s, self._edge_end, edge)
+        del self._ticks[t]
 
     def _edge_end(self, edge: ContactEdge) -> None:
         conn = self.devices[edge.a].connections.get(edge.b)

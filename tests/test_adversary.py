@@ -1,5 +1,6 @@
 """Attack-model tests, including the randomized one-way-relay sweep."""
 
+import json
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -161,6 +162,20 @@ def test_fake_claim_against_empty_feed_fails():
     assert adversary.fake_claim_tek(server, claimant_local_t=500)["accepted"] is False
     dh = adversary.fake_claim_dh(server, SeedStream(2, "em"), guesses=4)
     assert dh["accepted"] is False and dh["proof_accepted"] == 0
+
+
+def test_fake_claim_dh_skips_a_replayed_entry_that_breaks_the_feed_table(tmp_path):
+    # replay applies a spend's entries unchecked; the claim reads the page as clients do
+    from dctlab.server import STATE_LOG, TracingServer
+    good = {"hash_hex": "ab" * 32, "meta_b64": "AAAA", "published_at": 0}
+    records = [{"op": "issue", "tan": "T1", "issued_to": "d"},
+               {"op": "spend", "tan": "T1", "scheme": "dh",
+                "entries": [{"meta_b64": "AAAA", "published_at": 0}, good]}]
+    (tmp_path / STATE_LOG).write_text("".join(json.dumps(r) + "\n" for r in records))
+    server = TracingServer(SeedStream(1, "bad"), state_dir=tmp_path)
+    assert len(server.fetch_feed("dh")[0]) == 2
+    dh = adversary.fake_claim_dh(server, SeedStream(2, "x"), guesses=2)
+    assert dh == {"accepted": False, "proof_accepted": 0, "fabricated_exposures": 0}
 
 
 def test_fake_claim_skips_a_key_published_for_a_day_no_clock_reads():

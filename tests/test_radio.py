@@ -6,6 +6,7 @@ from dctlab.errors import CapabilityError, ConfigurationError
 from dctlab.radio import (
     LINK_ADDR_LEN,
     MAX_CONNECTIONS,
+    SCAN_TICK_S,
     Advertisement,
     ContactEdge,
     ContactTrace,
@@ -243,3 +244,152 @@ def test_link_address_follows_clock_across_windows_and_back(irk_linkable):
             if not epochs or epochs[-1] != epoch:
                 epochs.append(epoch)
     assert epochs == [0, 2, 0, 1, 0, 1]
+
+
+# -- reference: one heap entry per edge tick, as the world ran before buckets --
+
+class HeapWorld(LoggedWorld):
+    """Every scan tick is its own heap call, scheduling the edge's next one."""
+
+    def _start(self):
+        if self._started:
+            return
+        self._started = True
+        for edge in self.trace.edges:
+            first = edge.start_s + (-edge.start_s) % SCAN_TICK_S
+            if first < edge.end_s:
+                self.schedule(first, self._edge_tick, edge, first)
+
+    def _edge_tick(self, edge, t):
+        dev_a, dev_b = self.devices[edge.a], self.devices[edge.b]
+        la, lb = self.now + dev_a.clock_offset_s, self.now + dev_b.clock_offset_s
+        self._deliver_beacon(dev_a, la, dev_b, lb)
+        self._deliver_beacon(dev_b, lb, dev_a, la)
+        conn = dev_a.connections.get(edge.b)
+        if conn is None and dev_a.client.wants_connection(edge.b, la) \
+                and dev_b.client.wants_connection(edge.a, lb):
+            conn = self.open_connection(edge.a, edge.b)
+        if conn is not None and conn.open:
+            dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S, la)
+            dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S, lb)
+        nxt = t + SCAN_TICK_S
+        if nxt < edge.end_s:
+            self.schedule(nxt, self._edge_tick, edge, nxt)
+        else:
+            self.schedule(edge.end_s, self._edge_end, edge)
+
+
+class RecordingClient(DeviceClient):
+    """Logs every hook call with the world's time. A "beacon" advertises an
+    identifier that rotates each local minute; a "chatty" one also connects,
+    sends hello, a message every third co-presence tick and replies, each over
+    a connection whose latency it sets to `latency_s`."""
+
+    def __init__(self, world, kind, latency_s, calls):
+        self.world, self.kind, self.latency_s, self.calls = world, kind, latency_s, calls
+
+    def _log(self, *call):
+        self.calls.append((self.world.now, self.device_id) + call)
+
+    def advertisement_identifier(self, local_t):
+        self._log("adv", local_t)
+        if self.kind == "passive":
+            return None
+        return (self.device_id + str(local_t // 60)).encode().ljust(16, b".")[:16]
+
+    def on_sighting(self, identifier, local_t, global_t):
+        self._log("sighting", identifier, local_t, global_t)
+
+    def wants_connection(self, peer_id, local_t):
+        self._log("wants", peer_id, local_t)
+        return self.kind == "chatty"
+
+    def on_connected(self, conn, local_t):
+        self._log("connected", conn.cid, local_t)
+        if conn.a == self.device_id:
+            conn.latency_s = self.latency_s
+        conn.send(self.device_id, {"kind": "hello", "n": 0})
+
+    def on_message(self, conn, sender_id, payload, local_t):
+        self._log("message", conn.cid, sender_id, payload["kind"], payload["n"], local_t)
+        if payload["n"] < 2:
+            conn.send(self.device_id, {"kind": "reply", "n": payload["n"] + 1})
+
+    def on_copresence_tick(self, peer_id, seconds, local_t):
+        self._log("copresence", peer_id, seconds, local_t)
+        conn = self.world.devices[self.device_id].connections.get(peer_id)
+        if local_t % 15 == 0 and conn is not None:
+            conn.send(self.device_id, {"kind": "tick", "n": 2})
+
+    def on_disconnect(self, conn, local_t):
+        self._log("disconnect", conn.cid, local_t)
+
+
+HUB_PEERS = tuple(f"p{i}" for i in range(11))
+
+
+@st.composite
+def tick_plans(draw):
+    """A trace, each device's client and a plan of steps and clock sets. Most
+    times fall on the 5 s tick; the hub can have more than 8 peers, so a
+    capacity reject races an edge's end at the same tick."""
+    def moment(hi):
+        return draw(st.integers(0, hi // 5)) * 5 + draw(st.sampled_from((0, 0, 0, 1, 4)))
+
+    edges = []
+    for _ in range(draw(st.integers(0, 14))):
+        a, b = draw(st.lists(st.sampled_from(DEVICES), min_size=2, max_size=2, unique=True))
+        start = moment(200)
+        edges.append(ContactEdge(a, b, start, start + max(1, moment(150))))
+        if draw(st.booleans()):     # an overlapping edge of the same pair
+            s2 = start + draw(st.integers(0, 60))
+            edges.append(ContactEdge(b, a, s2, s2 + max(1, moment(100))))
+    hub_peers = list(HUB_PEERS[:draw(st.integers(0, len(HUB_PEERS)))])
+    for peer in hub_peers + draw(st.lists(st.sampled_from(HUB_PEERS), max_size=2)):
+        start = moment(40)
+        edges.append(ContactEdge("hub", peer, start, start + 20 + moment(80)))
+    devices = sorted({d for e in edges for d in (e.a, e.b)} | {"hub"})
+    # the hub and its peers always want connections
+    clients = {d: (draw(st.sampled_from(("passive", "beacon", "chatty", "chatty")))
+                   if d in DEVICES else "chatty", draw(st.sampled_from((0, 5, 5))))
+               for d in devices}
+
+    def clock_sets(lo):
+        return draw(st.lists(st.tuples(st.integers((lo + 4) // 5, 81).map(lambda k: k * 5),
+                                       st.sampled_from(devices),
+                                       st.sampled_from((-300, -60, 0, 60, 900))),
+                             max_size=4))
+
+    plan = [("clock", clock_sets(0))]
+    now = 0
+    for _ in range(draw(st.integers(0, 3))):
+        now = draw(st.integers(now, 400))
+        plan += [("step", now), ("clock", clock_sets(now))]
+    return edges, clients, plan
+
+
+def run_plan(world_cls, edges, clients, plan):
+    world = world_cls(ContactTrace(edges), SeedStream(5, "w"), capabilities=("clock",),
+                      link_rotation_s=60)
+    calls = []
+    for d, (kind, latency_s) in clients.items():
+        world.add_device(d, RecordingClient(world, kind, latency_s, calls))
+    for op, arg in plan:
+        if op == "step":
+            world.step(arg)
+            calls.append(("stepped", arg, world.now))
+        else:
+            for at, device, offset in arg:
+                world.schedule(at, world.set_clock, device, offset)
+    world.run()
+    return [e.to_json_line() for e in world.log], calls, world.counters
+
+
+@settings(max_examples=200, deadline=None)
+@given(tick_plans())
+def test_tick_buckets_run_in_per_tick_heap_order(case):
+    """Ticks in buckets, one heap marker each, give the events and the client
+    hook calls that one heap entry per tick gives, across partial steps."""
+    edges, clients, plan = case
+    events, calls, counters = run_plan(LoggedWorld, edges, clients, plan)
+    assert (events, calls, counters) == run_plan(HeapWorld, edges, clients, plan)
