@@ -27,6 +27,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
@@ -186,12 +187,13 @@ class EphemeralKeyPair:
 
 @dataclass(frozen=True)
 class Tek:
-    """Daily exposure key; published wholesale on an infection report."""
+    """Daily exposure key; published wholesale on an infection report. hex
+    is computed on first read and kept, as matching reads it per sync."""
 
     bytes: bytes
     day_index: int
 
-    @property
+    @cached_property
     def hex(self) -> str:
         return self.bytes.hex()
 

@@ -70,10 +70,14 @@ class DhConfig:
             raise ConfigurationError("epsilon_s must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class EncounterRecord:
     token: EncounterToken
     my_timestamp: int       # handshake start on this device's clock
+    hash_hex: str = field(init=False)   # hash_token(token).hex(), computed once
+
+    def __post_init__(self):
+        self.hash_hex = hash_token(self.token).hex()
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,7 @@ def report_infection_dh(records: list[EncounterRecord], tan: str,
     """Upload bundle: token hash + sealed handshake timestamp per encounter.
     Raw token bytes never appear here."""
     return {"scheme": "dh", "tan": tan, "anonymized": anonymized_upload,
-            "entries": [{"hash_hex": hash_token(r.token).hex(),
+            "entries": [{"hash_hex": r.hash_hex,
                          "meta_b64": b64(seal_timestamp(r.token, r.my_timestamp))}
                         for r in records]}
 
@@ -147,14 +151,13 @@ def match_exposures_dh(records: list[EncounterRecord], by_hash: dict[str, list[d
     At most one exposure per local record."""
     out = []
     for rec in records:
-        h = hash_token(rec.token).hex()
-        for entry in by_hash.get(h, ()):
+        for entry in by_hash.get(rec.hash_hex, ()):
             remote_ts = open_timestamp(rec.token, unb64(entry["meta_b64"]))
             if remote_ts is None:
                 continue
             delta = abs(rec.my_timestamp - remote_ts)
             if delta <= cfg.epsilon_s:
-                out.append(DhExposure(h, delta, rec.token.window_index))
+                out.append(DhExposure(rec.hash_hex, delta, rec.token.window_index))
                 break
     return out
 
@@ -324,12 +327,13 @@ class DhClient(DeviceClient):
         return report_infection_dh(self.records, tan, self.cfg.anonymized_upload)
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[DhExposure]:
-        """Exposures new since the last sync; the page goes into the index first."""
+        """Exposures new since the last sync; the page goes into the index
+        first. A record whose hash was notified before opens no seal."""
         self.index.ingest(feed_entries)
         if self.reported:
             return []
-        exposures = match_exposures_dh(self.records, self.index.by_hash, self.cfg)
-        fresh = [e for e in exposures if e.token_hash_hex not in self._notified_hashes]
+        unnotified = [r for r in self.records if r.hash_hex not in self._notified_hashes]
+        fresh = match_exposures_dh(unnotified, self.index.by_hash, self.cfg)
         self._notified_hashes.update(e.token_hash_hex for e in fresh)
         return fresh
 
@@ -337,6 +341,6 @@ class DhClient(DeviceClient):
         """Count own tokens whose hash is in the index. Warn at the threshold;
         the matched raw tokens are released only through this flow, as the
         proof the service provider verifies against published hashes."""
-        matched = [r.token for r in self.records if hash_token(r.token).hex() in self.index.by_hash]
+        matched = [r.token for r in self.records if r.hash_hex in self.index.by_hash]
         warn = len(matched) >= self.cfg.superspreader_threshold
         return {"warn": warn, "matches": len(matched), "proof": matched if warn else []}

@@ -15,13 +15,18 @@ keeps a private index. Ingestion skips (and counts), once per page, a feed
 entry that breaks TEK_FEED_ENTRY, an upload's TEK_ENTRY and the published_at
 the server stamps, so one bad entry cannot break matching for anyone.
 
-A sighting log keeps each identifier's sightings as flat (seen_at, seq)
-pairs in one array('q'): 16 bytes a sighting, where a tuple of two ints
-takes about 136. seen_at is the local clock at record time and seq the
-append order; scenario times are bounded below 2**60 in magnitude, so both
-fit in 64 bits. Matching walks the join from the small side: each distinct
-identifier in a sighting log is looked up in the index, since a log holds a
-few dozen of them and every published key holds 144.
+A sighting log keeps each identifier's sightings as runs of scan ticks:
+flat (first_at, last_at, epoch) triples in one array('q'). A listener hears
+an identifier at every 5 s scan tick for as long as a contact and its 600 s
+slot last, so one run stands for dozens of sightings. A sighting extends its
+identifier's last run only when it lies one tick past the run's last_at in
+the same epoch; anything else starts a new run, so the log never holds more
+triples than sightings. Times are the local clock at record time; scenario
+times are bounded below 2**60 in magnitude, so they fit in 64 bits. Matching
+walks the join from the small side: each distinct identifier in a sighting
+log is looked up in the index, since a log holds a few dozen of them and
+every published key holds 144. The first in-window sighting of a run follows
+from its first_at by arithmetic.
 
 The weaknesses the adversary lab exercises are reproduced deliberately:
 
@@ -31,11 +36,13 @@ The weaknesses the adversary lab exercises are reproduced deliberately:
   infected device's day (tracking), and lets anyone fabricate "sightings"
   straight from the public feed (fake exposure claims, same-day replays).
 
-The optional strict-freshness fix pins every published key to the length of
-the sighting log at the moment the key first arrived in a feed sync; sightings
-appended after that cannot match the key. The pin is an append-order
-watermark, not a timestamp, so it holds even when the device clock has been
-manipulated. It ships off by default, mirroring deployed behavior.
+The optional strict-freshness fix pins every published key to the client's
+sync epoch (the number of feed syncs it had done, that one included) at the
+moment the key first arrived; a sync starts a new epoch, and a run matches the
+key only if it began in an earlier one. So sightings appended after the key
+arrived cannot match it. The pin counts syncs, not time, so it holds even when
+the device clock has been manipulated. It ships off by default, mirroring
+deployed behavior.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from array import array
 from dataclasses import dataclass, field
 
 from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, IDENTIFIERS_PER_DAY, Tek, derive_day_identifiers
-from ..radio import DeviceClient
+from ..radio import SCAN_TICK_S, DeviceClient
 from ..rng import SeedStream
 from ..schema import Field, hex_of, natural, passes
 
@@ -75,26 +82,27 @@ class TekStore:
 
 class SightingLog:
     """Append-only within a run. by_identifier maps identifier bytes to that
-    identifier's sightings in append order, as flat pairs in one array('q'):
-    seen_at, the local clock at record time, which is what matching uses, then
-    seq, the append order, which clock manipulation cannot touch. Each
-    sighting is held there once. len() counts every sighting appended, so it
-    is the next one's seq."""
+    identifier's runs in append order, as flat triples in one array('q'):
+    first_at and last_at, the local clock at record time of the run's first
+    and last sighting, then epoch, the value of the log's epoch when the run
+    began. A sighting seen_at extends the identifier's last run only when
+    seen_at is last_at + SCAN_TICK_S and the epoch is unchanged; a
+    duplicate, a clock moved back, any other gap or a new epoch starts a new
+    run. So a run's sightings are first_at, first_at + SCAN_TICK_S, ...,
+    last_at, all appended in one epoch. TekClient.sync advances the epoch."""
 
     def __init__(self):
         self.by_identifier: dict[bytes, array] = {}
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
+        self.epoch = 0
 
     def append(self, identifier: bytes, seen_at: int) -> None:
-        pairs = self.by_identifier.get(identifier)
-        if pairs is None:
-            pairs = self.by_identifier[identifier] = array("q")
-        pairs.append(seen_at)
-        pairs.append(self._count)
-        self._count += 1
+        runs = self.by_identifier.get(identifier)
+        if runs is None:
+            self.by_identifier[identifier] = array("q", (seen_at, seen_at, self.epoch))
+        elif runs[-2] == seen_at - SCAN_TICK_S and runs[-1] == self.epoch:
+            runs[-2] = seen_at
+        else:
+            runs.extend((seen_at, seen_at, self.epoch))
 
 
 @dataclass(frozen=True)
@@ -161,9 +169,16 @@ def publish_keys(store: TekStore, tan: str) -> dict:
     }
 
 
-def _slot_distance(seen_at: int, slot_start: int) -> int:
-    """How far seen_at lies outside the identifier slot opening at slot_start."""
-    return max(slot_start - seen_at, seen_at - (slot_start + IDENTIFIER_SLOT_S - 1), 0)
+def _first_in_window(runs: array, lo: int, hi: int, cutoff: int) -> int | None:
+    """The first sighting of runs, in log order, that lies in [lo, hi] and
+    belongs to a run whose epoch is below cutoff; None if there is none."""
+    it = iter(runs)
+    for first_at, last_at, epoch in zip(it, it, it):
+        # the run's first tick at or past lo
+        at = max(first_at, lo + (first_at - lo) % SCAN_TICK_S)
+        if epoch < cutoff and at <= last_at and at <= hi:
+            return at
+    return None
 
 
 def match_exposures(log: SightingLog, published: list[Tek],
@@ -172,14 +187,15 @@ def match_exposures(log: SightingLog, published: list[Tek],
                     index: PublishedTekIndex | None = None) -> list[Exposure]:
     """Intersect the sighting log with the identifiers of published keys. A
     sighting matches when the bytes are equal and its recorded local time
-    lies within validity_window_s of the identifier's nominal slot on the
-    day the key is published under. One exposure per matched (key, slot),
-    not per sighting; for each slot the first in-window sighting in log
-    order decides. Exposures come in publication order, then slot order.
+    lies within validity_window_s (at least 0) of the identifier's nominal
+    slot on the day the key is published under. One exposure per matched
+    (key, slot), not per sighting; for each slot the first in-window
+    sighting in log order decides. Exposures come in publication order, then
+    slot order.
 
-    watermarks pins keys to the strict-freshness fix: tek_hex -> the log
-    length when the key first arrived, and sightings at or past a key's
-    watermark are ignored for it. None pins no key, and neither does a map
+    watermarks pins keys to the strict-freshness fix: tek_hex -> the log's
+    epoch when the key first arrived, and runs that began in that epoch or
+    later are ignored for it. None pins no key, and neither does a map
     without the key. Identifiers come from index (a private one when None).
     """
     index = index or PublishedTekIndex()
@@ -188,15 +204,15 @@ def match_exposures(log: SightingLog, published: list[Tek],
         index.identifiers(tek)
         positions.setdefault(tek.hex, []).append(pos)
     found = []   # (position, slot, seen_at)
-    for ident, pairs in log.by_identifier.items():
+    for ident, runs in log.by_identifier.items():
         tek_hex, slot = index.by_identifier.get(ident, (None, 0))
-        cutoff = (watermarks or {}).get(tek_hex, len(log))
+        cutoff = (watermarks or {}).get(tek_hex, log.epoch + 1)
         # a key listed more than once counts under the first listing that matches
         for pos in positions.get(tek_hex, ()):
             slot_start = published[pos].day_index * DAY_S + slot * IDENTIFIER_SLOT_S
-            it = iter(pairs)
-            seen_at = next((at for at, seq in zip(it, it) if seq < cutoff
-                            and _slot_distance(at, slot_start) <= validity_window_s), None)
+            seen_at = _first_in_window(runs, slot_start - validity_window_s,
+                                       slot_start + IDENTIFIER_SLOT_S - 1 + validity_window_s,
+                                       cutoff)
             if seen_at is not None:
                 found.append((pos, slot, seen_at))
                 break
@@ -257,11 +273,15 @@ class TekClient(DeviceClient):
         return publish_keys(self.store, tan)
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[Exposure]:
-        """Ingest new feed entries and return not-yet-seen exposures."""
+        """Ingest new feed entries and return not-yet-seen exposures. Each
+        sync starts a new epoch of the sighting log; a key that arrives now
+        is pinned to it, so under strict freshness only runs that began
+        before this sync can match it."""
+        self.log.epoch += 1
         # a key is new until it has a watermark; a page that lists it twice keeps both
         arrived = [t for t in self.index.ingest_all(feed_entries) if t.hex not in self.watermarks]
         self.known_published += arrived
-        self.watermarks.update((t.hex, len(self.log)) for t in arrived)
+        self.watermarks.update((t.hex, self.log.epoch) for t in arrived)
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
                                     [t for t in self.known_published if t.hex not in own],

@@ -89,7 +89,7 @@ def test_kiss_same_day_replay_and_strict_fix():
     tek = make_tek(3, 0)
     ident = derive_day_identifiers(tek)[10]
     log = SightingLog()
-    watermarks = {tek.hex: len(log)}  # key arrived before the sighting
+    watermarks = {tek.hex: log.epoch}  # key arrived before the sighting
     log.append(ident, seen_at=10 * 600 + 50)
     published = [tek]
     assert len(match_exposures(log, published)) == 1  # default: accepted
@@ -107,13 +107,34 @@ def test_exposures_by_day_and_slot():
     assert [(e.day_index, e.slot) for e in exposures] == [(0, 1), (0, 2), (1, 3)]
 
 
-def test_sighting_log_keeps_seen_at_seq_pairs_in_append_order():
+def test_sighting_log_keeps_runs_of_scan_ticks_in_append_order():
     log = SightingLog()
-    for ident, seen_at in [(b"x", 50), (b"y", -7), (b"x", 20), (b"x", 2**60 - 1)]:
+    for ident, seen_at in [(b"x", 50), (b"y", -7), (b"x", 55), (b"y", -2), (b"x", 60),
+                           (b"x", 60),                  # a duplicate starts a run
+                           (b"x", 20), (b"x", 30)]:     # so do a clock moved back and a gap
         log.append(ident, seen_at)
-    assert len(log) == 4
-    assert list(log.by_identifier[b"x"]) == [50, 0, 20, 2, 2**60 - 1, 3]
-    assert list(log.by_identifier[b"y"]) == [-7, 1]
+    log.epoch += 1                                      # and so does a sync
+    for ident, seen_at in [(b"y", 3), (b"x", 2**60 - 6), (b"x", 2**60 - 1)]:
+        log.append(ident, seen_at)
+    assert list(log.by_identifier[b"x"]) == [50, 60, 0, 60, 60, 0, 20, 20, 0, 30, 30, 0,
+                                             2**60 - 6, 2**60 - 1, 1]
+    assert list(log.by_identifier[b"y"]) == [-7, -2, 0, 3, 3, 1]
+
+
+def test_sighting_log_holds_consecutive_ticks_as_one_run():
+    ident = SeedStream(1, "ident").take(16)
+    log = SightingLog()
+    log.append(ident, 10**9)     # the first tick makes the run; the others extend it
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(1, 10_000):
+            log.append(ident, 10**9 + 5 * n)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert list(log.by_identifier[ident]) == [10**9, 10**9 + 5 * 9_999, 0]
+    assert held < 256, held
 
 
 def test_sighting_log_keeps_and_matches_a_clock_before_zero():
@@ -138,7 +159,8 @@ def test_sighting_log_holds_at_most_32_bytes_a_sighting():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(log) == 100_000
+    # every sighting lies 40 s past its identifier's last one, so each is a run
+    assert sum(len(runs) for runs in log.by_identifier.values()) == 3 * 100_000
     assert held <= 32 * 100_000, held / 100_000
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dctlab.cli import builtin_scenario
 from dctlab.crypto_core import DAY_S, IDENTIFIER_SLOT_S, Tek, derive_day_identifiers
+from dctlab.radio import SCAN_TICK_S
 from dctlab.rng import SeedStream
 from dctlab.errors import FieldError
 from dctlab.scenario import run_scenario
@@ -37,18 +38,22 @@ def _ref_slot_distance(seen_at, valid_from, valid_to):
     return 0
 
 
-def reference_match_exposures(log, published, validity_window_s=DEFAULT_VALIDITY_WINDOW_S,
+def reference_match_exposures(sightings, published, validity_window_s=DEFAULT_VALIDITY_WINDOW_S,
                               strict_freshness=False, watermarks=None):
+    """sightings is a flat list of (ident, seen_at, seq) triples, seq the
+    append order; watermarks maps tek_hex to the first seq that cannot match."""
     if strict_freshness and watermarks is None:
         raise ValueError("strict_freshness requires first-sight watermarks")
+    by_ident = {}
+    for ident, seen_at, seq in sightings:
+        by_ident.setdefault(ident, []).append((seen_at, seq))
     out = []
     seen_keys = set()
     for pub in published:
         cutoff = watermarks.get(pub.hex) if strict_freshness else None
         for slot, ident in enumerate(derive_day_identifiers(pub)):
-            pairs = log.by_identifier.get(ident, [])
             valid_from = pub.day_index * DAY_S + slot * IDENTIFIER_SLOT_S
-            for seen_at, seq in zip(pairs[::2], pairs[1::2]):
+            for seen_at, seq in by_ident.get(ident, []):
                 if cutoff is not None and seq >= cutoff:
                     continue
                 if _ref_slot_distance(seen_at, valid_from, valid_from + 600) > validity_window_s:
@@ -62,15 +67,19 @@ def reference_match_exposures(log, published, validity_window_s=DEFAULT_VALIDITY
 
 
 class ReferenceSync:
-    """TekClient.sync as it was: its own feed bookkeeping over a shared log."""
+    """TekClient.sync as it was: its own feed bookkeeping, and its own flat
+    list of sightings, each with its seq, fed beside the client's log."""
 
-    def __init__(self, log, validity_window_s, strict_freshness):
-        self.log = log
+    def __init__(self, validity_window_s, strict_freshness):
+        self.sightings = []
         self.validity_window_s = validity_window_s
         self.strict_freshness = strict_freshness
         self.known_published = []
         self.watermarks = {}
         self.notified = set()
+
+    def sight(self, ident, seen_at):
+        self.sightings.append((ident, seen_at, len(self.sightings)))
 
     def sync(self, feed_entries, own):
         known = {p.hex for p in self.known_published}
@@ -78,9 +87,9 @@ class ReferenceSync:
             if e["tek_hex"] in known:
                 continue
             self.known_published.append(Tek(bytes.fromhex(e["tek_hex"]), e["day"]))
-            self.watermarks.setdefault(e["tek_hex"], len(self.log))
+            self.watermarks.setdefault(e["tek_hex"], len(self.sightings))
         exposures = reference_match_exposures(
-            self.log, [p for p in self.known_published if p.hex not in own],
+            self.sightings, [p for p in self.known_published if p.hex not in own],
             self.validity_window_s, self.strict_freshness, self.watermarks)
         fresh = [e for e in exposures if e.key not in self.notified]
         self.notified.update(e.key for e in fresh)
@@ -101,23 +110,62 @@ key_idx = st.integers(0, len(POOL) - 1)
 day = st.integers(0, 2)
 published_teks = st.lists(st.builds(lambda k, d: Tek(POOL[k], d), key_idx, day), max_size=6)
 windows = st.one_of(st.sampled_from([0, 120, DEFAULT_VALIDITY_WINDOW_S]), st.integers(0, 20000))
+slot = st.sampled_from(SLOTS)
+# an offset from a slot's start: anywhere, near the slot, or up to 1000 s
+# before the earliest time a fixed window admits, so a run can enter it
+offset = (st.integers(-9000, 9000) | st.integers(-300, 900)
+          | st.builds(lambda w, d: -w - d, st.sampled_from([0, 120, DEFAULT_VALIDITY_WINDOW_S]),
+                      st.integers(0, 1000)))
 
 
 @st.composite
-def sighting(draw):
-    ident = draw(st.one_of(
-        st.builds(lambda k, s: SCHEDULES[POOL[k]][s], key_idx, st.sampled_from(SLOTS)),
-        st.just(NOISE)))
-    seen_at = (draw(day) * DAY_S + draw(st.sampled_from(SLOTS)) * IDENTIFIER_SLOT_S
-               + draw(st.integers(-9000, 9000)))
-    return ident, seen_at
+def identifier_and_time(draw):
+    """A pool key's slot identifier (or noise), and a time near that slot
+    or another one, on some day."""
+    k, ident_slot = draw(key_idx), draw(slot)
+    ident = NOISE if draw(st.integers(0, 4)) == 0 else SCHEDULES[POOL[k]][ident_slot]
+    time_slot = draw(st.just(ident_slot) | slot)
+    return ident, draw(day) * DAY_S + time_slot * IDENTIFIER_SLOT_S + draw(offset)
 
 
-def build_log(sightings):
-    log = SightingLog()
-    for ident, seen_at in sightings:
-        log.append(ident, seen_at)
-    return log
+@st.composite
+def timeline(draw, breaks):
+    """Events in append order: ("sight", (ident, seen_at)), and events drawn
+    from breaks placed between ticks. Sightings come in runs of 1 to 200
+    consecutive scan ticks, some of two identifiers heard at the same ticks
+    (the same one twice is a same-second duplicate). A run starts at a time
+    near a slot, or relative to its identifier's last sighting: one tick on,
+    which continues that run across any break since, the same second, past
+    a gap, or earlier, as after a clock moved back."""
+    events = draw(st.lists(breaks, max_size=2))
+    last = {}
+    for _ in range(draw(st.integers(0, 5))):
+        ident, near_slot_at = draw(identifier_and_time())
+        idents = [ident] + draw(st.lists(identifier_and_time().map(lambda it: it[0]), max_size=1))
+        how = draw(st.sampled_from(["near a slot", "next tick", "duplicate", "gap", "back"]))
+        prev = last.get(ident)
+        if prev is None or how == "near a slot":
+            start = near_slot_at
+        elif how == "next tick":
+            start = prev + SCAN_TICK_S
+        elif how == "duplicate":
+            start = prev
+        elif how == "gap":
+            start = prev + draw(st.sampled_from([1, 4, 6, 10, 600]) | st.integers(1, 9000))
+        else:
+            start = prev - draw(st.integers(1, 9000))
+        length = draw(st.integers(1, 200))
+        cuts = draw(st.lists(st.tuples(st.integers(0, length - 1), breaks), max_size=3))
+        for i in range(length):
+            seen_at = start + i * SCAN_TICK_S
+            for heard in idents:
+                events.append(("sight", (heard, seen_at)))
+                last[heard] = seen_at
+            events += [brk for at, brk in cuts if at == i]
+    return events
+
+
+SYNC = ("sync", None)
 
 
 def preloaded_index(pubs):
@@ -130,28 +178,52 @@ def preloaded_index(pubs):
 
 # -- properties -------------------------------------------------------------------
 
+def _ident(k, slot):
+    return SCHEDULES[KEYS[k]][slot]
+
+
 @settings(max_examples=150, deadline=None)
-@given(sightings=st.lists(sighting(), max_size=25), published=published_teks,
+@given(events=timeline(st.just(SYNC)), published=published_teks,
        validity_window_s=windows, strict=st.booleans(),
-       marks=st.dictionaries(key_idx, st.integers(0, 26)), preload=published_teks)
+       marks=st.dictionaries(key_idx, st.integers(0, 8)), preload=published_teks)
 # an identifier first sighted out of window, then in window past the watermark
-@example(sightings=[(SCHEDULES[KEYS[0]][1], 600 + DEFAULT_VALIDITY_WINDOW_S + 900),
-                    (SCHEDULES[KEYS[0]][1], 630)],
+@example(events=[("sight", (_ident(0, 1), 600 + DEFAULT_VALIDITY_WINDOW_S + 900)), SYNC,
+                 ("sight", (_ident(0, 1), 630))],
          published=[Tek(KEYS[0], 0)], validity_window_s=DEFAULT_VALIDITY_WINDOW_S,
          strict=True, marks={0: 1}, preload=[])
-@example(sightings=[(SCHEDULES[KEYS[0]][1], 600 + DEFAULT_VALIDITY_WINDOW_S + 900),
-                    (SCHEDULES[KEYS[0]][1], 630)],
+@example(events=[("sight", (_ident(0, 1), 600 + DEFAULT_VALIDITY_WINDOW_S + 900)), SYNC,
+                 ("sight", (_ident(0, 1), 630))],
          published=[Tek(KEYS[0], 0)], validity_window_s=DEFAULT_VALIDITY_WINDOW_S,
          strict=False, marks={0: 1}, preload=[])
+# a run that enters the window mid-way, with a tick after a sync
+@example(events=[("sight", (_ident(0, 1), 600 - 120 - 12 + 5 * i)) for i in range(3)]
+         + [SYNC, ("sight", (_ident(0, 1), 600 - 120 + 3))],
+         published=[Tek(KEYS[0], 0)], validity_window_s=120,
+         strict=True, marks={0: 1}, preload=[])
+# a tick 3 s after a run, the first in window, starts a run of its own
+@example(events=[("sight", (_ident(0, 1), 470)), ("sight", (_ident(0, 1), 475)),
+                 ("sight", (_ident(0, 1), 478))],
+         published=[Tek(KEYS[0], 0)], validity_window_s=124, strict=False, marks={}, preload=[])
 # a key listed under two days; only the later day's window holds the sighting
-@example(sightings=[(SCHEDULES[KEYS[0]][1], DAY_S + 630)],
+@example(events=[("sight", (_ident(0, 1), DAY_S + 630))],
          published=[Tek(KEYS[0], 0), Tek(KEYS[0], 1)], validity_window_s=120,
          strict=False, marks={}, preload=[Tek(KEYS[0], 2)])
-def test_index_matcher_equals_brute_force(sightings, published, validity_window_s, strict,
+def test_index_matcher_equals_brute_force(events, published, validity_window_s, strict,
                                           marks, preload):
-    log = build_log(sightings)
-    watermarks = {POOL[k].hex(): v for k, v in marks.items()}
-    want = reference_match_exposures(log, published, validity_window_s, strict, watermarks)
+    log, sightings, sync_seqs = SightingLog(), [], [0]
+    for kind, arg in events:
+        if kind == "sight":
+            log.append(*arg)
+            sightings.append((*arg, len(sightings)))
+        else:
+            log.epoch += 1
+            sync_seqs.append(len(sightings))
+    # watermark m admits the runs begun before the m-th sync: the sightings
+    # appended before it, every one when there were fewer syncs
+    watermarks = {POOL[k].hex(): m for k, m in marks.items()}
+    seq_marks = {h: sync_seqs[m] if m < len(sync_seqs) else len(sightings)
+                 for h, m in watermarks.items()}
+    want = reference_match_exposures(sightings, published, validity_window_s, strict, seq_marks)
     index = preloaded_index(preload)
     pins = watermarks if strict else None
     got = match_exposures(log, published, validity_window_s, pins, index)
@@ -170,11 +242,13 @@ bad_entry = st.sampled_from([
     {"day": 0},
     "not an object",
 ])
-operation = st.one_of(
-    st.tuples(st.just("sight"), sighting()),
-    st.tuples(st.just("sync"), st.lists(st.one_of(feed_entry, feed_entry, bad_entry), max_size=4)),
-    st.tuples(st.just("report"), st.none()),
-)
+feed_page = st.lists(st.one_of(feed_entry, feed_entry, bad_entry), max_size=6)
+
+
+@st.composite
+def client_break(draw):
+    """A sync with a feed page, or, one time in four, a report."""
+    return ("report", None) if draw(st.integers(0, 3)) == 0 else ("sync", draw(feed_page))
 
 
 def _entry(key, day):
@@ -182,20 +256,28 @@ def _entry(key, day):
 
 
 @settings(max_examples=100, deadline=None)
-@given(ops=st.lists(operation, max_size=14), validity_window_s=windows, strict=st.booleans(),
+@given(events=timeline(client_break()), validity_window_s=windows, strict=st.booleans(),
        preload=published_teks)
 # one page that carries a key under two days: both entries count, as before
-@example(ops=[("sight", (SCHEDULES[KEYS[0]][1], DAY_S + 630)),
-              ("sync", [_entry(KEYS[0], 0), _entry(KEYS[0], 1)])],
+@example(events=[("sight", (_ident(0, 1), DAY_S + 630)),
+                 ("sync", [_entry(KEYS[0], 0), _entry(KEYS[0], 1)])],
          validity_window_s=DEFAULT_VALIDITY_WINDOW_S, strict=False, preload=[])
-def test_client_sync_equals_reference_over_feed_pages(ops, validity_window_s, strict, preload):
+# a run sighted before its key arrives matches under strict freshness
+@example(events=[("sight", (_ident(0, 1), 630)), ("sync", [_entry(KEYS[0], 0)])],
+         validity_window_s=120, strict=True, preload=[])
+# the key arrives between two ticks of a run, the later one in window
+@example(events=[("sight", (_ident(0, 1), 475)), ("sync", [_entry(KEYS[0], 0)]),
+                 ("sight", (_ident(0, 1), 480)), ("sync", [])],
+         validity_window_s=120, strict=True, preload=[])
+def test_client_sync_equals_reference_over_feed_pages(events, validity_window_s, strict, preload):
     client = TekClient(OWN_STREAM, validity_window_s=validity_window_s,
                        strict_freshness=strict, index=preloaded_index(preload))
     client.tek_for_day(0)
-    ref = ReferenceSync(client.log, validity_window_s, strict)
-    for kind, arg in ops:
+    ref = ReferenceSync(validity_window_s, strict)
+    for kind, arg in events:
         if kind == "sight":
             client.on_sighting(arg[0], arg[1], 0)
+            ref.sight(*arg)
         elif kind == "report":
             client.make_report("T" * 12)
         else:
