@@ -282,12 +282,19 @@ def derive_bluetrace_id(user_id: str | bytes, t_k: int, iv: bytes, auth_tag: byt
     return hkdf_sha256(ikm, master.bytes, b"", IDENTIFIER_LEN)
 
 
+def derive_slot_identifier(tek: Tek, slot: int) -> bytes:
+    """The identifier of one slot of tek's day: HKDF(tek, slot_index), with
+    slot_index in 0..143. It depends on the key and the slot only, so a
+    device derives just the identifier it is about to send."""
+    return hkdf_sha256(tek.bytes, None, encode_epoch(slot), IDENTIFIER_LEN)
+
+
 def derive_day_identifiers(tek: Tek) -> list[bytes]:
-    """The day's full identifier schedule: 144 identifiers in slot order, each
-    HKDF(tek, slot_index). Publication of the key therefore links every
-    identifier of the day, which is exactly what the linkage attack exploits."""
-    return [hkdf_sha256(tek.bytes, None, encode_epoch(slot), IDENTIFIER_LEN)
-            for slot in range(IDENTIFIERS_PER_DAY)]
+    """The day's full identifier schedule: the 144 slot identifiers of
+    derive_slot_identifier, in slot order. Whoever holds a published key
+    derives it, which links every identifier of the day: exactly what the
+    linkage attack exploits."""
+    return [derive_slot_identifier(tek, slot) for slot in range(IDENTIFIERS_PER_DAY)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto_core import DAY_S, MasterKey, derive_bluetrace_id, derive_centralized_id
-from ..errors import ProtocolError
+from ..errors import ConfigurationError, ProtocolError
 from ..radio import DeviceClient
 from ..rng import SeedStream
 from ..schema import Field, hex_of
@@ -67,6 +67,10 @@ class CentralRegistry:
                  rotation_s: int = DEFAULT_ROTATION_S):
         if variant not in (VARIANT_BLUETRACE, VARIANT_PEPP_PT):
             raise ProtocolError(f"unknown centralized variant {variant!r}")
+        # a day's batch holds DAY_S // rotation_s windows, so they must tile the day
+        if type(rotation_s) is not int or rotation_s <= 0 or DAY_S % rotation_s:
+            raise ConfigurationError(
+                f"rotation_s must be a positive integer that divides {DAY_S}, got {rotation_s!r}")
         self.variant = variant
         self.rotation_s = rotation_s
         self.stream = stream

@@ -178,10 +178,10 @@ class DhClient(DeviceClient):
         self.reported = False
         self.index = index or PublishedDhIndex()
         self._keypairs: dict[int, EphemeralKeyPair] = {}
-        self._pseudonyms: dict[int, bytes] = {}
+        self._beacon: tuple[int | None, bytes] = (None, b"")   # (epoch, pseudonym)
         self._pending: dict[tuple[str, int], PendingEncounter] = {}
         self._peer_keys: dict[tuple[str, int], bytes] = {}
-        self._keys_sent: dict[tuple[int, int], bool] = {}   # (cid, epoch)
+        self._keys_sent: set[tuple[int, int]] = set()   # (cid, epoch)
         self._conns: dict[str, Connection] = {}
         self._aborted_peers: set[str] = set()
         self._notified_hashes: set[str] = set()
@@ -204,11 +204,13 @@ class DhClient(DeviceClient):
 
     def advertisement_identifier(self, local_t: int) -> bytes:
         """Beacons carry only an opaque per-window pseudonym; the public key
-        (32 bytes) cannot fit and travels over connections instead."""
+        (32 bytes) cannot fit and travels over connections instead. Only the
+        current window's pseudonym is kept; the window's stream gives an
+        earlier one (a clock moved back) the same bytes again."""
         epoch = self.epoch_of(local_t)
-        if epoch not in self._pseudonyms:
-            self._pseudonyms[epoch] = self.stream.child(f"pseudo:{epoch}").take(IDENTIFIER_FIELD_LEN)
-        return self._pseudonyms[epoch]
+        if self._beacon[0] != epoch:
+            self._beacon = (epoch, self.stream.child(f"pseudo:{epoch}").take(IDENTIFIER_FIELD_LEN))
+        return self._beacon[1]
 
     # -- handshake --------------------------------------------------------------
 
@@ -241,9 +243,9 @@ class DhClient(DeviceClient):
         return self._pending[key]
 
     def _ensure_key_sent(self, conn: Connection, epoch: int, local_t: int) -> None:
-        if self._keys_sent.get((conn.cid, epoch)):
+        if (conn.cid, epoch) in self._keys_sent:
             return
-        self._keys_sent[(conn.cid, epoch)] = True
+        self._keys_sent.add((conn.cid, epoch))
         kp = self.keypair(epoch)
         conn.send(self.device_id, {"kind": "pubkey", "epoch": epoch, "key": kp.public.hex()})
 

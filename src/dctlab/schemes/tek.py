@@ -50,7 +50,14 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 
-from ..crypto_core import DAY_S, IDENTIFIER_SLOT_S, IDENTIFIERS_PER_DAY, Tek, derive_day_identifiers
+from ..crypto_core import (
+    DAY_S,
+    IDENTIFIER_SLOT_S,
+    IDENTIFIERS_PER_DAY,
+    Tek,
+    derive_day_identifiers,
+    derive_slot_identifier,
+)
 from ..radio import SCAN_TICK_S, DeviceClient
 from ..rng import SeedStream
 from ..schema import Field, hex_of, natural, passes
@@ -233,7 +240,6 @@ class TekClient(DeviceClient):
         self.known_published: list[Tek] = []
         self.reported = False
         self.index = index or PublishedTekIndex()
-        self._schedules: dict[int, list[bytes]] = {}
         self._beacon: tuple[int | None, bytes] = (None, b"")   # (slot since origin, identifier)
         self._notified: set[tuple] = set()
 
@@ -246,23 +252,17 @@ class TekClient(DeviceClient):
             self.store.add(tek)
         return tek
 
-    def _schedule_for(self, day: int) -> list[bytes]:
-        """The day's 144 identifier bytes, slot by slot."""
-        schedule = self._schedules.get(day)
-        if schedule is None:
-            schedule = self._schedules[day] = derive_day_identifiers(self.tek_for_day(day))
-            if len(self._schedules) > 4:  # keep the cache small on long runs
-                self._schedules.pop(min(self._schedules))
-        return schedule
-
     def advertisement_identifier(self, local_t: int) -> bytes:
-        """The identifier of the current slot. The last one is kept, since a
-        beacon is asked for at every scan tick and a slot lasts 600 s; a day
-        holds a whole number of slots, so slot // 144 is the day."""
+        """The identifier of the current slot, derived from the day's key and
+        the slot alone; the device never derives its day's whole schedule.
+        The last one is kept, since a beacon is asked for at every scan tick
+        and a slot lasts 600 s; a slot changed back (a clock moved back) is
+        derived again and gives the same bytes. A day holds a whole number of
+        slots, so slot // 144 is the day."""
         slot = local_t // IDENTIFIER_SLOT_S
         if self._beacon[0] != slot:
             day, within = divmod(slot, IDENTIFIERS_PER_DAY)
-            self._beacon = (slot, self._schedule_for(day)[within])
+            self._beacon = (slot, derive_slot_identifier(self.tek_for_day(day), within))
         return self._beacon[1]
 
     def on_sighting(self, identifier: bytes, local_t: int, global_t: int) -> None:

@@ -32,7 +32,9 @@ A request line is checked against _REQUEST and the args table its op has in
 _OPS; one that breaks them, or carries a key they do not name, is answered
 with ok: false, naming the JSON path of the first bad value. A line json
 cannot parse, one that is not UTF-8 or is nested past the recursion limit
-included, is answered "bad json: ..." and the connection keeps serving.
+included, is answered "bad json: ..." and the connection keeps serving. A
+line longer than MAX_LINE_BYTES, its newline included, is answered "line too
+long" and the connection is closed, so no line is read into memory whole.
 Persistence is one append-only JSON-lines log, state.jsonl, with one record
 per change to server state: an issue (a TAN and whom it went to), a spend (a
 TAN and, in the same line, every entry its upload published, in feed order),
@@ -77,6 +79,7 @@ TAN_LENGTH = 12
 SCHEMES = ("centralized", "tek", "dh")
 PROOF = {"tokens": Field([str], []), "encoding": Field(one_of(("hex", "b64"), "encoding"), "b64")}
 STATE_LOG = "state.jsonl"
+MAX_LINE_BYTES = 1 << 20     # a wire request line, its newline included
 _issued = predicate(lambda v, tans: type(v) is str and v in tans, "TAN {!r} was never issued")
 _unspent = predicate(lambda v, tans: not tans[v].used, "TAN {!r} was spent before")
 # a line of state.jsonl, by op, checked with the TANs replayed before it as roles
@@ -424,7 +427,10 @@ def _handle_request(server: TracingServer, req: dict) -> dict:
 
 class _WireHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        for line in self.rfile:
+        while line := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(line) > MAX_LINE_BYTES:
+                self._answer({"ok": False, "error": "line too long"})
+                return
             line = line.strip()
             if not line:
                 continue
@@ -435,8 +441,11 @@ class _WireHandler(socketserver.StreamRequestHandler):
                 resp = {"ok": False, "error": f"bad json: {exc}"}
             else:
                 resp = _handle_request(self.server.tracing_server, req)
-            self.wfile.write(json.dumps(resp, sort_keys=True).encode() + b"\n")
-            self.wfile.flush()
+            self._answer(resp)
+
+    def _answer(self, resp: dict) -> None:
+        self.wfile.write(json.dumps(resp, sort_keys=True).encode() + b"\n")
+        self.wfile.flush()
 
 
 class _WireServer(socketserver.ThreadingTCPServer):

@@ -1,7 +1,7 @@
 import pytest
 
 from dctlab.crypto_core import DAY_S, derive_bluetrace_id, derive_centralized_id
-from dctlab.errors import ProtocolError
+from dctlab.errors import ConfigurationError, ProtocolError
 from dctlab.rng import SeedStream
 from dctlab.schemes.centralized import (
     VARIANT_BLUETRACE,
@@ -43,6 +43,25 @@ def test_bluetrace_identifiers_verify_under_master_rederivation():
         user_id, t_k, iv, auth_tag = registry._batch_index[ident]
         assert (user_id, t_k) == (uid, t // 900)
         assert derive_bluetrace_id(user_id, t_k, iv, auth_tag, registry.master) == ident
+
+
+@pytest.mark.parametrize("rotation_s", [7, 0, -900, 900.0, True])
+def test_registry_refuses_a_rotation_that_does_not_tile_a_day(rotation_s):
+    # a bluetrace day batch holds DAY_S // rotation_s windows; with 7 s, the
+    # last windows of a day fell outside it and beaconing raised KeyError
+    with pytest.raises(ConfigurationError, match="divides 86400"):
+        CentralRegistry(SeedStream(11, "srv"), rotation_s=rotation_s)
+
+
+@pytest.mark.parametrize("rotation_s", [60, 900])
+def test_registry_accepts_a_rotation_that_tiles_a_day(rotation_s):
+    registry = CentralRegistry(SeedStream(11, "srv"), rotation_s=rotation_s)
+    client = CentralizedClient(registry)
+    client.device_id = "dev-a"
+    client.register()
+    batch = registry.issue_batch(client.registration.user_id, 0)
+    assert len(batch) == DAY_S // rotation_s
+    assert client.advertisement_identifier(DAY_S - 1) == batch[-1]
 
 
 def test_unregistered_client_cannot_beacon():

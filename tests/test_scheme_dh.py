@@ -252,6 +252,24 @@ def test_a_pruned_key_pair_is_derived_again_alike():
         == dh_token(first.loaded_secret, peer, a.cfg.group)
 
 
+def test_the_pseudonym_is_the_window_stream_s_16_bytes_and_comes_back_alike():
+    a, _ = make_clients()
+    rotation = a.cfg.rotation_s
+
+    def expected(epoch):
+        return a.stream.child(f"pseudo:{epoch}").take(16)
+
+    first = a.advertisement_identifier(0)
+    assert len(first) == 16 and first == expected(0)
+    assert a.advertisement_identifier(rotation - 1) == first
+    second = a.advertisement_identifier(rotation)
+    assert second == expected(1) and second != first
+    # the clock moved back: the earlier windows' pseudonyms again
+    assert a.advertisement_identifier(rotation - 1) == first
+    assert a.advertisement_identifier(-1) == expected(-1) not in (first, second)
+    assert a.advertisement_identifier(rotation + 5) == second
+
+
 class ReferenceDhClient(DhClient):
     """The co-presence tick as it was before a finalized encounter skipped
     it: every tick accrues, and tries to pair and to finalize."""

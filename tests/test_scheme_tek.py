@@ -2,6 +2,7 @@ import tracemalloc
 
 from dctlab.crypto_core import Tek, derive_day_identifiers
 from dctlab.rng import SeedStream
+from dctlab.schemes import tek as tek_mod
 from dctlab.schemes.tek import (
     SightingLog,
     TekClient,
@@ -214,9 +215,31 @@ def test_a_day_older_than_every_retained_key_still_gets_its_key():
 
 def test_the_beacon_is_the_slot_identifier_of_the_local_day():
     client = TekClient(SeedStream(9, "dev").child("beacon"))
-    # five days on, then back past every cached day, then before the origin
+    # five days on, then back to the first day, then before the origin
     times = [d * 86400 + s for d in range(5) for s in (0, 599, 600, 86399)] + [0, 1234, -1, -86400]
     for t in times:
         day, within = divmod(t, 86400)
         expected = derive_day_identifiers(client.tek_for_day(day))[within // 600]
         assert client.advertisement_identifier(t) == expected, t
+
+
+def test_a_client_derives_one_identifier_per_slot_change_and_no_day_schedule(monkeypatch):
+    derived, days = [], []
+    slot_rule, day_rule = tek_mod.derive_slot_identifier, tek_mod.derive_day_identifiers
+    monkeypatch.setattr(tek_mod, "derive_slot_identifier",
+                        lambda tek, slot: derived.append((tek.day_index, slot)) or slot_rule(tek, slot))
+    monkeypatch.setattr(tek_mod, "derive_day_identifiers",
+                        lambda tek: days.append(tek) or day_rule(tek))
+    client = TekClient(SeedStream(9, "dev").child("beacon"))
+    # a scan tick every 5 s over two days, then the clock moved back by a day and a half
+    times = list(range(0, 2 * 86400, 5))
+    times += [t - 129600 for t in times]
+    changes, slot = [], None
+    for t in times:
+        ident = client.advertisement_identifier(t)
+        if t // 600 != slot:
+            slot = t // 600
+            changes.append(divmod(slot, 144))
+            assert ident == derive_day_identifiers(client.tek_for_day(slot // 144))[slot % 144], t
+    assert derived == changes and len(changes) == 2 * 288
+    assert days == []

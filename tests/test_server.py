@@ -880,6 +880,34 @@ def test_wire_protocol_bad_json_line():
         tcp.shutdown()
 
 
+def test_wire_answers_a_line_too_long_and_closes_only_that_connection(monkeypatch):
+    from dctlab import server as server_mod
+    monkeypatch.setattr(server_mod, "MAX_LINE_BYTES", 64)
+    server = make_server()
+    tcp, port = serve_tcp(server)
+    try:
+        import socket as socketlib
+        feed = json.dumps({"op": "feed", "args": {"scheme": "tek"}}).encode()
+        at_limit = feed.ljust(63) + b"\n"          # 64 bytes, its newline included
+        with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(at_limit + feed.ljust(64) + b"\n" + feed + b"\n")
+            fh = sock.makefile("r")
+            served, refused = json.loads(fh.readline()), json.loads(fh.readline())
+            assert fh.readline() == ""             # closed: the last request is not read
+        assert served["ok"] is True
+        assert refused == {"ok": False, "error": "line too long"}
+        # a line with no newline is cut off at the limit too
+        with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"x" * 1000)
+            fh = sock.makefile("r")
+            assert json.loads(fh.readline()) == {"ok": False, "error": "line too long"}
+            assert fh.readline() == ""
+        assert WireClient("127.0.0.1", port).call("issue_tan", device_id="d1")["tan"] in server.tans
+    finally:
+        tcp.shutdown()
+        tcp.server_close()
+
+
 NOT_OBJECTS = ([1], "x", None, 3, {"op": "feed", "args": [1]}, {"op": "feed", "args": "x"},
                {"op": "superspreader_proof", "args": {"proof": [1]}})
 

@@ -361,16 +361,25 @@ def test_index_maps_identifiers_back_to_key_and_slot():
 
 @pytest.mark.parametrize("sid", ["linkage_tek", "fake_claim_tek", "social_graph", "time_travel"])
 def test_each_key_schedule_is_derived_at_most_twice_per_run(sid, monkeypatch):
-    """Once by its owner to advertise, once by the run's index; matching and
-    the adversary analyses reuse the index."""
-    derived: dict[tuple, int] = {}
-    original = tek_mod.derive_day_identifiers
+    """At most once, in fact: by the run's index, for the keys published.
+    Owners derive only the slot identifiers they send, and matching and the
+    adversary analyses reuse the index."""
+    derived: dict[str, int] = {}
+    published: list[str] = []
+    original, accept = tek_mod.derive_day_identifiers, TracingServer.accept_upload
 
     def counting(tek):
-        derived[(tek.hex, tek.day_index)] = derived.get((tek.hex, tek.day_index), 0) + 1
+        derived[tek.hex] = derived.get(tek.hex, 0) + 1
         return original(tek)
 
+    def accepting(server, bundle):
+        ack = accept(server, bundle)
+        if bundle["scheme"] == "tek":
+            published.extend(t["tek_hex"] for t in bundle["teks"])
+        return ack
+
     monkeypatch.setattr(tek_mod, "derive_day_identifiers", counting)
+    monkeypatch.setattr(TracingServer, "accept_upload", accepting)
     run_scenario(builtin_scenario(sid))
-    assert derived and max(derived.values()) <= 2
-    assert 2 in derived.values()   # something was published and matched
+    assert published and set(derived) == set(published)
+    assert max(derived.values()) == 1
