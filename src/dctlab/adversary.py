@@ -64,7 +64,8 @@ class SnifferClient(DeviceClient):
     def advertisement_identifier(self, local_t):
         return None   # never advertises
 
-    def on_sighting(self, identifier, local_t, global_t):
+    def on_sighting(self, identifier, local_t, global_t, ticks=1):
+        # a client without quiet_until is handed one tick at a time
         self.observations.append(SnifferObservation(global_t, identifier, self.device_id))
 
 

@@ -1,15 +1,55 @@
 """Deterministic discrete-event BLE world.
 
-Time is integer seconds from the scenario origin. Work runs in (time,
-order scheduled) order, so a given (scenario, seed) pair always produces the
-identical event log, byte for byte. A scheduled call is a heap entry: a
-function and the arguments it is called with. Scan ticks are kept apart, in
-buckets: each tick time maps to its edges' ticks, in the order they were
-scheduled, and the heap holds one marker per bucket, keyed by the time and
-order of its next tick. The marker runs its ticks in turn and yields to any
-call at the same time that was scheduled before the next one, so the order
-is the one a heap entry per tick would give. step(until_s) finishes every
-bucket at or before until_s.
+Time is integer seconds from the scenario origin. Work runs in a fixed order,
+so a given (scenario, seed) pair always produces the identical event log, byte
+for byte. A scheduled call is a heap entry: a function and the arguments it is
+called with. Scan ticks are kept apart, in buckets: each tick time maps to the
+ticks due then, and the heap holds one marker per bucket. A bucket runs its
+ticks in key order: the edge's first-tick time, latest first, then the edge's
+index in trace.edges. That is the order one heap entry per tick, pushed when
+the edge's previous tick ran, would give.
+
+A call due at a tick time runs among its ticks at a position worked out from
+when it was scheduled, not counted, so a tick can be put back in a bucket at
+any time and still run where that one heap entry per tick would have run it:
+
+* a call scheduled more than one tick (5 s) before it is due runs after the
+  ticks of edges that start then and before every other tick;
+* one scheduled one tick before runs where its scheduling moment stood among
+  that earlier time's ticks (a call made during an edge's tick, before the
+  edge's next tick);
+* one scheduled later runs after every tick;
+* calls at one position run in the order they were scheduled, and a call
+  scheduled before the first step runs before every tick.
+
+step(until_s) finishes every bucket at or before until_s.
+
+A world with a sink runs every scan tick on its own, since each tick writes
+scan events. A world without one hands an edge's quiet ticks over as one
+span: the tick at t and the n - 1 ticks after it reach each listener as one
+on_sighting(..., ticks=n) and each side of an open connection as one
+on_copresence_tick(peer, n * SCAN_TICK_S, ...), and the edge's next tick is
+put back at t + n * SCAN_TICK_S, at its key. A span's later ticks stop before
+the first of:
+
+* the edge's end;
+* either client's change point, DeviceClient.quiet_until (a base client takes
+  one tick at a time; a TEK slot end, a DH window end or the tick before a
+  finalize, a centralized window end; a DH client with no open connection,
+  or one that sends its window key on this tick, takes one tick, so every
+  connect attempt, capacity rejects included, runs on its own);
+* the next call the radio did not schedule itself (a sync, a report, a clock
+  set, a relay's), and any tick after step(until_s);
+* the next pending message delivery or edge end that touches either device;
+* the next tick of another edge of the same pair, or of an edge that joins
+  either device to a client without a quiet_until, since either could deliver
+  the span's identifiers to the same listener.
+
+Within these bounds nothing reads or writes what the span's later ticks change
+(a TEK run, a centralized record's last_seen, a DH encounter's accrued_s),
+and every other hook call runs at its own time and position. So a run without
+a sink ends with every client in the state a written run leaves it in, and
+with the same counters, after fewer hook calls.
 
 Modeling choices:
 
@@ -32,13 +72,15 @@ World that takes the SimEvent. The world holds no event. Its seq is the
 event's 1-based place in the log, counted apart from the order of the
 schedule. A world without a sink builds no event at all: emit returns at
 once, and a beacon derives no link address, since only its scan event reads
-one. Such a run makes the same calls in the same order as a written one.
+one.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import math
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -150,7 +192,20 @@ class DeviceClient:
         """Current 16-byte beacon identifier; None for passive devices."""
         return None
 
-    def on_sighting(self, identifier: bytes, local_t: int, global_t: int) -> None:
+    def quiet_until(self, peer_id: str, local_t: int) -> int:
+        """The local time before which this client's scan ticks with peer_id,
+        from the one at local_t on, may reach it as one span: ticks that
+        change its beacon and its state only as the span's hooks say (the
+        same identifier, run or record extended, co-presence accrued). The
+        tick at local_t is always run. The base client takes one tick at a
+        time, and so gets ticks=1 and one tick's seconds only."""
+        return local_t + 1
+
+    def on_sighting(self, identifier: bytes, local_t: int, global_t: int,
+                    ticks: int = 1) -> None:
+        """identifier was heard at local_t (global_t on the world's clock)
+        and, when ticks > 1, at each of the ticks - 1 scan ticks after it:
+        local_t + SCAN_TICK_S, ..., local_t + (ticks - 1) * SCAN_TICK_S."""
         pass
 
     def wants_connection(self, peer_id: str, local_t: int) -> bool:
@@ -163,6 +218,9 @@ class DeviceClient:
         pass
 
     def on_copresence_tick(self, peer_id: str, seconds: int, local_t: int) -> None:
+        """seconds of co-presence with peer_id over an open connection, from
+        local_t on: SCAN_TICK_S for one scan tick, n * SCAN_TICK_S for a span
+        of n, or a relay's own tick."""
         pass
 
     def on_disconnect(self, conn: "Connection", local_t: int) -> None:
@@ -215,6 +273,16 @@ class Connection:
         self.world.send(self, sender_id, payload)
 
 
+# where a call runs among the ticks due at its time (see the module docstring):
+# before every tick, or after every one; a tick's own position is its key
+_FIRST = -math.inf
+_LAST = math.inf
+
+
+def _takes_spans(client: DeviceClient) -> bool:
+    return type(client).quiet_until is not DeviceClient.quiet_until
+
+
 class World:
     def __init__(self, trace: ContactTrace, stream: SeedStream, *, link_rotation_s: int = 900,
                  capabilities: tuple[str, ...] = (), irk_linkable: bool = False,
@@ -228,9 +296,16 @@ class World:
         self._sink = sink
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
-        self._heap: list = []
-        self._ticks: dict[int, list] = {}   # tick time -> [(order, edge)], order ascending
-        self._order = 0     # the tie-break of calls and ticks
+        self._heap: list = []       # (at, position, order, fn, args)
+        # tick time -> [armed marker's order, next tick, [(key, edge)] by key]
+        self._ticks: dict[int, list] = {}
+        self._stride = 0            # of keys, per second of first-tick time
+        self._order = 0             # the tie-break of calls at one position
+        self._pos = _FIRST          # the position of the work running now
+        self._foreign: list[int] = []           # due times of pending scheduled calls
+        self._busy: dict[str, list[int]] = {}   # device -> due times of its deliveries and edge ends
+        self._interferers: list[tuple | None] = []   # by edge index: ticks its spans stop before
+        self._until: int | None = None
         self._seq = 0       # the events emitted
         self._cid = 0
         self._started = False
@@ -254,13 +329,59 @@ class World:
     # -- event machinery ----------------------------------------------------
 
     def schedule(self, at_s: int, fn: Callable[..., None], *args) -> None:
-        """Call fn(*args) at at_s. The heap holds (at, order, fn, args): the
-        call carries its arguments, so no closure is built to hold them, and
-        calls at one time run in the order they were scheduled."""
+        """Call fn(*args) at at_s. The heap entry carries the arguments, so no
+        closure is built to hold them; calls at one position run in the order
+        they were scheduled. Every radio span stops before such a call."""
         if at_s < self.now:
             raise ConfigurationError("cannot schedule into the past")
+        heapq.heappush(self._foreign, at_s)
+        self._push(at_s, self._place(at_s, self.now, self._pos), self._foreign_call, (fn, args))
+
+    def _place(self, at: int, t: int, pos: float) -> float:
+        """The position among at's ticks of a call scheduled at time t from
+        position pos. A tick due at at took its place one tick earlier, as
+        its edge's previous tick ran, or at the start: so a call scheduled
+        one tick earlier falls between them, one scheduled before that goes
+        after the ticks of edges starting at at, one scheduled later last."""
+        if not self._started:
+            return _FIRST
+        if at > t + SCAN_TICK_S:
+            return self._key(at, len(self.trace.edges))
+        if at == t + SCAN_TICK_S:
+            return max(pos, self._key(at, len(self.trace.edges)))
+        return _LAST
+
+    def _key(self, first: int, idx: int) -> int:
+        """A tick's position: its edge's first-tick time, latest first, then
+        its index in trace.edges, folded into one even integer. The odd one
+        below is where its hook calls run (just before its next tick); an
+        index past the last one gives the position after the ticks of edges
+        that start at first and before any other."""
+        return 2 * idx + 2 - first * self._stride
+
+    def _push(self, at: int, pos: float, fn: Callable[..., None], args: tuple) -> None:
         self._order += 1
-        heapq.heappush(self._heap, (at_s, self._order, fn, args))
+        heapq.heappush(self._heap, (at, pos, self._order, fn, args))
+
+    def _schedule_touching(self, at: int, pos: float, devices: tuple[str, str],
+                           fn: Callable[..., None], *args) -> None:
+        """A radio call that touches devices: their spans stop before it."""
+        for d in devices:
+            heapq.heappush(self._busy.setdefault(d, []), at)
+        self._push(at, pos, self._touching_call, (devices, fn, args))
+
+    def _foreign_call(self, fn: Callable[..., None], args: tuple) -> None:
+        heapq.heappop(self._foreign)
+        fn(*args)
+
+    def _touching_call(self, devices: tuple[str, str], fn: Callable[..., None],
+                       args: tuple) -> None:
+        for d in devices:
+            busy = self._busy[d]
+            heapq.heappop(busy)
+            if not busy:
+                del self._busy[d]
+        fn(*args)
 
     def emit(self, kind: str, payload: dict) -> None:
         """Hand the sink the next event; a world without a sink builds none."""
@@ -274,34 +395,49 @@ class World:
         if self._started:
             return
         self._started = True
-        for edge in self.trace.edges:
+        self._stride = 2 * len(self.trace.edges) + 4
+        self._interferers = [None] * len(self.trace.edges)
+        for idx, edge in enumerate(self.trace.edges):
             first = edge.start_s + (-edge.start_s) % SCAN_TICK_S
             if first < edge.end_s:
                 if first < self.now:
                     raise ConfigurationError("cannot schedule into the past")
-                self._add_tick(first, edge)
+                self._add_tick(first, (self._key(first, idx), edge))
 
-    def _add_tick(self, t: int, edge: ContactEdge) -> None:
-        """Put edge's tick at t last in its bucket; a new bucket pushes its marker."""
-        self._order += 1
+    def _add_tick(self, t: int, tick: tuple) -> None:
+        """Put tick, (key, edge), in bucket t at its key. A new
+        first tick arms a marker at its key; the marker it replaces is stale
+        and does nothing. A bucket changes only before its time."""
         bucket = self._ticks.get(t)
         if bucket is None:
-            self._ticks[t] = [(self._order, edge)]
-            heapq.heappush(self._heap, (t, self._order, self._run_ticks, (t, 0)))
+            bucket = self._ticks[t] = [0, 0, []]
+        ticks = bucket[2]
+        if not ticks or tick[0] < ticks[0][0]:
+            self._arm(t, bucket, tick[0])
+        if ticks and tick[0] < ticks[-1][0]:
+            insort(ticks, tick)
         else:
-            bucket.append((self._order, edge))
+            ticks.append(tick)      # the common case: ticks come in key order
+
+    def _arm(self, t: int, bucket: list, key: int) -> None:
+        self._order += 1
+        bucket[0] = self._order
+        heapq.heappush(self._heap, (t, key, self._order, self._run_ticks, (t, self._order)))
 
     def step(self, until_s: int | None = None) -> None:
         """Process all scheduled work at times <= until_s, or all of it when
         until_s is None. Its events have gone to the sink."""
         self._start()
+        self._until = until_s
         limit = float("inf") if until_s is None else until_s
-        while self._heap and self._heap[0][0] <= limit:
-            at, _, fn, args = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][0] <= limit:
+            at, self._pos, _, fn, args = heapq.heappop(heap)
             self.now = max(self.now, at)
             fn(*args)
         if until_s is not None:
             self.now = max(self.now, until_s)
+        self._pos = _LAST
 
     def run(self) -> None:
         """Drain the schedule completely."""
@@ -309,37 +445,90 @@ class World:
 
     # -- radio behavior -----------------------------------------------------
 
-    def _run_ticks(self, t: int, i: int) -> None:
-        """Run bucket t's ticks from its i-th on. Before each, a call at t
-        scheduled earlier goes first: the marker is pushed again, keyed by
-        that tick's order, and returns."""
-        ticks, heap, devices = self._ticks[t], self._heap, self.devices
-        nxt = t + SCAN_TICK_S
+    def _run_ticks(self, t: int, armed: int) -> None:
+        """Run bucket t's ticks from the next on, if this marker is the armed
+        one. Before each, a call at t placed earlier goes first: the marker
+        is armed again at that tick's key, and returns."""
+        bucket = self._ticks.get(t)
+        if bucket is None or bucket[0] != armed:
+            return
+        _, i, ticks = bucket
+        heap, devices, sink = self._heap, self.devices, self._sink
         while i < len(ticks):
-            order, edge = ticks[i]
-            if heap and heap[0][0] == t and heap[0][1] < order:
-                heapq.heappush(heap, (t, order, self._run_ticks, (t, i)))
+            tick = ticks[i]
+            key, edge = tick
+            if heap and heap[0][0] == t and heap[0][1] < key:
+                bucket[1] = i
+                self._arm(t, bucket, key)
                 return
             i += 1
-            # a clock changes only through a scheduled call, never within a tick
+            self._pos = key - 1
+            # a clock changes only through a scheduled call, never within a span
             dev_a, dev_b = devices[edge.a], devices[edge.b]
             la, lb = t + dev_a.clock_offset_s, t + dev_b.clock_offset_s
-            self._deliver_beacon(dev_a, la, dev_b, lb)
-            self._deliver_beacon(dev_b, lb, dev_a, la)
+            n = 1 if sink is not None else self._span(t, key, edge, dev_a, la, dev_b, lb)
+            self._deliver_beacon(dev_a, la, dev_b, lb, n)
+            self._deliver_beacon(dev_b, lb, dev_a, la, n)
 
             conn = dev_a.connections.get(edge.b)
             if conn is None and dev_a.client.wants_connection(edge.b, la) \
                     and dev_b.client.wants_connection(edge.a, lb):
                 conn = self.open_connection(edge.a, edge.b)
             if conn is not None and conn.open:
-                dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S, la)
-                dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S, lb)
+                dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S * n, la)
+                dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S * n, lb)
 
+            nxt = t + SCAN_TICK_S * n
             if nxt < edge.end_s:
-                self._add_tick(nxt, edge)
+                self._add_tick(nxt, tick)
             else:
-                self.schedule(edge.end_s, self._edge_end, edge)
+                # placed as if scheduled by the edge's last tick, which a span may hold
+                self._schedule_touching(
+                    edge.end_s, self._place(edge.end_s, nxt - SCAN_TICK_S, key - 1),
+                    (edge.a, edge.b), self._edge_end, edge)
         del self._ticks[t]
+
+    def _span(self, t: int, key: int, edge: ContactEdge, dev_a: Device, la: int,
+              dev_b: Device, lb: int) -> int:
+        """How many ticks, from the one at t, edge hands over as one span:
+        every later tick lies before each bound the module docstring names."""
+        end = min(edge.end_s,
+                  dev_a.client.quiet_until(edge.b, la) - (la - t),
+                  dev_b.client.quiet_until(edge.a, lb) - (lb - t))
+        if end <= t + SCAN_TICK_S:
+            return 1
+        if self._foreign:
+            end = min(end, self._foreign[0])
+        if self._until is not None:
+            end = min(end, self._until + 1)
+        for d in (edge.a, edge.b):
+            busy = self._busy.get(d)
+            if busy:
+                end = min(end, busy[0])
+        for first, last in self._interference(key % self._stride // 2 - 1, edge):
+            if last >= t:
+                end = min(end, max(first, t))
+        return max(1, -((t - end) // SCAN_TICK_S))
+
+    def _interference(self, idx: int, edge: ContactEdge) -> tuple[tuple[int, int], ...]:
+        """The (first, last) ticks of each edge that edge's spans stop before:
+        another edge of its pair, and an edge that joins either device to a
+        client taking no spans (or not added yet). Kept per edge index."""
+        got = self._interferers[idx]
+        if got is None:
+            pair = (edge.a, edge.b)
+            others = [g for g in self.trace._by_pair[edge.pair] if g is not edge]
+            for d in pair:
+                for g in self.trace._by_device[d]:
+                    peer = g.b if g.a == d else g.a
+                    if peer not in pair and (peer not in self.devices
+                                             or not _takes_spans(self.devices[peer].client)):
+                        others.append(g)
+            ranges = [(g.start_s + (-g.start_s) % SCAN_TICK_S,
+                       g.end_s - 1 - (g.end_s - 1) % SCAN_TICK_S) for g in others]
+            got = self._interferers[idx] = tuple((first, last) for first, last in ranges
+                                                 if first <= last)
+        return got
 
     def _edge_end(self, edge: ContactEdge) -> None:
         conn = self.devices[edge.a].connections.get(edge.b)
@@ -348,7 +537,7 @@ class World:
             self.close_connection(conn)
 
     def _deliver_beacon(self, speaker: Device, speaker_t: int,
-                        listener: Device, listener_t: int) -> None:
+                        listener: Device, listener_t: int, ticks: int) -> None:
         ident = speaker.client.advertisement_identifier(speaker_t)
         if ident is None:
             return
@@ -362,7 +551,7 @@ class World:
         if self._sink is not None:
             self._scan(listener.device_id, speaker.device_id, ident, speaker.link_address(
                 speaker_t // self.link_rotation_s, self.irk_linkable))
-        listener.client.on_sighting(ident, listener_t, self.now)
+        listener.client.on_sighting(ident, listener_t, self.now, ticks)
 
     def inject_beacon(self, listener_id: str, identifier: bytes, link_addr: bytes,
                       origin: str) -> None:
@@ -371,7 +560,7 @@ class World:
         if self._sink is not None:
             self._scan(listener_id, origin, identifier, link_addr)
         self.devices[listener_id].client.on_sighting(identifier, self.local_time(listener_id),
-                                                     self.now)
+                                                     self.now, 1)
 
     def _scan(self, listener_id: str, origin: str, ident: bytes, link: bytes) -> None:
         """The scan event of a beacon that listener heard from origin."""
@@ -416,7 +605,11 @@ class World:
         self.devices[conn.b].client.on_disconnect(conn, self.local_time(conn.b))
 
     def send(self, conn: Connection, sender_id: str, payload: dict) -> None:
-        self.schedule(self.now + conn.latency_s, self._deliver, conn, sender_id, payload)
+        at = self.now + conn.latency_s
+        if at < self.now:
+            raise ConfigurationError("cannot schedule into the past")
+        self._schedule_touching(at, self._place(at, self.now, self._pos), (conn.a, conn.b),
+                                self._deliver, conn, sender_id, payload)
 
     def _deliver(self, conn: Connection, sender_id: str, payload: dict) -> None:
         if not conn.open:

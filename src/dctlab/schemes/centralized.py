@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..crypto_core import DAY_S, MasterKey, derive_bluetrace_id, derive_centralized_id
 from ..errors import ConfigurationError, ProtocolError
-from ..radio import DeviceClient
+from ..radio import SCAN_TICK_S, DeviceClient
 from ..rng import SeedStream
 from ..schema import Field, hex_of
 
@@ -29,6 +29,8 @@ VARIANT_PEPP_PT = "pepp_pt"
 MODE_ANONYMOUS = "anonymous"
 MODE_PHONE = "phone"
 SIGHTING_MERGE_GAP_S = 60
+# a sighting one scan tick after a record's last one extends it, so a span of ticks does
+assert SCAN_TICK_S <= SIGHTING_MERGE_GAP_S
 IV_LEN = 16
 AUTH_TAG_LEN = 8
 # an uploaded record, as ObservedRecord.as_dict writes it
@@ -138,16 +140,35 @@ def report_infection(records: list[ObservedRecord], tan: str) -> dict:
             "records": [r.as_dict() for r in records]}
 
 
+def _resolve_pepp_pt(records: list[dict], registry: CentralRegistry) -> list[str | None]:
+    """Each record's user as registry.resolve finds it, only within the
+    record's own windows first_seen // r - 1 .. last_seen // r + 1, but from
+    one map over the union of the bundle's windows: each (user, window) is
+    derived once per bundle, not once per record."""
+    r = registry.rotation_s
+    spans = [(rec["first_seen"] // r - 1, rec["last_seen"] // r + 1) for rec in records]
+    windows = sorted(set().union(*(range(lo, hi + 1) for lo, hi in spans)))
+    owners = {derive_centralized_id(user_id, t_k): (user_id, t_k)
+              for user_id in registry.users for t_k in windows}
+    resolved = []
+    for rec, (lo, hi) in zip(records, spans):
+        user_id, t_k = owners.get(bytes.fromhex(rec["id_hex"]), (None, 0))
+        resolved.append(user_id if lo <= t_k <= hi else None)
+    return resolved
+
+
 def server_match(records: list[dict], registry: CentralRegistry) -> dict[str, list[tuple[int, int]]]:
     """Resolve uploaded records to user ids; unresolvable ones are skipped.
     Returns user_id -> contact intervals (one per resolved record)."""
+    if registry.variant == VARIANT_PEPP_PT:
+        resolved = _resolve_pepp_pt(records, registry)
+    else:
+        resolved = [registry.resolve(bytes.fromhex(rec["id_hex"]), rec["first_seen"],
+                                     rec["last_seen"]) for rec in records]
     matches: dict[str, list[tuple[int, int]]] = {}
-    for rec in records:
-        user_id = registry.resolve(bytes.fromhex(rec["id_hex"]),
-                                   rec["first_seen"], rec["last_seen"])
-        if user_id is None:
-            continue
-        matches.setdefault(user_id, []).append((rec["first_seen"], rec["last_seen"]))
+    for rec, user_id in zip(records, resolved):
+        if user_id is not None:
+            matches.setdefault(user_id, []).append((rec["first_seen"], rec["last_seen"]))
     return matches
 
 
@@ -187,12 +208,21 @@ class CentralizedClient(DeviceClient):
     def advertisement_identifier(self, local_t: int) -> bytes:
         return self._identifier_for_window(local_t // self.rotation_s)
 
-    def on_sighting(self, identifier: bytes, local_t: int, global_t: int) -> None:
+    def quiet_until(self, peer_id: str, local_t: int) -> int:
+        """The end of the current window: the beacon holds until then, and a
+        sighting span only extends the record its first tick opens or
+        extends."""
+        return (local_t // self.rotation_s + 1) * self.rotation_s
+
+    def on_sighting(self, identifier: bytes, local_t: int, global_t: int,
+                    ticks: int = 1) -> None:
+        # a span's later ticks lie one tick apart, so each extends the same record
+        last_seen = local_t + SCAN_TICK_S * (ticks - 1)
         rec = self._last_by_id.get(identifier)
         if rec is not None and local_t - rec.last_seen <= SIGHTING_MERGE_GAP_S:
-            rec.last_seen = max(rec.last_seen, local_t)
+            rec.last_seen = max(rec.last_seen, last_seen)
             return
-        rec = ObservedRecord(identifier, local_t, local_t)
+        rec = ObservedRecord(identifier, local_t, last_seen)
         self.records.append(rec)
         self._last_by_id[identifier] = rec
 

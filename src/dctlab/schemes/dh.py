@@ -49,7 +49,7 @@ from ..crypto_core import (
     unb64,
 )
 from ..errors import ConfigurationError, HandshakeError
-from ..radio import Connection, DeviceClient, IDENTIFIER_FIELD_LEN
+from ..radio import SCAN_TICK_S, Connection, DeviceClient, IDENTIFIER_FIELD_LEN
 from ..rng import SeedStream
 from ..schema import passes
 
@@ -299,7 +299,37 @@ class DhClient(DeviceClient):
                 self._pair_with(pending, peer_pub, e)
                 return
 
+    def quiet_until(self, peer_id: str, local_t: int) -> int:
+        """Where the scan ticks with peer_id from local_t on stop being quiet:
+        the window's end, since the pseudonym, the key and the encounter all
+        change with it; and, as this tick changes more than accrued_s, one
+        tick when no connection to the peer is open (the radio may connect),
+        when this tick sends the window's key, or when it finalizes. An
+        encounter that will be paired after this tick (its own token, or a
+        key of the peer's for an adjacent window) finalizes on the first
+        tick that brings accrued_s to min_encounter_s; the span stops before
+        that tick. Only a message changes the peer keys, and a delivery
+        touching either device ends every span."""
+        epoch = self.epoch_of(local_t)
+        end = (epoch + 1) * self.cfg.rotation_s
+        conn = self._conns.get(peer_id)
+        if conn is None or not conn.open or (conn.cid, epoch) not in self._keys_sent:
+            return local_t + 1
+        pending = self._pending.get((peer_id, epoch))
+        if pending is not None and pending.record is not None:
+            return end
+        if not ((pending is not None and pending.token is not None)
+                or any((peer_id, e) in self._peer_keys for e in (epoch - 1, epoch, epoch + 1))):
+            return end
+        accrued = 0 if pending is None else pending.accrued_s
+        # ticks up to and including the one that finalizes
+        to_final = -((accrued - self.cfg.min_encounter_s) // SCAN_TICK_S)
+        return min(end, local_t + max(1, SCAN_TICK_S * (to_final - 1)))
+
     def on_copresence_tick(self, peer_id: str, seconds: int, local_t: int) -> None:
+        """seconds of co-presence from local_t on. A span of several ticks
+        never holds a finalize (quiet_until), so accruing them at once is
+        accruing them one by one."""
         epoch = self.epoch_of(local_t)
         conn = self._conns.get(peer_id)
         if conn is not None and conn.open:

@@ -18,8 +18,9 @@ the server stamps, so one bad entry cannot break matching for anyone.
 A sighting log keeps each identifier's sightings as runs of scan ticks:
 flat (first_at, last_at, epoch) triples in one array('q'). A listener hears
 an identifier at every 5 s scan tick for as long as a contact and its 600 s
-slot last, so one run stands for dozens of sightings. A sighting extends its
-identifier's last run only when it lies one tick past the run's last_at in
+slot last, so one run stands for dozens of sightings; the radio hands a
+listener such ticks over as one span, appended at once. A span extends its
+identifier's last run only when it begins one tick past the run's last_at in
 the same epoch; anything else starts a new run, so the log never holds more
 triples than sightings. Times are the local clock at record time; scenario
 times are bounded below 2**60 in magnitude, so they fit in 64 bits. Matching
@@ -92,24 +93,28 @@ class SightingLog:
     identifier's runs in append order, as flat triples in one array('q'):
     first_at and last_at, the local clock at record time of the run's first
     and last sighting, then epoch, the value of the log's epoch when the run
-    began. A sighting seen_at extends the identifier's last run only when
-    seen_at is last_at + SCAN_TICK_S and the epoch is unchanged; a
+    began. append(identifier, seen_at, ticks) records ticks sightings one
+    scan tick apart from seen_at. They extend the identifier's last run only
+    when seen_at is last_at + SCAN_TICK_S and the epoch is unchanged; a
     duplicate, a clock moved back, any other gap or a new epoch starts a new
     run. So a run's sightings are first_at, first_at + SCAN_TICK_S, ...,
-    last_at, all appended in one epoch. TekClient.sync advances the epoch."""
+    last_at, all appended in one epoch, and a span of ticks leaves the log
+    as its ticks appended one by one would. TekClient.sync advances the
+    epoch."""
 
     def __init__(self):
         self.by_identifier: dict[bytes, array] = {}
         self.epoch = 0
 
-    def append(self, identifier: bytes, seen_at: int) -> None:
+    def append(self, identifier: bytes, seen_at: int, ticks: int = 1) -> None:
+        last_at = seen_at + SCAN_TICK_S * (ticks - 1)
         runs = self.by_identifier.get(identifier)
         if runs is None:
-            self.by_identifier[identifier] = array("q", (seen_at, seen_at, self.epoch))
+            self.by_identifier[identifier] = array("q", (seen_at, last_at, self.epoch))
         elif runs[-2] == seen_at - SCAN_TICK_S and runs[-1] == self.epoch:
-            runs[-2] = seen_at
+            runs[-2] = last_at
         else:
-            runs.extend((seen_at, seen_at, self.epoch))
+            runs.extend((seen_at, last_at, self.epoch))
 
 
 @dataclass(frozen=True)
@@ -265,8 +270,15 @@ class TekClient(DeviceClient):
             self._beacon = (slot, derive_slot_identifier(self.tek_for_day(day), within))
         return self._beacon[1]
 
-    def on_sighting(self, identifier: bytes, local_t: int, global_t: int) -> None:
-        self.log.append(identifier, local_t)
+    def quiet_until(self, peer_id: str, local_t: int) -> int:
+        """The end of the current slot: the beacon holds until then, and a
+        sighting span only extends a run (a sync, which starts an epoch, is
+        a call that ends every span)."""
+        return (local_t // IDENTIFIER_SLOT_S + 1) * IDENTIFIER_SLOT_S
+
+    def on_sighting(self, identifier: bytes, local_t: int, global_t: int,
+                    ticks: int = 1) -> None:
+        self.log.append(identifier, local_t, ticks)
 
     def make_report(self, tan: str) -> dict:
         self.reported = True

@@ -271,7 +271,17 @@ class TracingServer:
             return accept(self, bundle, tan)
 
     def _check_tek_span(self, bundle: dict) -> None:
+        """An honest TekStore holds one key a day, retention_days of them at
+        most: so a bundle lists each day once, within retention_days days.
+        Every key published makes each client index derive its 144
+        identifiers, so this also caps that work per upload."""
         days = [t["day"] for t in bundle["teks"]]
+        seen: set[int] = set()
+        for i, day in enumerate(days):
+            if day in seen:
+                raise UploadRejected(f"malformed bundle: bundle.teks[{i}]: day {day} "
+                                     f"is listed twice")
+            seen.add(day)
         if days and max(days) - min(days) + 1 > self.retention_days:
             raise UploadRejected(f"TEK bundle spans more than {self.retention_days} days")
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,9 @@ from dctlab.radio import (
     World,
 )
 from dctlab.rng import SeedStream
+from dctlab.schemes.centralized import CentralizedClient, CentralRegistry
+from dctlab.schemes.dh import DhClient, DhConfig
+from dctlab.schemes.tek import TekClient
 
 
 class BeaconClient(DeviceClient):
@@ -26,7 +31,7 @@ class BeaconClient(DeviceClient):
     def advertisement_identifier(self, local_t):
         return self.ident
 
-    def on_sighting(self, identifier, local_t, global_t):
+    def on_sighting(self, identifier, local_t, global_t, ticks=1):
         self.heard.append((identifier, local_t))
 
 
@@ -263,8 +268,8 @@ class HeapWorld(LoggedWorld):
     def _edge_tick(self, edge, t):
         dev_a, dev_b = self.devices[edge.a], self.devices[edge.b]
         la, lb = self.now + dev_a.clock_offset_s, self.now + dev_b.clock_offset_s
-        self._deliver_beacon(dev_a, la, dev_b, lb)
-        self._deliver_beacon(dev_b, lb, dev_a, la)
+        self._deliver_beacon(dev_a, la, dev_b, lb, 1)
+        self._deliver_beacon(dev_b, lb, dev_a, la, 1)
         conn = dev_a.connections.get(edge.b)
         if conn is None and dev_a.client.wants_connection(edge.b, la) \
                 and dev_b.client.wants_connection(edge.a, lb):
@@ -297,8 +302,8 @@ class RecordingClient(DeviceClient):
             return None
         return (self.device_id + str(local_t // 60)).encode().ljust(16, b".")[:16]
 
-    def on_sighting(self, identifier, local_t, global_t):
-        self._log("sighting", identifier, local_t, global_t)
+    def on_sighting(self, identifier, local_t, global_t, ticks=1):
+        self._log("sighting", identifier, local_t, global_t, ticks)
 
     def wants_connection(self, peer_id, local_t):
         self._log("wants", peer_id, local_t)
@@ -393,3 +398,201 @@ def test_tick_buckets_run_in_per_tick_heap_order(case):
     edges, clients, plan = case
     events, calls, counters = run_plan(LoggedWorld, edges, clients, plan)
     assert (events, calls, counters) == run_plan(HeapWorld, edges, clients, plan)
+
+
+# -- spans: a world without a sink against one heap entry per tick -----------
+
+class SpanWorld(World):
+    """A world without a sink that counts the event kinds reaching emit, and
+    the spans of more than one tick it hands over."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.emitted = Counter()
+        self.long_spans = 0
+
+    def emit(self, kind, payload):
+        self.emitted[kind] += 1
+        super().emit(kind, payload)
+
+    def _span(self, *args):
+        n = super()._span(*args)
+        self.long_spans += n > 1
+        return n
+
+
+class LaggingDh(DhClient):
+    """A DH client whose connections it opens carry latency_s."""
+
+    def __init__(self, stream, cfg, latency_s):
+        super().__init__(stream, cfg)
+        self.latency_s = latency_s
+
+    def on_connected(self, conn, local_t):
+        if conn.a == self.device_id:
+            conn.latency_s = self.latency_s
+        super().on_connected(conn, local_t)
+
+
+class Echo(DeviceClient):
+    """A base client that beacons another device's current identifier, or
+    nothing when there is none to copy."""
+
+    def __init__(self, world, target):
+        self.world, self.target = world, target
+
+    def advertisement_identifier(self, local_t):
+        if self.target is None:
+            return None
+        return self.world.devices[self.target].client.advertisement_identifier(
+            self.world.local_time(self.target))
+
+
+@st.composite
+def span_plans(draw):
+    """A trace (overlapping edges of one pair, a hub with up to 11 peers), a
+    scheme client per device with a clock offset, and a plan of partial
+    steps, clock sets and syncs. Times mostly fall on the 5 s tick."""
+    def moment(hi):
+        return draw(st.integers(0, hi // 5)) * 5 + draw(st.sampled_from((0, 0, 0, 1, 4)))
+
+    edges = []
+    for _ in range(draw(st.integers(1, 10))):
+        a, b = draw(st.lists(st.sampled_from(DEVICES), min_size=2, max_size=2, unique=True))
+        start = moment(900)
+        edges.append(ContactEdge(a, b, start, start + max(1, moment(700))))
+        if draw(st.integers(0, 3)) == 0:     # an overlapping edge of the same pair
+            s2 = start + draw(st.integers(0, 300))
+            edges.append(ContactEdge(b, a, s2, s2 + max(1, moment(400))))
+    hub_peers = list(HUB_PEERS[:draw(st.sampled_from((0, 3, 9, 10, 11)))])
+    for peer in hub_peers:
+        start = moment(300)
+        edges.append(ContactEdge("hub", peer, start, start + 20 + moment(600)))
+    devices = sorted({d for e in edges for d in (e.a, e.b)})
+    # the hub and its peers run DH, so more than 8 of them want a connection
+    clients = {d: (draw(st.sampled_from(("tek", "dh", "centralized", "echo")))
+                   if d in DEVICES else "dh",
+                   draw(st.sampled_from((0, 0, -300, 7, 600))),     # clock offset
+                   draw(st.sampled_from((0, 5))))                   # latency of its connections
+               for d in devices}
+    dh_cfg = DhConfig(rotation_s=draw(st.sampled_from((60, 120, 900))),
+                      min_encounter_s=draw(st.sampled_from((0, 5, 15, 40))))
+    variant = draw(st.sampled_from(("bluetrace", "pepp_pt")))
+
+    def calls(lo):
+        # most on a tick time, some between two
+        when = st.tuples(st.integers(lo, 1700), st.sampled_from((0, 0, 2))).map(
+            lambda tw: tw[0] + (-tw[0]) % 5 + tw[1])
+        return draw(st.lists(st.one_of(
+            st.tuples(st.just("clock"), when, st.sampled_from(devices),
+                      st.sampled_from((-300, -60, 0, 60, 900))),
+            st.tuples(st.just("sync"), when)), max_size=4))
+
+    plan = [("calls", calls(0))]
+    now = 0
+    for _ in range(draw(st.integers(0, 3))):
+        now = draw(st.integers(now, 1600))
+        plan += [("step", now), ("calls", calls(now))]
+    return edges, clients, dh_cfg, variant, plan
+
+
+def client_state(client):
+    """Everything a client keeps that the radio writes, in order."""
+    if isinstance(client, TekClient):
+        return ("tek", client.log.epoch,
+                [(ident, runs.tolist()) for ident, runs in client.log.by_identifier.items()])
+    if isinstance(client, CentralizedClient):
+        return ("centralized", [(r.identifier, r.first_seen, r.last_seen) for r in client.records])
+    if isinstance(client, DhClient):
+        return ("dh", [(r.hash_hex, r.my_timestamp) for r in client.records],
+                [(key, p.started_at, p.accrued_s, p.paired_epoch,
+                  p.token and p.token.secret, p.record is not None)
+                 for key, p in client._pending.items()],
+                list(client._peer_keys), sorted(client._keys_sent), client.rejected_keys)
+    return ()
+
+
+def run_span_plan(world_cls, edges, clients, dh_cfg, variant, plan):
+    """Run the plan; returns the state of every client after each step, the
+    world's counters and connections opened, and the world."""
+    root = SeedStream(11, "spans")
+    world = world_cls(ContactTrace(edges), root.child("world"), capabilities=("clock",))
+    registry = CentralRegistry(root.child("registry"), variant)
+    for d, (kind, offset, latency_s) in clients.items():
+        if kind == "tek":
+            client = TekClient(root.child(d))
+        elif kind == "dh":
+            client = LaggingDh(root.child(d), dh_cfg, latency_s)
+        elif kind == "centralized":
+            client = CentralizedClient(registry)
+        else:
+            client = Echo(world, min((d for d in clients if clients[d][0] != "echo"), default=None))
+        world.add_device(d, client, offset)
+        if kind == "centralized":
+            client.register()
+
+    def sync():
+        for dev in world.devices.values():
+            if isinstance(dev.client, (TekClient, DhClient)):
+                dev.client.sync([], world.local_time(dev.device_id))
+
+    def snapshot():
+        return [client_state(dev.client) for dev in world.devices.values()] \
+            + [list(registry._batch_index)]
+
+    states = []
+    for op, arg in plan:
+        if op == "step":
+            world.step(arg)
+            states.append((world.now, snapshot()))
+        else:
+            for call in arg:
+                if call[0] == "clock":
+                    world.schedule(call[1], world.set_clock, call[2], call[3])
+                else:
+                    world.schedule(call[1], sync)
+    world.run()
+    states.append((world.now, snapshot()))
+    return states, dict(world.counters), world._cid, world
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_plans())
+def test_a_world_without_a_sink_hands_spans_over_as_ticks_one_by_one(case):
+    """Spans leave every client in the state one heap entry per tick leaves
+    it in, after each partial step: TEK runs and key order, centralized
+    records, DH records, encounters with their accrued_s, peer keys and keys
+    sent; and the same counters, connections and event kinds but scans."""
+    states, counters, cids, world = run_span_plan(SpanWorld, *case)
+    ref_states, ref_counters, ref_cids, ref = run_span_plan(HeapWorld, *case)
+    assert states == ref_states
+    assert (counters, cids) == (ref_counters, ref_cids)
+    kinds = Counter(e.kind for e in ref.log)
+    assert world.emitted == kinds - Counter(scan=kinds["scan"])
+
+
+def test_a_span_never_holds_a_tick_past_step_until():
+    """After step(200) in the middle of a contact, a clock set and a call
+    scheduled for the next tick see the world as one tick at a time leaves
+    it: the tick at 205 has run (it was due before them), no later one has."""
+    def run(world_cls):
+        world = world_cls(ContactTrace([ContactEdge("a", "b", 0, 600)]), SeedStream(3, "w"),
+                          capabilities=("clock",))
+        root = SeedStream(3, "clients")
+        for d in ("a", "b"):
+            world.add_device(d, TekClient(root.child(d)))
+        log = world.devices["b"].client.log
+        seen = []
+        world.step(200)
+        seen.append([runs.tolist() for runs in log.by_identifier.values()])
+        world.schedule(205, world.set_clock, "a", 600)    # a's next slot: a new identifier
+        world.schedule(205, lambda: seen.append([runs.tolist()
+                                                 for runs in log.by_identifier.values()]))
+        world.run()
+        seen.append([runs.tolist() for runs in log.by_identifier.values()])
+        return seen, world
+
+    seen, world = run(SpanWorld)
+    assert world.long_spans > 0
+    assert seen == [[[0, 200, 0]], [[0, 205, 0]], [[0, 205, 0], [210, 595, 0]]]
+    assert seen == run(HeapWorld)[0]

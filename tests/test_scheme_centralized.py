@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dctlab.crypto_core import DAY_S, derive_bluetrace_id, derive_centralized_id
 from dctlab.errors import ConfigurationError, ProtocolError
@@ -96,6 +98,40 @@ def test_server_match_resolves_and_groups():
     assert matches[reg_b.user_id] == [(10, 800), (905, 1700)]
 
 
+def test_pepp_pt_server_match_derives_each_user_window_once_per_bundle(monkeypatch):
+    from dctlab.schemes import centralized
+    registry = CentralRegistry(SeedStream(4, "srv"), variant=VARIANT_PEPP_PT)
+    users = [registry.register(f"dev-{i}").user_id for i in range(3)]
+    r = registry.rotation_s
+    # overlapping records, two known identifiers outside their records'
+    # windows (one just past the last), and an unknown one
+    records = [{"id_hex": derive_centralized_id(users[i % 3], w).hex(),
+                "first_seen": first, "last_seen": last}
+               for i, (w, first, last) in enumerate([
+                   (1, r + 10, 2 * r), (2, r, 3 * r - 1), (3, 2 * r, 2 * r + 5),
+                   (9, 0, r), (5, 3 * r, 3 * r), (1, 2 * r, 4 * r)])]
+    records.append({"id_hex": "ab" * 16, "first_seen": 0, "last_seen": 60})
+    want = {}
+    for rec in records:
+        user_id = registry.resolve(bytes.fromhex(rec["id_hex"]), rec["first_seen"],
+                                   rec["last_seen"])
+        if user_id is not None:
+            want.setdefault(user_id, []).append((rec["first_seen"], rec["last_seen"]))
+    calls = []
+    derive = centralized.derive_centralized_id
+
+    def counted(user_id, t_k):
+        calls.append((user_id, t_k))
+        return derive(user_id, t_k)
+
+    monkeypatch.setattr(centralized, "derive_centralized_id", counted)
+    got = server_match(records, registry)
+    assert got == want and list(got) == list(want)
+    assert len(want) == 3 and sum(map(len, want.values())) == 4
+    # windows -1 .. 5 are the union of the records' own ranges
+    assert sorted(calls) == sorted((u, w) for u in users for w in range(-1, 6))
+
+
 def test_server_match_bluetrace_roundtrip():
     registry = CentralRegistry(SeedStream(3, "srv"), variant=VARIANT_BLUETRACE)
     client = CentralizedClient(registry)
@@ -116,6 +152,19 @@ def test_sightings_merge_into_records():
     assert len(client.records) == 2
     assert (client.records[0].first_seen, client.records[0].last_seen) == (0, 15)
     assert all(r.first_seen <= r.last_seen for r in client.records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((b"x", b"y")), st.integers(-100, 300),
+                          st.integers(1, 20)), max_size=10))
+def test_a_span_of_sightings_records_as_its_ticks_one_by_one(sightings):
+    _, spans = make_pair(VARIANT_PEPP_PT)
+    _, ticks = make_pair(VARIANT_PEPP_PT)
+    for ident, t, n in sightings:
+        spans.on_sighting(ident, t, t, n)
+        for k in range(n):
+            ticks.on_sighting(ident, t + 5 * k, t + 5 * k)
+    assert [r.as_dict() for r in spans.records] == [r.as_dict() for r in ticks.records]
 
 
 @pytest.mark.parametrize("variant", [VARIANT_PEPP_PT, VARIANT_BLUETRACE])

@@ -1,5 +1,8 @@
 import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dctlab.crypto_core import Tek, derive_day_identifiers
 from dctlab.rng import SeedStream
 from dctlab.schemes import tek as tek_mod
@@ -120,6 +123,26 @@ def test_sighting_log_keeps_runs_of_scan_ticks_in_append_order():
     assert list(log.by_identifier[b"x"]) == [50, 60, 0, 60, 60, 0, 20, 20, 0, 30, 30, 0,
                                              2**60 - 6, 2**60 - 1, 1]
     assert list(log.by_identifier[b"y"]) == [-7, -2, 0, 3, 3, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just("sync"),
+                          st.tuples(st.sampled_from((b"x", b"y")), st.integers(-30, 60),
+                                    st.integers(1, 6))), max_size=12))
+def test_a_span_of_ticks_appends_as_its_ticks_one_by_one(ops):
+    spans, ticks = SightingLog(), SightingLog()
+    for op in ops:
+        if op == "sync":
+            spans.epoch += 1
+            ticks.epoch += 1
+            continue
+        ident, seen_at, n = op
+        spans.append(ident, seen_at, n)
+        for k in range(n):
+            ticks.append(ident, seen_at + 5 * k)
+    assert list(spans.by_identifier) == list(ticks.by_identifier)
+    assert {i: list(r) for i, r in spans.by_identifier.items()} \
+        == {i: list(r) for i, r in ticks.by_identifier.items()}
 
 
 def test_sighting_log_holds_consecutive_ticks_as_one_run():

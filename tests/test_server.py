@@ -125,6 +125,21 @@ def test_tek_upload_span_rule():
         server.accept_upload(tek_bundle(server, [0, 19]))
 
 
+def test_a_tek_upload_listing_a_day_twice_keeps_its_tan():
+    # an honest client holds one key a day, so K keys of one day would only
+    # make every client index derive 144 * K identifiers
+    server = make_server()
+    honest = tek_bundle(server, list(range(3, 17)))
+    repeated = tek_bundle(server, [3, 4, 3])
+    repeated["teks"][2]["tek_hex"] = "ab" * 16
+    with pytest.raises(UploadRejected, match=r"teks\[2\]: day 3 is listed twice"):
+        server.accept_upload(repeated)
+    assert not server.tans[repeated["tan"]].used
+    assert server.fetch_feed("tek") == ([], 0)
+    assert server.accept_upload(honest)["published"] == 14
+    assert server.tans[honest["tan"]].used
+
+
 def test_malformed_bundles_rejected():
     server = make_server()
     tan = server.issue_tan("a")
@@ -958,7 +973,8 @@ def test_an_upload_entry_with_a_key_its_table_does_not_name_keeps_its_tan(scheme
     assert resp == {"ok": False,
                     "error": f"malformed bundle: bundle.{field}[1].{key}: unknown field"}
     assert not server.tans[tan].used and server.fetch_feed(scheme) == ([], 0)
-    bundle[field] = [entry, entry]
+    # two entries alike are accepted, but a TEK bundle lists each day once
+    bundle[field] = [entry, dict(entry, day=2) if scheme == "tek" else entry]
     resp = _handle_request(server, {"op": "upload", "args": {"bundle": bundle}})
     assert resp == {"ok": True, "result": {"status": "ack", "published": 2}}
     assert server.tans[tan].used
