@@ -112,6 +112,18 @@ KIND_TOY = "toy-modp"
 KIND_PRODUCTION = "production-curve"
 PRODUCTION_KEY_LEN = 32      # 256-bit keys, the floor for standardized ECDH
 
+_X25519_P = 2**255 - 19
+_X25519_U_MASK = 2**255 - 1
+# u-coordinates of the small-order points of Curve25519 and their
+# non-canonical encodings, as libsodium lists them: 0, 1, the two points of
+# order 8, p - 1, p and p + 1
+X25519_SMALL_ORDER_U = frozenset((
+    0, 1,
+    325606250916557431795983626356110631294008115727848805560023387167927233504,
+    39382357235489614581723060781553021112529911719440698176882885853963445705823,
+    _X25519_P - 1, _X25519_P, _X25519_P + 1,
+))
+
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -123,15 +135,14 @@ class GroupParams:
 
     @classmethod
     def toy(cls, p: int, g: int) -> "GroupParams":
-        params = cls(kind=KIND_TOY, modulus=p, generator=g)
-        params.validate()
-        return params
+        return cls(kind=KIND_TOY, modulus=p, generator=g)
 
     @classmethod
     def production(cls) -> "GroupParams":
         return cls(kind=KIND_PRODUCTION)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """A group is checked once, when it is built."""
         if self.kind == KIND_TOY:
             if self.modulus is None or self.generator is None:
                 raise ConfigurationError("toy-modp group needs modulus and generator")
@@ -158,7 +169,7 @@ class GroupParams:
         return int.from_bytes(data, "big")
 
     def validate_public(self, public: bytes) -> None:
-        """Reject the identity element and out-of-group encodings."""
+        """Reject the identity element, low-order and out-of-group encodings."""
         if len(public) != self.element_size:
             raise HandshakeError(f"public key must be {self.element_size} bytes")
         if self.kind == KIND_TOY:
@@ -167,6 +178,10 @@ class GroupParams:
             # secret predictable regardless of our scalar.
             if value <= 1 or value >= self.modulus - 1:
                 raise HandshakeError("public key is the identity or out of group")
+        elif (int.from_bytes(public, "little") & _X25519_U_MASK) in X25519_SMALL_ORDER_U:
+            # X25519 ignores the high bit; a small-order point gives the
+            # all-zero shared secret whatever our scalar
+            raise HandshakeError("public key is a small-order point")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +239,6 @@ class MasterKey:
 
 def keygen(params: GroupParams, stream: SeedStream) -> EphemeralKeyPair:
     """Draw a fresh key pair for one rotation window from a seed stream."""
-    params.validate()
     if params.kind == KIND_TOY:
         while True:
             secret = 1 + stream.randrange(params.modulus - 2)

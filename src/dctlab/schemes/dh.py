@@ -93,14 +93,17 @@ class DhExposure:
 
 @dataclass
 class PendingEncounter:
-    """Handshake in flight for one (peer, rotation window)."""
+    """Handshake in flight for one (peer, rotation window). The peer key it
+    pairs with is chosen as soon as one is known: paired_key, the key the
+    peer sent for window paired_epoch. The token is derived from it once,
+    when the encounter finalizes into record."""
 
     peer_id: str
     epoch: int
     started_at: int
     accrued_s: int = 0
-    token: EncounterToken | None = None
     paired_epoch: int | None = None
+    paired_key: bytes | None = None
     record: EncounterRecord | None = None
 
 
@@ -239,7 +242,7 @@ class DhClient(DeviceClient):
         key = (peer_id, epoch)
         if key not in self._pending:
             self._pending[key] = PendingEncounter(peer_id, epoch, started_at=local_t)
-            self._try_pair_token(self._pending[key])
+            self._try_pair(self._pending[key])
         return self._pending[key]
 
     def _ensure_key_sent(self, conn: Connection, epoch: int, local_t: int) -> None:
@@ -269,21 +272,21 @@ class DhClient(DeviceClient):
         self._conns[sender_id] = conn
         self._ensure_key_sent(conn, my_epoch, local_t)
         pending = self._ensure_pending(sender_id, my_epoch, local_t)
-        self._try_pair_token(pending)
+        self._try_pair(pending)
         self._maybe_finalize(pending)
 
     def _pair_with(self, pending: PendingEncounter, peer_pub: bytes, epoch: int) -> None:
-        kp = self.keypair(pending.epoch)
         pending.paired_epoch = epoch
-        pending.token = dh_token(kp.loaded_secret, peer_pub, self.cfg.group,
-                                 window_index=pending.epoch)
+        pending.paired_key = peer_pub
 
-    def _try_pair_token(self, pending: PendingEncounter) -> None:
-        """Pair my window key with the peer key of the same window; across a
-        rotation boundary with skewed clocks, fall back to an adjacent-window
-        key (the fallback choices of the two sides mirror each other, so the
-        secrets still agree). A fallback pairing is upgraded in place if the
-        exact-window key arrives before the record is finalized."""
+    def _try_pair(self, pending: PendingEncounter) -> None:
+        """Choose the peer key my window key pairs with: the peer key of the
+        same window; across a rotation boundary with skewed clocks, an
+        adjacent-window key (the fallback choices of the two sides mirror
+        each other, so the secrets still agree). A fallback choice gives way
+        to the exact-window key if it arrives before the record is
+        finalized. Only the choice is made here; _maybe_finalize derives the
+        token from it."""
         if pending.record is not None:
             return
         exact = self._peer_keys.get((pending.peer_id, pending.epoch))
@@ -291,7 +294,7 @@ class DhClient(DeviceClient):
             if pending.paired_epoch != pending.epoch:
                 self._pair_with(pending, exact, pending.epoch)
             return
-        if pending.token is not None:
+        if pending.paired_epoch is not None:
             return
         for e in (pending.epoch - 1, pending.epoch + 1):
             peer_pub = self._peer_keys.get((pending.peer_id, e))
@@ -305,7 +308,7 @@ class DhClient(DeviceClient):
         change with it; and, as this tick changes more than accrued_s, one
         tick when no connection to the peer is open (the radio may connect),
         when this tick sends the window's key, or when it finalizes. An
-        encounter that will be paired after this tick (its own token, or a
+        encounter that will be paired after this tick (already paired, or a
         key of the peer's for an adjacent window) finalizes on the first
         tick that brings accrued_s to min_encounter_s; the span stops before
         that tick. Only a message changes the peer keys, and a delivery
@@ -318,7 +321,7 @@ class DhClient(DeviceClient):
         pending = self._pending.get((peer_id, epoch))
         if pending is not None and pending.record is not None:
             return end
-        if not ((pending is not None and pending.token is not None)
+        if not ((pending is not None and pending.paired_epoch is not None)
                 or any((peer_id, e) in self._peer_keys for e in (epoch - 1, epoch, epoch + 1))):
             return end
         accrued = 0 if pending is None else pending.accrued_s
@@ -341,15 +344,19 @@ class DhClient(DeviceClient):
         elif pending.record is not None:
             return      # finalized: its token is fixed and nothing reads accrued_s
         pending.accrued_s += seconds
-        self._try_pair_token(pending)
+        self._try_pair(pending)
         self._maybe_finalize(pending)
 
     def _maybe_finalize(self, pending: PendingEncounter) -> None:
-        if pending.record is not None or pending.token is None:
+        """Once a paired encounter reaches the minimum duration, derive its
+        token, the one exchange it costs, and keep the record."""
+        if pending.record is not None or pending.paired_key is None:
             return
         if pending.accrued_s < self.cfg.min_encounter_s:
             return
-        pending.record = EncounterRecord(pending.token, pending.started_at)
+        token = dh_token(self.keypair(pending.epoch).loaded_secret, pending.paired_key,
+                         self.cfg.group, window_index=pending.epoch)
+        pending.record = EncounterRecord(token, pending.started_at)
         self.records.append(pending.record)
 
     # -- reporting and matching ---------------------------------------------------

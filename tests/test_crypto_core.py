@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from dctlab.crypto_core import (
     IDENTIFIER_LEN,
     IDENTIFIERS_PER_DAY,
+    X25519_SMALL_ORDER_U,
     EncounterToken,
     GroupParams,
     MasterKey,
@@ -140,6 +142,27 @@ def test_identity_public_key_rejected():
             dh_token(secret, b"\x00" * 32, PROD)
         with pytest.raises(HandshakeError):
             dh_token(secret, b"\x01" * 16, PROD)  # wrong length
+
+
+def test_every_small_order_x25519_encoding_is_refused_as_the_library_refuses_it():
+    # 0, 1, the two order-8 points, p - 1, p and p + 1; X25519 masks the high bit
+    assert len(X25519_SMALL_ORDER_U) == 7
+    private = keygen(PROD, SeedStream(3, "low-order")).loaded_secret
+    for u in X25519_SMALL_ORDER_U:
+        for high_bit in (0, 1 << 255):
+            public = (u | high_bit).to_bytes(32, "little")
+            with pytest.raises(ValueError):
+                private.exchange(X25519PublicKey.from_public_bytes(public))
+            with pytest.raises(HandshakeError, match="small-order"):
+                PROD.validate_public(public)
+            with pytest.raises(HandshakeError):
+                dh_token(private, public, PROD)
+
+
+@settings(max_examples=50)
+@given(seed=st.integers(0, 2**32))
+def test_a_generated_x25519_public_key_passes_validation(seed):
+    PROD.validate_public(keygen(PROD, SeedStream(seed, "valid")).public)
 
 
 @settings(max_examples=200)

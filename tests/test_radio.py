@@ -506,7 +506,7 @@ def client_state(client):
     if isinstance(client, DhClient):
         return ("dh", [(r.hash_hex, r.my_timestamp) for r in client.records],
                 [(key, p.started_at, p.accrued_s, p.paired_epoch,
-                  p.token and p.token.secret, p.record is not None)
+                  p.paired_key, p.record is not None)
                  for key, p in client._pending.items()],
                 list(client._peer_keys), sorted(client._keys_sent), client.rejected_keys)
     return ()

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -281,7 +282,7 @@ class ReferenceDhClient(DhClient):
             self._ensure_key_sent(conn, epoch, local_t)
         pending = self._ensure_pending(peer_id, epoch, local_t)
         pending.accrued_s += seconds
-        self._try_pair_token(pending)
+        self._try_pair(pending)
         self._maybe_finalize(pending)
 
 
@@ -329,6 +330,133 @@ def test_a_finished_encounter_skips_the_tick_and_changes_nothing(contacts, offse
             == [(r.token, r.my_timestamp) for r in ref.records]
     assert world.sent == ref_world.sent
     assert world.log == ref_world.log
+
+
+class EagerDhClient(DhClient):
+    """The client as it was before tokens were derived at finalize: every
+    pairing derives a token at once, a fallback pairing and the exact-window
+    pairing that replaces it both, and so does an encounter that never
+    finalizes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._tokens = {}       # (peer, epoch) -> the token of its pairing
+
+    def _pair_with(self, pending, peer_pub, epoch):
+        kp = self.keypair(pending.epoch)
+        pending.paired_epoch = epoch
+        self._tokens[(pending.peer_id, pending.epoch)] = dh_mod.dh_token(
+            kp.loaded_secret, peer_pub, self.cfg.group, window_index=pending.epoch)
+
+    def _try_pair(self, pending):
+        if pending.record is not None:
+            return
+        exact = self._peer_keys.get((pending.peer_id, pending.epoch))
+        if exact is not None:
+            if pending.paired_epoch != pending.epoch:
+                self._pair_with(pending, exact, pending.epoch)
+            return
+        if (pending.peer_id, pending.epoch) in self._tokens:
+            return
+        for e in (pending.epoch - 1, pending.epoch + 1):
+            peer_pub = self._peer_keys.get((pending.peer_id, e))
+            if peer_pub is not None:
+                self._pair_with(pending, peer_pub, e)
+                return
+
+    def _maybe_finalize(self, pending):
+        token = self._tokens.get((pending.peer_id, pending.epoch))
+        if pending.record is not None or token is None:
+            return
+        if pending.accrued_s < self.cfg.min_encounter_s:
+            return
+        pending.record = EncounterRecord(token, pending.started_at)
+        self.records.append(pending.record)
+
+
+def counting_dh_tokens(calls):
+    """A patch of dh_mod.dh_token that appends each call's window to calls."""
+    real = dh_mod.dh_token
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("window_index"))
+        return real(*args, **kwargs)
+
+    return mock.patch.object(dh_mod, "dh_token", counting)
+
+
+# b's clock is 100 s behind a's over a contact across the window 0/1 boundary:
+# a's window-1 encounter pairs first with b's window-0 key, then with b's
+# window-1 key when b's clock rolls over
+FALLBACK_THEN_UPGRADE = {"contacts": [(850, 600)], "offsets": (100, 0),
+                         "windows": (900, 300), "seed": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(contacts=st.lists(st.tuples(st.integers(0, 1500), st.integers(5, 2400)),
+                         min_size=1, max_size=3),
+       offsets=st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)),
+       windows=st.sampled_from([(900, 300), (900, 5), (300, 295), (120, 60)]),
+       seed=st.integers(0, 2**16))
+@example(**FALLBACK_THEN_UPGRADE)
+def test_a_token_derived_at_finalize_is_the_one_derived_at_pairing(contacts, offsets,
+                                                                   windows, seed):
+    cfg = DhConfig(rotation_s=windows[0], min_encounter_s=windows[1])
+    calls = []
+    with counting_dh_tokens(calls):
+        world, clients = dh_pair_day(DhClient, cfg, contacts, offsets, seed)
+    ref_world, ref_clients = dh_pair_day(EagerDhClient, cfg, contacts, offsets, seed)
+    for client, ref in zip(clients, ref_clients):
+        assert [(r.token, r.my_timestamp) for r in client.records] \
+            == [(r.token, r.my_timestamp) for r in ref.records]
+    assert world.sent == ref_world.sent
+    assert world.log == ref_world.log
+    assert len(calls) == sum(len(client.records) for client in clients)
+
+
+def test_the_example_pairs_by_fallback_then_upgrades_and_derives_once():
+    pairings = []
+
+    class RecordingPairs(DhClient):
+        def _pair_with(self, pending, peer_pub, epoch):
+            pairings.append((self.device_id, pending.epoch, epoch))
+            super()._pair_with(pending, peer_pub, epoch)
+
+    def run(client_class, calls):
+        contacts, offsets, windows, seed = FALLBACK_THEN_UPGRADE.values()
+        cfg = DhConfig(rotation_s=windows[0], min_encounter_s=windows[1])
+        with counting_dh_tokens(calls):
+            return dh_pair_day(client_class, cfg, contacts, offsets, seed)[1]
+
+    calls, eager_calls = [], []
+    clients = run(RecordingPairs, calls)
+    run(EagerDhClient, eager_calls)
+    # (device, its window, the peer key's window): a fallback, then the upgrade
+    assert [p for p in pairings if p[0] == "a"] == [("a", 1, 0), ("a", 1, 1)]
+    assert [r.token.window_index for r in clients[0].records] == [1]
+    assert len(calls) == sum(len(c.records) for c in clients) < len(eager_calls)
+
+
+class ZeroKeyDhClient(DhClient):
+    """Sends the all-zero X25519 encoding, a small-order point, as its key."""
+
+    def _ensure_key_sent(self, conn, epoch, local_t):
+        if (conn.cid, epoch) not in self._keys_sent:
+            self._keys_sent.add((conn.cid, epoch))
+            conn.send(self.device_id, {"kind": "pubkey", "epoch": epoch, "key": "00" * 32})
+
+
+def test_a_small_order_peer_key_is_rejected_and_the_world_runs_on():
+    root = SeedStream(3, "low-order")
+    world = SendLog(ContactTrace([ContactEdge("a", "b", 0, 600)]), root.child("world"))
+    honest, bad = DhClient(root.child("a")), ZeroKeyDhClient(root.child("b"))
+    world.add_device("a", honest)
+    world.add_device("b", bad)
+    world.run()
+    assert honest.rejected_keys == 1
+    assert not honest.wants_connection("b", 600)
+    assert honest.records == [] and honest._pending[("b", 0)].paired_key is None
+    assert any(p["key"] == "00" * 32 for _, _, sender, p in world.sent if sender == "b")
 
 
 class RecordingConn(PipeConn):
