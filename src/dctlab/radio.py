@@ -3,15 +3,16 @@
 Time is integer seconds from the scenario origin. Work runs in a fixed order,
 so a given (scenario, seed) pair always produces the identical event log, byte
 for byte. A scheduled call is a heap entry: a function and the arguments it is
-called with. Scan ticks are kept apart, in buckets: each tick time maps to the
-ticks due then, and the heap holds one marker per bucket. A bucket runs its
-ticks in key order: the edge's first-tick time, latest first, then the edge's
-index in trace.edges. That is the order one heap entry per tick, pushed when
-the edge's previous tick ran, would give.
+called with, ordered by (time, position, order). An edge's next scan tick is
+one such entry, at the tick's key: the edge's first-tick time, latest first,
+then the edge's index in trace.edges, folded into one even integer. So ticks
+due at one time run in the order one entry per tick, each scheduled when the
+edge's previous tick ran, would give, even when a span pushed the tick more
+than one tick ahead.
 
 A call due at a tick time runs among its ticks at a position worked out from
-when it was scheduled, not counted, so a tick can be put back in a bucket at
-any time and still run where that one heap entry per tick would have run it:
+when it was scheduled, not counted; no edge has that position, so a call and
+a tick never tie:
 
 * a call scheduled more than one tick (5 s) before it is due runs after the
   ticks of edges that start then and before every other tick;
@@ -22,14 +23,14 @@ any time and still run where that one heap entry per tick would have run it:
 * calls at one position run in the order they were scheduled, and a call
   scheduled before the first step runs before every tick.
 
-step(until_s) finishes every bucket at or before until_s.
+step(until_s) runs every entry due at or before until_s.
 
 A world with a sink runs every scan tick on its own, since each tick writes
 scan events. A world without one hands an edge's quiet ticks over as one
 span: the tick at t and the n - 1 ticks after it reach each listener as one
 on_sighting(..., ticks=n) and each side of an open connection as one
 on_copresence_tick(peer, n * SCAN_TICK_S, ...), and the edge's next tick is
-put back at t + n * SCAN_TICK_S, at its key. A span's later ticks stop before
+pushed at t + n * SCAN_TICK_S, at its key. A span's later ticks stop before
 the first of:
 
 * the edge's end;
@@ -80,7 +81,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -297,8 +297,6 @@ class World:
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
         self._heap: list = []       # (at, position, order, fn, args)
-        # tick time -> [armed marker's order, next tick, [(key, edge)] by key]
-        self._ticks: dict[int, list] = {}
         self._stride = 0            # of keys, per second of first-tick time
         self._order = 0             # the tie-break of calls at one position
         self._pos = _FIRST          # the position of the work running now
@@ -402,27 +400,8 @@ class World:
             if first < edge.end_s:
                 if first < self.now:
                     raise ConfigurationError("cannot schedule into the past")
-                self._add_tick(first, (self._key(first, idx), edge))
-
-    def _add_tick(self, t: int, tick: tuple) -> None:
-        """Put tick, (key, edge), in bucket t at its key. A new
-        first tick arms a marker at its key; the marker it replaces is stale
-        and does nothing. A bucket changes only before its time."""
-        bucket = self._ticks.get(t)
-        if bucket is None:
-            bucket = self._ticks[t] = [0, 0, []]
-        ticks = bucket[2]
-        if not ticks or tick[0] < ticks[0][0]:
-            self._arm(t, bucket, tick[0])
-        if ticks and tick[0] < ticks[-1][0]:
-            insort(ticks, tick)
-        else:
-            ticks.append(tick)      # the common case: ticks come in key order
-
-    def _arm(self, t: int, bucket: list, key: int) -> None:
-        self._order += 1
-        bucket[0] = self._order
-        heapq.heappush(self._heap, (t, key, self._order, self._run_ticks, (t, self._order)))
+                key = self._key(first, idx)
+                self._push(first, key, self._tick, (key, idx, edge))
 
     def step(self, until_s: int | None = None) -> None:
         """Process all scheduled work at times <= until_s, or all of it when
@@ -445,50 +424,36 @@ class World:
 
     # -- radio behavior -----------------------------------------------------
 
-    def _run_ticks(self, t: int, armed: int) -> None:
-        """Run bucket t's ticks from the next on, if this marker is the armed
-        one. Before each, a call at t placed earlier goes first: the marker
-        is armed again at that tick's key, and returns."""
-        bucket = self._ticks.get(t)
-        if bucket is None or bucket[0] != armed:
-            return
-        _, i, ticks = bucket
-        heap, devices, sink = self._heap, self.devices, self._sink
-        while i < len(ticks):
-            tick = ticks[i]
-            key, edge = tick
-            if heap and heap[0][0] == t and heap[0][1] < key:
-                bucket[1] = i
-                self._arm(t, bucket, key)
-                return
-            i += 1
-            self._pos = key - 1
-            # a clock changes only through a scheduled call, never within a span
-            dev_a, dev_b = devices[edge.a], devices[edge.b]
-            la, lb = t + dev_a.clock_offset_s, t + dev_b.clock_offset_s
-            n = 1 if sink is not None else self._span(t, key, edge, dev_a, la, dev_b, lb)
-            self._deliver_beacon(dev_a, la, dev_b, lb, n)
-            self._deliver_beacon(dev_b, lb, dev_a, la, n)
+    def _tick(self, key: int, idx: int, edge: ContactEdge) -> None:
+        """Run edge's scan tick, or span of ticks, due now, and push its next
+        tick at its key."""
+        t = self.now
+        self._pos = key - 1
+        # a clock changes only through a scheduled call, never within a span
+        dev_a, dev_b = self.devices[edge.a], self.devices[edge.b]
+        la, lb = t + dev_a.clock_offset_s, t + dev_b.clock_offset_s
+        n = 1 if self._sink is not None else self._span(t, idx, edge, dev_a, la, dev_b, lb)
+        self._deliver_beacon(dev_a, la, dev_b, lb, n)
+        self._deliver_beacon(dev_b, lb, dev_a, la, n)
 
-            conn = dev_a.connections.get(edge.b)
-            if conn is None and dev_a.client.wants_connection(edge.b, la) \
-                    and dev_b.client.wants_connection(edge.a, lb):
-                conn = self.open_connection(edge.a, edge.b)
-            if conn is not None and conn.open:
-                dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S * n, la)
-                dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S * n, lb)
+        conn = dev_a.connections.get(edge.b)
+        if conn is None and dev_a.client.wants_connection(edge.b, la) \
+                and dev_b.client.wants_connection(edge.a, lb):
+            conn = self.open_connection(edge.a, edge.b)
+        if conn is not None and conn.open:
+            dev_a.client.on_copresence_tick(edge.b, SCAN_TICK_S * n, la)
+            dev_b.client.on_copresence_tick(edge.a, SCAN_TICK_S * n, lb)
 
-            nxt = t + SCAN_TICK_S * n
-            if nxt < edge.end_s:
-                self._add_tick(nxt, tick)
-            else:
-                # placed as if scheduled by the edge's last tick, which a span may hold
-                self._schedule_touching(
-                    edge.end_s, self._place(edge.end_s, nxt - SCAN_TICK_S, key - 1),
-                    (edge.a, edge.b), self._edge_end, edge)
-        del self._ticks[t]
+        nxt = t + SCAN_TICK_S * n
+        if nxt < edge.end_s:
+            self._push(nxt, key, self._tick, (key, idx, edge))
+        else:
+            # placed as if scheduled by the edge's last tick, which a span may hold
+            self._schedule_touching(
+                edge.end_s, self._place(edge.end_s, nxt - SCAN_TICK_S, key - 1),
+                (edge.a, edge.b), self._edge_end, edge)
 
-    def _span(self, t: int, key: int, edge: ContactEdge, dev_a: Device, la: int,
+    def _span(self, t: int, idx: int, edge: ContactEdge, dev_a: Device, la: int,
               dev_b: Device, lb: int) -> int:
         """How many ticks, from the one at t, edge hands over as one span:
         every later tick lies before each bound the module docstring names."""
@@ -505,7 +470,7 @@ class World:
             busy = self._busy.get(d)
             if busy:
                 end = min(end, busy[0])
-        for first, last in self._interference(key % self._stride // 2 - 1, edge):
+        for first, last in self._interference(idx, edge):
             if last >= t:
                 end = min(end, max(first, t))
         return max(1, -((t - end) // SCAN_TICK_S))

@@ -18,12 +18,12 @@ for scheme_config and Scheme.claim for the fake-claim fields that scheme
 reads, which ATTACK merges into that scheme's attack table. The rules that
 span fields are in the tables too: EDGE, the toy group and the dh config
 run the checks of ContactEdge, GroupParams.toy and DhConfig; a device id
-and a run label may each be declared once. So every run is checked,
-cross-field rules included, before any executes: a bad field raises
-FieldError naming its JSON path, and load_scenario raises it as
-ScenarioError. A table names every key it admits, at every level, so a
-key it does not name, such as a misspelled field, is refused as an unknown
-field, not ignored.
+and a run label may each be declared once; a relay's window may not end
+before it starts. So every run is checked, cross-field rules included,
+before any executes: a bad field raises FieldError naming its JSON path,
+and load_scenario raises it as ScenarioError. A table names every key it
+admits, at every level, so a key it does not name, such as a misspelled
+field, is refused as an unknown field, not ignored.
 
 Outputs per scenario: events.jsonl (every SimEvent of every run, tagged with
 the run label; seq numbers each run's events 1, 2, ...) and metrics.json.
@@ -72,12 +72,23 @@ ANALYSIS = {"linkage": Field(bool, False), "colluding_sp": Field(bool, False),
 # a relay holds at most 8 live connections per relayed victim, as the radio does
 FANOUT = predicate(lambda v, roles: type(v) is int and 0 <= v <= adversary.TWO_WAY_FANOUT_LIMIT,
                    f"expected an integer from 0 to {adversary.TWO_WAY_FANOUT_LIMIT}, got {{!r}}")
+RELAY_WINDOW = ("[start_s, end_s]", Field(clock(natural)), Field(clock(natural)))
+
+
+def _relay_window(value, at, roles):
+    """A relay's [start_s, end_s]: it may be empty, but never ends before it starts."""
+    start, end = check(value, RELAY_WINDOW, at, roles)
+    if end < start:
+        raise fault(at, f"end_s {end} is before start_s {start}")
+    return [start, end]
+
+
 # each kind's fields; _install_attack passes relay's and time_travel's but "kind" as
 # keywords to RelayPair and TimeTravelAttack, so their names are those dataclasses' fields
 ATTACKS = {
     "relay": {"node_a": Field(device), "node_b": Field(device),
               "mode": Field(one_of(("one_way_broadcast", "two_way_realtime"), "relay mode")),
-              "window": Field(("[start_s, end_s]", Field(clock(natural)), Field(clock(natural)))),
+              "window": Field(_relay_window),
               "latency_s": Field(clock(natural), 0), "tick_s": Field(clock(positive), 60),
               "fanout_limit": Field(FANOUT, adversary.TWO_WAY_FANOUT_LIMIT)},
     "time_travel": {"victim": Field(device), "replayer": Field(device),

@@ -33,6 +33,7 @@ Consequences exercised by the adversary lab:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from ..crypto_core import (
@@ -48,10 +49,19 @@ from ..crypto_core import (
     seal_timestamp,
     unb64,
 )
-from ..errors import ConfigurationError, HandshakeError
+from ..errors import ConfigurationError, FieldError, HandshakeError
 from ..radio import SCAN_TICK_S, Connection, DeviceClient, IDENTIFIER_FIELD_LEN
 from ..rng import SeedStream
-from ..schema import passes
+from ..schema import Field, check, passes, predicate
+
+_HEX_BYTES = re.compile("(?:[0-9a-fA-F]{2})*")
+# a pubkey message as a client sends it; validate_public checks the key's
+# length and point. A message that breaks either is a refused key.
+PUBKEY_MESSAGE = {
+    "kind": Field(str), "epoch": Field(int),
+    "key": Field(predicate(lambda v, roles: type(v) is str and _HEX_BYTES.fullmatch(v) is not None,
+                           "expected hex digits, got {!r}")),
+}
 
 
 @dataclass(frozen=True)
@@ -254,6 +264,12 @@ class DhClient(DeviceClient):
 
     def on_message(self, conn: Connection, sender_id: str, payload: dict, local_t: int) -> None:
         if payload.get("kind") != "pubkey":
+            return
+        try:
+            check(payload, PUBKEY_MESSAGE)
+        except FieldError:
+            self.rejected_keys += 1
+            self._aborted_peers.add(sender_id)
             return
         their_epoch = payload["epoch"]
         my_epoch = self.epoch_of(local_t)

@@ -65,7 +65,6 @@ from ..schema import Field, hex_of, natural, passes
 
 DEFAULT_VALIDITY_WINDOW_S = 7200
 DEFAULT_RETENTION_DAYS = 14
-STRICT_VALIDITY_WINDOW_S = 120   # the "fixed" profile
 # a daily key as uploaded, which may not carry published_at: the server stamps it
 TEK_ENTRY = {"tek_hex": Field(hex_of(32)), "day": Field(natural)}
 # a daily key as published in the feed

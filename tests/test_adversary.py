@@ -77,8 +77,8 @@ def test_delayed_replay_inside_two_hour_window_matches():
 
 
 def test_delayed_replay_rejected_by_tight_window_profile():
-    from dctlab.schemes.tek import STRICT_VALIDITY_WINDOW_S
-    metrics = delayed_replay_run(validity_window_s=STRICT_VALIDITY_WINDOW_S)
+    # displaced by ~1 h: refused under a 120 s window, the "fixed" profile
+    metrics = delayed_replay_run(validity_window_s=120)
     assert metrics["false_notifications"] == 0
 
 

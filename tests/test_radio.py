@@ -251,7 +251,7 @@ def test_link_address_follows_clock_across_windows_and_back(irk_linkable):
     assert epochs == [0, 2, 0, 1, 0, 1]
 
 
-# -- reference: one heap entry per edge tick, as the world ran before buckets --
+# -- reference: every edge tick scheduled as a call, one heap entry each --
 
 class HeapWorld(LoggedWorld):
     """Every scan tick is its own heap call, scheduling the edge's next one."""
@@ -393,8 +393,9 @@ def run_plan(world_cls, edges, clients, plan):
 @settings(max_examples=200, deadline=None)
 @given(tick_plans())
 def test_tick_buckets_run_in_per_tick_heap_order(case):
-    """Ticks in buckets, one heap marker each, give the events and the client
-    hook calls that one heap entry per tick gives, across partial steps."""
+    """Ticks pushed to the heap at their keys give the events and the client
+    hook calls that scheduling each tick as a call gives, across partial
+    steps."""
     edges, clients, plan = case
     events, calls, counters = run_plan(LoggedWorld, edges, clients, plan)
     assert (events, calls, counters) == run_plan(HeapWorld, edges, clients, plan)

@@ -328,6 +328,13 @@ def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, ex
      r"runs\[1\]\.scheme_config: min_encounter_s must be below rotation_s"),
     ({"devices": ["a", "b", {"id": "s", "role": "sniffer"}, {"id": "a", "role": "relay"}]},
      r"runs\[1\]\.devices\[3\]: device 'a' is declared twice"),
+    # a reversed window would raise from inside the run (two-way) or copy nothing (one-way)
+    ({"attack": {"kind": "relay", "mode": "two_way_realtime", "node_a": "a", "node_b": "s",
+                 "window": [600, 0]}},
+     r"runs\[1\]\.attack\.window: end_s 0 is before start_s 600"),
+    ({"attack": {"kind": "relay", "mode": "one_way_broadcast", "node_a": "a", "node_b": "s",
+                 "window": [300, 299]}},
+     r"runs\[1\]\.attack\.window: end_s 299 is before start_s 300"),
 ])
 def test_cross_field_rules_are_checked_before_any_run_executes(monkeypatch, bad, expected):
     executed = []

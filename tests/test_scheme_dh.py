@@ -437,26 +437,63 @@ def test_the_example_pairs_by_fallback_then_upgrades_and_derives_once():
     assert len(calls) == sum(len(c.records) for c in clients) < len(eager_calls)
 
 
-class ZeroKeyDhClient(DhClient):
-    """Sends the all-zero X25519 encoding, a small-order point, as its key."""
+class RewritingDhClient(DhClient):
+    """Sends each pubkey message as rewrite(message) makes it."""
+
+    def __init__(self, stream, rewrite):
+        super().__init__(stream)
+        self.rewrite = rewrite
 
     def _ensure_key_sent(self, conn, epoch, local_t):
         if (conn.cid, epoch) not in self._keys_sent:
             self._keys_sent.add((conn.cid, epoch))
-            conn.send(self.device_id, {"kind": "pubkey", "epoch": epoch, "key": "00" * 32})
+            message = {"kind": "pubkey", "epoch": epoch, "key": self.keypair(epoch).public.hex()}
+            conn.send(self.device_id, self.rewrite(message))
+
+
+def run_against(rewrite):
+    """An honest client "a" beside "b", whose pubkey messages rewrite makes."""
+    root = SeedStream(3, "low-order")
+    world = SendLog(ContactTrace([ContactEdge("a", "b", 0, 600)]), root.child("world"))
+    honest = DhClient(root.child("a"))
+    world.add_device("a", honest)
+    world.add_device("b", RewritingDhClient(root.child("b"), rewrite))
+    world.run()
+    return honest, world
 
 
 def test_a_small_order_peer_key_is_rejected_and_the_world_runs_on():
-    root = SeedStream(3, "low-order")
-    world = SendLog(ContactTrace([ContactEdge("a", "b", 0, 600)]), root.child("world"))
-    honest, bad = DhClient(root.child("a")), ZeroKeyDhClient(root.child("b"))
-    world.add_device("a", honest)
-    world.add_device("b", bad)
-    world.run()
+    # the all-zero X25519 encoding is a small-order point
+    honest, world = run_against(lambda message: {**message, "key": "00" * 32})
     assert honest.rejected_keys == 1
     assert not honest.wants_connection("b", 600)
     assert honest.records == [] and honest._pending[("b", 0)].paired_key is None
     assert any(p["key"] == "00" * 32 for _, _, sender, p in world.sent if sender == "b")
+
+
+def _without(name):
+    return lambda message: {k: v for k, v in message.items() if k != name}
+
+
+@pytest.mark.parametrize("rewrite", [
+    lambda m: {**m, "key": "zz"},
+    lambda m: {**m, "key": m["key"][1:]},      # an odd number of hex digits
+    lambda m: {**m, "key": m["key"][:2] + " " + m["key"][2:]},
+    lambda m: {**m, "key": 5},
+    lambda m: {**m, "epoch": "0"},
+    lambda m: {**m, "epoch": 0.5},
+    lambda m: {**m, "epoch": True},
+    _without("epoch"),
+    _without("key"),
+    lambda m: {**m, "note": "hi"},
+], ids=["non-hex key", "odd key", "spaced key", "int key", "str epoch", "float epoch",
+        "bool epoch", "no epoch", "no key", "unknown field"])
+def test_a_malformed_pubkey_message_is_rejected_and_the_world_runs_on(rewrite):
+    honest, world = run_against(rewrite)
+    assert any(sender == "b" for _, _, sender, _ in world.sent)
+    assert honest.rejected_keys == 1
+    assert not honest.wants_connection("b", 600)
+    assert honest.records == [] and honest._peer_keys == {}
 
 
 class RecordingConn(PipeConn):
