@@ -84,7 +84,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import CapabilityError, ConfigurationError
+from .errors import CapabilityError, ConfigurationError, ProtocolError
 from .rng import SeedStream
 
 SCAN_TICK_S = 5
@@ -167,6 +167,20 @@ class ContactTrace:
         return {e.b if e.a == device else e.a for e in self._by_device.get(device, ())}
 
 
+_quote = json.encoder.encode_basestring_ascii
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _value(v) -> str:
+    """v as JSON: a str quoted, an exact int (not a bool) by its repr, anything
+    else through the one shared encoder."""
+    if type(v) is str:
+        return _quote(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    return _encode(v)
+
+
 @dataclass
 class SimEvent:
     at_s: int
@@ -175,11 +189,17 @@ class SimEvent:
     payload: dict
 
     def to_json_line(self, run: str | None = None) -> str:
-        """The event's events.jsonl line; tagged with the run label when given."""
-        doc = {"at": self.at_s, "seq": self.seq, "kind": self.kind, "payload": self.payload}
-        if run is not None:
-            doc["run"] = run
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """The event's events.jsonl line, tagged with the run label when given:
+        the JSON object {"at", "kind", "payload", "run", "seq"}, keys sorted at
+        every level, no whitespace, every non-ASCII character written as a
+        \\uXXXX escape. That is json.dumps(..., sort_keys=True,
+        separators=(",", ":")) byte for byte, built here without its per-call
+        encoder; a value json.dumps refuses raises the same TypeError. Payload
+        keys are str."""
+        body = ",".join([_quote(k) + ":" + _value(v) for k, v in sorted(self.payload.items())])
+        run_field = "" if run is None else '"run":' + _value(run) + ","
+        return (f'{{"at":{_value(self.at_s)},"kind":{_value(self.kind)},"payload":{{{body}}},'
+                f'{run_field}"seq":{_value(self.seq)}}}')
 
 
 class DeviceClient:
@@ -570,6 +590,15 @@ class World:
         self.devices[conn.b].client.on_disconnect(conn, self.local_time(conn.b))
 
     def send(self, conn: Connection, sender_id: str, payload: dict) -> None:
+        """Deliver payload to sender_id's peer after the connection's latency.
+        A payload must be a dict whose "kind", when present, is a str: the
+        message event reads it. Any other is refused before it is scheduled."""
+        if not isinstance(payload, dict):
+            raise ProtocolError(f"{sender_id} sent a message payload that is not an object: "
+                                f"{type(payload).__name__}")
+        if not isinstance(payload.get("kind", ""), str):
+            raise ProtocolError(f"{sender_id} sent a message whose kind is not a string: "
+                                f"{type(payload['kind']).__name__}")
         at = self.now + conn.latency_s
         if at < self.now:
             raise ConfigurationError("cannot schedule into the past")

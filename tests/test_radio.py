@@ -1,10 +1,12 @@
+import json
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dctlab.errors import CapabilityError, ConfigurationError
+from dctlab.errors import CapabilityError, ConfigurationError, ProtocolError
 from dctlab.radio import (
     LINK_ADDR_LEN,
     MAX_CONNECTIONS,
@@ -13,6 +15,7 @@ from dctlab.radio import (
     ContactEdge,
     ContactTrace,
     DeviceClient,
+    SimEvent,
     World,
 )
 from dctlab.rng import SeedStream
@@ -136,6 +139,25 @@ def test_messages_delivered_with_latency():
     conn.send("a", {"kind": "ping", "n": 1})
     world.run()
     assert cb.inbox == [("a", {"kind": "ping", "n": 1}, 7)]
+
+
+@pytest.mark.parametrize("payload", [["pubkey"], "pubkey", None, 5,
+                                     {"kind": 5}, {"kind": None}, {"kind": b"pubkey"}])
+def test_a_message_that_is_not_an_object_with_a_string_kind_is_refused_unscheduled(payload):
+    world = make_world([ContactEdge("a", "b", 0, 100)])
+    ca, cb = Chatty(), Chatty()
+    world.add_device("a", ca)
+    world.add_device("b", cb)
+    world.step(0)
+    conn = world.devices["a"].connections["b"]
+    pending = len(world._heap)
+    with pytest.raises(ProtocolError, match="^a sent a message"):
+        conn.send("a", payload)
+    assert len(world._heap) == pending
+    conn.send("a", {"n": 1})     # no kind: the message event says "data"
+    world.run()
+    assert cb.inbox == [("a", {"n": 1}, 0)]
+    assert [e.payload["kind"] for e in world.log if e.kind == "message"] == ["data"]
 
 
 def test_connection_closed_at_contact_end():
@@ -597,3 +619,44 @@ def test_a_span_never_holds_a_tick_past_step_until():
     assert world.long_spans > 0
     assert seen == [[[0, 200, 0]], [[0, 205, 0]], [[0, 205, 0], [210, 595, 0]]]
     assert seen == run(HeapWorld)[0]
+
+
+def reference_json_line(event, run):
+    """The events.jsonl line as one json.dumps call per event wrote it."""
+    doc = {"at": event.at_s, "seq": event.seq, "kind": event.kind, "payload": event.payload}
+    if run is not None:
+        doc["run"] = run
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# all of Unicode, lone surrogates included, with what JSON must escape made common
+json_text = st.text(st.one_of(st.characters(exclude_categories=()),
+                              st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff')),
+                    max_size=12)
+json_ints = st.one_of(st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 200),
+                      st.integers(min_value=-2 ** 200, max_value=-2 ** 63))
+json_floats = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+json_values = st.recursive(
+    st.one_of(json_text, json_ints, st.booleans(), st.none(), json_floats),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(json_text, kids, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(at=json_ints, seq=json_ints, kind=json_text,
+       payload=st.dictionaries(json_text, json_values, max_size=6),
+       run=st.none() | json_text)
+def test_an_event_line_is_the_one_json_dumps_writes(at, seq, kind, payload, run):
+    event = SimEvent(at, seq, kind, payload)
+    assert event.to_json_line(run) == reference_json_line(event, run)
+
+
+@pytest.mark.parametrize("payload", [{"id": b"\x00"}, {"ids": [1, b"\x00"]},
+                                     {"at": {"x": bytearray(b"1")}}])
+def test_an_event_value_json_dumps_refuses_raises_the_same_type_error(payload):
+    event = SimEvent(0, 1, "scan", payload)
+    with pytest.raises(TypeError) as want:
+        reference_json_line(event, "r")
+    with pytest.raises(TypeError) as got:
+        event.to_json_line("r")
+    assert str(got.value) == str(want.value)
