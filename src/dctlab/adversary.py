@@ -16,13 +16,26 @@ of its registry ("user:..."), and a DH pseudonym nothing past its rotation
 window, so DH gets no map and sightings group by beacon payload
 ("beacon:...").
 
-Neither analysis keeps the sightings it reads. Linkage keeps one summary per
-owner label, [first_at, last_at, count], which gives every figure a track
-has: how many, how long, how many sightings. The social graph sweeps each
-sniffer's timeline once, in time order, keeping the owners it heard within
-the last CO_SIGHT_WINDOW_S; each sighting pairs its owner with those, so
-its cost follows the sightings and the owners heard together, not every
-pair of owners. Neither depends on the order the observations come in.
+A sniffer keeps what it hears as runs, SnifferObservation(identifier,
+first_at, last_at, sniffer_id): sightings of one identifier one scan tick
+apart, first_at, first_at + SCAN_TICK_S, ..., last_at, on the attacker's
+(global) clock. A sighting one tick after its identifier's last run extends
+that run; a duplicate, or any other gap, starts a new one, as SightingLog
+merges a TEK client's runs. So a sniffer takes the radio's spans, and a run
+of ticks sightings stands for them one by one.
+
+Neither analysis keeps the runs it reads. Linkage keeps one summary per
+owner label, [first_at, last_at, count], where count adds up the ticks of
+the label's runs: every figure a track has, how many, how long, how many
+sightings. The social graph sweeps each sniffer's runs once, by first_at,
+keeping for each owner the last tick heard of it so far. Two owners met when
+one's run, widened by CO_SIGHT_WINDOW_S on each side, meets a tick of the
+other's. On runs of ticks SCAN_TICK_S apart that is the per-sighting rule,
+two sightings at most CO_SIGHT_WINDOW_S apart: a tick of one run inside the
+other's [first_at, last_at] lies within SCAN_TICK_S / 2 of one of its ticks,
+and a tick outside it is nearest to first_at or last_at. So its cost follows
+the runs and the owners heard together, not every pair of owners. Neither
+depends on the order the runs come in.
 
 Every attack is deterministic under the scenario seed: outcomes are counts,
 not probabilities.
@@ -30,11 +43,11 @@ not probabilities.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from dataclasses import dataclass
 
 from .crypto_core import DAY_S, DH_FEED_ENTRY, IDENTIFIER_SLOT_S, b64
-from .radio import LINK_ADDR_LEN, DeviceClient, World
+from .radio import LINK_ADDR_LEN, SCAN_TICK_S, DeviceClient, World
 from .rng import SeedStream
 from .schema import CLOCK_LIMIT_S, passes
 from .schemes.tek import PublishedTekIndex, SightingLog, match_exposures
@@ -48,35 +61,69 @@ CO_SIGHT_WINDOW_S = IDENTIFIER_SLOT_S   # two owners heard this close together m
 # Passive sniffing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SnifferObservation:
-    at: int              # attacker clock == global time
+    """A run: identifier heard by sniffer_id at first_at, first_at +
+    SCAN_TICK_S, ..., last_at, on the attacker's clock (global time)."""
+
     identifier: bytes
+    first_at: int
+    last_at: int
     sniffer_id: str
+
+    @property
+    def ticks(self) -> int:
+        return (self.last_at - self.first_at) // SCAN_TICK_S + 1
 
 
 class SnifferClient(DeviceClient):
-    """Passive collector: hears everything in range, emits nothing."""
+    """Passive collector: hears everything in range, emits nothing. Its runs
+    are merged as the module docstring says, in the order they began."""
 
     def __init__(self):
-        self.observations: list[SnifferObservation] = []
+        self.runs: list[SnifferObservation] = []
+        self._last: dict[bytes, SnifferObservation] = {}    # identifier -> its last run
 
     def advertisement_identifier(self, local_t):
         return None   # never advertises
 
+    def quiet_until(self, peer_id, local_t):
+        return math.inf     # it beacons nothing, and a span only extends or starts a run
+
     def on_sighting(self, identifier, local_t, global_t, ticks=1):
-        # a client without quiet_until is handed one tick at a time
-        self.observations.append(SnifferObservation(global_t, identifier, self.device_id))
+        last_at = global_t + SCAN_TICK_S * (ticks - 1)
+        run = self._last.get(identifier)
+        if run is not None and run.last_at == global_t - SCAN_TICK_S:
+            run.last_at = last_at
+        else:
+            run = self._last[identifier] = SnifferObservation(identifier, global_t, last_at,
+                                                              self.device_id)
+            self.runs.append(run)
+
+
+class RelayNode(DeviceClient):
+    """One end of a relay: it beacons and keeps nothing. install_relay's
+    scheduled calls do its work, and every span stops before them."""
+
+    def quiet_until(self, peer_id, local_t):
+        return math.inf
 
 
 class ReplayClient(DeviceClient):
-    """Attack-controlled beacon; broadcasts whatever the attack armed it with."""
+    """Attack-controlled beacon; broadcasts whatever the attack armed it with.
+    That may be another device's identifier, so the radio runs no span of an
+    edge near it past the ticks of another (copies_beacons)."""
+
+    copies_beacons = True
 
     def __init__(self):
         self.payload: bytes | None = None
 
     def advertisement_identifier(self, local_t):
         return self.payload
+
+    def quiet_until(self, peer_id, local_t):
+        return math.inf     # only a scheduled call arms it, and such a call ends every span
 
 
 # ---------------------------------------------------------------------------
@@ -231,40 +278,40 @@ def install_time_travel(world: World, server: TracingServer, attack: TimeTravelA
 # Linkage analysis
 # ---------------------------------------------------------------------------
 
-def _attributed(observations: list[SnifferObservation], owners: dict[bytes, str]):
-    """(label, observation) for each sighting that owners attributes."""
-    for o in observations:
-        label = owners.get(o.identifier)
+def _attributed(runs: list[SnifferObservation], owners: dict[bytes, str]):
+    """(label, run) for each run whose identifier owners attributes."""
+    for run in runs:
+        label = owners.get(run.identifier)
         if label is not None:
-            yield label, o
+            yield label, run
 
 
-def run_linkage(observations: list[SnifferObservation],
-                owners: dict[bytes, str] | None = None) -> dict:
+def run_linkage(runs: list[SnifferObservation], owners: dict[bytes, str] | None = None) -> dict:
     """How far sniffed sightings link into per-device movement tracks.
 
     owners maps identifier bytes to the track label an adversary can attach
-    to them; sightings it does not hold are dropped. A published daily key
+    to them; runs it does not attribute are dropped. A published daily key
     attributes all 144 of its identifiers, so its track spans the whole day;
     a colluding centralized provider attributes every identifier it issued
     or can derive to its user. Without an owner map, sightings group by
     identical beacon payload, which rotates per window, so no track can
     outlive one rotation period. A track is summed up as its label's
-    [first_at, last_at, count], whatever order the sightings come in.
+    [first_at, last_at, count], count being the ticks of its runs, whatever
+    order the runs come in.
     """
     if owners is None:
-        owners = {o.identifier: f"beacon:{o.identifier.hex()[:16]}" for o in observations}
+        owners = {run.identifier: f"beacon:{run.identifier.hex()[:16]}" for run in runs}
     spans: dict[str, list[int]] = {}     # label -> [first_at, last_at, count]
-    for label, o in _attributed(observations, owners):
+    for label, run in _attributed(runs, owners):
         span = spans.get(label)
         if span is None:
-            spans[label] = [o.at, o.at, 1]
+            spans[label] = [run.first_at, run.last_at, run.ticks]
             continue
-        if o.at < span[0]:
-            span[0] = o.at
-        elif o.at > span[1]:
-            span[1] = o.at
-        span[2] += 1
+        if run.first_at < span[0]:
+            span[0] = run.first_at
+        if run.last_at > span[1]:
+            span[1] = run.last_at
+        span[2] += run.ticks
     return {"tracks": len(spans),
             "max_track_duration_s": max((last - first for first, last, _ in spans.values()),
                                         default=0),
@@ -308,12 +355,17 @@ def fake_claim_dh(server: TracingServer, stream: SeedStream, guesses: int = 32) 
 
 
 def fake_claim_centralized(server: TracingServer, claimant_device: str,
-                           observations: list[SnifferObservation]) -> dict:
+                           runs: list[SnifferObservation]) -> dict:
     """An authenticated (infected) claimant uploads sniffed identifiers of
-    people it never met; the server cannot tell them from honest records."""
+    people it never met; the server cannot tell them from honest records.
+    Each sighting is one record: the runs are expanded into their ticks, in
+    time order, and ticks heard at one time in the order their runs began."""
     tan = server.issue_tan(claimant_device)
-    records = [{"id_hex": o.identifier.hex(), "first_seen": o.at, "last_seen": o.at + 60}
-               for o in observations]
+    ticks = sorted(((at, run.identifier) for run in runs
+                    for at in range(run.first_at, run.last_at + 1, SCAN_TICK_S)),
+                   key=lambda tick: tick[0])
+    records = [{"id_hex": ident.hex(), "first_seen": at, "last_seen": at + 60}
+               for at, ident in ticks]
     ack = server.accept_upload({"scheme": "centralized", "tan": tan.value,
                                 "records": records})
     return {"accepted": ack["matched_users"] > 0,
@@ -324,7 +376,7 @@ def fake_claim_centralized(server: TracingServer, claimant_device: str,
 # Social graph extraction
 # ---------------------------------------------------------------------------
 
-def run_social_graph(server: TracingServer, observations: list[SnifferObservation],
+def run_social_graph(server: TracingServer, runs: list[SnifferObservation],
                      owners: dict[bytes, str] | None) -> dict:
     """What an adversarial provider can learn about who met whom.
 
@@ -337,19 +389,18 @@ def run_social_graph(server: TracingServer, observations: list[SnifferObservatio
     """
     edges = {tuple(sorted((m["uploader_device"], m["contact_device"])))
              for m in server.match_history}
-    heard_by: dict[str, list[tuple[int, str]]] = {}
-    for label, o in _attributed(observations, owners or {}):
-        heard_by.setdefault(o.sniffer_id, []).append((o.at, label))
-    # one sweep along each sniffer's timeline: a sighting pairs its owner with
-    # every other owner that sniffer heard in the window before it
+    heard_by: dict[str, list[tuple[int, int, str]]] = {}
+    for label, run in _attributed(runs, owners or {}):
+        heard_by.setdefault(run.sniffer_id, []).append((run.first_at, run.last_at, label))
+    # one sweep along each sniffer's runs by first_at: an earlier run met this
+    # one when its last tick is at most CO_SIGHT_WINDOW_S before this first one
     for heard in heard_by.values():
-        recent: OrderedDict[str, int] = OrderedDict()     # label -> when last heard, oldest first
-        for at, label in sorted(heard):
-            while recent and next(iter(recent.values())) < at - CO_SIGHT_WINDOW_S:
-                recent.popitem(last=False)
+        recent: dict[str, int] = {}     # label -> its last tick heard so far
+        for first, last, label in sorted(heard):
+            recent = {other: end for other, end in recent.items()
+                      if end >= first - CO_SIGHT_WINDOW_S}
             edges.update((min(label, other), max(label, other)) for other in recent
                          if other != label)
-            recent[label] = at
-            recent.move_to_end(label)
+            recent[label] = max(last, recent.get(label, last))
     return {"recovered_edges": sorted(list(e) for e in edges),
             "recovered_edge_count": len(edges)}

@@ -55,7 +55,7 @@ from .schemes.tek import PublishedTekIndex, TekClient
 from .server import TracingServer
 
 SYNC_DELAY_S = 60
-ROLE_CLIENTS = {"sniffer": adversary.SnifferClient, "relay": DeviceClient,
+ROLE_CLIENTS = {"sniffer": adversary.SnifferClient, "relay": adversary.RelayNode,
                 "replayer": adversary.ReplayClient}
 MODE = one_of((MODE_ANONYMOUS, MODE_PHONE), "mode")
 SNIFFER = has_role("sniffer")
@@ -384,7 +384,7 @@ SCHEMES = {
         clients=lambda state, stream: lambda dev: CentralizedClient(
             state.server.registry, mode=dev["mode"] or state.sconf["mode"], phone=dev["phone"]),
         fake_claim=lambda state, attack, stream: adversary.fake_claim_centralized(
-            state.server, attack["claimant"], state.clients[attack["source_sniffer"]].observations),
+            state.server, attack["claimant"], state.clients[attack["source_sniffer"]].runs),
         start=_start_centralized, superspreader=_match_history_count, owners=lambda state: None),
     "tek": Scheme(
         config={"rotation_s": Field(positive, 600), **SHARED_CONFIG,
@@ -425,10 +425,10 @@ SCENARIO = {"id": Field(str), "description": Field(str, None), "seed": Field(int
             "runs": Field(_runs)}
 
 
-def _sniffer_observations(state: _RunState) -> list[adversary.SnifferObservation]:
+def _sniffer_runs(state: _RunState) -> list[adversary.SnifferObservation]:
     # in no set order: neither analysis depends on it
-    return [o for client in state.clients.values() if isinstance(client, adversary.SnifferClient)
-            for o in client.observations]
+    return [run for client in state.clients.values()
+            if isinstance(client, adversary.SnifferClient) for run in client.runs]
 
 
 def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
@@ -459,7 +459,7 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
         metrics["superspreader"] = state.superspreader
 
     if analysis["linkage"] or analysis["social_graph"]:
-        observations = _sniffer_observations(state)
+        runs = _sniffer_runs(state)
         owners = SCHEMES[state.scheme].owners(state)
 
     rotation_s = state.sconf["rotation_s"]
@@ -469,11 +469,11 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
             # the provider attributes every identifier of every user it registered
             last = run_cfg["duration_s"] // rotation_s + 1
             linkable = {ident: f"user:{u}" for ident, u in registry.owners(0, last).items()}
-        metrics["linkage"] = dict(adversary.run_linkage(observations, linkable),
+        metrics["linkage"] = dict(adversary.run_linkage(runs, linkable),
                                   rotation_s=rotation_s)
 
     if analysis["social_graph"]:
-        graph = adversary.run_social_graph(state.server, observations, owners)
+        graph = adversary.run_social_graph(state.server, runs, owners)
         roles = {d["id"]: d["role"] for d in run_cfg["devices"]}
         truth = sorted(
             sorted((r, c)) for r in state.reporters

@@ -101,7 +101,7 @@ class DhExposure:
                 "window": self.window_index}
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingEncounter:
     """Handshake in flight for one (peer, rotation window). The peer key it
     pairs with is chosen as soon as one is known: paired_key, the key the
@@ -234,9 +234,12 @@ class DhClient(DeviceClient):
         self.handshake(conn, local_t)
 
     def on_disconnect(self, conn: Connection, local_t: int) -> None:
+        """Forget the connection. The keys sent over it are never read again:
+        a cid is not reused, and no message is delivered on a closed one."""
         peer = conn.peer_of(self.device_id)
         if self._conns.get(peer) is conn:
             del self._conns[peer]
+        self._keys_sent = {sent for sent in self._keys_sent if sent[0] != conn.cid}
 
     def handshake(self, conn: Connection, local_t: int) -> PendingEncounter | EncounterRecord:
         """Start (or continue) the two-way exchange for the current rotation

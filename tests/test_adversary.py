@@ -1,6 +1,7 @@
 """Attack-model tests, including the randomized one-way-relay sweep."""
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from dctlab import adversary
 from dctlab.crypto_core import DAY_S, Tek, derive_centralized_id, derive_day_identifiers
+from dctlab.radio import SCAN_TICK_S
 from dctlab.rng import SeedStream
 from dctlab.cli import builtin_scenario
 from dctlab.scenario import execute_run
@@ -109,16 +111,26 @@ def tek_owners(published):
     return {ident: f"tek:{tek_hex[:16]}" for ident, (tek_hex, _) in index.by_identifier.items()}
 
 
-def make_obs(at, ident, sniffer="sn1"):
-    return adversary.SnifferObservation(at, ident, sniffer)
+def make_run(first, ident, sniffer="sn1", ticks=1):
+    """A sniffer's run of ticks sightings of ident, one scan tick apart from first."""
+    return adversary.SnifferObservation(ident, first, first + SCAN_TICK_S * (ticks - 1), sniffer)
+
+
+Sighting = namedtuple("Sighting", "at identifier sniffer_id")
+
+
+def expand(runs):
+    """Each run as its sightings, one per tick: what the per-sighting references read."""
+    return [Sighting(at, run.identifier, run.sniffer_id) for run in runs
+            for at in range(run.first_at, run.last_at + 1, SCAN_TICK_S)]
 
 
 def test_linkage_groups_only_published_material():
     tek = Tek(SeedStream(1, "t").take(16), 0)
     other = Tek(SeedStream(2, "t").take(16), 0)
     ids = derive_day_identifiers(tek)
-    observations = [make_obs(1000, ids[1]), make_obs(50000, ids[83]),
-                    make_obs(2000, derive_day_identifiers(other)[3])]
+    observations = [make_run(1000, ids[1]), make_run(50000, ids[83]),
+                    make_run(2000, derive_day_identifiers(other)[3])]
     report = adversary.run_linkage(observations, tek_owners([tek]))
     assert report["tracks"] == 1
     assert report["max_track_duration_s"] == 49000
@@ -133,7 +145,7 @@ def test_linkage_tracks_partition_attributed_sightings():
     observations = []
     for tek, base in ((tek_a, 0), (tek_b, 40000)):
         for k in (0, 5, 9):
-            observations.append(make_obs(base + k * 600, derive_day_identifiers(tek)[k]))
+            observations.append(make_run(base + k * 600, derive_day_identifiers(tek)[k]))
     report = adversary.run_linkage(
         observations, tek_owners([tek_a, tek_b]))
     assert report["tracks"] == 2 and report["max_track_sightings"] == 3
@@ -143,17 +155,31 @@ def test_linkage_tracks_partition_attributed_sightings():
 
 
 def test_dh_pseudonym_grouping_bounded_by_rotation():
-    observations = [make_obs(t, b"\x01" * 16) for t in range(0, 895, 5)]
-    observations += [make_obs(t, b"\x02" * 16) for t in range(900, 1795, 5)]
+    observations = [make_run(0, b"\x01" * 16, ticks=179), make_run(900, b"\x02" * 16, ticks=179)]
     report = adversary.run_linkage(observations)
     assert report["tracks"] == 2
     assert report["max_track_duration_s"] <= 900
+    assert report["max_track_sightings"] == 179
 
 
 def test_sniffer_emits_no_radio_traffic():
     client = adversary.SnifferClient()
     assert client.advertisement_identifier(0) is None
     assert client.wants_connection("anyone", 0) is False
+
+
+def test_a_sniffer_merges_runs_as_the_sighting_log_does():
+    client = adversary.SnifferClient()
+    client.device_id = "sn"
+    client.on_sighting(A, 7, 100, ticks=3)      # 100, 105, 110
+    client.on_sighting(B, 7, 105)
+    client.on_sighting(A, 7, 115, ticks=2)      # one tick on: the run goes on to 120
+    client.on_sighting(A, 7, 120)               # a duplicate starts a new run
+    client.on_sighting(B, 7, 115)               # a gap starts a new run
+    client.on_sighting(A, 7, 125, ticks=4)      # extends the newest run of A
+    assert [(r.identifier, r.first_at, r.last_at, r.ticks, r.sniffer_id) for r in client.runs] \
+        == [(A, 100, 120, 5, "sn"), (B, 105, 105, 1, "sn"), (A, 120, 140, 5, "sn"),
+            (B, 115, 115, 1, "sn")]
 
 
 def test_fake_claim_against_empty_feed_fails():
@@ -248,9 +274,9 @@ def test_registry_owners_match_the_reference_lookup(variant):
         end = DAY_S + 3600 if i < 2 else DAY_S - 900
         for start in range(DAY_S - 3600, end, registry.rotation_s):
             ident = client.advertisement_identifier(start)
-            observations.append(make_obs(start + 10 * i, ident, f"sn{i % 2}"))
-    observations.append(make_obs(DAY_S, b"\x07" * 16))    # nobody's identifier
-    observations.sort(key=lambda o: (o.at, o.sniffer_id, o.identifier))
+            observations.append(make_run(start + 10 * i, ident, f"sn{i % 2}", ticks=1 + i))
+    observations.append(make_run(DAY_S, b"\x07" * 16))    # nobody's identifier
+    observations.sort(key=lambda o: (o.first_at, o.sniffer_id, o.identifier))
     per_day = DAY_S // registry.rotation_s
     for lo, hi in ((0, 2 * per_day), (per_day - 2, per_day + 1), (per_day, per_day), (5, 3)):
         expected = {}
@@ -261,7 +287,7 @@ def test_registry_owners_match_the_reference_lookup(variant):
                     expected[ident] = user_id
         assert registry.owners(lo, hi) == expected
         report = adversary.run_linkage(observations, user_owners(registry, lo, hi))
-        assert report == reference_colluding_linkage(observations, registry, (lo, hi))
+        assert report == reference_colluding_linkage(expand(observations), registry, (lo, hi))
     full = adversary.run_linkage(observations, user_owners(registry, 0, 2 * per_day))
     assert full["tracks"] == 3 and full["max_track_duration_s"] > 3600
 
@@ -271,9 +297,9 @@ def test_colluding_linkage_in_a_run_matches_the_reference(monkeypatch, variant):
     seen = {}
     run_linkage, owners = adversary.run_linkage, CentralRegistry.owners
 
-    def linkage_spy(observations, owners=None):
-        seen["observations"] = observations
-        seen["report"] = run_linkage(observations, owners)
+    def linkage_spy(runs, owners=None):
+        seen["runs"] = runs
+        seen["report"] = run_linkage(runs, owners)
         return seen["report"]
 
     def owners_spy(registry, lo, hi):
@@ -287,7 +313,7 @@ def test_colluding_linkage_in_a_run_matches_the_reference(monkeypatch, variant):
                scheme_config={"variant": variant, "mode": "anonymous"})
     metrics = execute_run(run, SeedStream(2, "collude"))
     assert seen["windows"] == (0, run["duration_s"] // 900 + 1)
-    reference = reference_colluding_linkage(seen["observations"], seen["registry"],
+    reference = reference_colluding_linkage(expand(seen["runs"]), seen["registry"],
                                             seen["windows"])
     assert seen["report"] == reference
     assert metrics["linkage"]["tracks"] == reference["tracks"] == 2
@@ -365,52 +391,67 @@ def server_with(history):
                                           for u, c in history])
 
 
-observation = st.builds(
-    adversary.SnifferObservation,
-    # multiples of 300 s land on the window's edges; the rest fall anywhere
+run = st.builds(
+    make_run,
+    # multiples of 300 s land on the window's edges; the rest fall anywhere, off
+    # the 5 s grid too, as a relay's injected beacons do
     st.integers(0, 8).map(lambda k: 300 * k) | st.integers(0, 2500),
-    st.sampled_from([A, B, C, D, E]), st.sampled_from(["sn1", "sn2", "sn3"]))
+    st.sampled_from([A, B, C, D, E]), st.sampled_from(["sn1", "sn2", "sn3"]),
+    # most runs are short; a long one holds a whole window and more
+    st.sampled_from([1, 1, 2, 3]) | st.integers(1, 400))
 owner_map = st.none() | st.dictionaries(st.sampled_from([A, B, C, D]),
                                         st.sampled_from(["a", "b", "c"]))
 history = st.lists(st.tuples(st.sampled_from("abxy"), st.sampled_from("abxy")), max_size=3)
 
 # each case names what a sweep or a summary could get wrong
 CASES = [
-    ([make_obs(0, A), make_obs(600, B)], OWNERS, []),                   # exactly 600 s apart
-    ([make_obs(0, A), make_obs(601, B)], OWNERS, []),                   # one second too far
+    ([make_run(0, A), make_run(600, B)], OWNERS, []),                   # exactly 600 s apart
+    ([make_run(0, A), make_run(601, B)], OWNERS, []),                   # one second too far
     # "a" is heard by two sniffers; "b" is near it in time only on the other one
-    ([make_obs(0, A, "sn1"), make_obs(1000, A, "sn2"), make_obs(1000, B, "sn1")], OWNERS, []),
-    ([make_obs(0, A), make_obs(500, C), make_obs(1000, B)], OWNERS, []),  # A, C: one owner
-    ([make_obs(0, A), make_obs(500, A), make_obs(1050, B)], OWNERS, []),  # heard again, still near
+    ([make_run(0, A, "sn1"), make_run(1000, A, "sn2"), make_run(1000, B, "sn1")], OWNERS, []),
+    ([make_run(0, A), make_run(500, C), make_run(1000, B)], OWNERS, []),  # A, C: one owner
+    ([make_run(0, A), make_run(500, A), make_run(1050, B)], OWNERS, []),  # heard again, still near
     # heard again, "a" is newer than "b": "b" must leave the window before "a" does
-    ([make_obs(0, A), make_obs(100, B), make_obs(500, A), make_obs(750, D)], OWNERS, []),
+    ([make_run(0, A), make_run(100, B), make_run(500, A), make_run(750, D)], OWNERS, []),
     # unsorted: on sn1 "b" came 1000 s after "a"
-    ([make_obs(1000, B), make_obs(700, A, "sn2"), make_obs(0, A)], OWNERS, []),
+    ([make_run(1000, B), make_run(700, A, "sn2"), make_run(0, A)], OWNERS, []),
     # an empty map attributes nothing; without one, linkage groups by beacon
-    ([make_obs(0, A), make_obs(10, B), make_obs(20, E)], {}, HISTORY),
-    ([make_obs(0, A), make_obs(10, B), make_obs(20, E)], None, HISTORY),
+    ([make_run(0, A), make_run(10, B), make_run(20, E)], {}, HISTORY),
+    ([make_run(0, A), make_run(10, B), make_run(20, E)], None, HISTORY),
+    # runs: "b" 600 s after a run of "a" that ends at 500, and one second more
+    ([make_run(0, A, ticks=101), make_run(1100, B)], OWNERS, []),
+    ([make_run(0, A, ticks=101), make_run(1101, B)], OWNERS, []),
+    # "b" heard once, off the grid, inside a long run of "a" that began far earlier
+    ([make_run(0, A, ticks=400), make_run(1502, B)], OWNERS, []),
+    # a long run of "c" began first and ends last; "b" comes after a short "a"
+    ([make_run(0, D, ticks=400), make_run(10, A), make_run(1900, B)], OWNERS, []),
+    # one owner's runs overlap; the later one ends first
+    ([make_run(0, A, ticks=300), make_run(100, C, ticks=2), make_run(2000, B)], OWNERS, []),
 ]
 
 
 def with_cases(history: bool):
     """CASES as @examples; the match history goes only to a test that draws one."""
     def decorate(test):
-        for observations, owners, past in CASES:
-            test = example(observations=observations, owners=owners,
+        for runs, owners, past in CASES:
+            test = example(runs=runs, owners=owners,
                            **({"past": past} if history else {}))(test)
         return test
     return decorate
 
 
 @with_cases(history=False)
-@given(observations=st.lists(observation, max_size=25), owners=owner_map)
-def test_linkage_summary_matches_the_track_reference(observations, owners):
-    assert adversary.run_linkage(observations, owners) == reference_linkage(observations, owners)
+@given(runs=st.lists(run, max_size=25), owners=owner_map)
+def test_linkage_summary_matches_the_track_reference(runs, owners):
+    """The per-run summary against the per-sighting reference, fed each run's ticks."""
+    assert adversary.run_linkage(runs, owners) == reference_linkage(expand(runs), owners)
 
 
 @with_cases(history=True)
-@given(observations=st.lists(observation, max_size=25), owners=owner_map, past=history)
-def test_social_graph_sweep_matches_the_all_pairs_reference(observations, owners, past):
+@given(runs=st.lists(run, max_size=25), owners=owner_map, past=history)
+def test_social_graph_sweep_matches_the_all_pairs_reference(runs, owners, past):
+    """The widened-run rule against the all-pairs per-sighting reference, fed
+    each run's ticks."""
     server = server_with(past)
-    assert (adversary.run_social_graph(server, observations, owners)
-            == reference_social_graph(server, observations, owners))
+    assert (adversary.run_social_graph(server, runs, owners)
+            == reference_social_graph(server, expand(runs), owners))

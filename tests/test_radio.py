@@ -3,9 +3,10 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dctlab import adversary
 from dctlab.errors import CapabilityError, ConfigurationError, ProtocolError
 from dctlab.radio import (
     LINK_ADDR_LEN,
@@ -474,8 +475,10 @@ class Echo(DeviceClient):
 @st.composite
 def span_plans(draw):
     """A trace (overlapping edges of one pair, a hub with up to 11 peers), a
-    scheme client per device with a clock offset, and a plan of partial
-    steps, clock sets and syncs. Times mostly fall on the 5 s tick."""
+    client per device with a clock offset (a scheme client, a lab client, a
+    sniffer, a relay node or a replayer), a relay between two relay nodes,
+    and a plan of partial steps, clock sets, syncs and replayer armings.
+    Times mostly fall on the 5 s tick."""
     def moment(hi):
         return draw(st.integers(0, hi // 5)) * 5 + draw(st.sampled_from((0, 0, 0, 1, 4)))
 
@@ -493,7 +496,8 @@ def span_plans(draw):
         edges.append(ContactEdge("hub", peer, start, start + 20 + moment(600)))
     devices = sorted({d for e in edges for d in (e.a, e.b)})
     # the hub and its peers run DH, so more than 8 of them want a connection
-    clients = {d: (draw(st.sampled_from(("tek", "dh", "centralized", "echo")))
+    clients = {d: (draw(st.sampled_from(("tek", "dh", "centralized", "echo", "sniffer", "relay",
+                                         "replayer")))
                    if d in DEVICES else "dh",
                    draw(st.sampled_from((0, 0, -300, 7, 600))),     # clock offset
                    draw(st.sampled_from((0, 5))))                   # latency of its connections
@@ -501,6 +505,14 @@ def span_plans(draw):
     dh_cfg = DhConfig(rotation_s=draw(st.sampled_from((60, 120, 900))),
                       min_encounter_s=draw(st.sampled_from((0, 5, 15, 40))))
     variant = draw(st.sampled_from(("bluetrace", "pepp_pt")))
+    relays = [d for d in devices if clients[d][0] == "relay"]
+    relay = None
+    if len(relays) >= 2 and draw(st.booleans()):
+        start = moment(900)
+        relay = adversary.RelayPair(
+            relays[0], relays[1], draw(st.sampled_from(("one_way_broadcast", "two_way_realtime"))),
+            (start, start + moment(900)), latency_s=draw(st.sampled_from((0, 0, 7, 60))),
+            tick_s=draw(st.sampled_from((15, 60, 97))))
 
     def calls(lo):
         # most on a tick time, some between two
@@ -509,14 +521,17 @@ def span_plans(draw):
         return draw(st.lists(st.one_of(
             st.tuples(st.just("clock"), when, st.sampled_from(devices),
                       st.sampled_from((-300, -60, 0, 60, 900))),
-            st.tuples(st.just("sync"), when)), max_size=4))
+            st.tuples(st.just("sync"), when),
+            # a replayer copies a device's current beacon, or sends noise
+            st.tuples(st.just("arm"), when, st.sampled_from(devices) | st.none())),
+            max_size=4))
 
     plan = [("calls", calls(0))]
     now = 0
     for _ in range(draw(st.integers(0, 3))):
         now = draw(st.integers(now, 1600))
         plan += [("step", now), ("calls", calls(now))]
-    return edges, clients, dh_cfg, variant, plan
+    return edges, clients, dh_cfg, variant, relay, plan
 
 
 def client_state(client):
@@ -532,12 +547,18 @@ def client_state(client):
                   p.paired_key, p.record is not None)
                  for key, p in client._pending.items()],
                 list(client._peer_keys), sorted(client._keys_sent), client.rejected_keys)
+    if isinstance(client, adversary.SnifferClient):
+        return ("sniffer", [(r.identifier, r.first_at, r.last_at, r.sniffer_id)
+                            for r in client.runs])
+    if isinstance(client, adversary.ReplayClient):
+        return ("replayer", client.payload)
     return ()
 
 
-def run_span_plan(world_cls, edges, clients, dh_cfg, variant, plan):
+def run_span_plan(world_cls, edges, clients, dh_cfg, variant, relay, plan):
     """Run the plan; returns the state of every client after each step, the
-    world's counters and connections opened, and the world."""
+    world's counters and connections opened (with the relay's stats), and
+    the world."""
     root = SeedStream(11, "spans")
     world = world_cls(ContactTrace(edges), root.child("world"), capabilities=("clock",))
     registry = CentralRegistry(root.child("registry"), variant)
@@ -548,6 +569,12 @@ def run_span_plan(world_cls, edges, clients, dh_cfg, variant, plan):
             client = LaggingDh(root.child(d), dh_cfg, latency_s)
         elif kind == "centralized":
             client = CentralizedClient(registry)
+        elif kind == "sniffer":
+            client = adversary.SnifferClient()
+        elif kind == "relay":
+            client = adversary.RelayNode()
+        elif kind == "replayer":
+            client = adversary.ReplayClient()
         else:
             client = Echo(world, min((d for d in clients if clients[d][0] != "echo"), default=None))
         world.add_device(d, client, offset)
@@ -559,9 +586,20 @@ def run_span_plan(world_cls, edges, clients, dh_cfg, variant, plan):
             if isinstance(dev.client, (TekClient, DhClient)):
                 dev.client.sync([], world.local_time(dev.device_id))
 
+    def arm(source):
+        payload = b"noise-of-replay!"
+        if source is not None:
+            payload = world.devices[source].client.advertisement_identifier(
+                world.local_time(source))
+        for dev in world.devices.values():
+            if isinstance(dev.client, adversary.ReplayClient):
+                dev.client.payload = payload
+
     def snapshot():
         return [client_state(dev.client) for dev in world.devices.values()] \
             + [list(registry._batch_index)]
+
+    stats = adversary.install_relay(world, relay) if relay is not None else {}
 
     states = []
     for op, arg in plan:
@@ -572,20 +610,34 @@ def run_span_plan(world_cls, edges, clients, dh_cfg, variant, plan):
             for call in arg:
                 if call[0] == "clock":
                     world.schedule(call[1], world.set_clock, call[2], call[3])
+                elif call[0] == "arm":
+                    world.schedule(call[1], arm, call[2])
                 else:
                     world.schedule(call[1], sync)
     world.run()
     states.append((world.now, snapshot()))
-    return states, dict(world.counters), world._cid, world
+    return states, (dict(world.counters), stats), world._cid, world
+
+
+# the replayer c beacons a's identifier beside a itself, so b and the sniffer d
+# hear it twice a tick, until a's clock set at 400 moves a to its next slot
+COPIED_BEACON = ([ContactEdge("a", "b", 0, 700), ContactEdge("c", "b", 100, 900),
+                  ContactEdge("a", "d", 0, 700), ContactEdge("c", "d", 100, 900)],
+                 {"a": ("tek", 0, 0), "b": ("tek", 0, 0), "c": ("replayer", 0, 0),
+                  "d": ("sniffer", 0, 0)},
+                 DhConfig(), "bluetrace", None,
+                 [("calls", [("arm", 50, "a"), ("clock", 400, "a", 300)])])
 
 
 @settings(max_examples=300, deadline=None)
 @given(span_plans())
+@example(COPIED_BEACON)
 def test_a_world_without_a_sink_hands_spans_over_as_ticks_one_by_one(case):
     """Spans leave every client in the state one heap entry per tick leaves
     it in, after each partial step: TEK runs and key order, centralized
     records, DH records, encounters with their accrued_s, peer keys and keys
-    sent; and the same counters, connections and event kinds but scans."""
+    sent, a sniffer's runs and a replayer's payload; and the same counters,
+    relay stats, connections and event kinds but scans."""
     states, counters, cids, world = run_span_plan(SpanWorld, *case)
     ref_states, ref_counters, ref_cids, ref = run_span_plan(HeapWorld, *case)
     assert states == ref_states

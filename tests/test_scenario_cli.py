@@ -74,35 +74,58 @@ def test_clock_shift_flips_the_replay_outcome():
     assert without_shift["false_notifications"] == 0
 
 
-def test_no_secret_bytes_in_any_artifact(tmp_path):
-    # every wire/upload artifact of a DH run, scanned byte-wise, must be free
-    # of ephemeral secrets and raw encounter tokens
+def test_no_secret_bytes_in_any_artifact(tmp_path, monkeypatch):
+    # every private key and encounter token the DH runs derive, in every window,
+    # is recorded as it is made; none may appear in any artifact: the events a
+    # list sink collects, or the events.jsonl and metrics.json written to disk
+    from dctlab.crypto_core import GroupParams, keygen
+    from dctlab.schemes import dh as dh_mod
+    secrets, token_windows = {}, set()
+
+    def recording(name, fn):
+        def wrapped(*args, **kwargs):
+            made = fn(*args, **kwargs)
+            secrets[made.secret] = name
+            if name == "token":
+                token_windows.add(made.window_index)
+            return made
+        return wrapped
+
+    monkeypatch.setattr(dh_mod, "keygen", recording("key", dh_mod.keygen))
+    monkeypatch.setattr(dh_mod, "dh_token", recording("token", dh_mod.dh_token))
+
+    blobs = {}
+    # e2e_basic's handshake, relay_dh's relayed windows, superspreader's proof
+    for sid in ("e2e_basic", "relay_dh", "superspreader"):
+        scenario = builtin_scenario(sid)
+        root = SeedStream(scenario["seed"], sid)
+        written = run_scenario(scenario, out_dir=tmp_path / sid)
+        for name in ("events.jsonl", "metrics.json"):
+            blobs[f"{sid}/{name}"] = (tmp_path / sid / name).read_bytes()
+        for run_cfg in scenario["runs"]:
+            events = []
+            metrics = execute_run(run_cfg, root.child(run_cfg["label"]), events.append)
+            assert written["runs"][run_cfg["label"]] == metrics
+            # an empty log would pass the scan below with nothing checked
+            assert any(e.kind == "message" for e in events) or run_cfg["scheme"] != "dh"
+            blobs[f"{sid}/{run_cfg['label']} list sink"] = \
+                "\n".join(e.to_json_line() for e in events).encode()
+
+    # the recording sees keys and tokens of several windows, the first one's included
+    kinds = list(secrets.values())
+    assert kinds.count("key") > 10 and kinds.count("token") > 10 and len(token_windows) > 1
     scenario = builtin_scenario("e2e_basic")
     run_cfg = next(r for r in scenario["runs"] if r["scheme"] == "dh")
-    root = SeedStream(scenario["seed"], scenario["id"])
-    events = []
-    metrics = execute_run(run_cfg, root.child(run_cfg["label"]), events.append)
+    first = SeedStream(scenario["seed"], "e2e_basic").child(run_cfg["label"])
+    for device in ("alice", "bob"):
+        assert keygen(GroupParams.production(),
+                      first.child(f"device:{device}").child("key:0")).secret in secrets
 
-    # rebuild the same run to harvest its secrets (same seed, same keys)
-    rebuilt = execute_run(run_cfg, root.child(run_cfg["label"]))
-    assert rebuilt == metrics
-
-    # an empty log would pass the scan below with nothing checked
-    assert any(e.kind == "message" for e in events)
-    events_blob = "\n".join(e.to_json_line() for e in events).encode()
-
-    rerun_root = SeedStream(scenario["seed"], scenario["id"]).child(run_cfg["label"])
-    alice_stream = rerun_root.child("device:alice").child("key:0")
-    from dctlab.crypto_core import GroupParams, keygen, dh_token
-    alice_kp = keygen(GroupParams.production(), alice_stream)
-    bob_kp = keygen(GroupParams.production(),
-                    rerun_root.child("device:bob").child("key:0"))
-    token = dh_token(alice_kp.secret, bob_kp.public, GroupParams.production())
-
-    for secret in (alice_kp.secret, bob_kp.secret, token.secret):
-        assert secret not in events_blob
-        assert secret.hex().encode() not in events_blob
-        assert b64(secret).encode() not in events_blob
+    for secret, kind in secrets.items():
+        for form in (secret, secret.hex().encode(), secret.hex().upper().encode(),
+                     b64(secret).encode()):
+            for name, blob in blobs.items():
+                assert form not in blob, (kind, name)
 
 
 def test_clock_set_back_past_every_retained_key_runs_to_the_end(tmp_path):

@@ -523,6 +523,27 @@ def test_a_tick_in_a_finished_window_sends_its_key_on_a_newer_connection():
     assert a.records == [record]
 
 
+def test_a_clock_moved_back_across_a_finalized_window_makes_no_second_record():
+    # a and b meet twice; between the two contacts a's clock goes back 300 s,
+    # so a's second contact starts in window 2, finalized in the first one
+    root = SeedStream(4, "clock-back")
+    cfg = DhConfig(rotation_s=300, min_encounter_s=60)
+    world = SendLog(ContactTrace([ContactEdge("a", "b", 0, 1000),
+                                  ContactEdge("a", "b", 1100, 1800)]),
+                    root.child("world"), link_rotation_s=300, capabilities=("clock",))
+    a, b = DhClient(root.child("a"), cfg), DhClient(root.child("b"), cfg)
+    world.add_device("a", a)
+    world.add_device("b", b)
+    world.schedule(1050, world.set_clock, "a", -300)
+    world.run()
+    assert [r.token.window_index for r in a.records] == [0, 1, 2, 3, 4]
+    assert [r.my_timestamp for r in a.records][2:] == [600, 900, 1200]
+    assert [r.token.window_index for r in b.records] == [0, 1, 2, 3, 4, 5]
+    # the two connections were each closed, and each dropped the keys sent over it
+    assert [e.payload["cid"] for e in world.log if e.kind == "disconnect"] == [1, 2]
+    assert a._keys_sent == b._keys_sent == set()
+
+
 # -- reference: DhClient.sync and the matchers as they were before the shared index --
 
 def reference_match_exposures_dh(records, published, cfg):
