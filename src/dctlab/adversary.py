@@ -33,7 +33,8 @@ one's run, widened by CO_SIGHT_WINDOW_S on each side, meets a tick of the
 other's. On runs of ticks SCAN_TICK_S apart that is the per-sighting rule,
 two sightings at most CO_SIGHT_WINDOW_S apart: a tick of one run inside the
 other's [first_at, last_at] lies within SCAN_TICK_S / 2 of one of its ticks,
-and a tick outside it is nearest to first_at or last_at. So its cost follows
+far less than CO_SIGHT_WINDOW_S, and a tick outside it is nearest to
+first_at or last_at. So its cost follows
 the runs and the owners heard together, not every pair of owners. Neither
 depends on the order the runs come in.
 

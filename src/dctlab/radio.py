@@ -20,20 +20,22 @@ a tick never tie:
   that earlier time's ticks (a call made during an edge's tick, before the
   edge's next tick);
 * one scheduled later runs after every tick;
-* calls at one position run in the order they were scheduled, and a call
-  scheduled before the first step runs before every tick.
+* calls at one position run in the order they were scheduled (an edge's end
+  as if its last tick scheduled it, though a span may hold that tick), and a
+  call scheduled before the first step runs before every tick.
 
 step(until_s) runs every entry due at or before until_s.
 
-A world with a sink runs every scan tick on its own, since each tick writes
-scan events. A world without one hands an edge's quiet ticks over as one
-span: the tick at t and the n - 1 ticks after it reach each listener as one
-on_sighting(..., ticks=n) and each side of an open connection as one
-on_copresence_tick(peer, n * SCAN_TICK_S, ...), and the edge's next tick is
-pushed at t + n * SCAN_TICK_S, at its key. A span's later ticks stop before
-the first of:
+An edge hands its quiet ticks over as one span, whether the world has a sink
+or not: the tick at t and the n - 1 ticks after it reach each listener as one
+on_sighting(..., ticks=n), and write one scan event at t with ticks n, and
+each side of an open connection as one on_copresence_tick(peer,
+n * SCAN_TICK_S, ...); the edge's next tick is pushed at t + n * SCAN_TICK_S,
+at its key. A span's later ticks stop before the first of:
 
 * the edge's end;
+* the next link-address rotation of either side's clock (link_rotation_s),
+  since a scan event names the speaker's link address;
 * either client's change point, DeviceClient.quiet_until (a base client takes
   one tick at a time; a TEK slot end, a DH window end or the tick before a
   finalize, a centralized window end; a DH client with no open connection,
@@ -52,9 +54,11 @@ the first of:
 
 Within these bounds nothing reads or writes what the span's later ticks change
 (a TEK run, a centralized record's last_seen, a DH encounter's accrued_s),
-and every other hook call runs at its own time and position. So a run without
-a sink ends with every client in the state a written run leaves it in, and
-with the same counters, after fewer hook calls.
+and every other hook call runs at its own time and position. So a run ends
+with every client in the state one tick at a time leaves it in, with the same
+counters, after fewer hook calls. It writes the events one tick at a time
+writes, in the same order, but for scan events: a span writes one per
+listener with its ticks, where one tick at a time writes one per tick.
 
 Modeling choices:
 
@@ -321,7 +325,7 @@ class World:
         self._sink = sink
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
-        self._heap: list = []       # (at, position, order, fn, args)
+        self._heap: list = []       # (at, position, (when, where) scheduled, order, fn, args)
         self._stride = 0            # of keys, per second of first-tick time
         self._order = 0             # the tie-break of calls at one position
         self._pos = _FIRST          # the position of the work running now
@@ -386,16 +390,21 @@ class World:
         that start at first and before any other."""
         return 2 * idx + 2 - first * self._stride
 
-    def _push(self, at: int, pos: float, fn: Callable[..., None], args: tuple) -> None:
+    def _push(self, at: int, pos: float, fn: Callable[..., None], args: tuple,
+              since: tuple[int, float] | None = None) -> None:
+        """Push fn(*args) at (at, pos). Entries at one position run in the
+        order of since, the (time, position) they count as scheduled from,
+        now's by default, then in the order they were pushed."""
         self._order += 1
-        heapq.heappush(self._heap, (at, pos, self._order, fn, args))
+        heapq.heappush(self._heap, (at, pos, since or (self.now, self._pos), self._order, fn, args))
 
     def _schedule_touching(self, at: int, pos: float, devices: tuple[str, str],
-                           fn: Callable[..., None], *args) -> None:
+                           fn: Callable[..., None], *args,
+                           since: tuple[int, float] | None = None) -> None:
         """A radio call that touches devices: their spans stop before it."""
         for d in devices:
             heapq.heappush(self._busy.setdefault(d, []), at)
-        self._push(at, pos, self._touching_call, (devices, fn, args))
+        self._push(at, pos, self._touching_call, (devices, fn, args), since)
 
     def _foreign_call(self, fn: Callable[..., None], args: tuple) -> None:
         heapq.heappop(self._foreign)
@@ -440,7 +449,7 @@ class World:
         limit = float("inf") if until_s is None else until_s
         heap = self._heap
         while heap and heap[0][0] <= limit:
-            at, self._pos, _, fn, args = heapq.heappop(heap)
+            at, self._pos, _, _, fn, args = heapq.heappop(heap)
             self.now = max(self.now, at)
             fn(*args)
         if until_s is not None:
@@ -461,7 +470,7 @@ class World:
         # a clock changes only through a scheduled call, never within a span
         dev_a, dev_b = self.devices[edge.a], self.devices[edge.b]
         la, lb = t + dev_a.clock_offset_s, t + dev_b.clock_offset_s
-        n = 1 if self._sink is not None else self._span(t, idx, edge, dev_a, la, dev_b, lb)
+        n = self._span(t, idx, edge, dev_a, la, dev_b, lb)
         self._deliver_beacon(dev_a, la, dev_b, lb, n)
         self._deliver_beacon(dev_b, lb, dev_a, la, n)
 
@@ -477,18 +486,23 @@ class World:
         if nxt < edge.end_s:
             self._push(nxt, key, self._tick, (key, idx, edge))
         else:
-            # placed as if scheduled by the edge's last tick, which a span may hold
-            self._schedule_touching(
-                edge.end_s, self._place(edge.end_s, nxt - SCAN_TICK_S, key - 1),
-                (edge.a, edge.b), self._edge_end, edge)
+            # placed and ordered as if scheduled by the edge's last tick, which
+            # a span may hold
+            last = (nxt - SCAN_TICK_S, key - 1)
+            self._schedule_touching(edge.end_s, self._place(edge.end_s, *last),
+                                    (edge.a, edge.b), self._edge_end, edge, since=last)
 
     def _span(self, t: int, idx: int, edge: ContactEdge, dev_a: Device, la: int,
               dev_b: Device, lb: int) -> int:
         """How many ticks, from the one at t, edge hands over as one span:
         every later tick lies before each bound the module docstring names."""
+        rotation = self.link_rotation_s
         end = min(edge.end_s,
                   dev_a.client.quiet_until(edge.b, la) - (la - t),
-                  dev_b.client.quiet_until(edge.a, lb) - (lb - t))
+                  dev_b.client.quiet_until(edge.a, lb) - (lb - t),
+                  # a scan event names the speaker's link address
+                  (la // rotation + 1) * rotation - (la - t),
+                  (lb // rotation + 1) * rotation - (lb - t))
         if end <= t + SCAN_TICK_S:
             return 1
         if self._foreign:
@@ -546,7 +560,7 @@ class World:
                                     "size": adv.size})
         if self._sink is not None:
             self._scan(listener.device_id, speaker.device_id, ident, speaker.link_address(
-                speaker_t // self.link_rotation_s, self.irk_linkable))
+                speaker_t // self.link_rotation_s, self.irk_linkable), ticks)
         listener.client.on_sighting(ident, listener_t, self.now, ticks)
 
     def inject_beacon(self, listener_id: str, identifier: bytes, link_addr: bytes,
@@ -554,14 +568,16 @@ class World:
         """Deliver a beacon outside the normal range rules (relay machinery)."""
         Advertisement(identifier)
         if self._sink is not None:
-            self._scan(listener_id, origin, identifier, link_addr)
+            self._scan(listener_id, origin, identifier, link_addr, 1)
         self.devices[listener_id].client.on_sighting(identifier, self.local_time(listener_id),
                                                      self.now, 1)
 
-    def _scan(self, listener_id: str, origin: str, ident: bytes, link: bytes) -> None:
-        """The scan event of a beacon that listener heard from origin."""
+    def _scan(self, listener_id: str, origin: str, ident: bytes, link: bytes,
+              ticks: int) -> None:
+        """The scan event of a beacon that listener heard from origin, now and
+        at each of the ticks - 1 scan ticks after."""
         self.emit("scan", {"device": listener_id, "from": origin, "id": ident.hex(),
-                           "link": link.hex()})
+                           "link": link.hex(), "ticks": ticks})
 
     # -- connections ----------------------------------------------------------
 

@@ -646,6 +646,74 @@ def test_a_world_without_a_sink_hands_spans_over_as_ticks_one_by_one(case):
     assert world.emitted == kinds - Counter(scan=kinds["scan"])
 
 
+def scan_ticks(log):
+    """Each scan event as the scans of its ticks: time -> a multiset of
+    (listener, speaker, identifier, link address)."""
+    got = {}
+    for e in log:
+        if e.kind == "scan":
+            heard = (e.payload["device"], e.payload["from"], e.payload["id"], e.payload["link"])
+            for k in range(e.payload["ticks"]):
+                got.setdefault(e.at_s + k * SCAN_TICK_S, Counter())[heard] += 1
+    return got
+
+
+# two of the hub's contacts end at 22: their ends run in the order of their last
+# ticks, at 20, though spans held those ticks
+EDGE_ENDS_AT_ONCE = ([ContactEdge("hub", "p8", 1, 22), ContactEdge("hub", "p9", 1, 22)],
+                     {"hub": ("dh", 0, 5), "p8": ("dh", 0, 0), "p9": ("dh", 0, 0)},
+                     DhConfig(rotation_s=60, min_encounter_s=0), "bluetrace", None,
+                     [("calls", [])])
+
+
+# a TEK slot runs from 600 to 1200, but the link address rotates at 900
+ACROSS_A_LINK_ROTATION = ([ContactEdge("a", "b", 0, 1300)],
+                          {"a": ("tek", 0, 0), "b": ("tek", 0, 0)},
+                          DhConfig(), "bluetrace", None, [("calls", [])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_plans())
+@example(COPIED_BEACON)
+@example(EDGE_ENDS_AT_ONCE)
+@example(ACROSS_A_LINK_ROTATION)
+def test_a_written_world_writes_each_span_as_one_scan_event_of_its_ticks(case):
+    """A world with a sink takes the same spans: every client ends in the
+    state one heap entry per tick leaves it in, each scan event expanded into
+    its ticks gives that world's scans at each time, and every other event is
+    the same, in the same order."""
+    states, counters, cids, world = run_span_plan(LoggedWorld, *case)
+    ref_states, ref_counters, ref_cids, ref = run_span_plan(HeapWorld, *case)
+    assert states == ref_states
+    assert (counters, cids) == (ref_counters, ref_cids)
+    assert all(e.payload["ticks"] == 1 for e in ref.log if e.kind == "scan")
+    assert scan_ticks(world.log) == scan_ticks(ref.log)
+    assert [(e.at_s, e.kind, e.payload) for e in world.log if e.kind != "scan"] \
+        == [(e.at_s, e.kind, e.payload) for e in ref.log if e.kind != "scan"]
+    assert [e.seq for e in world.log] == list(range(1, len(world.log) + 1))
+
+
+class TickCounting(BeaconClient):
+    """A lab beacon without quiet_until that keeps the ticks of each sighting."""
+
+    def on_sighting(self, identifier, local_t, global_t, ticks=1):
+        self.heard.append(ticks)
+
+
+@pytest.mark.parametrize("world_cls", [World, LoggedWorld])
+def test_a_lab_client_without_quiet_until_gets_one_tick_at_a_time(world_cls):
+    world = world_cls(ContactTrace([ContactEdge("a", "b", 0, 600)]), SeedStream(2, "w"))
+    tek, lab = TekClient(SeedStream(2, "a")), TickCounting(b"L" * 16)
+    world.add_device("a", tek)
+    world.add_device("b", lab)
+    world.run()
+    assert lab.heard == [1] * 120
+    assert tek.log.by_identifier[b"L" * 16].tolist() == [0, 595, 0]
+    if world_cls is LoggedWorld:
+        scans = [e.payload["ticks"] for e in world.log if e.kind == "scan"]
+        assert scans == [1] * 240
+
+
 def test_a_span_never_holds_a_tick_past_step_until():
     """After step(200) in the middle of a contact, a clock set and a call
     scheduled for the next tick see the world as one tick at a time leaves
