@@ -112,19 +112,14 @@ class RelayNode(DeviceClient):
 
 class ReplayClient(DeviceClient):
     """Attack-controlled beacon; broadcasts whatever the attack armed it with.
-    That may be another device's identifier, so the radio runs no span of an
-    edge near it past the ticks of another (copies_beacons)."""
-
-    copies_beacons = True
+    That may be another device's identifier, so it keeps the base client's
+    one tick at a time, and spans of edges near it stop before its ticks."""
 
     def __init__(self):
         self.payload: bytes | None = None
 
     def advertisement_identifier(self, local_t):
         return self.payload
-
-    def quiet_until(self, peer_id, local_t):
-        return math.inf     # only a scheduled call arms it, and such a call ends every span
 
 
 # ---------------------------------------------------------------------------

@@ -40,17 +40,15 @@ at its key. A span's later ticks stop before the first of:
   one tick at a time; a TEK slot end, a DH window end or the tick before a
   finalize, a centralized window end; a DH client with no open connection,
   or one that sends its window key on this tick, takes one tick, so every
-  connect attempt, capacity rejects included, runs on its own; a sniffer, a
-  relay node and a replayer set no bound);
+  connect attempt, capacity rejects included, runs on its own; a sniffer and
+  a relay node set no bound, and a replayer, which may beacon another
+  device's identifier, keeps the base client's one tick);
 * the next call the radio did not schedule itself (a sync, a report, a clock
   set, a relay's), and any tick after step(until_s);
 * the next pending message delivery or edge end that touches either device;
 * the next tick of another edge of the same pair, or of an edge that joins
-  either device to a client that may beacon another device's identifier (a
-  client without a quiet_until, or one whose copies_beacons is set, as a
-  replayer's is), since either could deliver the span's identifiers to the
-  same listener; and, on an edge that joins such a client, the next tick of
-  any other edge of either device.
+  either device to a client without a quiet_until, since either could deliver
+  the span's identifiers to the same listener.
 
 Within these bounds nothing reads or writes what the span's later ticks change
 (a TEK run, a centralized record's last_seen, a DH encounter's accrued_s),
@@ -215,9 +213,6 @@ class DeviceClient:
     the hooks they care about. All hooks receive device-local time."""
 
     device_id = "?"
-    # True for a client whose beacon may carry another device's identifier (a
-    # replayer); a client that takes no spans is assumed to
-    copies_beacons = False
 
     def advertisement_identifier(self, local_t: int) -> bytes | None:
         """Current 16-byte beacon identifier; None for passive devices."""
@@ -311,6 +306,10 @@ _FIRST = -math.inf
 _LAST = math.inf
 
 
+def _takes_spans(client: DeviceClient) -> bool:
+    return type(client).quiet_until is not DeviceClient.quiet_until
+
+
 class World:
     def __init__(self, trace: ContactTrace, stream: SeedStream, *, link_rotation_s: int = 900,
                  capabilities: tuple[str, ...] = (), irk_linkable: bool = False,
@@ -321,7 +320,6 @@ class World:
         self.capabilities = set(capabilities)
         self.irk_linkable = irk_linkable
         self.devices: dict[str, Device] = {}
-        self._own_beacons: set[str] = set()     # devices that beacon no other's identifier
         self._sink = sink
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
@@ -347,10 +345,6 @@ class World:
         dev.irk_tag = self.stream.child(f"device:{device_id}:irk").take(2)
         client.device_id = device_id
         self.devices[device_id] = dev
-        # a client may beacon another device's identifier when it says so, or
-        # when it takes no spans
-        if not (client.copies_beacons or type(client).quiet_until is DeviceClient.quiet_until):
-            self._own_beacons.add(device_id)
         return dev
 
     def local_time(self, device_id: str, global_t: int | None = None) -> int:
@@ -520,19 +514,17 @@ class World:
 
     def _interference(self, idx: int, edge: ContactEdge) -> tuple[tuple[int, int], ...]:
         """The (first, last) ticks of each edge that edge's spans stop before:
-        another edge of its pair; an edge that joins either device to one
-        that may beacon another device's identifier (or is not added yet);
-        and, when edge joins such a device, every other edge of either
-        device. Kept per edge index."""
+        another edge of its pair, and an edge that joins either device to a
+        client taking no spans (or not added yet). Kept per edge index."""
         got = self._interferers[idx]
         if got is None:
-            pair, own = (edge.a, edge.b), self._own_beacons
-            near = edge.a not in own or edge.b not in own
+            pair = (edge.a, edge.b)
             others = [g for g in self.trace._by_pair[edge.pair] if g is not edge]
             for d in pair:
                 for g in self.trace._by_device[d]:
                     peer = g.b if g.a == d else g.a
-                    if peer not in pair and (near or peer not in own):
+                    if peer not in pair and (peer not in self.devices
+                                             or not _takes_spans(self.devices[peer].client)):
                         others.append(g)
             ranges = [(g.start_s + (-g.start_s) % SCAN_TICK_S,
                        g.end_s - 1 - (g.end_s - 1) % SCAN_TICK_S) for g in others]

@@ -117,13 +117,13 @@ GOLDEN = {
         "deef61b959de0b185ea398f77aefda2e8688388127a193e7762547a93cc2ff71"),
     ("time_travel", None): (
         "5e853a41771fd0bb8b783ec485b0b93631eb945ad5b39bedae274cfcd99210e6",
-        "4ec1a314eca9a1f5bec09e5af4f90115af7064e3f13a57c518b6be3ae83539fe"),
+        "622891869ff6b1aeda5e9a0b54f098ee154e176923e43728730bc7b64f118dfd"),
     ("time_travel", 1): (
         "198eff6d38525ebe067f51559d78b683bdf99f69c0d1b0b6bc69572beffb980e",
-        "485c6918dc99a69cc86dd6af8b2a102ec8f1a1957005a69e37b056738e8997aa"),
+        "6782e7261968d15885f7bfc018679354b9bc80b2bab86ae184a36a1e97c6bb96"),
     ("time_travel", 2): (
         "84b6729aa53758dc0892b355251a610ce8065d6a7f194ec8a7ff989027cda8ad",
-        "b37c2c918a69b200c8cb1d6ca0c865a57bbadd793be36c68d443c9ae16424370"),
+        "10d6962ce334631f587fddc511e51cac94e72268f62ff9aee0aa0e70ec437f72"),
 }
 
 
