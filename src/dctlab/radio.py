@@ -38,11 +38,14 @@ at its key. A span's later ticks stop before the first of:
   since a scan event names the speaker's link address;
 * either client's change point, DeviceClient.quiet_until (a base client takes
   one tick at a time; a TEK slot end, a DH window end or the tick before a
-  finalize, a centralized window end; a DH client with no open connection,
-  or one that sends its window key on this tick, takes one tick, so every
-  connect attempt, capacity rejects included, runs on its own; a sniffer and
-  a relay node set no bound, and a replayer, which may beacon another
-  device's identifier, keeps the base client's one tick);
+  finalize, a centralized window end; a DH client that sends its window key
+  on this tick takes one tick; a sniffer and a relay node set no bound, and
+  a replayer, which may beacon another device's identifier, keeps the base
+  client's one tick);
+* the next tick, when the pair has no open connection and both clients can
+  connect (both override DeviceClient.wants_connection): a connect attempt
+  may run on it, so every attempt, capacity rejects included, runs on its
+  own tick;
 * the next call the radio did not schedule itself (a sync, a report, a clock
   set, a relay's), and any tick after step(until_s);
 * the next pending message delivery or edge end that touches either device;
@@ -236,6 +239,11 @@ class DeviceClient:
         pass
 
     def wants_connection(self, peer_id: str, local_t: int) -> bool:
+        """Whether to connect to peer_id now. A client that does not
+        override this never connects, and its edges take spans with no
+        connect attempt in them. One that does is asked on every tick of a
+        pair with no open connection (when the other side overrides it
+        too), and its answer may change only through its hooks."""
         return False
 
     def on_connected(self, conn: "Connection", local_t: int) -> None:
@@ -308,6 +316,10 @@ _LAST = math.inf
 
 def _takes_spans(client: DeviceClient) -> bool:
     return type(client).quiet_until is not DeviceClient.quiet_until
+
+
+def _connects(client: DeviceClient) -> bool:
+    return type(client).wants_connection is not DeviceClient.wants_connection
 
 
 class World:
@@ -497,7 +509,8 @@ class World:
                   # a scan event names the speaker's link address
                   (la // rotation + 1) * rotation - (la - t),
                   (lb // rotation + 1) * rotation - (lb - t))
-        if end <= t + SCAN_TICK_S:
+        if end <= t + SCAN_TICK_S or (edge.b not in dev_a.connections
+                                      and _connects(dev_a.client) and _connects(dev_b.client)):
             return 1
         if self._foreign:
             end = min(end, self._foreign[0])

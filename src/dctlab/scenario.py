@@ -137,11 +137,11 @@ def _check_run(run_cfg: dict, at: tuple, _=None) -> dict:
     roles = {}
     run = check(run_cfg, RUN, at, roles)
     scheme = run["scheme"]
-    run["scheme_config"] = check(run["scheme_config"], SCHEMES[scheme].config,
-                                 (*at, "scheme_config"))
-    if run["attack"] is not None:
-        run["attack"] = check(run["attack"], ATTACK[scheme], (*at, "attack"), roles)
-    return run
+    config = check(run["scheme_config"], SCHEMES[scheme].config, (*at, "scheme_config"))
+    attack = run["attack"]
+    if attack is not None:
+        attack = check(attack, ATTACK[scheme], (*at, "attack"), roles)
+    return {**run, "scheme_config": config, "attack": attack}
 
 
 def _runs(value, at: tuple, _=None) -> list:

@@ -2,7 +2,12 @@
 
 check(value, rule, at, roles) returns value with every default filled in, or
 raises FieldError naming the JSON path of the first value that breaks its
-rule. A rule is one of:
+rule. It never changes value, and copies nothing it does not fill: it
+returns value itself unless something inside it changes (a default is
+filled in, or a rule returns another object), and then copies only each
+object and list on the way to that change. A filled-in object or list
+default is a copy too. A caller that changes what check returns copies it
+first. A rule is one of:
 
 * a table, {name: Field(rule, default)}: a JSON object. A field that is left
   out or null takes its default, and a field without one is required. A key
@@ -25,6 +30,7 @@ only for a fault, so a check that passes builds no path string.
 """
 
 import base64
+import itertools
 import re
 
 from .errors import ConfigurationError, FieldError
@@ -54,24 +60,46 @@ def check(value, rule, at: tuple = (), roles: dict | None = None):
         for name in value:
             if name not in rule:
                 raise fault((*at, name), "unknown field")
-        out = dict(value)
+        out = value
         for name, (sub, default) in rule.items():
-            if (item := value.get(name)) is None and (item := default) is REQUIRED:
+            if (item := value.get(name)) is not None:
+                # a value of exactly the type its rule names is what check would return
+                if type(item) is sub or (got := check(item, sub, (*at, name), roles)) is item:
+                    continue
+            elif default is REQUIRED:
                 raise FieldError(f"{path(at)} is missing the {name!r} field")
-            # a default is walked only to fill in and copy the defaults inside it, and a
-            # value of exactly the type its rule names is what check would return
-            out[name] = item if type(item) is sub or item is default and type(item) not in (
-                dict, list) else check(item, sub, (*at, name), roles)
+            elif type(default) is dict or type(default) is list:
+                # walked to fill in the defaults inside it, and copied, so that no
+                # caller holds the table's own
+                if (got := check(default, sub, (*at, name), roles)) is default:
+                    got = default.copy()
+            else:
+                got = default
+            if out is value:
+                out = dict(value)
+            out[name] = got
         return out
     if kind is list:
-        return [check(item, rule[0], (*at, i), roles) for i, item in enumerate(value)]
+        return _items(value, itertools.repeat(rule[0]), at, roles)
     if kind is tuple:
         n, fields = len(value) if type(value) is list else -1, rule[1:]
         if not 0 <= n <= len(fields) or n < len(fields) and fields[n][1] is REQUIRED:
             raise fault(at, f"expected {rule[0]}")
-        return [check(value[i], fields[i][0], (*at, i), roles) for i in range(n)] + [
-            default for _, default in fields[n:]]
+        out = _items(value, (sub for sub, _ in fields), at, roles)
+        return out if n == len(fields) else out + [default for _, default in fields[n:]]
     return value if kind is type else rule(value, at, roles)
+
+
+def _items(value: list, rules, at: tuple, roles):
+    """value with each item checked against its rule, in turn; a copy only
+    when a check returns another object than its item."""
+    out = value
+    for i, (item, sub) in enumerate(zip(value, rules)):
+        if (got := check(item, sub, (*at, i), roles)) is not item:
+            if out is value:
+                out = list(value)
+            out[i] = got
+    return out
 
 
 def passes(value, rule) -> bool:

@@ -325,17 +325,21 @@ class DhClient(DeviceClient):
         """Where the scan ticks with peer_id from local_t on stop being quiet:
         the window's end, since the pseudonym, the key and the encounter all
         change with it; and, as this tick changes more than accrued_s, one
-        tick when no connection to the peer is open (the radio may connect),
-        when this tick sends the window's key, or when it finalizes. An
-        encounter that will be paired after this tick (already paired, or a
-        key of the peer's for an adjacent window) finalizes on the first
-        tick that brings accrued_s to min_encounter_s; the span stops before
-        that tick. Only a message changes the peer keys, and a delivery
-        touching either device ends every span."""
+        tick when it sends the window's key over an open connection, or when
+        it finalizes. An encounter that will be paired after this tick
+        (already paired, or a key of the peer's for an adjacent window)
+        finalizes on the first tick that brings accrued_s to
+        min_encounter_s; the span stops before that tick. Only a message
+        changes the peer keys, and a delivery touching either device ends
+        every span. With no open connection, the key rule does not apply:
+        the radio, not this client, stops a span before a tick on which it
+        may connect, and a peer that never connects sends no key. The
+        finalize rule still does, since a relayed connection this client was
+        not told of accrues co-presence."""
         epoch = self.epoch_of(local_t)
         end = (epoch + 1) * self.cfg.rotation_s
         conn = self._conns.get(peer_id)
-        if conn is None or not conn.open or (conn.cid, epoch) not in self._keys_sent:
+        if conn is not None and conn.open and (conn.cid, epoch) not in self._keys_sent:
             return local_t + 1
         pending = self._pending.get((peer_id, epoch))
         if pending is not None and pending.record is not None:

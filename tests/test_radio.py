@@ -434,15 +434,26 @@ class SpanWorld(World):
         super().__init__(*args, **kw)
         self.emitted = Counter()
         self.long_spans = 0
+        self.spanned = set()    # the pairs of the edges that took such a span
 
     def emit(self, kind, payload):
         self.emitted[kind] += 1
         super().emit(kind, payload)
 
-    def _span(self, *args):
-        n = super()._span(*args)
-        self.long_spans += n > 1
+    def _span(self, t, idx, edge, *args):
+        n = super()._span(t, idx, edge, *args)
+        if n > 1:
+            self.long_spans += 1
+            self.spanned.add(edge.pair)
         return n
+
+
+class WrittenSpanWorld(SpanWorld):
+    """A SpanWorld whose events go to the list world.log."""
+
+    def __init__(self, *args, **kw):
+        self.log = []
+        super().__init__(*args, sink=self.log.append, **kw)
 
 
 class LaggingDh(DhClient):
@@ -629,9 +640,37 @@ COPIED_BEACON = ([ContactEdge("a", "b", 0, 700), ContactEdge("c", "b", 100, 900)
                  [("calls", [("arm", 50, "a"), ("clock", 400, "a", 300)])])
 
 
+# the DH client a is beside a sniffer b, a TEK client c and a relay node d, none of
+# which connects, and meets the DH client e, which connects; the hub and its 10 peers
+# run DH, so two of them are refused a connection on every tick
+DH_BESIDE_PEERS_THAT_NEVER_CONNECT = (
+    [ContactEdge("a", peer, 0, 1200) for peer in "bcd"] + [ContactEdge("a", "e", 300, 700)]
+    + [ContactEdge("hub", peer, 0, 300) for peer in HUB_PEERS[:10]],
+    {"a": ("dh", 0, 0), "b": ("sniffer", 0, 0), "c": ("tek", 0, 0), "d": ("relay", 0, 0),
+     "e": ("dh", 0, 5), "hub": ("dh", 0, 0), **{peer: ("dh", 0, 0) for peer in HUB_PEERS[:10]}},
+    DhConfig(), "bluetrace", None, [("calls", [("sync", 600)])])
+
+
+# the DH clients a and b exchange window-0 keys over 0-100; then a's clock moves to
+# window 3 and b's to window 1, and a relay connects a to b at 200 without telling
+# b, which refuses a's window-3 key: b has no open connection, but the relayed one
+# accrues co-presence over the direct edge, and b's window-1 encounter pairs with
+# a's window-0 key and finalizes once 290 s have accrued, on a tick inside what
+# would otherwise be one span
+RELAYED_TO_A_DH_CLIENT_THAT_REFUSED_THE_KEY = (
+    [ContactEdge("a", "b", 0, 100), ContactEdge("a", "b", 200, 800),
+     ContactEdge("a", "c", 150, 800), ContactEdge("b", "d", 150, 800)],
+    {"a": ("dh", 0, 0), "b": ("dh", 0, 0), "c": ("relay", 0, 0), "d": ("relay", 0, 0)},
+    DhConfig(min_encounter_s=290), "bluetrace",
+    adversary.RelayPair("c", "d", "two_way_realtime", (200, 800), tick_s=60),
+    [("calls", [("clock", 150, "a", 2700), ("clock", 150, "b", 900)])])
+
+
 @settings(max_examples=300, deadline=None)
 @given(span_plans())
 @example(COPIED_BEACON)
+@example(DH_BESIDE_PEERS_THAT_NEVER_CONNECT)
+@example(RELAYED_TO_A_DH_CLIENT_THAT_REFUSED_THE_KEY)
 def test_a_world_without_a_sink_hands_spans_over_as_ticks_one_by_one(case):
     """Spans leave every client in the state one heap entry per tick leaves
     it in, after each partial step: TEK runs and key order, centralized
@@ -677,6 +716,8 @@ ACROSS_A_LINK_ROTATION = ([ContactEdge("a", "b", 0, 1300)],
 @example(COPIED_BEACON)
 @example(EDGE_ENDS_AT_ONCE)
 @example(ACROSS_A_LINK_ROTATION)
+@example(DH_BESIDE_PEERS_THAT_NEVER_CONNECT)
+@example(RELAYED_TO_A_DH_CLIENT_THAT_REFUSED_THE_KEY)
 def test_a_written_world_writes_each_span_as_one_scan_event_of_its_ticks(case):
     """A world with a sink takes the same spans: every client ends in the
     state one heap entry per tick leaves it in, each scan event expanded into
@@ -691,6 +732,23 @@ def test_a_written_world_writes_each_span_as_one_scan_event_of_its_ticks(case):
     assert [(e.at_s, e.kind, e.payload) for e in world.log if e.kind != "scan"] \
         == [(e.at_s, e.kind, e.payload) for e in ref.log if e.kind != "scan"]
     assert [e.seq for e in world.log] == list(range(1, len(world.log) + 1))
+
+
+@pytest.mark.parametrize("world_cls", [SpanWorld, WrittenSpanWorld])
+def test_a_dh_client_beside_peers_that_never_connect_takes_spans(world_cls):
+    """The DH client a takes spans with the sniffer, the TEK client and the
+    relay node, and ends in the state one tick at a time leaves it in. A DH
+    pair with no open connection still runs one tick at a time, so the hub's
+    peers are refused a connection as often as one heap entry per tick
+    refuses them."""
+    states, counters, cids, world = run_span_plan(world_cls, *DH_BESIDE_PEERS_THAT_NEVER_CONNECT)
+    ref_states, ref_counters, ref_cids, _ = run_span_plan(
+        HeapWorld, *DH_BESIDE_PEERS_THAT_NEVER_CONNECT)
+    assert {frozenset(("a", peer)) for peer in "bcd"} <= world.spanned
+    assert states == ref_states
+    assert (counters, cids) == (ref_counters, ref_cids)
+    rejects = counters[0]["connect_rejects_capacity"]
+    assert rejects == ref_counters[0]["connect_rejects_capacity"] == 2 * 60
 
 
 class TickCounting(BeaconClient):

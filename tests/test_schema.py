@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dctlab.cli import STANDARD_SUITE, builtin_scenario
 from dctlab.crypto_core import DH_ENTRY, DH_FEED_ENTRY, b64
 from dctlab.errors import ConfigurationError, DctError, FieldError
 from dctlab.rng import SeedStream
+from dctlab.scenario import SCENARIO as SCENARIO_TABLE
 from dctlab.scenario import load_scenario
-from dctlab.schema import (Field, base64_text, builds, check, clock, hex_of, natural, passes,
-                           path, tagged)
+from dctlab.schema import (_KINDS, REQUIRED, Field, base64_text, builds, check, clock, hex_of,
+                           natural, passes, path, tagged)
 from dctlab.schemes.centralized import RECORD, CentralRegistry
 from dctlab.schemes.dh import PublishedDhIndex
 from dctlab.schemes.tek import TEK_ENTRY, TEK_FEED_ENTRY, PublishedTekIndex
@@ -202,6 +204,94 @@ def test_clock_rule_bounds_the_magnitude_below_2_to_the_60(value, problem):
                                                                   "offset": 1 - 2**60}
     with pytest.raises(FieldError, match=f"^{problem}$"):
         check(value, table)
+
+
+# -- check copies nothing it does not fill ----------------------------------------------
+
+def copying_check(value, rule, at=(), roles=None):
+    """The walker as it was: it copied every object and list it walked."""
+    kind = type(rule)
+    want = rule if kind is type else kind if kind is dict or kind is list else None
+    if want is not None and type(value) is not want:
+        raise FieldError(f"{path(at)}: expected {_KINDS[want]}, got {value!r}")
+    if kind is dict:
+        for name in value:
+            if name not in rule:
+                raise FieldError(f"{path((*at, name))}: unknown field")
+        out = dict(value)
+        for name, (sub, default) in rule.items():
+            if (item := value.get(name)) is None and (item := default) is REQUIRED:
+                raise FieldError(f"{path(at)} is missing the {name!r} field")
+            out[name] = item if type(item) is sub or item is default and type(item) not in (
+                dict, list) else copying_check(item, sub, (*at, name), roles)
+        return out
+    if kind is list:
+        return [copying_check(item, rule[0], (*at, i), roles) for i, item in enumerate(value)]
+    if kind is tuple:
+        n, fields = len(value) if type(value) is list else -1, rule[1:]
+        if not 0 <= n <= len(fields) or n < len(fields) and fields[n][1] is REQUIRED:
+            raise FieldError(f"{path(at)}: expected {rule[0]}")
+        return [copying_check(value[i], fields[i][0], (*at, i), roles) for i in range(n)] + [
+            default for _, default in fields[n:]]
+    return value if kind is type else rule(value, at, roles)
+
+
+def checked(walker, value, rule):
+    try:
+        return walker(value, rule)
+    except FieldError as exc:
+        return ("refused", str(exc))
+
+
+@st.composite
+def valid_bundle(draw):
+    """A bundle that passes, a DH one with or without its anonymized field."""
+    scheme = draw(st.sampled_from(sorted(FIELDS)))
+    entries = st.fixed_dictionaries({name: valid for name, (valid, _) in FIELDS[scheme].items()})
+    out = {"scheme": scheme, REF_UPLOADS[scheme][0]: draw(st.lists(entries, max_size=3)),
+           "tan": draw(st.text(max_size=12))}
+    if scheme == "dh" and draw(st.booleans()):
+        out["anonymized"] = draw(st.booleans())
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=st.one_of(bundle(), valid_bundle()))
+def test_a_bundle_checks_as_the_copying_walker_checked_it_and_is_not_copied(value):
+    """The same bundle, or the same fault; the input is never changed, and a
+    bundle is copied only when a DH one leaves anonymized to its default."""
+    before = copy.deepcopy(value)
+    got = checked(check, value, _BUNDLE)
+    assert got == checked(copying_check, value, _BUNDLE)
+    assert value == before
+    if passes(value, _BUNDLE):
+        key = REF_UPLOADS[value["scheme"]][0]
+        assert (got is value) == (value["scheme"] != "dh" or "anonymized" in value)
+        assert got[key] is value[key]
+
+
+@pytest.mark.parametrize("sid", STANDARD_SUITE)
+def test_a_bundled_scenario_checks_as_the_copying_walker_checked_it(sid):
+    scenario = builtin_scenario(sid)
+    before = copy.deepcopy(scenario)
+    assert check(scenario, SCENARIO_TABLE) == copying_check(scenario, SCENARIO_TABLE)
+    assert scenario == before
+
+
+def test_a_filled_in_default_is_a_copy_and_a_whole_row_is_not():
+    table = {"xs": Field([int], []), "inner": Field({"n": Field(int, 0)}, {})}
+    first = check({}, table)
+    first["xs"].append(1)
+    first["inner"]["n"] = 5
+    assert check({}, table) == {"xs": [], "inner": {"n": 0}}
+    given = {"xs": [1], "inner": {}}
+    got = check(given, table)
+    assert got == {"xs": [1], "inner": {"n": 0}} and got["xs"] is given["xs"]
+    assert given == {"xs": [1], "inner": {}}
+    row = ("[a, b]", Field(int), Field(int, 0))
+    whole = [1, 2]
+    assert check(whole, row) is whole
+    assert check([1], row) == [1, 0]
 
 
 # -- every boundary table names every key it admits ------------------------------------
