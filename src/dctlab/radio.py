@@ -46,12 +46,18 @@ at its key. A span's later ticks stop before the first of:
   connect (both override DeviceClient.wants_connection): a connect attempt
   may run on it, so every attempt, capacity rejects included, runs on its
   own tick;
-* the next call the radio did not schedule itself (a sync, a report, a clock
-  set, a relay's), and any tick after step(until_s);
-* the next pending message delivery or edge end that touches either device;
-* the next tick of another edge of the same pair, or of an edge that joins
-  either device to a client without a quiet_until, since either could deliver
-  the span's identifiers to the same listener.
+* any tick after step(until_s);
+* the next pending heap entry that names every span, either device or the
+  edge's pair. A call the radio did not schedule itself (a sync, a report, a
+  clock set, a relay's) names every span; a message delivery or an edge end
+  names both its devices; a tick names its pair, when the pair has another
+  edge, and each of its devices whose peer takes no spans or was not added
+  when the world started. The pair's other edge delivers the same beacons
+  to the same listeners, and a client without a quiet_until (a replayer)
+  may beacon the speaker's identifier to the span's listener. Either edge
+  takes one tick at a time while it overlaps the span's edge (two edges of
+  one pair each stop the other), so its next pending tick bounds a span as
+  its whole tick range would.
 
 Within these bounds nothing reads or writes what the span's later ticks change
 (a TEK run, a centralized record's last_seen, a DH encounter's accrued_s),
@@ -270,24 +276,23 @@ class Device:
     connections: dict = field(default_factory=dict)   # peer_id -> Connection
     last_advertised: bytes | None = None
     link_stream: SeedStream | None = None
-    irk_tag: bytes = b""
-    _link_cache: tuple | None = field(default=None, repr=False)   # ((epoch, irk), address)
+    irk_tag: bytes = b""        # set only in an IRK-linkable world
+    _link_cache: tuple | None = field(default=None, repr=False)   # (epoch, address)
 
-    def link_address(self, epoch: int, irk_linkable: bool) -> bytes:
-        """Per-rotation-window pseudo link address. With the IRK-linkability
-        flag the first two bytes are a stable per-device tag, modeling
-        resolvable addresses derived from an unchanging identity key.
+    def link_address(self, epoch: int) -> bytes:
+        """Per-rotation-window pseudo link address. It begins with irk_tag, a
+        stable per-device tag in an IRK-linkable world, modeling resolvable
+        addresses derived from an unchanging identity key.
 
-        The last address is kept and derived again only when the window or
-        the flag changes. That is exact, because deriving a child stream
-        consumes nothing from link_stream: a clock moved back to an earlier
-        window derives that window's address anew and gets the same bytes."""
-        key = (epoch, irk_linkable)
-        if self._link_cache is not None and self._link_cache[0] == key:
+        The last address is kept and derived again only when the window
+        changes. That is exact, because deriving a child stream consumes
+        nothing from link_stream: a clock moved back to an earlier window
+        derives that window's address anew and gets the same bytes."""
+        if self._link_cache is not None and self._link_cache[0] == epoch:
             return self._link_cache[1]
         rand = self.link_stream.child(f"link:{epoch}").take(LINK_ADDR_LEN)
-        addr = self.irk_tag + rand[2:] if irk_linkable else rand
-        self._link_cache = (key, addr)
+        addr = self.irk_tag + rand[len(self.irk_tag):]
+        self._link_cache = (epoch, addr)
         return addr
 
 
@@ -335,13 +340,12 @@ class World:
         self._sink = sink
         self.now = 0
         self.counters = {"connect_rejects_capacity": 0, "connect_rejects_range": 0}
-        self._heap: list = []       # (at, position, (when, where) scheduled, order, fn, args)
+        self._heap: list = []       # (at, position, (when, where) scheduled, order, stops, fn, args)
         self._stride = 0            # of keys, per second of first-tick time
         self._order = 0             # the tie-break of calls at one position
         self._pos = _FIRST          # the position of the work running now
-        self._foreign: list[int] = []           # due times of pending scheduled calls
-        self._busy: dict[str, list[int]] = {}   # device -> due times of its deliveries and edge ends
-        self._interferers: list[tuple | None] = []   # by edge index: ticks its spans stop before
+        self._due: dict[str | frozenset | None, list[int]] = {}  # span key -> due times
+        self._watch: list[tuple] = []   # by edge index: the span keys its spans stop before
         self._until: int | None = None
         self._seq = 0       # the events emitted
         self._cid = 0
@@ -354,7 +358,8 @@ class World:
             raise ConfigurationError(f"duplicate device {device_id}")
         dev = Device(device_id, client, clock_offset_s,
                      link_stream=self.stream.child(f"device:{device_id}:link"))
-        dev.irk_tag = self.stream.child(f"device:{device_id}:irk").take(2)
+        if self.irk_linkable:
+            dev.irk_tag = self.stream.child(f"device:{device_id}:irk").take(2)
         client.device_id = device_id
         self.devices[device_id] = dev
         return dev
@@ -371,8 +376,7 @@ class World:
         they were scheduled. Every radio span stops before such a call."""
         if at_s < self.now:
             raise ConfigurationError("cannot schedule into the past")
-        heapq.heappush(self._foreign, at_s)
-        self._push(at_s, self._place(at_s, self.now, self._pos), self._foreign_call, (fn, args))
+        self._push(at_s, self._place(at_s, self.now, self._pos), (None,), fn, args)
 
     def _place(self, at: int, t: int, pos: float) -> float:
         """The position among at's ticks of a call scheduled at time t from
@@ -396,34 +400,19 @@ class World:
         that start at first and before any other."""
         return 2 * idx + 2 - first * self._stride
 
-    def _push(self, at: int, pos: float, fn: Callable[..., None], args: tuple,
+    def _push(self, at: int, pos: float, stops: tuple, fn: Callable[..., None], args: tuple,
               since: tuple[int, float] | None = None) -> None:
-        """Push fn(*args) at (at, pos). Entries at one position run in the
-        order of since, the (time, position) they count as scheduled from,
-        now's by default, then in the order they were pushed."""
+        """Push fn(*args) at (at, pos). Until it runs, each span that a key in
+        stops names ends before at: None names every span, a device each span
+        of its edges, a pair each span of that pair's edges. Entries at one
+        position run in the order of since, the (time, position) they count
+        as scheduled from, now's by default, then in the order they were
+        pushed."""
+        for k in stops:
+            heapq.heappush(self._due.setdefault(k, []), at)
         self._order += 1
-        heapq.heappush(self._heap, (at, pos, since or (self.now, self._pos), self._order, fn, args))
-
-    def _schedule_touching(self, at: int, pos: float, devices: tuple[str, str],
-                           fn: Callable[..., None], *args,
-                           since: tuple[int, float] | None = None) -> None:
-        """A radio call that touches devices: their spans stop before it."""
-        for d in devices:
-            heapq.heappush(self._busy.setdefault(d, []), at)
-        self._push(at, pos, self._touching_call, (devices, fn, args), since)
-
-    def _foreign_call(self, fn: Callable[..., None], args: tuple) -> None:
-        heapq.heappop(self._foreign)
-        fn(*args)
-
-    def _touching_call(self, devices: tuple[str, str], fn: Callable[..., None],
-                       args: tuple) -> None:
-        for d in devices:
-            busy = self._busy[d]
-            heapq.heappop(busy)
-            if not busy:
-                del self._busy[d]
-        fn(*args)
+        heapq.heappush(self._heap, (at, pos, since or (self.now, self._pos), self._order,
+                                    stops, fn, args))
 
     def emit(self, kind: str, payload: dict) -> None:
         """Hand the sink the next event; a world without a sink builds none."""
@@ -438,14 +427,20 @@ class World:
             return
         self._started = True
         self._stride = 2 * len(self.trace.edges) + 4
-        self._interferers = [None] * len(self.trace.edges)
         for idx, edge in enumerate(self.trace.edges):
+            pair = (edge.pair,) if len(self.trace._by_pair[edge.pair]) > 1 else ()
+            self._watch.append((None, edge.a, edge.b) + pair)
             first = edge.start_s + (-edge.start_s) % SCAN_TICK_S
             if first < edge.end_s:
                 if first < self.now:
                     raise ConfigurationError("cannot schedule into the past")
                 key = self._key(first, idx)
-                self._push(first, key, self._tick, (key, idx, edge))
+                # its ticks stop the spans of the pair's other edges, and those of
+                # each device whose peer here takes no spans or was not added yet
+                stops = pair + tuple(d for d, peer in ((edge.a, edge.b), (edge.b, edge.a))
+                                     if peer not in self.devices
+                                     or not _takes_spans(self.devices[peer].client))
+                self._push(first, key, stops, self._tick, (key, idx, edge, stops))
 
     def step(self, until_s: int | None = None) -> None:
         """Process all scheduled work at times <= until_s, or all of it when
@@ -453,9 +448,11 @@ class World:
         self._start()
         self._until = until_s
         limit = float("inf") if until_s is None else until_s
-        heap = self._heap
+        heap, due = self._heap, self._due
         while heap and heap[0][0] <= limit:
-            at, self._pos, _, _, fn, args = heapq.heappop(heap)
+            at, self._pos, _, _, stops, fn, args = heapq.heappop(heap)
+            for k in stops:
+                heapq.heappop(due[k])
             self.now = max(self.now, at)
             fn(*args)
         if until_s is not None:
@@ -468,9 +465,9 @@ class World:
 
     # -- radio behavior -----------------------------------------------------
 
-    def _tick(self, key: int, idx: int, edge: ContactEdge) -> None:
+    def _tick(self, key: int, idx: int, edge: ContactEdge, stops: tuple) -> None:
         """Run edge's scan tick, or span of ticks, due now, and push its next
-        tick at its key."""
+        tick at its key, stopping the span keys in stops."""
         t = self.now
         self._pos = key - 1
         # a clock changes only through a scheduled call, never within a span
@@ -490,13 +487,13 @@ class World:
 
         nxt = t + SCAN_TICK_S * n
         if nxt < edge.end_s:
-            self._push(nxt, key, self._tick, (key, idx, edge))
+            self._push(nxt, key, stops, self._tick, (key, idx, edge, stops))
         else:
             # placed and ordered as if scheduled by the edge's last tick, which
             # a span may hold
             last = (nxt - SCAN_TICK_S, key - 1)
-            self._schedule_touching(edge.end_s, self._place(edge.end_s, *last),
-                                    (edge.a, edge.b), self._edge_end, edge, since=last)
+            self._push(edge.end_s, self._place(edge.end_s, *last), (edge.a, edge.b),
+                       self._edge_end, (edge,), since=last)
 
     def _span(self, t: int, idx: int, edge: ContactEdge, dev_a: Device, la: int,
               dev_b: Device, lb: int) -> int:
@@ -512,38 +509,14 @@ class World:
         if end <= t + SCAN_TICK_S or (edge.b not in dev_a.connections
                                       and _connects(dev_a.client) and _connects(dev_b.client)):
             return 1
-        if self._foreign:
-            end = min(end, self._foreign[0])
         if self._until is not None:
             end = min(end, self._until + 1)
-        for d in (edge.a, edge.b):
-            busy = self._busy.get(d)
-            if busy:
-                end = min(end, busy[0])
-        for first, last in self._interference(idx, edge):
-            if last >= t:
-                end = min(end, max(first, t))
+        due = self._due
+        for k in self._watch[idx]:
+            times = due.get(k)
+            if times:
+                end = min(end, times[0])
         return max(1, -((t - end) // SCAN_TICK_S))
-
-    def _interference(self, idx: int, edge: ContactEdge) -> tuple[tuple[int, int], ...]:
-        """The (first, last) ticks of each edge that edge's spans stop before:
-        another edge of its pair, and an edge that joins either device to a
-        client taking no spans (or not added yet). Kept per edge index."""
-        got = self._interferers[idx]
-        if got is None:
-            pair = (edge.a, edge.b)
-            others = [g for g in self.trace._by_pair[edge.pair] if g is not edge]
-            for d in pair:
-                for g in self.trace._by_device[d]:
-                    peer = g.b if g.a == d else g.a
-                    if peer not in pair and (peer not in self.devices
-                                             or not _takes_spans(self.devices[peer].client)):
-                        others.append(g)
-            ranges = [(g.start_s + (-g.start_s) % SCAN_TICK_S,
-                       g.end_s - 1 - (g.end_s - 1) % SCAN_TICK_S) for g in others]
-            got = self._interferers[idx] = tuple((first, last) for first, last in ranges
-                                                 if first <= last)
-        return got
 
     def _edge_end(self, edge: ContactEdge) -> None:
         conn = self.devices[edge.a].connections.get(edge.b)
@@ -564,8 +537,8 @@ class World:
             self.emit("advertise", {"device": speaker.device_id, "id": ident.hex(),
                                     "size": adv.size})
         if self._sink is not None:
-            self._scan(listener.device_id, speaker.device_id, ident, speaker.link_address(
-                speaker_t // self.link_rotation_s, self.irk_linkable), ticks)
+            self._scan(listener.device_id, speaker.device_id, ident,
+                       speaker.link_address(speaker_t // self.link_rotation_s), ticks)
         listener.client.on_sighting(ident, listener_t, self.now, ticks)
 
     def inject_beacon(self, listener_id: str, identifier: bytes, link_addr: bytes,
@@ -634,8 +607,8 @@ class World:
         at = self.now + conn.latency_s
         if at < self.now:
             raise ConfigurationError("cannot schedule into the past")
-        self._schedule_touching(at, self._place(at, self.now, self._pos), (conn.a, conn.b),
-                                self._deliver, conn, sender_id, payload)
+        self._push(at, self._place(at, self.now, self._pos), (conn.a, conn.b),
+                   self._deliver, (conn, sender_id, payload))
 
     def _deliver(self, conn: Connection, sender_id: str, payload: dict) -> None:
         if not conn.open:

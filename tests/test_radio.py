@@ -751,6 +751,55 @@ def test_a_dh_client_beside_peers_that_never_connect_takes_spans(world_cls):
     assert rejects == ref_counters[0]["connect_rejects_capacity"] == 2 * 60
 
 
+class SpanLogWorld(SpanWorld):
+    """A SpanWorld that keeps each span it hands over as (edge, t, ticks)."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.spans = []
+
+    def _span(self, t, idx, edge, *args):
+        n = super()._span(t, idx, edge, *args)
+        self.spans.append((edge, t, n))
+        return n
+
+
+class WrittenSpanLogWorld(SpanLogWorld, WrittenSpanWorld):
+    """A SpanLogWorld whose events go to the list world.log."""
+
+
+# the TEK clients a and b meet from 0 to 600, and again from 203 to 232
+PAIR_INSIDE_A_PAIR = ([ContactEdge("a", "b", 0, 600), ContactEdge("b", "a", 203, 232)],
+                      {"a": ("tek", 0, 0), "b": ("tek", 0, 0)},
+                      DhConfig(), "bluetrace", None, [("calls", [])])
+
+# the TEK clients a and b meet from 0 to 600; the replayer c, armed with a's
+# identifier, meets b from 203 to 232
+TEK_PAIR_BESIDE_A_REPLAYER = ([ContactEdge("a", "b", 0, 600), ContactEdge("c", "b", 203, 232)],
+                              {"a": ("tek", 0, 0), "b": ("tek", 0, 0), "c": ("replayer", 0, 0)},
+                              DhConfig(), "bluetrace", None, [("calls", [("arm", 0, "a")])])
+
+
+@pytest.mark.parametrize("case", [PAIR_INSIDE_A_PAIR, TEK_PAIR_BESIDE_A_REPLAYER],
+                         ids=["pair", "replayer"])
+def test_a_span_stops_before_the_ticks_of_an_edge_that_can_deliver_its_identifier(case):
+    """a-b spans up to the first tick of the other edge (the pair's own, or
+    the replayer's that may beacon a's identifier to b), at 205. The two
+    take one tick at a time while both are live, up to 230, where a-b also
+    stops before the other edge's end at 232; then a-b spans to its end (one
+    TEK slot, one link-address window). A world with a sink takes the same
+    spans, and both leave every client as one heap entry per tick does."""
+    ab, other = case[0]
+    ref_states, ref_counters, ref_cids, _ = run_span_plan(HeapWorld, *case)
+    for world_cls in (SpanLogWorld, WrittenSpanLogWorld):
+        states, counters, cids, world = run_span_plan(world_cls, *case)
+        assert world.spans == ([(ab, 0, 41)]
+                               + [(e, t, 1) for t in range(205, 235, 5) for e in (other, ab)]
+                               + [(ab, 235, 73)])
+        assert states == ref_states
+        assert (counters, cids) == (ref_counters, ref_cids)
+
+
 class TickCounting(BeaconClient):
     """A lab beacon without quiet_until that keeps the ticks of each sighting."""
 

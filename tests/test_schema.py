@@ -149,8 +149,20 @@ def test_entry_tables_accept_what_the_hand_written_checks_did(tek, dh, record):
     assert passes(record, RECORD) == (isinstance(record, dict) and ref_record_error(record) is None)
 
 
+@st.composite
+def valid_bundle(draw):
+    """A bundle that passes, a DH one with or without its anonymized field."""
+    scheme = draw(st.sampled_from(sorted(FIELDS)))
+    entries = st.fixed_dictionaries({name: valid for name, (valid, _) in FIELDS[scheme].items()})
+    out = {"scheme": scheme, REF_UPLOADS[scheme][0]: draw(st.lists(entries, max_size=3)),
+           "tan": draw(st.text(max_size=12))}
+    if scheme == "dh" and draw(st.booleans()):
+        out["anonymized"] = draw(st.booleans())
+    return out
+
+
 @settings(max_examples=300, deadline=None)
-@given(bundle=bundle())
+@given(bundle=st.one_of(bundle(), valid_bundle()))
 def test_bundle_rule_accepts_what_accept_upload_did(bundle):
     assert passes(bundle, _BUNDLE) == (ref_bundle_error(bundle) is None)
 
@@ -241,18 +253,6 @@ def checked(walker, value, rule):
         return walker(value, rule)
     except FieldError as exc:
         return ("refused", str(exc))
-
-
-@st.composite
-def valid_bundle(draw):
-    """A bundle that passes, a DH one with or without its anonymized field."""
-    scheme = draw(st.sampled_from(sorted(FIELDS)))
-    entries = st.fixed_dictionaries({name: valid for name, (valid, _) in FIELDS[scheme].items()})
-    out = {"scheme": scheme, REF_UPLOADS[scheme][0]: draw(st.lists(entries, max_size=3)),
-           "tan": draw(st.text(max_size=12))}
-    if scheme == "dh" and draw(st.booleans()):
-        out["anonymized"] = draw(st.booleans())
-    return out
 
 
 @settings(max_examples=300, deadline=None)
