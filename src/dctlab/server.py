@@ -28,13 +28,16 @@ have no access to user identities and their feeds carry no user field.
 
 The server is callable in-process and over a newline-delimited JSON
 request/response protocol on a TCP byte stream (see serve_tcp / WireClient).
+A connection serves one line after another, each answered in turn, and a
+WireClient keeps one connection for all its calls until it is closed.
 A request line is checked against _REQUEST and the args table its op has in
 _OPS; one that breaks them, or carries a key they do not name, is answered
 with ok: false, naming the JSON path of the first bad value. A line json
 cannot parse, one that is not UTF-8 or is nested past the recursion limit
 included, is answered "bad json: ..." and the connection keeps serving. A
 line longer than MAX_LINE_BYTES, its newline included, is answered "line too
-long" and the connection is closed, so no line is read into memory whole.
+long" and the connection is closed, so no line is read into memory whole;
+closing the server (server_close) ends every connection it still serves.
 Persistence is one append-only JSON-lines log, state.jsonl, with one record
 per change to server state: an issue (a TAN and whom it went to), a spend (a
 TAN and, in the same line, every entry its upload published, in feed order),
@@ -80,6 +83,7 @@ SCHEMES = ("centralized", "tek", "dh")
 PROOF = {"tokens": Field([str], []), "encoding": Field(one_of(("hex", "b64"), "encoding"), "b64")}
 STATE_LOG = "state.jsonl"
 MAX_LINE_BYTES = 1 << 20     # a wire request line, its newline included
+LINE_TOO_LONG = {"ok": False, "error": "line too long"}   # then the connection is closed
 _issued = predicate(lambda v, tans: type(v) is str and v in tans, "TAN {!r} was never issued")
 _unspent = predicate(lambda v, tans: not tans[v].used, "TAN {!r} was spent before")
 # a line of state.jsonl, by op, checked with the TANs replayed before it as roles
@@ -439,7 +443,7 @@ class _WireHandler(socketserver.StreamRequestHandler):
     def handle(self):
         while line := self.rfile.readline(MAX_LINE_BYTES + 1):
             if len(line) > MAX_LINE_BYTES:
-                self._answer({"ok": False, "error": "line too long"})
+                self._answer(LINE_TOO_LONG)
                 return
             line = line.strip()
             if not line:
@@ -459,13 +463,46 @@ class _WireHandler(socketserver.StreamRequestHandler):
 
 
 class _WireServer(socketserver.ThreadingTCPServer):
+    """Keeps the sockets its handlers serve, so that server_close() can end
+    them: a connection lasts as long as its client keeps it."""
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, *args, **kw):
+        self._open: set[socket.socket] = set()
+        self._open_changed = threading.Condition()
+        super().__init__(*args, **kw)
+
+    def process_request(self, request, client_address):
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        # under the lock, so server_close never shuts down a socket as it closes
+        with self._open_changed:
+            self._open.discard(request)
+            super().shutdown_request(request)
+            self._open_changed.notify_all()
+
+    def server_close(self):
+        """Close the listening socket, then end each connection still served
+        and wait for its handler to return, so none answers another line."""
+        super().server_close()
+        with self._open_changed:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RDWR)   # its handler reads EOF
+                except OSError:
+                    pass                                  # the client has gone
+            self._open_changed.wait_for(lambda: not self._open)
 
 
 def serve_tcp(server: TracingServer, host: str = "127.0.0.1", port: int = 0):
     """Start the NDJSON endpoint on a background thread.
-    Returns (tcp_server, bound_port); call tcp_server.shutdown() to stop."""
+    Returns (tcp_server, bound_port). To stop, call tcp_server.shutdown(),
+    which stops accepting, then tcp_server.server_close(), which closes the
+    listening socket and ends every connection still served."""
     tcp = _WireServer((host, port), _WireHandler)
     tcp.tracing_server = server
     thread = threading.Thread(target=tcp.serve_forever, daemon=True)
@@ -474,17 +511,55 @@ def serve_tcp(server: TracingServer, host: str = "127.0.0.1", port: int = 0):
 
 
 class WireClient:
-    """One-request-per-connection NDJSON client."""
+    """NDJSON client that keeps one connection. It connects on its first call;
+    each call sends one line and reads one answer line on that connection,
+    one call at a time, whichever thread makes it. No request is sent twice: a
+    call whose connection fails, or ends before an answer, drops it and raises
+    OSError, and the next call connects afresh. A "line too long" answer,
+    after which the server closes the connection, drops it too. close(), or
+    the end of a with block, ends the connection; a later call opens another."""
 
     def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
+        self._lock = threading.Lock()
+        self._sock: socket.socket | None = None
+        self._rfile = None
 
     def call(self, op: str, **args) -> dict:
-        with socket.create_connection((self.host, self.port), timeout=10) as sock:
-            sock.sendall(json.dumps({"op": op, "args": args}, sort_keys=True).encode() + b"\n")
-            fh = sock.makefile("r", encoding="utf-8")
-            resp = json.loads(fh.readline())
+        line = json.dumps({"op": op, "args": args}, sort_keys=True).encode() + b"\n"
+        with self._lock:
+            if self._sock is None:
+                self._sock = socket.create_connection((self.host, self.port), timeout=10)
+                self._rfile = self._sock.makefile("rb")
+            try:
+                self._sock.sendall(line)
+                answer = self._rfile.readline()
+                if not answer.endswith(b"\n"):
+                    raise ConnectionError("server closed the connection")
+            except BaseException:
+                # the connection may hold half a request or an answer not read
+                self._drop()
+                raise
+            resp = json.loads(answer)
+            if resp == LINE_TOO_LONG:
+                self._drop()
         if not resp.get("ok"):
             raise UploadRejected(resp.get("error", "request failed"))
         return resp["result"]
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop()
+
+    def __enter__(self) -> WireClient:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

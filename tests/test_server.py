@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import tempfile
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -31,6 +32,18 @@ def tek_bundle(server, days, device="d1"):
     tan = server.issue_tan(device)
     return {"scheme": "tek", "tan": tan.value,
             "teks": [{"tek_hex": f"{d:032x}", "day": d} for d in days]}
+
+
+@contextmanager
+def serving(server):
+    """serve_tcp for the length of a with block: yields the port, then shuts
+    the endpoint down and closes it, ending the connections it still serves."""
+    tcp, port = serve_tcp(server)
+    try:
+        yield port
+    finally:
+        tcp.shutdown()
+        tcp.server_close()
 
 
 def persisted(server):
@@ -247,8 +260,7 @@ def test_centralized_record_whose_windows_do_not_encode_keeps_its_tan():
     # pepp_pt resolve derives the windows t // rotation_s - 1 .. + 1, each packed
     # into 8 signed bytes; a record past that is rejected before its TAN is spent
     server = make_server(registry=CentralRegistry(SeedStream(5, "reg"), variant="pepp_pt"))
-    tcp, port = serve_tcp(server)
-    try:
+    with serving(server) as port:
         import socket as socketlib
         tans = [server.issue_tan("bob").value for _ in range(3)]
         lines = [{"op": "upload", "args": {"bundle": {
@@ -260,9 +272,6 @@ def test_centralized_record_whose_windows_do_not_encode_keeps_its_tan():
             sock.sendall("\n".join(map(json.dumps, lines)).encode() + b"\n")
             fh = sock.makefile("r")
             responses = [json.loads(fh.readline()) for _ in lines]
-    finally:
-        tcp.shutdown()
-        tcp.server_close()
     for resp in responses[:2]:
         assert resp == {"ok": False, "error": "malformed bundle: bundle.records[0]: "
                         "its window indexes must fit in 8 signed bytes"}
@@ -805,8 +814,7 @@ def test_a_log_that_cannot_be_cut_back_takes_no_more_records(tmp_path):
 def test_the_wire_connection_serves_on_after_a_failed_state_write(tmp_path):
     server = make_server(state_dir=tmp_path)
     bundle = tek_bundle(server, [1])
-    tcp, port = serve_tcp(server)
-    try:
+    with serving(server) as port:
         import socket as socketlib
         lines = [{"op": "upload", "args": {"bundle": bundle}},
                  {"op": "issue_tan", "args": {"device_id": "d2"}}]
@@ -815,9 +823,6 @@ def test_the_wire_connection_serves_on_after_a_failed_state_write(tmp_path):
             sock.sendall("\n".join(map(json.dumps, lines)).encode() + b"\n")
             fh = sock.makefile("r")
             responses = [json.loads(fh.readline()) for _ in lines]
-    finally:
-        tcp.shutdown()
-        tcp.server_close()
     assert responses[0] == {"ok": False, "error": "state write failed: No space left on device"}
     assert responses[1]["ok"] is True
     assert persisted(make_server(state_dir=tmp_path)) == persisted(server)
@@ -854,9 +859,7 @@ def test_the_state_log_is_byte_stable(tmp_path):
 def test_wire_protocol_roundtrip():
     registry = CentralRegistry(SeedStream(9, "reg"), variant="pepp_pt")
     server = make_server(registry=registry)
-    tcp, port = serve_tcp(server)
-    try:
-        client = WireClient("127.0.0.1", port)
+    with serving(server) as port, WireClient("127.0.0.1", port) as client:
         reg = client.call("register", device_id="devX", mode="phone", phone="+1555")
         assert reg["user_id"].startswith("u-")
         tan = client.call("issue_tan", device_id="devX")["tan"]
@@ -871,14 +874,11 @@ def test_wire_protocol_roundtrip():
         assert client.call("superspreader_proof",
                            proof={"tokens": [], "encoding": "b64"})["accepted"] == 0
         assert client.call("notify_poll", user_id=reg["user_id"])["notifications"] == []
-    finally:
-        tcp.shutdown()
 
 
 def test_wire_protocol_bad_json_line():
     server = make_server()
-    tcp, port = serve_tcp(server)
-    try:
+    with serving(server) as port:
         import socket as socketlib
         with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
             # not JSON, not UTF-8 inside a string, and nested past the recursion
@@ -891,16 +891,13 @@ def test_wire_protocol_bad_json_line():
         for resp in bad:
             assert resp["ok"] is False and resp["error"].startswith("bad json: ")
         assert good["ok"] is True
-    finally:
-        tcp.shutdown()
 
 
 def test_wire_answers_a_line_too_long_and_closes_only_that_connection(monkeypatch):
     from dctlab import server as server_mod
     monkeypatch.setattr(server_mod, "MAX_LINE_BYTES", 64)
     server = make_server()
-    tcp, port = serve_tcp(server)
-    try:
+    with serving(server) as port:
         import socket as socketlib
         feed = json.dumps({"op": "feed", "args": {"scheme": "tek"}}).encode()
         at_limit = feed.ljust(63) + b"\n"          # 64 bytes, its newline included
@@ -917,10 +914,95 @@ def test_wire_answers_a_line_too_long_and_closes_only_that_connection(monkeypatc
             fh = sock.makefile("r")
             assert json.loads(fh.readline()) == {"ok": False, "error": "line too long"}
             assert fh.readline() == ""
-        assert WireClient("127.0.0.1", port).call("issue_tan", device_id="d1")["tan"] in server.tans
+        with WireClient("127.0.0.1", port) as client:
+            assert client.call("issue_tan", device_id="d1")["tan"] in server.tans
+
+
+def test_a_line_too_long_drops_the_wire_clients_connection(monkeypatch):
+    # the server closes the connection after this answer; the client's next
+    # call is served on a fresh one, and the refused line was never served
+    from dctlab import server as server_mod
+    monkeypatch.setattr(server_mod, "MAX_LINE_BYTES", 200)
+    server = make_server()
+    with serving(server) as port, WireClient("127.0.0.1", port) as client:
+        assert client.call("issue_tan", device_id="d1")["tan"] in server.tans
+        with pytest.raises(UploadRejected, match="^line too long$"):
+            client.call("issue_tan", device_id="x" * 300)
+        assert client.call("issue_tan", device_id="d2")["tan"] in server.tans
+    assert sorted(t.issued_to for t in server.tans.values()) == ["d1", "d2"]
+
+
+def test_a_wire_client_keeps_one_connection_for_its_calls():
+    from dctlab import server as server_mod
+    accepted = []
+    process_request = server_mod._WireServer.process_request
+
+    def counting(tcp, request, client_address):
+        accepted.append(client_address)
+        process_request(tcp, request, client_address)
+
+    server = make_server()
+    with patch.object(server_mod._WireServer, "process_request", counting), \
+            serving(server) as port:
+        with WireClient("127.0.0.1", port) as client:
+            tans = [client.call("issue_tan", device_id="d1")["tan"] for _ in range(5)]
+            assert client.call("feed", scheme="tek", since_cursor=0)["cursor"] == 0
+        assert len(accepted) == 1
+        # a closed client connects afresh on its next call
+        try:
+            tans.append(client.call("issue_tan", device_id="d1")["tan"])
+        finally:
+            client.close()
+        assert len(accepted) == 2
+    assert sorted(tans) == sorted(server.tans)
+
+
+def test_threads_that_share_a_wire_client_each_get_their_own_answer():
+    server = make_server()
+    devices = [f"d{i}" for i in range(4)]          # more threads than cores
+
+    def issue(client, device):
+        return [client.call("issue_tan", device_id=device)["tan"] for _ in range(40)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serving(server) as port, WireClient("127.0.0.1", port) as client, \
+                ThreadPoolExecutor(len(devices)) as pool:
+            futures = {d: pool.submit(issue, client, d) for d in devices}
+            got = {d: f.result(timeout=60) for d, f in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for device, tans in got.items():
+        assert [server.tans[t].issued_to for t in tans] == [device] * 40
+    assert len(server.tans) == 40 * len(devices)
+
+
+def test_closing_the_server_ends_the_connections_it_serves():
+    import socket as socketlib
+    server = make_server()
+    issue = json.dumps({"op": "issue_tan", "args": {"device_id": "d1"}}).encode() + b"\n"
+    tcp, port = serve_tcp(server)
+    try:
+        with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock, \
+                sock.makefile("rb") as fh, WireClient("127.0.0.1", port) as client:
+            sock.sendall(issue)
+            assert json.loads(fh.readline())["ok"] is True
+            assert client.call("issue_tan", device_id="d2")["tan"] in server.tans
+            issued = dict(server.tans)
+            tcp.shutdown()
+            tcp.server_close()
+            assert fh.readline() == b""             # EOF: the server ended it
+            try:
+                sock.sendall(issue)
+            except OSError:
+                pass                                # or the client saw it end first
+            with pytest.raises(OSError):
+                client.call("issue_tan", device_id="d3")
     finally:
         tcp.shutdown()
         tcp.server_close()
+    assert server.tans == issued
 
 
 NOT_OBJECTS = ([1], "x", None, 3, {"op": "feed", "args": [1]}, {"op": "feed", "args": "x"},
@@ -983,8 +1065,7 @@ def test_an_upload_entry_with_a_key_its_table_does_not_name_keeps_its_tan(scheme
 
 def test_wire_connection_survives_a_request_that_is_not_an_object():
     server = make_server()
-    tcp, port = serve_tcp(server)
-    try:
+    with serving(server) as port:
         import socket as socketlib
         with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
             lines = [json.dumps(req) for req in NOT_OBJECTS]
@@ -994,14 +1075,11 @@ def test_wire_connection_survives_a_request_that_is_not_an_object():
             responses = [json.loads(fh.readline()) for _ in lines]
         assert all(r["ok"] is False for r in responses[:-1])
         assert responses[-1]["ok"] is True and responses[-1]["result"]["tan"] in server.tans
-    finally:
-        tcp.shutdown()
 
 
 def test_wire_proof_with_a_token_that_is_not_a_string_is_answered():
     server = make_server()
-    tcp, port = serve_tcp(server)
-    try:
+    with serving(server) as port:
         import socket as socketlib
         with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
             lines = [{"op": "superspreader_proof", "args": {"proof": {"tokens": [5]}}},
@@ -1015,9 +1093,6 @@ def test_wire_proof_with_a_token_that_is_not_a_string_is_answered():
                                 "request.args.proof.tokens[0]: expected a string, got 5"}
         assert responses[1]["ok"] is False and "does not decode" in responses[1]["error"]
         assert responses[2]["ok"] is True and responses[2]["result"]["tan"] in server.tans
-    finally:
-        tcp.shutdown()
-        tcp.server_close()
     assert server.feeds["dh"].superspreader_tags == set()
 
 
@@ -1057,10 +1132,8 @@ def wire_line(draw):
 @pytest.fixture(scope="module")
 def wire_server():
     server, _ = registry_server()
-    tcp, port = serve_tcp(server)
-    yield server, port
-    tcp.shutdown()
-    tcp.server_close()
+    with serving(server) as port:
+        yield server, port
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
