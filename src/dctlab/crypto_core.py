@@ -50,20 +50,67 @@ DAY_S = 86400
 # HKDF-SHA256 (RFC 5869)
 # ---------------------------------------------------------------------------
 
-def hkdf_sha256(ikm: bytes, salt: bytes | None, info: bytes, length: int) -> bytes:
-    """HMAC-based key derivation. Independent of library HKDFs on purpose:
-    the test suite cross-checks this against one."""
+# HKDF is written as RFC 5869's two steps, so a key that derives several
+# outputs is extracted once: a Tek keeps its pseudorandom key (PRK) for the
+# 144 slot identifiers of its day, sealing a token's metadata extracts the
+# token once for its two keys, and a MasterKey keeps its key state as the
+# salt of every bluetrace identifier. Each object keeps the state of its own
+# key only; nothing is cached across keys. Independent of library HKDFs on
+# purpose: the test suite cross-checks these against one.
+
+_BLOCK = 64     # SHA-256's block size, which HMAC pads its key to
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+class HmacKey:
+    """An HMAC-SHA256 key (RFC 2104) with its two padded blocks hashed once,
+    so each mac() costs two copies of a SHA-256 state, not two re-keyings."""
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        if len(key) > _BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_BLOCK, b"\x00")
+        self._inner = hashlib.sha256(key.translate(_IPAD))
+        self._outer = hashlib.sha256(key.translate(_OPAD))
+
+    def mac(self, msg: bytes) -> bytes:
+        inner = self._inner.copy()
+        inner.update(msg)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
+_NO_SALT = HmacKey(b"\x00" * 32)     # RFC 5869: no salt is HashLen zero bytes
+
+
+def hkdf_extract(ikm: bytes, salt: bytes | HmacKey | None) -> HmacKey:
+    """The PRK of ikm under salt, keyed for hkdf_expand. An empty salt is no
+    salt; a salt used for many keys may be passed as its HmacKey."""
+    if not isinstance(salt, HmacKey):
+        salt = HmacKey(salt) if salt else _NO_SALT
+    return HmacKey(salt.mac(ikm))
+
+
+def hkdf_expand(prk: HmacKey, info: bytes, length: int) -> bytes:
+    """length bytes of output keying material for info."""
     if length > 255 * 32:
         raise ValueError("HKDF output too long")
-    prk = hmac.new(salt or b"\x00" * 32, ikm, hashlib.sha256).digest()
-    okm = b""
-    block = b""
+    okm = block = b""
     counter = 1
     while len(okm) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        block = prk.mac(block + info + bytes([counter]))
         okm += block
         counter += 1
     return okm[:length]
+
+
+def hkdf_sha256(ikm: bytes, salt: bytes | None, info: bytes, length: int) -> bytes:
+    """HMAC-based key derivation in one call, for a key that derives one output."""
+    return hkdf_expand(hkdf_extract(ikm, salt), info, length)
 
 
 EPOCH_LIMIT = 2**63     # encode_epoch takes a window index in [-EPOCH_LIMIT, EPOCH_LIMIT)
@@ -203,7 +250,8 @@ class EphemeralKeyPair:
 @dataclass(frozen=True)
 class Tek:
     """Daily exposure key; published wholesale on an infection report. hex
-    is computed on first read and kept, as matching reads it per sync."""
+    is computed on first read and kept, as matching reads it per sync, and
+    so is prk, which every slot identifier of the day expands."""
 
     bytes: bytes
     day_index: int
@@ -211,6 +259,10 @@ class Tek:
     @cached_property
     def hex(self) -> str:
         return self.bytes.hex()
+
+    @cached_property
+    def prk(self) -> HmacKey:
+        return hkdf_extract(self.bytes, None)
 
 
 @dataclass(frozen=True)
@@ -224,13 +276,18 @@ class EncounterToken:
 
 @dataclass(frozen=True)
 class MasterKey:
-    """Server-side secret for pre-generated identifier batches."""
+    """Server-side secret for pre-generated identifier batches. It salts
+    every identifier's HKDF, so its HMAC key state is built once, as salt."""
 
     bytes: bytes = field(repr=False)
 
     def __post_init__(self):
         if len(self.bytes) != 32:
             raise ConfigurationError("master key must be 32 bytes")
+
+    @cached_property
+    def salt(self) -> HmacKey:
+        return HmacKey(self.bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +350,15 @@ def derive_bluetrace_id(user_id: str | bytes, t_k: int, iv: bytes, auth_tag: byt
     """Four-input HKDF(user_id || t_k || IV || auth_tag) keyed by the server
     master key. Only the server can generate or verify these."""
     ikm = _as_bytes(user_id) + encode_epoch(t_k) + iv + auth_tag
-    return hkdf_sha256(ikm, master.bytes, b"", IDENTIFIER_LEN)
+    return hkdf_expand(hkdf_extract(ikm, master.salt), b"", IDENTIFIER_LEN)
 
 
 def derive_slot_identifier(tek: Tek, slot: int) -> bytes:
     """The identifier of one slot of tek's day: HKDF(tek, slot_index), with
     slot_index in 0..143. It depends on the key and the slot only, so a
-    device derives just the identifier it is about to send."""
-    return hkdf_sha256(tek.bytes, None, encode_epoch(slot), IDENTIFIER_LEN)
+    device derives just the identifier it is about to send. It only expands
+    tek.prk, which the key extracts once."""
+    return hkdf_expand(tek.prk, encode_epoch(slot), IDENTIFIER_LEN)
 
 
 def derive_day_identifiers(tek: Tek) -> list[bytes]:
@@ -322,9 +380,9 @@ def hash_token(et: EncounterToken) -> bytes:
 
 
 def _meta_keys(et: EncounterToken) -> tuple[bytes, bytes]:
-    key = hkdf_sha256(et.secret, None, b"meta", 32)
-    nonce_key = hkdf_sha256(et.secret, None, b"meta-nonce", 32)
-    return key, nonce_key
+    """The AEAD key and the nonce key, from one extract of the token."""
+    prk = hkdf_extract(et.secret, None)
+    return hkdf_expand(prk, b"meta", 32), hkdf_expand(prk, b"meta-nonce", 32)
 
 
 def seal_metadata(et: EncounterToken, plaintext: bytes) -> bytes:
@@ -341,7 +399,7 @@ def open_metadata(et: EncounterToken, sealed: bytes) -> bytes | None:
     wrong token is a no-match signal, not an error."""
     if len(sealed) < 12 + 16:
         return None
-    key, _ = _meta_keys(et)
+    key = hkdf_sha256(et.secret, None, b"meta", 32)     # the nonce key is not needed
     try:
         return ChaCha20Poly1305(key).decrypt(sealed[:12], sealed[12:], None)
     except InvalidTag:

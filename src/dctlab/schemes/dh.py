@@ -198,6 +198,10 @@ class DhClient(DeviceClient):
         self._conns: dict[str, Connection] = {}
         self._aborted_peers: set[str] = set()
         self._notified_hashes: set[str] = set()
+        # the records sync may still notify, in record order, and how many
+        # of records it has looked at: records is only appended to
+        self._unnotified: list[EncounterRecord] = []
+        self._records_seen = 0
         self.rejected_keys = 0
 
     # -- key material ---------------------------------------------------------
@@ -390,13 +394,19 @@ class DhClient(DeviceClient):
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[DhExposure]:
         """Exposures new since the last sync; the page goes into the index
-        first. A record whose hash was notified before opens no seal."""
+        first. A record whose hash was notified before opens no seal, and
+        none is looked at again once its hash is notified."""
         self.index.ingest(feed_entries)
         if self.reported:
             return []
-        unnotified = [r for r in self.records if r.hash_hex not in self._notified_hashes]
-        fresh = match_exposures_dh(unnotified, self.index.by_hash, self.cfg)
-        self._notified_hashes.update(e.token_hash_hex for e in fresh)
+        notified = self._notified_hashes
+        self._unnotified += [r for r in self.records[self._records_seen:]
+                             if r.hash_hex not in notified]
+        self._records_seen = len(self.records)
+        fresh = match_exposures_dh(self._unnotified, self.index.by_hash, self.cfg)
+        if fresh:
+            notified.update(e.token_hash_hex for e in fresh)
+            self._unnotified = [r for r in self._unnotified if r.hash_hex not in notified]
         return fresh
 
     def superspreader_check(self) -> dict:

@@ -516,8 +516,10 @@ class WireClient:
     one call at a time, whichever thread makes it. No request is sent twice: a
     call whose connection fails, or ends before an answer, drops it and raises
     OSError, and the next call connects afresh. A "line too long" answer,
-    after which the server closes the connection, drops it too. close(), or
-    the end of a with block, ends the connection; a later call opens another."""
+    after which the server closes the connection, drops it too; it is raised
+    as UploadRejected even when the server answered, and closed, before the
+    line was all sent. close(), or the end of a with block, ends the
+    connection; a later call opens another."""
 
     def __init__(self, host: str, port: int):
         self.host = host
@@ -533,7 +535,14 @@ class WireClient:
                 self._sock = socket.create_connection((self.host, self.port), timeout=10)
                 self._rfile = self._sock.makefile("rb")
             try:
-                self._sock.sendall(line)
+                try:
+                    self._sock.sendall(line)
+                except ConnectionError:
+                    # the server may have refused the line, answered and closed
+                    # while it was still being sent: that answer is the one
+                    if self._answer_left() == LINE_TOO_LONG:
+                        raise UploadRejected(LINE_TOO_LONG["error"]) from None
+                    raise
                 answer = self._rfile.readline()
                 if not answer.endswith(b"\n"):
                     raise ConnectionError("server closed the connection")
@@ -547,6 +556,15 @@ class WireClient:
         if not resp.get("ok"):
             raise UploadRejected(resp.get("error", "request failed"))
         return resp["result"]
+
+    def _answer_left(self) -> dict | None:
+        """The answer line the server sent before the connection broke, if
+        a whole one can still be read."""
+        try:
+            answer = self._rfile.readline()
+            return json.loads(answer) if answer.endswith(b"\n") else None
+        except (OSError, ValueError):
+            return None
 
     def _drop(self) -> None:
         if self._sock is not None:

@@ -3,6 +3,7 @@ oracles: the pyca/cryptography HKDF for key schedules, and naive repeated
 multiplication for modular exponentiation."""
 
 import hashlib
+import hmac
 
 import pytest
 from cryptography.hazmat.primitives import hashes
@@ -17,6 +18,7 @@ from dctlab.crypto_core import (
     X25519_SMALL_ORDER_U,
     EncounterToken,
     GroupParams,
+    HmacKey,
     MasterKey,
     Tek,
     derive_bluetrace_id,
@@ -25,6 +27,8 @@ from dctlab.crypto_core import (
     dh_token,
     encode_epoch,
     hash_token,
+    hkdf_expand,
+    hkdf_extract,
     hkdf_sha256,
     keygen,
     open_metadata,
@@ -77,6 +81,57 @@ def test_hkdf_matches_rfc5869_case_1():
 )
 def test_hkdf_matches_library_oracle(ikm, salt, info, length):
     assert hkdf_sha256(ikm, salt, info, length) == hkdf_oracle(ikm, salt, info, length)
+
+
+@given(
+    ikm=st.binary(max_size=80),
+    salt=st.one_of(st.none(), st.binary(max_size=130)),
+    infos=st.lists(st.binary(max_size=40), min_size=1, max_size=3),
+    length=st.integers(min_value=1, max_value=100),
+)
+def test_one_extract_expands_as_the_library_oracle_derives(ikm, salt, infos, length):
+    # salts past the 64-byte HMAC block are hashed first, as RFC 2104 says
+    prk = hkdf_extract(ikm, salt)
+    salted = hkdf_extract(ikm, HmacKey(salt) if salt else None)
+    for info in infos:
+        expected = hkdf_oracle(ikm, salt, info, length)
+        assert hkdf_expand(prk, info, length) == expected
+        assert hkdf_expand(salted, info, length) == expected
+        assert hkdf_sha256(ikm, salt, info, length) == expected
+
+
+@given(ikm=st.binary(max_size=40), info=st.binary(max_size=16))
+def test_an_empty_salt_is_no_salt(ikm, info):
+    assert hkdf_sha256(ikm, b"", info, 32) == hkdf_sha256(ikm, None, info, 32)
+
+
+def test_hkdf_refuses_more_than_255_blocks():
+    assert len(hkdf_sha256(b"k", None, b"i", 255 * 32)) == 255 * 32
+    with pytest.raises(ValueError, match="too long"):
+        hkdf_sha256(b"k", None, b"i", 255 * 32 + 1)
+    with pytest.raises(ValueError, match="too long"):
+        hkdf_expand(hkdf_extract(b"k", None), b"i", 255 * 32 + 1)
+
+
+@given(key=st.binary(max_size=130), msgs=st.lists(st.binary(max_size=200), max_size=3))
+def test_an_hmac_key_macs_as_the_standard_library_does(key, msgs):
+    hmac_key = HmacKey(key)
+    for msg in msgs:      # each mac starts from the keyed state, whatever came before
+        assert hmac_key.mac(msg) == hmac.new(key, msg, hashlib.sha256).digest()
+
+
+def test_a_key_with_its_state_built_compares_hashes_and_reprs_as_a_fresh_one():
+    tek, fresh_tek = Tek(bytes(range(16)), 3), Tek(bytes(range(16)), 3)
+    derive_day_identifiers(tek)
+    assert isinstance(tek.prk, HmacKey) and tek.hex == fresh_tek.bytes.hex()
+    assert tek == fresh_tek and hash(tek) == hash(fresh_tek)
+    assert repr(tek) == repr(fresh_tek)
+    assert "prk" not in repr(tek) and "Hmac" not in repr(tek)
+    master, fresh_master = MasterKey(b"\x42" * 32), MasterKey(b"\x42" * 32)
+    derive_bluetrace_id("u7", 12, b"\x01" * 16, b"\x02" * 8, master)
+    assert isinstance(master.salt, HmacKey)
+    assert master == fresh_master and hash(master) == hash(fresh_master)
+    assert repr(master) == repr(fresh_master) == "MasterKey()"
 
 
 # ---------------------------------------------------------------------------

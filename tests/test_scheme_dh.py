@@ -641,6 +641,9 @@ dh_operation = st.one_of(
 @example(ops=[("record", (0, 0, 0)), ("sync", [entry_of(0, 0, 1), entry_of(0, 500), entry_of(0, 30)])])
 # across pages, the later page's entry of a known hash is dropped
 @example(ops=[("record", (0, 0, 0)), ("sync", [entry_of(0, 0, 1)]), ("sync", [entry_of(0, 0)])])
+# a record finalized after its hash was notified is not notified again
+@example(ops=[("record", (0, 0, 0)), ("sync", [entry_of(0, 0)]), ("record", (0, 0, 30)),
+              ("sync again", None)])
 def test_clients_sharing_an_index_sync_as_the_reference(ops):
     index = PublishedDhIndex()
     clients = [DhClient(SeedStream(i, "sync"), SYNC_CFG, index) for i in range(3)]

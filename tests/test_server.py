@@ -932,6 +932,21 @@ def test_a_line_too_long_drops_the_wire_clients_connection(monkeypatch):
     assert sorted(t.issued_to for t in server.tans.values()) == ["d1", "d2"]
 
 
+def test_a_line_far_too_long_is_refused_though_the_server_closes_mid_send(monkeypatch):
+    # the server answers after MAX_LINE_BYTES + 1 bytes and closes while the
+    # client is still sending: the client reads that answer back, not a broken
+    # pipe, and its next call is served on a fresh connection
+    from dctlab import server as server_mod
+    monkeypatch.setattr(server_mod, "MAX_LINE_BYTES", 200)
+    server = make_server()
+    with serving(server) as port, WireClient("127.0.0.1", port) as client:
+        for device in ("d1", "d2", "d3"):
+            with pytest.raises(UploadRejected, match="^line too long$"):
+                client.call("issue_tan", device_id="x" * (4 << 20))
+            assert client.call("issue_tan", device_id=device)["tan"] in server.tans
+    assert sorted(t.issued_to for t in server.tans.values()) == ["d1", "d2", "d3"]
+
+
 def test_a_wire_client_keeps_one_connection_for_its_calls():
     from dctlab import server as server_mod
     accepted = []
