@@ -74,55 +74,67 @@ def _load_metrics(out_root: Path) -> tuple[dict[str, dict], list[str]]:
     found, missing = {}, []
     for sid in STANDARD_SUITE:
         path = out_root / sid / "metrics.json"
-        if path.exists():
-            found[sid] = json.loads(path.read_text(encoding="utf-8"))
-        else:
+        if not path.exists():
             missing.append(sid)
+            continue
+        try:
+            found[sid] = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ScenarioError(f"cannot read {path}: {exc}")
     return found, missing
 
 
 def quadrilemma(out_root: str | Path) -> list[Verdict]:
     """Map the standard suite's outcomes to the +/- verdict matrix.
-    Raises ScenarioError listing any scenario whose outputs are missing."""
+    Raises ScenarioError listing any scenario whose outputs are missing, and
+    naming a metrics.json that is not JSON or lacks a field the matrix reads."""
     out_root = Path(out_root)
     metrics, missing = _load_metrics(out_root)
     if missing:
         raise ScenarioError("missing scenario outputs: " + ", ".join(missing))
 
+    def read(sid: str, *keys: str, kind: type = int):
+        """The field at keys of sid's metrics.json, which must be of kind."""
+        doc, field = metrics[sid], f"{out_root / sid / 'metrics.json'}: field {'.'.join(keys)}"
+        for key in keys:
+            doc = doc.get(key) if type(doc) is dict else None
+        if type(doc) is not kind:
+            raise ScenarioError(f"{field} is missing" if doc is None
+                                else f"{field}: expected {kind.__name__}, got {doc!r}")
+        return doc
+
     verdicts = []
     for scheme in SCHEMES:
-        relay = metrics[f"relay_{scheme}"]["runs"]["one_way"]
-        sign = "plus" if relay["false_notifications"] == 0 else "minus"
+        false_alarms = read(f"relay_{scheme}", "runs", "one_way", "false_notifications")
         verdicts.append(Verdict(
-            "R-S2", scheme, sign,
-            f"relay_{scheme}:one_way:false_notifications={relay['false_notifications']}",
+            "R-S2", scheme, "plus" if false_alarms == 0 else "minus",
+            f"relay_{scheme}:one_way:false_notifications={false_alarms}",
             NOTES.get(("R-S2", scheme), "")))
 
-        claim = metrics[f"fake_claim_{scheme}"]["runs"]["main"]["attack"]
-        sign = "minus" if claim["accepted"] else "plus"
+        accepted = read(f"fake_claim_{scheme}", "runs", "main", "attack", "accepted", kind=bool)
         verdicts.append(Verdict(
-            "R-S1", scheme, sign,
-            f"fake_claim_{scheme}:main:accepted={str(claim['accepted']).lower()}",
+            "R-S1", scheme, "minus" if accepted else "plus",
+            f"fake_claim_{scheme}:main:accepted={str(accepted).lower()}",
             NOTES.get(("R-S1", scheme), "")))
 
-        linkage = metrics[f"linkage_{scheme}"]["runs"]["main"]["linkage"]
-        linkable = linkage["max_track_duration_s"] > linkage["rotation_s"]
+        duration = read(f"linkage_{scheme}", "runs", "main", "linkage", "max_track_duration_s")
+        rotation = read(f"linkage_{scheme}", "runs", "main", "linkage", "rotation_s")
         verdicts.append(Verdict(
-            "R-P2", scheme, "minus" if linkable else "plus",
-            f"linkage_{scheme}:main:max_track_duration_s={linkage['max_track_duration_s']}",
+            "R-P2", scheme, "minus" if duration > rotation else "plus",
+            f"linkage_{scheme}:main:max_track_duration_s={duration}",
             NOTES.get(("R-P2", scheme), "")))
 
-        graph = metrics["social_graph"]["runs"][scheme]["social_graph"]
-        edges = graph["recovered_edge_count"]
+        edges = read("social_graph", "runs", scheme, "social_graph", "recovered_edge_count")
         for req in ("R-P1", "R-P3"):
             verdicts.append(Verdict(
                 req, scheme, "minus" if edges > 0 else "plus",
                 f"social_graph:{scheme}:recovered_edge_count={edges}",
                 NOTES.get((req, scheme), "")))
 
-        spreader = metrics["superspreader"]["runs"][scheme]["superspreader"]
-        device_results = list(spreader.values())
-        verified = all(r["verified"] for r in device_results) and bool(device_results)
+        spreader = ("runs", scheme, "superspreader")
+        device_results = [read("superspreader", *spreader, device, "verified", kind=bool)
+                          for device in read("superspreader", *spreader, kind=dict)]
+        verified = all(device_results) and bool(device_results)
         verdicts.append(Verdict(
             "R-Ef2", scheme, "plus" if verified else "minus",
             f"superspreader:{scheme}:verified={str(verified).lower()}",
@@ -177,6 +189,9 @@ def main(argv: list[str] | None = None) -> int:
         line = getattr(exc, "line", None)
         where = f" (line {line}, column {exc.column})" if line is not None else ""
         print(f"error: {exc}{where}", file=sys.stderr)
+        return 2
+    except OSError as exc:     # an --out that is a file, or a path through one
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
     if args.matrix:

@@ -37,13 +37,12 @@ The weaknesses the adversary lab exercises are reproduced deliberately:
   infected device's day (tracking), and lets anyone fabricate "sightings"
   straight from the public feed (fake exposure claims, same-day replays).
 
-The optional strict-freshness fix pins every published key to the client's
-sync epoch (the number of feed syncs it had done, that one included) at the
-moment the key first arrived; a sync starts a new epoch, and a run matches the
-key only if it began in an earlier one. So sightings appended after the key
-arrived cannot match it. The pin counts syncs, not time, so it holds even when
-the device clock has been manipulated. It ships off by default, mirroring
-deployed behavior.
+The optional strict-freshness fix pins every published key to the run's sync
+round that brought it, which the index holds once for the run with the key; a
+sync sets the client's log epoch to its round, and a run matches the key only
+if it began in an earlier round. So sightings appended after the key arrived
+cannot match it. The pin counts rounds, not time, so it holds even when the
+device clock has been manipulated. It ships off by default, as deployed.
 """
 
 from __future__ import annotations
@@ -98,8 +97,8 @@ class SightingLog:
     duplicate, a clock moved back, any other gap or a new epoch starts a new
     run. So a run's sightings are first_at, first_at + SCAN_TICK_S, ...,
     last_at, all appended in one epoch, and a span of ticks leaves the log
-    as its ticks appended one by one would. TekClient.sync advances the
-    epoch."""
+    as its ticks appended one by one would. TekClient.sync sets the epoch to
+    the run's sync round."""
 
     def __init__(self):
         self.by_identifier: dict[bytes, array] = {}
@@ -137,15 +136,21 @@ class PublishedTekIndex:
 
     by_hex maps tek_hex to the key's 144 identifier bytes in slot order, held
     once however many days the key is published under; by_identifier maps
-    each identifier's bytes to (tek_hex, slot). skipped counts the malformed
+    each identifier's bytes to (tek_hex, slot). published lists the keys the
+    run's sync rounds brought, in the order they first arrived (a page that
+    lists a key twice keeps both listings), and rounds maps each one's
+    tek_hex to the round that brought it. skipped counts the malformed
     entries of the pages ingested.
     """
 
     def __init__(self):
         self.by_hex: dict[str, list[bytes]] = {}
         self.by_identifier: dict[bytes, tuple[str, int]] = {}
+        self.published: list[Tek] = []
+        self.rounds: dict[str, int] = {}
         self.skipped = 0
-        self._page: tuple[list | None, list[Tek]] = (None, [])   # (last page, its keys)
+        self.round = 0
+        self._round_feed: list | None = None   # the page the current round was handed
 
     def identifiers(self, tek: Tek) -> list[bytes]:
         """The 144 identifier bytes of tek's key, slot by slot."""
@@ -158,17 +163,26 @@ class PublishedTekIndex:
 
     def ingest_all(self, page: list) -> list[Tek]:
         """Index a feed page and return its keys in page order, skipping (and
-        counting) an entry that breaks TEK_FEED_ENTRY. The last page and its
-        keys are kept, since every client of a run is handed the same page: a
-        page is checked once, however many clients ingest it. A page is not
-        changed once handed over."""
-        if page is not self._page[0]:
-            good = [e for e in page if passes(e, TEK_FEED_ENTRY)]
-            self.skipped += len(page) - len(good)
-            self._page = (page, [Tek(bytes.fromhex(e["tek_hex"]), e["day"]) for e in good])
-            for tek in self._page[1]:
-                self.identifiers(tek)
-        return self._page[1]
+        counting) an entry that breaks TEK_FEED_ENTRY. It opens no round."""
+        teks = [Tek(bytes.fromhex(e["tek_hex"]), e["day"]) for e in page
+                if passes(e, TEK_FEED_ENTRY)]
+        self.skipped += len(page) - len(teks)
+        for tek in teks:
+            self.identifiers(tek)
+        return teks
+
+    def sync_round(self, page: list) -> int:
+        """The sync round page belongs to. A page other than the current
+        round's opens the next round: it is checked once, however many
+        clients are handed it, and its keys not published before are added,
+        pinned to the round. A page is not changed once handed over."""
+        if page is not self._round_feed:
+            self._round_feed = page
+            self.round += 1
+            arrived = [t for t in self.ingest_all(page) if t.hex not in self.rounds]
+            self.published += arrived
+            self.rounds.update((t.hex, self.round) for t in arrived)
+        return self.round
 
 
 def publish_keys(store: TekStore, tan: str) -> dict:
@@ -204,9 +218,9 @@ def match_exposures(log: SightingLog, published: list[Tek],
     sighting in log order decides. Exposures come in publication order, then
     slot order.
 
-    watermarks pins keys to the strict-freshness fix: tek_hex -> the log's
-    epoch when the key first arrived, and runs that began in that epoch or
-    later are ignored for it. None pins no key, and neither does a map
+    watermarks pins keys to the strict-freshness fix: tek_hex -> the sync
+    round that brought the key, and runs that began in that round or later
+    are ignored for it. None pins no key, and neither does a map
     without the key. Identifiers come from index (a private one when None).
     """
     index = index or PublishedTekIndex()
@@ -240,8 +254,6 @@ class TekClient(DeviceClient):
         self.strict_freshness = strict_freshness
         self.store = TekStore(retention_days=retention_days)
         self.log = SightingLog()
-        self.watermarks: dict[str, int] = {}
-        self.known_published: list[Tek] = []
         self.reported = False
         self.index = index or PublishedTekIndex()
         self._beacon: tuple[int | None, bytes] = (None, b"")   # (slot since origin, identifier)
@@ -284,20 +296,16 @@ class TekClient(DeviceClient):
         return publish_keys(self.store, tan)
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[Exposure]:
-        """Ingest new feed entries and return not-yet-seen exposures. Each
-        sync starts a new epoch of the sighting log; a key that arrives now
-        is pinned to it, so under strict freshness only runs that began
-        before this sync can match it."""
-        self.log.epoch += 1
-        # a key is new until it has a watermark; a page that lists it twice keeps both
-        arrived = [t for t in self.index.ingest_all(feed_entries) if t.hex not in self.watermarks]
-        self.known_published += arrived
-        self.watermarks.update((t.hex, self.log.epoch) for t in arrived)
+        """Hand the round's feed page to the run's index and return
+        not-yet-seen exposures. The log's epoch becomes the round, so under
+        strict freshness only runs begun before the round that brought a key
+        can match it."""
+        self.log.epoch = self.index.sync_round(feed_entries)
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
-                                    [t for t in self.known_published if t.hex not in own],
+                                    [t for t in self.index.published if t.hex not in own],
                                     self.validity_window_s,
-                                    self.watermarks if self.strict_freshness else None,
+                                    self.index.rounds if self.strict_freshness else None,
                                     self.index)
         fresh = [e for e in exposures if e.key not in self._notified]
         self._notified.update(e.key for e in fresh)

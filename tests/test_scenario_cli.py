@@ -1,5 +1,6 @@
 import gc
 import json
+import shutil
 import tempfile
 from functools import reduce
 from operator import getitem
@@ -76,11 +77,15 @@ def test_clock_shift_flips_the_replay_outcome():
 
 def test_no_secret_bytes_in_any_artifact(tmp_path, monkeypatch):
     # every private key and encounter token the DH runs derive, in every window,
-    # is recorded as it is made; none may appear in any artifact: the events a
-    # list sink collects, or the events.jsonl and metrics.json written to disk
+    # and every daily key a TEK client holds, is recorded as it is made; none may
+    # appear in any artifact (the events a list sink collects, or the events.jsonl
+    # and metrics.json written to disk) unless it is a daily key whose upload the
+    # server accepted, which publishes it by design
     from dctlab.crypto_core import GroupParams, keygen
     from dctlab.schemes import dh as dh_mod
-    secrets, token_windows = {}, set()
+    from dctlab.schemes.tek import TekClient
+    from dctlab.server import TracingServer
+    secrets, token_windows, published = {}, set(), set()
 
     def recording(name, fn):
         def wrapped(*args, **kwargs):
@@ -93,10 +98,25 @@ def test_no_secret_bytes_in_any_artifact(tmp_path, monkeypatch):
 
     monkeypatch.setattr(dh_mod, "keygen", recording("key", dh_mod.keygen))
     monkeypatch.setattr(dh_mod, "dh_token", recording("token", dh_mod.dh_token))
+    tek_for_day, accept_upload = TekClient.tek_for_day, TracingServer.accept_upload
+
+    def recording_tek(client, day):
+        tek = tek_for_day(client, day)
+        secrets[tek.bytes] = "tek"
+        return tek
+
+    def accepting(server, bundle):
+        ack = accept_upload(server, bundle)
+        published.update(bytes.fromhex(t["tek_hex"]) for t in bundle.get("teks", ()))
+        return ack
+
+    monkeypatch.setattr(TekClient, "tek_for_day", recording_tek)
+    monkeypatch.setattr(TracingServer, "accept_upload", accepting)
 
     blobs = {}
-    # e2e_basic's handshake, relay_dh's relayed windows, superspreader's proof
-    for sid in ("e2e_basic", "relay_dh", "superspreader"):
+    # e2e_basic's handshake, relay_dh's relayed windows, superspreader's proof;
+    # linkage_tek's and time_travel's daily keys, some published and some not
+    for sid in ("e2e_basic", "relay_dh", "superspreader", "linkage_tek", "time_travel"):
         scenario = builtin_scenario(sid)
         root = SeedStream(scenario["seed"], sid)
         written = run_scenario(scenario, out_dir=tmp_path / sid)
@@ -114,6 +134,10 @@ def test_no_secret_bytes_in_any_artifact(tmp_path, monkeypatch):
     # the recording sees keys and tokens of several windows, the first one's included
     kinds = list(secrets.values())
     assert kinds.count("key") > 10 and kinds.count("token") > 10 and len(token_windows) > 1
+    # the daily keys are scanned for, and some are published and exempt
+    unpublished = {k for k, kind in secrets.items() if kind == "tek"} - published
+    assert len(unpublished) > 5 and published and published <= set(secrets)
+    assert any(k.hex().encode() in blob for k in published for blob in blobs.values())
     scenario = builtin_scenario("e2e_basic")
     run_cfg = next(r for r in scenario["runs"] if r["scheme"] == "dh")
     first = SeedStream(scenario["seed"], "e2e_basic").child(run_cfg["label"])
@@ -122,6 +146,8 @@ def test_no_secret_bytes_in_any_artifact(tmp_path, monkeypatch):
                       first.child(f"device:{device}").child("key:0")).secret in secrets
 
     for secret, kind in secrets.items():
+        if secret in published:
+            continue
         for form in (secret, secret.hex().encode(), secret.hex().upper().encode(),
                      b64(secret).encode()):
             for name, blob in blobs.items():
@@ -555,6 +581,21 @@ def test_matrix_requires_all_outputs(tmp_path, capsys):
         assert sid in err
 
 
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["--scenario", str(tmp / "e2e_basic.json"), "--out", str(tmp / "FILE")],
+    lambda tmp: ["--suite", "standard", "--out", str(tmp / "FILE" / "x")],
+], ids=["out-is-a-file", "out-inside-a-file"])
+def test_an_out_that_cannot_be_made_exits_2_and_writes_nothing(tmp_path, capsys, argv):
+    (tmp_path / "e2e_basic.json").write_text(json.dumps(builtin_scenario("e2e_basic")))
+    (tmp_path / "FILE").write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'FILE'}") and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "FILE").read_text() == "kept\n"
+
+
 @pytest.fixture(scope="module")
 def suite_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("suite")
@@ -593,3 +634,39 @@ def test_matrix_csv_shape_and_regeneration(suite_dir):
     assert len(lines) == 19
     assert text == matrix_csv(quadrilemma(suite_dir))
     assert (suite_dir / "quadrilemma.csv").read_text() == text
+
+
+def _without(*path):
+    """An edit of a metrics.json's text that deletes the field at path."""
+    def edit(text):
+        metrics = json.loads(text)
+        del reduce(getitem, path[:-1], metrics)[path[-1]]
+        return json.dumps(metrics)
+    return edit
+
+
+@pytest.mark.parametrize("sid, edit, problem", [
+    ("relay_tek", lambda text: '{"runs": {}', "cannot read .*relay_tek/metrics.json: Expecting"),
+    ("relay_tek", lambda text: '{"runs": {}}',
+     "relay_tek/metrics.json: field runs.one_way.false_notifications is missing"),
+    ("relay_tek", lambda text: "[]",
+     "relay_tek/metrics.json: field runs.one_way.false_notifications is missing"),
+    ("relay_tek", lambda text: '{"runs": {"one_way": {"false_notifications": "0"}}}',
+     "relay_tek/metrics.json: field runs.one_way.false_notifications: expected int, got '0'"),
+    ("superspreader", _without("runs", "dh", "superspreader", "hub", "verified"),
+     "superspreader/metrics.json: field runs.dh.superspreader.hub.verified is missing"),
+    ("linkage_dh", _without("runs", "main", "linkage", "rotation_s"),
+     "linkage_dh/metrics.json: field runs.main.linkage.rotation_s is missing"),
+], ids=["not-json", "no-run", "not-an-object", "wrong-type", "no-device-field", "no-rotation"])
+def test_matrix_over_a_malformed_metrics_file_exits_1_naming_it(suite_dir, tmp_path, capsys,
+                                                                   sid, edit, problem):
+    out = tmp_path / "out"
+    shutil.copytree(suite_dir, out)
+    metrics = out / sid / "metrics.json"
+    metrics.write_text(edit(metrics.read_text()))
+    with pytest.raises(ScenarioError, match=problem):
+        quadrilemma(out)
+    assert main(["--matrix", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert (out / "quadrilemma.csv").read_bytes() == (suite_dir / "quadrilemma.csv").read_bytes()

@@ -854,6 +854,71 @@ def test_the_state_log_is_byte_stable(tmp_path):
         "a39c4b5d969bfe869d03dbece76a296ab35083b8bd03075fcb26caf887211421")
 
 
+state_write = st.one_of(
+    st.tuples(st.just("issue"), st.sampled_from(["d1", "d2"])),
+    st.tuples(st.just("tek"), st.lists(st.integers(0, 3), max_size=2)),
+    st.tuples(st.just("dh"), st.lists(st.integers(0, 5), max_size=2)),
+    st.tuples(st.just("proof"), st.lists(st.integers(0, 5), min_size=1, max_size=2)),
+    # an upload under the last TAN issued, which may be spent: then it writes nothing
+    st.tuples(st.just("again"), st.none()))
+
+
+def records_state(records):
+    """What a server holds after the records: persisted() worked out from the
+    records themselves."""
+    tans, feeds, tags = {}, {s: [] for s in SCHEMES}, set()
+    for record in records:
+        if record["op"] == "issue":
+            tans[record["tan"]] = (record["issued_to"], False)
+        elif record["op"] == "spend":
+            tans[record["tan"]] = (tans[record["tan"]][0], True)
+            feeds[record["scheme"]] += record["entries"]
+        else:
+            tags.update(record["hashes"])
+    return tans, feeds, {e["hash_hex"] for e in feeds["dh"]}, tags
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(writes=st.lists(state_write, max_size=5))
+def test_a_state_log_cut_at_any_byte_replays_exactly_its_whole_records(tmp_path, writes):
+    """A crash may cut the log anywhere. A server restarted on a cut log holds
+    exactly the records whose line survived through its closing brace, spent
+    TANs included, and leaves the log holding just those lines; since only
+    the last line can be torn, no cut raises, StateError included."""
+    root = Path(tempfile.mkdtemp(dir=tmp_path))     # tmp_path is shared by the examples
+    state, cut_dir = root / "state", root / "cut"
+    server, tan = make_server(state_dir=state), None
+    for kind, arg in [("issue", "d0"), *writes]:     # the first write makes the log
+        try:
+            if kind == "issue":
+                tan = server.issue_tan(arg).value
+            elif kind == "tek":
+                server.accept_upload(tek_bundle(server, arg))
+            elif kind == "dh":
+                tan = server.issue_tan("d3").value
+                server.accept_upload({"scheme": "dh", "tan": tan,
+                                      "entries": dh_entries([TOKENS[i] for i in arg])})
+            elif kind == "proof":
+                server.verify_superspreader_proof(proof_of([TOKENS[i] for i in arg]))
+            elif tan is not None:
+                server.accept_upload({"scheme": "tek", "tan": tan, "teks": []})
+        except UploadRejected:
+            pass
+    whole = (state / "state.jsonl").read_bytes()
+    lines = whole.splitlines(keepends=True)
+    records = [json.loads(line) for line in lines]
+    assert records_state(records) == persisted(server)
+    ends = [len(b"".join(lines[:i + 1])) for i in range(len(lines))]   # past each newline
+    cut_dir.mkdir()
+    for cut in range(len(whole) + 1):
+        (cut_dir / "state.jsonl").write_bytes(whole[:cut])
+        kept = sum(end - 1 <= cut for end in ends)      # lines whole through "}"
+        reborn = make_server(state_dir=cut_dir)
+        assert persisted(reborn) == records_state(records[:kept]), cut
+        assert (cut_dir / "state.jsonl").read_bytes() == b"".join(lines[:kept]), cut
+
+
 # -- wire protocol ---------------------------------------------------------------------
 
 def test_wire_protocol_roundtrip():

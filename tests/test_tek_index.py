@@ -383,3 +383,72 @@ def test_each_key_schedule_is_derived_at_most_twice_per_run(sid, monkeypatch):
     run_scenario(builtin_scenario(sid))
     assert published and set(derived) == set(published)
     assert max(derived.values()) == 1
+
+
+@st.composite
+def lockstep_run(draw):
+    """Two to four clients' timelines, each cut into sync rounds at its syncs
+    (a client with fewer has nothing new in the later rounds), one feed page
+    per round, and for each round whether an adversary read of some page
+    comes before it."""
+    timelines = draw(st.lists(timeline(st.just(SYNC) | st.just(("report", None))),
+                              min_size=2, max_size=4))
+    segments = []
+    for events in timelines:
+        cut = [[]]
+        for kind, arg in events:
+            if kind == "sync":
+                cut.append([])
+            else:
+                cut[-1].append((kind, arg))
+        segments.append(cut)
+    rounds = max(map(len, segments)) + draw(st.integers(0, 1))
+    pages = draw(st.lists(feed_page, min_size=rounds, max_size=rounds))
+    reads = draw(st.lists(st.booleans(), min_size=rounds, max_size=rounds))
+    return segments, pages, reads
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=lockstep_run(), validity_window_s=windows,
+       strict=st.lists(st.booleans(), min_size=4, max_size=4), preload=published_teks)
+# a key arrives in the round between two ticks of one client's run; a second
+# client sighted it only before, and a third reported and owns it
+@example(run=([[[("sight", (_ident(0, 1), 475))], [("sight", (_ident(0, 1), 480))]],
+               [[("sight", (_ident(0, 1), 470))], []],
+               [[("report", None), ("sight", (SCHEDULES[OWN_KEY][1], 630))], []]],
+              [[_entry(KEYS[0], 0), _entry(OWN_KEY, 0)], []], [False, True]),
+         validity_window_s=120, strict=[True, True, False, False], preload=[])
+def test_clients_sharing_an_index_equal_their_references_in_lockstep(
+        run, validity_window_s, strict, preload):
+    """Several clients share one index and sync in lockstep, one page a round:
+    each returns what its own ReferenceSync returns, its log's epoch is the
+    run's round, and each page is checked once. An adversary read of the feed
+    between rounds opens no round and records no arrival."""
+    segments, pages, reads = run
+    index = preloaded_index(preload)
+    clients = [TekClient(OWN_STREAM, validity_window_s=validity_window_s,
+                         strict_freshness=strict[i], index=index) for i in range(len(segments))]
+    refs = [ReferenceSync(validity_window_s, strict[i]) for i in range(len(segments))]
+    for client in clients:
+        client.tek_for_day(0)
+    skipped = 0
+    for number, (page, read) in enumerate(zip(pages, reads), 1):
+        if read:
+            published, rounds = list(index.published), dict(index.rounds)
+            index.ingest_all(pages[-1])
+            assert (index.round, index.published, index.rounds) == (number - 1, published, rounds)
+            skipped = index.skipped
+        for client, ref, cut in zip(clients, refs, segments):
+            for kind, arg in cut[number - 1] if number <= len(cut) else ():
+                if kind == "sight":
+                    client.on_sighting(arg[0], arg[1], 0)
+                    ref.sight(*arg)
+                else:
+                    client.make_report("T" * 12)
+        good = [e for e in page if passes(e, TEK_FEED_ENTRY)]
+        skipped += len(page) - len(good)
+        for client, ref in zip(clients, refs):
+            own = {t.hex for t in client.store.retained()} if client.reported else set()
+            assert client.sync(page, 0) == ref.sync(good, own)
+            assert client.log.epoch == number
+        assert index.skipped == skipped
