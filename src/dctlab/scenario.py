@@ -3,9 +3,13 @@
 A scenario file is JSON with an id and a list of runs. Each run builds one
 world (devices, contact trace, scheme clients, a tracing server), optionally
 installs an attack, schedules infection reports and feed syncs, drains the
-event loop, and evaluates the configured analyses. Every device syncs at the
-same times, so they all read the feed up to one cursor: a sync fetches one
-page and hands it to each device in turn. Runs inside a scenario are
+event loop, and evaluates the configured analyses. Feed syncs come in rounds
+at the same times for every device, so they all read the feed up to one
+cursor: a round fetches one page, the run's index takes it once, and the
+round hands it, in device order, only to the devices it can notify: those
+that recorded an identifier or token hash the page brought, and those that
+recorded a published one since the last round. A sync would find nothing
+new on any other device. Runs inside a scenario are
 independent worlds; they share only the scenario seed, from which every run
 derives a labelled sub-stream. What differs per scheme is stated once, in
 the SCHEMES table.
@@ -129,11 +133,20 @@ def _declare(value, at: tuple, roles: dict) -> dict:
     return dev
 
 
-def _check_run(run_cfg: dict, at: tuple, _=None) -> dict:
+class _CheckedRun(dict):
+    """A run as _check_run returns it, which it need not check again. Only
+    _check_run makes one."""
+
+
+def _check_run(run_cfg: dict, at: tuple, _=None) -> _CheckedRun:
     """run_cfg with its defaults filled in, checked against RUN and then its
     scheme's config and attack tables; raises FieldError naming the JSON path
-    of the first bad field. As the rule of SCENARIO's runs, it ignores the
-    walker's roles: each run declares its own devices."""
+    of the first bad field. A run it returned before is returned as it is,
+    so execute_run does not check again a run that run_scenario's check
+    returned. As the rule of SCENARIO's runs, it ignores the walker's roles:
+    each run declares its own devices."""
+    if type(run_cfg) is _CheckedRun:
+        return run_cfg
     roles = {}
     run = check(run_cfg, RUN, at, roles)
     scheme = run["scheme"]
@@ -141,7 +154,7 @@ def _check_run(run_cfg: dict, at: tuple, _=None) -> dict:
     attack = run["attack"]
     if attack is not None:
         attack = check(attack, ATTACK[scheme], (*at, "attack"), roles)
-    return {**run, "scheme_config": config, "attack": attack}
+    return _CheckedRun(run, scheme_config=config, attack=attack)
 
 
 def _runs(value, at: tuple, _=None) -> list:
@@ -167,6 +180,7 @@ class _RunState:
     attack_stats: dict = field(default_factory=dict)
     superspreader: dict[str, dict] = field(default_factory=dict)
     tek_index: PublishedTekIndex = field(default_factory=PublishedTekIndex)
+    dh_index: PublishedDhIndex = field(default_factory=PublishedDhIndex)
 
 
 def execute_run(run_cfg: dict, stream: SeedStream,
@@ -218,8 +232,8 @@ def _dh_config(sconf: dict) -> DhConfig:
 
 
 def _dh_clients(state: _RunState, stream: SeedStream) -> Callable[[dict], DhClient]:
-    cfg, index = _dh_config(state.sconf), PublishedDhIndex()
-    return lambda dev: DhClient(stream.child(f"device:{dev['id']}"), cfg, index)
+    cfg = _dh_config(state.sconf)
+    return lambda dev: DhClient(stream.child(f"device:{dev['id']}"), cfg, state.dh_index)
 
 
 def _start_centralized(run_cfg: dict, state: _RunState) -> None:
@@ -277,16 +291,19 @@ def _report(state: _RunState, device: str) -> None:
                                     "accepted": False, "reason": exc.reason})
 
 
-def _schedule_syncs(run_cfg: dict, state: _RunState) -> None:
+def _schedule_syncs(run_cfg: dict, state: _RunState,
+                    index: PublishedTekIndex | PublishedDhIndex) -> None:
     times = sorted({i["report_at"] + SYNC_DELAY_S for i in run_cfg["infections"]}
                    | {run_cfg["duration_s"]})
+    order = {did: i for i, did in enumerate(state.scheme_devices)}
     cursor = 0
 
     def sync():
-        # every device has synced up to the same cursor, so one page serves them all
+        # one page serves the round: the run's index takes it once, whoever it
+        # wakes, and a device the round cannot notify is not handed it
         nonlocal cursor
         entries, cursor = state.server.fetch_feed(state.scheme, cursor)
-        for did in state.scheme_devices:
+        for did in sorted(index.wake(entries), key=order.__getitem__):
             for exposure in state.clients[did].sync(entries, state.world.local_time(did)):
                 state.notified[did] = state.notified.get(did, 0) + 1
                 state.world.emit("notify", {"device": did, "scheme": state.scheme,
@@ -298,7 +315,7 @@ def _schedule_syncs(run_cfg: dict, state: _RunState) -> None:
 
 
 def _start_dh(run_cfg: dict, state: _RunState) -> None:
-    _schedule_syncs(run_cfg, state)
+    _schedule_syncs(run_cfg, state, state.dh_index)
     if run_cfg["analysis"]["superspreader_check"]:
         # proven inside the run, after the final feed sync at the same time
         state.world.schedule(run_cfg["duration_s"], _check_superspreaders, run_cfg, state)
@@ -397,7 +414,8 @@ SCHEMES = {
             retention_days=state.sconf["retention_days"]),
         fake_claim=lambda state, attack, stream: adversary.fake_claim_tek(
             state.server, state.world.local_time(attack["claimant"]), state.tek_index),
-        start=_schedule_syncs, superspreader=_client_count, owners=_tek_owners),
+        start=lambda run_cfg, state: _schedule_syncs(run_cfg, state, state.tek_index),
+        superspreader=_client_count, owners=_tek_owners),
     "dh": Scheme(
         # DhConfig holds the rules across fields: min_encounter_s below rotation_s
         config=builds({"rotation_s": Field(positive, 900), **SHARED_CONFIG,

@@ -20,7 +20,11 @@ client built without one keeps a private index. Ingestion skips (and
 counts), once per page, an entry that breaks DH_FEED_ENTRY, an upload's
 DH_ENTRY and the published_at the server stamps, so one bad entry cannot
 break matching for anyone. Matching and the superspreader check look each
-record's hash up in the index.
+record's hash up in the index. The index also keeps, per token hash, the
+devices that recorded it, so that a sync round hands its page only to the
+devices it can notify (PublishedDhIndex.wake): those holding a record of a
+hash the round brought, and those that finalized a record of a published
+hash since the last round.
 
 Consequences exercised by the adversary lab:
 
@@ -53,6 +57,7 @@ from ..errors import ConfigurationError, FieldError, HandshakeError
 from ..radio import SCAN_TICK_S, Connection, DeviceClient, IDENTIFIER_FIELD_LEN
 from ..rng import SeedStream
 from ..schema import Field, check, passes, predicate
+from .wake import WakeMap
 
 _HEX_BYTES = re.compile("(?:[0-9a-fA-F]{2})*")
 # a pubkey message as a client sends it; validate_public checks the key's
@@ -133,25 +138,48 @@ class PublishedDhIndex:
     by_hash maps hash_hex to its entries in feed order. An entry whose hash
     was known before its page is dropped; a duplicate within one page is
     kept. skipped counts the malformed entries of the pages ingested.
+    recorders is the run's wake map: the devices that recorded each hash,
+    and those that recorded a published one since the last round (see wake).
     """
 
     def __init__(self):
         self.by_hash: dict[str, list[dict]] = {}
         self.skipped = 0
         self._page: list | None = None
+        self.recorders = WakeMap()
 
-    def ingest(self, page: list) -> None:
-        """Index a feed page. The last page is kept, since every client of a
-        run is handed the same one: a page is checked once, however many
-        clients ingest it. A page is not changed once handed over."""
-        if page is not self._page:
-            self._page = page
-            known = set(self.by_hash)
-            for entry in page:
-                if not passes(entry, DH_FEED_ENTRY):
-                    self.skipped += 1
-                elif entry["hash_hex"] not in known:
-                    self.by_hash.setdefault(entry["hash_hex"], []).append(entry)
+    def ingest(self, page: list) -> list[str]:
+        """Index a feed page and return the hashes it brought, in page
+        order. The last page is kept, since every client of a run is handed
+        the same one: a page is checked once, however many clients ingest
+        it, and brings nothing the second time. A page is not changed once
+        handed over."""
+        if page is self._page:
+            return []
+        self._page = page
+        arrived: dict[str, list[dict]] = {}     # hash_hex -> its entries in this page
+        for entry in page:
+            if not passes(entry, DH_FEED_ENTRY):
+                self.skipped += 1
+                continue
+            hash_hex = entry["hash_hex"]
+            if hash_hex in arrived:
+                arrived[hash_hex].append(entry)
+            elif hash_hex not in self.by_hash:
+                arrived[hash_hex] = self.by_hash[hash_hex] = [entry]
+        return list(arrived)
+
+    def recorded(self, hash_hex: str, device: str) -> None:
+        """device finalized a record of hash_hex."""
+        self.recorders.record(hash_hex, device, True, hash_hex in self.by_hash)
+
+    def wake(self, page: list) -> set[str]:
+        """Ingest page and return the devices it can notify: those holding a
+        record of a hash it brought, and those that finalized a record of a
+        published hash since the last round. An entry of a hash known before
+        its page is dropped, so a sync would find nothing on any other
+        device."""
+        return self.recorders.wake(self.ingest(page))
 
 
 def match_exposures_dh(records: list[EncounterRecord], by_hash: dict[str, list[dict]],
@@ -385,6 +413,7 @@ class DhClient(DeviceClient):
                          self.cfg.group, window_index=pending.epoch)
         pending.record = EncounterRecord(token, pending.started_at)
         self.records.append(pending.record)
+        self.index.recorded(pending.record.hash_hex, self.device_id)
 
     # -- reporting and matching ---------------------------------------------------
 

@@ -13,7 +13,11 @@ day a key is published under and the slot. One index is shared by every
 client of a run and by the adversary analyses; a client built without one
 keeps a private index. Ingestion skips (and counts), once per page, a feed
 entry that breaks TEK_FEED_ENTRY, an upload's TEK_ENTRY and the published_at
-the server stamps, so one bad entry cannot break matching for anyone.
+the server stamps, so one bad entry cannot break matching for anyone. The
+index also keeps, per identifier, the devices that logged it, so that a sync
+round hands its page only to the devices it can notify (PublishedTekIndex.wake):
+those that logged an identifier of a key the round brought, and those that
+logged a published one since the last round.
 
 A sighting log keeps each identifier's sightings as runs of scan ticks:
 flat (first_at, last_at, epoch) triples in one array('q'). A listener hears
@@ -39,8 +43,8 @@ The weaknesses the adversary lab exercises are reproduced deliberately:
 
 The optional strict-freshness fix pins every published key to the run's sync
 round that brought it, which the index holds once for the run with the key; a
-sync sets the client's log epoch to its round, and a run matches the key only
-if it began in an earlier round. So sightings appended after the key arrived
+client's log epoch is the run's round, and a run matches the key only if it
+began in an earlier round. So sightings appended after the key arrived
 cannot match it. The pin counts rounds, not time, so it holds even when the
 device clock has been manipulated. It ships off by default, as deployed.
 """
@@ -61,6 +65,7 @@ from ..crypto_core import (
 from ..radio import SCAN_TICK_S, DeviceClient
 from ..rng import SeedStream
 from ..schema import Field, hex_of, natural, passes
+from .wake import WakeMap
 
 DEFAULT_VALIDITY_WINDOW_S = 7200
 DEFAULT_RETENTION_DAYS = 14
@@ -97,22 +102,40 @@ class SightingLog:
     duplicate, a clock moved back, any other gap or a new epoch starts a new
     run. So a run's sightings are first_at, first_at + SCAN_TICK_S, ...,
     last_at, all appended in one epoch, and a span of ticks leaves the log
-    as its ticks appended one by one would. TekClient.sync sets the epoch to
-    the run's sync round."""
+    as its ticks appended one by one would.
 
-    def __init__(self):
+    A log built with an index follows it: its epoch is the run's sync round,
+    whether or not its own client synced in that round. A log built without
+    one keeps the epoch set by hand."""
+
+    def __init__(self, index: PublishedTekIndex | None = None):
         self.by_identifier: dict[bytes, array] = {}
-        self.epoch = 0
+        self._index = index
+        self._epoch = 0
 
-    def append(self, identifier: bytes, seen_at: int, ticks: int = 1) -> None:
+    @property
+    def epoch(self) -> int:
+        return self._epoch if self._index is None else self._index.round
+
+    @epoch.setter
+    def epoch(self, value: int) -> None:
+        if self._index is not None:
+            raise AttributeError("a log that follows an index has the index's round as epoch")
+        self._epoch = value
+
+    def append(self, identifier: bytes, seen_at: int, ticks: int = 1) -> bool:
+        """Record the sightings; True when they are the identifier's first."""
         last_at = seen_at + SCAN_TICK_S * (ticks - 1)
+        epoch = self.epoch
         runs = self.by_identifier.get(identifier)
         if runs is None:
-            self.by_identifier[identifier] = array("q", (seen_at, last_at, self.epoch))
-        elif runs[-2] == seen_at - SCAN_TICK_S and runs[-1] == self.epoch:
+            self.by_identifier[identifier] = array("q", (seen_at, last_at, epoch))
+            return True
+        if runs[-2] == seen_at - SCAN_TICK_S and runs[-1] == epoch:
             runs[-2] = last_at
         else:
-            runs.extend((seen_at, last_at, self.epoch))
+            runs.extend((seen_at, last_at, epoch))
+        return False
 
 
 @dataclass(frozen=True)
@@ -140,7 +163,9 @@ class PublishedTekIndex:
     run's sync rounds brought, in the order they first arrived (a page that
     lists a key twice keeps both listings), and rounds maps each one's
     tek_hex to the round that brought it. skipped counts the malformed
-    entries of the pages ingested.
+    entries of the pages ingested. recorders is the run's wake map: the
+    devices that logged each identifier, and those that logged a published
+    one since the last round (see wake).
     """
 
     def __init__(self):
@@ -151,6 +176,7 @@ class PublishedTekIndex:
         self.skipped = 0
         self.round = 0
         self._round_feed: list | None = None   # the page the current round was handed
+        self.recorders = WakeMap()
 
     def identifiers(self, tek: Tek) -> list[bytes]:
         """The 144 identifier bytes of tek's key, slot by slot."""
@@ -183,6 +209,21 @@ class PublishedTekIndex:
             self.published += arrived
             self.rounds.update((t.hex, self.round) for t in arrived)
         return self.round
+
+    def recorded(self, identifier: bytes, device: str, first: bool) -> None:
+        """device logged a sighting of identifier, its first when first."""
+        self.recorders.record(identifier, device, first, identifier in self.by_identifier)
+
+    def wake(self, page: list) -> set[str]:
+        """Open page's round and return the devices it can notify: those that
+        logged an identifier of a key the round brought, and those that
+        logged an identifier of a published key, or whose own keys changed
+        after a report, since the last round. A sync would find nothing new
+        on any other device, and its log's epoch follows the round."""
+        first = len(self.published)
+        self.sync_round(page)
+        return self.recorders.wake(ident for tek in self.published[first:]
+                                   for ident in self.by_hex[tek.hex])
 
 
 def publish_keys(store: TekStore, tan: str) -> dict:
@@ -253,9 +294,9 @@ class TekClient(DeviceClient):
         self.validity_window_s = validity_window_s
         self.strict_freshness = strict_freshness
         self.store = TekStore(retention_days=retention_days)
-        self.log = SightingLog()
         self.reported = False
         self.index = index or PublishedTekIndex()
+        self.log = SightingLog(self.index)
         self._beacon: tuple[int | None, bytes] = (None, b"")   # (slot since origin, identifier)
         self._notified: set[tuple] = set()
 
@@ -266,6 +307,9 @@ class TekClient(DeviceClient):
         if tek is None:
             tek = Tek(self.stream.child(f"tek:{day}").take(16), day)
             self.store.add(tek)
+            if self.reported:
+                # the own keys a sync leaves out may have lost one to pruning
+                self.index.recorders.touched.add(self.device_id)
         return tek
 
     def advertisement_identifier(self, local_t: int) -> bytes:
@@ -283,13 +327,13 @@ class TekClient(DeviceClient):
 
     def quiet_until(self, peer_id: str, local_t: int) -> int:
         """The end of the current slot: the beacon holds until then, and a
-        sighting span only extends a run (a sync, which starts an epoch, is
-        a call that ends every span)."""
+        sighting span only extends a run (a sync round, which starts an epoch,
+        is a scheduled call, and so ends every span)."""
         return (local_t // IDENTIFIER_SLOT_S + 1) * IDENTIFIER_SLOT_S
 
     def on_sighting(self, identifier: bytes, local_t: int, global_t: int,
                     ticks: int = 1) -> None:
-        self.log.append(identifier, local_t, ticks)
+        self.index.recorded(identifier, self.device_id, self.log.append(identifier, local_t, ticks))
 
     def make_report(self, tan: str) -> dict:
         self.reported = True
@@ -297,10 +341,10 @@ class TekClient(DeviceClient):
 
     def sync(self, feed_entries: list[dict], local_t: int) -> list[Exposure]:
         """Hand the round's feed page to the run's index and return
-        not-yet-seen exposures. The log's epoch becomes the round, so under
-        strict freshness only runs begun before the round that brought a key
-        can match it."""
-        self.log.epoch = self.index.sync_round(feed_entries)
+        not-yet-seen exposures. The log's epoch is the round, so under strict
+        freshness only runs begun before the round that brought a key can
+        match it."""
+        self.index.sync_round(feed_entries)
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
                                     [t for t in self.index.published if t.hex not in own],

@@ -483,6 +483,37 @@ def test_duplicate_run_labels_are_rejected_before_any_run_executes(monkeypatch):
     assert executed == []
 
 
+def test_run_scenario_checks_each_run_once(monkeypatch, tmp_path):
+    """The scenario's check checks every run, and execute_run does not check
+    again a run that check returned; a run handed to it directly is checked,
+    and a checked scenario passes the check again unchanged."""
+    checked = []
+    real = scenario_module.check
+
+    def counting(value, rule, *args):
+        if rule is scenario_module.RUN:
+            checked.append(value["label"])
+        return real(value, rule, *args)
+
+    scenario = builtin_scenario("e2e_basic")
+    labels = [run["label"] for run in scenario["runs"]]
+    monkeypatch.setattr(scenario_module, "check", counting)
+    run_scenario(scenario)
+    assert checked == labels
+    checked.clear()
+    run_scenario(scenario, out_dir=tmp_path)
+    assert checked == labels
+    checked.clear()
+    execute_run(scenario["runs"][0], SeedStream(1, "direct"))
+    assert checked == labels[:1]
+    with pytest.raises(FieldError, match=r"^run\.duration_s: "):
+        execute_run(dict(scenario["runs"][0], duration_s=-1), SeedStream(1, "direct"))
+    once = counting(scenario, scenario_module.SCENARIO)
+    checked.clear()
+    assert counting(once, scenario_module.SCENARIO) == once
+    assert checked == []
+
+
 def _slots(value, at=()):
     """The path of every key and list position inside value."""
     items = value.items() if isinstance(value, dict) else (
