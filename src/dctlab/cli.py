@@ -30,6 +30,7 @@ from pathlib import Path
 
 from .errors import ConfigurationError, FieldError, ScenarioError
 from .scenario import load_scenario, run_scenario
+from .schema import shown
 from .server import SCHEMES
 
 STANDARD_SUITE = (
@@ -100,7 +101,7 @@ def quadrilemma(out_root: str | Path) -> list[Verdict]:
             doc = doc.get(key) if type(doc) is dict else None
         if type(doc) is not kind:
             raise ScenarioError(f"{field} is missing" if doc is None
-                                else f"{field}: expected {kind.__name__}, got {doc!r}")
+                                else f"{field}: expected {kind.__name__}, got {shown(doc)}")
         return doc
 
     verdicts = []

@@ -5,14 +5,14 @@ world (devices, contact trace, scheme clients, a tracing server), optionally
 installs an attack, schedules infection reports and feed syncs, drains the
 event loop, and evaluates the configured analyses. Feed syncs come in rounds
 at the same times for every device, so they all read the feed up to one
-cursor: a round fetches one page, the run's index takes it once, and the
-round hands it, in device order, only to the devices it can notify: those
-that recorded an identifier or token hash the page brought, and those that
-recorded a published one since the last round. A sync would find nothing
-new on any other device. Runs inside a scenario are
-independent worlds; they share only the scenario seed, from which every run
-derives a labelled sub-stream. What differs per scheme is stated once, in
-the SCHEMES table.
+cursor: a round fetches one page and hands it to the run's index, the only
+place a page enters, then syncs, in device order, only the devices it can
+notify: those that recorded an identifier or token hash the page brought,
+and those that recorded a published one since the last round. A sync reads
+the index and would find nothing new on any other device. Runs inside a
+scenario are independent worlds; they share only the scenario seed, from
+which every run derives a labelled sub-stream. What differs per scheme is
+stated once, in the SCHEMES table.
 
 Each field of a scenario file is stated once, with its rule and default, in
 a table that schema.check reads: SCENARIO for the file, RUN for a run,
@@ -52,7 +52,7 @@ from .errors import FieldError, ScenarioError, UploadRejected
 from .radio import ContactEdge, ContactTrace, DeviceClient, SimEvent, World
 from .rng import SeedStream
 from .schema import (Field, builds, check, clock, device, fault, has_role, natural, one_of,
-                     positive, predicate, tagged)
+                     positive, predicate, shown, tagged)
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, CentralizedClient, CentralRegistry
 from .schemes.dh import DhClient, DhConfig, PublishedDhIndex, encode_proof
 from .schemes.tek import PublishedTekIndex, TekClient
@@ -128,7 +128,7 @@ def _declare(value, at: tuple, roles: dict) -> dict:
     roles, so that the RUN fields after devices can name the device."""
     dev = check({"id": value} if type(value) is str else value, DEVICE, at, roles)
     if dev["id"] in roles:
-        raise fault(at, f"device {dev['id']!r} is declared twice")
+        raise fault(at, f"device {shown(dev['id'])} is declared twice")
     roles[dev["id"]] = dev["role"]
     return dev
 
@@ -163,7 +163,7 @@ def _runs(value, at: tuple, _=None) -> list:
     labels = [run["label"] for run in runs]
     for i, label in enumerate(labels):
         if label in labels[:i]:
-            raise fault((*at, i, "label"), f"{label!r} names an earlier run too")
+            raise fault((*at, i, "label"), f"{shown(label)} names an earlier run too")
     return runs
 
 
@@ -299,12 +299,13 @@ def _schedule_syncs(run_cfg: dict, state: _RunState,
     cursor = 0
 
     def sync():
-        # one page serves the round: the run's index takes it once, whoever it
-        # wakes, and a device the round cannot notify is not handed it
+        # the round's page enters the run's index here and nowhere else; each
+        # woken client's sync reads the index, and a device the round cannot
+        # notify is not synced
         nonlocal cursor
         entries, cursor = state.server.fetch_feed(state.scheme, cursor)
         for did in sorted(index.wake(entries), key=order.__getitem__):
-            for exposure in state.clients[did].sync(entries, state.world.local_time(did)):
+            for exposure in state.clients[did].sync():
                 state.notified[did] = state.notified.get(did, 0) + 1
                 state.world.emit("notify", {"device": did, "scheme": state.scheme,
                                             "cause": "exposure_match",

@@ -37,6 +37,17 @@ from .errors import ConfigurationError, FieldError
 
 REQUIRED = object()     # the default of a field that must be given
 _KINDS = {str: "a string", int: "an integer", bool: "a boolean", dict: "an object", list: "a list"}
+SHOWN_CHARS = 100       # the longest repr a message shows whole
+
+
+def shown(value) -> str:
+    """value's repr for a message: whole up to SHOWN_CHARS characters, and
+    otherwise cut there and marked with its full length, so that a message
+    stays short however large the value it names."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
 
 
 def Field(rule, default=REQUIRED) -> tuple:
@@ -55,7 +66,7 @@ def check(value, rule, at: tuple = (), roles: dict | None = None):
     kind = type(rule)
     want = rule if kind is type else kind if kind is dict or kind is list else None
     if want is not None and type(value) is not want:
-        raise fault(at, f"expected {_KINDS[want]}, got {value!r}")
+        raise fault(at, f"expected {_KINDS[want]}, got {shown(value)}")
     if kind is dict:
         for name in value:
             if name not in rule:
@@ -113,11 +124,12 @@ def passes(value, rule) -> bool:
 
 def predicate(test, problem: str):
     """The rule that passes a value when test(value, roles) holds, and
-    otherwise names problem, with "{!r}" standing for the value."""
+    otherwise names problem, with "{!r}" standing for the value as shown
+    shows it."""
     def rule(value, at, roles):
         if test(value, roles):
             return value
-        raise fault(at, problem.format(value))
+        raise fault(at, problem.replace("{!r}", shown(value)))
     return rule
 
 
@@ -136,7 +148,7 @@ def clock(rule):
     def checked(value, at, roles):
         value = check(value, rule, at, roles)
         if not -CLOCK_LIMIT_S < value < CLOCK_LIMIT_S:
-            raise fault(at, f"expected a magnitude below 2**60, got {value!r}")
+            raise fault(at, f"expected a magnitude below 2**60, got {shown(value)}")
         return value
     return checked
 

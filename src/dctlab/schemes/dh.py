@@ -19,12 +19,12 @@ entries in feed order. One index is shared by every client of a run; a
 client built without one keeps a private index. Ingestion skips (and
 counts), once per page, an entry that breaks DH_FEED_ENTRY, an upload's
 DH_ENTRY and the published_at the server stamps, so one bad entry cannot
-break matching for anyone. Matching and the superspreader check look each
-record's hash up in the index. The index also keeps, per token hash, the
-devices that recorded it, so that a sync round hands its page only to the
-devices it can notify (PublishedDhIndex.wake): those holding a record of a
-hash the round brought, and those that finalized a record of a published
-hash since the last round.
+break matching for anyone. Only a sync round hands the index a page
+(PublishedDhIndex.wake); a client's sync, like the superspreader check,
+looks each record's hash up in the index. The index also keeps, per token
+hash, the devices that recorded it, so that a round syncs only the devices
+it can notify: those holding a record of a hash the round brought, and
+those that finalized a record of a published hash since the last round.
 
 Consequences exercised by the adversary lab:
 
@@ -145,18 +145,11 @@ class PublishedDhIndex:
     def __init__(self):
         self.by_hash: dict[str, list[dict]] = {}
         self.skipped = 0
-        self._page: list | None = None
         self.recorders = WakeMap()
 
     def ingest(self, page: list) -> list[str]:
         """Index a feed page and return the hashes it brought, in page
-        order. The last page is kept, since every client of a run is handed
-        the same one: a page is checked once, however many clients ingest
-        it, and brings nothing the second time. A page is not changed once
-        handed over."""
-        if page is self._page:
-            return []
-        self._page = page
+        order."""
         arrived: dict[str, list[dict]] = {}     # hash_hex -> its entries in this page
         for entry in page:
             if not passes(entry, DH_FEED_ENTRY):
@@ -421,11 +414,10 @@ class DhClient(DeviceClient):
         self.reported = True
         return report_infection_dh(self.records, tan, self.cfg.anonymized_upload)
 
-    def sync(self, feed_entries: list[dict], local_t: int) -> list[DhExposure]:
-        """Exposures new since the last sync; the page goes into the index
-        first. A record whose hash was notified before opens no seal, and
-        none is looked at again once its hash is notified."""
-        self.index.ingest(feed_entries)
+    def sync(self) -> list[DhExposure]:
+        """Exposures new since the last sync among the entries the run's
+        index has published. A record whose hash was notified before opens
+        no seal, and none is looked at again once its hash is notified."""
         if self.reported:
             return []
         notified = self._notified_hashes

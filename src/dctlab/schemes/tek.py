@@ -13,11 +13,12 @@ day a key is published under and the slot. One index is shared by every
 client of a run and by the adversary analyses; a client built without one
 keeps a private index. Ingestion skips (and counts), once per page, a feed
 entry that breaks TEK_FEED_ENTRY, an upload's TEK_ENTRY and the published_at
-the server stamps, so one bad entry cannot break matching for anyone. The
-index also keeps, per identifier, the devices that logged it, so that a sync
-round hands its page only to the devices it can notify (PublishedTekIndex.wake):
-those that logged an identifier of a key the round brought, and those that
-logged a published one since the last round.
+the server stamps, so one bad entry cannot break matching for anyone. Only a
+sync round hands the index a page (PublishedTekIndex.wake); a client's sync
+reads the index. The index also keeps, per identifier, the devices that
+logged it, so that a round syncs only the devices it can notify: those that
+logged an identifier of a key the round brought, and those that logged a
+published one since the last round.
 
 A sighting log keeps each identifier's sightings as runs of scan ticks:
 flat (first_at, last_at, epoch) triples in one array('q'). A listener hears
@@ -162,10 +163,10 @@ class PublishedTekIndex:
     each identifier's bytes to (tek_hex, slot). published lists the keys the
     run's sync rounds brought, in the order they first arrived (a page that
     lists a key twice keeps both listings), and rounds maps each one's
-    tek_hex to the round that brought it. skipped counts the malformed
-    entries of the pages ingested. recorders is the run's wake map: the
-    devices that logged each identifier, and those that logged a published
-    one since the last round (see wake).
+    tek_hex to the round that brought it; only wake, which opens a round,
+    adds to them. skipped counts the malformed entries of the pages
+    ingested. recorders is the run's wake map: the devices that logged each
+    identifier, and those that logged a published one since the last round.
     """
 
     def __init__(self):
@@ -175,7 +176,6 @@ class PublishedTekIndex:
         self.rounds: dict[str, int] = {}
         self.skipped = 0
         self.round = 0
-        self._round_feed: list | None = None   # the page the current round was handed
         self.recorders = WakeMap()
 
     def identifiers(self, tek: Tek) -> list[bytes]:
@@ -197,33 +197,23 @@ class PublishedTekIndex:
             self.identifiers(tek)
         return teks
 
-    def sync_round(self, page: list) -> int:
-        """The sync round page belongs to. A page other than the current
-        round's opens the next round: it is checked once, however many
-        clients are handed it, and its keys not published before are added,
-        pinned to the round. A page is not changed once handed over."""
-        if page is not self._round_feed:
-            self._round_feed = page
-            self.round += 1
-            arrived = [t for t in self.ingest_all(page) if t.hex not in self.rounds]
-            self.published += arrived
-            self.rounds.update((t.hex, self.round) for t in arrived)
-        return self.round
-
     def recorded(self, identifier: bytes, device: str, first: bool) -> None:
         """device logged a sighting of identifier, its first when first."""
         self.recorders.record(identifier, device, first, identifier in self.by_identifier)
 
     def wake(self, page: list) -> set[str]:
-        """Open page's round and return the devices it can notify: those that
-        logged an identifier of a key the round brought, and those that
-        logged an identifier of a published key, or whose own keys changed
-        after a report, since the last round. A sync would find nothing new
-        on any other device, and its log's epoch follows the round."""
-        first = len(self.published)
-        self.sync_round(page)
-        return self.recorders.wake(ident for tek in self.published[first:]
-                                   for ident in self.by_hex[tek.hex])
+        """Open the next sync round with page, publishing its keys not
+        published before, pinned to the round, and return the devices it
+        can notify: those that logged an identifier of a key the round
+        brought, and those that logged an identifier of a published key, or
+        whose own keys changed after a report, since the last round. A sync
+        would find nothing new on any other device, and its log's epoch
+        follows the round."""
+        self.round += 1
+        arrived = [t for t in self.ingest_all(page) if t.hex not in self.rounds]
+        self.published += arrived
+        self.rounds.update((t.hex, self.round) for t in arrived)
+        return self.recorders.wake(ident for tek in arrived for ident in self.by_hex[tek.hex])
 
 
 def publish_keys(store: TekStore, tan: str) -> dict:
@@ -339,12 +329,11 @@ class TekClient(DeviceClient):
         self.reported = True
         return publish_keys(self.store, tan)
 
-    def sync(self, feed_entries: list[dict], local_t: int) -> list[Exposure]:
-        """Hand the round's feed page to the run's index and return
-        not-yet-seen exposures. The log's epoch is the round, so under strict
+    def sync(self) -> list[Exposure]:
+        """Not-yet-seen exposures among the keys the run's index has
+        published. The log's epoch is the index's round, so under strict
         freshness only runs begun before the round that brought a key can
         match it."""
-        self.index.sync_round(feed_entries)
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
                                     [t for t in self.index.published if t.hex not in own],

@@ -74,7 +74,7 @@ from pathlib import Path
 from .crypto_core import DAY_S, DH_ENTRY, EPOCH_LIMIT, unb64
 from .errors import FieldError, StateError, UploadRejected
 from .rng import SeedStream
-from .schema import Field, check, fault, hex_of, natural, one_of, predicate, tagged
+from .schema import Field, check, fault, hex_of, natural, one_of, predicate, shown, tagged
 from .schemes.centralized import MODE_ANONYMOUS, MODE_PHONE, RECORD, CentralRegistry, server_match
 from .schemes.tek import DEFAULT_RETENTION_DAYS, TEK_ENTRY
 
@@ -358,7 +358,7 @@ class TracingServer:
 
     def fetch_feed(self, scheme: str, since_cursor: int = 0) -> tuple[list[dict], int]:
         if scheme not in self.feeds:
-            raise UploadRejected(f"unknown scheme {scheme!r}")
+            raise UploadRejected(f"unknown scheme {shown(scheme)}")
         with self._lock:
             return self.feeds[scheme].page(since_cursor)
 

@@ -595,7 +595,8 @@ def run_span_plan(world_cls, edges, clients, dh_cfg, variant, relay, plan):
     def sync():
         for dev in world.devices.values():
             if isinstance(dev.client, (TekClient, DhClient)):
-                dev.client.sync([], world.local_time(dev.device_id))
+                dev.client.index.wake([])
+                dev.client.sync()
 
     def arm(source):
         payload = b"noise-of-replay!"

@@ -684,11 +684,15 @@ def _without(*path):
      "relay_tek/metrics.json: field runs.one_way.false_notifications is missing"),
     ("relay_tek", lambda text: '{"runs": {"one_way": {"false_notifications": "0"}}}',
      "relay_tek/metrics.json: field runs.one_way.false_notifications: expected int, got '0'"),
+    ("relay_tek", lambda text: json.dumps({"runs": {"one_way": {
+        "false_notifications": list(range(100_000))}}}),
+     r"false_notifications: expected int, got \[0, 1, 2, [^\n]{,100}\.\.\. \(688890 characters\)$"),
     ("superspreader", _without("runs", "dh", "superspreader", "hub", "verified"),
      "superspreader/metrics.json: field runs.dh.superspreader.hub.verified is missing"),
     ("linkage_dh", _without("runs", "main", "linkage", "rotation_s"),
      "linkage_dh/metrics.json: field runs.main.linkage.rotation_s is missing"),
-], ids=["not-json", "no-run", "not-an-object", "wrong-type", "no-device-field", "no-rotation"])
+], ids=["not-json", "no-run", "not-an-object", "wrong-type", "long-value", "no-device-field",
+        "no-rotation"])
 def test_matrix_over_a_malformed_metrics_file_exits_1_naming_it(suite_dir, tmp_path, capsys,
                                                                    sid, edit, problem):
     out = tmp_path / "out"

@@ -16,9 +16,9 @@ from dctlab.crypto_core import DH_ENTRY, DH_FEED_ENTRY, b64
 from dctlab.errors import ConfigurationError, DctError, FieldError
 from dctlab.rng import SeedStream
 from dctlab.scenario import SCENARIO as SCENARIO_TABLE
-from dctlab.scenario import load_scenario
-from dctlab.schema import (_KINDS, REQUIRED, Field, base64_text, builds, check, clock, hex_of,
-                           natural, passes, path, tagged)
+from dctlab.scenario import load_scenario, run_scenario
+from dctlab.schema import (_KINDS, REQUIRED, SHOWN_CHARS, Field, base64_text, builds, check,
+                           clock, hex_of, natural, passes, path, shown, tagged)
 from dctlab.schemes.centralized import RECORD, CentralRegistry
 from dctlab.schemes.dh import PublishedDhIndex
 from dctlab.schemes.tek import TEK_ENTRY, TEK_FEED_ENTRY, PublishedTekIndex
@@ -216,6 +216,46 @@ def test_clock_rule_bounds_the_magnitude_below_2_to_the_60(value, problem):
                                                                   "offset": 1 - 2**60}
     with pytest.raises(FieldError, match=f"^{problem}$"):
         check(value, table)
+
+
+# -- a fault shows a value cut short ------------------------------------------------------
+
+@pytest.mark.parametrize("value", ["x" * 98, list(range(26)), {"k": "v" * 90}, -2**60, None])
+def test_a_value_whose_repr_is_short_is_shown_whole(value):
+    assert len(repr(value)) <= SHOWN_CHARS
+    assert shown(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", ["x" * 99, list(range(5000)), {"k": "v" * 500_000}])
+def test_a_value_whose_repr_is_long_is_cut_and_marked(value):
+    text = repr(value)
+    assert shown(value) == f"{text[:SHOWN_CHARS]}... ({len(text)} characters)"
+
+
+def test_a_fault_names_a_long_value_in_a_short_message():
+    """check's type test, a predicate rule, a clock rule and the scenario
+    rules for a device or run label declared twice each show a value as
+    shown does: a short one as before, a long one cut."""
+    table = {"run": Field(dict), "id": Field(hex_of(4), "abcd"), "t": Field(clock(int), 0)}
+    for value, short in (({"run": [1]}, "run: expected an object, got [1]"),
+                         ({"run": {}, "id": "xyz"}, "id: expected 4 hex digits, got 'xyz'")):
+        with pytest.raises(FieldError) as short_fault:
+            check(value, table)
+        assert str(short_fault.value) == short
+    for value in ({"run": list(range(100_000))}, {"run": {}, "id": "z" * 500_000},
+                  {"run": {}, "t": 10**4000}):
+        with pytest.raises(FieldError, match=r" characters\)$") as long_fault:
+            check(value, table)
+        assert len(str(long_fault.value)) < 200
+    long = "d" * 500_000
+    twice = {"label": long, "scheme": "tek", "devices": [long, long], "duration_s": 10}
+    for runs, problem in (([list(range(5000))], r"expected an object, got \[0, 1, 2, .*"),
+                          ([twice], r"device 'ddd.* \(500002 characters\) is declared twice"),
+                          ([{**twice, "devices": ["a"]}] * 2,
+                           r"'ddd.* \(500002 characters\) names an earlier run too")):
+        with pytest.raises(FieldError, match=rf"^runs\[[01]\].*: {problem}$") as scenario_fault:
+            run_scenario({"id": "x", "runs": runs})
+        assert len(str(scenario_fault.value)) < 200
 
 
 # -- check copies nothing it does not fill ----------------------------------------------

@@ -222,9 +222,11 @@ def test_sync_dedupes_and_skips_reporter():
     run_encounter(a, b, start=0, duration=400)
     feed = report_infection_dh(a.records, "T" * 12)["entries"]
     a.reported = True
-    assert a.sync(feed, 500) == []
-    assert len(b.sync(feed, 500)) == 1
-    assert b.sync(feed, 600) == []
+    a.index.ingest(feed)
+    b.index.ingest(feed)
+    assert a.sync() == []
+    assert len(b.sync()) == 1
+    assert b.sync() == []
 
 
 def test_sync_skips_and_counts_malformed_feed_entries():
@@ -233,7 +235,8 @@ def test_sync_skips_and_counts_malformed_feed_entries():
     feed = report_infection_dh(a.records, "T" * 12)["entries"]
     bad = [{"meta_b64": "AA=="}, [1], None, {"hash_hex": "ab" * 32, "meta_b64": "not base64!"},
            {"hash_hex": "zz" * 32, "meta_b64": "AA=="}]
-    exposures = b.sync(bad + feed, 500)
+    b.index.ingest(bad + feed)
+    exposures = b.sync()
     assert len(exposures) == 1 and b.index.skipped == len(bad)
     assert [e for entries in b.index.by_hash.values() for e in entries] == feed
 
@@ -656,12 +659,13 @@ def test_clients_sharing_an_index_sync_as_the_reference(ops):
         elif kind == "report":
             clients[arg].make_report("T" * 12)
         else:
-            # every client is handed the same page object, as a run's sync does
+            # the page enters the shared index once, as a run's sync round does
             if kind == "sync":
                 last = arg
                 malformed += sum(not passes(e, DH_ENTRY) for e in arg)
+                index.ingest(arg)
             for client, ref in zip(clients, refs):
-                assert client.sync(last, 0) == ref.sync(last)
+                assert client.sync() == ref.sync(last)
                 assert client.superspreader_check() == ref.superspreader_check()
                 assert index.skipped == malformed     # each page is checked once
     assert sorted(e["hash_hex"] for entries in index.by_hash.values() for e in entries) \

@@ -202,9 +202,10 @@ def test_client_schedule_and_sync_dedupe():
     bundle = alice.make_report("T" * 12)
     feed = [{"tek_hex": e["tek_hex"], "day": e["day"], "published_at": 700}
             for e in bundle["teks"]]
-    first = bob.sync(feed, 700)
+    bob.index.wake(feed)
+    first = bob.sync()
     assert len(first) == 1
-    assert bob.sync(feed, 800) == []  # already notified
+    assert bob.sync() == []  # already notified
 
 
 def test_published_key_links_all_day_identifiers():

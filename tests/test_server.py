@@ -958,6 +958,36 @@ def test_wire_protocol_bad_json_line():
         assert good["ok"] is True
 
 
+def test_a_wire_answer_names_a_long_value_in_under_1_kb():
+    """An error names the value it refuses by a repr cut to about 100
+    characters: a 500 KB scheme, op, bundle scheme or arg is answered in
+    under 1 KB, and a short value as before."""
+    server = make_server()
+    long = "x" * 500_000
+    requests = [{"op": "feed", "args": {"scheme": long}},
+                {"op": long, "args": {}},
+                {"op": "upload", "args": {"bundle": {"scheme": long, "tan": "T", "teks": []}}},
+                {"op": "issue_tan", "args": {"device_id": [0] * 250_000}},
+                {"op": "feed", "args": {"scheme": "nope"}},
+                {"op": "nope"}]
+    with serving(server) as port:
+        import socket as socketlib
+        with socketlib.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"".join(json.dumps(req).encode() + b"\n" for req in requests))
+            fh = sock.makefile("rb")
+            answers = [fh.readline() for _ in requests]
+    assert all(len(line) < 1024 for line in answers)
+    errors = [json.loads(line)["error"] for line in answers]
+    assert errors[0].startswith("unknown scheme 'xxx") and errors[0].endswith(
+        "x... (500002 characters)")
+    assert errors[1].startswith("malformed request: request.op: unknown op 'xxx")
+    assert errors[2].startswith("malformed bundle: bundle.scheme: unknown scheme 'xxx")
+    assert errors[3].startswith("malformed request: request.args.device_id: "
+                                "expected a string, got [0, 0,")
+    assert errors[4:] == ["unknown scheme 'nope'",
+                          "malformed request: request.op: unknown op 'nope'"]
+
+
 def test_wire_answers_a_line_too_long_and_closes_only_that_connection(monkeypatch):
     from dctlab import server as server_mod
     monkeypatch.setattr(server_mod, "MAX_LINE_BYTES", 64)

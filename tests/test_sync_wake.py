@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from dctlab import scenario as scenario_module
 from dctlab.cli import STANDARD_SUITE, builtin_scenario
-from dctlab.crypto_core import DAY_S
+from dctlab.crypto_core import DAY_S, EncounterToken
 from dctlab.rng import SeedStream
 from dctlab.scenario import run_scenario
-from dctlab.schemes.dh import DhClient, PublishedDhIndex
+from dctlab.schemes.dh import DhClient, EncounterRecord, PublishedDhIndex, report_infection_dh
 from dctlab.schemes.tek import PublishedTekIndex, SightingLog, TekClient
 
 GOLDEN_SEEDS = (None, 1, 2)
@@ -89,20 +89,20 @@ class _Shadows:
         self.expected = {}              # woken client -> what its sync must return
         self.skipped = self.woken = 0
 
-    def tek_round(self, index, page, woken):
+    def tek_round(self, index, woken):
         for client, shadow in self.tek.items():
             if client.index is not index:
                 continue
             shadow["log"].epoch = index.round
             twin = copy.copy(client)
             twin.log, twin._notified = shadow["log"], shadow["notified"]
-            self.settle(client, self.tek_sync(twin, page, 0), woken)
+            self.settle(client, self.tek_sync(twin), woken)
 
-    def dh_round(self, index, page, woken):
+    def dh_round(self, index, woken):
         for client, twin in self.dh.items():
             if client.index is index:
                 twin.reported = client.reported
-                self.settle(client, self.dh_sync(twin, page, 0), woken)
+                self.settle(client, self.dh_sync(twin), woken)
 
     def settle(self, client, found, woken):
         if client.device_id in woken:
@@ -152,13 +152,13 @@ def shadowed():
     def waking(real, settle):
         def wake(index, page):
             woken = real(index, page)
-            settle(index, page, woken)
+            settle(index, woken)
             return woken
         return wake
 
     def syncing(real):
-        def sync(client, page, local_t):
-            got = real(client, page, local_t)
+        def sync(client):
+            got = real(client)
             shadows.synced(client, got)
             return got
         return sync
@@ -284,12 +284,45 @@ def test_a_reported_client_whose_own_keys_change_is_woken():
     page = [{"tek_hex": own.hex, "day": 0, "published_at": 700}]
     client.on_sighting(index.identifiers(own)[1], 630, 630)   # heard back through a relay
     assert index.wake(page) == {"a"}
-    assert client.sync(page, 700) == []
+    assert client.sync() == []
     assert index.wake([]) == set()
     client.tek_for_day(1)
-    later = []
-    assert index.wake(later) == {"a"}
-    assert [e.key for e in client.sync(later, DAY_S)] == [(own.hex, 1)]
+    assert index.wake([]) == {"a"}
+    assert [e.key for e in client.sync()] == [(own.hex, 1)]
+
+
+def test_a_sync_opens_no_round():
+    """Only a round's wake hands an index a page: a woken client's sync
+    reads the index and leaves it as the round left it, and a second sync
+    finds nothing."""
+    tek_index = PublishedTekIndex()
+    alice, bob = (TekClient(SeedStream(6, name), index=tek_index) for name in ("alice", "bob"))
+    alice.device_id, bob.device_id = "alice", "bob"
+    for t in range(0, 600, 5):
+        bob.on_sighting(alice.advertisement_identifier(t), t, t)
+    page = [{**e, "published_at": 700} for e in alice.make_report("T" * 12)["teks"]]
+    assert tek_index.wake(page + [{"day": 0}]) == {"bob"}
+    opened = (tek_index.round, list(tek_index.published), dict(tek_index.rounds),
+              tek_index.skipped)
+    assert opened[0] == 1 and opened[3] == 1
+    assert len(bob.sync()) == 1
+    assert bob.sync() == []
+    assert (tek_index.round, tek_index.published, tek_index.rounds, tek_index.skipped) == opened
+
+    dh_index = PublishedDhIndex()
+    token = EncounterToken(SeedStream(6, "token").take(32), 0)
+    carol, dave = (DhClient(SeedStream(6, name), index=dh_index) for name in ("carol", "dave"))
+    for client, name, stamp in ((carol, "carol", 100), (dave, "dave", 110)):
+        client.device_id = name
+        client.records.append(EncounterRecord(token, stamp))
+        dh_index.recorded(client.records[-1].hash_hex, client.device_id)
+    page = report_infection_dh(carol.records, "T" * 12)["entries"]
+    assert dh_index.wake(page + [{"meta_b64": "AA=="}]) == {"carol", "dave"}
+    opened = ({h: list(entries) for h, entries in dh_index.by_hash.items()}, dh_index.skipped)
+    assert opened[1] == 1
+    assert len(dave.sync()) == 1
+    assert dave.sync() == []
+    assert (dh_index.by_hash, dh_index.skipped) == opened
 
 
 @pytest.mark.parametrize("seed", GOLDEN_SEEDS)

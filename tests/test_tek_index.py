@@ -283,7 +283,8 @@ def test_client_sync_equals_reference_over_feed_pages(events, validity_window_s,
         else:
             own = {t.hex for t in client.store.retained()} if client.reported else set()
             good = [e for e in arg if passes(e, TEK_FEED_ENTRY)]
-            assert client.sync(arg, 0) == ref.sync(good, own)
+            client.index.wake(arg)
+            assert client.sync() == ref.sync(good, own)
 
 
 # -- robustness and derive-once checks -----------------------------------------------
@@ -338,8 +339,10 @@ def test_bad_feed_entry_does_not_break_any_client(tmp_path):
     server = TracingServer(SeedStream(1, "srv"), state_dir=tmp_path)
     entries, _ = server.fetch_feed("tek")
     assert len(entries) == 3
+    index.wake(entries)
+    listeners[2].index.wake(entries)
     for client in listeners:
-        got = client.sync(entries, 700)
+        got = client.sync()
         assert [(e.tek_hex, e.slot) for e in got] == [(good["tek_hex"], 0)]
     assert index.skipped == 2                      # once per page, however many clients
     assert listeners[2].index.skipped == 2
@@ -447,8 +450,9 @@ def test_clients_sharing_an_index_equal_their_references_in_lockstep(
                     client.make_report("T" * 12)
         good = [e for e in page if passes(e, TEK_FEED_ENTRY)]
         skipped += len(page) - len(good)
+        index.wake(page)
         for client, ref in zip(clients, refs):
             own = {t.hex for t in client.store.retained()} if client.reported else set()
-            assert client.sync(page, 0) == ref.sync(good, own)
+            assert client.sync() == ref.sync(good, own)
             assert client.log.epoch == number
         assert index.skipped == skipped
