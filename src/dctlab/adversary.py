@@ -232,7 +232,7 @@ def install_relay(world: World, pair: RelayPair) -> dict:
 @dataclass
 class TimeTravelAttack:
     """Shift the victim's clock back, replay an identifier derived from an
-    already-published daily key, then restore the clock."""
+    already-published daily key, then restore the victim's own clock offset."""
 
     victim: str
     replayer: str
@@ -266,7 +266,9 @@ def install_time_travel(world: World, server: TracingServer, attack: TimeTravelA
             replayer.payload = world.stream.child("tt:noise").take(16)
 
     world.schedule(attack.at_s, shift)
-    world.schedule(attack.restore_at_s, world.set_clock, attack.victim, 0)
+    # back to the victim's own offset: nothing moves a clock before at_s
+    world.schedule(attack.restore_at_s, world.set_clock, attack.victim,
+                   world.devices[attack.victim].clock_offset_s)
     return stats
 
 

@@ -364,9 +364,8 @@ class World:
         self.devices[device_id] = dev
         return dev
 
-    def local_time(self, device_id: str, global_t: int | None = None) -> int:
-        t = self.now if global_t is None else global_t
-        return t + self.devices[device_id].clock_offset_s
+    def local_time(self, device_id: str) -> int:
+        return self.now + self.devices[device_id].clock_offset_s
 
     # -- event machinery ----------------------------------------------------
 

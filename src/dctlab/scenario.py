@@ -3,16 +3,17 @@
 A scenario file is JSON with an id and a list of runs. Each run builds one
 world (devices, contact trace, scheme clients, a tracing server), optionally
 installs an attack, schedules infection reports and feed syncs, drains the
-event loop, and evaluates the configured analyses. Feed syncs come in rounds
-at the same times for every device, so they all read the feed up to one
-cursor: a round fetches one page and hands it to the run's index, the only
-place a page enters, then syncs, in device order, only the devices it can
-notify: those that recorded an identifier or token hash the page brought,
-and those that recorded a published one since the last round. A sync reads
-the index and would find nothing new on any other device. Runs inside a
-scenario are independent worlds; they share only the scenario seed, from
-which every run derives a labelled sub-stream. What differs per scheme is
-stated once, in the SCHEMES table.
+event loop, and evaluates the configured analyses. The server queues a
+centralized upload's notes in match order; the driver polls them right after
+it. Feed syncs come in rounds at the same times for every device, so they
+all read the feed up to one cursor: a round fetches one page and hands it to
+the run's index, the only place a page enters, then syncs, in device order,
+only the devices it can notify: those that recorded an identifier or token
+hash the page brought, and those that recorded a published one since the
+last round. A sync reads the index and would find nothing new on any other
+device. Runs inside a scenario are independent worlds; they share only the
+scenario seed, from which every run derives a labelled sub-stream. What
+differs per scheme is stated once, in the SCHEMES table.
 
 Each field of a scenario file is stated once, with its rule and default, in
 a table that schema.check reads: SCENARIO for the file, RUN for a run,
@@ -95,7 +96,7 @@ ATTACKS = {
               "window": Field(_relay_window),
               "latency_s": Field(clock(natural), 0), "tick_s": Field(clock(positive), 60),
               "fanout_limit": Field(FANOUT, adversary.TWO_WAY_FANOUT_LIMIT)},
-    "time_travel": {"victim": Field(device), "replayer": Field(device),
+    "time_travel": {"victim": Field(device), "replayer": Field(has_role("replayer")),
                     "offset_s": Field(clock(int)), "at_s": Field(clock(natural)),
                     "restore_at_s": Field(clock(natural))},
     "fake_claim": {"claimant": Field(device),
@@ -237,19 +238,20 @@ def _dh_clients(state: _RunState, stream: SeedStream) -> Callable[[dict], DhClie
 
 
 def _start_centralized(run_cfg: dict, state: _RunState) -> None:
-    # no feed syncs: the server pushes notifications at upload time
+    # no feed syncs: _poll_notes reads what each upload matched
     for did in state.scheme_devices:
         state.clients[did].register()
-    # the server keeps this callback; closing over state would make the run a cycle
-    notified, world = state.notified, state.world
 
-    def on_notify(note: dict) -> None:
-        device = note["device_id"]
-        notified[device] = notified.get(device, 0) + 1
-        world.emit("notify", {"device": device, "scheme": "centralized",
-                              "channel": note["channel"], "cause": note["cause"]})
 
-    state.server.on_notify = on_notify
+def _notify(state: _RunState, device: str, **payload) -> None:
+    state.notified[device] = state.notified.get(device, 0) + 1
+    state.world.emit("notify", {"device": device, "scheme": state.scheme, **payload})
+
+
+def _poll_notes(state: _RunState) -> None:
+    for user_id in list(state.server.notifications):
+        for note in state.server.notify_poll(user_id):
+            _notify(state, note["device_id"], channel=note["channel"], cause=note["cause"])
 
 
 def _install_attack(attack: dict, state: _RunState, stream: SeedStream) -> None:
@@ -270,6 +272,7 @@ def _install_attack(attack: dict, state: _RunState, stream: SeedStream) -> None:
 def _run_claim(state: _RunState, attack: dict, stream: SeedStream) -> None:
     state.reporters.add(attack["claimant"])
     state.attack_stats.update(SCHEMES[state.scheme].fake_claim(state, attack, stream))
+    _poll_notes(state)
 
 
 def _schedule_reports(run_cfg: dict, state: _RunState) -> None:
@@ -283,6 +286,7 @@ def _report(state: _RunState, device: str) -> None:
     bundle = state.clients[device].make_report(tan.value)
     try:
         ack = state.server.accept_upload(bundle)
+        _poll_notes(state)
         state.world.emit("report", {"device": device, "scheme": state.scheme,
                                     "entries": ack.get("published", ack.get("matched_users", 0)),
                                     "accepted": True})
@@ -306,10 +310,7 @@ def _schedule_syncs(run_cfg: dict, state: _RunState,
         entries, cursor = state.server.fetch_feed(state.scheme, cursor)
         for did in sorted(index.wake(entries), key=order.__getitem__):
             for exposure in state.clients[did].sync():
-                state.notified[did] = state.notified.get(did, 0) + 1
-                state.world.emit("notify", {"device": did, "scheme": state.scheme,
-                                            "cause": "exposure_match",
-                                            "detail": exposure.as_dict()})
+                _notify(state, did, cause="exposure_match", detail=exposure.as_dict())
 
     for t in times:
         state.world.schedule(t, sync)

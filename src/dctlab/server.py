@@ -5,18 +5,19 @@ One server instance backs all three schemes:
 * TAN lifecycle: the health authority issues single-use 12-character
   authenticators; verifying an upload consumes its TAN atomically, so a TAN
   cannot be spent twice even under concurrent submissions.
-* Per-scheme uploads: daily-key bundles are published to a feed, DH
-  bundles publish token hashes and sealed metadata only, centralized
-  bundles are never published - they are routed to server-side matching
-  against the registry and turn into notifications. A bundle is checked
-  against its scheme's table in _uploads (TEK_ENTRY, DH_ENTRY or RECORD per
-  entry) and then its scheme's bundle check; one that breaks either - a
-  malformed entry, a key a table does not name (an entry's published_at,
-  which the server stamps, included), daily keys spanning more than the
-  retention period, a centralized record seen for longer than the retention
-  period (or ending before it starts) or at a time whose window index does
-  not encode, or centralized records sent to a server without a registry -
-  is rejected with its TAN left unspent.
+* Per-scheme uploads: daily-key bundles are published to a feed, DH bundles
+  publish token hashes and sealed metadata only, centralized bundles are
+  never published - they are routed to server-side matching against the
+  registry, and each matched user's note is queued for notify_poll, which
+  both the wire op and the scenario driver read. A bundle is checked against
+  its scheme's table in _uploads (TEK_ENTRY, DH_ENTRY or RECORD per entry)
+  and then its scheme's bundle check; one that breaks either - a malformed
+  entry, a key a table does not name (an entry's published_at, which the
+  server stamps, included), daily keys spanning more than the retention
+  period, a centralized record seen for longer than the retention period (or
+  ending before it starts) or at a time whose window index does not encode,
+  or centralized records sent to a server without a registry - is rejected
+  with its TAN left unspent.
 * Publication feeds are append-only; clients page through them with an
   integer cursor and replaying a cursor returns the identical page.
 * Superspreader proofs: raw tokens submitted through this flow are hashed,
@@ -137,7 +138,6 @@ class TracingServer:
         self.tans: dict[str, Tan] = {}
         self.notifications: dict[str, list[dict]] = {}
         self.match_history: list[dict] = []   # centralized matches, uploader included
-        self.on_notify = None
         self._lock = threading.RLock()
         self._tan_stream = stream.child("tan")
         self._shuffle_stream = stream.child("shuffle")
@@ -340,8 +340,6 @@ class TracingServer:
                                        "contact_user": user_id,
                                        "contact_device": note["device_id"],
                                        "intervals": note["intervals"]})
-            if self.on_notify is not None:
-                self.on_notify(note)
         return {"status": "ack", "matched_users": len(matches),
                 "skipped": len(bundle["records"]) - len(fresh)}
 

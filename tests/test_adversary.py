@@ -182,6 +182,18 @@ def test_a_sniffer_merges_runs_as_the_sighting_log_does():
             (B, 115, 115, 1, "sn")]
 
 
+def test_time_travel_gives_the_victim_its_own_clock_offset_back():
+    # mark runs 30 s ahead of the world; restore_at_s sets that offset again, not 0
+    run = dict(builtin_scenario("time_travel")["runs"][0],
+               devices=["patient", "friend", {"id": "mark", "clock_offset_s": 30},
+                        {"id": "ghost", "role": "replayer"}])
+    events = []
+    execute_run(run, SeedStream(1, "time_travel"), events.append)
+    assert [(e.at_s, e.payload) for e in events if e.kind == "clock_set"] \
+        == [(87000, {"device": "mark", "offset_s": -86400}),
+            (87500, {"device": "mark", "offset_s": 30})]
+
+
 def test_fake_claim_against_empty_feed_fails():
     from dctlab.server import TracingServer
     server = TracingServer(SeedStream(1, "empty"))

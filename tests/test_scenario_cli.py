@@ -220,7 +220,7 @@ def test_cli_run_smoke_and_exit_codes(tmp_path, capsys):
 
 
 SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
-             "devices": ["a", "b", {"id": "s", "role": "sniffer"}],
+             "devices": ["a", "b", {"id": "s", "role": "sniffer"}, {"id": "r", "role": "replayer"}],
              "contact_trace": [["a", "b", 0, 600], ["a", "s", 0, 600]],
              "infections": [{"device": "a", "report_at": 650}],
              "analysis": {"superspreader_check": ["b"]},
@@ -248,7 +248,7 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
                 "window": [0, 600]}, "runs[1].attack.node_a: unknown device 'zz'"),
     ("attack", {"kind": "relay", "mode": "one_way_broadcast", "node_a": "a", "node_b": "zz",
                 "window": [0, 600]}, "runs[1].attack.node_b: unknown device 'zz'"),
-    ("attack", {"kind": "time_travel", "victim": "zz", "replayer": "s", "offset_s": -60,
+    ("attack", {"kind": "time_travel", "victim": "zz", "replayer": "r", "offset_s": -60,
                 "at_s": 100, "restore_at_s": 200}, "runs[1].attack.victim: unknown device 'zz'"),
     ("attack", {"kind": "time_travel", "victim": "a", "replayer": "zz", "offset_s": -60,
                 "at_s": 100, "restore_at_s": 200}, "runs[1].attack.replayer: unknown device 'zz'"),
@@ -258,11 +258,11 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
      "runs[1].attack is missing the 'mode' field"),
     ("attack", {"kind": "relay", "node_a": "a", "node_b": "b", "mode": "one_way_broadcast"},
      "runs[1].attack is missing the 'window' field"),
-    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "s", "at_s": 100,
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "r", "at_s": 100,
                 "restore_at_s": 200}, "runs[1].attack is missing the 'offset_s' field"),
-    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "s", "offset_s": -60,
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "r", "offset_s": -60,
                 "restore_at_s": 200}, "runs[1].attack is missing the 'at_s' field"),
-    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "s", "offset_s": -60,
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "r", "offset_s": -60,
                 "at_s": 100}, "runs[1].attack is missing the 'restore_at_s' field"),
     ("attack", {"kind": "fake_claim", "at": 100}, "runs[1].attack is missing the 'claimant' field"),
     ("attack", {"kind": "fake_claim", "claimant": "a"}, "runs[1].attack is missing the 'at' field"),
@@ -326,7 +326,7 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
     ("analysis", {"socail_graph": True}, "runs[1].analysis.socail_graph: unknown field"),
     ("attack", {"kind": "relay", "mode": "one_way_broadcast", "node_a": "a", "node_b": "b",
                 "window": [0, 600], "latency": 30}, "runs[1].attack.latency: unknown field"),
-    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "s", "offset_s": -60,
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "r", "offset_s": -60,
                 "at_s": 100, "restore_at_s": 200, "restore_s": 300},
      "runs[1].attack.restore_s: unknown field"),
     ("attack", {"kind": "fake_claim", "claimant": "a", "at": 100, "guess": 4},
@@ -344,6 +344,10 @@ SMOKE_RUN = {"label": "main", "scheme": "dh", "scheme_config": {},
     ("attack", {"kind": "relay", "mode": "two_way_realtime", "node_a": "a", "node_b": "b",
                 "window": [0, 600], "fanout_limit": 9},
      "runs[1].attack.fanout_limit: expected an integer from 0 to 8, got 9"),
+    # a time-travel replayer beacons what the attack arms it with: a plain device would not
+    ("attack", {"kind": "time_travel", "victim": "a", "replayer": "b", "offset_s": -60,
+                "at_s": 100, "restore_at_s": 200},
+     "runs[1].attack.replayer: 'b' is not a replayer"),
 ])
 def test_cli_bad_run_exits_2_naming_the_fault(tmp_path, capsys, field, value, expected):
     bad_run = dict(SMOKE_RUN, label="bad")
@@ -394,7 +398,7 @@ def test_cross_field_rules_are_checked_before_any_run_executes(monkeypatch, bad,
     assert executed == []
 
 
-_TIME_TRAVEL = {"kind": "time_travel", "victim": "a", "replayer": "s", "offset_s": -60,
+_TIME_TRAVEL = {"kind": "time_travel", "victim": "a", "replayer": "r", "offset_s": -60,
                 "at_s": 100, "restore_at_s": 200}
 _RELAY = {"kind": "relay", "mode": "one_way_broadcast", "node_a": "a", "node_b": "s",
           "window": [0, 600]}

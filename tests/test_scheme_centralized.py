@@ -1,7 +1,11 @@
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dctlab import scenario as scenario_module
+from dctlab.cli import builtin_scenario
 from dctlab.crypto_core import DAY_S, derive_bluetrace_id, derive_centralized_id
 from dctlab.errors import ConfigurationError, ProtocolError
 from dctlab.rng import SeedStream
@@ -14,6 +18,7 @@ from dctlab.schemes.centralized import (
     report_infection,
     server_match,
 )
+from dctlab.scenario import execute_run, run_scenario
 
 
 def make_pair(variant):
@@ -195,3 +200,44 @@ def test_client_identifier_cache_matches_derivation_and_batches(monkeypatch, var
         assert pulls == []
     else:
         assert sorted(pulls) == [(uid, 0), (uid, 1)] and derivations == []
+
+
+def _run_states(monkeypatch) -> list:
+    """The _RunState of each run executed from now on, as it is when the run ends."""
+    states = []
+    collect = scenario_module._collect_metrics
+    monkeypatch.setattr(scenario_module, "_collect_metrics",
+                        lambda run_cfg, state: states.append(state) or collect(run_cfg, state))
+    return states
+
+
+BUNDLED = sorted(path.name.removesuffix(".json")
+                 for path in resources.files("dctlab").joinpath("scenarios").iterdir()
+                 if path.name.endswith(".json"))
+WITH_CENTRALIZED = [sid for sid in BUNDLED
+                    if any(run["scheme"] == "centralized" for run in builtin_scenario(sid)["runs"])]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+@pytest.mark.parametrize("sid", WITH_CENTRALIZED)
+def test_a_scenario_run_leaves_no_note_queued(monkeypatch, sid, seed):
+    """The driver polls every note an upload queues right after the upload,
+    as an app polls notify_poll, so no run ends with a note undelivered."""
+    states = _run_states(monkeypatch)
+    metrics = run_scenario(builtin_scenario(sid), seed)
+    assert len(states) == len(metrics["runs"])
+    assert [state.server.notifications for state in states] == [{}] * len(states)
+
+
+def test_an_uploads_notes_come_in_match_order_before_its_report(monkeypatch):
+    # a met c before b, so its upload's records, and the server's matches, name c first
+    run = {"label": "fan", "scheme": "centralized", "devices": ["a", "b", "c"],
+           "contact_trace": [["a", "c", 0, 600], ["a", "b", 900, 1500]],
+           "infections": [{"device": "a", "report_at": 1600}], "duration_s": 1700}
+    states, events = _run_states(monkeypatch), []
+    metrics = execute_run(run, SeedStream(3, "fan"), events.append)
+    matched = [m["contact_device"] for m in states[0].server.match_history]
+    assert matched == ["c", "b"]
+    assert [(e.kind, e.payload["device"]) for e in events if e.kind in ("notify", "report")] \
+        == [("notify", "c"), ("notify", "b"), ("report", "a")]
+    assert metrics["notifications"] == {"b": 1, "c": 1}
