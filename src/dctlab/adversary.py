@@ -356,14 +356,11 @@ def fake_claim_centralized(server: TracingServer, claimant_device: str,
                            runs: list[SnifferObservation]) -> dict:
     """An authenticated (infected) claimant uploads sniffed identifiers of
     people it never met; the server cannot tell them from honest records.
-    Each sighting is one record: the runs are expanded into their ticks, in
-    time order, and ticks heard at one time in the order their runs began."""
+    Each run is one record, in the order the runs began, spanning its ticks
+    taken as 60 s contacts: [first_at, last_at + 60]."""
     tan = server.issue_tan(claimant_device)
-    ticks = sorted(((at, run.identifier) for run in runs
-                    for at in range(run.first_at, run.last_at + 1, SCAN_TICK_S)),
-                   key=lambda tick: tick[0])
-    records = [{"id_hex": ident.hex(), "first_seen": at, "last_seen": at + 60}
-               for at, ident in ticks]
+    records = [{"id_hex": run.identifier.hex(), "first_seen": run.first_at,
+                "last_seen": run.last_at + 60} for run in runs]
     ack = server.accept_upload({"scheme": "centralized", "tan": tan.value,
                                 "records": records})
     return {"accepted": ack["matched_users"] > 0,

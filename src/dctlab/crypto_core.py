@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import hmac
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -390,7 +389,7 @@ def seal_metadata(et: EncounterToken, plaintext: bytes) -> bytes:
     of the plaintext, so sealing is deterministic and never reuses a nonce
     for distinct messages under the same token."""
     key, nonce_key = _meta_keys(et)
-    nonce = hmac.new(nonce_key, plaintext, hashlib.sha256).digest()[:12]
+    nonce = HmacKey(nonce_key).mac(plaintext)[:12]
     return nonce + ChaCha20Poly1305(key).encrypt(nonce, plaintext, None)
 
 
@@ -406,23 +405,16 @@ def open_metadata(et: EncounterToken, sealed: bytes) -> bytes | None:
         return None
 
 
-def encode_timestamp(ts: int) -> bytes:
-    return struct.pack(">q", ts)
-
-
-def decode_timestamp(data: bytes) -> int:
-    return struct.unpack(">q", data)[0]
-
-
 def seal_timestamp(et: EncounterToken, ts: int) -> bytes:
-    return seal_metadata(et, encode_timestamp(ts))
+    """ts sealed as its 8-byte big-endian signed encoding (encode_epoch's)."""
+    return seal_metadata(et, encode_epoch(ts))
 
 
 def open_timestamp(et: EncounterToken, sealed: bytes) -> int | None:
     plain = open_metadata(et, sealed)
     if plain is None or len(plain) != 8:
         return None
-    return decode_timestamp(plain)
+    return struct.unpack(">q", plain)[0]
 
 
 def b64(data: bytes) -> str:

@@ -14,6 +14,9 @@ from __future__ import annotations
 import hashlib
 import struct
 
+# 32 letters and digits, without the look-alikes I, O, 0 and 1
+TOKEN_ALPHABET = "ABCDEFGHJKLMNPQRSTUVWXYZ23456789"
+
 
 class SeedStream:
     """SHA-256 counter-mode byte stream with labelled sub-streams."""
@@ -56,5 +59,5 @@ class SeedStream:
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def token(self, length: int, alphabet: str = "ABCDEFGHJKLMNPQRSTUVWXYZ23456789") -> str:
-        return "".join(alphabet[self.randrange(len(alphabet))] for _ in range(length))
+    def token(self, length: int) -> str:
+        return "".join(TOKEN_ALPHABET[self.randrange(len(TOKEN_ALPHABET))] for _ in range(length))

@@ -219,9 +219,10 @@ class DhClient(DeviceClient):
         self._conns: dict[str, Connection] = {}
         self._aborted_peers: set[str] = set()
         self._notified_hashes: set[str] = set()
-        # the records sync may still notify, in record order, and how many
-        # of records it has looked at: records is only appended to
-        self._unnotified: list[EncounterRecord] = []
+        # the records whose hash sync has not found published yet, in record
+        # order, and how many of records it has looked at: records is only
+        # appended to
+        self._unpublished: list[EncounterRecord] = []
         self._records_seen = 0
         self.rejected_keys = 0
 
@@ -416,18 +417,20 @@ class DhClient(DeviceClient):
 
     def sync(self) -> list[DhExposure]:
         """Exposures new since the last sync among the entries the run's
-        index has published. A record whose hash was notified before opens
-        no seal, and none is looked at again once its hash is notified."""
+        index has published. The index fixes a hash's entries in the page
+        that brings it, so the first sync that finds a record's hash
+        published decides the record for good: it is matched then, unless
+        its hash was notified before, and its seal is never opened again.
+        The records whose hash is not published yet wait for a later sync."""
         if self.reported:
             return []
-        notified = self._notified_hashes
-        self._unnotified += [r for r in self.records[self._records_seen:]
-                             if r.hash_hex not in notified]
+        by_hash, notified = self.index.by_hash, self._notified_hashes
+        waiting = self._unpublished + self.records[self._records_seen:]
         self._records_seen = len(self.records)
-        fresh = match_exposures_dh(self._unnotified, self.index.by_hash, self.cfg)
-        if fresh:
-            notified.update(e.token_hash_hex for e in fresh)
-            self._unnotified = [r for r in self._unnotified if r.hash_hex not in notified]
+        self._unpublished = [r for r in waiting if r.hash_hex not in by_hash]
+        fresh = match_exposures_dh([r for r in waiting if r.hash_hex in by_hash
+                                    and r.hash_hex not in notified], by_hash, self.cfg)
+        notified.update(e.token_hash_hex for e in fresh)
         return fresh
 
     def superspreader_check(self) -> dict:

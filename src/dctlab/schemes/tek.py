@@ -43,11 +43,12 @@ The weaknesses the adversary lab exercises are reproduced deliberately:
   straight from the public feed (fake exposure claims, same-day replays).
 
 The optional strict-freshness fix pins every published key to the run's sync
-round that brought it, which the index holds once for the run with the key; a
-client's log epoch is the run's round, and a run matches the key only if it
-began in an earlier round. So sightings appended after the key arrived
-cannot match it. The pin counts rounds, not time, so it holds even when the
-device clock has been manipulated. It ships off by default, as deployed.
+round that brought it, which the index holds once for the run with the key.
+A client hands its log the index's round with each sighting, each run keeps
+the round it began in, and a run matches the key only if it began in an
+earlier round. So sightings appended after the key arrived cannot match it.
+The pin counts rounds, not time, so it holds even when the device clock has
+been manipulated. It ships off by default, as deployed.
 """
 
 from __future__ import annotations
@@ -96,38 +97,21 @@ class SightingLog:
     """Append-only within a run. by_identifier maps identifier bytes to that
     identifier's runs in append order, as flat triples in one array('q'):
     first_at and last_at, the local clock at record time of the run's first
-    and last sighting, then epoch, the value of the log's epoch when the run
-    began. append(identifier, seen_at, ticks) records ticks sightings one
-    scan tick apart from seen_at. They extend the identifier's last run only
-    when seen_at is last_at + SCAN_TICK_S and the epoch is unchanged; a
-    duplicate, a clock moved back, any other gap or a new epoch starts a new
-    run. So a run's sightings are first_at, first_at + SCAN_TICK_S, ...,
-    last_at, all appended in one epoch, and a span of ticks leaves the log
-    as its ticks appended one by one would.
+    and last sighting, then epoch, the sync round the run began in, as its
+    caller handed it to append. append(identifier, seen_at, ticks, epoch)
+    records ticks sightings one scan tick apart from seen_at. They extend
+    the identifier's last run only when seen_at is last_at + SCAN_TICK_S
+    and the epoch is the run's; a duplicate, a clock moved back, any other
+    gap or a new epoch starts a new run. So a run's sightings are first_at,
+    first_at + SCAN_TICK_S, ..., last_at, all appended in one epoch, and a
+    span of ticks leaves the log as its ticks appended one by one would."""
 
-    A log built with an index follows it: its epoch is the run's sync round,
-    whether or not its own client synced in that round. A log built without
-    one keeps the epoch set by hand."""
-
-    def __init__(self, index: PublishedTekIndex | None = None):
+    def __init__(self):
         self.by_identifier: dict[bytes, array] = {}
-        self._index = index
-        self._epoch = 0
 
-    @property
-    def epoch(self) -> int:
-        return self._epoch if self._index is None else self._index.round
-
-    @epoch.setter
-    def epoch(self, value: int) -> None:
-        if self._index is not None:
-            raise AttributeError("a log that follows an index has the index's round as epoch")
-        self._epoch = value
-
-    def append(self, identifier: bytes, seen_at: int, ticks: int = 1) -> bool:
+    def append(self, identifier: bytes, seen_at: int, ticks: int = 1, epoch: int = 0) -> bool:
         """Record the sightings; True when they are the identifier's first."""
         last_at = seen_at + SCAN_TICK_S * (ticks - 1)
-        epoch = self.epoch
         runs = self.by_identifier.get(identifier)
         if runs is None:
             self.by_identifier[identifier] = array("q", (seen_at, last_at, epoch))
@@ -207,8 +191,7 @@ class PublishedTekIndex:
         can notify: those that logged an identifier of a key the round
         brought, and those that logged an identifier of a published key, or
         whose own keys changed after a report, since the last round. A sync
-        would find nothing new on any other device, and its log's epoch
-        follows the round."""
+        would find nothing new on any other device."""
         self.round += 1
         arrived = [t for t in self.ingest_all(page) if t.hex not in self.rounds]
         self.published += arrived
@@ -223,6 +206,10 @@ def publish_keys(store: TekStore, tan: str) -> dict:
         "tan": tan,
         "teks": [{"tek_hex": t.hex, "day": t.day_index} for t in store.retained()],
     }
+
+
+# a cutoff above every epoch an array('q') can hold: an unpinned key admits every run
+_UNPINNED = 2**63
 
 
 def _first_in_window(runs: array, lo: int, hi: int, cutoff: int) -> int | None:
@@ -262,7 +249,7 @@ def match_exposures(log: SightingLog, published: list[Tek],
     found = []   # (position, slot, seen_at)
     for ident, runs in log.by_identifier.items():
         tek_hex, slot = index.by_identifier.get(ident, (None, 0))
-        cutoff = (watermarks or {}).get(tek_hex, log.epoch + 1)
+        cutoff = (watermarks or {}).get(tek_hex, _UNPINNED)
         # a key listed more than once counts under the first listing that matches
         for pos in positions.get(tek_hex, ()):
             slot_start = published[pos].day_index * DAY_S + slot * IDENTIFIER_SLOT_S
@@ -286,7 +273,7 @@ class TekClient(DeviceClient):
         self.store = TekStore(retention_days=retention_days)
         self.reported = False
         self.index = index or PublishedTekIndex()
-        self.log = SightingLog(self.index)
+        self.log = SightingLog()
         self._beacon: tuple[int | None, bytes] = (None, b"")   # (slot since origin, identifier)
         self._notified: set[tuple] = set()
 
@@ -323,7 +310,8 @@ class TekClient(DeviceClient):
 
     def on_sighting(self, identifier: bytes, local_t: int, global_t: int,
                     ticks: int = 1) -> None:
-        self.index.recorded(identifier, self.device_id, self.log.append(identifier, local_t, ticks))
+        first = self.log.append(identifier, local_t, ticks, self.index.round)
+        self.index.recorded(identifier, self.device_id, first)
 
     def make_report(self, tan: str) -> dict:
         self.reported = True
@@ -331,9 +319,9 @@ class TekClient(DeviceClient):
 
     def sync(self) -> list[Exposure]:
         """Not-yet-seen exposures among the keys the run's index has
-        published. The log's epoch is the index's round, so under strict
-        freshness only runs begun before the round that brought a key can
-        match it."""
+        published. Each run of the log keeps the index's round it began in,
+        so under strict freshness only runs begun before the round that
+        brought a key can match it."""
         own = {t.hex for t in self.store.retained()} if self.reported else set()
         exposures = match_exposures(self.log,
                                     [t for t in self.index.published if t.hex not in own],

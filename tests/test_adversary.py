@@ -13,7 +13,7 @@ from dctlab.crypto_core import DAY_S, Tek, derive_centralized_id, derive_day_ide
 from dctlab.radio import SCAN_TICK_S
 from dctlab.rng import SeedStream
 from dctlab.cli import builtin_scenario
-from dctlab.scenario import execute_run
+from dctlab.scenario import execute_run, run_scenario
 from dctlab.schemes.centralized import CentralizedClient, CentralRegistry
 from dctlab.schemes.tek import PublishedTekIndex
 
@@ -228,6 +228,62 @@ def test_fake_claim_skips_a_key_published_for_a_day_no_clock_reads():
                           "teks": [{"tek_hex": "ef" * 16, "day": 3}]})
     assert adversary.fake_claim_tek(server, claimant_local_t=500) == {
         "accepted": True, "fabricated_exposures": 1}
+
+
+def per_tick_fake_claim_centralized(server, claimant_device, runs):
+    """The fake centralized claim as it was: one record per sniffed tick, in
+    time order, and ticks heard at one time in the order their runs began."""
+    tan = server.issue_tan(claimant_device)
+    ticks = sorted(((at, run.identifier) for run in runs
+                    for at in range(run.first_at, run.last_at + 1, SCAN_TICK_S)),
+                   key=lambda tick: tick[0])
+    records = [{"id_hex": ident.hex(), "first_seen": at, "last_seen": at + 60}
+               for at, ident in ticks]
+    ack = server.accept_upload({"scheme": "centralized", "tan": tan.value,
+                                "records": records})
+    return {"accepted": ack["matched_users"] > 0,
+            "victims_notified": ack["matched_users"]}
+
+
+def recording(claim, seen):
+    """claim, keeping in seen the runs it was given, the records it uploaded,
+    what it returned and the users it matched, in match order."""
+    def recorded(server, claimant_device, runs):
+        accept = server.accept_upload
+
+        def upload(bundle):
+            seen["records"] = bundle["records"]
+            return accept(bundle)
+
+        server.accept_upload, before = upload, len(server.match_history)
+        try:
+            seen["result"] = claim(server, claimant_device, runs)
+        finally:
+            del server.accept_upload
+        seen["runs"] = list(runs)
+        seen["matched"] = [m["contact_user"] for m in server.match_history[before:]]
+        return seen["result"]
+    return recorded
+
+
+@pytest.mark.parametrize("variant", ["bluetrace", "pepp_pt"])
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_a_fake_centralized_claim_uploads_a_run_as_one_record_and_notifies_as_per_tick(
+        monkeypatch, seed, variant):
+    scenario = builtin_scenario("fake_claim_centralized")
+    scenario["runs"][0]["scheme_config"]["variant"] = variant
+    shipped, per_tick = {}, {}
+    for claim, seen in ((adversary.fake_claim_centralized, shipped),
+                        (per_tick_fake_claim_centralized, per_tick)):
+        monkeypatch.setattr(adversary, "fake_claim_centralized", recording(claim, seen))
+        run_scenario(scenario, seed=seed)
+    runs = shipped["runs"]
+    assert shipped["records"] == [{"id_hex": r.identifier.hex(), "first_seen": r.first_at,
+                                   "last_seen": r.last_at + 60} for r in runs]
+    assert len(per_tick["records"]) == sum(r.ticks for r in runs) > len(runs)
+    assert shipped["result"] == per_tick["result"]
+    assert shipped["matched"] == per_tick["matched"]
+    assert len(set(shipped["matched"])) == shipped["result"]["victims_notified"] > 0
 
 
 def test_social_graph_without_uploads_is_empty():

@@ -548,7 +548,7 @@ def span_plans(draw):
 def client_state(client):
     """Everything a client keeps that the radio writes, in order."""
     if isinstance(client, TekClient):
-        return ("tek", client.log.epoch,
+        return ("tek", client.index.round,
                 [(ident, runs.tolist()) for ident, runs in client.log.by_identifier.items()])
     if isinstance(client, CentralizedClient):
         return ("centralized", [(r.identifier, r.first_seen, r.last_seen) for r in client.records])

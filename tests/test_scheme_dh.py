@@ -668,8 +668,30 @@ def test_clients_sharing_an_index_sync_as_the_reference(ops):
                 assert client.sync() == ref.sync(last)
                 assert client.superspreader_check() == ref.superspreader_check()
                 assert index.skipped == malformed     # each page is checked once
+                # a sync decides every record whose hash it finds published
+                assert client.reported or not any(r.hash_hex in index.by_hash
+                                                  for r in client._unpublished)
     assert sorted(e["hash_hex"] for entries in index.by_hash.values() for e in entries) \
         == sorted(e["hash_hex"] for e in refs[0].known_published)
+
+
+def test_a_decided_record_opens_its_seal_once(monkeypatch):
+    # token 0's entry seals a time beyond epsilon; token 1's is sealed under token 2
+    client = DhClient(SeedStream(0, "once"), SYNC_CFG)
+    client.records += [EncounterRecord(TOKENS[0], 0), EncounterRecord(TOKENS[1], 0)]
+    opened = []
+
+    def counting_open(token, sealed):
+        remote_ts = open_timestamp(token, sealed)
+        opened.append((hash_token(token).hex(), remote_ts))
+        return remote_ts
+
+    monkeypatch.setattr(dh_mod, "open_timestamp", counting_open)
+    client.index.ingest([entry_of(0, 500), entry_of(1, 0, sealer=2)])
+    for _ in range(3):
+        assert client.sync() == []
+    assert opened == [(client.records[0].hash_hex, 500), (client.records[1].hash_hex, None)]
+    assert client._unpublished == []
 
 
 # -- each feed page is checked once per run --------------------------------------------

@@ -93,8 +93,8 @@ def test_kiss_same_day_replay_and_strict_fix():
     tek = make_tek(3, 0)
     ident = derive_day_identifiers(tek)[10]
     log = SightingLog()
-    watermarks = {tek.hex: log.epoch}  # key arrived before the sighting
-    log.append(ident, seen_at=10 * 600 + 50)
+    watermarks = {tek.hex: 0}  # key arrived in round 0, the round the sighting is logged in
+    log.append(ident, seen_at=10 * 600 + 50, epoch=0)
     published = [tek]
     assert len(match_exposures(log, published)) == 1  # default: accepted
     assert match_exposures(log, published, watermarks=watermarks) == []
@@ -116,10 +116,10 @@ def test_sighting_log_keeps_runs_of_scan_ticks_in_append_order():
     for ident, seen_at in [(b"x", 50), (b"y", -7), (b"x", 55), (b"y", -2), (b"x", 60),
                            (b"x", 60),                  # a duplicate starts a run
                            (b"x", 20), (b"x", 30)]:     # so do a clock moved back and a gap
-        log.append(ident, seen_at)
-    log.epoch += 1                                      # and so does a sync
+        log.append(ident, seen_at, epoch=0)
+    # and so does a new epoch, as a sync round opens one
     for ident, seen_at in [(b"y", 3), (b"x", 2**60 - 6), (b"x", 2**60 - 1)]:
-        log.append(ident, seen_at)
+        log.append(ident, seen_at, epoch=1)
     assert list(log.by_identifier[b"x"]) == [50, 60, 0, 60, 60, 0, 20, 20, 0, 30, 30, 0,
                                              2**60 - 6, 2**60 - 1, 1]
     assert list(log.by_identifier[b"y"]) == [-7, -2, 0, 3, 3, 1]
@@ -130,16 +130,15 @@ def test_sighting_log_keeps_runs_of_scan_ticks_in_append_order():
                           st.tuples(st.sampled_from((b"x", b"y")), st.integers(-30, 60),
                                     st.integers(1, 6))), max_size=12))
 def test_a_span_of_ticks_appends_as_its_ticks_one_by_one(ops):
-    spans, ticks = SightingLog(), SightingLog()
+    spans, ticks, epoch = SightingLog(), SightingLog(), 0
     for op in ops:
         if op == "sync":
-            spans.epoch += 1
-            ticks.epoch += 1
+            epoch += 1
             continue
         ident, seen_at, n = op
-        spans.append(ident, seen_at, n)
+        spans.append(ident, seen_at, n, epoch)
         for k in range(n):
-            ticks.append(ident, seen_at + 5 * k)
+            ticks.append(ident, seen_at + 5 * k, epoch=epoch)
     assert list(spans.by_identifier) == list(ticks.by_identifier)
     assert {i: list(r) for i, r in spans.by_identifier.items()} \
         == {i: list(r) for i, r in ticks.by_identifier.items()}

@@ -77,11 +77,11 @@ def assert_same_as_every_device(scenario, seed=None):
 
 class _Shadows:
     """Every TEK and DH client made in the context gets a shadow synced in
-    every round: a TEK shadow logs the same sightings in a log whose epoch is
-    set by hand to the round, as a sync used to set it; a DH shadow shares
-    the client's records. After a round opens, a skipped client must equal
-    its shadow, and the shadow's sync must find nothing; a woken client's
-    sync must return what its shadow's did and leave the same state."""
+    every round: a TEK shadow logs the same sightings, each under the run's
+    round, in a log of its own; a DH shadow shares the client's records.
+    After a round opens, a skipped client must equal its shadow, and the
+    shadow's sync must find nothing; a woken client's sync must return what
+    its shadow's did and leave the same state."""
 
     def __init__(self):
         self.tek_sync, self.dh_sync = TekClient.sync, DhClient.sync     # unwrapped
@@ -93,7 +93,6 @@ class _Shadows:
         for client, shadow in self.tek.items():
             if client.index is not index:
                 continue
-            shadow["log"].epoch = index.round
             twin = copy.copy(client)
             twin.log, twin._notified = shadow["log"], shadow["notified"]
             self.settle(client, self.tek_sync(twin), woken)
@@ -117,7 +116,6 @@ class _Shadows:
         if client in self.tek:
             shadow = self.tek[client]
             assert client.log.by_identifier == shadow["log"].by_identifier
-            assert client.log.epoch == shadow["log"].epoch
             assert client._notified == shadow["notified"]
 
     def synced(self, client, got):
@@ -125,7 +123,7 @@ class _Shadows:
         self.assert_equal(client)
         if client in self.dh and not client.reported:   # a reported client's sync reads none
             twin = self.dh[client]
-            assert client._unnotified == twin._unnotified
+            assert client._unpublished == twin._unpublished
             assert client._notified_hashes == twin._notified_hashes
 
 
@@ -143,11 +141,11 @@ def shadowed():
     def made_dh(client, *args, **kwargs):
         dh_init(client, *args, **kwargs)
         twin = shadows.dh[client] = copy.copy(client)     # shares records and the index
-        twin._unnotified, twin._notified_hashes = [], set()
+        twin._unpublished, twin._notified_hashes = [], set()
 
     def sighting(client, identifier, local_t, global_t, ticks=1):
         on_sighting(client, identifier, local_t, global_t, ticks)
-        shadows.tek[client]["log"].append(identifier, local_t, ticks)
+        shadows.tek[client]["log"].append(identifier, local_t, ticks, client.index.round)
 
     def waking(real, settle):
         def wake(index, page):

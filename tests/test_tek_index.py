@@ -210,13 +210,13 @@ def _ident(k, slot):
          strict=False, marks={}, preload=[Tek(KEYS[0], 2)])
 def test_index_matcher_equals_brute_force(events, published, validity_window_s, strict,
                                           marks, preload):
-    log, sightings, sync_seqs = SightingLog(), [], [0]
+    log, sightings, sync_seqs, epoch = SightingLog(), [], [0], 0
     for kind, arg in events:
         if kind == "sight":
-            log.append(*arg)
+            log.append(*arg, epoch=epoch)
             sightings.append((*arg, len(sightings)))
         else:
-            log.epoch += 1
+            epoch += 1
             sync_seqs.append(len(sightings))
     # watermark m admits the runs begun before the m-th sync: the sightings
     # appended before it, every one when there were fewer syncs
@@ -454,5 +454,5 @@ def test_clients_sharing_an_index_equal_their_references_in_lockstep(
         for client, ref in zip(clients, refs):
             own = {t.hex for t in client.store.retained()} if client.reported else set()
             assert client.sync() == ref.sync(good, own)
-            assert client.log.epoch == number
+        assert index.round == number
         assert index.skipped == skipped
