@@ -40,6 +40,14 @@ class SeedStream:
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
 
+    def at(self, offset: int, n: int) -> bytes:
+        """Bytes offset .. offset + n of the stream, as take(n) gives them
+        after take(offset) on a fresh stream; consumes nothing."""
+        first, last = offset // 32, -(-(offset + n) // 32)
+        blocks = b"".join(hashlib.sha256(self._key + struct.pack(">Q", c)).digest()
+                          for c in range(first, last))
+        return blocks[offset - 32 * first:][:n]
+
     def u64(self) -> int:
         return struct.unpack(">Q", self.take(8))[0]
 

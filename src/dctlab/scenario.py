@@ -384,8 +384,9 @@ def _group(value, at: tuple, roles) -> str | dict:
     return value if value == "x25519" else check(value, TOY_GROUP, at)
 
 
-# a centralized rotation_s: bluetrace issues each day's DAY_S // rotation_s identifiers
-# as one batch, so it divides a day, and at least 60 s bounds a batch to 1,440
+# a centralized rotation_s: bluetrace lays each day's DAY_S // rotation_s windows out in
+# one batch stream, window i at byte 24 * i, so it divides a day and each window lies in
+# one day's batch; at least 60 s bounds a day to 1,440 windows
 DAY_DIVISOR = predicate(lambda v, roles: type(v) is int and v >= 60 and DAY_S % v == 0,
                         "expected a positive integer of at least 60 that divides 86400, got {!r}")
 
@@ -486,7 +487,7 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
     if analysis["linkage"]:
         registry, linkable = state.server.registry, owners
         if analysis["colluding_sp"] and registry is not None:
-            # the provider attributes every identifier of every user it registered
+            # the provider attributes every identifier it issued
             last = run_cfg["duration_s"] // rotation_s + 1
             linkable = {ident: f"user:{u}" for ident, u in registry.owners(0, last).items()}
         metrics["linkage"] = dict(adversary.run_linkage(runs, linkable),

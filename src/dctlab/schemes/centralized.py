@@ -2,8 +2,9 @@
 
 Devices register with the service provider and get a pseudonymous user id.
 Identifiers rotate every 15 minutes by default and are either derived
-locally from the user id (pepp_pt variant) or pulled as pre-generated
-batches the server computed under its master key (bluetrace variant).
+locally from the user id (pepp_pt variant) or pulled, one window at a
+time, from per-day batches the server derives under its master key
+(bluetrace variant).
 
 The defining property: an infected user uploads the identifiers it
 *observed*, and the server resolves each one back to the user that emitted
@@ -58,18 +59,19 @@ class ObservedRecord:
 class CentralRegistry:
     """Server-side user registry plus identifier resolution.
 
-    For the bluetrace variant the registry keeps the (iv, auth_tag, window)
-    of every identifier it issued and re-derives under the master key when
-    resolving, rather than trusting the lookup index. owners(lo, hi) is the
-    registry's reverse map over a range of windows: pepp_pt resolution
-    searches it, and a colluding provider attributes sniffed beacons with it.
+    For the bluetrace variant the registry keeps the (user, window) of every
+    identifier it issued and, when resolving, re-derives its iv, auth_tag and
+    identifier under the master key rather than trusting the lookup index.
+    owners(lo, hi) is the registry's reverse map over a range of windows:
+    pepp_pt resolution searches it, and a colluding provider attributes
+    sniffed beacons with it.
     """
 
     def __init__(self, stream: SeedStream, variant: str = VARIANT_BLUETRACE,
                  rotation_s: int = DEFAULT_ROTATION_S):
         if variant not in (VARIANT_BLUETRACE, VARIANT_PEPP_PT):
             raise ProtocolError(f"unknown centralized variant {variant!r}")
-        # a day's batch holds DAY_S // rotation_s windows, so they must tile the day
+        # a day's batch stream lays out DAY_S // rotation_s windows, so they must tile the day
         if type(rotation_s) is not int or rotation_s <= 0 or DAY_S % rotation_s:
             raise ConfigurationError(
                 f"rotation_s must be a positive integer that divides {DAY_S}, got {rotation_s!r}")
@@ -79,7 +81,7 @@ class CentralRegistry:
         self.master = MasterKey(stream.child("master").take(32))
         self.users: dict[str, CentralRegistration] = {}
         self.device_of: dict[str, str] = {}
-        self._batch_index: dict[bytes, tuple[str, int, bytes, bytes]] = {}
+        self._batch_index: dict[bytes, tuple[str, int]] = {}
 
     @property
     def batch_size(self) -> int:
@@ -93,29 +95,31 @@ class CentralRegistry:
         self.device_of[user_id] = device_id
         return reg
 
-    def issue_batch(self, user_id: str, day: int) -> list[bytes]:
-        """Pre-generated identifiers for one day (bluetrace pull), in window
-        order: item i is window day * batch_size + i. A client pulls each day
-        once; a repeat pull derives the same identifiers again from the day's
-        own stream."""
+    def issue_batch(self, user_id: str, t_k: int) -> bytes:
+        """The pre-generated identifier of window t_k (bluetrace pull). The
+        day's batch is issued window by window, as clients read them; a
+        repeat pull derives the same identifier again."""
         if user_id not in self.users:
             raise ProtocolError(f"unknown user {user_id}")
-        batch = []
-        base = day * self.batch_size
-        batch_stream = self.stream.child(f"batch:{user_id}:{day}")
-        for t_k in range(base, base + self.batch_size):
-            iv = batch_stream.take(IV_LEN)
-            auth_tag = batch_stream.take(AUTH_TAG_LEN)
-            ident = derive_bluetrace_id(user_id, t_k, iv, auth_tag, self.master)
-            self._batch_index[ident] = (user_id, t_k, iv, auth_tag)
-            batch.append(ident)
-        return batch
+        ident = self._derive(user_id, t_k)
+        self._batch_index[ident] = (user_id, t_k)
+        return ident
+
+    def _derive(self, user_id: str, t_k: int) -> bytes:
+        """Window t_k's identifier under the master key: item i = t_k % batch_size
+        of day t_k // batch_size's batch, its iv and auth_tag at byte 24 * i of
+        that day's own stream."""
+        day, i = divmod(t_k, self.batch_size)
+        secrets = self.stream.child(f"batch:{user_id}:{day}").at(
+            i * (IV_LEN + AUTH_TAG_LEN), IV_LEN + AUTH_TAG_LEN)
+        return derive_bluetrace_id(user_id, t_k, secrets[:IV_LEN], secrets[IV_LEN:], self.master)
 
     def owners(self, lo: int, hi: int) -> dict[bytes, str]:
-        """identifier -> user id, for every registered user and window lo..hi:
-        derived on the spot (pepp_pt) or read from the issued batches (bluetrace)."""
+        """identifier -> user id, for windows lo..hi: derived on the spot for
+        every registered user (pepp_pt), or read from the identifiers issued so
+        far (bluetrace; a window no client has read was never issued)."""
         if self.variant == VARIANT_BLUETRACE:
-            return {ident: user_id for ident, (user_id, t_k, _, _) in self._batch_index.items()
+            return {ident: user_id for ident, (user_id, t_k) in self._batch_index.items()
                     if lo <= t_k <= hi}
         return {derive_centralized_id(user_id, t_k): user_id
                 for user_id in self.users for t_k in range(lo, hi + 1)}
@@ -126,9 +130,8 @@ class CentralRegistry:
             hit = self._batch_index.get(identifier)
             if hit is None:
                 return None
-            user_id, t_k, iv, auth_tag = hit
-            rederived = derive_bluetrace_id(user_id, t_k, iv, auth_tag, self.master)
-            return user_id if rederived == identifier else None
+            user_id, t_k = hit
+            return user_id if self._derive(user_id, t_k) == identifier else None
         r = self.rotation_s
         return self.owners(first_seen // r - 1, last_seen // r + 1).get(identifier)
 
@@ -197,10 +200,7 @@ class CentralizedClient(DeviceClient):
         if t_k not in self._ids:
             user_id = self._require_registration().user_id
             if self.registry.variant == VARIANT_BLUETRACE:
-                # one pull fills the whole day
-                day = (t_k * self.rotation_s) // DAY_S
-                batch = self.registry.issue_batch(user_id, day)
-                self._ids.update(enumerate(batch, day * self.registry.batch_size))
+                self._ids[t_k] = self.registry.issue_batch(user_id, t_k)
             else:
                 self._ids[t_k] = derive_centralized_id(user_id, t_k)
         return self._ids[t_k]

@@ -1,4 +1,5 @@
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from dctlab.crypto_core import DAY_S, derive_bluetrace_id, derive_centralized_id
 from dctlab.errors import ConfigurationError, ProtocolError
 from dctlab.rng import SeedStream
 from dctlab.schemes.centralized import (
+    AUTH_TAG_LEN,
+    IV_LEN,
     VARIANT_BLUETRACE,
     VARIANT_PEPP_PT,
     CentralizedClient,
@@ -27,6 +30,17 @@ def make_pair(variant):
     client.device_id = "dev-a"
     client.register()
     return registry, client
+
+
+def day_batch_identifier(registry, user_id, t_k):
+    """Window t_k's identifier re-derived under the master key, with its iv and
+    auth tag read as the whole-day batch laid them out: the day's stream from
+    its start, 16 bytes of iv and 8 of auth tag per window."""
+    day, i = divmod(t_k, DAY_S // registry.rotation_s)
+    stream = registry.stream.child(f"batch:{user_id}:{day}")
+    stream.take(24 * i)
+    iv, auth_tag = stream.take(16), stream.take(8)
+    return derive_bluetrace_id(user_id, t_k, iv, auth_tag, registry.master)
 
 
 def test_one_hour_window_four_identifiers():
@@ -47,9 +61,9 @@ def test_bluetrace_identifiers_verify_under_master_rederivation():
     uid = client.registration.user_id
     for t in range(0, 3600, 900):
         ident = client.advertisement_identifier(t)
-        user_id, t_k, iv, auth_tag = registry._batch_index[ident]
+        user_id, t_k = registry._batch_index[ident]
         assert (user_id, t_k) == (uid, t // 900)
-        assert derive_bluetrace_id(user_id, t_k, iv, auth_tag, registry.master) == ident
+        assert day_batch_identifier(registry, user_id, t_k) == ident
 
 
 @pytest.mark.parametrize("rotation_s", [7, 0, -900, 900.0, True])
@@ -66,9 +80,19 @@ def test_registry_accepts_a_rotation_that_tiles_a_day(rotation_s):
     client = CentralizedClient(registry)
     client.device_id = "dev-a"
     client.register()
-    batch = registry.issue_batch(client.registration.user_id, 0)
-    assert len(batch) == DAY_S // rotation_s
-    assert client.advertisement_identifier(DAY_S - 1) == batch[-1]
+    uid = client.registration.user_id
+    per_day = DAY_S // rotation_s
+    # the day's last second beacons the last item of day 0's batch, the next
+    # second the first item of day 1's
+    last, first = client.advertisement_identifier(DAY_S - 1), client.advertisement_identifier(DAY_S)
+    day0 = registry.stream.child(f"batch:{uid}:0")
+    day0.take(24 * (per_day - 1))
+    assert last == derive_bluetrace_id(uid, per_day - 1, day0.take(16), day0.take(8),
+                                       registry.master)
+    day1 = registry.stream.child(f"batch:{uid}:1")
+    assert first == derive_bluetrace_id(uid, per_day, day1.take(16), day1.take(8),
+                                        registry.master)
+    assert registry.owners(0, 2 * per_day) == {last: uid, first: uid}
 
 
 def test_unregistered_client_cannot_beacon():
@@ -192,14 +216,14 @@ def test_client_identifier_cache_matches_derivation_and_batches(monkeypatch, var
             if variant == VARIANT_PEPP_PT:
                 assert got == derive_centralized_id(uid, t_k)
             else:
-                day = t // DAY_S
-                assert got == issue(uid, day)[t_k - day * registry.batch_size]
+                assert got == day_batch_identifier(registry, uid, t_k)
     windows = {t // 900 for t in times}
     if variant == VARIANT_PEPP_PT:
         assert len(derivations) == len(windows)     # one per window, however often it beacons
         assert pulls == []
     else:
-        assert sorted(pulls) == [(uid, 0), (uid, 1)] and derivations == []
+        # one pull per window, however often it beacons, on either side of the day boundary
+        assert sorted(pulls) == sorted((uid, w) for w in windows) and derivations == []
 
 
 def _run_states(monkeypatch) -> list:
@@ -241,3 +265,114 @@ def test_an_uploads_notes_come_in_match_order_before_its_report(monkeypatch):
     assert [(e.kind, e.payload["device"]) for e in events if e.kind in ("notify", "report")] \
         == [("notify", "c"), ("notify", "b"), ("report", "a")]
     assert metrics["notifications"] == {"b": 1, "c": 1}
+
+
+class WholeDayRegistry(CentralRegistry):
+    """The earlier bluetrace registry, kept as the reference: a user's first
+    pull of a day derives and indexes every window of the day, with its iv and
+    auth tag, and resolve re-derives from the stored iv and tag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.days: dict[tuple[str, int], list[bytes]] = {}
+        self.issued: dict[bytes, tuple[str, int, bytes, bytes]] = {}
+
+    def issue_batch(self, user_id, t_k):
+        if user_id not in self.users:
+            raise ProtocolError(f"unknown user {user_id}")
+        day = t_k // self.batch_size
+        if (user_id, day) not in self.days:
+            batch = []
+            base = day * self.batch_size
+            batch_stream = self.stream.child(f"batch:{user_id}:{day}")
+            for window in range(base, base + self.batch_size):
+                iv = batch_stream.take(IV_LEN)
+                auth_tag = batch_stream.take(AUTH_TAG_LEN)
+                ident = derive_bluetrace_id(user_id, window, iv, auth_tag, self.master)
+                self.issued[ident] = (user_id, window, iv, auth_tag)
+                batch.append(ident)
+            self.days[(user_id, day)] = batch
+        return self.days[(user_id, day)][t_k - day * self.batch_size]
+
+    def owners(self, lo, hi):
+        return {ident: user_id for ident, (user_id, t_k, _, _) in self.issued.items()
+                if lo <= t_k <= hi}
+
+    def resolve(self, identifier, first_seen, last_seen):
+        hit = self.issued.get(identifier)
+        if hit is None:
+            return None
+        user_id, t_k, iv, auth_tag = hit
+        rederived = derive_bluetrace_id(user_id, t_k, iv, auth_tag, self.master)
+        return user_id if rederived == identifier else None
+
+
+def _bluetrace(doc: dict, rotation_s: int) -> dict:
+    """doc with each centralized run under the bluetrace variant at rotation_s."""
+    runs = [dict(run, scheme_config=dict(run.get("scheme_config", {}), variant=VARIANT_BLUETRACE,
+                                         rotation_s=rotation_s))
+            if run["scheme"] == "centralized" else run for run in doc["runs"]]
+    return dict(doc, runs=runs)
+
+
+def _population_day(monkeypatch, seed: int) -> dict:
+    """The benchmark's population day at N=30, as perfbench/population.py builds it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import population
+    return population.population_scenario("centralized", 30, seed)
+
+
+DIFFERENTIAL = ["relay_centralized", "linkage_centralized", "social_graph", "superspreader",
+                "fake_claim_centralized", "population"]
+
+
+@pytest.mark.parametrize("rotation_s", [60, 900])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("case", DIFFERENTIAL)
+def test_window_by_window_issuance_writes_what_whole_day_batches_wrote(
+        monkeypatch, tmp_path, case, seed, rotation_s):
+    doc = _population_day(monkeypatch, seed) if case == "population" else builtin_scenario(case)
+    doc = _bluetrace(doc, rotation_s)
+    if case == "linkage_centralized":
+        assert doc["runs"][0]["analysis"]["colluding_sp"]
+    states = _run_states(monkeypatch)
+    run_scenario(doc, seed, out_dir=tmp_path / "lazy")
+    with monkeypatch.context() as m:
+        m.setattr(scenario_module, "CentralRegistry", WholeDayRegistry)
+        run_scenario(doc, seed, out_dir=tmp_path / "whole")
+    for name in ("metrics.json", "events.jsonl"):
+        assert (tmp_path / "lazy" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    # both runs went through the registries compared, and the lazy one issued less
+    lazy = [s.server.registry for s in states[:len(states) // 2] if s.server.registry is not None]
+    whole = [s.server.registry for s in states[len(states) // 2:] if s.server.registry is not None]
+    assert lazy and all(type(r) is CentralRegistry for r in lazy)
+    assert all(type(r) is WholeDayRegistry for r in whole)
+    assert sum(map(len, (r._batch_index for r in lazy))) < sum(map(len, (r.issued for r in whole)))
+
+
+@pytest.mark.parametrize("sid", ["relay_centralized", "social_graph", "fake_claim_centralized"])
+def test_registry_derives_one_identifier_per_window_read_and_one_per_resolve(monkeypatch, sid):
+    from dctlab.schemes import centralized
+    reads, derivations, resolves = set(), [], []
+    read, derive, resolve = (CentralizedClient._identifier_for_window,
+                             centralized.derive_bluetrace_id, CentralRegistry.resolve)
+
+    def reading(client, t_k):
+        reads.add((client.registration.user_id, t_k))
+        return read(client, t_k)
+
+    monkeypatch.setattr(CentralizedClient, "_identifier_for_window", reading)
+    monkeypatch.setattr(centralized, "derive_bluetrace_id",
+                        lambda *a: derivations.append(a[:2]) or derive(*a))
+    monkeypatch.setattr(CentralRegistry, "resolve",
+                        lambda *a: resolves.append(a[1]) or resolve(*a))
+    states = _run_states(monkeypatch)
+    run_scenario(builtin_scenario(sid))
+    assert reads and resolves
+    assert set(derivations) <= reads
+    assert len(derivations) <= len(reads) + len(resolves)
+    for registry in (s.server.registry for s in states if s.server.registry is not None):
+        # the index holds (user, window) only: no iv and no auth tag
+        assert all(type(u) is str and type(t_k) is int
+                   for u, t_k in registry._batch_index.values())
+        assert set(registry._batch_index.values()) <= reads
