@@ -48,7 +48,7 @@ import math
 from dataclasses import dataclass
 
 from .crypto_core import DAY_S, DH_FEED_ENTRY, IDENTIFIER_SLOT_S, b64
-from .radio import LINK_ADDR_LEN, SCAN_TICK_S, DeviceClient, World
+from .radio import LINK_ADDR_LEN, SCAN_TICK_S, DeviceClient, World, takes_spans
 from .rng import SeedStream
 from .schema import CLOCK_LIMIT_S, passes
 from .schemes.tek import PublishedTekIndex, SightingLog, match_exposures
@@ -104,7 +104,8 @@ class SnifferClient(DeviceClient):
 
 class RelayNode(DeviceClient):
     """One end of a relay: it beacons and keeps nothing. install_relay's
-    scheduled calls do its work, and every span stops before them."""
+    scheduled calls do its work, and the spans of the devices each one
+    touches stop before it."""
 
     def quiet_until(self, peer_id, local_t):
         return math.inf
@@ -153,7 +154,7 @@ def install_relay(world: World, pair: RelayPair) -> dict:
              "relay_rejects": 0}
     start, end = pair.window
     if pair.mode == "one_way_broadcast":
-        def capture(t):
+        def capture(t, stops):
             # record what is on the air near node_a now; re-broadcast the
             # recording near node_b after the relay latency
             captured = []
@@ -163,7 +164,7 @@ def install_relay(world: World, pair: RelayPair) -> dict:
                     captured.append(
                         (ident, world.stream.child(f"relay:{t}:{src}").take(LINK_ADDR_LEN)))
             if captured:
-                world.schedule(t + pair.latency_s, rebroadcast, captured)
+                world.schedule(t + pair.latency_s, rebroadcast, captured, stops=stops)
 
         def rebroadcast(captured):
             for sink in world.trace.neighbors(pair.node_b, world.now):
@@ -171,8 +172,28 @@ def install_relay(world: World, pair: RelayPair) -> dict:
                     stats["copied_beacons"] += 1
                     world.inject_beacon(sink, ident, link, origin=pair.node_a)
 
+        def overhearing(t):
+            """The listeners of what is captured at t that a span may hand a
+            captured identifier straight from its owner: each that ever meets
+            a device captured, or all when one captured takes no spans, as it
+            may beacon another device's identifier."""
+            sources = world.trace.neighbors(pair.node_a, t)
+            sinks = world.trace.neighbors(pair.node_b, t + pair.latency_s)
+            if not all(takes_spans(world.devices[src].client) for src in sources):
+                return tuple(sinks)
+            return tuple(sink for sink in sinks
+                         if any(world.trace.has_any_contact(sink, src) for src in sources))
+
+        # A client keeps what it hears per identifier, so a re-broadcast
+        # commutes with every span of its listeners' but one that hands a
+        # listener a captured identifier from its owner. It stops the spans
+        # of each overhearing listener, and so does the capture that schedules
+        # it: a span taken before the capture ran could not see the
+        # re-broadcast. The capture itself only reads beacons, which hold for
+        # a span's length.
         for t in range(start, end, pair.tick_s):
-            world.schedule(t, capture, t)
+            stops = overhearing(t)
+            world.schedule(t, capture, t, stops, stops=stops)
         return stats
 
     def open_links():
@@ -213,14 +234,18 @@ def install_relay(world: World, pair: RelayPair) -> dict:
                     world.devices[conn.b].client.on_copresence_tick(
                         conn.a, pair.tick_s, world.local_time(conn.b))
 
+        # co-presence and teardown touch only the ends of the relayed connections
+        touched = tuple(sorted({d for conn in conns for d in (conn.a, conn.b)}))
         for t in range(world.now + pair.tick_s, end, pair.tick_s):
-            world.schedule(t, accrue, t)
+            world.schedule(t, accrue, t, stops=touched)
 
         def teardown():
             for conn in conns:
                 world.close_connection(conn)
-        world.schedule(end, teardown)
+        world.schedule(end, teardown, stops=touched)
 
+    # names every span: the devices it connects are the nodes' neighbors when
+    # it runs, and it runs once
     world.schedule(start, open_links)
     return stats
 
@@ -265,6 +290,8 @@ def install_time_travel(world: World, server: TracingServer, attack: TimeTravelA
             # nothing derivable from hash-only or unpublished feeds; beacon noise
             replayer.payload = world.stream.child("tt:noise").take(16)
 
+    # both name every span: a clock moves only between spans, and shift reads
+    # the feed into the run's TEK index and arms the replayer
     world.schedule(attack.at_s, shift)
     # back to the victim's own offset: nothing moves a clock before at_s
     world.schedule(attack.restore_at_s, world.set_clock, attack.victim,

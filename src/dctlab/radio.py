@@ -48,16 +48,21 @@ at its key. A span's later ticks stop before the first of:
   own tick;
 * any tick after step(until_s);
 * the next pending heap entry that names every span, either device or the
-  edge's pair. A call the radio did not schedule itself (a sync, a report, a
-  clock set, a relay's) names every span; a message delivery or an edge end
-  names both its devices; a tick names its pair, when the pair has another
-  edge, and each of its devices whose peer takes no spans or was not added
-  when the world started. The pair's other edge delivers the same beacons
-  to the same listeners, and a client without a quiet_until (a replayer)
-  may beacon the speaker's identifier to the span's listener. Either edge
-  takes one tick at a time while it overlaps the span's edge (two edges of
-  one pair each stop the other), so its next pending tick bounds a span as
-  its whole tick range would.
+  edge's pair. A call the radio did not schedule itself names the stops its
+  caller passed: every span by default (a TEK sync round, a clock set, a
+  fake claim); the devices whose state it touches (a report its reporter; a
+  one-way relay's capture and re-broadcast the listeners that may also hear
+  a captured identifier first hand; a two-way relay's co-presence and
+  teardown the ends of its connections); or none (a DH sync round, which
+  reads no state a span changes). A message delivery or an edge end names
+  both its devices; a tick names its pair, when the pair has another edge,
+  and each of its devices whose peer takes no spans or was not added when
+  the world started. The pair's other edge delivers the same beacons to the
+  same listeners, and a client without a quiet_until (a replayer) may
+  beacon the speaker's identifier to the span's listener. Either edge takes
+  one tick at a time while it overlaps the span's edge (two edges of one
+  pair each stop the other), so its next pending tick bounds a span as its
+  whole tick range would.
 
 Within these bounds nothing reads or writes what the span's later ticks change
 (a TEK run, a centralized record's last_seen, a DH encounter's accrued_s),
@@ -319,7 +324,9 @@ _FIRST = -math.inf
 _LAST = math.inf
 
 
-def _takes_spans(client: DeviceClient) -> bool:
+def takes_spans(client: DeviceClient) -> bool:
+    """Whether client's edges may hand its scan ticks over as spans: it
+    overrides quiet_until. One that does beacons only its own identifiers."""
     return type(client).quiet_until is not DeviceClient.quiet_until
 
 
@@ -369,13 +376,24 @@ class World:
 
     # -- event machinery ----------------------------------------------------
 
-    def schedule(self, at_s: int, fn: Callable[..., None], *args) -> None:
+    def schedule(self, at_s: int, fn: Callable[..., None], *args,
+                 stops: tuple = (None,)) -> None:
         """Call fn(*args) at at_s. The heap entry carries the arguments, so no
         closure is built to hold them; calls at one position run in the order
-        they were scheduled. Every radio span stops before such a call."""
+        they were scheduled. A radio span stops before the call when stops
+        names it: None names every span (the default), a device each span of
+        its edges, and () none. A call may leave a span whole only when
+        neither it nor a call it schedules reads or writes what the span's
+        later ticks change: a span taken before a call is pushed runs on
+        through it. A key that is neither None nor an added device is
+        refused before anything is pushed."""
         if at_s < self.now:
             raise ConfigurationError("cannot schedule into the past")
-        self._push(at_s, self._place(at_s, self.now, self._pos), (None,), fn, args)
+        for k in stops:
+            if k is not None and k not in self.devices:
+                raise ConfigurationError(f"a scheduled call stops the spans of {k!r}, "
+                                         f"which is not a device of the world")
+        self._push(at_s, self._place(at_s, self.now, self._pos), stops, fn, args)
 
     def _place(self, at: int, t: int, pos: float) -> float:
         """The position among at's ticks of a call scheduled at time t from
@@ -438,7 +456,7 @@ class World:
                 # each device whose peer here takes no spans or was not added yet
                 stops = pair + tuple(d for d, peer in ((edge.a, edge.b), (edge.b, edge.a))
                                      if peer not in self.devices
-                                     or not _takes_spans(self.devices[peer].client))
+                                     or not takes_spans(self.devices[peer].client))
                 self._push(first, key, stops, self._tick, (key, idx, edge, stops))
 
     def step(self, until_s: int | None = None) -> None:

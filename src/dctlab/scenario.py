@@ -265,6 +265,8 @@ def _install_attack(attack: dict, state: _RunState, stream: SeedStream) -> None:
             state.tek_index)
     else:
         state.attack_stats = {}
+        # names every span: a centralized claim reads a sniffer's runs, which
+        # a span of the sniffer's edges extends
         state.world.schedule(attack["at"], _run_claim, state, attack, stream)
     state.attack_stats["kind"] = kind
 
@@ -277,7 +279,10 @@ def _run_claim(state: _RunState, attack: dict, stream: SeedStream) -> None:
 
 def _schedule_reports(run_cfg: dict, state: _RunState) -> None:
     for infection in run_cfg["infections"]:
-        state.world.schedule(infection["report_at"], _report, state, infection["device"])
+        # a report reads only the reporter's client, and a span of its edges
+        # may extend a record or run into the span's future
+        state.world.schedule(infection["report_at"], _report, state, infection["device"],
+                             stops=(infection["device"],))
 
 
 def _report(state: _RunState, device: str) -> None:
@@ -312,14 +317,19 @@ def _schedule_syncs(run_cfg: dict, state: _RunState,
             for exposure in state.clients[did].sync():
                 _notify(state, did, cause="exposure_match", detail=exposure.as_dict())
 
+    # a TEK round opens the epoch every later run of every log records, so it
+    # names every span; a DH round reads records and the index, and a DH span
+    # never finalizes a record, so it names none
+    stops = () if state.scheme == "dh" else (None,)
     for t in times:
-        state.world.schedule(t, sync)
+        state.world.schedule(t, sync, stops=stops)
 
 
 def _start_dh(run_cfg: dict, state: _RunState) -> None:
     _schedule_syncs(run_cfg, state, state.dh_index)
     if run_cfg["analysis"]["superspreader_check"]:
-        # proven inside the run, after the final feed sync at the same time
+        # proven inside the run, after the final feed sync at the same time; it
+        # runs once, at the run's end, so it cuts each span at most once
         state.world.schedule(run_cfg["duration_s"], _check_superspreaders, run_cfg, state)
 
 

@@ -304,8 +304,8 @@ class TekClient(DeviceClient):
 
     def quiet_until(self, peer_id: str, local_t: int) -> int:
         """The end of the current slot: the beacon holds until then, and a
-        sighting span only extends a run (a sync round, which starts an epoch,
-        is a scheduled call, and so ends every span)."""
+        sighting span only extends a run (a TEK sync round, which starts an
+        epoch, is scheduled to stop every span; a DH round stops none)."""
         return (local_t // IDENTIFIER_SLOT_S + 1) * IDENTIFIER_SLOT_S
 
     def on_sighting(self, identifier: bytes, local_t: int, global_t: int,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -489,7 +490,8 @@ def span_plans(draw):
     client per device with a clock offset (a scheme client, a lab client, a
     sniffer, a relay node or a replayer), a relay between two relay nodes,
     and a plan of partial steps, clock sets, syncs and replayer armings.
-    Times mostly fall on the 5 s tick."""
+    Times mostly fall on the 5 s tick. A clock set stops every span or only
+    its device's, and a sync of the DH clients alone stops none."""
     def moment(hi):
         return draw(st.integers(0, hi // 5)) * 5 + draw(st.sampled_from((0, 0, 0, 1, 4)))
 
@@ -529,10 +531,12 @@ def span_plans(draw):
         # most on a tick time, some between two
         when = st.tuples(st.integers(lo, 1700), st.sampled_from((0, 0, 2))).map(
             lambda tw: tw[0] + (-tw[0]) % 5 + tw[1])
+        # a clock call stops every span or only its device's; a DH sync, none
         return draw(st.lists(st.one_of(
             st.tuples(st.just("clock"), when, st.sampled_from(devices),
-                      st.sampled_from((-300, -60, 0, 60, 900))),
+                      st.sampled_from((-300, -60, 0, 60, 900)), st.booleans()),
             st.tuples(st.just("sync"), when),
+            st.tuples(st.just("dh_sync"), when),
             # a replayer copies a device's current beacon, or sends noise
             st.tuples(st.just("arm"), when, st.sampled_from(devices) | st.none())),
             max_size=4))
@@ -592,9 +596,9 @@ def run_span_plan(world_cls, edges, clients, dh_cfg, variant, relay, plan):
         if kind == "centralized":
             client.register()
 
-    def sync():
+    def sync(kinds=(TekClient, DhClient)):
         for dev in world.devices.values():
-            if isinstance(dev.client, (TekClient, DhClient)):
+            if isinstance(dev.client, kinds):
                 dev.client.index.wake([])
                 dev.client.sync()
 
@@ -621,9 +625,12 @@ def run_span_plan(world_cls, edges, clients, dh_cfg, variant, relay, plan):
         else:
             for call in arg:
                 if call[0] == "clock":
-                    world.schedule(call[1], world.set_clock, call[2], call[3])
+                    stops = (call[2],) if call[4:] == (True,) else (None,)
+                    world.schedule(call[1], world.set_clock, call[2], call[3], stops=stops)
                 elif call[0] == "arm":
                     world.schedule(call[1], arm, call[2])
+                elif call[0] == "dh_sync":
+                    world.schedule(call[1], sync, DhClient, stops=())
                 else:
                     world.schedule(call[1], sync)
     world.run()
@@ -733,6 +740,33 @@ def test_a_written_world_writes_each_span_as_one_scan_event_of_its_ticks(case):
     assert [(e.at_s, e.kind, e.payload) for e in world.log if e.kind != "scan"] \
         == [(e.at_s, e.kind, e.payload) for e in ref.log if e.kind != "scan"]
     assert [e.seq for e in world.log] == list(range(1, len(world.log) + 1))
+
+
+# b hears a from 0 to 1200, while a one-way relay captures near d every 60 s and
+# re-broadcasts to b, beside e, 7 s later: in the first case it captures a itself,
+# in the second the lab client c, which beacons a's identifier. Each re-broadcast
+# hands b an identifier it also hears first hand, so b's spans stop before it and
+# before the capture that schedules it
+RELAYED_BEACON_HEARD_FIRST_HAND = [(
+    [ContactEdge("a", "b", 0, 1200), ContactEdge(near, "d", 0, 1200),
+     ContactEdge("b", "e", 0, 1200)],
+    {"a": ("tek", 0, 0), "b": ("tek", 0, 0), "c": ("echo", 0, 0), "d": ("relay", 0, 0),
+     "e": ("relay", 0, 0)},
+    DhConfig(), "bluetrace",
+    adversary.RelayPair("d", "e", "one_way_broadcast", (0, 1200), latency_s=7, tick_s=60),
+    [("calls", [])]) for near in "ac"]
+
+
+@pytest.mark.parametrize("world_cls", [SpanWorld, WrittenSpanWorld])
+@pytest.mark.parametrize("case", RELAYED_BEACON_HEARD_FIRST_HAND, ids=["owner", "copy"])
+def test_a_relayed_beacon_a_listener_also_hears_first_hand_stops_its_spans(case, world_cls):
+    states, counters, cids, world = run_span_plan(world_cls, *case)
+    ref_states, ref_counters, ref_cids, ref = run_span_plan(HeapWorld, *case)
+    assert states == ref_states
+    assert (counters, cids) == (ref_counters, ref_cids)
+    assert counters[1]["copied_beacons"] == 20
+    if world_cls is WrittenSpanWorld:
+        assert scan_ticks(world.log) == scan_ticks(ref.log)
 
 
 @pytest.mark.parametrize("world_cls", [SpanWorld, WrittenSpanWorld])
@@ -847,6 +881,34 @@ def test_a_span_never_holds_a_tick_past_step_until():
     assert world.long_spans > 0
     assert seen == [[[0, 200, 0]], [[0, 205, 0]], [[0, 205, 0], [210, 595, 0]]]
     assert seen == run(HeapWorld)[0]
+
+
+@pytest.mark.parametrize("stops,split", [((None,), "abcd"), ((), ""), (("a",), "ab")],
+                         ids=["every", "none", "a"])
+def test_a_scheduled_call_stops_only_the_spans_it_names(stops, split):
+    """Two TEK pairs meet from 0 to 600, one slot; a call at 200 ends the
+    spans of the edges whose devices its stops name, and no other."""
+    ab, cd = ContactEdge("a", "b", 0, 600), ContactEdge("c", "d", 0, 600)
+    world = SpanLogWorld(ContactTrace([ab, cd]), SeedStream(4, "w"))
+    for d in "abcd":
+        world.add_device(d, TekClient(SeedStream(4, d)))
+    world.schedule(200, lambda: None, stops=stops)
+    world.run()
+    assert sorted(world.spans, key=lambda s: (s[0].a, s[1])) == [
+        span for edge in (ab, cd)
+        for span in ([(edge, 0, 40), (edge, 200, 80)] if edge.a in split else [(edge, 0, 120)])]
+
+
+@pytest.mark.parametrize("key", ["e", frozenset("ab"), 0])
+def test_a_call_whose_stops_name_no_device_is_refused_before_it_is_pushed(key):
+    world = make_world([ContactEdge("a", "b", 0, 600)])
+    for d in "ab":
+        world.add_device(d, BeaconClient(d.encode() * 16))
+    world.schedule(5, lambda: None, stops=("a",))
+    heap, due = list(world._heap), {k: list(v) for k, v in world._due.items()}
+    with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+        world.schedule(10, lambda: None, stops=("b", key))
+    assert (world._heap, world._due) == (heap, due)
 
 
 def reference_json_line(event, run):
