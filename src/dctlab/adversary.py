@@ -267,22 +267,21 @@ class TimeTravelAttack:
 
 
 def install_time_travel(world: World, server: TracingServer, attack: TimeTravelAttack,
-                        scheme: str, tek_index: PublishedTekIndex | None = None) -> dict:
+                        scheme: str, tek_index: PublishedTekIndex) -> dict:
     stats = {"armed": False, "replayed_id": None}
-    index = tek_index or PublishedTekIndex()
 
     def shift():
         world.set_clock(attack.victim, attack.offset_s)
         replayer = world.devices[attack.replayer].client
         if scheme == "tek":
-            published = index.ingest_all(server.fetch_feed("tek")[0])
+            published = tek_index.ingest_all(server.fetch_feed("tek")[0])
             if published:
                 tek = published[0]
                 victim_local = world.local_time(attack.victim)
                 slot = (victim_local % DAY_S) // IDENTIFIER_SLOT_S
                 day_of_victim = victim_local // DAY_S
                 if day_of_victim == tek.day_index:
-                    ident = index.identifiers(tek)[slot]
+                    ident = tek_index.identifiers(tek)[slot]
                     replayer.payload = ident
                     stats["armed"] = True
                     stats["replayed_id"] = ident.hex()
@@ -348,19 +347,18 @@ def run_linkage(runs: list[SnifferObservation], owners: dict[bytes, str] | None 
 # ---------------------------------------------------------------------------
 
 def fake_claim_tek(server: TracingServer, claimant_local_t: int,
-                   tek_index: PublishedTekIndex | None = None) -> dict:
+                   tek_index: PublishedTekIndex) -> dict:
     """Fabricate a sighting log purely from the public feed and run the
     standard matcher over it. Nothing distinguishes it from a real log: a
     key published for a day no device clock reads is not sighted."""
-    index = tek_index or PublishedTekIndex()
-    published = index.ingest_all(server.fetch_feed("tek")[0])
+    published = tek_index.ingest_all(server.fetch_feed("tek")[0])
     log = SightingLog()
     slot = (claimant_local_t % DAY_S) // IDENTIFIER_SLOT_S
     for tek in published:
         seen_at = tek.day_index * DAY_S + slot * IDENTIFIER_SLOT_S + 30
         if seen_at < CLOCK_LIMIT_S:
-            log.append(index.identifiers(tek)[slot], seen_at)
-    exposures = match_exposures(log, published, index=index)
+            log.append(tek_index.identifiers(tek)[slot], seen_at)
+    exposures = match_exposures(log, published, index=tek_index)
     return {"accepted": len(exposures) > 0, "fabricated_exposures": len(exposures)}
 
 

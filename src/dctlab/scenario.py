@@ -497,9 +497,9 @@ def _collect_metrics(run_cfg: dict, state: _RunState) -> dict:
     if analysis["linkage"]:
         registry, linkable = state.server.registry, owners
         if analysis["colluding_sp"] and registry is not None:
-            # the provider attributes every identifier it issued
-            last = run_cfg["duration_s"] // rotation_s + 1
-            linkable = {ident: f"user:{u}" for ident, u in registry.owners(0, last).items()}
+            # the provider attributes every identifier it issued, whatever window
+            # a device's clock read it in
+            linkable = {ident: f"user:{u}" for ident, u in registry.owners().items()}
         metrics["linkage"] = dict(adversary.run_linkage(runs, linkable),
                                   rotation_s=rotation_s)
 

@@ -1,10 +1,12 @@
 """Centralized scheme (the BlueTrace/PEPP-PT family).
 
 Devices register with the service provider and get a pseudonymous user id.
-Identifiers rotate every 15 minutes by default and are either derived
-locally from the user id (pepp_pt variant) or pulled, one window at a
-time, from per-day batches the server derives under its master key
-(bluetrace variant).
+Identifiers rotate every 15 minutes by default and are derived from the
+user id (pepp_pt variant) or read from per-day batches the server derives
+under its master key (bluetrace variant). Under either variant a device
+reads its identifiers one window at a time from the registry, which issues
+each window's identifier when it is first read and indexes its
+(user, window).
 
 The defining property: an infected user uploads the identifiers it
 *observed*, and the server resolves each one back to the user that emitted
@@ -59,12 +61,12 @@ class ObservedRecord:
 class CentralRegistry:
     """Server-side user registry plus identifier resolution.
 
-    For the bluetrace variant the registry keeps the (user, window) of every
-    identifier it issued and, when resolving, re-derives its iv, auth_tag and
-    identifier under the master key rather than trusting the lookup index.
-    owners(lo, hi) is the registry's reverse map over a range of windows:
-    pepp_pt resolution searches it, and a colluding provider attributes
-    sniffed beacons with it.
+    The registry keeps one index, for both variants: the (user, window) of
+    every identifier it issued. resolve looks an uploaded identifier up there
+    and re-derives it, rather than trusting the index. owners() is the index
+    as identifier -> user, with which a colluding provider attributes sniffed
+    beacons. Every identifier that is sniffed, relayed or uploaded was first
+    read by its owner, so the index holds every identifier either looks for.
     """
 
     def __init__(self, stream: SeedStream, variant: str = VARIANT_BLUETRACE,
@@ -96,9 +98,8 @@ class CentralRegistry:
         return reg
 
     def issue_batch(self, user_id: str, t_k: int) -> bytes:
-        """The pre-generated identifier of window t_k (bluetrace pull). The
-        day's batch is issued window by window, as clients read them; a
-        repeat pull derives the same identifier again."""
+        """The identifier of window t_k, issued and indexed when a client
+        reads the window; a repeat read derives the same identifier again."""
         if user_id not in self.users:
             raise ProtocolError(f"unknown user {user_id}")
         ident = self._derive(user_id, t_k)
@@ -106,34 +107,34 @@ class CentralRegistry:
         return ident
 
     def _derive(self, user_id: str, t_k: int) -> bytes:
-        """Window t_k's identifier under the master key: item i = t_k % batch_size
-        of day t_k // batch_size's batch, its iv and auth_tag at byte 24 * i of
-        that day's own stream."""
+        """Window t_k's identifier: derived from the user id (pepp_pt), or under
+        the master key as item i = t_k % batch_size of day t_k // batch_size's
+        batch, its iv and auth_tag at byte 24 * i of that day's own stream
+        (bluetrace)."""
+        if self.variant == VARIANT_PEPP_PT:
+            return derive_centralized_id(user_id, t_k)
         day, i = divmod(t_k, self.batch_size)
         secrets = self.stream.child(f"batch:{user_id}:{day}").at(
             i * (IV_LEN + AUTH_TAG_LEN), IV_LEN + AUTH_TAG_LEN)
         return derive_bluetrace_id(user_id, t_k, secrets[:IV_LEN], secrets[IV_LEN:], self.master)
 
-    def owners(self, lo: int, hi: int) -> dict[bytes, str]:
-        """identifier -> user id, for windows lo..hi: derived on the spot for
-        every registered user (pepp_pt), or read from the identifiers issued so
-        far (bluetrace; a window no client has read was never issued)."""
-        if self.variant == VARIANT_BLUETRACE:
-            return {ident: user_id for ident, (user_id, t_k) in self._batch_index.items()
-                    if lo <= t_k <= hi}
-        return {derive_centralized_id(user_id, t_k): user_id
-                for user_id in self.users for t_k in range(lo, hi + 1)}
+    def owners(self) -> dict[bytes, str]:
+        """identifier -> user id, for every identifier issued so far (a window
+        no client has read was never issued)."""
+        return {ident: user_id for ident, (user_id, _) in self._batch_index.items()}
 
     def resolve(self, identifier: bytes, first_seen: int, last_seen: int) -> str | None:
-        """Map an uploaded identifier back to the user that emitted it."""
-        if self.variant == VARIANT_BLUETRACE:
-            hit = self._batch_index.get(identifier)
-            if hit is None:
-                return None
-            user_id, t_k = hit
-            return user_id if self._derive(user_id, t_k) == identifier else None
+        """Map an uploaded identifier back to the user that emitted it. A
+        pepp_pt identifier resolves only within its record's windows,
+        first_seen // r - 1 .. last_seen // r + 1."""
+        hit = self._batch_index.get(identifier)
+        if hit is None:
+            return None
+        user_id, t_k = hit
         r = self.rotation_s
-        return self.owners(first_seen // r - 1, last_seen // r + 1).get(identifier)
+        if self.variant == VARIANT_PEPP_PT and not first_seen // r - 1 <= t_k <= last_seen // r + 1:
+            return None
+        return user_id if self._derive(user_id, t_k) == identifier else None
 
 
 def report_infection(records: list[ObservedRecord], tan: str) -> dict:
@@ -143,33 +144,13 @@ def report_infection(records: list[ObservedRecord], tan: str) -> dict:
             "records": [r.as_dict() for r in records]}
 
 
-def _resolve_pepp_pt(records: list[dict], registry: CentralRegistry) -> list[str | None]:
-    """Each record's user as registry.resolve finds it, only within the
-    record's own windows first_seen // r - 1 .. last_seen // r + 1, but from
-    one map over the union of the bundle's windows: each (user, window) is
-    derived once per bundle, not once per record."""
-    r = registry.rotation_s
-    spans = [(rec["first_seen"] // r - 1, rec["last_seen"] // r + 1) for rec in records]
-    windows = sorted(set().union(*(range(lo, hi + 1) for lo, hi in spans)))
-    owners = {derive_centralized_id(user_id, t_k): (user_id, t_k)
-              for user_id in registry.users for t_k in windows}
-    resolved = []
-    for rec, (lo, hi) in zip(records, spans):
-        user_id, t_k = owners.get(bytes.fromhex(rec["id_hex"]), (None, 0))
-        resolved.append(user_id if lo <= t_k <= hi else None)
-    return resolved
-
-
 def server_match(records: list[dict], registry: CentralRegistry) -> dict[str, list[tuple[int, int]]]:
     """Resolve uploaded records to user ids; unresolvable ones are skipped.
     Returns user_id -> contact intervals (one per resolved record)."""
-    if registry.variant == VARIANT_PEPP_PT:
-        resolved = _resolve_pepp_pt(records, registry)
-    else:
-        resolved = [registry.resolve(bytes.fromhex(rec["id_hex"]), rec["first_seen"],
-                                     rec["last_seen"]) for rec in records]
     matches: dict[str, list[tuple[int, int]]] = {}
-    for rec, user_id in zip(records, resolved):
+    for rec in records:
+        user_id = registry.resolve(bytes.fromhex(rec["id_hex"]), rec["first_seen"],
+                                   rec["last_seen"])
         if user_id is not None:
             matches.setdefault(user_id, []).append((rec["first_seen"], rec["last_seen"]))
     return matches
@@ -185,7 +166,7 @@ class CentralizedClient(DeviceClient):
         self.registration: CentralRegistration | None = None
         self.records: list[ObservedRecord] = []
         self._last_by_id: dict[bytes, ObservedRecord] = {}
-        self._ids: dict[int, bytes] = {}    # t_k -> identifier, pulled or derived
+        self._ids: dict[int, bytes] = {}    # t_k -> identifier, as the registry issued it
 
     def register(self) -> CentralRegistration:
         self.registration = self.registry.register(self.device_id, self.mode, self.phone)
@@ -198,11 +179,7 @@ class CentralizedClient(DeviceClient):
 
     def _identifier_for_window(self, t_k: int) -> bytes:
         if t_k not in self._ids:
-            user_id = self._require_registration().user_id
-            if self.registry.variant == VARIANT_BLUETRACE:
-                self._ids[t_k] = self.registry.issue_batch(user_id, t_k)
-            else:
-                self._ids[t_k] = derive_centralized_id(user_id, t_k)
+            self._ids[t_k] = self.registry.issue_batch(self._require_registration().user_id, t_k)
         return self._ids[t_k]
 
     def advertisement_identifier(self, local_t: int) -> bytes:

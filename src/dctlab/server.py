@@ -292,7 +292,9 @@ class TracingServer:
     def _check_registry(self, bundle: dict) -> None:
         if self.registry is None:
             raise UploadRejected("no centralized registry configured")
-        # a record's span bounds the windows resolve searches, and each of them must encode
+        # outside input: an honest record spans at most the retention period, and its
+        # windows first_seen // r - 1 .. last_seen // r + 1 are ones an identifier can
+        # be issued for, each window index encoding in 8 signed bytes
         rotation_s = self.registry.rotation_s
         for i, r in enumerate(bundle["records"]):
             if not 0 <= r["last_seen"] - r["first_seen"] <= self.retention_days * DAY_S:

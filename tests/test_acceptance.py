@@ -29,6 +29,7 @@ from dctlab.crypto_core import (
 from dctlab.errors import UploadRejected
 from dctlab.rng import SeedStream
 from dctlab.scenario import execute_run, run_scenario
+from dctlab.schemes.tek import PublishedTekIndex
 from dctlab.server import TracingServer
 
 
@@ -126,7 +127,8 @@ def test_05_fake_claim_differential_100_trials():
             server.accept_upload({"scheme": "tek", "tan": tan.value,
                                   "teks": [{"tek_hex": stream.child("tek").take(16).hex(),
                                             "day": 0}]})
-            claim = adversary.fake_claim_tek(server, claimant_local_t=int(stream.randrange(86400)))
+            claim = adversary.fake_claim_tek(server, int(stream.randrange(86400)),
+                                             PublishedTekIndex())
             accepted_tek += claim["accepted"]
 
             group = GroupParams.production()

@@ -198,7 +198,8 @@ def test_time_travel_gives_the_victim_its_own_clock_offset_back():
 def test_fake_claim_against_empty_feed_fails():
     from dctlab.server import TracingServer
     server = TracingServer(SeedStream(1, "empty"))
-    assert adversary.fake_claim_tek(server, claimant_local_t=500)["accepted"] is False
+    claim = adversary.fake_claim_tek(server, claimant_local_t=500, tek_index=PublishedTekIndex())
+    assert claim["accepted"] is False
     dh = adversary.fake_claim_dh(server, SeedStream(2, "em"), guesses=4)
     assert dh["accepted"] is False and dh["proof_accepted"] == 0
 
@@ -220,14 +221,14 @@ def test_fake_claim_dh_skips_a_replayed_entry_that_breaks_the_feed_table(tmp_pat
 def test_fake_claim_skips_a_key_published_for_a_day_no_clock_reads():
     # the feed takes any non-negative day; a sighting log keeps only times below 2**60
     from dctlab.server import TracingServer
-    server = TracingServer(SeedStream(1, "far"))
+    server, index = TracingServer(SeedStream(1, "far")), PublishedTekIndex()
     teks = [{"tek_hex": "ab" * 16, "day": 10**15}, {"tek_hex": "cd" * 16, "day": 10**15 + 1}]
     server.accept_upload({"scheme": "tek", "tan": server.issue_tan("x").value, "teks": teks})
-    assert adversary.fake_claim_tek(server, claimant_local_t=500) == {
+    assert adversary.fake_claim_tek(server, claimant_local_t=500, tek_index=index) == {
         "accepted": False, "fabricated_exposures": 0}
     server.accept_upload({"scheme": "tek", "tan": server.issue_tan("y").value,
                           "teks": [{"tek_hex": "ef" * 16, "day": 3}]})
-    assert adversary.fake_claim_tek(server, claimant_local_t=500) == {
+    assert adversary.fake_claim_tek(server, claimant_local_t=500, tek_index=index) == {
         "accepted": True, "fabricated_exposures": 1}
 
 
@@ -325,8 +326,8 @@ def reference_colluding_linkage(observations, registry, scanned_windows):
     return reference_tracks(groups)
 
 
-def user_owners(registry, lo, hi):
-    return {ident: f"user:{u}" for ident, u in registry.owners(lo, hi).items()}
+def user_owners(registry):
+    return {ident: f"user:{u}" for ident, u in registry.owners().items()}
 
 
 @pytest.mark.parametrize("variant", ["pepp_pt", "bluetrace"])
@@ -349,19 +350,17 @@ def test_registry_owners_match_the_reference_lookup(variant):
     observations.append(make_run(DAY_S, b"\x07" * 16))    # nobody's identifier
     observations.sort(key=lambda o: (o.first_at, o.sniffer_id, o.identifier))
     per_day = DAY_S // registry.rotation_s
-    for lo, hi in ((0, 2 * per_day), (per_day - 2, per_day + 1), (per_day, per_day), (5, 3)):
-        expected = {}
-        for user_id in registry.users:
-            for t_k in range(lo, hi + 1):
-                ident = reference_registry_identifier(registry, user_id, t_k)
-                # bluetrace maps only the identifiers its clients read
-                if variant == "pepp_pt" or ident in read:
-                    expected[ident] = user_id
-        assert registry.owners(lo, hi) == expected
-        report = adversary.run_linkage(observations, user_owners(registry, lo, hi))
-        assert report == reference_colluding_linkage(expand(observations), registry, (lo, hi))
-    full = adversary.run_linkage(observations, user_owners(registry, 0, 2 * per_day))
-    assert full["tracks"] == 3 and full["max_track_duration_s"] > 3600
+    # the registry maps only the identifiers its clients read
+    expected = {}
+    for user_id in registry.users:
+        for t_k in range(0, 2 * per_day + 1):
+            ident = reference_registry_identifier(registry, user_id, t_k)
+            if ident in read:
+                expected[ident] = user_id
+    assert len(expected) == len(read) and registry.owners() == expected
+    report = adversary.run_linkage(observations, user_owners(registry))
+    assert report == reference_colluding_linkage(expand(observations), registry, (0, 2 * per_day))
+    assert report["tracks"] == 3 and report["max_track_duration_s"] > 3600
 
 
 @pytest.mark.parametrize("variant", ["pepp_pt", "bluetrace"])
@@ -374,22 +373,36 @@ def test_colluding_linkage_in_a_run_matches_the_reference(monkeypatch, variant):
         seen["report"] = run_linkage(runs, owners)
         return seen["report"]
 
-    def owners_spy(registry, lo, hi):
+    def owners_spy(registry):
         # the last call is the linkage analysis, after every upload has resolved
-        seen["registry"], seen["windows"] = registry, (lo, hi)
-        return owners(registry, lo, hi)
+        seen["registry"] = registry
+        return owners(registry)
 
     monkeypatch.setattr(adversary, "run_linkage", linkage_spy)
     monkeypatch.setattr(CentralRegistry, "owners", owners_spy)
     run = dict(builtin_scenario("linkage_centralized")["runs"][0],
                scheme_config={"variant": variant, "mode": "anonymous"})
     metrics = execute_run(run, SeedStream(2, "collude"))
-    assert seen["windows"] == (0, run["duration_s"] // 900 + 1)
+    # every device clock reads windows 0 .. duration_s // 900 in this run
     reference = reference_colluding_linkage(expand(seen["runs"]), seen["registry"],
-                                            seen["windows"])
+                                            (0, run["duration_s"] // 900 + 1))
     assert seen["report"] == reference
     assert metrics["linkage"]["tracks"] == reference["tracks"] == 2
     assert metrics["linkage"]["max_track_duration_s"] == reference["max_track_duration_s"] > 3600
+
+
+@pytest.mark.parametrize("variant", ["pepp_pt", "bluetrace"])
+@pytest.mark.parametrize("offset_s", [0, 90000, -36000])
+def test_colluding_provider_tracks_a_walker_whatever_its_clock_reads(variant, offset_s):
+    # the provider attributes every identifier it issued: the walker's clock a day
+    # ahead reads windows past the run's end, and ten hours behind windows below 0;
+    # the walker is tracked from 28800 to 75600 s, its last sighting at 75595 s
+    run = builtin_scenario("linkage_centralized")["runs"][0]
+    devices = [{"id": dev, "clock_offset_s": offset_s} if dev == "walker" else dev
+               for dev in run["devices"]]
+    run = dict(run, devices=devices, scheme_config={"variant": variant, "mode": "anonymous"})
+    linkage = execute_run(run, SeedStream(2, "collude"))["linkage"]
+    assert (linkage["tracks"], linkage["max_track_duration_s"]) == (2, 75595 - 28800)
 
 
 # -- linkage and the social graph against the earlier designs -----------------------

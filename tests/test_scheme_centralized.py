@@ -24,12 +24,16 @@ from dctlab.schemes.centralized import (
 from dctlab.scenario import execute_run, run_scenario
 
 
+def make_client(registry, device_id):
+    client = CentralizedClient(registry)
+    client.device_id = device_id
+    client.register()
+    return client
+
+
 def make_pair(variant):
     registry = CentralRegistry(SeedStream(11, "srv"), variant=variant)
-    client = CentralizedClient(registry)
-    client.device_id = "dev-a"
-    client.register()
-    return registry, client
+    return registry, make_client(registry, "dev-a")
 
 
 def day_batch_identifier(registry, user_id, t_k):
@@ -92,7 +96,7 @@ def test_registry_accepts_a_rotation_that_tiles_a_day(rotation_s):
     day1 = registry.stream.child(f"batch:{uid}:1")
     assert first == derive_bluetrace_id(uid, per_day, day1.take(16), day1.take(8),
                                         registry.master)
-    assert registry.owners(0, 2 * per_day) == {last: uid, first: uid}
+    assert registry.owners() == {last: uid, first: uid}
 
 
 def test_unregistered_client_cannot_beacon():
@@ -113,8 +117,12 @@ def test_report_bundle_contents():
 
 def test_server_match_resolves_and_groups():
     registry = CentralRegistry(SeedStream(2, "srv"), variant=VARIANT_PEPP_PT)
-    reg_b = registry.register("dev-b")
-    # two identifiers of the same user in different windows, one unknown
+    client = make_client(registry, "dev-b")
+    reg_b = client.registration
+    # two identifiers of the same user in different windows, one unknown; the
+    # user's client reads both windows, as it does before anyone can sight them
+    assert [client.advertisement_identifier(t) for t in (0, 900)] \
+        == [derive_centralized_id(reg_b.user_id, t_k) for t_k in (0, 1)]
     records = [
         {"id_hex": derive_centralized_id(reg_b.user_id, 0).hex(),
          "first_seen": 10, "last_seen": 800},
@@ -127,38 +135,42 @@ def test_server_match_resolves_and_groups():
     assert matches[reg_b.user_id] == [(10, 800), (905, 1700)]
 
 
-def test_pepp_pt_server_match_derives_each_user_window_once_per_bundle(monkeypatch):
+def test_pepp_pt_derives_one_identifier_per_window_read_and_one_per_resolve(monkeypatch):
     from dctlab.schemes import centralized
     registry = CentralRegistry(SeedStream(4, "srv"), variant=VARIANT_PEPP_PT)
-    users = [registry.register(f"dev-{i}").user_id for i in range(3)]
+    search = SearchRegistry(SeedStream(4, "srv"), variant=VARIANT_PEPP_PT)
+    calls = []
+    derive = centralized.derive_centralized_id
+    monkeypatch.setattr(centralized, "derive_centralized_id",
+                        lambda *a: calls.append(a) or derive(*a))
+    clients = [make_client(registry, f"dev-{i}") for i in range(3)]
+    users = [client.registration.user_id for client in clients]
+    for i in range(3):
+        search.register(f"dev-{i}")
+    assert list(search.users) == users
     r = registry.rotation_s
+    # each client reads windows 0 .. 9, beaconing three times in each
+    for client in clients:
+        for t in range(0, 10 * r, r // 3):
+            client.advertisement_identifier(t)
+    assert sorted(calls) == sorted((u, w) for u in users for w in range(10))
+    del calls[:]
     # overlapping records, two known identifiers outside their records'
     # windows (one just past the last), and an unknown one
-    records = [{"id_hex": derive_centralized_id(users[i % 3], w).hex(),
+    records = [{"id_hex": clients[i % 3].advertisement_identifier(w * r).hex(),
                 "first_seen": first, "last_seen": last}
                for i, (w, first, last) in enumerate([
                    (1, r + 10, 2 * r), (2, r, 3 * r - 1), (3, 2 * r, 2 * r + 5),
                    (9, 0, r), (5, 3 * r, 3 * r), (1, 2 * r, 4 * r)])]
     records.append({"id_hex": "ab" * 16, "first_seen": 0, "last_seen": 60})
-    want = {}
-    for rec in records:
-        user_id = registry.resolve(bytes.fromhex(rec["id_hex"]), rec["first_seen"],
-                                   rec["last_seen"])
-        if user_id is not None:
-            want.setdefault(user_id, []).append((rec["first_seen"], rec["last_seen"]))
-    calls = []
-    derive = centralized.derive_centralized_id
-
-    def counted(user_id, t_k):
-        calls.append((user_id, t_k))
-        return derive(user_id, t_k)
-
-    monkeypatch.setattr(centralized, "derive_centralized_id", counted)
     got = server_match(records, registry)
+    # one derivation per record resolved within its windows, to verify the lookup
+    assert calls == [(users[0], 1), (users[1], 2), (users[2], 3), (users[2], 1)]
+    assert got == {users[0]: [(r + 10, 2 * r)], users[1]: [(r, 3 * r - 1)],
+                   users[2]: [(2 * r, 2 * r + 5), (2 * r, 4 * r)]}
+    # the reference search finds the same users, in the same order
+    want = server_match(records, search)
     assert got == want and list(got) == list(want)
-    assert len(want) == 3 and sum(map(len, want.values())) == 4
-    # windows -1 .. 5 are the union of the records' own ranges
-    assert sorted(calls) == sorted((u, w) for u in users for w in range(-1, 6))
 
 
 def test_server_match_bluetrace_roundtrip():
@@ -218,12 +230,10 @@ def test_client_identifier_cache_matches_derivation_and_batches(monkeypatch, var
             else:
                 assert got == day_batch_identifier(registry, uid, t_k)
     windows = {t // 900 for t in times}
-    if variant == VARIANT_PEPP_PT:
-        assert len(derivations) == len(windows)     # one per window, however often it beacons
-        assert pulls == []
-    else:
-        # one pull per window, however often it beacons, on either side of the day boundary
-        assert sorted(pulls) == sorted((uid, w) for w in windows) and derivations == []
+    # one pull per window, however often it beacons, on either side of the day boundary
+    assert sorted(pulls) == sorted((uid, w) for w in windows)
+    # which derives the identifier from the user id (pepp_pt), or under the master key
+    assert sorted(derivations) == (sorted(pulls) if variant == VARIANT_PEPP_PT else [])
 
 
 def _run_states(monkeypatch) -> list:
@@ -294,9 +304,8 @@ class WholeDayRegistry(CentralRegistry):
             self.days[(user_id, day)] = batch
         return self.days[(user_id, day)][t_k - day * self.batch_size]
 
-    def owners(self, lo, hi):
-        return {ident: user_id for ident, (user_id, t_k, _, _) in self.issued.items()
-                if lo <= t_k <= hi}
+    def owners(self):
+        return {ident: user_id for ident, (user_id, _, _, _) in self.issued.items()}
 
     def resolve(self, identifier, first_seen, last_seen):
         hit = self.issued.get(identifier)
@@ -307,9 +316,35 @@ class WholeDayRegistry(CentralRegistry):
         return user_id if rederived == identifier else None
 
 
-def _bluetrace(doc: dict, rotation_s: int) -> dict:
-    """doc with each centralized run under the bluetrace variant at rotation_s."""
-    runs = [dict(run, scheme_config=dict(run.get("scheme_config", {}), variant=VARIANT_BLUETRACE,
+class SearchRegistry(CentralRegistry):
+    """The earlier pepp_pt registry, kept as the reference resolver. It indexes
+    nothing: a client derives its identifiers from its user id, resolve
+    searches every registered user at each of a record's windows
+    first_seen // r - 1 .. last_seen // r + 1, and owners() every registered
+    user at each window of `windows`."""
+
+    windows = range(0)
+
+    def issue_batch(self, user_id, t_k):
+        if user_id not in self.users:
+            raise ProtocolError(f"unknown user {user_id}")
+        return derive_centralized_id(user_id, t_k)
+
+    def search(self, windows):
+        return {derive_centralized_id(user_id, t_k): user_id
+                for user_id in self.users for t_k in windows}
+
+    def owners(self):
+        return self.search(self.windows)
+
+    def resolve(self, identifier, first_seen, last_seen):
+        r = self.rotation_s
+        return self.search(range(first_seen // r - 1, last_seen // r + 2)).get(identifier)
+
+
+def _variant(doc: dict, variant: str, rotation_s: int) -> dict:
+    """doc with each centralized run under variant at rotation_s."""
+    runs = [dict(run, scheme_config=dict(run.get("scheme_config", {}), variant=variant,
                                          rotation_s=rotation_s))
             if run["scheme"] == "centralized" else run for run in doc["runs"]]
     return dict(doc, runs=runs)
@@ -332,7 +367,7 @@ DIFFERENTIAL = ["relay_centralized", "linkage_centralized", "social_graph", "sup
 def test_window_by_window_issuance_writes_what_whole_day_batches_wrote(
         monkeypatch, tmp_path, case, seed, rotation_s):
     doc = _population_day(monkeypatch, seed) if case == "population" else builtin_scenario(case)
-    doc = _bluetrace(doc, rotation_s)
+    doc = _variant(doc, VARIANT_BLUETRACE, rotation_s)
     if case == "linkage_centralized":
         assert doc["runs"][0]["analysis"]["colluding_sp"]
     states = _run_states(monkeypatch)
@@ -376,3 +411,55 @@ def test_registry_derives_one_identifier_per_window_read_and_one_per_resolve(mon
         assert all(type(u) is str and type(t_k) is int
                    for u, t_k in registry._batch_index.values())
         assert set(registry._batch_index.values()) <= reads
+
+
+def _clock_offset(doc: dict, device: str, offset_s: int) -> dict:
+    """doc with device's clock offset_s seconds off in every run."""
+    runs = [dict(run, devices=[{"id": dev, "clock_offset_s": offset_s} if dev == device else dev
+                               for dev in run["devices"]]) for run in doc["runs"]]
+    return dict(doc, runs=runs)
+
+
+def _clock_windows(doc: dict, rotation_s: int) -> range:
+    """Every window a device clock of doc reads, and one more on either side."""
+    offsets = [0] + [dev["clock_offset_s"] for run in doc["runs"] for dev in run["devices"]
+                     if type(dev) is dict and "clock_offset_s" in dev]
+    end = max(run["duration_s"] for run in doc["runs"]) + max(offsets)
+    return range(min(offsets) // rotation_s - 1, end // rotation_s + 2)
+
+
+PEPP_PT_DIFFERENTIAL = ["relay_centralized", "linkage_centralized", "linkage_ahead",
+                        "linkage_behind", "social_graph", "superspreader",
+                        "fake_claim_centralized", "population"]
+
+
+@pytest.mark.parametrize("rotation_s", [60, 900])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("case", PEPP_PT_DIFFERENTIAL)
+def test_pepp_pt_index_lookup_writes_what_the_search_wrote(
+        monkeypatch, tmp_path, case, seed, rotation_s):
+    if case == "population":
+        doc = _population_day(monkeypatch, seed)
+    elif case.startswith("linkage_"):
+        # the colluding provider, with the walker's clock a day ahead or ten hours behind
+        offset_s = {"linkage_ahead": 90000, "linkage_behind": -36000}.get(case, 0)
+        doc = _clock_offset(builtin_scenario("linkage_centralized"), "walker", offset_s)
+    else:
+        doc = builtin_scenario(case)
+    doc = _variant(doc, VARIANT_PEPP_PT, rotation_s)
+    states = _run_states(monkeypatch)
+    run_scenario(doc, seed, out_dir=tmp_path / "index")
+    with monkeypatch.context() as m:
+        m.setattr(scenario_module, "CentralRegistry", SearchRegistry)
+        m.setattr(SearchRegistry, "windows", _clock_windows(doc, rotation_s))
+        run_scenario(doc, seed, out_dir=tmp_path / "search")
+    for name in ("metrics.json", "events.jsonl"):
+        assert (tmp_path / "index" / name).read_bytes() == (tmp_path / "search" / name).read_bytes()
+    index, search = states[:len(states) // 2], states[len(states) // 2:]
+    assert [s.server.match_history for s in index] == [s.server.match_history for s in search]
+    # both runs went through the registries compared
+    central = sum(run["scheme"] == "centralized" for run in doc["runs"])
+    assert [type(s.server.registry) for s in index if s.server.registry is not None] \
+        == [CentralRegistry] * central
+    assert [type(s.server.registry) for s in search if s.server.registry is not None] \
+        == [SearchRegistry] * central

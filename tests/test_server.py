@@ -234,8 +234,8 @@ def test_malformed_centralized_upload_keeps_its_tan(tmp_path):
     with pytest.raises(UploadRejected, match=r"records\[1\] is missing the 'id_hex' field"):
         server.accept_upload({"scheme": "centralized", "tan": tan.value,
                               "records": [good, {"first_seen": 100, "last_seen": 400}]})
-    # a span longer than the retention period would have resolve search every
-    # window in it; the bound is checked before the TAN is spent
+    # a span longer than the retention period is no record a client keeps; the
+    # bound is checked before the TAN is spent
     with pytest.raises(UploadRejected, match=r"records\[1\]: last_seen must lie within 14 days"):
         server.accept_upload({"scheme": "centralized", "tan": tan.value,
                               "records": [good, dict(good, last_seen=100 + 14 * 86400 + 1)]})
@@ -257,8 +257,9 @@ def test_malformed_centralized_upload_keeps_its_tan(tmp_path):
 
 
 def test_centralized_record_whose_windows_do_not_encode_keeps_its_tan():
-    # pepp_pt resolve derives the windows t // rotation_s - 1 .. + 1, each packed
-    # into 8 signed bytes; a record past that is rejected before its TAN is spent
+    # an identifier is issued only for a window index that packs into 8 signed
+    # bytes; a record whose windows t // rotation_s - 1 .. + 1 go past that is
+    # rejected before its TAN is spent
     server = make_server(registry=CentralRegistry(SeedStream(5, "reg"), variant="pepp_pt"))
     with serving(server) as port:
         import socket as socketlib
